@@ -18,7 +18,17 @@
 //     descriptor at compile time;
 //   - static kind analysis: scalars and arrays with stable runtime kinds
 //     get integer fast-path opcodes (bAddI, bLtI, ...), with DO-variable
-//     writes and call-site aliasing poisoning unstable kinds.
+//     writes and call-site aliasing poisoning unstable kinds;
+//   - scalar load forwarding: within a basic block a second read of a
+//     scalar whose cell cannot have been stored since reuses the first
+//     read's register, and a DO variable its body never stores is read
+//     straight from the loop's value register;
+//   - charge merging: an integer division or mod whose divisor folds to a
+//     non-zero constant cannot raise, so it no longer splits the block's
+//     charge vector;
+//   - string exclusion: registers hold no character values, so any
+//     expression a character value can reach is evaluated by the closure
+//     tier as a whole (bEval) or takes its statement with it (bStmt).
 package exec
 
 import (
@@ -53,10 +63,12 @@ type arrGeo struct {
 // loop body.
 type factRange struct{ lo, hi int64 }
 
-// rv is a lowered expression: its result register and statically-known kind.
+// rv is a lowered expression: its result register and statically-known
+// kind. konst marks an interned constant, whose value is bp.regInit[reg].
 type rv struct {
-	reg int32
-	k   interp.Kind
+	reg   int32
+	k     interp.Kind
+	konst bool
 }
 
 // loopFrame tracks patch targets while lowering one DO body.
@@ -72,9 +84,16 @@ type bc struct {
 	bp *bprog
 
 	nreg      int32
-	constRegs map[interp.Value]int32
+	constRegs map[reg]int32
 	vecMap    map[[5]int64]int32
 	pending   [5]int64
+
+	// avail maps a scalar name to the register holding its cell's current
+	// value, valid to the end of the basic block being lowered; loopRegs
+	// maps the DO variable of each enclosing loop whose body never stores
+	// it to the loop's value register.
+	avail    map[string]int32
+	loopRegs map[string]int32
 
 	foldConst map[string]interp.Value // folded named-constant values
 	mpiName   map[string]bool         // MPI constants safe to fold in the body
@@ -82,6 +101,7 @@ type bc struct {
 	kills     map[string]bool         // scalar names stored anywhere in the unit
 	poisoned  map[string]bool         // names whose cell kind may change at runtime
 	declScal  map[string]interp.Kind  // first non-param scalar decl kind
+	strNames  map[string]bool         // names whose value may be a character string
 	isParam   map[string]bool
 	cellSet   map[string]bool // cell guaranteed to exist when the body runs
 	scalK     map[string]interp.Kind
@@ -98,9 +118,12 @@ func lowerMain(p *Program) *bprog {
 	c := p.main.cm
 	b := &bc{
 		c:         c,
-		bp:        &bprog{},
-		constRegs: map[interp.Value]int32{},
+		bp:        &bprog{errAt: map[int32]error{}},
+		constRegs: map[reg]int32{},
 		vecMap:    map[[5]int64]int32{},
+		avail:     map[string]int32{},
+		loopRegs:  map[string]int32{},
+		strNames:  map[string]bool{},
 		foldConst: map[string]interp.Value{},
 		mpiName:   map[string]bool{},
 		mpiSetup:  map[string]bool{},
@@ -130,7 +153,12 @@ func (b *bc) analyze() {
 	for _, p := range u.Params {
 		b.isParam[p] = true
 	}
-	b.scanKills(u.Body)
+	eachKill(u.Body, func(name string, wholesale bool) {
+		b.kills[name] = true
+		if wholesale {
+			b.poisoned[name] = true
+		}
+	})
 
 	// Declared-name facts: first non-param scalar decl fixes the cell kind
 	// (later decls keep the existing cell); last non-param array decl fixes
@@ -148,7 +176,13 @@ func (b *bc) analyze() {
 			if _, seen := b.declScal[e.Name]; seen {
 				continue
 			}
-			b.declScal[e.Name] = declKind(d.Type.Base, e.Init)
+			k := declKind(d.Type.Base, e.Init)
+			b.declScal[e.Name] = k
+			if k == kUnknown {
+				// A character cell, or a logical one whose initializer is
+				// stored unconverted: either can hold a string.
+				b.strNames[e.Name] = true
+			}
 		}
 	}
 
@@ -181,14 +215,20 @@ func (b *bc) analyze() {
 			if !ok || unfoldable[e.Name] {
 				delete(b.foldConst, e.Name)
 				unfoldable[e.Name] = true
+				if k := interp.KindOf(d.Type.Base); k != interp.KInt && k != interp.KReal {
+					b.strNames[e.Name] = true // run-time value of any kind
+				}
 				continue
 			}
 			b.foldConst[e.Name] = interp.CoerceDecl(d.Type.Base, v)
 		}
 	}
 	for n, v := range b.foldConst {
-		if v.Kind == interp.KInt {
+		switch v.Kind {
+		case interp.KInt:
 			b.intConsts[n] = v.I
+		case interp.KStr:
+			b.strNames[n] = true
 		}
 	}
 
@@ -302,40 +342,86 @@ func storageKind(base ftn.BaseType) interp.Kind {
 	return kUnknown
 }
 
-// scanKills records names stored through scalar cells anywhere in stmts:
+// eachKill calls f for every scalar name stmts can store through its cell:
 // assignment targets, DO variables, and top-level Ident call arguments
-// (callees receive those by reference).
-func (b *bc) scanKills(stmts []ftn.Stmt) {
+// (callees receive those by reference). wholesale marks the stores that can
+// replace the cell's kind: a DO loop writes IntVal regardless of the
+// cell, and a callee may run one over its dummy.
+func eachKill(stmts []ftn.Stmt, f func(name string, wholesale bool)) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ftn.AssignStmt:
 			if id, ok := s.LHS.(*ftn.Ident); ok {
-				b.kills[id.Name] = true
+				f(id.Name, false)
 			}
 		case *ftn.DoStmt:
-			b.kills[s.Var] = true
-			b.poisoned[s.Var] = true
-			b.scanKills(s.Body)
+			f(s.Var, true)
+			eachKill(s.Body, f)
 		case *ftn.IfStmt:
-			b.scanKills(s.Then)
-			b.scanKills(s.Else)
+			eachKill(s.Then, f)
+			eachKill(s.Else, f)
 		case *ftn.CallStmt:
 			for _, a := range s.Args {
 				if id, ok := a.(*ftn.Ident); ok {
-					b.kills[id.Name] = true
-					b.poisoned[id.Name] = true
+					f(id.Name, true)
 				}
 			}
 		}
 	}
 }
 
-// killsIn returns the kill set of a statement list in isolation (for DO
-// fact validity: the variable must not be stored inside its own body).
-func killsIn(stmts []ftn.Stmt) map[string]bool {
-	sub := &bc{kills: map[string]bool{}, poisoned: map[string]bool{}}
-	sub.scanKills(stmts)
-	return sub.kills
+// killsName reports whether stmts can store name's cell (see eachKill).
+func killsName(stmts []ftn.Stmt, name string) bool {
+	found := false
+	eachKill(stmts, func(n string, _ bool) {
+		if n == name {
+			found = true
+		}
+	})
+	return found
+}
+
+// hasStr reports whether a character value can appear anywhere in e: a
+// string literal or a name that may hold one. Such an expression is never
+// lowered onto registers.
+func (b *bc) hasStr(e ftn.Expr) bool {
+	switch e := e.(type) {
+	case *ftn.StrLit:
+		return true
+	case *ftn.Ident:
+		return b.strNames[e.Name]
+	case *ftn.Unary:
+		return b.hasStr(e.X)
+	case *ftn.Binary:
+		return b.hasStr(e.X) || b.hasStr(e.Y)
+	case *ftn.Ref:
+		return b.anyStr(e.Args)
+	}
+	return false
+}
+
+func (b *bc) anyStr(es []ftn.Expr) bool {
+	for _, e := range es {
+		if b.hasStr(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// strValued reports whether e's own value may be a character string, given
+// hasStr(e): only literals, names, unary plus and min/max pass one through;
+// every other operator yields a number, a logical, or an error.
+func (b *bc) strValued(e ftn.Expr) bool {
+	switch e := e.(type) {
+	case *ftn.StrLit, *ftn.Ident:
+		return true
+	case *ftn.Unary:
+		return e.Op == "+" && b.strValued(e.X)
+	case *ftn.Ref:
+		return e.Name == "min" || e.Name == "max"
+	}
+	return false
 }
 
 // --- constant folding ---
@@ -489,8 +575,15 @@ func foldBinary(op string, x, y interp.Value) (interp.Value, bool) {
 
 // --- emission helpers ---
 
+// emit appends one instruction (unused operands stay -1) and returns its pc.
 func (b *bc) emit(op bop, args ...int32) int32 {
-	ins := bins{op: op, b: -1, c: -1, d: -1}
+	switch op {
+	case bEval, bStmt, bJmp, bJF, bJT, bJFChk, bForPrep, bForIter, bForNext:
+		// A bridge may store any cell (callees hold them by reference) and
+		// a transfer ends the basic block: forwarded loads die here.
+		b.forget()
+	}
+	ins := bins{op: op, a: -1, b: -1, c: -1}
 	if len(args) > 0 {
 		ins.a = args[0]
 	}
@@ -500,31 +593,45 @@ func (b *bc) emit(op bop, args ...int32) int32 {
 	if len(args) > 2 {
 		ins.c = args[2]
 	}
-	if len(args) > 3 {
-		ins.d = args[3]
-	}
 	b.bp.code = append(b.bp.code, ins)
 	return int32(len(b.bp.code) - 1)
+}
+
+// raise emits an instruction that can fail with err. Pending charges are
+// flushed first, so the error surfaces at the walker's exact elapsed time.
+func (b *bc) raise(err error, op bop, args ...int32) int32 {
+	b.flush()
+	pc := b.emit(op, args...)
+	b.bp.errAt[pc] = err
+	return pc
+}
+
+func (b *bc) forget() {
+	if len(b.avail) > 0 {
+		clear(b.avail)
+	}
 }
 
 func (b *bc) newReg() int32 {
 	r := b.nreg
 	b.nreg++
-	if int(b.nreg) > len(b.bp.regInit) {
-		b.bp.regInit = append(b.bp.regInit, interp.Value{})
-	}
 	return r
 }
 
-// constReg interns a folded value as an initialized register.
-func (b *bc) constReg(v interp.Value) int32 {
-	if r, ok := b.constRegs[v]; ok {
-		return r
+// constReg interns a folded value as an initialized register. Interning is
+// by bit pattern: -0.0 and 0.0 are different constants, two NaNs are one.
+func (b *bc) constReg(v interp.Value) rv {
+	c := toReg(v)
+	r, ok := b.constRegs[c]
+	if !ok {
+		r = b.newReg()
+		for int(r) >= len(b.bp.regInit) {
+			b.bp.regInit = append(b.bp.regInit, reg{})
+		}
+		b.bp.regInit[r] = c
+		b.constRegs[c] = r
 	}
-	r := b.newReg()
-	b.bp.regInit[r] = v
-	b.constRegs[v] = r
-	return r
+	return rv{reg: r, k: c.k, konst: true}
 }
 
 // flush emits the pending charge vector as one bCharge, deduplicating
@@ -546,12 +653,11 @@ func (b *bc) flush() {
 }
 
 // here is the next instruction's pc — a label. Pending charges never cross
-// a label (all callers flush first).
-func (b *bc) here() int32 { return int32(len(b.bp.code)) }
-
-func (b *bc) errIdx(err error) int32 {
-	b.bp.errs = append(b.bp.errs, err)
-	return int32(len(b.bp.errs) - 1)
+// a label (all callers flush first), and neither do forwarded loads: a
+// label is where paths merge.
+func (b *bc) here() int32 {
+	b.forget()
+	return int32(len(b.bp.code))
 }
 
 func (b *bc) evalIdx(fn exprFn) int32 {
@@ -562,11 +668,6 @@ func (b *bc) evalIdx(fn exprFn) int32 {
 func (b *bc) stmtIdx(fn stmtFn) int32 {
 	b.bp.stmts = append(b.bp.stmts, fn)
 	return int32(len(b.bp.stmts) - 1)
-}
-
-func (b *bc) opIdx(d opDesc) int32 {
-	b.bp.ops = append(b.bp.ops, d)
-	return int32(len(b.bp.ops) - 1)
 }
 
 // patch sets the a-operand (jump target) of instruction pc.
@@ -598,11 +699,12 @@ func (b *bc) stmtFallback(s ftn.Stmt) {
 	}
 }
 
-// evalFallback lowers an expression through the closure tier.
-func (b *bc) evalFallback(e ftn.Expr) rv {
+// evalFallback lowers an expression through the closure tier. The caller
+// guarantees its value is never a character string.
+func (b *bc) evalFallback(fn exprFn) rv {
 	b.flush()
 	dst := b.newReg()
-	b.emit(bEval, dst, b.evalIdx(b.c.expr(e)))
+	b.emit(bEval, dst, b.evalIdx(fn))
 	return rv{reg: dst, k: kUnknown}
 }
 
@@ -647,6 +749,10 @@ func (b *bc) stmt(s ftn.Stmt) {
 }
 
 func (b *bc) assign(s *ftn.AssignStmt) {
+	if b.hasStr(s.RHS) {
+		b.stmtFallback(s)
+		return
+	}
 	switch lhs := s.LHS.(type) {
 	case *ftn.Ident:
 		if !b.storeFast(lhs.Name) {
@@ -656,9 +762,12 @@ func (b *bc) assign(s *ftn.AssignStmt) {
 		v := b.expr(s.RHS)
 		b.pending[kAssign]++
 		b.emit(bStoreS, int32(b.c.syms[lhs.Name].sslot), v.reg)
+		// The store converts to the cell's kind, so the cell's new value is
+		// not v: the next read reloads.
+		delete(b.avail, lhs.Name)
 	case *ftn.Ref:
 		g := b.arrInfo[lhs.Name]
-		if g == nil {
+		if g == nil || b.anyStr(lhs.Args) {
 			b.stmtFallback(s)
 			return
 		}
@@ -666,43 +775,55 @@ func (b *bc) assign(s *ftn.AssignStmt) {
 		subs := b.lowerSubs(lhs.Args)
 		b.pending[kStore]++
 		if gi, ok := b.geoAccess(g, lhs.Args, subs); ok {
-			b.emit(bStoreU, gi, v.reg)
+			b.emit(bStoreU1+bop(len(subs)-1), gi, v.reg)
 			return
 		}
 		b.flush()
-		ai := b.accIdx(accDesc{aslot: g.aslot, subs: subs, pos: lhs.Pos()})
-		b.emit(bStoreA, ai, v.reg)
+		b.emit(bStoreA, b.accIdx(g, subs, lhs.Pos()), v.reg)
 	default:
 		b.stmtFallback(s)
 	}
 }
 
-func (b *bc) accIdx(d accDesc) int32 {
-	b.bp.accs = append(b.bp.accs, d)
+func (b *bc) accIdx(g *arrGeo, subs []rv, pos ftn.Pos) int32 {
+	b.bp.accs = append(b.bp.accs, accDesc{aslot: g.aslot, subs: regsOf(subs), pos: pos})
 	return int32(len(b.bp.accs) - 1)
 }
 
-// geoAccess builds an unchecked access when every subscript is affine in
-// statically-ranged DO variables and provably inside the folded geometry.
-func (b *bc) geoAccess(g *arrGeo, args []ftn.Expr, subs []int32) (int32, bool) {
-	if g.lo == nil || len(args) != len(g.lo) {
+func regsOf(rs []rv) []int32 {
+	out := make([]int32, len(rs))
+	for i, r := range rs {
+		out[i] = r.reg
+	}
+	return out
+}
+
+// geoAccess builds an unchecked access of rank 1 to 3 when every subscript
+// is an integer affine in statically-ranged DO variables and provably
+// inside the folded geometry of a kind-stable array.
+func (b *bc) geoAccess(g *arrGeo, args []ftn.Expr, subs []rv) (int32, bool) {
+	if g.lo == nil || len(args) != len(g.lo) || len(args) > 3 || g.kind == kUnknown {
 		return 0, false
 	}
 	env := &dep.Env{LoopVars: map[string]bool{}, Consts: b.intConsts}
 	for v := range b.facts {
 		env.LoopVars[v] = true
 	}
+	d := geoDesc{aslot: g.aslot, kind: g.kind}
 	for i, e := range args {
 		a, ok := dep.FromExpr(e, env)
-		if !ok || len(a.Syms) != 0 {
+		if !ok || len(a.Syms) != 0 || subs[i].k != interp.KInt {
 			return 0, false
 		}
 		mn, mx, ok := b.affineRange(a)
 		if !ok || mn < g.lo[i] || mx > g.hi[i] {
 			return 0, false
 		}
+		d.sub[i] = subs[i].reg
+		d.stride[i] = g.stride[i]
+		d.base -= g.lo[i] * g.stride[i]
 	}
-	b.bp.geos = append(b.bp.geos, geoDesc{aslot: g.aslot, subs: subs, lo: g.lo, stride: g.stride})
+	b.bp.geos = append(b.bp.geos, d)
 	return int32(len(b.bp.geos) - 1), true
 }
 
@@ -738,23 +859,34 @@ func (b *bc) affineRange(a dep.Affine) (int64, int64, bool) {
 	return mn, mx, true
 }
 
-func (b *bc) lowerSubs(args []ftn.Expr) []int32 {
-	subs := make([]int32, len(args))
+func (b *bc) lowerSubs(args []ftn.Expr) []rv {
+	subs := make([]rv, len(args))
 	for i, a := range args {
-		subs[i] = b.expr(a).reg
+		subs[i] = b.expr(a)
 	}
 	return subs
 }
 
 func (b *bc) ifStmt(s *ftn.IfStmt) {
-	cond := b.expr(s.Cond)
+	var cond rv
+	switch {
+	case !b.hasStr(s.Cond):
+		cond = b.expr(s.Cond)
+	case b.strValued(s.Cond):
+		b.stmtFallback(s)
+		return
+	default:
+		// A string comparison: the closure tier evaluates the condition,
+		// the branches still lower natively.
+		cond = b.evalFallback(b.c.expr(s.Cond))
+	}
 	b.pending[kOp]++
-	b.flush()
 	var jf int32
 	if cond.k == interp.KBool {
+		b.flush()
 		jf = b.emit(bJF, -1, cond.reg)
 	} else {
-		jf = b.emit(bJFChk, -1, cond.reg, b.errIdx(rte(s.Pos(), "IF condition is not logical")))
+		jf = b.raise(rte(s.Pos(), "IF condition is not logical"), bJFChk, -1, cond.reg)
 	}
 	for _, st := range s.Then {
 		b.stmt(st)
@@ -774,74 +906,58 @@ func (b *bc) ifStmt(s *ftn.IfStmt) {
 	b.patch(jf, b.here())
 }
 
+// bound lowers a DO bound or step; when it folds (r.konst), v is the
+// integer the loop will see.
+func (b *bc) bound(e ftn.Expr) (r rv, v int64) {
+	r = b.expr(e)
+	if r.konst {
+		v = b.bp.regInit[r.reg].asInt()
+	}
+	return r, v
+}
+
 func (b *bc) doStmt(s *ftn.DoStmt) {
-	if !b.storeFast(s.Var) {
+	if !b.storeFast(s.Var) || b.hasStr(s.Lo) || b.hasStr(s.Hi) || (s.Step != nil && b.hasStr(s.Step)) {
 		b.stmtFallback(s)
 		return
 	}
-	sv := b.c.syms[s.Var]
 
-	// Bounds and step evaluate once, before the loop; fold-aware.
-	loV, loOps, loConst := b.fold(s.Lo)
-	hiV, hiOps, hiConst := b.fold(s.Hi)
-	var lo, hi rv
-	if loConst {
-		b.pending[kOp] += loOps
-		lo = rv{reg: b.constReg(loV), k: loV.Kind}
-	} else {
-		lo = b.expr(s.Lo)
-	}
-	if hiConst {
-		b.pending[kOp] += hiOps
-		hi = rv{reg: b.constReg(hiV), k: hiV.Kind}
-	} else {
-		hi = b.expr(s.Hi)
-	}
+	// Bounds and step evaluate once, before the loop.
+	lo, loI := b.bound(s.Lo)
+	hi, hiI := b.bound(s.Hi)
 	fd := forDesc{
 		loReg: lo.reg, hiReg: hi.reg, stepReg: -1,
-		sslot: int32(sv.sslot),
+		sslot: int32(b.c.syms[s.Var].sslot),
 		vReg:  b.newReg(), tripsReg: b.newReg(), stepValReg: b.newReg(),
-		errStep: rte(s.Pos(), "DO step is zero"),
 	}
-	stepConst := true
-	stepV := interp.IntVal(1)
+	static := lo.konst && hi.konst
+	stepI := int64(1)
 	if s.Step != nil {
-		var stepOps int64
-		stepV, stepOps, stepConst = b.fold(s.Step)
-		if stepConst {
-			b.pending[kOp] += stepOps
-			fd.stepReg = b.constReg(stepV)
-		} else {
-			fd.stepReg = b.expr(s.Step).reg
-		}
+		var step rv
+		step, stepI = b.bound(s.Step)
+		fd.stepReg = step.reg
+		static = static && step.konst
 	}
 	fdIdx := int32(len(b.bp.fors))
 	b.bp.fors = append(b.bp.fors, fd)
-	b.flush()
-	b.emit(bForPrep, fdIdx)
+	b.raise(rte(s.Pos(), "DO step is zero"), bForPrep, fdIdx)
 	head := b.here()
 	b.emit(bForIter, fdIdx)
 
-	// Register a value-range fact when the trip space is fully static and
-	// the body never stores the variable.
-	factSaved, hadFact := b.facts[s.Var], false
-	if old, ok := b.facts[s.Var]; ok {
-		factSaved, hadFact = old, true
-	}
-	registered := false
-	if loConst && hiConst && stepConst {
-		loI, hiI := loV.AsInt(), hiV.AsInt()
-		stepI := stepV.AsInt()
-		if stepI != 0 {
-			trips := (hiI - loI + stepI) / stepI
-			if trips > 0 && !killsIn(s.Body)[s.Var] {
-				last := loI + (trips-1)*stepI
-				fl, fh := loI, last
+	// A body that never stores the variable reads it from the loop's value
+	// register, and a fully static trip space additionally gives the
+	// variable a value-range fact for bounds-check elimination. (An inner
+	// DO over the same variable is a store, so neither can already be set.)
+	direct := b.loadFast(s.Var) && !killsName(s.Body, s.Var)
+	if direct {
+		b.loopRegs[s.Var] = fd.vReg
+		if static && stepI != 0 {
+			if trips := (hiI - loI + stepI) / stepI; trips > 0 {
+				fl, fh := loI, loI+(trips-1)*stepI
 				if fl > fh {
 					fl, fh = fh, fl
 				}
 				b.facts[s.Var] = factRange{lo: fl, hi: fh}
-				registered = true
 			}
 		}
 	}
@@ -870,21 +986,19 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 		b.bp.code[pc].b = contPC
 		b.bp.code[pc].c = endPC
 	}
-	if registered {
-		if hadFact {
-			b.facts[s.Var] = factSaved
-		} else {
-			delete(b.facts, s.Var)
-		}
+	if direct {
+		delete(b.loopRegs, s.Var)
+		delete(b.facts, s.Var)
 	}
 }
 
 // --- expression lowering ---
 
+// expr lowers an expression no character value can reach (!hasStr(e)).
 func (b *bc) expr(e ftn.Expr) rv {
 	if v, ops, ok := b.fold(e); ok {
 		b.pending[kOp] += ops
-		return rv{reg: b.constReg(v), k: v.Kind}
+		return b.constReg(v)
 	}
 	switch e := e.(type) {
 	case *ftn.Ident:
@@ -897,19 +1011,23 @@ func (b *bc) expr(e ftn.Expr) rv {
 		return b.ref(e)
 	}
 	// Literals always fold; anything else unmodeled goes to the closure.
-	return b.evalFallback(e)
+	return b.evalFallback(b.c.expr(e))
 }
 
 func (b *bc) identLoad(e *ftn.Ident) rv {
-	if b.loadFast(e.Name) {
-		dst := b.newReg()
-		b.emit(bLoadS, dst, int32(b.c.syms[e.Name].sslot))
-		return rv{reg: dst, k: b.scalK[e.Name]}
+	if !b.loadFast(e.Name) {
+		return b.evalFallback(b.c.identRead(e))
 	}
-	b.flush()
-	dst := b.newReg()
-	b.emit(bEval, dst, b.evalIdx(b.c.identRead(e)))
-	return rv{reg: dst, k: kUnknown}
+	if r, ok := b.loopRegs[e.Name]; ok {
+		return rv{reg: r, k: interp.KInt}
+	}
+	r, ok := b.avail[e.Name]
+	if !ok {
+		r = b.newReg()
+		b.emit(bLoadS, r, int32(b.c.syms[e.Name].sslot))
+		b.avail[e.Name] = r
+	}
+	return rv{reg: r, k: b.scalK[e.Name]}
 }
 
 func (b *bc) unary(e *ftn.Unary) rv {
@@ -929,18 +1047,16 @@ func (b *bc) unary(e *ftn.Unary) rv {
 		}
 		return rv{reg: dst, k: k}
 	case "+":
-		return rv{reg: x.reg, k: x.k}
+		return x
 	case ".not.":
 		if x.k == interp.KBool {
 			b.emit(bNot, dst, x.reg)
-			return rv{reg: dst, k: interp.KBool}
+		} else {
+			b.raise(rte(e.Pos(), ".not. of non-logical"), bNotChk, dst, x.reg)
 		}
-		b.flush()
-		b.emit(bNotChk, dst, x.reg, b.errIdx(rte(e.Pos(), ".not. of non-logical")))
 		return rv{reg: dst, k: interp.KBool}
 	}
-	b.flush()
-	b.emit(bErr, b.errIdx(rte(e.Pos(), "bad unary operator %q", e.Op)))
+	b.raise(rte(e.Pos(), "bad unary operator %q", e.Op), bErr)
 	return rv{reg: dst, k: kUnknown}
 }
 
@@ -959,8 +1075,7 @@ func (b *bc) binary(e *ftn.Binary) rv {
 	b.expr(e.X)
 	b.expr(e.Y)
 	b.pending[kOp]++
-	b.flush()
-	b.emit(bErr, b.errIdx(rte(e.Pos(), "%v", fmt.Errorf("bad comparison %q", op))))
+	b.raise(rte(e.Pos(), "%v", fmt.Errorf("bad comparison %q", op)), bErr)
 	return rv{reg: b.newReg(), k: kUnknown}
 }
 
@@ -969,8 +1084,7 @@ func (b *bc) logical(e *ftn.Binary) rv {
 	x := b.expr(e.X)
 	if x.k != interp.KBool {
 		// Kind check precedes the Op charge in the walker.
-		b.flush()
-		b.emit(bBoolChk, x.reg, b.errIdx(rte(e.Pos(), "%s of non-logical", e.Op)))
+		b.raise(rte(e.Pos(), "%s of non-logical", e.Op), bBoolChk, x.reg)
 	}
 	b.pending[kOp]++
 	b.flush()
@@ -983,105 +1097,103 @@ func (b *bc) logical(e *ftn.Binary) rv {
 	}
 	y := b.expr(e.Y)
 	if y.k != interp.KBool {
-		b.flush()
-		b.emit(bBoolChk, y.reg, b.errIdx(rte(e.Pos(), "%s of non-logical", e.Op)))
+		b.raise(rte(e.Pos(), "%s of non-logical", e.Op), bBoolChk, y.reg)
 	}
 	b.emit(bMove, dst, y.reg)
 	b.flush()
 	jEnd := b.emit(bJmp, -1)
 	b.patch(jShort, b.here())
-	b.emit(bMove, dst, b.constReg(interp.BoolVal(!isAnd)))
+	b.emit(bMove, dst, b.constReg(interp.BoolVal(!isAnd)).reg)
 	b.patch(jEnd, b.here())
 	return rv{reg: dst, k: interp.KBool}
+}
+
+// zeroDivPossible reports whether x/y or mod(x, y) can raise: only an
+// integer division does, and only when the divisor is not a folded non-zero
+// constant. An op that cannot raise does not split the charge vector.
+func (b *bc) zeroDivPossible(x, y rv) bool {
+	mayBeInt := func(k interp.Kind) bool { return k == interp.KInt || k == kUnknown }
+	if !mayBeInt(x.k) || !mayBeInt(y.k) {
+		return false
+	}
+	return !(y.konst && b.bp.regInit[y.reg].bits != 0)
+}
+
+// binop emits a two-operand instruction, flushing first and registering err
+// when it can raise.
+func (b *bc) binop(op bop, x, y rv, err error) int32 {
+	dst := b.newReg()
+	if err != nil {
+		b.raise(err, op, dst, x.reg, y.reg)
+	} else {
+		b.emit(op, dst, x.reg, y.reg)
+	}
+	return dst
+}
+
+// resultKind is the static kind of an arithmetic result: integer for two
+// integers, real once both kinds are known and one is not, else unknown.
+func resultKind(x, y rv) interp.Kind {
+	switch {
+	case x.k == interp.KInt && y.k == interp.KInt:
+		return interp.KInt
+	case x.k == kUnknown || y.k == kUnknown:
+		return kUnknown
+	}
+	return interp.KReal
 }
 
 func (b *bc) arith(e *ftn.Binary) rv {
 	x := b.expr(e.X)
 	y := b.expr(e.Y)
 	b.pending[kOp]++
-	dst := b.newReg()
-	op := e.Op
-	bothInt := x.k == interp.KInt && y.k == interp.KInt
-	if bothInt {
-		switch op {
-		case "+":
-			b.emit(bAddI, dst, x.reg, y.reg)
-		case "-":
-			b.emit(bSubI, dst, x.reg, y.reg)
-		case "*":
-			b.emit(bMulI, dst, x.reg, y.reg)
-		case "/":
-			b.flush()
-			b.emit(bDivI, dst, x.reg, y.reg, b.errIdx(rte(e.Pos(), "integer division by zero")))
-		case "**":
-			b.emit(bPowI, dst, x.reg, y.reg)
-		}
-		return rv{reg: dst, k: interp.KInt}
-	}
-	var fast uint8
-	switch op {
+	k := resultKind(x, y)
+	var op, opI bop
+	switch e.Op {
 	case "+":
-		fast = 1
+		op, opI = bAdd, bAddI
 	case "-":
-		fast = 2
+		op, opI = bSub, bSubI
 	case "*":
-		fast = 3
+		op, opI = bMul, bMulI
 	case "/":
-		fast = 4
+		op, opI = bDiv, bDivI
+	case "**":
+		op, opI = bPow, bPowI
 	}
-	maybeIntInt := x.k == kUnknown || y.k == kUnknown
-	if op == "/" && maybeIntInt {
-		// Runtime integer division by zero is possible: flush so the error
-		// surfaces with exact walker-elapsed time.
-		b.flush()
+	if k == interp.KInt {
+		op = opI
 	}
-	b.emit(bArith, dst, x.reg, y.reg, b.opIdx(opDesc{op: op, pos: e.Pos(), fast: fast}))
-	k := kUnknown
-	if !maybeIntInt {
-		k = interp.KReal // both known, not both int: real promotion
+	var err error
+	if e.Op == "/" && b.zeroDivPossible(x, y) {
+		err = rte(e.Pos(), "integer division by zero")
 	}
-	return rv{reg: dst, k: k}
+	return rv{reg: b.binop(op, x, y, err), k: k}
 }
 
 func (b *bc) compare(e *ftn.Binary) rv {
 	x := b.expr(e.X)
 	y := b.expr(e.Y)
 	b.pending[kOp]++
-	dst := b.newReg()
-	var fast uint8
+	var op, opI bop
 	switch e.Op {
 	case "==":
-		fast = 1
+		op, opI = bEq, bEqI
 	case "/=":
-		fast = 2
+		op, opI = bNe, bNeI
 	case "<":
-		fast = 3
+		op, opI = bLt, bLtI
 	case "<=":
-		fast = 4
+		op, opI = bLe, bLeI
 	case ">":
-		fast = 5
+		op, opI = bGt, bGtI
 	case ">=":
-		fast = 6
+		op, opI = bGe, bGeI
 	}
 	if x.k == interp.KInt && y.k == interp.KInt {
-		switch fast {
-		case 1:
-			b.emit(bEqI, dst, x.reg, y.reg)
-		case 2:
-			b.emit(bNeI, dst, x.reg, y.reg)
-		case 3:
-			b.emit(bLtI, dst, x.reg, y.reg)
-		case 4:
-			b.emit(bLeI, dst, x.reg, y.reg)
-		case 5:
-			b.emit(bGtI, dst, x.reg, y.reg)
-		case 6:
-			b.emit(bGeI, dst, x.reg, y.reg)
-		}
-		return rv{reg: dst, k: interp.KBool}
+		op = opI
 	}
-	b.emit(bCmp, dst, x.reg, y.reg, b.opIdx(opDesc{op: e.Op, pos: e.Pos(), fast: fast}))
-	return rv{reg: dst, k: interp.KBool}
+	return rv{reg: b.binop(op, x, y, nil), k: interp.KBool}
 }
 
 // ref lowers name(args): a native array access when the array is provably
@@ -1094,83 +1206,61 @@ func (b *bc) ref(e *ftn.Ref) rv {
 	}
 	g := b.arrInfo[e.Name]
 	if g == nil {
-		return b.evalFallback(e)
+		return b.evalFallback(b.c.expr(e))
 	}
 	subs := b.lowerSubs(e.Args)
 	b.pending[kLoad]++
 	dst := b.newReg()
 	if gi, ok := b.geoAccess(g, e.Args, subs); ok {
-		b.emit(bLoadU, dst, gi)
+		b.emit(bLoadU1+bop(len(subs)-1), dst, gi)
 		return rv{reg: dst, k: g.kind}
 	}
 	b.flush()
-	ai := b.accIdx(accDesc{aslot: g.aslot, subs: subs, pos: e.Pos()})
-	b.emit(bLoadA, dst, ai)
+	b.emit(bLoadA, dst, b.accIdx(g, subs, e.Pos()))
 	return rv{reg: dst, k: g.kind}
 }
 
 func (b *bc) intrinsic(e *ftn.Ref) rv {
 	name := e.Name
-	isWtime := name == "mpi_wtime"
-	isIntr := interp.IsIntrinsic(name) && !isWtime
 	pos := e.Pos()
-
-	if isIntr && name == "mod" && len(e.Args) == 2 {
-		a0 := b.expr(e.Args[0])
-		a1 := b.expr(e.Args[1])
-		b.pending[kOp]++
-		dst := b.newReg()
-		b.flush()
-		if a0.k == interp.KInt && a1.k == interp.KInt {
-			b.emit(bModI, dst, a0.reg, a1.reg, b.errIdx(rte(pos, "mod by zero")))
-			return rv{reg: dst, k: interp.KInt}
-		}
-		ii := b.intrIdx(intrDesc{name: "mod", args: []int32{a0.reg, a1.reg}, pos: pos, err: rte(pos, "mod by zero")})
-		b.emit(bMod2, dst, ii)
-		return rv{reg: dst, k: kUnknown}
-	}
-	if isIntr && (name == "min" || name == "max") && len(e.Args) == 2 {
-		a0 := b.expr(e.Args[0])
-		a1 := b.expr(e.Args[1])
-		if a0.k == interp.KInt && a1.k == interp.KInt {
-			b.pending[kOp]++
-			dst := b.newReg()
-			if name == "min" {
-				b.emit(bMinI, dst, a0.reg, a1.reg)
-			} else {
-				b.emit(bMaxI, dst, a0.reg, a1.reg)
-			}
-			return rv{reg: dst, k: interp.KInt}
-		}
-		b.pending[kOp]++
-		dst := b.newReg()
-		b.flush()
-		b.emit(bIntr, dst, b.intrIdx(intrDesc{name: name, args: []int32{a0.reg, a1.reg}, pos: pos}))
-		return rv{reg: dst, k: kUnknown}
-	}
-
-	args := make([]int32, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = b.expr(a).reg
-	}
+	args := b.lowerSubs(e.Args)
 	b.pending[kOp]++
-	dst := b.newReg()
 	switch {
-	case isWtime:
+	case name == "mpi_wtime":
 		b.flush()
+		dst := b.newReg()
 		b.emit(bWtime, dst)
 		return rv{reg: dst, k: interp.KReal}
-	case isIntr:
-		b.flush()
-		b.emit(bIntr, dst, b.intrIdx(intrDesc{name: name, args: args, pos: pos}))
-		return rv{reg: dst, k: kUnknown}
+	case !interp.IsIntrinsic(name):
+		b.raise(rte(pos, "unknown array or intrinsic %q", name), bErr)
+		return rv{reg: b.newReg(), k: kUnknown}
 	}
+	if len(args) == 2 {
+		x, y := args[0], args[1]
+		k := resultKind(x, y)
+		switch {
+		case name == "mod":
+			op := bMod
+			if k == interp.KInt {
+				op = bModI
+			}
+			var err error
+			if b.zeroDivPossible(x, y) {
+				err = rte(pos, "mod by zero")
+			}
+			return rv{reg: b.binop(op, x, y, err), k: k}
+		case name == "min" && k == interp.KInt:
+			return rv{reg: b.binop(bMinI, x, y, nil), k: k}
+		case name == "max" && k == interp.KInt:
+			return rv{reg: b.binop(bMaxI, x, y, nil), k: k}
+		}
+	}
+	if len(args) > b.bp.maxArgs {
+		b.bp.maxArgs = len(args)
+	}
+	b.bp.intrs = append(b.bp.intrs, intrDesc{name: name, args: regsOf(args), pos: pos})
 	b.flush()
-	b.emit(bErr, b.errIdx(rte(pos, "unknown array or intrinsic %q", name)))
+	dst := b.newReg()
+	b.emit(bIntr, dst, int32(len(b.bp.intrs)-1))
 	return rv{reg: dst, k: kUnknown}
-}
-
-func (b *bc) intrIdx(d intrDesc) int32 {
-	b.bp.intrs = append(b.bp.intrs, d)
-	return int32(len(b.bp.intrs) - 1)
 }

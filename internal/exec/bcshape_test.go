@@ -1,0 +1,201 @@
+package exec
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"repro/internal/workload"
+)
+
+// Static shape counters and a disassembler for lowered programs: how many
+// instructions of each opcode, how much of the stream still bridges to the
+// closure tier, how many charges and registers. Test-only — the counters
+// pin the lowering's shape where a timing would only drift.
+
+var bopNames = [...]string{
+	bCharge: "charge", bJmp: "jmp", bJF: "jf", bJT: "jt", bJFChk: "jfchk",
+	bBoolChk: "boolchk", bMove: "move", bErr: "err", bRet: "ret", bStop: "stop",
+	bExitS: "exit", bCycleS: "cycle", bLoadS: "loads", bStoreS: "stores",
+	bEval: "eval", bStmt: "stmt", bNegI: "negi", bNeg: "neg", bNot: "not",
+	bNotChk: "notchk", bAddI: "addi", bSubI: "subi", bMulI: "muli",
+	bDivI: "divi", bPowI: "powi", bModI: "modi", bMinI: "mini", bMaxI: "maxi",
+	bEqI: "eqi", bNeI: "nei", bLtI: "lti", bLeI: "lei", bGtI: "gti", bGeI: "gei",
+	bAdd: "add", bSub: "sub", bMul: "mul", bDiv: "div", bPow: "pow", bMod: "mod",
+	bEq: "eq", bNe: "ne", bLt: "lt", bLe: "le", bGt: "gt", bGe: "ge",
+	bLoadA: "loada", bStoreA: "storea", bLoadU1: "loadu1", bLoadU2: "loadu2",
+	bLoadU3: "loadu3", bStoreU1: "storeu1", bStoreU2: "storeu2", bStoreU3: "storeu3",
+	bIntr: "intr", bWtime: "wtime", bForPrep: "forprep", bForIter: "foriter",
+	bForNext: "fornext",
+}
+
+func (op bop) String() string {
+	if int(op) < len(bopNames) && bopNames[op] != "" {
+		return bopNames[op]
+	}
+	return fmt.Sprintf("bop(%d)", op)
+}
+
+// bstats is the static shape of an instruction range.
+type bstats struct {
+	ops     map[bop]int
+	total   int
+	bridges int // bEval + bStmt
+	charges int
+	nreg    int // whole program, whatever the range
+}
+
+// bridgeShare is the fraction of instructions that bridge to closures.
+func (s bstats) bridgeShare() float64 {
+	if s.total == 0 {
+		return 0
+	}
+	return float64(s.bridges) / float64(s.total)
+}
+
+func (bp *bprog) statsOf(code []bins) bstats {
+	s := bstats{ops: map[bop]int{}, total: len(code), nreg: bp.nreg}
+	for _, ins := range code {
+		s.ops[ins.op]++
+	}
+	s.bridges = s.ops[bEval] + s.ops[bStmt]
+	s.charges = s.ops[bCharge]
+	return s
+}
+
+// stats counts the whole program.
+func (bp *bprog) stats() bstats { return bp.statsOf(bp.code) }
+
+// innermost returns the stats of each DO loop that contains no other,
+// bForIter through bForNext inclusive.
+func (bp *bprog) innermost() []bstats {
+	var out []bstats
+	for i, fd := range bp.fors {
+		nested := false
+		for j, other := range bp.fors {
+			if i != j && other.headPC > fd.headPC && other.endPC <= fd.endPC {
+				nested = true
+			}
+		}
+		if !nested {
+			out = append(out, bp.statsOf(bp.code[fd.headPC:fd.endPC]))
+		}
+	}
+	return out
+}
+
+// disasm renders the instruction stream one instruction per line.
+func (bp *bprog) disasm() string {
+	var sb strings.Builder
+	for pc, ins := range bp.code {
+		fmt.Fprintf(&sb, "%4d  %-8s", pc, ins.op)
+		for _, v := range [3]int32{ins.a, ins.b, ins.c} {
+			if v >= 0 {
+				fmt.Fprintf(&sb, " %d", v)
+			}
+		}
+		if ins.op == bCharge {
+			fmt.Fprintf(&sb, "  %v", bp.vecs[ins.a])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+func corpusProgram(t *testing.T, name string) *Program {
+	t.Helper()
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
+		if sc.Name == name {
+			p, err := CompileSource(sc.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	t.Fatalf("no corpus scenario %q", name)
+	return nil
+}
+
+// TestDirectInnerLoopShape pins what the lowering makes of the hottest loop
+// of the sim-compute workload: the DO variables are read from their loop
+// registers (no reloads), the eight constant-divisor mods do not split the
+// charge vector, and nothing bridges.
+func TestDirectInnerLoopShape(t *testing.T) {
+	bp := corpusProgram(t, "direct/nx32768/np4/K8192").Bytecode()
+	loops := bp.innermost()
+	if len(loops) != 1 {
+		t.Fatalf("%d innermost loops, want 1\n%s", len(loops), bp.disasm())
+	}
+	s := loops[0]
+	if s.total > 42 || s.charges != 1 || s.ops[bLoadS] > 2 || s.bridges != 0 {
+		t.Fatalf("inner loop: %d instructions (want <= 42), %d charges (want 1), %d scalar loads (want <= 2), %d bridges (want 0)\n%s",
+			s.total, s.charges, s.ops[bLoadS], s.bridges, bp.disasm())
+	}
+	if s.ops[bModI] != 8 {
+		t.Fatalf("inner loop has %d modi, want 8\n%s", s.ops[bModI], bp.disasm())
+	}
+	whole := bp.stats()
+	if whole.bridgeShare() > 0.2 || whole.nreg == 0 {
+		t.Fatalf("whole program: bridge share %.2f (%d of %d), %d registers\n%s",
+			whole.bridgeShare(), whole.bridges, whole.total, whole.nreg, bp.disasm())
+	}
+}
+
+// TestRegisterIsPointerFree: a register write must need no write barrier
+// and an instruction must stay one 16-byte load.
+func TestRegisterIsPointerFree(t *testing.T) {
+	if sz := unsafe.Sizeof(reg{}); sz > 16 {
+		t.Fatalf("reg is %d bytes, want <= 16", sz)
+	}
+	if sz := unsafe.Sizeof(bins{}); sz != 16 {
+		t.Fatalf("bins is %d bytes, want 16", sz)
+	}
+	rt := reflect.TypeOf(reg{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch k := rt.Field(i).Type.Kind(); k {
+		case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Uint8:
+		default:
+			t.Fatalf("reg.%s has kind %v: registers must hold no Go pointer", rt.Field(i).Name, k)
+		}
+	}
+}
+
+// TestChargesMergeOnlyAcrossConstantDivisors: a mod or division by a folded
+// non-zero constant cannot raise and leaves the block's charge vector whole;
+// a run-time (or zero) divisor still splits it, because the error must
+// surface at the walker's elapsed time.
+func TestChargesMergeOnlyAcrossConstantDivisors(t *testing.T) {
+	loopCharges := func(expr string) int {
+		p, err := CompileSource(`
+program t
+  integer i, n, s
+  n = 13
+  do i = 1, 100
+    s = ` + expr + `
+  enddo
+end program t
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops := p.Bytecode().innermost()
+		if len(loops) != 1 {
+			t.Fatalf("%s: %d innermost loops, want 1", expr, len(loops))
+		}
+		return loops[0].charges
+	}
+	for expr, want := range map[string]int{
+		"i*2 + mod(i, 13) + i/7 + mod(i*3, 5)": 1,
+		"i*2 + mod(i, n) + i*3":                2,
+		"i*2 + i/n + i*3":                      2,
+		"i*2 + mod(i, 0) + i*3":                2,
+		"i*2 + mod(i, 13.0) + i/2.5":           1,
+	} {
+		if got := loopCharges(expr); got != want {
+			t.Errorf("%s: %d charges in the loop body, want %d", expr, got, want)
+		}
+	}
+}

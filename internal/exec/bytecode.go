@@ -3,13 +3,14 @@
 // (no closure trees, no map lookups on the hot path). The lowering
 // (bcompile.go) performs compile-time constant folding, hoists folded
 // constants and address geometry out of the loop body, batches cost-model
-// charges per basic block into precomputed charge vectors, and eliminates
-// bounds checks for subscripts proven in-range by internal/dep's affine
-// algebra. Statements the lowering does not model natively (MPI calls, user
-// subroutine calls, prints) execute through the same pre-resolved closure
-// bindings the mid-tier compiles, so the bytecode tier is bit-identical to
-// the walk oracle by construction on those paths and differentially proven
-// on the lowered ones.
+// charges per basic block into precomputed charge vectors, forwards scalar
+// loads within a basic block, and eliminates bounds checks for subscripts
+// proven in-range by internal/dep's affine algebra. Statements the lowering
+// does not model natively (MPI calls, user subroutine calls, prints,
+// anything touching a character value) execute through the same
+// pre-resolved closure bindings the mid-tier compiles, so the bytecode tier
+// is bit-identical to the walk oracle by construction on those paths and
+// differentially proven on the lowered ones.
 //
 // Charge batching is sound because mpi.Rank.Compute is purely additive
 // between observation points (netsim's Proc.Advance only accumulates):
@@ -21,31 +22,100 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ftn"
 	"repro/internal/interp"
 	"repro/internal/netsim"
 )
 
+// reg is one VM register: a tagged scalar with no Go pointer in it, so a
+// register write is a plain 16-byte store with no write barrier. Integers
+// live in bits as two's complement, reals as their IEEE bit pattern,
+// logicals as 0/1. Character values never enter a register — the lowering
+// routes every expression that can carry one through the closure bridge —
+// so interp.Value (the oracle's 48-byte scalar) is only built at the edges:
+// frame cells, bridge results, and generic intrinsic calls.
+type reg struct {
+	bits uint64
+	k    interp.Kind
+}
+
+func intReg(i int64) reg    { return reg{uint64(i), interp.KInt} }
+func realReg(f float64) reg { return reg{math.Float64bits(f), interp.KReal} }
+func boolReg(b bool) reg {
+	if b {
+		return reg{1, interp.KBool}
+	}
+	return reg{0, interp.KBool}
+}
+
+// toReg converts a frame cell or bridge result into a register. A character
+// value here means the lowering's string analysis let one through: a bug,
+// never an input condition.
+func toReg(v interp.Value) reg {
+	switch v.Kind {
+	case interp.KInt:
+		return intReg(v.I)
+	case interp.KReal:
+		return realReg(v.R)
+	case interp.KBool:
+		return boolReg(v.B)
+	}
+	panic("exec: character value in a bytecode register")
+}
+
+// value converts a register back into the oracle's scalar.
+func (r reg) value() interp.Value {
+	switch r.k {
+	case interp.KInt:
+		return interp.IntVal(int64(r.bits))
+	case interp.KReal:
+		return interp.RealVal(math.Float64frombits(r.bits))
+	}
+	return interp.BoolVal(r.bits != 0)
+}
+
+// asInt is Value.AsInt: reals truncate toward zero, logicals read as 0.
+func (r reg) asInt() int64 {
+	switch r.k {
+	case interp.KInt:
+		return int64(r.bits)
+	case interp.KReal:
+		return int64(math.Float64frombits(r.bits))
+	}
+	return 0
+}
+
+// asReal is Value.AsReal: integers widen, logicals read as 0.
+func (r reg) asReal() float64 {
+	switch r.k {
+	case interp.KInt:
+		return float64(int64(r.bits))
+	case interp.KReal:
+		return math.Float64frombits(r.bits)
+	}
+	return 0
+}
+
 // bop is a bytecode opcode. Dispatch is a flat switch in bexec.
 type bop uint8
 
 const (
-	bNop bop = iota
 	// bCharge applies the precomputed charge vector a (one Compute call
 	// covering a whole basic-block's worth of walker charges).
-	bCharge
-	bJmp     // pc = a
-	bJF      // if !regs[b].B  { pc = a }   (cond statically KBool)
-	bJT      // if regs[b].B   { pc = a }
-	bJFChk   // IF-cond form: non-KBool -> errs[c]; else like bJF
-	bBoolChk // if regs[a].Kind != KBool { return errs[b] }
-	bMove    // regs[a] = regs[b]
-	bErr     // return errs[a]
-	bRet     // return errReturn
-	bStop    // return errStop
-	bExitS   // return errExit  (EXIT outside any lowered loop)
-	bCycleS  // return errCycle (CYCLE outside any lowered loop)
+	bCharge  bop = iota
+	bJmp         // pc = a
+	bJF          // if !regs[b] { pc = a }   (cond statically KBool)
+	bJT          // if regs[b]  { pc = a }
+	bJFChk       // IF-cond form: non-KBool -> error; else like bJF
+	bBoolChk     // if regs[a].k != KBool -> error
+	bMove        // regs[a] = regs[b]
+	bErr         // raise this pc's error
+	bRet         // return errReturn
+	bStop        // return errStop
+	bExitS       // return errExit  (EXIT outside any lowered loop)
+	bCycleS      // return errCycle (CYCLE outside any lowered loop)
 
 	bLoadS  // regs[a] = *fr.scal[b]
 	bStoreS // p := fr.scal[a]; *p = CoerceStore(*p, regs[b])
@@ -56,18 +126,18 @@ const (
 	bEval // regs[a] = evals[b](x, fr)
 	bStmt // stmts[a](x, fr); errCycle -> pc=b, errExit -> pc=c (when >= 0)
 
-	bNegI // regs[a] = IntVal(-regs[b].I)
-	bNeg  // regs[a] = -x (KInt -> int, else real)
-	bNot  // regs[a] = BoolVal(!regs[b].B)
-	bNotChk
+	bNegI   // regs[a] = -regs[b]      (statically KInt)
+	bNeg    // regs[a] = -regs[b]      (KInt -> int, else real)
+	bNot    // regs[a] = !regs[b]      (statically KBool)
+	bNotChk // non-KBool -> error; else like bNot
 
 	// Integer fast-path arithmetic (operands statically proven KInt).
 	bAddI
 	bSubI
 	bMulI
-	bDivI // d: error index for division by zero
+	bDivI // zero divisor -> error
 	bPowI
-	bModI // d: error index for mod by zero
+	bModI // zero divisor -> error
 	bMinI
 	bMaxI
 	bEqI
@@ -77,35 +147,43 @@ const (
 	bGtI
 	bGeI
 
-	bArith // generic arithmetic, ops[d]; runtime int-int fast path inside
-	bCmp   // generic comparison, ops[d]
+	// Generic arithmetic and comparison: integer when both operands are
+	// KInt at run time, else Fortran's real promotion.
+	bAdd
+	bSub
+	bMul
+	bDiv // integer zero divisor -> error
+	bPow
+	bMod // two-argument mod; integer zero divisor -> error
+	bEq
+	bNe
+	bLt
+	bLe
+	bGt
+	bGe
 
-	bLoadA  // checked array load: accs[b] -> regs[a]
-	bStoreA // checked array store: regs[b] -> accs[a]
-	bLoadU  // unchecked (BCE-proven) load: geos[b] -> regs[a]
-	bStoreU // unchecked store: regs[b] -> geos[a]
+	bLoadA   // checked array load: accs[b] -> regs[a]
+	bStoreA  // checked array store: regs[b] -> accs[a]
+	bLoadU1  // unchecked (BCE-proven) rank-1 load: geos[b] -> regs[a]
+	bLoadU2  // rank 2
+	bLoadU3  // rank 3
+	bStoreU1 // unchecked rank-1 store: regs[b] -> geos[a]
+	bStoreU2
+	bStoreU3
 
 	bIntr  // regs[a] = EvalIntrinsic(intrs[b])
-	bMod2  // two-argument mod with runtime int-int fast path
-	bWtime // regs[a] = RealVal(rank.Now().Seconds())
+	bWtime // regs[a] = rank.Now().Seconds()
 
 	bForPrep // evaluate DO bounds/step, init loop registers: fors[a]
-	bForIter // loop head: store DO variable, test trip count: fors[a]
-	bForNext // advance DO variable, jump to head: fors[a]
+	bForIter // loop entry: store DO variable, test trip count: fors[a]
+	bForNext // advance DO variable, then as bForIter; loops to the body
 )
 
-// bins is one instruction. Operand meaning is per-opcode (register indices,
-// descriptor-table indices, or jump targets).
+// bins is one 16-byte instruction. Operand meaning is per-opcode (register
+// indices, descriptor-table indices, or jump targets).
 type bins struct {
-	op         bop
-	a, b, c, d int32
-}
-
-// opDesc describes a generic binary-operator site.
-type opDesc struct {
-	op   string
-	pos  ftn.Pos
-	fast uint8 // arith: 1 + | 2 - | 3 * | 4 / ; cmp: 1 == .. 6 >=
+	op      bop
+	a, b, c int32
 }
 
 // accDesc is a checked array access (runtime Idx* bounds checks, exactly
@@ -116,13 +194,17 @@ type accDesc struct {
 	pos   ftn.Pos
 }
 
-// geoDesc is a bounds-check-eliminated access: the array's geometry folded
-// at compile time, the offset computed directly from subscript registers.
+// geoDesc is a bounds-check-eliminated access of rank 1 to 3: the array's
+// geometry folded at lowering time, so the element offset is
+// base + Σ regs[sub[i]]·stride[i] with base = −Σ lo[i]·stride[i]. The
+// subscript registers are statically KInt; stride[0] is always 1
+// (column-major) and never read.
 type geoDesc struct {
 	aslot  int32
-	subs   []int32
-	lo     []int64
-	stride []int64
+	kind   interp.Kind
+	sub    [3]int32
+	stride [3]int64
+	base   int64
 }
 
 // intrDesc is an intrinsic call site.
@@ -130,7 +212,6 @@ type intrDesc struct {
 	name string
 	args []int32
 	pos  ftn.Pos
-	err  error // mod-by-zero error for bMod2, nil otherwise
 }
 
 // forDesc is one lowered DO loop. Loop state (current value, remaining
@@ -143,8 +224,7 @@ type forDesc struct {
 	vReg         int32
 	tripsReg     int32
 	stepValReg   int32
-	errStep      error
-	headPC       int32
+	headPC       int32 // the bForIter
 	endPC        int32
 }
 
@@ -161,17 +241,19 @@ type precEntry struct {
 type bprog struct {
 	code    []bins
 	nreg    int
-	regInit []interp.Value // folded constants, deduplicated
+	regInit []reg // folded constants, deduplicated by bit pattern
 	prec    []precEntry
 	vecs    [][5]int64 // charge vectors: op, assign, store, load, loopIter
-	errs    []error
+	// errAt holds the error a raising instruction returns, keyed by its pc;
+	// it is consulted only on the failing path.
+	errAt   map[int32]error
 	evals   []exprFn
 	stmts   []stmtFn
-	ops     []opDesc
 	accs    []accDesc
 	geos    []geoDesc
 	intrs   []intrDesc
 	fors    []forDesc
+	maxArgs int // widest bIntr call, sizing the per-run argument scratch
 }
 
 // Charge-vector component indices.
@@ -229,7 +311,7 @@ func (p *Program) runMainBC(x *rctx, bp *bprog, tab []netsim.Time) (err error) {
 			fr.scal[pe.sslot] = &v
 		}
 	}
-	regs := make([]interp.Value, bp.nreg)
+	regs := make([]reg, bp.nreg)
 	copy(regs, bp.regInit)
 	err = bp.bexec(x, fr, regs, tab)
 	if err == errStop || err == errReturn {
@@ -238,44 +320,190 @@ func (p *Program) runMainBC(x *rctx, bp *bprog, tab []netsim.Time) (err error) {
 	return err
 }
 
+// loadElem reads the element at linear offset off of an array whose storage
+// kind is kind (Array.RawGet without the Value).
+func loadElem(a *interp.Array, kind interp.Kind, off int64) reg {
+	switch kind {
+	case interp.KReal:
+		return realReg(a.RealAt(off))
+	case interp.KBool:
+		return boolReg(a.IntAt(off) != 0)
+	}
+	return intReg(a.IntAt(off))
+}
+
+// storeElem writes r at linear offset off with the storage's conversion
+// (Array.RawSet without the Value): reals widen, integers truncate, a
+// logical array stores true only for a true logical.
+func storeElem(a *interp.Array, kind interp.Kind, off int64, r reg) {
+	switch kind {
+	case interp.KReal:
+		a.SetRealAt(off, r.asReal())
+	case interp.KBool:
+		var v int64
+		if r.k == interp.KBool && r.bits != 0 {
+			v = 1
+		}
+		a.SetIntAt(off, v)
+	default:
+		a.SetIntAt(off, r.asInt())
+	}
+}
+
+// checkedOff resolves a checked access's subscripts through the walker's
+// bounds rules (Array.Idx*/Linear), returning the linear offset.
+func (d *accDesc) checkedOff(a *interp.Array, regs []reg) (int64, error) {
+	var off int64
+	var err error
+	switch len(d.subs) {
+	case 1:
+		off, err = a.Idx1(regs[d.subs[0]].asInt())
+	case 2:
+		off, err = a.Idx2(regs[d.subs[0]].asInt(), regs[d.subs[1]].asInt())
+	case 3:
+		off, err = a.Idx3(regs[d.subs[0]].asInt(), regs[d.subs[1]].asInt(), regs[d.subs[2]].asInt())
+	default:
+		ix := make([]int64, len(d.subs))
+		for i, sr := range d.subs {
+			ix[i] = regs[sr].asInt()
+		}
+		off, err = a.Linear(ix)
+	}
+	if err != nil {
+		return 0, rte(d.pos, "%v", err)
+	}
+	return off, nil
+}
+
+// powInt is NumericBinop's integer ** branch: a negative exponent truncates
+// to zero, else repeated multiplication.
+func powInt(base, e int64) int64 {
+	if e < 0 {
+		return 0
+	}
+	r := int64(1)
+	for ; e > 0; e-- {
+		r *= base
+	}
+	return r
+}
+
+// arithRegs is the generic arithmetic of NumericBinop and of two-argument
+// mod: integer when both operands are integers at run time, else Fortran's
+// real promotion. ok is false for an integer division or mod by zero.
+func arithRegs(op bop, x, y reg) (v reg, ok bool) {
+	if x.k == interp.KInt && y.k == interp.KInt {
+		a, b := int64(x.bits), int64(y.bits)
+		switch op {
+		case bAdd:
+			return intReg(a + b), true
+		case bSub:
+			return intReg(a - b), true
+		case bMul:
+			return intReg(a * b), true
+		case bPow:
+			return intReg(powInt(a, b)), true
+		}
+		if b == 0 {
+			return reg{}, false
+		}
+		if op == bDiv {
+			return intReg(a / b), true
+		}
+		return intReg(a % b), true
+	}
+	a, b := x.asReal(), y.asReal()
+	switch op {
+	case bAdd:
+		return realReg(a + b), true
+	case bSub:
+		return realReg(a - b), true
+	case bMul:
+		return realReg(a * b), true
+	case bDiv:
+		return realReg(a / b), true
+	case bPow:
+		return realReg(math.Pow(a, b)), true
+	}
+	return realReg(math.Mod(a, b)), true
+}
+
+// compareRegs is the generic comparison of interp.Compare (minus strings,
+// which never reach a register): integers compare as integers, anything
+// else as reals.
+func compareRegs(op bop, x, y reg) bool {
+	if x.k == interp.KInt && y.k == interp.KInt {
+		a, b := int64(x.bits), int64(y.bits)
+		switch op {
+		case bEq:
+			return a == b
+		case bNe:
+			return a != b
+		case bLt:
+			return a < b
+		case bLe:
+			return a <= b
+		case bGt:
+			return a > b
+		}
+		return a >= b
+	}
+	a, b := x.asReal(), y.asReal()
+	switch op {
+	case bEq:
+		return a == b
+	case bNe:
+		return a != b
+	case bLt:
+		return a < b
+	case bLe:
+		return a <= b
+	case bGt:
+		return a > b
+	}
+	return a >= b
+}
+
 // bexec is the dispatch loop: a flat switch over the instruction stream.
-// No reflection, no map lookups — descriptor tables are slices indexed by
-// instruction operands.
-func (bp *bprog) bexec(x *rctx, fr *frame, regs []interp.Value, tab []netsim.Time) error {
+// No reflection, no map lookups on any path that continues — descriptor
+// tables are slices indexed by instruction operands, and errAt is read only
+// by the instruction that ends the run.
+func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time) error {
 	code := bp.code
+	args := make([]interp.Value, bp.maxArgs)
 	pc := 0
 	for pc < len(code) {
 		ins := code[pc]
 		pc++
 		switch ins.op {
-		case bNop:
 		case bCharge:
 			x.rank.Compute(tab[ins.a])
 		case bJmp:
 			pc = int(ins.a)
 		case bJF:
-			if !regs[ins.b].B {
+			if regs[ins.b].bits == 0 {
 				pc = int(ins.a)
 			}
 		case bJT:
-			if regs[ins.b].B {
+			if regs[ins.b].bits != 0 {
 				pc = int(ins.a)
 			}
 		case bJFChk:
-			if regs[ins.b].Kind != interp.KBool {
-				return bp.errs[ins.c]
+			c := regs[ins.b]
+			if c.k != interp.KBool {
+				return bp.errAt[int32(pc-1)]
 			}
-			if !regs[ins.b].B {
+			if c.bits == 0 {
 				pc = int(ins.a)
 			}
 		case bBoolChk:
-			if regs[ins.a].Kind != interp.KBool {
-				return bp.errs[ins.b]
+			if regs[ins.a].k != interp.KBool {
+				return bp.errAt[int32(pc-1)]
 			}
 		case bMove:
 			regs[ins.a] = regs[ins.b]
 		case bErr:
-			return bp.errs[ins.a]
+			return bp.errAt[int32(pc-1)]
 		case bRet:
 			return errReturn
 		case bStop:
@@ -285,16 +513,24 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []interp.Value, tab []netsim.Tim
 		case bCycleS:
 			return errCycle
 		case bLoadS:
-			regs[ins.a] = *fr.scal[ins.b]
+			regs[ins.a] = toReg(*fr.scal[ins.b])
 		case bStoreS:
 			p := fr.scal[ins.a]
-			*p = interp.CoerceStore(*p, regs[ins.b])
+			r := regs[ins.b]
+			switch p.Kind {
+			case interp.KInt:
+				*p = interp.IntVal(r.asInt())
+			case interp.KReal:
+				*p = interp.RealVal(r.asReal())
+			default:
+				*p = interp.CoerceStore(*p, r.value())
+			}
 		case bEval:
 			v, err := bp.evals[ins.b](x, fr)
 			if err != nil {
 				return err
 			}
-			regs[ins.a] = v
+			regs[ins.a] = toReg(v)
 		case bStmt:
 			err := bp.stmts[ins.a](x, fr)
 			switch err {
@@ -315,257 +551,154 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []interp.Value, tab []netsim.Tim
 				return err
 			}
 		case bNegI:
-			regs[ins.a] = interp.IntVal(-regs[ins.b].I)
+			regs[ins.a] = reg{-regs[ins.b].bits, interp.KInt}
 		case bNeg:
-			if v := regs[ins.b]; v.Kind == interp.KInt {
-				regs[ins.a] = interp.IntVal(-v.I)
+			if v := regs[ins.b]; v.k == interp.KInt {
+				regs[ins.a] = reg{-v.bits, interp.KInt}
 			} else {
-				regs[ins.a] = interp.RealVal(-v.AsReal())
+				regs[ins.a] = realReg(-v.asReal())
 			}
 		case bNot:
-			regs[ins.a] = interp.BoolVal(!regs[ins.b].B)
+			regs[ins.a] = reg{regs[ins.b].bits ^ 1, interp.KBool}
 		case bNotChk:
-			if regs[ins.b].Kind != interp.KBool {
-				return bp.errs[ins.c]
+			v := regs[ins.b]
+			if v.k != interp.KBool {
+				return bp.errAt[int32(pc-1)]
 			}
-			regs[ins.a] = interp.BoolVal(!regs[ins.b].B)
+			regs[ins.a] = reg{v.bits ^ 1, interp.KBool}
 		case bAddI:
-			regs[ins.a] = interp.IntVal(regs[ins.b].I + regs[ins.c].I)
+			regs[ins.a] = reg{regs[ins.b].bits + regs[ins.c].bits, interp.KInt}
 		case bSubI:
-			regs[ins.a] = interp.IntVal(regs[ins.b].I - regs[ins.c].I)
+			regs[ins.a] = reg{regs[ins.b].bits - regs[ins.c].bits, interp.KInt}
 		case bMulI:
-			regs[ins.a] = interp.IntVal(regs[ins.b].I * regs[ins.c].I)
+			regs[ins.a] = reg{regs[ins.b].bits * regs[ins.c].bits, interp.KInt}
 		case bDivI:
-			if regs[ins.c].I == 0 {
-				return bp.errs[ins.d]
+			d := int64(regs[ins.c].bits)
+			if d == 0 {
+				return bp.errAt[int32(pc-1)]
 			}
-			regs[ins.a] = interp.IntVal(regs[ins.b].I / regs[ins.c].I)
+			regs[ins.a] = intReg(int64(regs[ins.b].bits) / d)
 		case bPowI:
-			// NumericBinop's integer ** branch: negative exponent truncates
-			// to zero, else repeated multiplication.
-			base, e := regs[ins.b].I, regs[ins.c].I
-			if e < 0 {
-				regs[ins.a] = interp.IntVal(0)
-			} else {
-				r := int64(1)
-				for i := int64(0); i < e; i++ {
-					r *= base
-				}
-				regs[ins.a] = interp.IntVal(r)
-			}
+			regs[ins.a] = intReg(powInt(int64(regs[ins.b].bits), int64(regs[ins.c].bits)))
 		case bModI:
-			if regs[ins.c].I == 0 {
-				return bp.errs[ins.d]
+			d := int64(regs[ins.c].bits)
+			if d == 0 {
+				return bp.errAt[int32(pc-1)]
 			}
-			regs[ins.a] = interp.IntVal(regs[ins.b].I % regs[ins.c].I)
+			regs[ins.a] = intReg(int64(regs[ins.b].bits) % d)
 		case bMinI:
-			a, b := regs[ins.b].I, regs[ins.c].I
-			if b < a {
+			a, b := regs[ins.b], regs[ins.c]
+			if int64(b.bits) < int64(a.bits) {
 				a = b
 			}
-			regs[ins.a] = interp.IntVal(a)
+			regs[ins.a] = a
 		case bMaxI:
-			a, b := regs[ins.b].I, regs[ins.c].I
-			if b > a {
+			a, b := regs[ins.b], regs[ins.c]
+			if int64(b.bits) > int64(a.bits) {
 				a = b
 			}
-			regs[ins.a] = interp.IntVal(a)
+			regs[ins.a] = a
 		case bEqI:
-			regs[ins.a] = interp.BoolVal(regs[ins.b].I == regs[ins.c].I)
+			regs[ins.a] = boolReg(regs[ins.b].bits == regs[ins.c].bits)
 		case bNeI:
-			regs[ins.a] = interp.BoolVal(regs[ins.b].I != regs[ins.c].I)
+			regs[ins.a] = boolReg(regs[ins.b].bits != regs[ins.c].bits)
 		case bLtI:
-			regs[ins.a] = interp.BoolVal(regs[ins.b].I < regs[ins.c].I)
+			regs[ins.a] = boolReg(int64(regs[ins.b].bits) < int64(regs[ins.c].bits))
 		case bLeI:
-			regs[ins.a] = interp.BoolVal(regs[ins.b].I <= regs[ins.c].I)
+			regs[ins.a] = boolReg(int64(regs[ins.b].bits) <= int64(regs[ins.c].bits))
 		case bGtI:
-			regs[ins.a] = interp.BoolVal(regs[ins.b].I > regs[ins.c].I)
+			regs[ins.a] = boolReg(int64(regs[ins.b].bits) > int64(regs[ins.c].bits))
 		case bGeI:
-			regs[ins.a] = interp.BoolVal(regs[ins.b].I >= regs[ins.c].I)
-		case bArith:
-			d := &bp.ops[ins.d]
-			xv, yv := regs[ins.b], regs[ins.c]
-			if xv.Kind == interp.KInt && yv.Kind == interp.KInt {
-				switch d.fast {
-				case 1:
-					regs[ins.a] = interp.IntVal(xv.I + yv.I)
-					continue
-				case 2:
-					regs[ins.a] = interp.IntVal(xv.I - yv.I)
-					continue
-				case 3:
-					regs[ins.a] = interp.IntVal(xv.I * yv.I)
-					continue
-				case 4:
-					if yv.I != 0 {
-						regs[ins.a] = interp.IntVal(xv.I / yv.I)
-						continue
-					}
-				}
-			}
-			v, err := interp.NumericBinop(d.op, xv, yv)
-			if err != nil {
-				return rte(d.pos, "%v", err)
+			regs[ins.a] = boolReg(int64(regs[ins.b].bits) >= int64(regs[ins.c].bits))
+		case bAdd, bSub, bMul, bDiv, bPow, bMod:
+			v, ok := arithRegs(ins.op, regs[ins.b], regs[ins.c])
+			if !ok {
+				return bp.errAt[int32(pc-1)]
 			}
 			regs[ins.a] = v
-		case bCmp:
-			d := &bp.ops[ins.d]
-			xv, yv := regs[ins.b], regs[ins.c]
-			if xv.Kind == interp.KInt && yv.Kind == interp.KInt {
-				switch d.fast {
-				case 1:
-					regs[ins.a] = interp.BoolVal(xv.I == yv.I)
-					continue
-				case 2:
-					regs[ins.a] = interp.BoolVal(xv.I != yv.I)
-					continue
-				case 3:
-					regs[ins.a] = interp.BoolVal(xv.I < yv.I)
-					continue
-				case 4:
-					regs[ins.a] = interp.BoolVal(xv.I <= yv.I)
-					continue
-				case 5:
-					regs[ins.a] = interp.BoolVal(xv.I > yv.I)
-					continue
-				case 6:
-					regs[ins.a] = interp.BoolVal(xv.I >= yv.I)
-					continue
-				}
-			}
-			v, err := interp.Compare(d.op, xv, yv)
-			if err != nil {
-				return rte(d.pos, "%v", err)
-			}
-			regs[ins.a] = v
+		case bEq, bNe, bLt, bLe, bGt, bGe:
+			regs[ins.a] = boolReg(compareRegs(ins.op, regs[ins.b], regs[ins.c]))
 		case bLoadA:
 			d := &bp.accs[ins.b]
 			a := fr.arr[d.aslot]
-			var off int64
-			var err error
-			switch len(d.subs) {
-			case 1:
-				off, err = a.Idx1(regs[d.subs[0]].AsInt())
-			case 2:
-				off, err = a.Idx2(regs[d.subs[0]].AsInt(), regs[d.subs[1]].AsInt())
-			case 3:
-				off, err = a.Idx3(regs[d.subs[0]].AsInt(), regs[d.subs[1]].AsInt(), regs[d.subs[2]].AsInt())
-			default:
-				ix := make([]int64, len(d.subs))
-				for i, sr := range d.subs {
-					ix[i] = regs[sr].AsInt()
-				}
-				v, gerr := a.Get(ix)
-				if gerr != nil {
-					return rte(d.pos, "%v", gerr)
-				}
-				regs[ins.a] = v
-				continue
-			}
+			off, err := d.checkedOff(a, regs)
 			if err != nil {
-				return rte(d.pos, "%v", err)
+				return err
 			}
-			regs[ins.a] = a.RawGet(off)
+			regs[ins.a] = loadElem(a, a.Kind(), off)
 		case bStoreA:
 			d := &bp.accs[ins.a]
 			a := fr.arr[d.aslot]
-			var off int64
-			var err error
-			switch len(d.subs) {
-			case 1:
-				off, err = a.Idx1(regs[d.subs[0]].AsInt())
-			case 2:
-				off, err = a.Idx2(regs[d.subs[0]].AsInt(), regs[d.subs[1]].AsInt())
-			case 3:
-				off, err = a.Idx3(regs[d.subs[0]].AsInt(), regs[d.subs[1]].AsInt(), regs[d.subs[2]].AsInt())
-			default:
-				ix := make([]int64, len(d.subs))
-				for i, sr := range d.subs {
-					ix[i] = regs[sr].AsInt()
-				}
-				if serr := a.Set(ix, regs[ins.b]); serr != nil {
-					return rte(d.pos, "%v", serr)
-				}
-				continue
-			}
+			off, err := d.checkedOff(a, regs)
 			if err != nil {
-				return rte(d.pos, "%v", err)
+				return err
 			}
-			a.RawSet(off, regs[ins.b])
-		case bLoadU:
+			storeElem(a, a.Kind(), off, regs[ins.b])
+		case bLoadU1:
 			g := &bp.geos[ins.b]
-			a := fr.arr[g.aslot]
-			off := int64(0)
-			for i, sr := range g.subs {
-				off += (regs[sr].AsInt() - g.lo[i]) * g.stride[i]
-			}
-			regs[ins.a] = a.RawGet(off)
-		case bStoreU:
+			regs[ins.a] = loadElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits))
+		case bLoadU2:
+			g := &bp.geos[ins.b]
+			regs[ins.a] = loadElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
+				int64(regs[g.sub[1]].bits)*g.stride[1])
+		case bLoadU3:
+			g := &bp.geos[ins.b]
+			regs[ins.a] = loadElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
+				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2])
+		case bStoreU1:
 			g := &bp.geos[ins.a]
-			a := fr.arr[g.aslot]
-			off := int64(0)
-			for i, sr := range g.subs {
-				off += (regs[sr].AsInt() - g.lo[i]) * g.stride[i]
-			}
-			a.RawSet(off, regs[ins.b])
+			storeElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits), regs[ins.b])
+		case bStoreU2:
+			g := &bp.geos[ins.a]
+			storeElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
+				int64(regs[g.sub[1]].bits)*g.stride[1], regs[ins.b])
+		case bStoreU3:
+			g := &bp.geos[ins.a]
+			storeElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
+				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2], regs[ins.b])
 		case bIntr:
 			d := &bp.intrs[ins.b]
-			vals := make([]interp.Value, len(d.args))
+			vals := args[:len(d.args)]
 			for i, ar := range d.args {
-				vals[i] = regs[ar]
+				vals[i] = regs[ar].value()
 			}
 			v, err := interp.EvalIntrinsic(d.name, vals)
 			if err != nil {
 				return rte(d.pos, "%v", err)
 			}
-			regs[ins.a] = v
-		case bMod2:
-			d := &bp.intrs[ins.b]
-			v0, v1 := regs[d.args[0]], regs[d.args[1]]
-			if v0.Kind == interp.KInt && v1.Kind == interp.KInt {
-				if v1.I == 0 {
-					return d.err
-				}
-				regs[ins.a] = interp.IntVal(v0.I % v1.I)
-				continue
-			}
-			v, err := interp.EvalIntrinsic("mod", []interp.Value{v0, v1})
-			if err != nil {
-				return rte(d.pos, "%v", err)
-			}
-			regs[ins.a] = v
+			regs[ins.a] = toReg(v)
 		case bWtime:
-			regs[ins.a] = interp.RealVal(x.rank.Now().Seconds())
+			regs[ins.a] = realReg(x.rank.Now().Seconds())
 		case bForPrep:
 			fd := &bp.fors[ins.a]
-			lo := regs[fd.loReg].AsInt()
-			hi := regs[fd.hiReg].AsInt()
+			lo := regs[fd.loReg].asInt()
+			hi := regs[fd.hiReg].asInt()
 			step := int64(1)
 			if fd.stepReg >= 0 {
-				step = regs[fd.stepReg].AsInt()
+				step = regs[fd.stepReg].asInt()
 				if step == 0 {
-					return fd.errStep
+					return bp.errAt[int32(pc-1)]
 				}
 			}
 			trips := (hi - lo + step) / step
 			if trips < 0 {
 				trips = 0
 			}
-			regs[fd.vReg] = interp.IntVal(lo)
-			regs[fd.tripsReg] = interp.IntVal(trips)
-			regs[fd.stepValReg] = interp.IntVal(step)
-		case bForIter:
+			regs[fd.vReg] = intReg(lo)
+			regs[fd.tripsReg] = intReg(trips)
+			regs[fd.stepValReg] = intReg(step)
+		case bForIter, bForNext:
 			fd := &bp.fors[ins.a]
-			*fr.scal[fd.sslot] = interp.IntVal(regs[fd.vReg].I)
-			if regs[fd.tripsReg].I == 0 {
+			if ins.op == bForNext {
+				regs[fd.vReg].bits += regs[fd.stepValReg].bits
+			}
+			*fr.scal[fd.sslot] = interp.IntVal(int64(regs[fd.vReg].bits))
+			if regs[fd.tripsReg].bits == 0 {
 				pc = int(fd.endPC)
 				continue
 			}
-			regs[fd.tripsReg].I--
-		case bForNext:
-			fd := &bp.fors[ins.a]
-			regs[fd.vReg].I += regs[fd.stepValReg].I
-			pc = int(fd.headPC)
+			regs[fd.tripsReg].bits--
+			pc = int(fd.headPC) + 1
 		}
 	}
 	return nil

@@ -1,0 +1,364 @@
+package exec_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/plan"
+)
+
+// kgen writes one random kernel. Every program it produces is valid and
+// runs clean: subscripts stay in bounds (a loop variable whose range fits,
+// or mod(abs(e), extent) + lo), divisors are non-zero, and reals are
+// clamped so no NaN reaches the array comparison.
+type kgen struct {
+	r     *rand.Rand
+	sb    strings.Builder
+	depth int
+	loops []kloop // enclosing DO loops, outermost first
+	free  []string
+}
+
+// kloop is an enclosing DO loop: its variable and the value range it can
+// take, so it can stand as a subscript where the range fits.
+type kloop struct {
+	v      string
+	lo, hi int
+	dirty  bool // assigned inside the body: no longer a safe subscript
+}
+
+const (
+	kN  = 12 // ia(1:kN), ra(0:kN-1, 1:3)
+	kNB = 4  // ib(1:4, 1:3, 1:2)
+	kNS = 8  // as/ar(1:kNS): the alltoall buffers (np = 2, 4 per rank)
+)
+
+var (
+	kInts  = []string{"i0", "i1", "i2", "i3"}
+	kReals = []string{"r0", "r1", "r2"}
+	kBools = []string{"l0", "l1"}
+)
+
+func (g *kgen) pick(ss []string) string { return ss[g.r.Intn(len(ss))] }
+
+func (g *kgen) line(format string, args ...interface{}) {
+	g.sb.WriteString(strings.Repeat("  ", g.depth+1))
+	fmt.Fprintf(&g.sb, format, args...)
+	g.sb.WriteByte('\n')
+}
+
+// sub is an in-bounds subscript for a dimension lo..hi.
+func (g *kgen) sub(lo, hi int) string {
+	var fits []string
+	for _, l := range g.loops {
+		if !l.dirty && l.lo >= lo && l.hi <= hi {
+			fits = append(fits, l.v)
+			if l.hi+1 <= hi {
+				fits = append(fits, l.v+" + 1")
+			}
+		}
+	}
+	switch {
+	case len(fits) > 0 && g.r.Intn(4) > 0:
+		return g.pick(fits)
+	case g.r.Intn(3) == 0:
+		return fmt.Sprint(lo + g.r.Intn(hi-lo+1))
+	}
+	return fmt.Sprintf("mod(abs(%s), %d) + %d", g.intExpr(1), hi-lo+1, lo)
+}
+
+func (g *kgen) intExpr(d int) string {
+	if d <= 0 || g.r.Intn(4) == 0 {
+		switch g.r.Intn(4) {
+		case 0:
+			return fmt.Sprint(g.r.Intn(21))
+		case 1:
+			if len(g.loops) > 0 {
+				return g.loops[g.r.Intn(len(g.loops))].v
+			}
+		case 2:
+			return g.pick([]string{"me", "nz", "n"})
+		}
+		return g.pick(kInts)
+	}
+	a, b := g.intExpr(d-1), g.intExpr(d-1)
+	switch g.r.Intn(14) {
+	case 0, 1:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 3:
+		return fmt.Sprintf("(%s * %s)", a, g.pick([]string{"2", "3", "me", "nz"}))
+	case 4:
+		return fmt.Sprintf("(%s / %d)", a, 1+g.r.Intn(9))
+	case 5:
+		return fmt.Sprintf("(%s / nz)", a)
+	case 6:
+		return fmt.Sprintf("mod(%s, %d)", a, 2+g.r.Intn(30))
+	case 7:
+		return fmt.Sprintf("mod(%s, nz)", a)
+	case 8:
+		return fmt.Sprintf("%s(%s, %s)", g.pick([]string{"min", "max"}), a, b)
+	case 9:
+		return fmt.Sprintf("abs(%s)", a)
+	case 10:
+		return fmt.Sprintf("(-%s)", a)
+	case 11:
+		return fmt.Sprintf("ia(%s)", g.sub(1, kN))
+	case 12:
+		return fmt.Sprintf("ib(%s, %s, %s)", g.sub(1, kNB), g.sub(1, 3), g.sub(1, 2))
+	}
+	return fmt.Sprintf("int(%s)", g.realExpr(d-1))
+}
+
+func (g *kgen) realExpr(d int) string {
+	if d <= 0 || g.r.Intn(4) == 0 {
+		switch g.r.Intn(3) {
+		case 0:
+			return g.pick([]string{"0.5", "1.25", "2.0", "0.0", "3.75"})
+		case 1:
+			return g.pick(kInts) // integer operand: promotion
+		}
+		return g.pick(kReals)
+	}
+	a, b := g.realExpr(d-1), g.realExpr(d-1)
+	switch g.r.Intn(10) {
+	case 0, 1:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 3:
+		return fmt.Sprintf("(%s * %s)", a, b)
+	case 4:
+		return fmt.Sprintf("(%s / (abs(%s) + 1.0))", a, b)
+	case 5:
+		return fmt.Sprintf("sqrt(abs(%s))", a)
+	case 6:
+		return fmt.Sprintf("real(%s)", g.intExpr(d-1))
+	case 7:
+		return fmt.Sprintf("(-%s)", a)
+	case 8:
+		return fmt.Sprintf("mod(%s, 2.5)", a)
+	}
+	return fmt.Sprintf("ra(%s, %s)", g.sub(0, kN-1), g.sub(1, 3))
+}
+
+// clamped bounds a real right-hand side so products cannot run off to
+// infinity over the loop nests (and exercises the generic min/max).
+func (g *kgen) clamped(d int) string {
+	return fmt.Sprintf("min(max(%s, -1000.0), 1000.0)", g.realExpr(d))
+}
+
+func (g *kgen) boolExpr(d int) string {
+	if d <= 0 || g.r.Intn(4) == 0 {
+		if g.r.Intn(3) == 0 {
+			return g.pick([]string{".true.", ".false."})
+		}
+		return g.pick(kBools)
+	}
+	rel := g.pick([]string{"==", "/=", "<", "<=", ">", ">="})
+	switch g.r.Intn(7) {
+	case 0, 1:
+		return fmt.Sprintf("(%s %s %s)", g.intExpr(d-1), rel, g.intExpr(d-1))
+	case 2:
+		return fmt.Sprintf("(%s %s %s)", g.realExpr(d-1), rel, g.realExpr(d-1))
+	case 3:
+		return fmt.Sprintf("(%s %s %s)", g.intExpr(d-1), rel, g.realExpr(d-1))
+	case 4:
+		return fmt.Sprintf("(.not. %s)", g.boolExpr(d-1))
+	case 5:
+		return fmt.Sprintf("(%s .and. %s)", g.boolExpr(d-1), g.boolExpr(d-1))
+	}
+	return fmt.Sprintf("(%s .or. %s)", g.boolExpr(d-1), g.boolExpr(d-1))
+}
+
+func (g *kgen) assign() {
+	switch g.r.Intn(10) {
+	case 0, 1:
+		g.line("%s = %s", g.pick(kInts), g.intExpr(3))
+	case 2:
+		g.line("%s = %s", g.pick(kReals), g.clamped(3))
+	case 3:
+		g.line("%s = %s", g.pick(kBools), g.boolExpr(2))
+	case 4:
+		g.line("ia(%s) = %s", g.sub(1, kN), g.intExpr(3))
+	case 5:
+		g.line("ra(%s, %s) = %s", g.sub(0, kN-1), g.sub(1, 3), g.clamped(2))
+	case 6:
+		g.line("ib(%s, %s, %s) = %s", g.sub(1, kNB), g.sub(1, 3), g.sub(1, 2), g.intExpr(2))
+	case 7:
+		// Kind-crossing stores: the cell's kind wins.
+		g.line("%s = %s", g.pick(kInts), g.clamped(1))
+		g.line("%s = %s", g.pick(kReals), g.intExpr(1))
+	case 8:
+		if g.r.Intn(2) == 0 {
+			g.line("call bump(%s)", g.pick(kInts))
+		} else {
+			g.line("call halve(%s)", g.pick(kReals))
+		}
+	case 9:
+		// A DO over a real cell leaves an integer in it: from here on the
+		// "real" is an integer only the run-time kind checks can see.
+		rv, iv := g.pick(kReals), g.pick(kInts)
+		g.line("do %s = 1, 2", rv)
+		g.line("  %s = %s + %s", iv, iv, rv)
+		g.line("enddo")
+	}
+}
+
+func (g *kgen) ifStmt(budget int) {
+	g.line("if (%s) then", g.boolExpr(2))
+	g.depth++
+	g.block(budget)
+	if n := len(g.loops); n > 0 && g.r.Intn(4) == 0 {
+		g.line("%s", g.pick([]string{"cycle", "exit"}))
+	}
+	g.depth--
+	if g.r.Intn(2) == 0 {
+		g.line("else")
+		g.depth++
+		g.block(budget)
+		g.depth--
+	}
+	g.line("endif")
+}
+
+func (g *kgen) doStmt(budget int) {
+	if len(g.free) == 0 {
+		g.assign()
+		return
+	}
+	v := g.free[len(g.free)-1]
+	g.free = g.free[:len(g.free)-1]
+	l := kloop{v: v, lo: 1, hi: kN}
+	switch g.r.Intn(6) {
+	case 0:
+		l.hi = kNB
+		g.line("do %s = 1, %d", v, kNB)
+	case 1:
+		l.lo, l.hi = 0, kN-1
+		g.line("do %s = 0, n - 1", v) // folds: n is a parameter
+	case 2:
+		g.line("do %s = 1, nrt", v) // run-time bound, 1 <= nrt <= n
+	case 3:
+		g.line("do %s = %d, 1, -1", v, kN)
+	case 4:
+		l.hi = 3
+		g.line("do %s = 1, 3", v)
+	case 5:
+		g.line("do %s = 1, n, 2", v)
+	}
+	g.loops = append(g.loops, l)
+	g.depth++
+	g.block(budget)
+	if g.r.Intn(8) == 0 {
+		// Assigning the DO variable in its own body: legal here, the head
+		// of the next iteration overwrites it.
+		g.loops[len(g.loops)-1].dirty = true
+		g.line("%s = %s", v, g.intExpr(1))
+		g.assign()
+	}
+	g.depth--
+	g.loops = g.loops[:len(g.loops)-1]
+	g.free = append(g.free, v)
+	g.line("enddo")
+}
+
+func (g *kgen) block(budget int) {
+	for n := 2 + g.r.Intn(3); n > 0; n-- {
+		switch k := g.r.Intn(10); {
+		case k < 3 && budget > 0 && len(g.loops) < 3:
+			g.doStmt(budget - 1)
+		case k < 5 && budget > 0:
+			g.ifStmt(budget - 1)
+		default:
+			g.assign()
+		}
+	}
+}
+
+// program emits the whole kernel: set-up, a first random phase filling the
+// send buffer, one ALLTOALL, a second random phase reading the receive
+// buffer, and prints of every scalar.
+func (g *kgen) program() string {
+	g.sb.WriteString(`
+program k
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: n = 12
+  integer ia(1:n), ib(1:4, 1:3, 1:2), as(1:8), ar(1:8)
+  real ra(0:n-1, 1:3)
+  integer ierr, me, nz, nrt, i0, i1, i2, i3, j1, j2, j3
+  real r0, r1, r2
+  logical l0, l1
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  nz = 7 - me * 2
+  nrt = n - me * 5
+  i0 = 3
+  i1 = me + 1
+  r0 = 1.5
+  l1 = me == 0
+  do j1 = 1, n
+    ia(j1) = j1 * 3 - me
+    ra(j1 - 1, 2) = j1 * 0.25
+  enddo
+`)
+	g.free = []string{"j3", "j2", "j1"}
+	g.doStmt(3)
+	g.block(3)
+	g.line("do j1 = 1, %d", kNS)
+	g.line("  as(j1) = %s", g.intExpr(2))
+	g.line("enddo")
+	g.line("call mpi_alltoall(as, %d, mpi_integer, ar, %d, mpi_integer, mpi_comm_world, ierr)", kNS/2, kNS/2)
+	g.line("i2 = ar(%s) + ar(%d)", g.sub(1, kNS), kNS)
+	g.doStmt(3)
+	g.block(3)
+	g.line("print *, 'ints', i0, i1, i2, i3, j1, j2, j3")
+	g.line("print *, 'reals', r0, r1, r2, 'logicals', l0, l1")
+	g.sb.WriteString(`  call mpi_finalize(ierr)
+end program k
+
+subroutine bump(x)
+  integer x
+  x = mod(x, 1000) + 1
+end subroutine bump
+
+subroutine halve(r)
+  real r
+  r = r / 2
+end subroutine halve
+`)
+	return g.sb.String()
+}
+
+// TestRandomKernelsBitIdentical generates small kernels from a fixed seed —
+// nested DOs with constant and run-time bounds, integer/real/logical
+// scalars, 1- to 3-D arrays, intrinsics, IF/ELSE, EXIT/CYCLE, by-reference
+// calls, one ALLTOALL — and requires walk ≡ compile ≡ bytecode on every
+// observable. The corpus is all-integer straight-line loop nests; this is
+// where mixed kinds, coercing stores and control flow inside lowered loops
+// get their differential coverage.
+func TestRandomKernelsBitIdentical(t *testing.T) {
+	count := 200
+	if testing.Short() {
+		count = 20
+	}
+	machines := plan.PaperPair()
+	for i := 0; i < count; i++ {
+		g := &kgen{r: rand.New(rand.NewSource(int64(20060425 + i)))}
+		src := g.program()
+		m := machines[i%len(machines)]
+		label := fmt.Sprintf("kernel %d", i)
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("%s:\n%s", label, src)
+				}
+			}()
+			runAll(t, label, src, 2, m)
+		}()
+	}
+}

@@ -296,6 +296,23 @@ func (a *Array) RawGet(off int64) Value { return a.Store.get(a.Offset + off) }
 // RawGet).
 func (a *Array) RawSet(off int64, v Value) { a.Store.set(a.Offset+off, v) }
 
+// IntAt, SetIntAt, RealAt and SetRealAt address the backing storage at
+// linear offset off within the view with no kind dispatch: integer and
+// logical arrays live in the int storage (logicals as 0/1), real arrays in
+// the real storage. The bytecode tier's register machine moves elements
+// through them without building a Value; the caller picks the pair that
+// matches Kind().
+func (a *Array) IntAt(off int64) int64 { return a.Store.ints[a.Offset+off] }
+
+// SetIntAt writes an int-storage element (see IntAt).
+func (a *Array) SetIntAt(off, v int64) { a.Store.ints[a.Offset+off] = v }
+
+// RealAt reads a real-storage element (see IntAt).
+func (a *Array) RealAt(off int64) float64 { return a.Store.reals[a.Offset+off] }
+
+// SetRealAt writes a real-storage element (see IntAt).
+func (a *Array) SetRealAt(off int64, v float64) { a.Store.reals[a.Offset+off] = v }
+
 // Kind returns the element kind of the backing storage.
 func (a *Array) Kind() Kind { return a.Store.kind }
 
