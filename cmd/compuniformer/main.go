@@ -8,7 +8,7 @@
 // Usage:
 //
 //	compuniformer [-k N] [-np N] [-machine name] [-report] [-verify]
-//	              [-engine bytecode|compile|walk]
+//	              [-engine bytecode|walk]
 //	              [-wait deferred|per-tile] [-send-order staggered|sequential]
 //	              [-interchange auto|on|off] [-interchange-min-bytes N]
 //	              [-skip-sites line:col,...|all]
@@ -30,8 +30,8 @@
 // on the simulated cluster under the selected machine models and their
 // observable results compared (the paper's §4 correctness protocol); a
 // static finding or a dynamic mismatch is a fatal error. -engine picks the
-// execution engine for the dynamic runs: the bytecode tier (default),
-// the compiled closure engine, or the tree-walking oracle.
+// execution engine for the dynamic runs: the bytecode tier (default) or the
+// tree-walking oracle.
 package main
 
 import (
@@ -55,9 +55,8 @@ func main() {
 	machineName := flag.String("machine", "mpich-gm-2005", "machine model the plan targets (see internal/plan)")
 	report := flag.Bool("report", false, "print only the analysis report, not the transformed source")
 	verifyFlag := flag.Bool("verify", false, "statically verify the transformation, then run original and transformed on the simulator and compare results")
-	engineName := flag.String("engine", "", "execution engine for -verify: bytecode (default), compile, or walk (tree-walking oracle)")
+	engineName := flag.String("engine", "", "execution engine for -verify: bytecode (default) or walk (tree-walking oracle)")
 	wait := flag.String("wait", "", "wait schedule: deferred (default) or per-tile (the paper's §3.6 step 2)")
-	perTileWait := flag.Bool("per-tile-wait", false, "deprecated alias for -wait per-tile")
 	sendOrder := flag.String("send-order", "", "subset-send order: staggered (default) or sequential (paper's owner order)")
 	interchange := flag.String("interchange", "", "§3.5 interchange: auto (granularity gate, default), on, or off")
 	interchangeMin := flag.Int64("interchange-min-bytes", 0, "auto-gate threshold in bytes (0 = default 2048)")
@@ -115,9 +114,6 @@ func main() {
 		d := &pl.Default
 		if *k > 0 {
 			d.K = *k
-		}
-		if *perTileWait {
-			d.Wait = plan.WaitPerTile
 		}
 		if *wait != "" {
 			d.Wait = plan.WaitSchedule(*wait)
@@ -239,12 +235,14 @@ func verifyEquivalence(src, transformed string, np int, selected plan.Machine, e
 	if !have {
 		machines = append(machines, selected)
 	}
+	// One store for the call: each text compiles once for all machines.
+	runner := exec.Runner{Engine: engine, Store: exec.NewMemStore()}
 	for _, m := range machines {
-		ro, err := engine.Run(src, np, m.Costs, m.Profile)
+		ro, err := runner.Run(src, np, m.Costs, m.Profile)
 		if err != nil {
 			return fmt.Errorf("verify: run original (%s): %w", m, err)
 		}
-		rt, err := engine.Run(transformed, np, m.Costs, m.Profile)
+		rt, err := runner.Run(transformed, np, m.Costs, m.Profile)
 		if err != nil {
 			return fmt.Errorf("verify: run transformed (%s): %w", m, err)
 		}

@@ -27,6 +27,7 @@ func TestUnknownEngineExit2(t *testing.T) {
 	}{
 		{name: "unknown engine", args: "-engine jit"},
 		{name: "misspelled tier", args: "-engine byte-code"},
+		{name: "retired closure engine", args: "-engine compile"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,7 +19,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{name: "defaults", f: cliFlags{}, engine: exec.EngineBytecode},
 		{name: "walk engine", f: cliFlags{Engine: "walk"}, engine: exec.EngineWalk},
-		{name: "compile engine", f: cliFlags{Engine: "compile"}, engine: exec.EngineCompile},
+		{name: "compile engine", f: cliFlags{Engine: "compile"}, wantErr: "unknown engine"},
 		{name: "bytecode engine", f: cliFlags{Engine: "bytecode"}, engine: exec.EngineBytecode},
 		{name: "unknown engine", f: cliFlags{Engine: "jit"}, wantErr: "unknown engine"},
 		{name: "merge alone", f: cliFlags{Merge: true}, engine: exec.EngineBytecode},
@@ -35,7 +35,8 @@ func TestValidateFlags(t *testing.T) {
 		{name: "tune check unknown engine", f: cliFlags{Tune: true, TuneCheckEngine: "jit"}, wantErr: "unknown engine"},
 		{name: "tune check names sweep engine", f: cliFlags{Tune: true, TuneCheckEngine: "bytecode"}, wantErr: "sweep engine itself"},
 		{name: "tune check on explicit walk sweep", f: cliFlags{Tune: true, Engine: "walk", TuneCheckEngine: "walk"}, wantErr: "sweep engine itself"},
-		{name: "tune check compile sweep vs walk", f: cliFlags{Tune: true, Engine: "compile", TuneCheckEngine: "walk"}, engine: exec.EngineCompile},
+		{name: "tune check compile sweep vs walk", f: cliFlags{Tune: true, Engine: "compile", TuneCheckEngine: "walk"}, wantErr: "unknown engine"},
+		{name: "tune check against compile", f: cliFlags{Tune: true, TuneCheckEngine: "compile"}, wantErr: "unknown engine"},
 		{name: "positive parallel and limit", f: cliFlags{Parallel: 8, Limit: 10}, engine: exec.EngineBytecode},
 		{name: "negative parallel", f: cliFlags{Parallel: -1}, wantErr: "-parallel"},
 		{name: "negative limit", f: cliFlags{Limit: -5}, wantErr: "-limit"},

@@ -8,7 +8,7 @@
 //
 //	fleetd [-addr :8790] [-drain 30s]
 //	fleetd -worker -coord http://host:8790 [-addr 127.0.0.1:0]
-//	       [-advertise URL] [-engine bytecode|compile|walk] [-cache-dir DIR]
+//	       [-advertise URL] [-engine bytecode|walk] [-cache-dir DIR]
 //	       [-heartbeat 3s] [-drain 30s]
 //
 // Coordinator endpoints: POST /enqueue ({kind: "sweep"|"tune", ...}),
@@ -51,7 +51,7 @@ func main() {
 	worker := flag.Bool("worker", false, "run as a worker instead of the coordinator")
 	coord := flag.String("coord", "", "coordinator base URL (worker mode; required)")
 	advertise := flag.String("advertise", "", "URL the coordinator should dial this worker at ('' = derive from the listen address)")
-	engineName := flag.String("engine", "", "worker execution engine: bytecode (default), compile, or walk")
+	engineName := flag.String("engine", "", "worker execution engine: bytecode (default) or walk")
 	cacheDir := flag.String("cache-dir", "", "shared variant-store directory (worker mode; '' = in-memory, private to this worker)")
 	heartbeat := flag.Duration("heartbeat", 3*time.Second, "worker heartbeat interval")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests")

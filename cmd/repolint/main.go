@@ -27,6 +27,11 @@
 //     engines are the inner loop of every sweep; dispatch there is a flat
 //     switch over opcodes or an array index, never a hash lookup or a
 //     reflective call.
+//  6. One recover() under internal/: the rank harness (internal/interp/
+//     run.go), which turns a panic on a simulated rank's goroutine into that
+//     rank's error with the wording the engines' differential contract
+//     fixes. Any other recover either duplicates it or hides a bug that
+//     should be a positioned diagnostic.
 //
 // Usage:
 //
@@ -54,20 +59,20 @@ import (
 // keyed by "<package dir>:<identifier>". Every entry carries its reason —
 // an addition here is a design decision, not a lint appeasement.
 var allowedGlobals = map[string]string{
-	// The zero-configuration fallback store behind Engine.Run; sessions
-	// inject their own store and never touch it.
-	"internal/exec:defaultStoreOnce": "process-default store is lazily built exactly once",
-	"internal/exec:defaultStore":     "process-default store for store-less callers",
 	// Immutable lookup tables built once at init and only ever read.
-	"internal/ftn:tokNames":     "token-kind name table (read-only)",
-	"internal/ftn:dotOps":       "Fortran dot-operator table (read-only)",
-	"internal/ftn:relOps":       "relational-operator spelling table (read-only)",
-	"internal/plan:aliases":     "machine-name alias table (read-only)",
-	"internal/interp:mpiConsts": "MPI named-constant table (read-only)",
+	"internal/ftn:tokNames":       "token-kind name table (read-only)",
+	"internal/ftn:dotOps":         "Fortran dot-operator table (read-only)",
+	"internal/ftn:relOps":         "relational-operator spelling table (read-only)",
+	"internal/plan:aliases":       "machine-name alias table (read-only)",
+	"internal/interp:mpiConsts":   "MPI named-constant table (read-only)",
+	"internal/interp:mpiRoutines": "MPI routine signature table (read-only)",
 	// The linter's own configuration tables (read-only).
 	"cmd/repolint:allowedGlobals":  "this allowlist",
 	"cmd/repolint:wallClockExempt": "wall-clock exemption table (read-only)",
 }
+
+// recoverFile is the one file under internal/ allowed to call recover().
+const recoverFile = "internal/interp/run.go"
 
 // deterministicRoot is the tree where wall-clock reads are banned; the
 // packages under it compute simulated time only.
@@ -164,6 +169,7 @@ func lintFile(fset *token.FileSet, rel string, f *ast.File) []string {
 		lintWallClock(pkgDir, f, report)
 		lintHTTPTimeouts(pkgDir, f, report)
 		lintExecHotPath(pkgDir, f, report)
+		lintRecover(rel, f, report)
 	}
 	lintMemoClone(pkgDir, f, report)
 	return findings
@@ -323,6 +329,23 @@ func lintExecHotPath(pkgDir string, f *ast.File, report reportFn) {
 		if _, ok := mt.Value.(*ast.FuncType); ok {
 			report(mt.Pos(), "exec-hot-path",
 				"func-valued map in internal/exec is a map-based dispatch table; use a flat switch or an array indexed by opcode")
+		}
+		return true
+	})
+}
+
+// lintRecover flags recover() calls under internal/ outside the rank
+// harness.
+func lintRecover(rel string, f *ast.File, report reportFn) {
+	if !strings.HasPrefix(rel, "internal/") || rel == recoverFile {
+		return
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "recover" && len(call.Args) == 0 {
+				report(call.Pos(), "stray-recover",
+					"recover() outside %s; a rank's panic is converted once, in the rank harness — return a positioned error instead", recoverFile)
+			}
 		}
 		return true
 	})

@@ -206,6 +206,19 @@ func TestExecHotPathRule(t *testing.T) {
 // TestRepoIsClean is the enforcement test: the repository itself must lint
 // clean (the CI lint job runs the binary; this keeps `go test ./...`
 // equivalent).
+func TestRecoverRule(t *testing.T) {
+	src := "package foo\nfunc f() (err error) {\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\terr = nil\n\t\t}\n\t}()\n\treturn nil\n}\n"
+	wantRule(t, lintSrc(t, "internal/exec/a.go", src), "stray-recover")
+	wantRule(t, lintSrc(t, "internal/interp/mpibind.go", src), "stray-recover")
+
+	// The rank harness owns the one recover; cmd/ and tests are out of scope.
+	for _, rel := range []string{"internal/interp/run.go", "cmd/foo/a.go", "internal/foo/a_test.go"} {
+		if findings := lintSrc(t, rel, src); len(findings) != 0 {
+			t.Errorf("%s: unexpected findings %v", rel, findings)
+		}
+	}
+}
+
 func TestRepoIsClean(t *testing.T) {
 	findings, err := lintTree("../..")
 	if err != nil {

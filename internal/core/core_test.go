@@ -179,7 +179,7 @@ end program twosites
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	if same, why := interp.Sameprinted(ro, rt); !same {
+	if same, why := interp.SameObservable(ro, rt); !same {
 		t.Errorf("mismatch: %s", why)
 	}
 }

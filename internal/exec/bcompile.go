@@ -1,6 +1,6 @@
 // Lowering from the compiled unit's AST + symbol table to bytecode. The
 // lowering never fails: anything it cannot model natively falls back to the
-// closure tier (bEval/bStmt instructions invoking the mid-tier's
+// closure tier (bEval/bStmt instructions invoking the closure program's
 // pre-resolved closures), so every program lowers and the result is
 // bit-identical to the walk oracle on every path.
 //

@@ -8,7 +8,7 @@
 // proven in-range by internal/dep's affine algebra. Statements the lowering
 // does not model natively (MPI calls, user subroutine calls, prints,
 // anything touching a character value) execute through the same
-// pre-resolved closure bindings the mid-tier compiles, so the bytecode tier
+// pre-resolved closures the closure program is made of, so the bytecode tier
 // is bit-identical to the walk oracle by construction on those paths and
 // differentially proven on the lowered ones.
 //
@@ -21,7 +21,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/ftn"
@@ -280,31 +279,13 @@ func (bp *bprog) chargeTab(costs interp.CostModel) []netsim.Time {
 }
 
 // RunBytecode executes the program on the bytecode tier. Results are
-// bit-identical to Run (the closure tier) and to the walk oracle.
+// bit-identical to Run (the closure program) and to the walk oracle.
 func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	bp := p.Bytecode()
-	tab := bp.chargeTab(costs)
-	return p.runEngine(np, prof, costs, func(x *rctx) error {
-		return p.runMainBC(x, bp, tab)
-	})
+	return p.run(np, prof, costs, p.Bytecode())
 }
 
-// runMainBC executes the lowered main body on this context's rank. Frame
-// setup (constants, declarations, views) reuses the compiled setup steps;
-// only the body dispatches through bytecode.
-func (p *Program) runMainBC(x *rctx, bp *bprog, tab []netsim.Time) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("interp panic: %v", r)
-		}
-	}()
-	fr := p.main.newFrame()
-	for _, st := range p.main.setup {
-		if err := st(x, fr); err != nil {
-			return err
-		}
-	}
-	x.main = fr
+// run executes the lowered main body in the initialized main frame fr.
+func (bp *bprog) run(x *rctx, fr *frame, tab []netsim.Time) error {
 	for _, pe := range bp.prec {
 		if fr.scal[pe.sslot] == nil {
 			v := pe.zero
@@ -313,11 +294,7 @@ func (p *Program) runMainBC(x *rctx, bp *bprog, tab []netsim.Time) (err error) {
 	}
 	regs := make([]reg, bp.nreg)
 	copy(regs, bp.regInit)
-	err = bp.bexec(x, fr, regs, tab)
-	if err == errStop || err == errReturn {
-		err = nil
-	}
-	return err
+	return bp.bexec(x, fr, regs, tab)
 }
 
 // loadElem reads the element at linear offset off of an array whose storage

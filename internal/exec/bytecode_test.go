@@ -5,12 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/plan"
 )
-
-var allEngines = []exec.Engine{exec.EngineWalk, exec.EngineCompile, exec.EngineBytecode}
 
 // wrap dresses a declaration block and a body as a two-rank MPI program
 // with the bump/halve helper subroutines in scope.
@@ -162,7 +159,7 @@ func TestSignedZeroConstants(t *testing.T) {
   print *, 1.0/x, 1.0/y`)
 	m := plan.MPICHGM2005()
 	runAll(t, "negzero", src, 2, m)
-	res, err := exec.EngineBytecode.Run(src, 2, m.Costs, m.Profile)
+	res, err := bytecodeTier.run(src, 2, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +206,7 @@ func requireSameFailure(t *testing.T, label, src string, np int, m plan.Machine,
 	var walk *interp.Result
 	var walkErr error
 	for _, eng := range allEngines {
-		res, err := eng.Run(src, np, m.Costs, m.Profile)
+		res, err := eng.run(src, np, m)
 		if err == nil {
 			t.Fatalf("%s/%s: no error, want %q", label, eng, want)
 		}
@@ -219,7 +216,7 @@ func requireSameFailure(t *testing.T, label, src string, np int, m plan.Machine,
 		if res == nil || res.Stats == nil {
 			t.Fatalf("%s/%s: no run statistics beside the error %q", label, eng, err)
 		}
-		if eng == exec.EngineWalk {
+		if eng.name == walkTier.name {
 			walk, walkErr = res, err
 			continue
 		}

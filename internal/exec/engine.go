@@ -8,20 +8,17 @@ import (
 )
 
 // Engine selects how program variants are executed: the bytecode tier
-// (register machine lowered from the closure program), the compiled
-// closure engine (drawing from a variant store), or the tree-walking
-// interpreter, which is retained as the differential oracle.
+// (a register machine lowered from the compiled variant, drawing from a
+// variant store) or the tree-walking interpreter, which is retained as the
+// differential oracle.
 type Engine string
 
 const (
 	// EngineBytecode lowers each compiled variant's main unit into a
 	// register-based flat instruction stream (constant folding, batched
 	// cost charges, bounds-check elimination) and dispatches through a
-	// flat switch. The fastest tier, and the default.
+	// flat switch. The fast tier, and the default.
 	EngineBytecode Engine = "bytecode"
-	// EngineCompile compiles each variant once (shared through the
-	// variant store) and replays the closure program. The mid-tier.
-	EngineCompile Engine = "compile"
 	// EngineWalk parses and tree-walks the AST for every run — the
 	// historical path, kept as the bit-identical oracle.
 	EngineWalk Engine = "walk"
@@ -36,32 +33,25 @@ func ParseEngine(name string) (Engine, error) {
 	switch Engine(name) {
 	case "":
 		return Default, nil
-	case EngineBytecode, EngineCompile, EngineWalk:
+	case EngineBytecode, EngineWalk:
 		return Engine(name), nil
 	}
-	return "", fmt.Errorf("exec: unknown engine %q (want %q, %q, or %q)",
-		name, EngineBytecode, EngineCompile, EngineWalk)
+	return "", fmt.Errorf("exec: unknown engine %q (want %q or %q)",
+		name, EngineBytecode, EngineWalk)
 }
 
-// Resolve validates an engine name ("" selects the default).
-//
-// Deprecated: use ParseEngine; Resolve is retained for callers predating
-// the bytecode tier.
-func Resolve(name string) (Engine, error) { return ParseEngine(name) }
-
-// Runner binds an engine to the variant store its compile path draws
-// from — the injectable execution handle a session threads through the
-// pipeline in place of the old process-global cache.
+// Runner binds an engine to the variant store its compiled variants are
+// drawn from — the injectable execution handle a session threads through
+// the pipeline.
 type Runner struct {
 	Engine Engine
-	// Store backs the compile engine; nil selects the process-default
-	// store. The walk engine never touches it.
+	// Store caches compiled variants across runs; with a nil Store each
+	// run compiles its source afresh. The walk engine never touches it.
 	Store VariantStore
 }
 
 // Run executes src on np simulated ranks under the profile, charging
-// computation against costs. Both engines produce bit-identical results;
-// EngineCompile additionally shares compiled artifacts through the store.
+// computation against costs. Both engines produce bit-identical results.
 func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, error) {
 	if r.Engine == EngineWalk {
 		p, err := interp.Load(src)
@@ -71,22 +61,13 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 		p.Costs = costs
 		return p.Run(np, prof)
 	}
-	store := r.Store
-	if store == nil {
-		store = DefaultStore()
+	get := CompileSource
+	if r.Store != nil {
+		get = r.Store.Get
 	}
-	p, err := store.Get(src)
+	p, err := get(src)
 	if err != nil {
 		return nil, err
 	}
-	if r.Engine == EngineBytecode {
-		return p.RunBytecode(np, prof, costs)
-	}
-	return p.Run(np, prof, costs)
-}
-
-// Run executes through the process-default store — the zero-configuration
-// path for callers with no session of their own.
-func (e Engine) Run(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, error) {
-	return Runner{Engine: e}.Run(src, np, costs, prof)
+	return p.RunBytecode(np, prof, costs)
 }

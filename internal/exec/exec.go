@@ -17,10 +17,14 @@
 // frames; a Program is immutable after compile), and replayed for the
 // price of calling closures.
 //
-// The tree-walker is retained as the differential oracle: Engine "walk"
-// runs internal/interp, Engine "compile" runs this package, and the
-// harness's differential tests assert the two agree on every golden
-// fixture and corpus scenario.
+// The closure program is a substrate, not a selectable engine: Engine
+// "bytecode" (bytecode.go) lowers its main unit further and bridges into
+// these closures for whatever it does not lower; on their own they run only
+// through Program.Run. The tree-walker is retained as the differential
+// oracle (Engine "walk" runs internal/interp); this package's tests assert
+// walk, closure program and bytecode agree on every golden fixture and
+// corpus scenario. All three run ranks through interp.RunRanks and MPI
+// calls through interp.MPI.
 package exec
 
 import (
@@ -98,8 +102,18 @@ type rctx struct {
 	rank  *mpi.Rank
 	costs interp.CostModel
 	out   []string
-	reqs  []*mpi.Request
 	main  *frame
+
+	// bp and tab select the bytecode tier for the main body (see RunMain).
+	bp  *bprog
+	tab []netsim.Time
+
+	// mpi is the rank's MPI binding; args and argFr are the call site it is
+	// executing (the rctx is its own interp.MPIArgs, see mpi.go).
+	mpi   *interp.MPI
+	args  []mpiArg
+	argFr *frame
+	subs  []int64 // Buffer's subscript scratch
 }
 
 func (x *rctx) charge(t netsim.Time) { x.rank.Compute(t) }
@@ -163,71 +177,33 @@ func CompileSource(src string) (*Program, error) {
 	return Compile(f)
 }
 
-// Run executes the compiled program on np simulated ranks over the profile,
+// Run executes the closure program on np simulated ranks over the profile,
 // charging computation against costs. The result is bit-identical to
 // interp's tree-walk of the same source under the same machine.
 func (p *Program) Run(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	return p.runEngine(np, prof, costs, p.runMain)
+	return p.run(np, prof, costs, nil)
 }
 
-// runEngine is the shared rank-fanout harness: it runs `run` on every
-// simulated rank and assembles the Result exactly as Run always has. The
-// closure tier passes runMain, the bytecode tier passes runMainBC.
-func (p *Program) runEngine(np int, prof netsim.Profile, costs interp.CostModel, run func(*rctx) error) (*interp.Result, error) {
-	res := &interp.Result{
-		Output: make([][]string, np),
-		Arrays: make([]map[string]interface{}, np),
-		Errors: make([]error, np),
+// run drives interp's rank harness with one rctx per rank. bp selects the
+// tier executing the main body: nil for the closure program, else its
+// bytecode lowering.
+func (p *Program) run(np int, prof netsim.Profile, costs interp.CostModel, bp *bprog) (*interp.Result, error) {
+	var tab []netsim.Time
+	if bp != nil {
+		tab = bp.chargeTab(costs)
 	}
-	var mu sync.Mutex
-	stats, err := mpi.Run(np, prof, func(r *mpi.Rank) {
-		x := &rctx{prog: p, rank: r, costs: costs}
-		runErr := run(x)
-		mu.Lock()
-		res.Output[r.Me()] = x.out
-		res.Errors[r.Me()] = runErr
-		if x.main != nil {
-			snap := map[string]interface{}{}
-			for i, a := range x.main.arr {
-				if a != nil {
-					snap[p.main.arrNames[i]] = a.Snapshot()
-				}
-			}
-			res.Arrays[r.Me()] = snap
-		}
-		mu.Unlock()
+	return interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
+		return &rctx{prog: p, rank: b.Rank, mpi: b, costs: costs, bp: bp, tab: tab}
 	})
-	if err != nil {
-		// A rank error that ended a rank early usually surfaces as a
-		// deadlock; attach the per-rank errors for diagnosis.
-		for i, re := range res.Errors {
-			if re != nil {
-				return res, fmt.Errorf("%v (rank %d: %v)", err, i, re)
-			}
-		}
-		return res, err
-	}
-	res.Stats = stats
-	for i, re := range res.Errors {
-		if re != nil {
-			return res, fmt.Errorf("rank %d: %v", i, re)
-		}
-	}
-	return res, nil
 }
 
-// runMain executes the main unit on this context's rank.
-func (p *Program) runMain(x *rctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// The wording matches the tree-walker's: per-rank error strings
-			// are part of the engines' differential contract (harness-level
-			// comparisons include Outcome.Err).
-			err = fmt.Errorf("interp panic: %v", r)
-		}
-	}()
-	fr := p.main.newFrame()
-	for _, st := range p.main.setup {
+// RunMain implements interp.RankState: frame setup (constants,
+// declarations, views) always runs the compiled setup steps; only the body
+// differs by tier.
+func (x *rctx) RunMain() error {
+	main := x.prog.main
+	fr := main.newFrame()
+	for _, st := range main.setup {
 		if err := st(x, fr); err != nil {
 			return err
 		}
@@ -235,9 +211,31 @@ func (p *Program) runMain(x *rctx) (err error) {
 	// Arrays are snapshotted only once the frame initialized cleanly,
 	// matching the tree-walker (newFrame failure leaves no main frame).
 	x.main = fr
-	err = runStmts(x, fr, p.main.body)
+	var err error
+	if x.bp != nil {
+		err = x.bp.run(x, fr, x.tab)
+	} else {
+		err = runStmts(x, fr, main.body)
+	}
 	if err == errStop || err == errReturn {
 		err = nil
 	}
 	return err
+}
+
+// Output implements interp.RankState.
+func (x *rctx) Output() []string { return x.out }
+
+// MainArrays implements interp.RankState.
+func (x *rctx) MainArrays() map[string]interface{} {
+	if x.main == nil {
+		return nil
+	}
+	snap := map[string]interface{}{}
+	for i, a := range x.main.arr {
+		if a != nil {
+			snap[x.prog.main.arrNames[i]] = a.Snapshot()
+		}
+	}
+	return snap
 }

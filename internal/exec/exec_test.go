@@ -16,8 +16,37 @@ import (
 	"repro/internal/workload"
 )
 
-// fastEngines are the tiers proven against the walk oracle.
-var fastEngines = []exec.Engine{exec.EngineCompile, exec.EngineBytecode}
+// tier is one way of executing a source text. Only walk and bytecode are
+// selectable engines; the closure program the bytecode tier bridges into is
+// driven directly through Program.Run so it stays differentially covered.
+type tier struct {
+	name string
+	run  func(src string, np int, m plan.Machine) (*interp.Result, error)
+}
+
+func (t tier) String() string { return t.name }
+
+func engineTier(e exec.Engine) tier {
+	return tier{string(e), func(src string, np int, m plan.Machine) (*interp.Result, error) {
+		return exec.Runner{Engine: e}.Run(src, np, m.Costs, m.Profile)
+	}}
+}
+
+var (
+	walkTier     = engineTier(exec.EngineWalk)
+	bytecodeTier = engineTier(exec.EngineBytecode)
+	closureTier  = tier{"closure", func(src string, np int, m plan.Machine) (*interp.Result, error) {
+		p, err := exec.CompileSource(src)
+		if err != nil {
+			return nil, err
+		}
+		return p.Run(np, m.Profile, m.Costs)
+	}}
+
+	// fastEngines are the tiers proven against the walk oracle.
+	fastEngines = []tier{closureTier, bytecodeTier}
+	allEngines  = []tier{walkTier, closureTier, bytecodeTier}
+)
 
 // requireBitIdentical asserts two results agree on everything the
 // simulation observes: printed output, every final array (both ways),
@@ -56,12 +85,12 @@ func requireBitIdentical(t *testing.T, label string, walk, fast *interp.Result) 
 // machine, asserting each fast tier is bit-identical to the oracle.
 func runAll(t *testing.T, label, src string, np int, m plan.Machine) {
 	t.Helper()
-	walk, err := exec.EngineWalk.Run(src, np, m.Costs, m.Profile)
+	walk, err := walkTier.run(src, np, m)
 	if err != nil {
 		t.Fatalf("%s: walk: %v", label, err)
 	}
 	for _, eng := range fastEngines {
-		fast, err := eng.Run(src, np, m.Costs, m.Profile)
+		fast, err := eng.run(src, np, m)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, eng, err)
 		}

@@ -3,379 +3,85 @@ package exec
 import (
 	"repro/internal/ftn"
 	"repro/internal/interp"
-	"repro/internal/mpi"
 )
 
-// call compiles a CALL statement: MPI bindings are lowered to pre-resolved
-// closures over the same mpi runtime the tree-walker's mpibind uses; other
-// names dispatch to compiled user subroutines.
+// mpiArg holds, for one actual argument of an MPI call site, the accessors
+// its role in the routine's signature asks for. The binding itself — arity,
+// evaluation order, validation, request handles, ierr — is interp.MPI, the
+// same code the tree-walker runs; this file only answers "evaluate / look
+// up as an array / store into argument i" from pre-compiled closures.
+type mpiArg struct {
+	val   exprFn                        // ArgValue
+	store storeFn                       // ArgStore
+	arr   func(fr *frame) *interp.Array // ArgBuffer over an Ident or a Ref
+	subs  []exprFn                      // ... a Ref's subscripts
+}
+
+// call compiles a CALL statement: an MPI routine (resolved here, at compile
+// time) binds to interp.MPI over the site's mpiArgs, any other name
+// dispatches to a compiled user subroutine.
 func (c *comp) call(s *ftn.CallStmt) stmtFn {
-	switch s.Name {
-	case "mpi_init", "mpi_finalize":
-		if len(s.Args) == 1 {
-			st := c.store(s.Args[0])
-			return func(x *rctx, fr *frame) error {
-				return st(x, fr, interp.IntVal(0))
+	r := interp.LookupMPI(s.Name)
+	if r == nil {
+		return c.userCall(s)
+	}
+	var args []mpiArg // stays empty when the call is off r's signature
+	if len(s.Args) == len(r.Roles) {
+		args = make([]mpiArg, len(s.Args))
+	}
+	for i := range args {
+		a, role := &args[i], r.Roles[i]
+		if role&interp.ArgValue != 0 {
+			a.val = c.expr(s.Args[i])
+		}
+		if role&interp.ArgStore != 0 {
+			a.store = c.store(s.Args[i])
+		}
+		if role&interp.ArgBuffer != 0 {
+			switch e := s.Args[i].(type) {
+			case *ftn.Ident:
+				a.arr = c.arrayOf(e.Name)
+			case *ftn.Ref:
+				a.arr = c.arrayOf(e.Name)
+				a.subs = make([]exprFn, len(e.Args))
+				for j, sub := range e.Args {
+					a.subs[j] = c.expr(sub)
+				}
 			}
 		}
-		return func(x *rctx, fr *frame) error { return nil }
-	case "mpi_comm_rank", "mpi_comm_size":
-		if len(s.Args) != 3 {
-			return errStmt(s.Pos(), "%s needs 3 arguments", s.Name)
-		}
-		st1 := c.store(s.Args[1])
-		st2 := c.store(s.Args[2])
-		wantRank := s.Name == "mpi_comm_rank"
-		return func(x *rctx, fr *frame) error {
-			v := int64(x.rank.NP())
-			if wantRank {
-				v = int64(x.rank.Me())
-			}
-			if err := st1(x, fr, interp.IntVal(v)); err != nil {
-				return err
-			}
-			return st2(x, fr, interp.IntVal(0))
-		}
-	case "mpi_barrier":
-		var st storeFn
-		if len(s.Args) == 2 {
-			st = c.store(s.Args[1])
-		}
-		return func(x *rctx, fr *frame) error {
-			x.rank.Barrier()
-			if st != nil {
-				return st(x, fr, interp.IntVal(0))
-			}
-			return nil
-		}
-	case "mpi_isend", "mpi_irecv":
-		return c.isendIrecv(s)
-	case "mpi_send", "mpi_recv":
-		return c.blockingSendRecv(s)
-	case "mpi_wait":
-		return c.wait(s)
-	case "mpi_waitall":
-		return c.waitall(s)
-	case "mpi_alltoall":
-		return c.alltoall(s)
-	case "flush":
-		return func(x *rctx, fr *frame) error { return nil } // test helper: no-op sink
 	}
-	return c.userCall(s)
-}
-
-// bufFn resolves an MPI buffer argument to (array, linear offset).
-type bufFn func(x *rctx, fr *frame) (*interp.Array, int64, error)
-
-// buffer compiles an MPI buffer argument (bufferArg semantics).
-func (c *comp) buffer(e ftn.Expr) bufFn {
-	switch e := e.(type) {
-	case *ftn.Ident:
-		arrOf := c.arrayOf(e.Name)
-		pos := e.Pos()
-		name := e.Name
-		return func(x *rctx, fr *frame) (*interp.Array, int64, error) {
-			a := arrOf(fr)
-			if a == nil {
-				return nil, 0, rte(pos, "MPI buffer %s is not an array", name)
-			}
-			return a, 0, nil
-		}
-	case *ftn.Ref:
-		arrOf := c.arrayOf(e.Name)
-		subs := make([]exprFn, len(e.Args))
-		for i, a := range e.Args {
-			subs[i] = c.expr(a)
-		}
-		pos := e.Pos()
-		name := e.Name
-		return func(x *rctx, fr *frame) (*interp.Array, int64, error) {
-			a := arrOf(fr)
-			if a == nil {
-				return nil, 0, rte(pos, "MPI buffer %s is not an array", name)
-			}
-			ix, err := evalInts(x, fr, subs)
-			if err != nil {
-				return nil, 0, err
-			}
-			off, err := a.Linear(ix)
-			if err != nil {
-				return nil, 0, rte(pos, "%v", err)
-			}
-			return a, off, nil
-		}
-	}
-	pos := e.Pos()
-	return func(x *rctx, fr *frame) (*interp.Array, int64, error) {
-		return nil, 0, rte(pos, "bad MPI buffer argument")
-	}
-}
-
-// countType compiles the (count, datatype) pair, yielding element count and
-// element byte size (countTypeArgs semantics).
-func (c *comp) countType(countE, typeE ftn.Expr) func(x *rctx, fr *frame) (int64, int64, error) {
-	countF := c.expr(countE)
-	typeF := c.expr(typeE)
-	countPos := countE.Pos()
-	typePos := typeE.Pos()
-	return func(x *rctx, fr *frame) (int64, int64, error) {
-		cv, err := countF(x, fr)
-		if err != nil {
-			return 0, 0, err
-		}
-		tv, err := typeF(x, fr)
-		if err != nil {
-			return 0, 0, err
-		}
-		bytes, ok := interp.DTypeBytes(tv.AsInt())
-		if !ok {
-			return 0, 0, rte(typePos, "unknown MPI datatype %d", tv.AsInt())
-		}
-		count := cv.AsInt()
-		if count < 0 {
-			return 0, 0, rte(countPos, "negative MPI count %d", count)
-		}
-		return count, bytes, nil
-	}
-}
-
-// addReq registers req and returns its 1-based handle.
-func (x *rctx) addReq(req *mpi.Request) int64 {
-	x.reqs = append(x.reqs, req)
-	return int64(len(x.reqs))
-}
-
-func (x *rctx) waitHandle(h int64, pos ftn.Pos) error {
-	if h == 0 {
-		return nil // null request
-	}
-	if h < 1 || h > int64(len(x.reqs)) {
-		return rte(pos, "invalid MPI request handle %d", h)
-	}
-	req := x.reqs[h-1]
-	if req == nil {
-		return nil // already waited
-	}
-	x.rank.Wait(req)
-	x.reqs[h-1] = nil
-	return nil
-}
-
-// isendIrecv lowers mpi_isend/mpi_irecv(buf, count, dtype, peer, tag, comm,
-// request, ierr).
-func (c *comp) isendIrecv(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 8 {
-		return errStmt(s.Pos(), "%s needs 8 arguments", s.Name)
-	}
-	buf := c.buffer(s.Args[0])
-	ct := c.countType(s.Args[1], s.Args[2])
-	peerF := c.expr(s.Args[3])
-	tagF := c.expr(s.Args[4])
-	stReq := c.store(s.Args[6])
-	stErr := c.store(s.Args[7])
-	isSend := s.Name == "mpi_isend"
 	return func(x *rctx, fr *frame) error {
-		arr, off, err := buf(x, fr)
-		if err != nil {
-			return err
-		}
-		count, elemBytes, err := ct(x, fr)
-		if err != nil {
-			return err
-		}
-		peerV, err := peerF(x, fr)
-		if err != nil {
-			return err
-		}
-		tagV, err := tagF(x, fr)
-		if err != nil {
-			return err
-		}
-		peer := int(peerV.AsInt())
-		tag := int(tagV.AsInt())
-		bytes := count * elemBytes
-		var handle int64
-		if isSend {
-			req := x.rank.Isend(peer, tag, bytes, func() interface{} {
-				p, cerr := arr.CopyOut(off, count)
-				if cerr != nil {
-					panic(cerr)
-				}
-				return p
-			})
-			handle = x.addReq(req)
-		} else {
-			req := x.rank.Irecv(peer, tag, bytes, func(p interface{}) {
-				if cerr := arr.CopyIn(off, p); cerr != nil {
-					panic(cerr)
-				}
-			})
-			handle = x.addReq(req)
-		}
-		if err := stReq(x, fr, interp.IntVal(handle)); err != nil {
-			return err
-		}
-		return stErr(x, fr, interp.IntVal(0))
+		// MPI calls do not nest, so the rctx carries the one site being
+		// executed and serves as its interp.MPIArgs without allocating.
+		x.args, x.argFr = args, fr
+		return x.mpi.Call(r, s, x)
 	}
 }
 
-// blockingSendRecv lowers mpi_send(buf, count, dtype, peer, tag, comm,
-// ierr) and mpi_recv(..., status, ierr).
-func (c *comp) blockingSendRecv(s *ftn.CallStmt) stmtFn {
-	want := 7
-	if s.Name == "mpi_recv" {
-		want = 8
-	}
-	if len(s.Args) != want {
-		return errStmt(s.Pos(), "%s needs %d arguments", s.Name, want)
-	}
-	buf := c.buffer(s.Args[0])
-	ct := c.countType(s.Args[1], s.Args[2])
-	peerF := c.expr(s.Args[3])
-	tagF := c.expr(s.Args[4])
-	stErr := c.store(s.Args[want-1])
-	isSend := s.Name == "mpi_send"
-	return func(x *rctx, fr *frame) error {
-		arr, off, err := buf(x, fr)
-		if err != nil {
-			return err
-		}
-		count, elemBytes, err := ct(x, fr)
-		if err != nil {
-			return err
-		}
-		peerV, err := peerF(x, fr)
-		if err != nil {
-			return err
-		}
-		tagV, err := tagF(x, fr)
-		if err != nil {
-			return err
-		}
-		peer, tag := int(peerV.AsInt()), int(tagV.AsInt())
-		bytes := count * elemBytes
-		if isSend {
-			x.rank.Send(peer, tag, bytes, func() interface{} {
-				p, cerr := arr.CopyOut(off, count)
-				if cerr != nil {
-					panic(cerr)
-				}
-				return p
-			})
-		} else {
-			x.rank.Recv(peer, tag, bytes, func(p interface{}) {
-				if cerr := arr.CopyIn(off, p); cerr != nil {
-					panic(cerr)
-				}
-			})
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
-}
+// Value implements interp.MPIArgs.
+func (x *rctx) Value(i int) (interp.Value, error) { return x.args[i].val(x, x.argFr) }
 
-// wait lowers mpi_wait(request, status, ierr).
-func (c *comp) wait(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 3 {
-		return errStmt(s.Pos(), "mpi_wait needs 3 arguments")
-	}
-	hF := c.expr(s.Args[0])
-	stReq := c.store(s.Args[0])
-	stErr := c.store(s.Args[2])
-	pos := s.Pos()
-	return func(x *rctx, fr *frame) error {
-		hv, err := hF(x, fr)
-		if err != nil {
-			return err
-		}
-		if err := x.waitHandle(hv.AsInt(), pos); err != nil {
-			return err
-		}
-		// Invalidate the handle.
-		if err := stReq(x, fr, interp.IntVal(0)); err != nil {
-			return err
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
-}
+// Store implements interp.MPIArgs.
+func (x *rctx) Store(i int, v interp.Value) error { return x.args[i].store(x, x.argFr, v) }
 
-// waitall lowers mpi_waitall(count, requests, statuses, ierr).
-func (c *comp) waitall(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 4 {
-		return errStmt(s.Pos(), "mpi_waitall needs 4 arguments")
+// Buffer implements interp.MPIArgs.
+func (x *rctx) Buffer(i int) (*interp.Array, []int64, error) {
+	a := &x.args[i]
+	arr := a.arr(x.argFr)
+	if arr == nil || a.subs == nil {
+		return arr, nil, nil
 	}
-	nF := c.expr(s.Args[0])
-	buf := c.buffer(s.Args[1])
-	stErr := c.store(s.Args[3])
-	pos := s.Pos()
-	return func(x *rctx, fr *frame) error {
-		nv, err := nF(x, fr)
+	// The binding consumes the subscripts before it asks for anything else,
+	// so one scratch slice per rank serves every call.
+	x.subs = x.subs[:0]
+	for _, f := range a.subs {
+		v, err := f(x, x.argFr)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		arr, off, err := buf(x, fr)
-		if err != nil {
-			return err
-		}
-		n := nv.AsInt()
-		for i := int64(0); i < n; i++ {
-			h := arr.RawGet(off + i).AsInt()
-			if err := x.waitHandle(h, pos); err != nil {
-				return err
-			}
-			arr.RawSet(off+i, interp.IntVal(0))
-		}
-		return stErr(x, fr, interp.IntVal(0))
+		x.subs = append(x.subs, v.AsInt())
 	}
-}
-
-// alltoall lowers mpi_alltoall(sbuf, scount, stype, rbuf, rcount, rtype,
-// comm, ierr) with the §3.5 partition semantics.
-func (c *comp) alltoall(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 8 {
-		return errStmt(s.Pos(), "mpi_alltoall needs 8 arguments")
-	}
-	sBuf := c.buffer(s.Args[0])
-	sCT := c.countType(s.Args[1], s.Args[2])
-	rBuf := c.buffer(s.Args[3])
-	rCT := c.countType(s.Args[4], s.Args[5])
-	stErr := c.store(s.Args[7])
-	pos := s.Pos()
-	return func(x *rctx, fr *frame) error {
-		sArr, sOff, err := sBuf(x, fr)
-		if err != nil {
-			return err
-		}
-		sCount, sBytes, err := sCT(x, fr)
-		if err != nil {
-			return err
-		}
-		rArr, rOff, err := rBuf(x, fr)
-		if err != nil {
-			return err
-		}
-		rCount, _, err := rCT(x, fr)
-		if err != nil {
-			return err
-		}
-		var cbErr error
-		x.rank.Alltoall(sCount*sBytes,
-			func(dst int) interface{} {
-				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
-				if cerr != nil && cbErr == nil {
-					cbErr = cerr
-				}
-				return p
-			},
-			func(src int, p interface{}) {
-				if cerr := rArr.CopyIn(rOff+int64(src)*rCount, p); cerr != nil && cbErr == nil {
-					cbErr = cerr
-				}
-			})
-		if cbErr != nil {
-			return rte(pos, "%v", cbErr)
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
+	return arr, x.subs, nil
 }
 
 // binding is one actual argument's contribution to a callee frame: a
@@ -397,8 +103,7 @@ func (c *comp) userCall(s *ftn.CallStmt) stmtFn {
 	for i, a := range s.Args {
 		binders[i] = c.argBinder(a)
 	}
-	pos := s.Pos()
-	name := s.Name
+	pos, name := s.Pos(), s.Name
 	return func(x *rctx, fr *frame) error {
 		sub := x.prog.units[name]
 		if sub == nil {
@@ -436,62 +141,51 @@ func (c *comp) userCall(s *ftn.CallStmt) stmtFn {
 
 // argBinder compiles one actual argument's binding rule.
 func (c *comp) argBinder(a ftn.Expr) argBinder {
-	switch a := a.(type) {
-	case *ftn.Ident:
-		arrOf := c.arrayOf(a.Name)
-		ptr := c.scalarPtr(a.Name, a.Pos())
+	if id, ok := a.(*ftn.Ident); ok {
+		arrOf := c.arrayOf(id.Name)
+		ptr := c.scalarPtr(id.Name, id.Pos())
 		return func(x *rctx, fr *frame, dummy string) (binding, error) {
 			if arr := arrOf(fr); arr != nil {
 				return binding{arr: arr}, nil
 			}
 			p, err := ptr(x, fr)
-			if err != nil {
-				return binding{}, err
-			}
-			return binding{scal: p}, nil // alias: writes are visible to the caller
+			return binding{scal: p}, err // alias: writes are visible to the caller
 		}
-	case *ftn.Ref:
-		arrOf := c.arrayOf(a.Name)
-		subs := make([]exprFn, len(a.Args))
-		for i, e := range a.Args {
-			subs[i] = c.expr(e)
+	}
+	full := c.expr(a)
+	byValue := func(x *rctx, fr *frame, dummy string) (binding, error) {
+		v, err := full(x, fr)
+		return binding{scal: &v}, err // a temporary the callee may write
+	}
+	ref, ok := a.(*ftn.Ref)
+	if !ok {
+		return byValue
+	}
+	arrOf := c.arrayOf(ref.Name)
+	subs := make([]exprFn, len(ref.Args))
+	for i, e := range ref.Args {
+		subs[i] = c.expr(e)
+	}
+	pos := ref.Pos()
+	return func(x *rctx, fr *frame, dummy string) (binding, error) {
+		arr := arrOf(fr)
+		if arr == nil {
+			return byValue(x, fr, dummy) // the name is not an array here
 		}
-		full := c.expr(a) // value path when the name is not an array here
-		pos := a.Pos()
-		return func(x *rctx, fr *frame, dummy string) (binding, error) {
-			if arr := arrOf(fr); arr != nil {
-				ix, err := evalInts(x, fr, subs)
-				if err != nil {
-					return binding{}, err
-				}
-				off, err := arr.Linear(ix)
-				if err != nil {
-					return binding{}, err
-				}
-				// Sequence association: the callee's dummy views the
-				// caller's storage from this element on.
-				view, err := interp.View(dummy, arr, off, []interp.DimBound{{Lo: 1, Assumed: true}})
-				if err != nil {
-					return binding{}, rte(pos, "%v", err)
-				}
-				return binding{arr: view}, nil
-			}
-			v, err := full(x, fr)
-			if err != nil {
-				return binding{}, err
-			}
-			tmp := v
-			return binding{scal: &tmp}, nil
+		ix, err := evalInts(x, fr, subs)
+		if err != nil {
+			return binding{}, err
 		}
-	default:
-		full := c.expr(a)
-		return func(x *rctx, fr *frame, dummy string) (binding, error) {
-			v, err := full(x, fr)
-			if err != nil {
-				return binding{}, err
-			}
-			tmp := v
-			return binding{scal: &tmp}, nil
+		off, err := arr.Linear(ix)
+		if err != nil {
+			return binding{}, err
 		}
+		// Sequence association: the callee's dummy views the caller's
+		// storage from this element on.
+		view, err := interp.View(dummy, arr, off, []interp.DimBound{{Lo: 1, Assumed: true}})
+		if err != nil {
+			return binding{}, rte(pos, "%v", err)
+		}
+		return binding{arr: view}, nil
 	}
 }

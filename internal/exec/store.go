@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// The variant store is the compiled-variant cache behind the compile
+// The variant store is the compiled-variant cache behind the bytecode
 // engine. Every (program, plan) variant the pipeline produces is a concrete
 // source text — core.Apply memoizes plan keys onto generated sources, so
 // hashing the variant source is a canonical superset of keying by plan key:
@@ -18,10 +18,10 @@ import (
 // scenarios, tuner candidates, or sweep shards compiles exactly once per
 // store.
 //
-// Historically the store was a process-wide package global; it is now an
-// injected interface scoped to a session, so concurrent sweeps in one
-// process keep independent stats and an on-disk implementation can carry
-// variant knowledge across processes and fleet workers.
+// A store is an injected interface scoped to a session, never a package
+// global: concurrent sweeps in one process keep independent stats, and an
+// on-disk implementation carries variant knowledge across processes and
+// fleet workers.
 
 // Key content-addresses a variant: the sha256 of its source bytes.
 type Key [sha256.Size]byte
@@ -346,18 +346,4 @@ func (d *DiskStore) Stats() StoreStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// defaultStore is the process-default memory store behind the plain
-// Engine.Run path — the zero-configuration behavior callers get when no
-// session injects a store of its own.
-var (
-	defaultStoreOnce sync.Once
-	defaultStore     *MemStore
-)
-
-// DefaultStore returns the process-default in-memory variant store.
-func DefaultStore() VariantStore {
-	defaultStoreOnce.Do(func() { defaultStore = NewMemStore() })
-	return defaultStore
 }

@@ -114,29 +114,27 @@ func TestEnginesAgreeFixedAndTuned(t *testing.T) {
 			t.Fatalf("engine recorded as %q", walk.Engine)
 		}
 		want := norm(walk)
-		for _, eng := range []exec.Engine{exec.EngineCompile, exec.EngineBytecode} {
-			fast, err := Run(Config{Scenarios: corpus, Tune: tuned, Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Engine != string(eng) {
-				t.Fatalf("engine recorded as %q, want %q", fast.Engine, eng)
-			}
-			if got := norm(fast); got != want {
-				t.Errorf("tune=%v: walk and %s reports differ:\n%s\nvs\n%s", tuned, eng, want, got)
-			}
+		fast, err := Run(Config{Scenarios: corpus, Tune: tuned, Engine: exec.EngineBytecode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Engine != string(exec.EngineBytecode) {
+			t.Fatalf("engine recorded as %q", fast.Engine)
+		}
+		if got := norm(fast); got != want {
+			t.Errorf("tune=%v: walk and bytecode reports differ:\n%s\nvs\n%s", tuned, want, got)
 		}
 	}
 }
 
-// TestCompiledSweepRecordsCacheEconomics: a compile-engine sweep must
-// report its variant-store traffic and wall time in the summary fields.
+// TestCompiledSweepRecordsCacheEconomics: a sweep on the compiling
+// (bytecode) engine must report its variant-store traffic and wall time in the summary fields.
 // Each Run gets a private session (exact counts, no global state to
 // reset); sharing compiled variants across sweeps takes an explicit shared
 // session.
 func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	corpus := smallCorpus(t, 3)
-	rep, err := Run(Config{Scenarios: corpus, Engine: exec.EngineCompile})
+	rep, err := Run(Config{Scenarios: corpus, Engine: exec.EngineBytecode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +154,7 @@ func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	// A second private-session sweep compiles everything again (sessions
 	// are isolated); the same sweep through a shared session is served
 	// from the first sweep's store.
-	private, err := Run(Config{Scenarios: corpus, Engine: exec.EngineCompile})
+	private, err := Run(Config{Scenarios: corpus, Engine: exec.EngineBytecode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,25 +254,16 @@ func TestWarmDiskStoreAcrossSessions(t *testing.T) {
 // must not merge — the summed wall/cache counters would be meaningless.
 func TestMergeRejectsEngineMismatch(t *testing.T) {
 	corpus := smallCorpus(t, 2)
-	shard := func(sc []workload.Scenario, eng exec.Engine) *Report {
-		t.Helper()
-		rep, err := Run(Config{Scenarios: sc, Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	a, err := Run(Config{Scenarios: corpus[:1], Engine: exec.EngineBytecode})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pairs := [][2]exec.Engine{
-		{exec.EngineCompile, exec.EngineWalk},
-		{exec.EngineBytecode, exec.EngineWalk},
-		{exec.EngineBytecode, exec.EngineCompile},
+	b, err := Run(Config{Scenarios: corpus[1:], Engine: exec.EngineWalk})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, pr := range pairs {
-		a := shard(corpus[:1], pr[0])
-		b := shard(corpus[1:], pr[1])
-		if _, err := Merge([]*Report{a, b}); err == nil || !strings.Contains(err.Error(), "engine") {
-			t.Fatalf("merge of %s/%s shards: %v, want engine mismatch error", pr[0], pr[1], err)
-		}
+	if _, err := Merge([]*Report{a, b}); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Fatalf("merge of bytecode/walk shards: %v, want engine mismatch error", err)
 	}
 }
 

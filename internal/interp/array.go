@@ -179,11 +179,19 @@ func (a *Array) Set(subs []int64, v Value) error {
 	return nil
 }
 
+// InWindow reports whether the count elements from linear offset off
+// (0-based within the view) lie inside the array's storage. A negative
+// count is an empty window.
+func (a *Array) InWindow(off, count int64) bool {
+	start, n := a.Offset+off, a.Store.len()
+	return start >= 0 && start <= n && count <= n-start
+}
+
 // CopyOut snapshots count elements starting at linear offset off (0-based
 // within the view) — the payload of a send.
 func (a *Array) CopyOut(off, count int64) (interface{}, error) {
 	start := a.Offset + off
-	if start < 0 || start+count > a.Store.len() {
+	if !a.InWindow(off, count) {
 		return nil, fmt.Errorf("array %s: send window [%d,%d) out of range", a.Name, off, off+count)
 	}
 	if a.Store.kind == KReal {

@@ -69,9 +69,12 @@ type machine struct {
 	rank  *mpi.Rank
 	costs CostModel
 	out   []string
-	reqs  []*mpi.Request
 	main  *frame
-	err   error
+	// mpi is the rank's MPI binding; callFr/callStmt are the call site it
+	// is executing (the machine is its own MPIArgs, see mpibind.go).
+	mpi      *MPI
+	callFr   *frame
+	callStmt *ftn.CallStmt
 }
 
 func (m *machine) charge(t netsim.Time) { m.rank.Compute(t) }
@@ -105,9 +108,6 @@ func MPIConstant(name string) (int64, bool) {
 	v, ok := mpiConsts[name]
 	return v, ok
 }
-
-// DTypeBytes is the exported datatype-size table.
-func DTypeBytes(v int64) (int64, bool) { return dtypeBytes(v) }
 
 // KindOf maps a declared base type to its runtime kind (exported for the
 // compiled engine's declaration lowering).

@@ -5,305 +5,322 @@ import (
 	"repro/internal/mpi"
 )
 
+// This file is the one Fortran→MPI binding every engine executes. Each
+// routine's arity, evaluation order, count/datatype/peer/window validation,
+// request handling and ierr store is written here once, driven by the
+// signature table; an engine contributes only MPIArgs — how to evaluate,
+// look up as an array, or store into the i-th actual argument of a call.
+
+// ArgRole says what the binding does with one actual argument (a bit set:
+// mpi_wait both reads and clears its request handle).
+type ArgRole uint8
+
+const (
+	ArgValue  ArgRole = 1 << iota // evaluated to an integer
+	ArgBuffer                     // resolved to (array, linear offset)
+	ArgStore                      // assigned by the binding
+	ArgDType                      // with ArgValue: the datatype closing a (count, datatype) pair
+
+	val = ArgValue
+	buf = ArgBuffer
+	sto = ArgStore
+	dty = ArgValue | ArgDType
+	ign = ArgRole(0) // communicators, statuses
+)
+
+type mpiOp uint8
+
+const (
+	opNone mpiOp = iota // mpi_init, mpi_finalize, flush: no runtime effect
+	opRank
+	opSize
+	opBarrier
+	opIsend
+	opIrecv
+	opSend
+	opRecv
+	opWait
+	opWaitall
+	opAlltoall
+)
+
+// MPIRoutine is one row of the signature table.
+type MPIRoutine struct {
+	Name  string
+	Roles []ArgRole // per argument; a non-empty list ends in ierr
+	op    mpiOp
+	// lax routines accept any argument count: a call off the signature
+	// still takes effect but touches none of its arguments.
+	lax bool
+}
+
+var mpiRoutines = [...]MPIRoutine{
+	{"mpi_init", []ArgRole{sto}, opNone, true},
+	{"mpi_finalize", []ArgRole{sto}, opNone, true},
+	{"flush", nil, opNone, true}, // test helper: a no-op sink
+	{"mpi_comm_rank", []ArgRole{ign, sto, sto}, opRank, false},
+	{"mpi_comm_size", []ArgRole{ign, sto, sto}, opSize, false},
+	{"mpi_barrier", []ArgRole{ign, sto}, opBarrier, true},
+	// (buf, count, dtype, peer, tag, comm, request, ierr)
+	{"mpi_isend", []ArgRole{buf, val, dty, val, val, ign, sto, sto}, opIsend, false},
+	{"mpi_irecv", []ArgRole{buf, val, dty, val, val, ign, sto, sto}, opIrecv, false},
+	// (buf, count, dtype, peer, tag, comm[, status], ierr)
+	{"mpi_send", []ArgRole{buf, val, dty, val, val, ign, sto}, opSend, false},
+	{"mpi_recv", []ArgRole{buf, val, dty, val, val, ign, ign, sto}, opRecv, false},
+	// (request, status, ierr)
+	{"mpi_wait", []ArgRole{val | sto, ign, sto}, opWait, false},
+	// (count, requests, statuses, ierr)
+	{"mpi_waitall", []ArgRole{val, buf, ign, sto}, opWaitall, false},
+	// (sbuf, scount, stype, rbuf, rcount, rtype, comm, ierr)
+	{"mpi_alltoall", []ArgRole{buf, val, dty, buf, val, dty, ign, sto}, opAlltoall, false},
+}
+
+// MPIRoutines lists the signature table (differential tests walk it).
+func MPIRoutines() []MPIRoutine { return mpiRoutines[:] }
+
+// LookupMPI returns the bound routine of that name, or nil for a user
+// subroutine.
+func LookupMPI(name string) *MPIRoutine {
+	for i := range mpiRoutines {
+		if mpiRoutines[i].Name == name {
+			return &mpiRoutines[i]
+		}
+	}
+	return nil
+}
+
+// MPIArgs is an engine's view of one call site's actual arguments.
+type MPIArgs interface {
+	// Value evaluates argument i.
+	Value(i int) (Value, error)
+	// Buffer looks argument i (an Ident or a Ref) up as an array: the array
+	// its name holds in the current frame, or nil when it holds none, and
+	// for a Ref over an array the evaluated subscripts.
+	Buffer(i int) (*Array, []int64, error)
+	// Store assigns v to argument i.
+	Store(i int, v Value) error
+}
+
+// MPI is one rank's binding state.
+type MPI struct {
+	Rank *mpi.Rank
+	reqs []*mpi.Request // handle h is reqs[h-1]; nil once waited
+	// cbErr is the first fetch/place failure. Payload callbacks run inside
+	// engine events, on the goroutine that called the simulation, so they
+	// record instead of panicking; the rank reports the error from the call
+	// that next completes a request (or at run end, see RunRanks). One field
+	// rather than one per request keeps a posted message as cheap as before.
+	cbErr error
+}
+
+// note records a payload callback's failure.
+func (b *MPI) note(err error) {
+	if err != nil && b.cbErr == nil {
+		b.cbErr = err
+	}
+}
+
+// failed surfaces a recorded callback failure at call s.
+func (b *MPI) failed(s *ftn.CallStmt) error {
+	if b.cbErr != nil {
+		return rte(s.Pos(), "%v", b.cbErr)
+	}
+	return nil
+}
+
+// Call executes MPI call statement s, whose routine is r, over the engine's
+// argument accessors.
+func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
+	n := len(r.Roles)
+	if len(s.Args) != n {
+		if !r.lax {
+			return rte(s.Pos(), "%s needs %d arguments", s.Name, n)
+		}
+		n = 0
+	}
+	// Inputs are evaluated in argument order, each (count, datatype) pair
+	// validated as soon as it is complete. num holds a value argument's
+	// integer, a buffer's linear offset, a datatype's element size (8: the
+	// longest signature).
+	var arr [8]*Array
+	var num [8]int64
+	for i := 0; i < n; i++ {
+		var err error
+		switch role := r.Roles[i]; {
+		case role&ArgBuffer != 0:
+			arr[i], num[i], err = buffer(s, a, i)
+		case role&ArgValue != 0:
+			var v Value
+			if v, err = a.Value(i); err != nil {
+				break
+			}
+			num[i] = v.AsInt()
+			if role&ArgDType == 0 {
+				break
+			}
+			var ok bool
+			if num[i], ok = dtypeBytes(num[i]); !ok {
+				err = rte(s.Args[i].Pos(), "unknown MPI datatype %d", v.AsInt())
+			} else if num[i-1] < 0 {
+				err = rte(s.Args[i-1].Pos(), "negative MPI count %d", num[i-1])
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	var err error
+	switch r.op {
+	case opRank:
+		err = a.Store(1, IntVal(int64(b.Rank.Me())))
+	case opSize:
+		err = a.Store(1, IntVal(int64(b.Rank.NP())))
+	case opBarrier:
+		b.Rank.Barrier()
+	case opIsend, opIrecv, opSend, opRecv:
+		var req *mpi.Request
+		if req, err = b.post(r.op, s, arr[0], num[0], num[1], num[2], int(num[3]), int(num[4])); err != nil {
+			break
+		}
+		if r.op == opSend || r.op == opRecv {
+			b.Rank.Wait(req)
+			err = b.failed(s)
+			break
+		}
+		b.reqs = append(b.reqs, req)
+		err = a.Store(6, IntVal(int64(len(b.reqs))))
+	case opWait:
+		if err = b.wait(num[0], s); err == nil {
+			err = a.Store(0, IntVal(0)) // invalidate the handle
+		}
+	case opWaitall:
+		reqs, off, count := arr[1], num[1], num[0]
+		if !reqs.InWindow(off, count) {
+			return windowErr(s.Args[1], reqs, off, count)
+		}
+		for i := off; i < off+count; i++ {
+			if err = b.wait(reqs.RawGet(i).AsInt(), s); err != nil {
+				break
+			}
+			reqs.RawSet(i, IntVal(0))
+		}
+	case opAlltoall:
+		// §3.5 partition semantics: the send array is NP consecutive blocks
+		// of scount elements, block r going to rank r.
+		sArr, sOff, sCount, rArr, rOff, rCount := arr[0], num[0], num[1], arr[3], num[3], num[4]
+		b.Rank.Alltoall(sCount*num[2],
+			func(dst int) interface{} {
+				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
+				b.note(cerr)
+				return p
+			},
+			func(src int, p interface{}) {
+				b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
+			})
+		err = b.failed(s)
+	}
+	if err != nil || n == 0 {
+		return err
+	}
+	return a.Store(n-1, IntVal(0)) // ierr
+}
+
+// buffer resolves buffer argument i to (array, linear offset in its view).
+func buffer(s *ftn.CallStmt, a MPIArgs, i int) (*Array, int64, error) {
+	e := s.Args[i]
+	name, isRef := "", false
+	switch e := e.(type) {
+	case *ftn.Ident:
+		name = e.Name
+	case *ftn.Ref:
+		name, isRef = e.Name, true
+	default:
+		return nil, 0, rte(e.Pos(), "bad MPI buffer argument")
+	}
+	arr, subs, err := a.Buffer(i)
+	if err == nil && arr == nil {
+		err = rte(e.Pos(), "MPI buffer %s is not an array", name)
+	}
+	if err != nil || !isRef {
+		return arr, 0, err
+	}
+	off, err := arr.Linear(subs)
+	if err != nil {
+		return nil, 0, rte(e.Pos(), "%v", err)
+	}
+	return arr, off, nil
+}
+
+func windowErr(arg ftn.Expr, a *Array, off, count int64) error {
+	return rte(arg.Pos(), "array %s: MPI window [%d,%d) out of range", a.Name, off, off+count)
+}
+
+// post starts one point-to-point transfer of count elements at arr+off.
+// Peer and window are validated before anything is posted, so a bad call is
+// a positioned error on this rank instead of a fault inside the transfer.
+func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes int64, peer, tag int) (*mpi.Request, error) {
+	if peer < 0 || peer >= b.Rank.NP() {
+		return nil, rte(s.Args[3].Pos(), "MPI peer rank %d outside 0..%d", peer, b.Rank.NP()-1)
+	}
+	if !arr.InWindow(off, count) {
+		return nil, windowErr(s.Args[0], arr, off, count)
+	}
+	if op == opIsend || op == opSend {
+		return b.Rank.Isend(peer, tag, count*elemBytes, func() interface{} {
+			p, _ := arr.CopyOut(off, count) // cannot fail: the window was checked
+			return p
+		}), nil
+	}
+	return b.Rank.Irecv(peer, tag, count*elemBytes, func(p interface{}) {
+		b.note(arr.CopyIn(off, p))
+	}), nil
+}
+
+// wait completes request handle h (0 is the null request).
+func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
+	if h == 0 {
+		return nil
+	}
+	if h < 1 || h > int64(len(b.reqs)) {
+		return rte(s.Pos(), "invalid MPI request handle %d", h)
+	}
+	req := b.reqs[h-1]
+	if req == nil {
+		return nil // already waited
+	}
+	b.reqs[h-1] = nil
+	b.Rank.Wait(req)
+	return b.failed(s)
+}
+
 // execCall dispatches CALL statements: MPI bindings first, then user
 // subroutines.
 func (m *machine) execCall(fr *frame, s *ftn.CallStmt) error {
-	switch s.Name {
-	case "mpi_init", "mpi_finalize":
-		if len(s.Args) == 1 {
-			return m.store(fr, s.Args[0], IntVal(0))
-		}
-		return nil
-	case "mpi_comm_rank":
-		if len(s.Args) != 3 {
-			return rte(s.Pos(), "mpi_comm_rank needs 3 arguments")
-		}
-		if err := m.store(fr, s.Args[1], IntVal(int64(m.rank.Me()))); err != nil {
-			return err
-		}
-		return m.store(fr, s.Args[2], IntVal(0))
-	case "mpi_comm_size":
-		if len(s.Args) != 3 {
-			return rte(s.Pos(), "mpi_comm_size needs 3 arguments")
-		}
-		if err := m.store(fr, s.Args[1], IntVal(int64(m.rank.NP()))); err != nil {
-			return err
-		}
-		return m.store(fr, s.Args[2], IntVal(0))
-	case "mpi_barrier":
-		m.rank.Barrier()
-		if len(s.Args) == 2 {
-			return m.store(fr, s.Args[1], IntVal(0))
-		}
-		return nil
-	case "mpi_isend", "mpi_irecv":
-		return m.execIsendIrecv(fr, s)
-	case "mpi_send", "mpi_recv":
-		return m.execBlockingSendRecv(fr, s)
-	case "mpi_wait":
-		return m.execWait(fr, s)
-	case "mpi_waitall":
-		return m.execWaitall(fr, s)
-	case "mpi_alltoall":
-		return m.execAlltoall(fr, s)
-	case "flush":
-		return nil // test helper: a no-op sink
+	if r := LookupMPI(s.Name); r != nil {
+		m.callFr, m.callStmt = fr, s
+		return m.mpi.Call(r, s, m)
 	}
 	return m.callUser(fr, s)
 }
 
-// bufferArg resolves an MPI buffer argument to (array, linear offset within
-// the array's view).
-func (m *machine) bufferArg(fr *frame, e ftn.Expr) (*Array, int64, error) {
-	switch e := e.(type) {
+// The walker's MPIArgs reads the AST of the call being executed (MPI calls
+// do not nest, so one slot on the machine suffices).
+
+func (m *machine) Value(i int) (Value, error) { return m.evalExpr(m.callFr, m.callStmt.Args[i]) }
+
+func (m *machine) Store(i int, v Value) error { return m.store(m.callFr, m.callStmt.Args[i], v) }
+
+func (m *machine) Buffer(i int) (*Array, []int64, error) {
+	switch e := m.callStmt.Args[i].(type) {
 	case *ftn.Ident:
-		a, ok := fr.arr[e.Name]
-		if !ok {
-			return nil, 0, rte(e.Pos(), "MPI buffer %s is not an array", e.Name)
-		}
-		return a, 0, nil
+		return m.callFr.arr[e.Name], nil, nil
 	case *ftn.Ref:
-		a, ok := fr.arr[e.Name]
-		if !ok {
-			return nil, 0, rte(e.Pos(), "MPI buffer %s is not an array", e.Name)
+		if a := m.callFr.arr[e.Name]; a != nil {
+			subs, err := m.evalSubs(m.callFr, e.Args)
+			return a, subs, err
 		}
-		subs, err := m.evalSubs(fr, e.Args)
-		if err != nil {
-			return nil, 0, err
-		}
-		off, err := a.Linear(subs)
-		if err != nil {
-			return nil, 0, rte(e.Pos(), "%v", err)
-		}
-		return a, off, nil
 	}
-	return nil, 0, rte(e.Pos(), "bad MPI buffer argument")
-}
-
-// countTypeArgs evaluates the (count, datatype) pair, returning element
-// count and element byte size.
-func (m *machine) countTypeArgs(fr *frame, countE, typeE ftn.Expr) (int64, int64, error) {
-	cv, err := m.evalExpr(fr, countE)
-	if err != nil {
-		return 0, 0, err
-	}
-	tv, err := m.evalExpr(fr, typeE)
-	if err != nil {
-		return 0, 0, err
-	}
-	bytes, ok := dtypeBytes(tv.AsInt())
-	if !ok {
-		return 0, 0, rte(typeE.Pos(), "unknown MPI datatype %d", tv.AsInt())
-	}
-	count := cv.AsInt()
-	if count < 0 {
-		return 0, 0, rte(countE.Pos(), "negative MPI count %d", count)
-	}
-	return count, bytes, nil
-}
-
-// addReq registers req in the handle table and returns its 1-based handle.
-func (m *machine) addReq(req *mpi.Request) int64 {
-	m.reqs = append(m.reqs, req)
-	return int64(len(m.reqs))
-}
-
-// execIsendIrecv handles
-// mpi_isend(buf, count, dtype, peer, tag, comm, request, ierr).
-func (m *machine) execIsendIrecv(fr *frame, s *ftn.CallStmt) error {
-	if len(s.Args) != 8 {
-		return rte(s.Pos(), "%s needs 8 arguments", s.Name)
-	}
-	arr, off, err := m.bufferArg(fr, s.Args[0])
-	if err != nil {
-		return err
-	}
-	count, elemBytes, err := m.countTypeArgs(fr, s.Args[1], s.Args[2])
-	if err != nil {
-		return err
-	}
-	peerV, err := m.evalExpr(fr, s.Args[3])
-	if err != nil {
-		return err
-	}
-	tagV, err := m.evalExpr(fr, s.Args[4])
-	if err != nil {
-		return err
-	}
-	peer := int(peerV.AsInt())
-	tag := int(tagV.AsInt())
-	bytes := count * elemBytes
-	var handle int64
-	if s.Name == "mpi_isend" {
-		req := m.rank.Isend(peer, tag, bytes, func() interface{} {
-			p, cerr := arr.CopyOut(off, count)
-			if cerr != nil {
-				panic(cerr)
-			}
-			return p
-		})
-		handle = m.addReq(req)
-	} else {
-		req := m.rank.Irecv(peer, tag, bytes, func(p interface{}) {
-			if cerr := arr.CopyIn(off, p); cerr != nil {
-				panic(cerr)
-			}
-		})
-		handle = m.addReq(req)
-	}
-	if err := m.store(fr, s.Args[6], IntVal(handle)); err != nil {
-		return err
-	}
-	return m.store(fr, s.Args[7], IntVal(0))
-}
-
-// execBlockingSendRecv handles
-// mpi_send(buf, count, dtype, peer, tag, comm, ierr) and
-// mpi_recv(buf, count, dtype, peer, tag, comm, status, ierr).
-func (m *machine) execBlockingSendRecv(fr *frame, s *ftn.CallStmt) error {
-	want := 7
-	if s.Name == "mpi_recv" {
-		want = 8
-	}
-	if len(s.Args) != want {
-		return rte(s.Pos(), "%s needs %d arguments", s.Name, want)
-	}
-	arr, off, err := m.bufferArg(fr, s.Args[0])
-	if err != nil {
-		return err
-	}
-	count, elemBytes, err := m.countTypeArgs(fr, s.Args[1], s.Args[2])
-	if err != nil {
-		return err
-	}
-	peerV, err := m.evalExpr(fr, s.Args[3])
-	if err != nil {
-		return err
-	}
-	tagV, err := m.evalExpr(fr, s.Args[4])
-	if err != nil {
-		return err
-	}
-	peer, tag := int(peerV.AsInt()), int(tagV.AsInt())
-	bytes := count * elemBytes
-	if s.Name == "mpi_send" {
-		m.rank.Send(peer, tag, bytes, func() interface{} {
-			p, cerr := arr.CopyOut(off, count)
-			if cerr != nil {
-				panic(cerr)
-			}
-			return p
-		})
-		return m.store(fr, s.Args[6], IntVal(0))
-	}
-	m.rank.Recv(peer, tag, bytes, func(p interface{}) {
-		if cerr := arr.CopyIn(off, p); cerr != nil {
-			panic(cerr)
-		}
-	})
-	return m.store(fr, s.Args[7], IntVal(0))
-}
-
-// execWait handles mpi_wait(request, status, ierr).
-func (m *machine) execWait(fr *frame, s *ftn.CallStmt) error {
-	if len(s.Args) != 3 {
-		return rte(s.Pos(), "mpi_wait needs 3 arguments")
-	}
-	hv, err := m.evalExpr(fr, s.Args[0])
-	if err != nil {
-		return err
-	}
-	if err := m.waitHandle(hv.AsInt(), s.Pos()); err != nil {
-		return err
-	}
-	// Invalidate the handle.
-	if err := m.store(fr, s.Args[0], IntVal(0)); err != nil {
-		return err
-	}
-	return m.store(fr, s.Args[2], IntVal(0))
-}
-
-// execWaitall handles mpi_waitall(count, requests, statuses, ierr).
-func (m *machine) execWaitall(fr *frame, s *ftn.CallStmt) error {
-	if len(s.Args) != 4 {
-		return rte(s.Pos(), "mpi_waitall needs 4 arguments")
-	}
-	nv, err := m.evalExpr(fr, s.Args[0])
-	if err != nil {
-		return err
-	}
-	arr, off, err := m.bufferArg(fr, s.Args[1])
-	if err != nil {
-		return err
-	}
-	n := nv.AsInt()
-	for i := int64(0); i < n; i++ {
-		h := arr.Store.get(arr.Offset + off + i).AsInt()
-		if err := m.waitHandle(h, s.Pos()); err != nil {
-			return err
-		}
-		arr.Store.set(arr.Offset+off+i, IntVal(0))
-	}
-	return m.store(fr, s.Args[3], IntVal(0))
-}
-
-func (m *machine) waitHandle(h int64, pos ftn.Pos) error {
-	if h == 0 {
-		return nil // null request
-	}
-	if h < 1 || h > int64(len(m.reqs)) {
-		return rte(pos, "invalid MPI request handle %d", h)
-	}
-	req := m.reqs[h-1]
-	if req == nil {
-		return nil // already waited
-	}
-	m.rank.Wait(req)
-	m.reqs[h-1] = nil
-	return nil
-}
-
-// execAlltoall handles mpi_alltoall(sbuf, scount, stype, rbuf, rcount,
-// rtype, comm, ierr) with the partition semantics of §3.5: As is divided
-// into NP consecutive blocks of scount elements.
-func (m *machine) execAlltoall(fr *frame, s *ftn.CallStmt) error {
-	if len(s.Args) != 8 {
-		return rte(s.Pos(), "mpi_alltoall needs 8 arguments")
-	}
-	sArr, sOff, err := m.bufferArg(fr, s.Args[0])
-	if err != nil {
-		return err
-	}
-	sCount, sBytes, err := m.countTypeArgs(fr, s.Args[1], s.Args[2])
-	if err != nil {
-		return err
-	}
-	rArr, rOff, err := m.bufferArg(fr, s.Args[3])
-	if err != nil {
-		return err
-	}
-	rCount, _, err := m.countTypeArgs(fr, s.Args[4], s.Args[5])
-	if err != nil {
-		return err
-	}
-	var cbErr error
-	m.rank.Alltoall(sCount*sBytes,
-		func(dst int) interface{} {
-			p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
-			if cerr != nil && cbErr == nil {
-				cbErr = cerr
-			}
-			return p
-		},
-		func(src int, p interface{}) {
-			if cerr := rArr.CopyIn(rOff+int64(src)*rCount, p); cerr != nil && cbErr == nil {
-				cbErr = cerr
-			}
-		})
-	if cbErr != nil {
-		return rte(s.Pos(), "%v", cbErr)
-	}
-	return m.store(fr, s.Args[7], IntVal(0))
+	return nil, nil, nil
 }
 
 // callUser invokes a user subroutine with Fortran reference semantics.
@@ -318,7 +335,6 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 	m.charge(m.costs.CallOver)
 	bindScal := map[string]*Value{}
 	bindArr := map[string]*Array{}
-	// Copy-back temporaries for value expressions passed to scalar dummies.
 	for i, arg := range s.Args {
 		dummy := sub.Params[i]
 		switch a := arg.(type) {
@@ -332,6 +348,7 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 				return err
 			}
 			bindScal[dummy] = p // alias: writes are visible to the caller
+			continue
 		case *ftn.Ref:
 			if arr, ok := fr.arr[a.Name]; ok {
 				subs, err := m.evalSubs(fr, a.Args)
@@ -352,20 +369,13 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 				bindArr[dummy] = view
 				continue
 			}
-			v, err := m.evalExpr(fr, arg)
-			if err != nil {
-				return err
-			}
-			tmp := v
-			bindScal[dummy] = &tmp
-		default:
-			v, err := m.evalExpr(fr, arg)
-			if err != nil {
-				return err
-			}
-			tmp := v
-			bindScal[dummy] = &tmp
 		}
+		// Any other expression binds a temporary the callee may write.
+		v, err := m.evalExpr(fr, arg)
+		if err != nil {
+			return err
+		}
+		bindScal[dummy] = &v
 	}
 	nfr, err := m.newFrame(sub, bindScal, bindArr)
 	if err != nil {

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/ftn"
 	"repro/internal/mpi"
@@ -74,30 +73,51 @@ func (r *Result) OutputLines() []string {
 
 // Run executes the program on np simulated ranks over the profile.
 func (p *Program) Run(np int, prof netsim.Profile) (*Result, error) {
+	return RunRanks(np, prof, func(b *MPI) RankState {
+		return &machine{prog: p, rank: b.Rank, mpi: b, costs: p.Costs}
+	})
+}
+
+// RankState is one engine's execution state for one simulated rank — all
+// RunRanks needs of an engine.
+type RankState interface {
+	// RunMain executes the main program unit to completion.
+	RunMain() error
+	// Output returns the PRINT lines so far.
+	Output() []string
+	// MainArrays snapshots the main unit's arrays by name; nil when the
+	// main frame never initialized.
+	MainArrays() map[string]interface{}
+}
+
+// RunRanks is the rank harness under every engine: it fans newState out
+// over np simulated ranks, runs each to completion, and assembles the
+// Result. A rank that fails ends early with its error in Result.Errors
+// (which usually strands its peers: the deadlock report then names it).
+func RunRanks(np int, prof netsim.Profile, newState func(b *MPI) RankState) (*Result, error) {
 	res := &Result{
 		Output: make([][]string, np),
 		Arrays: make([]map[string]interface{}, np),
 		Errors: make([]error, np),
 	}
-	var mu sync.Mutex
+	binds := make([]*MPI, np)
+	// Ranks run one at a time and each writes only its own slots.
 	stats, err := mpi.Run(np, prof, func(r *mpi.Rank) {
-		m := &machine{prog: p, rank: r, costs: p.Costs}
-		runErr := m.runMain()
-		mu.Lock()
-		res.Output[r.Me()] = m.out
-		res.Errors[r.Me()] = runErr
-		if m.main != nil {
-			snap := map[string]interface{}{}
-			for name, a := range m.main.arr {
-				snap[name] = a.Snapshot()
-			}
-			res.Arrays[r.Me()] = snap
-		}
-		mu.Unlock()
+		b := &MPI{Rank: r}
+		binds[r.Me()] = b
+		st := newState(b)
+		res.Errors[r.Me()] = runGuarded(st)
+		res.Output[r.Me()] = st.Output()
+		res.Arrays[r.Me()] = st.MainArrays()
 	})
+	// A payload callback can fail after its rank's last MPI call (a
+	// transfer the program never waited on).
+	for i, b := range binds {
+		if b != nil && b.cbErr != nil && res.Errors[i] == nil {
+			res.Errors[i] = fmt.Errorf("MPI transfer never waited on: %v", b.cbErr)
+		}
+	}
 	if err != nil {
-		// A rank error that ended a rank early usually surfaces as a
-		// deadlock; attach the per-rank errors for diagnosis.
 		for i, re := range res.Errors {
 			if re != nil {
 				return res, fmt.Errorf("%v (rank %d: %v)", err, i, re)
@@ -114,13 +134,21 @@ func (p *Program) Run(np int, prof netsim.Profile) (*Result, error) {
 	return res, nil
 }
 
-// runMain executes the main program unit on this machine's rank.
-func (m *machine) runMain() (err error) {
+// runGuarded runs one rank's main unit, converting a panic on the rank's
+// goroutine into that rank's error. This is the only recover() in the
+// engines, and its wording is part of their differential contract:
+// harness-level comparisons include per-rank error strings.
+func runGuarded(st RankState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("interp panic: %v", r)
 		}
 	}()
+	return st.RunMain()
+}
+
+// RunMain implements RankState.
+func (m *machine) RunMain() error {
 	unit := m.prog.File.Program()
 	fr, err := m.newFrame(unit, nil, nil)
 	if err != nil {
@@ -134,11 +162,26 @@ func (m *machine) runMain() (err error) {
 	return err
 }
 
+// Output implements RankState.
+func (m *machine) Output() []string { return m.out }
+
+// MainArrays implements RankState.
+func (m *machine) MainArrays() map[string]interface{} {
+	if m.main == nil {
+		return nil
+	}
+	snap := map[string]interface{}{}
+	for name, a := range m.main.arr {
+		snap[name] = a.Snapshot()
+	}
+	return snap
+}
+
 // SameOutput reports whether two results printed identical lines and hold
 // identical final arrays on every rank; used by the §4-style correctness
 // evaluation (transformed output must be identical to the original).
 func SameOutput(a, b *Result) (bool, string) {
-	if same, why := Sameprinted(a, b); !same {
+	if same, why := SameObservable(a, b); !same {
 		return false, why
 	}
 	for r := range a.Arrays {
@@ -155,19 +198,11 @@ func SameOutput(a, b *Result) (bool, string) {
 	return true, ""
 }
 
-// SameObservable compares printed output plus only the named arrays. The
-// indirect transformation (§3.4) makes the send array dead — it is never
-// written again — so equivalence there is judged on the program's output
-// and its receive array.
+// SameObservable compares printed output plus only the named arrays (none:
+// printed output alone). The indirect transformation (§3.4) makes the send
+// array dead — it is never written again — so equivalence there is judged
+// on the program's output and its receive array.
 func SameObservable(a, b *Result, arrays ...string) (bool, string) {
-	if same, why := SameprintedAndArrays(a, b, arrays); !same {
-		return false, why
-	}
-	return true, ""
-}
-
-// Sameprinted compares only the printed output of two results.
-func Sameprinted(a, b *Result) (bool, string) {
 	if len(a.Output) != len(b.Output) {
 		return false, "different rank counts"
 	}
@@ -180,14 +215,6 @@ func Sameprinted(a, b *Result) (bool, string) {
 				return false, fmt.Sprintf("rank %d line %d: %q vs %q", r, i, a.Output[r][i], b.Output[r][i])
 			}
 		}
-	}
-	return true, ""
-}
-
-// SameprintedAndArrays compares output plus the named arrays on each rank.
-func SameprintedAndArrays(a, b *Result, arrays []string) (bool, string) {
-	if same, why := Sameprinted(a, b); !same {
-		return false, why
 	}
 	for r := range a.Arrays {
 		for _, name := range arrays {

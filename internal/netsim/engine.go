@@ -10,7 +10,9 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Time is virtual time in nanoseconds.
@@ -116,6 +118,9 @@ type Engine struct {
 	evq   eventHeap
 	seq   int64
 	procs []*Proc
+	// live counts proc goroutines that have not exited, so a deadlocked Run
+	// can wait for the ones it unwinds.
+	live sync.WaitGroup
 	// Trace, when non-nil, receives one line per scheduling decision.
 	Trace func(string)
 }
@@ -133,8 +138,10 @@ func (e *Engine) Spawn(fn func(p *Proc)) *Proc {
 		yield:  make(chan struct{}),
 	}
 	e.procs = append(e.procs, p)
+	e.live.Add(1)
 	go func() {
-		<-p.resume
+		defer e.live.Done()
+		p.park()
 		fn(p)
 		p.state = procDone
 		p.yield <- struct{}{}
@@ -150,7 +157,8 @@ func (e *Engine) At(t Time, fn func(now Time)) {
 }
 
 // Run drives the simulation until every process is done. It returns the
-// final virtual time (max over processes) or an error on deadlock.
+// final virtual time (max over processes) or an error on deadlock; either
+// way no process goroutine is left parked when it returns.
 func (e *Engine) Run() (Time, error) {
 	heap.Init(&e.evq)
 	for {
@@ -197,6 +205,15 @@ func (e *Engine) Run() (Time, error) {
 				return end, nil
 			}
 			sort.Strings(blocked)
+			// Nothing can ever resume the parked procs: poison their resume
+			// channels so each goroutine unwinds (see park) instead of leaking
+			// with everything it references, and wait until they are gone.
+			for _, p := range e.procs {
+				if p.state != procDone {
+					close(p.resume)
+				}
+			}
+			e.live.Wait()
 			return 0, fmt.Errorf("netsim: deadlock; blocked processes: %v", blocked)
 		}
 	}
@@ -253,11 +270,20 @@ func (p *Proc) Wait(c *Completion, reason string) {
 	p.block()
 }
 
+// park waits for the engine to resume p. A closed resume channel is the
+// engine's poison after a deadlock: the goroutine unwinds (running its
+// deferred calls) and never returns into the rank body.
+func (p *Proc) park() {
+	if _, ok := <-p.resume; !ok {
+		runtime.Goexit()
+	}
+}
+
 // block yields control to the engine until the proc is made ready again.
 func (p *Proc) block() {
 	p.state = procBlocked
 	p.yield <- struct{}{}
-	<-p.resume
+	p.park()
 }
 
 // Yield gives the engine a chance to process events up to p's current time
@@ -266,5 +292,5 @@ func (p *Proc) block() {
 func (p *Proc) Yield() {
 	p.state = procReady
 	p.yield <- struct{}{}
-	<-p.resume
+	p.park()
 }

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestEngineEventsInOrder(t *testing.T) {
@@ -81,6 +84,43 @@ func TestEngineDeadlockDetected(t *testing.T) {
 	})
 	if _, err := e.Run(); err == nil {
 		t.Fatal("want deadlock error")
+	}
+}
+
+// TestDeadlockLeavesNoGoroutines: a deadlocked Run unwinds every parked
+// proc — blocked mid-body, and never started — before it returns, running
+// their deferred calls on the way out, so a resident server does not leak a
+// goroutine set per bad query.
+func TestDeadlockLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var unwound atomic.Int32 // poisoned procs unwind concurrently
+	for i := 0; i < 100; i++ {
+		e := NewEngine()
+		c := e.NewCompletion()
+		for r := 0; r < 4; r++ {
+			e.Spawn(func(p *Proc) {
+				defer unwound.Add(1)
+				p.Advance(Microsecond)
+				p.Yield()
+				p.Wait(c, "never completed")
+				t.Error("a poisoned proc returned into its body")
+			})
+		}
+		if _, err := e.Run(); err == nil {
+			t.Fatal("want deadlock error")
+		}
+	}
+	if n := unwound.Load(); n != 400 {
+		t.Fatalf("%d of 400 procs ran their deferred calls", n)
+	}
+	// Run waits for the procs' last deferred call, not for the scheduler to
+	// retire the goroutines: give the final few a moment to leave the count.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before 100 deadlocking runs, %d after", before, after)
 	}
 }
 

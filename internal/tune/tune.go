@@ -102,8 +102,9 @@ type Options struct {
 	// tiered-tuning contract: candidates are measured on the fast tier,
 	// the winner stays oracle-backed. "" disables the re-check.
 	CheckEngine exec.Engine
-	// Store backs the compile engine's variant cache for measured runs;
-	// nil selects the process-default store.
+	// Store caches compiled variants across measured runs (revisiting a
+	// candidate on another machine compiles nothing); nil gives this call
+	// a private in-memory store.
 	Store exec.VariantStore
 	// Memo, when non-nil, short-circuits the search for (fingerprint,
 	// machine) pairs tuned before and records fresh outcomes. The caller
@@ -197,6 +198,10 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tune: %v", err)
 	}
+	store := opts.Store
+	if store == nil {
+		store = exec.NewMemStore()
+	}
 	var check *exec.Runner
 	if opts.CheckEngine != "" {
 		checkEngine, err := exec.ParseEngine(string(opts.CheckEngine))
@@ -204,7 +209,7 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 			return nil, fmt.Errorf("tune: check engine: %v", err)
 		}
 		if checkEngine != engine {
-			check = &exec.Runner{Engine: checkEngine, Store: opts.Store}
+			check = &exec.Runner{Engine: checkEngine, Store: store}
 		}
 	}
 
@@ -231,7 +236,7 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 		uniformLadder = mergeLadders(uniformLadder, st.ladder)
 	}
 
-	runner := exec.Runner{Engine: engine, Store: opts.Store}
+	runner := exec.Runner{Engine: engine, Store: store}
 
 	var choices []Choice
 	for _, m := range in.Machines {
