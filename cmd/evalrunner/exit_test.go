@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	osexec "os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,5 +47,33 @@ func TestUnknownEngineExit2(t *testing.T) {
 				t.Fatalf("evalrunner %s: output %q does not mention %q", c.args, out, c.wantOut)
 			}
 		})
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof files
+// on a clean run, and a path that cannot be created is a usage error
+// diagnosed before any sweeping.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	cmd := osexec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "EVALRUNNER_ARGS=-q -out= -limit 2 -min 1 -cpuprofile "+cpu+" -memprofile "+mem)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("profiled run: %v (output %q)", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: not written (stat %v, err %v)", path, fi, err)
+		}
+	}
+
+	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
+		cmd := osexec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "EVALRUNNER_ARGS=-q -out= "+flagName+" "+filepath.Join(dir, "no", "such", "dir", "p"))
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*osexec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), flagName) {
+			t.Fatalf("%s to an uncreatable path: err %v, output %q; want exit 2 naming the flag", flagName, err, out)
+		}
 	}
 }

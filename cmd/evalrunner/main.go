@@ -71,6 +71,12 @@
 // reviewers see the perf delta without downloading artifacts. Both flags
 // work on sweep and -merge runs.
 //
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
+// the whole run (read them with `go tool pprof`): the way to get the
+// profile ROADMAP asks for before any optimisation. Both files are created
+// up front (a path that cannot be created is a usage error) and written
+// only when the run exits 0.
+//
 // Exit status 2 is a usage error: inconsistent flag combinations or
 // out-of-range values (a negative -parallel or -limit) are rejected up
 // front with a message instead of being silently reinterpreted. Exit
@@ -96,6 +102,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/exec"
@@ -128,6 +136,8 @@ func main() {
 	baselinePath := flag.String("check-baseline", "", "fail if per-profile geomeans regress vs this committed artifact ('' disables)")
 	baselineTol := flag.Float64("baseline-tol", 0.01, "relative tolerance for -check-baseline (0.01 = 1%)")
 	summaryMD := flag.String("summary-md", "", "append the per-profile geomean table as markdown to this file (e.g. $GITHUB_STEP_SUMMARY)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file on clean exit ('' = off)")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file on clean exit ('' = off)")
 	flag.Parse()
 
 	engine, err := validateFlags(cliFlags{
@@ -140,6 +150,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
 		os.Exit(2)
 	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evalrunner:", err)
+		os.Exit(2)
+	}
+	// Deferred, so only a run that returns from main (exit 0) writes them.
+	defer stopProfiles()
 
 	// The baseline must be read before any artifact is written: with the
 	// default -out the sweep would otherwise overwrite the committed
@@ -256,6 +274,46 @@ func main() {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// startProfiles creates both profile files up front — a path that cannot
+// be created is a usage error, found before any sweeping — and starts the
+// CPU profile. The returned stop ends it and writes the heap profile.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile, memFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %v", err)
+		}
+	}
+	if memPath != "" {
+		if memFile, err = os.Create(memPath); err != nil {
+			return nil, fmt.Errorf("-memprofile: %v", err)
+		}
+	}
+	if cpuFile != nil {
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %v", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "evalrunner: -cpuprofile:", err)
+			}
+		}
+		if memFile != nil {
+			runtime.GC() // the profile reports the heap as of the last collection
+			err := pprof.WriteHeapProfile(memFile)
+			if cerr := memFile.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "evalrunner: -memprofile:", err)
+			}
+		}
+	}, nil
 }
 
 // cliFlags is the subset of flags whose combinations or values can be

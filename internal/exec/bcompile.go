@@ -109,6 +109,11 @@ type bc struct {
 	intConsts map[string]int64
 	facts     map[string]factRange
 	loops     []*loopFrame
+
+	// nonInt counts the lowered stores, array accesses and subscripts not
+	// statically integer; a loop body that moves it cannot run strip-wise.
+	nonInt int
+	scan   stripScan
 }
 
 // lowerMain lowers the main unit's body. Frame setup stays on the closure
@@ -143,6 +148,7 @@ func lowerMain(p *Program) *bprog {
 	}
 	b.flush()
 	b.bp.nreg = int(b.nreg)
+	b.planStrips()
 	return b.bp
 }
 
@@ -760,6 +766,9 @@ func (b *bc) assign(s *ftn.AssignStmt) {
 			return
 		}
 		v := b.expr(s.RHS)
+		if v.k != interp.KInt || b.scalK[lhs.Name] != interp.KInt {
+			b.nonInt++
+		}
 		b.pending[kAssign]++
 		b.emit(bStoreS, int32(b.c.syms[lhs.Name].sslot), v.reg)
 		// The store converts to the cell's kind, so the cell's new value is
@@ -773,6 +782,9 @@ func (b *bc) assign(s *ftn.AssignStmt) {
 		}
 		v := b.expr(s.RHS)
 		subs := b.lowerSubs(lhs.Args)
+		if v.k != interp.KInt || g.kind != interp.KInt || !allInt(subs) {
+			b.nonInt++
+		}
 		b.pending[kStore]++
 		if gi, ok := b.geoAccess(g, lhs.Args, subs); ok {
 			b.emit(bStoreU1+bop(len(subs)-1), gi, v.reg)
@@ -865,6 +877,16 @@ func (b *bc) lowerSubs(args []ftn.Expr) []rv {
 		subs[i] = b.expr(a)
 	}
 	return subs
+}
+
+// allInt reports whether every lowered subscript is statically integer.
+func allInt(subs []rv) bool {
+	for _, s := range subs {
+		if s.k != interp.KInt {
+			return false
+		}
+	}
+	return true
 }
 
 func (b *bc) ifStmt(s *ftn.IfStmt) {
@@ -964,6 +986,7 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 
 	b.loops = append(b.loops, &loopFrame{})
 	b.pending[kLoopIter]++
+	nonInt := b.nonInt
 	for _, st := range s.Body {
 		b.stmt(st)
 	}
@@ -972,8 +995,16 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	b.emit(bForNext, fdIdx)
 	endPC := b.here()
 
-	b.bp.fors[fdIdx].headPC = head
-	b.bp.fors[fdIdx].endPC = endPC
+	lfd := &b.bp.fors[fdIdx]
+	lfd.headPC = head
+	lfd.endPC = endPC
+	lfd.inner = int(fdIdx) == len(b.bp.fors)-1
+	// An integer-only innermost loop that never stores its variable is a
+	// strip candidate; planStrips settles it once the unit is lowered.
+	lfd.nvec = -1
+	if lfd.inner && direct && b.nonInt == nonInt {
+		lfd.nvec = 0
+	}
 	lf := b.loops[len(b.loops)-1]
 	b.loops = b.loops[:len(b.loops)-1]
 	for _, pc := range lf.exitPatches {
@@ -1209,6 +1240,9 @@ func (b *bc) ref(e *ftn.Ref) rv {
 		return b.evalFallback(b.c.expr(e))
 	}
 	subs := b.lowerSubs(e.Args)
+	if g.kind != interp.KInt || !allInt(subs) {
+		b.nonInt++
+	}
 	b.pending[kLoad]++
 	dst := b.newReg()
 	if gi, ok := b.geoAccess(g, e.Args, subs); ok {

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
+	"repro/internal/interp"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -72,18 +75,31 @@ func (bp *bprog) stats() bstats { return bp.statsOf(bp.code) }
 // bForIter through bForNext inclusive.
 func (bp *bprog) innermost() []bstats {
 	var out []bstats
-	for i, fd := range bp.fors {
-		nested := false
-		for j, other := range bp.fors {
-			if i != j && other.headPC > fd.headPC && other.endPC <= fd.endPC {
-				nested = true
-			}
-		}
-		if !nested {
+	for _, fd := range bp.fors {
+		if fd.inner {
 			out = append(out, bp.statsOf(bp.code[fd.headPC:fd.endPC]))
 		}
 	}
 	return out
+}
+
+// runCounted is RunBytecode keeping each rank's context, to read the
+// per-run iteration counters: innermost-loop iterations executed
+// strip-wise, and those entered on the scalar path.
+func (p *Program) runCounted(np int, m plan.Machine) (strip, scalar int64, err error) {
+	bp := p.Bytecode()
+	tab := bp.chargeTab(m.Costs)
+	var ranks []*rctx
+	_, err = interp.RunRanks(np, m.Profile, func(b *interp.MPI) interp.RankState {
+		x := &rctx{prog: p, rank: b.Rank, mpi: b, costs: m.Costs, bp: bp, tab: tab}
+		ranks = append(ranks, x)
+		return x
+	})
+	for _, x := range ranks {
+		strip += x.stripIters
+		scalar += x.scalarIters
+	}
+	return strip, scalar, err
 }
 
 // disasm renders the instruction stream one instruction per line.
@@ -122,12 +138,23 @@ func corpusProgram(t *testing.T, name string) *Program {
 // TestDirectInnerLoopShape pins what the lowering makes of the hottest loop
 // of the sim-compute workload: the DO variables are read from their loop
 // registers (no reloads), the eight constant-divisor mods do not split the
-// charge vector, and nothing bridges.
+// charge vector, nothing bridges, and the loop runs strip-wise — while the
+// outer loop around it (an ALLTOALL and the checksum reduction) does not.
 func TestDirectInnerLoopShape(t *testing.T) {
 	bp := corpusProgram(t, "direct/nx32768/np4/K8192").Bytecode()
 	loops := bp.innermost()
 	if len(loops) != 1 {
 		t.Fatalf("%d innermost loops, want 1\n%s", len(loops), bp.disasm())
+	}
+	for _, fd := range bp.fors {
+		if eligible := fd.nvec > 0; eligible != fd.inner {
+			t.Fatalf("loop at pc %d: inner %v, strip-wise %v\n%s", fd.headPC, fd.inner, eligible, bp.disasm())
+		}
+	}
+	// A reduction carries a value between iterations: inner3d's fill loop
+	// is strip-wise, its checksum loop is not.
+	if el := corpusProgram(t, "inner3d/m32/ny16/sz8/np4/K8").StripEligible(); len(el) != 2 || !el[0] || el[1] {
+		t.Fatalf("inner3d strip-wise innermost loops %v, want [true false]", el)
 	}
 	s := loops[0]
 	if s.total > 42 || s.charges != 1 || s.ops[bLoadS] > 2 || s.bridges != 0 {
@@ -197,5 +224,51 @@ end program t
 		if got := loopCharges(expr); got != want {
 			t.Errorf("%s: %d charges in the loop body, want %d", expr, got, want)
 		}
+	}
+}
+
+// TestStripCoverageCorpus is the gate against de-vectorisation: over the
+// corpus and its default-K and K/4 variants, at least nine in ten
+// innermost-loop iterations must run strip-wise. (What stays scalar today:
+// reductions, loops around a CALL or an MPI statement, and loops entered
+// with fewer than stripMin trips — the 2-trip copy loops of the finest
+// tilings, which put single programs as low as 0.59.)
+func TestStripCoverageCorpus(t *testing.T) {
+	scenarios := workload.GenerateScenarios(workload.GenOptions{})
+	if testing.Short() {
+		scenarios = scenarios[:12]
+	}
+	m := plan.MPICHGM2005()
+	var strip, scalar int64
+	for _, sc := range scenarios {
+		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", sc.Name, err)
+		}
+		srcs := []string{sc.Source}
+		for _, k := range []int64{sc.K, max(sc.K/4, 1)} {
+			src, _, err := core.Apply(prog, core.Options{K: k}.Plan())
+			if err != nil {
+				t.Fatalf("%s: apply K=%d: %v", sc.Name, k, err)
+			}
+			srcs = append(srcs, src)
+		}
+		for vi, src := range srcs {
+			p, err := CompileSource(src)
+			if err != nil {
+				t.Fatalf("%s/variant%d: %v", sc.Name, vi, err)
+			}
+			stripped, entered, err := p.runCounted(sc.NP, m)
+			if err != nil {
+				t.Fatalf("%s/variant%d: %v", sc.Name, vi, err)
+			}
+			strip += stripped
+			scalar += entered
+		}
+	}
+	share := float64(strip) / float64(strip+scalar)
+	t.Logf("%d of %d innermost-loop iterations ran strip-wise (%.4f)", strip, strip+scalar, share)
+	if share < 0.90 {
+		t.Fatalf("strip-wise share of innermost-loop iterations is %.4f, want >= 0.90", share)
 	}
 }

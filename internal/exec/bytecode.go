@@ -18,6 +18,43 @@
 // read, or error can occur between the two. The lowering flushes the
 // pending charge vector before every instruction that can observe time,
 // raise an error, or transfer control.
+//
+// Strip-wise loops (strip.go) rest on the same argument, one level up. An
+// innermost DO loop is eligible when
+//
+//   - the lowering reads its DO variable from the loop's value register
+//     (the body never stores it) and every value the body stores, every
+//     array it touches and every subscript is statically integer;
+//   - its body is straight-line integer code: bCharge, bNegI, bAddI, bSubI,
+//     bMulI, bDivI, bPowI, bModI, bMinI, bMaxI, bLoadS, bStoreS, and array
+//     loads and stores (checked or unchecked) of rank <= 3 — no jump,
+//     bridge, run-time-kinded op, comparison, bIntr, bWtime or nested loop;
+//   - every frame cell it stores is stored before it is loaded (the cell is
+//     private to an iteration; the last iteration's value is what remains,
+//     as is the DO cell's final value);
+//   - every array it stores is stored by exactly one instruction and never
+//     loaded in the body.
+//
+// Such a loop contains no MPI call and no clock read, so under netsim's
+// one-process-at-a-time scheduling no other rank and no event can observe
+// the rank between the loop's first and last instruction: its iterations
+// may run in any grouping as long as the frame, the arrays and the clock
+// are the scalar loop's when it ends — or when it fails. The strip
+// executor runs them stripLen at a time: compute every lane with no side
+// effect, checking each lane of each divisor (non-zero) and each subscript
+// (inside its dimension, the walker's Idx* rules) before the divide or
+// load that uses it, and only then commit — array stores in lane order,
+// the last lane's private scalars, and one Compute of lanes × the body's
+// charge vectors, which additivity makes equal to the per-iteration
+// charges. No value flows from one iteration to the next (private cells,
+// stored arrays never read), so computing lane l before lane l−1 has
+// committed reads what the scalar order reads. If any lane would fault,
+// the strip has committed nothing: the loop registers still name its first
+// lane and the unchanged scalar bexec replays it iteration by iteration,
+// which stores, charges and raises the walker's positioned error exactly
+// as if the strip executor did not exist. A loop entered with fewer than
+// stripMin trips, and a remainder shorter than that, take the scalar path
+// outright.
 package exec
 
 import (
@@ -225,6 +262,11 @@ type forDesc struct {
 	stepValReg   int32
 	headPC       int32 // the bForIter
 	endPC        int32
+	// inner: no DO loop is nested inside. nvec > 0: the loop runs strip-wise
+	// (strip.go) on that many lane vectors; -1: it does not. (0 marks a
+	// candidate during lowering, settled by planStrips before any run.)
+	inner bool
+	nvec  int32
 }
 
 // precEntry pre-creates an implicitly-typed scalar cell after frame setup,
@@ -253,6 +295,9 @@ type bprog struct {
 	intrs   []intrDesc
 	fors    []forDesc
 	maxArgs int // widest bIntr call, sizing the per-run argument scratch
+	// lane maps a register to its lane vector inside the one strip-wise
+	// loop that writes it, -1 for a scalar; nil when no loop is eligible.
+	lane []int32
 }
 
 // Charge-vector component indices.
@@ -294,7 +339,7 @@ func (bp *bprog) run(x *rctx, fr *frame, tab []netsim.Time) error {
 	}
 	regs := make([]reg, bp.nreg)
 	copy(regs, bp.regInit)
-	return bp.bexec(x, fr, regs, tab)
+	return bp.bexec(x, fr, regs, tab, 0, len(bp.code))
 }
 
 // loadElem reads the element at linear offset off of an array whose storage
@@ -444,12 +489,12 @@ func compareRegs(op bop, x, y reg) bool {
 // bexec is the dispatch loop: a flat switch over the instruction stream.
 // No reflection, no map lookups on any path that continues — descriptor
 // tables are slices indexed by instruction operands, and errAt is read only
-// by the instruction that ends the run.
-func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time) error {
+// by the instruction that ends the run. It runs code[pc:end]: the whole
+// program, or one invariant instruction of a strip-wise loop.
+func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time, pc, end int) error {
 	code := bp.code
-	args := make([]interp.Value, bp.maxArgs)
-	pc := 0
-	for pc < len(code) {
+	var args []interp.Value
+	for pc < end {
 		ins := code[pc]
 		pc++
 		switch ins.op {
@@ -635,6 +680,9 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time) error 
 				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2], regs[ins.b])
 		case bIntr:
 			d := &bp.intrs[ins.b]
+			if args == nil {
+				args = make([]interp.Value, bp.maxArgs)
+			}
 			vals := args[:len(d.args)]
 			for i, ar := range d.args {
 				vals[i] = regs[ar].value()
@@ -668,6 +716,14 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time) error 
 			fd := &bp.fors[ins.a]
 			if ins.op == bForNext {
 				regs[fd.vReg].bits += regs[fd.stepValReg].bits
+			} else if fd.inner {
+				// Loop entry: whole strips first; whatever they leave (all
+				// of it for an ineligible loop) runs below, one iteration
+				// at a time.
+				if fd.nvec > 0 {
+					x.stripIters += bp.runStrips(x, fr, regs, tab, fd)
+				}
+				x.scalarIters += int64(regs[fd.tripsReg].bits)
 			}
 			*fr.scal[fd.sslot] = interp.IntVal(int64(regs[fd.vReg].bits))
 			if regs[fd.tripsReg].bits == 0 {

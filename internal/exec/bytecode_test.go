@@ -199,8 +199,9 @@ func TestCharacterValuesBridge(t *testing.T) {
 }
 
 // requireSameFailure runs src under every engine and requires the same
-// error text, the same virtual time at the moment of failure, and the same
-// per-rank compute/blocked split as the walker.
+// error text — the run's and each rank's — the same virtual time at the
+// moment of failure, and the same per-rank compute/blocked split as the
+// walker.
 func requireSameFailure(t *testing.T, label, src string, np int, m plan.Machine, want string) {
 	t.Helper()
 	var walk *interp.Result
@@ -229,6 +230,9 @@ func requireSameFailure(t *testing.T, label, src string, np int, m plan.Machine,
 		for r := range walk.Stats.PerRank {
 			if walk.Stats.PerRank[r] != res.Stats.PerRank[r] {
 				t.Fatalf("%s/%s: rank %d stats %+v, walk %+v", label, eng, r, res.Stats.PerRank[r], walk.Stats.PerRank[r])
+			}
+			if got, want := fmt.Sprint(res.Errors[r]), fmt.Sprint(walk.Errors[r]); got != want {
+				t.Fatalf("%s/%s: rank %d error %q, walk says %q", label, eng, r, got, want)
 			}
 		}
 		if same, why := interp.SameOutput(walk, res); !same {

@@ -107,6 +107,11 @@ type rctx struct {
 	// bp and tab select the bytecode tier for the main body (see RunMain).
 	bp  *bprog
 	tab []netsim.Time
+	// strip is the lane-vector scratch, taken from stripPool by the first
+	// strip-wise loop of the run. stripIters and scalarIters count the
+	// innermost-loop iterations entered each way; only tests read them.
+	strip                   *stripScratch
+	stripIters, scalarIters int64
 
 	// mpi is the rank's MPI binding; args and argFr are the call site it is
 	// executing (the rctx is its own interp.MPIArgs, see mpi.go).
@@ -214,6 +219,10 @@ func (x *rctx) RunMain() error {
 	var err error
 	if x.bp != nil {
 		err = x.bp.run(x, fr, x.tab)
+		if x.strip != nil {
+			stripPool.Put(x.strip)
+			x.strip = nil
+		}
 	} else {
 		err = runStmts(x, fr, main.body)
 	}

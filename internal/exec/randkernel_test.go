@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
 )
 
@@ -360,5 +361,326 @@ func TestRandomKernelsBitIdentical(t *testing.T) {
 			}()
 			runAll(t, label, src, 2, m)
 		}()
+	}
+}
+
+// sgen writes strip kernels: one innermost DO loop the bytecode tier runs
+// strip-wise — straight-line integer code over private scalars, loaded and
+// stored arrays — with a chosen trip count and step, optionally faulting
+// at a chosen iteration.
+type sgen struct {
+	r       *rand.Rand
+	hasT    bool // t is assigned earlier in the body
+	hasU    bool
+	maxPlus int // largest c for which i + c stays inside 1..sN
+}
+
+const sN = 600 // ia, ib(1:sN), ic(0:sN+1), id(1:4, 1:sN)
+
+// sub is an in-bounds subscript for 1..sN: the loop variable (provably in
+// range, so unchecked), shifted or mirrored, or a checked scatter through
+// a run-time value (several lanes may hit one element: last store wins).
+func (g *sgen) sub() string {
+	switch g.r.Intn(6) {
+	case 0:
+		if g.maxPlus > 0 {
+			return "i + 1"
+		}
+	case 1:
+		return fmt.Sprintf("%d - i", sN+1)
+	case 2:
+		return "i + me - me"
+	case 3:
+		return fmt.Sprintf("mod(mod(%s, %d) + %d, %d) + 1", g.expr(1), sN, sN, sN)
+	}
+	return "i"
+}
+
+func (g *sgen) expr(d int) string {
+	if d <= 0 || g.r.Intn(4) == 0 {
+		switch g.r.Intn(7) {
+		case 0:
+			return fmt.Sprintf("(%d)", g.r.Intn(21)-4)
+		case 1:
+			return g.pickOf("me", "nz")
+		case 2:
+			if g.hasT {
+				return "t"
+			}
+		case 3:
+			if g.hasU {
+				return "u"
+			}
+		case 4:
+			return fmt.Sprintf("ib(%s)", g.sub())
+		}
+		return "i"
+	}
+	a, b := g.expr(d-1), g.expr(d-1)
+	switch g.r.Intn(12) {
+	case 0, 1:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 3:
+		return fmt.Sprintf("(%s * %s)", a, g.pickOf("2", "3", "me", "nz", "i"))
+	case 4:
+		return fmt.Sprintf("(%s / %d)", a, 1+g.r.Intn(9))
+	case 5:
+		return fmt.Sprintf("(%s / nz)", a)
+	case 6:
+		return fmt.Sprintf("mod(%s, %d)", a, 2+g.r.Intn(30))
+	case 7:
+		return fmt.Sprintf("mod(%s, nz)", a)
+	case 8:
+		return fmt.Sprintf("%s(%s, %s)", g.pickOf("min", "max"), a, b)
+	case 9:
+		return fmt.Sprintf("(-%s)", a)
+	case 10:
+		return fmt.Sprintf("(mod(%s, 100) ** %d)", a, g.r.Intn(4))
+	}
+	return fmt.Sprintf("(%d - %s)", g.r.Intn(50), b)
+}
+
+func (g *sgen) pickOf(ss ...string) string { return ss[g.r.Intn(len(ss))] }
+
+// Fault kinds a strip kernel can carry.
+const (
+	sClean = iota
+	sDivZero
+	sModZero
+	sLoadOOB
+	sStoreOOB
+	sInvariantOOB // a loop-invariant subscript one past its bound: faults at iteration 0
+)
+
+// program emits the kernel: trips iterations of step over a range that
+// keeps i (and i + 1) inside 1..sN, a fault of the given kind at iteration
+// lane on rank 0 and lane + skew on rank 1, and prints of the DO variable
+// and the private scalars after the loop.
+func (g *sgen) program(trips, step, fault, lane, skew int) string {
+	// i runs between first and last, either way round; the bound past the
+	// end overshoots by less than one step.
+	first := 1 + g.r.Intn(5)
+	last := first + max(trips-1, 0)*abs(step)
+	lo, hi := first, last+g.r.Intn(abs(step))
+	if step < 0 {
+		lo, hi = last, first-g.r.Intn(abs(step))
+	}
+	if trips == 0 {
+		hi = lo - step
+	}
+	g.maxPlus = sN - last
+	// at is zero exactly at the faulting iteration; hit is 1 there, else 0.
+	at := fmt.Sprintf("(i - (%d + me * (%d)))", lo+lane*step, skew*step)
+	hit := fmt.Sprintf("(1 - min(%s * %s, 1))", at, at)
+
+	var body strings.Builder
+	stmt := func(format string, args ...interface{}) {
+		body.WriteString("    ")
+		fmt.Fprintf(&body, format, args...)
+		body.WriteByte('\n')
+	}
+	if g.r.Intn(3) > 0 {
+		stmt("t = %s", g.expr(3))
+		g.hasT = true
+	}
+	rhs := g.expr(3)
+	switch fault {
+	case sDivZero:
+		rhs = fmt.Sprintf("%s + 100 / %s", rhs, at)
+	case sModZero:
+		rhs = fmt.Sprintf("%s + mod(i, %s)", rhs, at)
+	case sLoadOOB:
+		// One past either bound, at the faulting iteration only.
+		rhs = fmt.Sprintf("%s + ib(%s)", rhs, g.pickOf("1 - "+hit, fmt.Sprintf("%d + %s", sN, hit)))
+	}
+	stmt("ia(%s) = %s", g.sub(), rhs)
+	if g.r.Intn(3) > 0 {
+		stmt("u = %s", g.expr(2))
+		g.hasU = true
+	}
+	if fault == sStoreOOB {
+		stmt("ic(%s) = %s", g.pickOf("0 - "+hit, fmt.Sprintf("%d + %s", sN+1, hit)), g.expr(2))
+	} else if g.r.Intn(2) == 0 {
+		stmt("ic(%s - 1) = %s", g.sub(), g.expr(2))
+	}
+	if fault == sInvariantOOB {
+		stmt("id(%s, %s) = %s", g.pickOf("1 - nz / nz", "4 + nz / nz"), g.sub(), g.expr(2))
+	} else if g.r.Intn(2) == 0 {
+		stmt("id(%d, %s) = %s", 1+g.r.Intn(4), g.sub(), g.expr(2))
+	}
+	if g.hasT && g.hasU {
+		stmt("w = t - u")
+	}
+	return fmt.Sprintf(`
+program s
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: n = %d
+  integer ia(1:n), ib(1:n), ic(0:n+1), id(1:4, 1:n)
+  integer ierr, me, nz, i, t, u, w
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  nz = 7 - me * 2
+  t = -1
+  u = -2
+  w = -3
+  do i = 1, n
+    ib(i) = i * 3 - me
+    ia(i) = -i
+  enddo
+  do i = %d, %d, %d
+%s  enddo
+  print *, 'after', i, t, u, w
+  call mpi_finalize(ierr)
+end program s
+`, sN, lo, hi, step, body.String())
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// TestStripKernels drives the strip executor through its edges: trip
+// counts around the strip length, positive and negative steps, private
+// scalars and the DO variable read after the loop, and a zero divisor or an
+// out-of-bounds checked subscript at the first, middle and last lane of
+// the first and last strips. Every kernel's loop must be strip-eligible,
+// and walk ≡ closure ≡ bytecode on every observable — for the faulting
+// ones on each rank's exact error, the virtual time of the failure, and
+// everything stored before it.
+func TestStripKernels(t *testing.T) {
+	const L = exec.StripLen
+	tripSet := []int{0, 1, L - 1, L, L + 1, 3*L + 2}
+	steps := []int{1, -1, 3, -2}
+	faultWant := map[int]string{
+		sDivZero: "integer division by zero", sModZero: "mod by zero",
+		sLoadOOB: "out of bounds", sStoreOOB: "out of bounds", sInvariantOOB: "out of bounds",
+	}
+	machines := plan.PaperPair()
+	seed := int64(20061001)
+	run := func(trips, step, fault, lane, skew int) {
+		seed++
+		g := &sgen{r: rand.New(rand.NewSource(seed))}
+		src := g.program(trips, step, fault, lane, skew)
+		label := fmt.Sprintf("trips %d step %d fault %d lane %d+%d", trips, step, fault, lane, skew)
+		defer func() {
+			if t.Failed() {
+				t.Logf("%s:\n%s", label, src)
+			}
+		}()
+		p, err := exec.CompileSource(src)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if el := p.StripEligible(); len(el) != 2 || !el[0] || !el[1] {
+			t.Fatalf("%s: strip-wise loops %v, want both", label, el)
+		}
+		m := machines[int(seed)%len(machines)]
+		if fault == sClean {
+			runAll(t, label, src, 2, m)
+		} else {
+			requireSameFailure(t, label, src, 2, m, faultWant[fault])
+		}
+	}
+	for _, trips := range tripSet {
+		for _, step := range steps {
+			run(trips, step, sClean, 0, 0)
+			if testing.Short() && step != 1 {
+				continue
+			}
+			// First, middle and last lane of the first strip, of the last
+			// whole strip, and of the remainder after it.
+			whole := trips / L * L
+			lanes := []int{0, L / 2, L - 1, whole - L, whole - 1, whole, trips - 1}
+			for li, lane := range lanes {
+				if lane < 0 || lane >= trips || (li > 0 && lane <= lanes[li-1]) {
+					continue
+				}
+				for fault := sDivZero; fault <= sStoreOOB; fault++ {
+					// Rank 1 faults one iteration later, or (skew past the
+					// end) not at all.
+					run(trips, step, fault, lane, (fault+lane)%2)
+				}
+				if lane == 0 {
+					run(trips, step, sInvariantOOB, 0, 0)
+				}
+			}
+		}
+	}
+}
+
+// TestStripIneligibleLoops: loops the strip executor must leave to the
+// scalar path — a value carried between iterations, an array both read
+// and written or written twice, anything not integer, any control flow,
+// call or clock read — are marked so, and still agree with the walker.
+func TestStripIneligibleLoops(t *testing.T) {
+	const decls = `  integer ia(1:40), ib(1:40)
+  real ra(1:40)
+  integer i, s, k
+  real r`
+	const init = `
+  s = 0
+  k = 1
+  do i = 1, 40
+    ib(i) = i * 2 - me
+    ia(i) = i
+  enddo`
+	cases := []struct{ name, loop string }{
+		{"reduction", `
+    s = s + ib(i)`},
+		{"scalar carried from the previous iteration", `
+    ia(i) = k
+    k = i * 2`},
+		{"array loaded and stored", `
+    ia(i) = ia(41 - i) + 1`},
+		{"two stores to one array", `
+    ia(i) = i
+    ia(41 - i) = -i`},
+		{"real array", `
+    ra(i) = i * 0.5`},
+		{"real scalar", `
+    r = i * 0.5
+    ia(i) = i`},
+		{"real value into an integer array", `
+    ia(i) = i * 0.5`},
+		{"call", `
+    k = i
+    call bump(k)
+    ia(i) = k`},
+		{"if", `
+    if (mod(i, 3) == 0) then
+      ia(i) = -i
+    endif`},
+		{"clock read", `
+    ra(i) = mpi_wtime()`},
+		{"intrinsic call", `
+    ia(i) = abs(ib(i) - 30)`},
+		{"do variable assigned", `
+    ia(i) = i
+    i = i + 0`},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			src := wrap(decls, init+`
+  do i = 1, 40`+tc.loop+`
+  enddo
+  print *, 'after', i, s, k, r`)
+			p, err := exec.CompileSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if el := p.StripEligible(); len(el) != 2 || !el[0] || el[1] {
+				t.Fatalf("strip-wise loops %v, want the set-up loop only\n%s", el, src)
+			}
+			for _, m := range plan.PaperPair() {
+				runAll(t, m.Name, src, 2, m)
+			}
+		})
 	}
 }

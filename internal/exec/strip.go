@@ -1,0 +1,499 @@
+// Strip-wise execution of innermost DO loops. An eligible loop (see
+// stripPlan) is not dispatched once per instruction per iteration: its
+// body — the same bins the scalar bexec runs — is re-interpreted a strip
+// of stripLen iterations ("lanes") at a time, each instruction one tight Go
+// loop over the strip. Registers written in the body whose value differs
+// from lane to lane are []int64 lane vectors; everything else (constants,
+// values from outside the loop, anything computed from those alone) stays
+// a scalar in the ordinary register file and is computed once per strip by
+// the scalar bexec itself.
+//
+// A strip runs in three steps. Compute: every lane of every instruction,
+// with no side effect outside the lane vectors and the body's own
+// invariant registers (which the scalar replay recomputes identically).
+// Validate, folded into compute: every lane of every divisor must be
+// non-zero and every lane of every subscript in bounds before the divide
+// or the load that uses it. Commit: only then are array stores made (lane
+// order), private scalars and the charge (lanes × the body's charge
+// vectors) written. A strip that would fault has committed nothing; the
+// loop registers are left at its first lane and the scalar bexec replays it,
+// raising the walker's positioned error at the exact iteration and time.
+package exec
+
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/interp"
+	"repro/internal/netsim"
+)
+
+// stripLen is the number of iterations one strip covers, chosen by
+// measurement on the direct family's fill loop (35 instructions, 8 mods;
+// 133 ns per iteration scalar): 8 lanes 137 ns, 16 lanes 64–97, 32 lanes
+// 59–77, 64 lanes 52–54, 128 to 1024 lanes 49–54. 64 is the shortest strip
+// on the plateau, and keeps that loop's 40 lane vectors (20 KiB) inside L1.
+const stripLen = 64
+
+// stripMin is the fewest iterations worth a strip. Measured on a
+// 5-instruction rank-3 copy body, entering a strip costs ~100 ns plus ~5 ns
+// a lane against 45 ns per scalar iteration: break-even between 2 and 3.
+// The 2-trip copy loops of fine-tiled variants stay scalar.
+const stripMin = 3
+
+// stripScratch is the lane-vector storage of one rank's run: nvec vectors
+// of stripLen lanes, sized by the widest eligible loop the run has entered.
+// It is recycled across runs through stripPool, never hung on the shared
+// bprog (programs run concurrently).
+type stripScratch struct{ v []int64 }
+
+var stripPool = sync.Pool{New: func() interface{} { return new(stripScratch) }}
+
+// --- lowering-time eligibility ---
+
+// stripScan is the analysis scratch reused across the loops of one
+// lowering: frame cells and array slots the body has loaded and stored so
+// far, and (second pass) the register each stored cell currently holds.
+type stripScan struct {
+	ldCells, stCells []int32
+	ldArrs, stArrs   []int32
+	cellReg          []int32
+}
+
+// access names the array slot and subscript registers of an array
+// instruction, checked or unchecked.
+func (bp *bprog) access(ins bins) (aslot int32, subs []int32) {
+	switch ins.op {
+	case bLoadA:
+		d := &bp.accs[ins.b]
+		return d.aslot, d.subs
+	case bStoreA:
+		d := &bp.accs[ins.a]
+		return d.aslot, d.subs
+	case bLoadU1, bLoadU2, bLoadU3:
+		g := &bp.geos[ins.b]
+		return g.aslot, g.sub[:ins.op-bLoadU1+1]
+	}
+	g := &bp.geos[ins.a]
+	return g.aslot, g.sub[:ins.op-bStoreU1+1]
+}
+
+// planStrips settles every strip candidate of the lowered unit: a loop the
+// lowering found innermost, never storing its DO variable, and with every
+// stored value, touched array and subscript statically integer. stripPlan
+// decides the rest from the instructions.
+func (b *bc) planStrips() {
+	for i := range b.bp.fors {
+		if fd := &b.bp.fors[i]; fd.nvec == 0 {
+			fd.nvec = b.stripPlan(fd)
+		}
+	}
+}
+
+// stripPlan decides whether candidate loop fd can run strip-wise and, if so,
+// assigns its lane vectors, returning how many it needs (-1: not
+// eligible). It requires of the body, bForIter to bForNext exclusive:
+//
+//   - straight-line integer code only: bCharge, integer arithmetic,
+//     bLoadS/bStoreS and array loads/stores of rank <= 3 — no jump, bridge,
+//     generic (run-time-kinded) op, intrinsic call, clock read or loop;
+//   - every frame cell the body stores is stored before it is loaded, so
+//     the cell is private to an iteration (no value is carried from one
+//     iteration to the next) and only the last lane's value survives;
+//   - every array the body stores is stored by exactly one instruction and
+//     never loaded in the body, so deferring the stores to the commit step
+//     cannot change what any lane reads and lane order is store order.
+//
+// The second pass then marks as lane vectors the DO variable's register,
+// every register computed from a lane vector, and one offset vector per
+// array store (recorded in the instruction's free c operand, as is the
+// source register of a load from a private cell; the scalar bexec reads
+// neither).
+func (b *bc) stripPlan(fd *forDesc) int32 {
+	bp, sc := b.bp, &b.scan
+	body := bp.code[fd.headPC+1 : fd.endPC-1]
+	sc.ldCells, sc.stCells = sc.ldCells[:0], sc.stCells[:0]
+	sc.ldArrs, sc.stArrs = sc.ldArrs[:0], sc.stArrs[:0]
+	for _, ins := range body {
+		switch ins.op {
+		case bCharge, bNegI, bAddI, bSubI, bMulI, bDivI, bPowI, bModI, bMinI, bMaxI:
+		case bLoadS:
+			if !slices.Contains(sc.stCells, ins.b) {
+				sc.ldCells = append(sc.ldCells, ins.b)
+			}
+		case bStoreS:
+			if slices.Contains(sc.ldCells, ins.a) {
+				return -1
+			}
+			sc.stCells = append(sc.stCells, ins.a)
+		case bLoadA, bLoadU1, bLoadU2, bLoadU3:
+			aslot, subs := bp.access(ins)
+			if len(subs) > 3 || slices.Contains(sc.stArrs, aslot) {
+				return -1
+			}
+			sc.ldArrs = append(sc.ldArrs, aslot)
+		case bStoreA, bStoreU1, bStoreU2, bStoreU3:
+			aslot, subs := bp.access(ins)
+			if len(subs) > 3 || slices.Contains(sc.stArrs, aslot) || slices.Contains(sc.ldArrs, aslot) {
+				return -1
+			}
+			sc.stArrs = append(sc.stArrs, aslot)
+		default:
+			return -1
+		}
+	}
+
+	if bp.lane == nil {
+		bp.lane = make([]int32, bp.nreg)
+		for r := range bp.lane {
+			bp.lane[r] = -1
+		}
+	}
+	lane := bp.lane
+	lane[fd.vReg] = 0
+	next := int32(1)
+	vector := func(r int32) {
+		lane[r] = next
+		next++
+	}
+	// cellReg pairs each cell stored so far with the register last stored.
+	sc.cellReg = sc.cellReg[:0]
+	for i := range body {
+		ins := &body[i]
+		switch ins.op {
+		case bCharge:
+		case bStoreS:
+			sc.cellReg = append(sc.cellReg, ins.a, ins.b)
+		case bLoadS:
+			for j := len(sc.cellReg) - 2; j >= 0; j -= 2 {
+				if sc.cellReg[j] == ins.b {
+					ins.c = sc.cellReg[j+1]
+					if lane[ins.c] >= 0 {
+						vector(ins.a)
+					}
+					break
+				}
+			}
+		case bNegI:
+			if lane[ins.b] >= 0 {
+				vector(ins.a)
+			}
+		case bLoadA, bLoadU1, bLoadU2, bLoadU3:
+			_, subs := bp.access(*ins)
+			for _, r := range subs {
+				if lane[r] >= 0 {
+					vector(ins.a)
+					break
+				}
+			}
+		case bStoreA, bStoreU1, bStoreU2, bStoreU3:
+			ins.c = next
+			next++
+		default:
+			if lane[ins.b] >= 0 || lane[ins.c] >= 0 {
+				vector(ins.a)
+			}
+		}
+	}
+	return next
+}
+
+// --- execution ---
+
+// stripRun is the state of one loop's strip execution.
+type stripRun struct {
+	bp   *bprog
+	fr   *frame
+	regs []reg
+	vecs []int64
+	n    int // lanes in the current strip
+}
+
+func (s *stripRun) vec(i int32) []int64 {
+	o := int(i) * stripLen
+	return s.vecs[o : o+s.n : o+s.n]
+}
+
+// runStrips executes the eligible loop fd, entered with its loop registers
+// set by bForPrep, strip by strip for as long as strips run clean, and
+// leaves the loop registers at the first iteration not executed — the end
+// of the loop, or the first lane of a strip the scalar bexec must replay.
+// It returns the number of iterations executed.
+func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, tab []netsim.Time, fd *forDesc) int64 {
+	trips := int64(regs[fd.tripsReg].bits)
+	if trips < stripMin {
+		return 0
+	}
+	if x.strip == nil {
+		x.strip = stripPool.Get().(*stripScratch)
+	}
+	if need := int(fd.nvec) * stripLen; len(x.strip.v) < need {
+		x.strip.v = make([]int64, need)
+	}
+	s := stripRun{bp: bp, fr: fr, regs: regs, vecs: x.strip.v}
+	v, step := int64(regs[fd.vReg].bits), int64(regs[fd.stepValReg].bits)
+	body := bp.code[fd.headPC+1 : fd.endPC-1]
+	left := trips
+	for left >= stripMin {
+		s.n = int(min(left, stripLen))
+		iv := s.vec(0)
+		for l := range iv {
+			iv[l] = v + int64(l)*step
+		}
+		charge, ok := s.compute(x, tab, body, int(fd.headPC)+1)
+		if !ok {
+			break
+		}
+		s.commit(body)
+		x.rank.Compute(charge * netsim.Time(s.n))
+		v += int64(s.n) * step
+		left -= int64(s.n)
+	}
+	regs[fd.vReg].bits = uint64(v)
+	regs[fd.tripsReg].bits = uint64(left)
+	return trips - left
+}
+
+// compute runs the body over the strip's lanes with no side effect beyond
+// lane vectors and the body's invariant registers, returning the body's
+// per-iteration charge. It reports false as soon as any lane would fault.
+func (s *stripRun) compute(x *rctx, tab []netsim.Time, body []bins, pc0 int) (charge netsim.Time, ok bool) {
+	lane := s.bp.lane
+	for i, ins := range body {
+		switch ins.op {
+		case bCharge:
+			charge += tab[ins.a]
+			continue
+		case bStoreS:
+			continue
+		case bStoreA, bStoreU1, bStoreU2, bStoreU3:
+			if !s.offsets(s.vec(ins.c), ins) {
+				return 0, false
+			}
+			continue
+		}
+		dl := lane[ins.a]
+		if dl < 0 {
+			// Invariant: one scalar execution serves every lane. A load
+			// from a private cell reads the register stored this iteration
+			// (the cell itself is only written at commit).
+			if ins.op == bLoadS && ins.c >= 0 {
+				s.regs[ins.a] = s.regs[ins.c]
+			} else if s.bp.bexec(x, s.fr, s.regs, tab, pc0+i, pc0+i+1) != nil {
+				return 0, false
+			}
+			continue
+		}
+		d := s.vec(dl)
+		switch ins.op {
+		case bLoadS:
+			copy(d, s.vec(lane[ins.c]))
+		case bNegI:
+			for l, v := range s.vec(lane[ins.b]) {
+				d[l] = -v
+			}
+		case bLoadA, bLoadU1, bLoadU2, bLoadU3:
+			if !s.offsets(d, ins) {
+				return 0, false
+			}
+			aslot, _ := s.bp.access(ins)
+			data := s.fr.arr[aslot].Ints()
+			for l, off := range d {
+				d[l] = data[off]
+			}
+		default:
+			if !s.arith(ins, d) {
+				return 0, false
+			}
+		}
+	}
+	return charge, true
+}
+
+// commit makes the strip's deferred writes: array stores in lane order and
+// the last lane's value of every private scalar.
+func (s *stripRun) commit(body []bins) {
+	lane := s.bp.lane
+	for _, ins := range body {
+		switch ins.op {
+		case bStoreS:
+			v := int64(s.regs[ins.b].bits)
+			if l := lane[ins.b]; l >= 0 {
+				v = s.vec(l)[s.n-1]
+			}
+			p := s.fr.scal[ins.a]
+			*p = interp.CoerceStore(*p, interp.IntVal(v))
+		case bStoreA, bStoreU1, bStoreU2, bStoreU3:
+			aslot, _ := s.bp.access(ins)
+			data := s.fr.arr[aslot].Ints()
+			offs := s.vec(ins.c)
+			if l := lane[ins.b]; l >= 0 {
+				vals := s.vec(l)
+				for l, off := range offs {
+					data[off] = vals[l]
+				}
+			} else {
+				v := int64(s.regs[ins.b].bits)
+				for _, off := range offs {
+					data[off] = v
+				}
+			}
+		}
+	}
+}
+
+// offsets fills off with each lane's linear element offset for the array
+// access ins, under the walker's bounds rules (Array.Idx*): false when the
+// reference's rank is not the array's or any lane's subscript leaves its
+// dimension. BCE-proven accesses are checked too; they never fail.
+func (s *stripRun) offsets(off []int64, ins bins) bool {
+	aslot, subs := s.bp.access(ins)
+	a := s.fr.arr[aslot]
+	if len(subs) != len(a.Dims) {
+		return false
+	}
+	lane := s.bp.lane
+	var base int64
+	for d, r := range subs {
+		if lane[r] >= 0 {
+			continue
+		}
+		v, dim := int64(s.regs[r].bits), a.Dims[d]
+		if v < dim.Lo || v > dim.Hi {
+			return false
+		}
+		base += (v - dim.Lo) * a.Stride(d)
+	}
+	for l := range off {
+		off[l] = base
+	}
+	for d, r := range subs {
+		if lane[r] < 0 {
+			continue
+		}
+		x := s.vec(lane[r])[:len(off)]
+		lo, hi, stride := a.Dims[d].Lo, a.Dims[d].Hi, a.Stride(d)
+		for l := range off {
+			v := x[l]
+			if v < lo || v > hi {
+				return false
+			}
+			off[l] += (v - lo) * stride
+		}
+	}
+	return true
+}
+
+func fill(d []int64, v int64) {
+	for l := range d {
+		d[l] = v
+	}
+}
+
+// arith runs one two-operand integer instruction over the strip: d = x op
+// y per lane, each operand a lane vector or a scalar register. It reports
+// false when any lane's divisor is zero.
+func (s *stripRun) arith(ins bins, d []int64) bool {
+	var x, y []int64
+	var xs, ys int64
+	if l := s.bp.lane[ins.b]; l >= 0 {
+		x = s.vec(l)[:len(d)]
+	} else {
+		xs = int64(s.regs[ins.b].bits)
+	}
+	if l := s.bp.lane[ins.c]; l >= 0 {
+		y = s.vec(l)[:len(d)]
+	} else {
+		ys = int64(s.regs[ins.c].bits)
+	}
+	// Two loop shapes per operator, vector∘vector and vector∘scalar: a
+	// scalar left operand swaps over when the operator commutes and is
+	// broadcast into d otherwise, as is the scalar operand of the rare ones.
+	switch {
+	case x == nil && (ins.op == bAddI || ins.op == bMulI):
+		x, y, ys = y, nil, xs
+	case x == nil:
+		fill(d, xs)
+		x = d
+	case y == nil && (ins.op == bMinI || ins.op == bMaxI || ins.op == bPowI):
+		fill(d, ys)
+		y = d
+	}
+	switch ins.op {
+	case bAddI:
+		if y == nil {
+			for l := range d {
+				d[l] = x[l] + ys
+			}
+		} else {
+			for l := range d {
+				d[l] = x[l] + y[l]
+			}
+		}
+	case bSubI:
+		if y == nil {
+			for l := range d {
+				d[l] = x[l] - ys
+			}
+		} else {
+			for l := range d {
+				d[l] = x[l] - y[l]
+			}
+		}
+	case bMulI:
+		if y == nil {
+			for l := range d {
+				d[l] = x[l] * ys
+			}
+		} else {
+			for l := range d {
+				d[l] = x[l] * y[l]
+			}
+		}
+	case bDivI:
+		if y == nil {
+			if ys == 0 {
+				return false
+			}
+			for l := range d {
+				d[l] = x[l] / ys
+			}
+		} else {
+			for l := range d {
+				if y[l] == 0 {
+					return false
+				}
+				d[l] = x[l] / y[l]
+			}
+		}
+	case bModI:
+		if y == nil {
+			if ys == 0 {
+				return false
+			}
+			for l := range d {
+				d[l] = x[l] % ys
+			}
+		} else {
+			for l := range d {
+				if y[l] == 0 {
+					return false
+				}
+				d[l] = x[l] % y[l]
+			}
+		}
+	case bMinI:
+		for l := range d {
+			d[l] = min(x[l], y[l])
+		}
+	case bMaxI:
+		for l := range d {
+			d[l] = max(x[l], y[l])
+		}
+	case bPowI:
+		for l := range d {
+			d[l] = powInt(x[l], y[l])
+		}
+	}
+	return true
+}

@@ -321,6 +321,15 @@ func (a *Array) RealAt(off int64) float64 { return a.Store.reals[a.Offset+off] }
 // SetRealAt writes a real-storage element (see IntAt).
 func (a *Array) SetRealAt(off int64, v float64) { a.Store.reals[a.Offset+off] = v }
 
+// Ints returns an int-storage view's elements from linear offset 0 on, and
+// Stride the element stride of dimension d: the bytecode tier's strip
+// executor resolves a whole strip of subscripts against Dims itself and
+// then moves the elements in one loop.
+func (a *Array) Ints() []int64 { return a.Store.ints[a.Offset:] }
+
+// Stride returns the element stride of dimension d (see Ints).
+func (a *Array) Stride(d int) int64 { return a.strides[d] }
+
 // Kind returns the element kind of the backing storage.
 func (a *Array) Kind() Kind { return a.Store.kind }
 

@@ -148,7 +148,15 @@ func (m *machine) evalRef(fr *frame, e *ftn.Ref) (Value, error) {
 
 // evalIntrinsic dispatches the supported intrinsic functions.
 func (m *machine) evalIntrinsic(fr *frame, e *ftn.Ref) (Value, error) {
-	args := make([]Value, len(e.Args))
+	// Up to four arguments (every intrinsic but a long min/max) live in a
+	// fixed array on the stack, not a heap slice per call.
+	var buf [4]Value
+	args := buf[:]
+	if len(e.Args) <= len(buf) {
+		args = args[:len(e.Args)]
+	} else {
+		args = make([]Value, len(e.Args))
+	}
 	for i, a := range e.Args {
 		v, err := m.evalExpr(fr, a)
 		if err != nil {

@@ -43,6 +43,7 @@ type World struct {
 type endpoint struct {
 	world  *World
 	rank   int
+	owner  *Rank // the rank this endpoint belongs to
 	proc   *netsim.Proc
 	posted []*recvPost
 	unexp  []*inbound
@@ -126,6 +127,7 @@ func Run(np int, prof netsim.Profile, body func(r *Rank)) (*RunStats, error) {
 		ep := &endpoint{world: w, rank: i}
 		w.eps = append(w.eps, ep)
 		rank := &Rank{world: w, ep: ep, me: i, np: np}
+		ep.owner = rank
 		ranks[i] = rank
 		cl.Eng.Spawn(func(p *netsim.Proc) {
 			rank.proc = p
@@ -172,7 +174,6 @@ func (r *Rank) kickTx(tx *pendingTx, inEvent bool) {
 	}
 	tx.kicked = true
 	w := r.world
-	prof := w.Cluster.Prof
 	var start netsim.Time
 	copyCost := w.Cluster.CopyCost(tx.bytes)
 	if inEvent {
@@ -188,7 +189,6 @@ func (r *Rank) kickTx(tx *pendingTx, inEvent bool) {
 			w.deliverData(tx, payload, t)
 		})
 	})
-	_ = prof
 }
 
 // deliverData completes a matched rendezvous receive.
@@ -296,8 +296,7 @@ func (w *World) sendCTS(tx *pendingTx, t netsim.Time) {
 		}
 		if sep.inWait {
 			// The host is polling inside a blocking MPI call: kick now.
-			rk := &Rank{world: w, ep: sep, proc: sep.proc, me: tx.src, np: len(w.eps)}
-			rk.kickTx(tx, true)
+			sep.owner.kickTx(tx, true)
 			return
 		}
 		sep.ready = append(sep.ready, tx)

@@ -8,7 +8,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sort"
@@ -49,23 +48,63 @@ type event struct {
 	fn  func(now Time)
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by (at, seq). The order is total
+// (seq is unique), so the pop sequence does not depend on the heap's shape.
+// Events are held by value: scheduling one allocates nothing beyond the
+// slice's growth.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(ev event) {
+	q := *h
+	if len(q) == cap(q) {
+		// Double, where append would grow a large slice by a quarter and
+		// copy a fine-tiled run's few thousand in-flight events five times
+		// over.
+		q = append(make(eventHeap, 0, max(64, 2*cap(q))), q...)
+	}
+	q = append(q, ev)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the callback reference
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	return top
 }
 
 // procState is a process's scheduling state.
@@ -153,14 +192,13 @@ func (e *Engine) Spawn(fn func(p *Proc)) *Proc {
 // it pops; the heap keeps order regardless).
 func (e *Engine) At(t Time, fn func(now Time)) {
 	e.seq++
-	heap.Push(&e.evq, &event{at: t, seq: e.seq, fn: fn})
+	e.evq.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // Run drives the simulation until every process is done. It returns the
 // final virtual time (max over processes) or an error on deadlock; either
 // way no process goroutine is left parked when it returns.
 func (e *Engine) Run() (Time, error) {
-	heap.Init(&e.evq)
 	for {
 		// Earliest ready process.
 		var next *Proc
@@ -180,7 +218,7 @@ func (e *Engine) Run() (Time, error) {
 			next.resume <- struct{}{}
 			<-next.yield
 		case haveEvent:
-			ev := heap.Pop(&e.evq).(*event)
+			ev := e.evq.pop()
 			if e.Trace != nil {
 				e.Trace(fmt.Sprintf("event @%s", ev.at))
 			}

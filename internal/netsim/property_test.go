@@ -155,3 +155,46 @@ func TestTimeFormatting(t *testing.T) {
 		t.Errorf("Seconds = %f", s)
 	}
 }
+
+// TestQuickEventOrderTotal: whatever order events are scheduled in — many
+// at one time, some from inside other events — they fire by (time,
+// scheduling order), the total order every run's determinism rests on.
+func TestQuickEventOrderTotal(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	check := func() bool {
+		e := NewEngine()
+		type key struct {
+			at  Time
+			seq int
+		}
+		var fired []key
+		seq := 0
+		var schedule func(at Time, depth int)
+		schedule = func(at Time, depth int) {
+			seq++
+			k := key{at, seq}
+			e.At(at, func(now Time) {
+				fired = append(fired, k)
+				if depth > 0 && r.Intn(2) == 0 {
+					schedule(now+Time(r.Intn(3)), depth-1)
+				}
+			})
+		}
+		for n := 1 + r.Intn(200); n > 0; n-- {
+			schedule(Time(r.Intn(40)), 2)
+		}
+		if _, err := e.Run(); err != nil {
+			return false
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if a.at > b.at || (a.at == b.at && a.seq > b.seq) {
+				return false
+			}
+		}
+		return len(fired) == seq
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
