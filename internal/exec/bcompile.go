@@ -40,7 +40,7 @@ import (
 )
 
 // kUnknown marks a statically-unknown runtime kind.
-const kUnknown interp.Kind = -1
+const kUnknown interp.Kind = 0xff
 
 // Bytecode returns the lazily-lowered bytecode form of the program's main
 // unit. Lowering never fails and runs at most once per Program.
@@ -467,8 +467,8 @@ func (b *bc) foldSetup(e ftn.Expr) (interp.Value, bool) {
 			if xv.Kind != interp.KBool {
 				return interp.Value{}, false
 			}
-			if (e.Op == ".and." && !xv.B) || (e.Op == ".or." && xv.B) {
-				return interp.BoolVal(xv.B), true
+			if (e.Op == ".and." && !xv.B()) || (e.Op == ".or." && xv.B()) {
+				return interp.BoolVal(xv.B()), true
 			}
 			yv, ok := b.foldSetup(e.Y)
 			if !ok || yv.Kind != interp.KBool {
@@ -521,10 +521,10 @@ func (b *bc) fold(e ftn.Expr) (interp.Value, int64, bool) {
 			if xv.Kind != interp.KBool {
 				return interp.Value{}, 0, false
 			}
-			if e.Op == ".and." && !xv.B {
+			if e.Op == ".and." && !xv.B() {
 				return interp.BoolVal(false), xops + 1, true
 			}
-			if e.Op == ".or." && xv.B {
+			if e.Op == ".or." && xv.B() {
 				return interp.BoolVal(true), xops + 1, true
 			}
 			yv, yops, ok := b.fold(e.Y)
@@ -556,7 +556,7 @@ func foldUnary(op string, v interp.Value) (interp.Value, bool) {
 		if v.Kind != interp.KBool {
 			return interp.Value{}, false
 		}
-		return interp.BoolVal(!v.B), true
+		return interp.BoolVal(!v.B()), true
 	}
 	return interp.Value{}, false
 }

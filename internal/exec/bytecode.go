@@ -70,8 +70,9 @@ import (
 // live in bits as two's complement, reals as their IEEE bit pattern,
 // logicals as 0/1. Character values never enter a register — the lowering
 // routes every expression that can carry one through the closure bridge —
-// so interp.Value (the oracle's 48-byte scalar) is only built at the edges:
-// frame cells, bridge results, and generic intrinsic calls.
+// so interp.Value (the same payload word and kind, plus the pointer to
+// character data) is only built at the edges: frame cells, bridge results,
+// and generic intrinsic calls.
 type reg struct {
 	bits uint64
 	k    interp.Kind
@@ -90,27 +91,14 @@ func boolReg(b bool) reg {
 // value here means the lowering's string analysis let one through: a bug,
 // never an input condition.
 func toReg(v interp.Value) reg {
-	switch v.Kind {
-	case interp.KInt:
-		return intReg(v.I)
-	case interp.KReal:
-		return realReg(v.R)
-	case interp.KBool:
-		return boolReg(v.B)
+	if v.Kind == interp.KStr {
+		panic("exec: character value in a bytecode register")
 	}
-	panic("exec: character value in a bytecode register")
+	return reg{uint64(v.I), v.Kind}
 }
 
 // value converts a register back into the oracle's scalar.
-func (r reg) value() interp.Value {
-	switch r.k {
-	case interp.KInt:
-		return interp.IntVal(int64(r.bits))
-	case interp.KReal:
-		return interp.RealVal(math.Float64frombits(r.bits))
-	}
-	return interp.BoolVal(r.bits != 0)
-}
+func (r reg) value() interp.Value { return interp.Value{I: int64(r.bits), Kind: r.k} }
 
 // asInt is Value.AsInt: reals truncate toward zero, logicals read as 0.
 func (r reg) asInt() int64 {

@@ -135,12 +135,6 @@ func compileUnit(prog *Program, u *ftn.Unit) *unit {
 	}
 
 	cu.nscal, cu.narr, cu.nconst = c.nscal, c.narr, c.nconst
-	cu.arrNames = make([]string, c.narr)
-	for _, s := range c.order {
-		if s.aslot >= 0 {
-			cu.arrNames[s.aslot] = s.name
-		}
-	}
 	cu.cm = c
 	return cu
 }
@@ -174,7 +168,7 @@ func (c *comp) scalarDeclStep(s *sym, base ftn.BaseType, kind interp.Kind, init 
 // bounds in this frame, then view the caller's backing (dummy) or allocate.
 // Only a dummy's slot can hold caller backing — for any other name a
 // pre-filled slot means an earlier declaration of the same name, which a
-// fresh allocation replaces (the tree-walker's map overwrite).
+// fresh allocation replaces (as the tree-walker's binding is overwritten).
 func (c *comp) arrayDeclStep(s *sym, kind interp.Kind, dims []ftn.Dim, pos ftn.Pos, isDummy bool) stmtFn {
 	type dimFns struct {
 		lo, hi  exprFn

@@ -62,7 +62,6 @@ type unit struct {
 	paramArr  []int
 
 	nscal, narr, nconst int
-	arrNames            []string // array slot -> name (main-frame snapshots)
 
 	setup []stmtFn // frame initialization: consts, declarations, views
 	body  []stmtFn
@@ -74,15 +73,15 @@ type unit struct {
 
 // frame is one procedure activation: slot-indexed storage. Scalar slots
 // hold pointers so dummy arguments alias the caller's storage exactly like
-// the tree-walker's map of *Value; nil means "not yet created" (the
-// tree-walker's missing map entry).
+// the tree-walker's binding cells; nil means "not yet created" (the
+// tree-walker's empty binding).
 type frame struct {
 	scal   []*interp.Value
 	arr    []*interp.Array
 	consts []interp.Value
 	// constSet marks constant slots whose initializer has run: a named
 	// constant is only visible once pass 1 reaches it (the tree-walker's
-	// consts-map membership), so a forward reference during frame setup
+	// binding's isConst), so a forward reference during frame setup
 	// falls through to implicit typing instead of reading a zero slot.
 	constSet []bool
 }
@@ -236,15 +235,15 @@ func (x *rctx) RunMain() error {
 func (x *rctx) Output() []string { return x.out }
 
 // MainArrays implements interp.RankState.
-func (x *rctx) MainArrays() map[string]interface{} {
+func (x *rctx) MainArrays() []*interp.Array {
 	if x.main == nil {
 		return nil
 	}
-	snap := map[string]interface{}{}
-	for i, a := range x.main.arr {
+	arrs := []*interp.Array{}
+	for _, a := range x.main.arr {
 		if a != nil {
-			snap[x.prog.main.arrNames[i]] = a.Snapshot()
+			arrs = append(arrs, a)
 		}
 	}
-	return snap
+	return arrs
 }

@@ -269,3 +269,27 @@ end program fwdconst
 	m := plan.MPICHGM2005()
 	runAll(t, "fwdconst", src, 2, m)
 }
+
+// TestNameResolutionEdgeCasesAllTiers runs internal/interp's name-resolution
+// fixtures (whose headers hold the walker to its expected output) on all
+// three tiers: the same output, arrays, makespan and per-rank stats, or the
+// same exact error text.
+func TestNameResolutionEdgeCasesAllTiers(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "resolve", "*.f90"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no resolution fixtures: %v", err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		for _, m := range plan.PaperPair() {
+			got := sameOutcome(t, filepath.Base(path)+"/"+m.Name, src, 1, m)
+			if wantErr := strings.Contains("\n"+src, "\n! error: "); wantErr != (got != "") {
+				t.Errorf("%s: outcome %q, fixture header expects an error: %v", path, got, wantErr)
+			}
+		}
+	}
+}

@@ -71,7 +71,7 @@ func (c *comp) unary(e *ftn.Unary) exprFn {
 			if v.Kind != interp.KBool {
 				return interp.Value{}, rte(pos, ".not. of non-logical")
 			}
-			return interp.BoolVal(!v.B), nil
+			return interp.BoolVal(!v.B()), nil
 		}
 	}
 	op := e.Op
@@ -103,10 +103,10 @@ func (c *comp) binary(e *ftn.Binary) exprFn {
 				return interp.Value{}, rte(pos, "%s of non-logical", op)
 			}
 			x.charge(x.costs.Op)
-			if isAnd && !xv.B {
+			if isAnd && !xv.B() {
 				return interp.BoolVal(false), nil
 			}
-			if !isAnd && xv.B {
+			if !isAnd && xv.B() {
 				return interp.BoolVal(true), nil
 			}
 			yv, err := yf(x, fr)

@@ -2,6 +2,8 @@ package exec_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -176,6 +178,33 @@ func TestMPIBadTransfersArePositionedErrors(t *testing.T) {
 			got := sameOutcome(t, label, wrap(tc.decls, tc.body), 2, m)
 			if !strings.HasPrefix(got, "rank 0: ") || !strings.Contains(got, tc.want) {
 				t.Errorf("%s: error %q, want rank 0 to report %q", label, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestLateTransferAllTiers: a transfer that completes after its rank ended
+// is left out of that rank's final arrays by every tier (the rank harness
+// copies the arrays of a rank with an outstanding request instead of
+// aliasing them).
+func TestLateTransferAllTiers(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "late_receive.f90"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range plan.PaperPair() {
+		if got := sameOutcome(t, "late/"+m.Name, string(src), 2, m); got != "" {
+			t.Fatalf("%s: %s", m.Name, got)
+		}
+		for _, eng := range allEngines {
+			res, err := eng.run(string(src), 2, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range res.Arrays[0]["a"].([]int64) {
+				if v != 0 {
+					t.Errorf("%s/%s: rank 0 a(%d) = %d, want the array as the rank left it", m.Name, eng, i+1, v)
+				}
 			}
 		}
 	}

@@ -249,7 +249,7 @@ func (c *comp) if_(s *ftn.IfStmt) stmtFn {
 		if v.Kind != interp.KBool {
 			return rte(pos, "IF condition is not logical")
 		}
-		if v.B {
+		if v.B() {
 			return runStmts(x, fr, then)
 		}
 		return runStmts(x, fr, els)

@@ -169,6 +169,7 @@ type DoStmt struct {
 	Step Expr // nil means 1
 	Body []Stmt
 	XPos Pos
+	Slot int // of Var; see Ident.Slot
 }
 
 // IfStmt is a block IF; ELSE IF chains are nested as a single IfStmt in Else.
@@ -248,6 +249,11 @@ type Expr interface {
 type Ident struct {
 	Name string
 	XPos Pos
+	// Slot is the name's number within its unit, 0 while unresolved. Only
+	// interp.Load writes it, on a file it parsed itself and before anything
+	// runs; it is an annotation of that one loaded tree, not syntax — the
+	// printer and EqualExpr ignore it and clones do not carry it.
+	Slot int
 }
 
 // IntLit is an integer literal.
@@ -281,6 +287,7 @@ type Ref struct {
 	Name string
 	Args []Expr
 	XPos Pos
+	Slot int // of Name; see Ident.Slot
 }
 
 // Unary is a unary operation; Op is "-", "+", or ".not.".

@@ -7,8 +7,7 @@ func CloneExpr(e Expr) Expr {
 	}
 	switch e := e.(type) {
 	case *Ident:
-		c := *e
-		return &c
+		return &Ident{Name: e.Name, XPos: e.XPos}
 	case *IntLit:
 		c := *e
 		return &c

@@ -42,7 +42,7 @@ func (s *storage) set(i int64, v Value) {
 	case KReal:
 		s.reals[i] = v.AsReal()
 	case KBool:
-		if v.B {
+		if v.B() {
 			s.ints[i] = 1
 		} else {
 			s.ints[i] = 0
@@ -333,16 +333,27 @@ func (a *Array) Stride(d int) int64 { return a.strides[d] }
 // Kind returns the element kind of the backing storage.
 func (a *Array) Kind() Kind { return a.Store.kind }
 
-// Snapshot copies the whole view's contents as []Value-free raw data for
-// equivalence checks.
-func (a *Array) Snapshot() interface{} {
-	n := a.Size()
+// Data returns the whole view's contents as raw data ([]float64 for a real
+// array, []int64 otherwise) without copying: the slice is the array's own
+// storage, capped at the view's length.
+func (a *Array) Data() interface{} {
+	n := a.Offset + a.Size()
 	if a.Store.kind == KReal {
-		out := make([]float64, n)
-		copy(out, a.Store.reals[a.Offset:a.Offset+n])
+		return a.Store.reals[a.Offset:n:n]
+	}
+	return a.Store.ints[a.Offset:n:n]
+}
+
+// Snapshot copies the whole view's contents as raw data, for equivalence
+// checks of an array that can still change.
+func (a *Array) Snapshot() interface{} {
+	if data, ok := a.Data().([]float64); ok {
+		out := make([]float64, len(data))
+		copy(out, data)
 		return out
 	}
-	out := make([]int64, n)
-	copy(out, a.Store.ints[a.Offset:a.Offset+n])
+	data := a.Data().([]int64)
+	out := make([]int64, len(data))
+	copy(out, data)
 	return out
 }

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -322,5 +324,73 @@ end program p
 	ra, ok := res.Arrays[0]["ra"].([]float64)
 	if !ok || ra[1] != 2.5 {
 		t.Errorf("ra = %#v", res.Arrays[0]["ra"])
+	}
+}
+
+// resolveFixture is one program of testdata/resolve: its header comments
+// give rank 0's expected output ("! want: line") or the run's exact error
+// ("! error: text"). internal/exec's differential tests run the same files
+// on all three tiers.
+type resolveFixture struct {
+	name, src string
+	want      []string
+	wantErr   string
+}
+
+func resolveFixtures(t *testing.T) []resolveFixture {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "resolve", "*.f90"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no resolution fixtures: %v", err)
+	}
+	var out []resolveFixture
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := resolveFixture{name: filepath.Base(path), src: string(b)}
+		for _, line := range strings.Split(f.src, "\n") {
+			if strings.HasPrefix(line, "! want: ") {
+				f.want = append(f.want, strings.TrimPrefix(line, "! want: "))
+			}
+			if strings.HasPrefix(line, "! error: ") {
+				f.wantErr = strings.TrimPrefix(line, "! error: ")
+			}
+		}
+		if (len(f.want) == 0) == (f.wantErr == "") {
+			t.Fatalf("%s: want exactly one of '! want:' lines and an '! error:' line", path)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// TestNameResolutionEdgeCases holds the walker's slot-resolved names to the
+// behaviour of the maps they replaced: implicit creation on first read or
+// first write, per-unit and per-activation bindings, dummy aliasing, and the
+// consts → scalars → MPI constants → arrays → implicit check order with its
+// exact messages.
+func TestNameResolutionEdgeCases(t *testing.T) {
+	for _, f := range resolveFixtures(t) {
+		p, err := Load(f.src)
+		if err != nil {
+			t.Errorf("%s: load: %v", f.name, err)
+			continue
+		}
+		res, err := p.Run(1, netsim.MPICHGM())
+		if f.wantErr != "" {
+			if err == nil || err.Error() != f.wantErr {
+				t.Errorf("%s: error %v, want %q", f.name, err, f.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", f.name, err)
+			continue
+		}
+		if got := strings.Join(res.Output[0], "\n"); got != strings.Join(f.want, "\n") {
+			t.Errorf("%s: output\n%s\nwant\n%s", f.name, got, strings.Join(f.want, "\n"))
+		}
 	}
 }

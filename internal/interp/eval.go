@@ -38,7 +38,7 @@ func (m *machine) evalExpr(fr *frame, e ftn.Expr) (Value, error) {
 			if x.Kind != KBool {
 				return Value{}, rte(e.Pos(), ".not. of non-logical")
 			}
-			return BoolVal(!x.B), nil
+			return BoolVal(!x.B()), nil
 		}
 		return Value{}, rte(e.Pos(), "bad unary operator %q", e.Op)
 	case *ftn.Binary:
@@ -50,27 +50,27 @@ func (m *machine) evalExpr(fr *frame, e ftn.Expr) (Value, error) {
 }
 
 func (m *machine) evalIdent(fr *frame, e *ftn.Ident) (Value, error) {
-	if v, ok := fr.consts[e.Name]; ok {
-		return v, nil
+	b := &fr.b[e.Slot]
+	if b.isConst {
+		return b.konst, nil
 	}
-	if v, ok := fr.scal[e.Name]; ok {
-		return *v, nil
+	if b.scal != nil {
+		return *b.scal, nil
 	}
-	if v, ok := mpiConsts[e.Name]; ok {
-		return IntVal(v), nil
+	if ni := &fr.syms.info[e.Slot]; ni.isMPI {
+		return IntVal(ni.mpi), nil
 	}
-	if a, ok := fr.arr[e.Name]; ok {
+	if b.arr != nil {
 		// Bare array name in an expression context is not a value; callers
 		// that accept whole arrays (MPI buffers, procedure args) intercept
 		// before evaluating. Reaching here is an error.
-		_ = a
 		return Value{}, rte(e.Pos(), "whole-array reference %s in scalar context", e.Name)
 	}
-	if fr.implicitNone {
+	if fr.implicitNone() {
 		return Value{}, rte(e.Pos(), "undeclared name %s", e.Name)
 	}
 	// Implicit typing: reading an undefined variable yields its zero.
-	p, err := m.lookupScalar(fr, e.Name, e.Pos())
+	p, err := m.lookupScalar(fr, e.Slot, e.Pos())
 	if err != nil {
 		return Value{}, err
 	}
@@ -89,10 +89,10 @@ func (m *machine) evalBinary(fr *frame, e *ftn.Binary) (Value, error) {
 			return Value{}, rte(e.Pos(), "%s of non-logical", e.Op)
 		}
 		m.charge(m.costs.Op)
-		if e.Op == ".and." && !x.B {
+		if e.Op == ".and." && !x.B() {
 			return BoolVal(false), nil
 		}
-		if e.Op == ".or." && x.B {
+		if e.Op == ".or." && x.B() {
 			return BoolVal(true), nil
 		}
 		y, err := m.evalExpr(fr, e.Y)
@@ -131,9 +131,10 @@ func (m *machine) evalBinary(fr *frame, e *ftn.Binary) (Value, error) {
 
 // evalRef evaluates name(args): array element load or intrinsic call.
 func (m *machine) evalRef(fr *frame, e *ftn.Ref) (Value, error) {
-	if a, ok := fr.arr[e.Name]; ok {
-		subs, err := m.evalSubs(fr, e.Args)
-		if err != nil {
+	if a := fr.b[e.Slot].arr; a != nil {
+		var buf [3]int64
+		subs := subsFor(&buf, len(e.Args))
+		if err := m.evalSubs(fr, e.Args, subs); err != nil {
 			return Value{}, err
 		}
 		m.charge(m.costs.Load)

@@ -54,13 +54,34 @@ func rte(pos ftn.Pos, format string, args ...interface{}) error {
 	return &runtimeError{Pos: pos, Err: fmt.Errorf(format, args...)}
 }
 
-// frame is one procedure activation.
+// frame is one procedure activation: the unit's bindings by slot.
 type frame struct {
-	unit         *ftn.Unit
-	scal         map[string]*Value
-	arr          map[string]*Array
-	consts       map[string]Value
-	implicitNone bool
+	syms *unitSyms
+	b    []binding
+}
+
+func (fr *frame) implicitNone() bool { return fr.syms.unit.ImplicitNone }
+
+// name spells slot's name for a diagnostic.
+func (fr *frame) name(slot int) string { return fr.syms.info[slot].name }
+
+// binding is what one name holds in one activation: up to a named constant,
+// a scalar cell and an array at once, as loose argument association allows
+// (a dummy declared scalar can receive an array; a name read before its
+// PARAMETER initializer ran is an implicit scalar and a constant). An
+// undeclared name's binding stays empty until first touched.
+type binding struct {
+	scal    *Value // a dummy's cell is the caller's
+	arr     *Array
+	konst   Value // valid when isConst
+	isConst bool
+}
+
+// actual is one evaluated actual argument of a user call: the caller's
+// scalar cell (or a temporary), or an array view.
+type actual struct {
+	scal *Value
+	arr  *Array
 }
 
 // machine executes one rank's program.
@@ -123,19 +144,26 @@ func CoerceDecl(b ftn.BaseType, v Value) Value { return coerceDecl(b, v) }
 // the compiled engine's scalar stores go through the same conversion).
 func CoerceStore(old, v Value) Value { return coerceStore(old, v) }
 
-// newFrame builds and initializes an activation for unit. For subroutines,
-// bindScal/bindArr carry the dummy-argument bindings established by the
-// caller (scalar aliases and array views).
-func (m *machine) newFrame(unit *ftn.Unit, bindScal map[string]*Value, bindArr map[string]*Array) (*frame, error) {
-	fr := &frame{
-		unit:         unit,
-		scal:         map[string]*Value{},
-		arr:          map[string]*Array{},
-		consts:       map[string]Value{},
-		implicitNone: unit.ImplicitNone,
+// newFrame builds and initializes an activation of the unit us names. For
+// subroutines, args carry the dummy-argument bindings established by the
+// caller (scalar aliases and array views), by dummy position.
+func (m *machine) newFrame(us *unitSyms, args []actual) (*frame, error) {
+	unit := us.unit
+	fr := &frame{syms: us, b: make([]binding, len(us.info))}
+	for i, a := range args {
+		if a.scal != nil {
+			fr.b[us.params[i]].scal = a.scal
+		}
 	}
-	for n, v := range bindScal {
-		fr.scal[n] = v
+	// A dummy's array stays out of the frame until its declaration (or the
+	// end of setup) binds it, so bounds and initializers cannot see it early.
+	dummyArr := func(slot int) *Array {
+		for i := len(args) - 1; i >= 0; i-- {
+			if us.params[i] == slot && args[i].arr != nil {
+				return args[i].arr
+			}
+		}
+		return nil
 	}
 	// Pass 1: named constants (may reference each other in order).
 	for _, d := range unit.Decls {
@@ -150,7 +178,8 @@ func (m *machine) newFrame(unit *ftn.Unit, bindScal map[string]*Value, bindArr m
 			if err != nil {
 				return nil, err
 			}
-			fr.consts[e.Name] = coerceDecl(d.Type.Base, v)
+			b := &fr.b[us.slot[e.Name]]
+			b.konst, b.isConst = coerceDecl(d.Type.Base, v), true
 		}
 	}
 	// Pass 2: variables and arrays.
@@ -160,10 +189,12 @@ func (m *machine) newFrame(unit *ftn.Unit, bindScal map[string]*Value, bindArr m
 		}
 		kind := kindOf(d.Type.Base)
 		for _, e := range d.Entities {
+			slot := us.slot[e.Name]
+			b := &fr.b[slot]
 			dims := d.DimsOf(e)
 			if len(dims) == 0 {
 				// Scalar: keep an existing binding (dummy), else allocate.
-				if _, ok := fr.scal[e.Name]; ok {
+				if b.scal != nil {
 					continue
 				}
 				v := zeroOf(kind)
@@ -174,7 +205,7 @@ func (m *machine) newFrame(unit *ftn.Unit, bindScal map[string]*Value, bindArr m
 					}
 					v = coerceDecl(d.Type.Base, iv)
 				}
-				fr.scal[e.Name] = &v
+				b.scal = &v
 				continue
 			}
 			// Array: evaluate bounds in this frame.
@@ -182,26 +213,26 @@ func (m *machine) newFrame(unit *ftn.Unit, bindScal map[string]*Value, bindArr m
 			if err != nil {
 				return nil, err
 			}
-			if backing, ok := bindArr[e.Name]; ok {
+			if backing := dummyArr(slot); backing != nil {
 				view, err := View(e.Name, backing, 0, bounds)
 				if err != nil {
 					return nil, rte(d.Pos(), "%v", err)
 				}
-				fr.arr[e.Name] = view
+				b.arr = view
 				continue
 			}
 			a, err := NewArray(e.Name, kind, bounds)
 			if err != nil {
 				return nil, rte(d.Pos(), "%v", err)
 			}
-			fr.arr[e.Name] = a
+			b.arr = a
 		}
 	}
 	// Dummy arrays without a matching declaration are used as declared by
 	// the caller (rare; treat the caller's view as-is).
-	for n, a := range bindArr {
-		if _, ok := fr.arr[n]; !ok {
-			fr.arr[n] = a
+	for i := range args {
+		if b := &fr.b[us.params[i]]; b.arr == nil {
+			b.arr = dummyArr(us.params[i])
 		}
 	}
 	return fr, nil
@@ -265,24 +296,26 @@ func (m *machine) evalDims(fr *frame, dims []ftn.Dim) ([]DimBound, error) {
 	return out, nil
 }
 
-// lookupScalar finds or (under implicit typing) creates a scalar.
-func (m *machine) lookupScalar(fr *frame, name string, pos ftn.Pos) (*Value, error) {
-	if v, ok := fr.scal[name]; ok {
-		return v, nil
+// lookupScalar finds or (under implicit typing) creates the scalar cell of
+// the name numbered slot.
+func (m *machine) lookupScalar(fr *frame, slot int, pos ftn.Pos) (*Value, error) {
+	b := &fr.b[slot]
+	if b.scal != nil {
+		return b.scal, nil
 	}
-	if _, ok := fr.consts[name]; ok {
-		return nil, rte(pos, "cannot assign to named constant %s", name)
+	if b.isConst {
+		return nil, rte(pos, "cannot assign to named constant %s", fr.name(slot))
 	}
-	if fr.implicitNone {
-		return nil, rte(pos, "undeclared variable %s under implicit none", name)
+	if fr.implicitNone() {
+		return nil, rte(pos, "undeclared variable %s under implicit none", fr.name(slot))
 	}
 	var v Value
-	if name[0] >= 'i' && name[0] <= 'n' {
+	if name := fr.name(slot); name[0] >= 'i' && name[0] <= 'n' {
 		v = IntVal(0)
 	} else {
 		v = RealVal(0)
 	}
-	fr.scal[name] = &v
+	b.scal = &v
 	return &v, nil
 }
 
@@ -313,7 +346,7 @@ func (m *machine) execStmt(fr *frame, s ftn.Stmt) error {
 		if cond.Kind != KBool {
 			return rte(s.Pos(), "IF condition is not logical")
 		}
-		if cond.B {
+		if cond.B() {
 			return m.execStmts(fr, s.Then)
 		}
 		return m.execStmts(fr, s.Else)
@@ -354,7 +387,7 @@ func (m *machine) execAssign(fr *frame, s *ftn.AssignStmt) error {
 func (m *machine) store(fr *frame, lhs ftn.Expr, v Value) error {
 	switch lhs := lhs.(type) {
 	case *ftn.Ident:
-		p, err := m.lookupScalar(fr, lhs.Name, lhs.Pos())
+		p, err := m.lookupScalar(fr, lhs.Slot, lhs.Pos())
 		if err != nil {
 			return err
 		}
@@ -362,12 +395,13 @@ func (m *machine) store(fr *frame, lhs ftn.Expr, v Value) error {
 		*p = coerceStore(*p, v)
 		return nil
 	case *ftn.Ref:
-		a, ok := fr.arr[lhs.Name]
-		if !ok {
+		a := fr.b[lhs.Slot].arr
+		if a == nil {
 			return rte(lhs.Pos(), "assignment to %s, which is not an array", lhs.Name)
 		}
-		subs, err := m.evalSubs(fr, lhs.Args)
-		if err != nil {
+		var buf [3]int64
+		subs := subsFor(&buf, len(lhs.Args))
+		if err := m.evalSubs(fr, lhs.Args, subs); err != nil {
 			return err
 		}
 		m.charge(m.costs.Store)
@@ -399,16 +433,26 @@ func coerceStore(old, v Value) Value {
 	return v
 }
 
-func (m *machine) evalSubs(fr *frame, args []ftn.Expr) ([]int64, error) {
-	subs := make([]int64, len(args))
+// subsFor returns room for n subscripts: buf (the caller's stack array, so
+// rank ≤ 3 allocates nothing) or a fresh slice when n exceeds it. Array.Get,
+// Set and Linear do not retain the slice.
+func subsFor(buf *[3]int64, n int) []int64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int64, n)
+}
+
+// evalSubs evaluates a subscript list into subs.
+func (m *machine) evalSubs(fr *frame, args []ftn.Expr, subs []int64) error {
 	for i, a := range args {
 		v, err := m.evalExpr(fr, a)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		subs[i] = v.AsInt()
 	}
-	return subs, nil
+	return nil
 }
 
 func (m *machine) execDo(fr *frame, s *ftn.DoStmt) error {
@@ -437,7 +481,7 @@ func (m *machine) execDo(fr *frame, s *ftn.DoStmt) error {
 	if trips < 0 {
 		trips = 0
 	}
-	vp, err := m.lookupScalar(fr, s.Var, s.Pos())
+	vp, err := m.lookupScalar(fr, s.Slot, s.Pos())
 	if err != nil {
 		return err
 	}

@@ -120,6 +120,16 @@ func (b *MPI) note(err error) {
 	}
 }
 
+// unwaited reports whether the rank posted a request it never waited on.
+func (b *MPI) unwaited() bool {
+	for _, req := range b.reqs {
+		if req != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // failed surfaces a recorded callback failure at call s.
 func (b *MPI) failed(s *ftn.CallStmt) error {
 	if b.cbErr != nil {
@@ -313,11 +323,11 @@ func (m *machine) Store(i int, v Value) error { return m.store(m.callFr, m.callS
 func (m *machine) Buffer(i int) (*Array, []int64, error) {
 	switch e := m.callStmt.Args[i].(type) {
 	case *ftn.Ident:
-		return m.callFr.arr[e.Name], nil, nil
+		return m.callFr.b[e.Slot].arr, nil, nil
 	case *ftn.Ref:
-		if a := m.callFr.arr[e.Name]; a != nil {
-			subs, err := m.evalSubs(m.callFr, e.Args)
-			return a, subs, err
+		if a := m.callFr.b[e.Slot].arr; a != nil {
+			subs := make([]int64, len(e.Args))
+			return a, subs, m.evalSubs(m.callFr, e.Args, subs)
 		}
 	}
 	return nil, nil, nil
@@ -325,34 +335,33 @@ func (m *machine) Buffer(i int) (*Array, []int64, error) {
 
 // callUser invokes a user subroutine with Fortran reference semantics.
 func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
-	sub := m.prog.File.Subroutine(s.Name)
+	sub := m.prog.subroutine(s.Name)
 	if sub == nil {
 		return rte(s.Pos(), "unknown subroutine %s", s.Name)
 	}
-	if len(s.Args) != len(sub.Params) {
-		return rte(s.Pos(), "call to %s with %d args, wants %d", s.Name, len(s.Args), len(sub.Params))
+	if len(s.Args) != len(sub.params) {
+		return rte(s.Pos(), "call to %s with %d args, wants %d", s.Name, len(s.Args), len(sub.params))
 	}
 	m.charge(m.costs.CallOver)
-	bindScal := map[string]*Value{}
-	bindArr := map[string]*Array{}
+	args := make([]actual, len(s.Args))
 	for i, arg := range s.Args {
-		dummy := sub.Params[i]
 		switch a := arg.(type) {
 		case *ftn.Ident:
-			if arr, ok := fr.arr[a.Name]; ok {
-				bindArr[dummy] = arr
+			if arr := fr.b[a.Slot].arr; arr != nil {
+				args[i].arr = arr
 				continue
 			}
-			p, err := m.lookupScalar(fr, a.Name, a.Pos())
+			p, err := m.lookupScalar(fr, a.Slot, a.Pos())
 			if err != nil {
 				return err
 			}
-			bindScal[dummy] = p // alias: writes are visible to the caller
+			args[i].scal = p // alias: writes are visible to the caller
 			continue
 		case *ftn.Ref:
-			if arr, ok := fr.arr[a.Name]; ok {
-				subs, err := m.evalSubs(fr, a.Args)
-				if err != nil {
+			if arr := fr.b[a.Slot].arr; arr != nil {
+				var buf [3]int64
+				subs := subsFor(&buf, len(a.Args))
+				if err := m.evalSubs(fr, a.Args, subs); err != nil {
 					return err
 				}
 				off, err := arr.Linear(subs)
@@ -362,11 +371,11 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 				// Sequence association: the callee's dummy views the
 				// caller's storage from this element on; the callee's own
 				// declaration re-shapes it in newFrame.
-				view, err := View(dummy, arr, off, []DimBound{{Lo: 1, Assumed: true}})
+				view, err := View(sub.unit.Params[i], arr, off, []DimBound{{Lo: 1, Assumed: true}})
 				if err != nil {
 					return rte(a.Pos(), "%v", err)
 				}
-				bindArr[dummy] = view
+				args[i].arr = view
 				continue
 			}
 		}
@@ -375,13 +384,13 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 		if err != nil {
 			return err
 		}
-		bindScal[dummy] = &v
+		args[i].scal = &v
 	}
-	nfr, err := m.newFrame(sub, bindScal, bindArr)
+	nfr, err := m.newFrame(sub, args)
 	if err != nil {
 		return err
 	}
-	err = m.execStmts(nfr, sub.Body)
+	err = m.execStmts(nfr, sub.unit.Body)
 	if err == errReturn {
 		err = nil
 	}

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -216,6 +218,59 @@ end program wa
 		}
 		if got := res.Output[1][0]; got != "1 4 0 0" {
 			t.Errorf("%s rank 1: %q, want %q", prof, got, "1 4 0 0")
+		}
+	}
+}
+
+// TestFinalArraysIgnoreLateTransfers: a rank's final arrays are its arrays
+// when it ended. Results alias the array storage instead of copying it, but
+// not for a rank with a request still outstanding — a transfer completing
+// after the rank's end must not show in its result.
+func TestFinalArraysIgnoreLateTransfers(t *testing.T) {
+	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
+		src, err := os.ReadFile(filepath.Join("testdata", "late_receive.f90"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := runOn(t, string(src), 2, prof)
+		a := res.Arrays[0]["a"].([]int64)
+		for i, v := range a {
+			if v != 0 {
+				t.Errorf("%s: rank 0 a(%d) = %d: a transfer that completed after the rank ended shows in its final array", prof.Name, i+1, v)
+			}
+		}
+		if b := res.Arrays[1]["b"].([]int64); b[3] != 44 {
+			t.Errorf("%s: rank 1 b = %v", prof.Name, b)
+		}
+	}
+}
+
+// TestDataAliasesSnapshotCopies pins the two ways a result takes an array.
+func TestDataAliasesSnapshotCopies(t *testing.T) {
+	for _, kind := range []Kind{KInt, KReal, KBool} {
+		backing, err := NewArray("m", kind, []DimBound{{Lo: 1, Hi: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := View("v", backing, 2, []DimBound{{Lo: 0, Hi: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, snap := a.Data(), a.Snapshot()
+		one := IntVal(1)
+		if kind == KBool {
+			one = BoolVal(true)
+		}
+		a.RawSet(1, one)
+		switch d := data.(type) {
+		case []int64:
+			if len(d) != 3 || cap(d) != 3 || d[1] != 1 || snap.([]int64)[1] != 0 {
+				t.Errorf("%s: data %v (cap %d), snapshot %v after a store", kind, d, cap(d), snap)
+			}
+		case []float64:
+			if len(d) != 3 || cap(d) != 3 || d[1] != 1 || snap.([]float64)[1] != 0 {
+				t.Errorf("%s: data %v (cap %d), snapshot %v after a store", kind, d, cap(d), snap)
+			}
 		}
 	}
 }

@@ -13,23 +13,39 @@ import (
 type Program struct {
 	File  *ftn.File
 	Costs CostModel
+	main  *unitSyms   // the program unit's name table
+	subs  []*unitSyms // the subroutines', in file order
 }
 
-// Load parses src into a runnable program with default costs.
+// Load parses src into a runnable program with default costs. The parsed
+// file is the Program's own (nothing else holds it), so Load resolves every
+// name to its slot here, once, by annotating the tree; all ranks of all runs
+// then only read it.
 func Load(src string) (*Program, error) {
 	f, err := ftn.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return LoadFile(f)
-}
-
-// LoadFile wraps an already-parsed file.
-func LoadFile(f *ftn.File) (*Program, error) {
 	if f.Program() == nil {
 		return nil, fmt.Errorf("interp: no program unit")
 	}
-	return &Program{File: f, Costs: DefaultCosts()}, nil
+	p := &Program{File: f, Costs: DefaultCosts(), main: resolve(f.Program())}
+	for _, u := range f.Units {
+		if u.Kind == ftn.SubroutineUnit {
+			p.subs = append(p.subs, resolve(u))
+		}
+	}
+	return p, nil
+}
+
+// subroutine returns the first subroutine of that name, or nil.
+func (p *Program) subroutine(name string) *unitSyms {
+	for _, us := range p.subs {
+		if us.unit.Name == name {
+			return us
+		}
+	}
+	return nil
 }
 
 // Result is the outcome of one simulated run.
@@ -85,9 +101,9 @@ type RankState interface {
 	RunMain() error
 	// Output returns the PRINT lines so far.
 	Output() []string
-	// MainArrays snapshots the main unit's arrays by name; nil when the
-	// main frame never initialized.
-	MainArrays() map[string]interface{}
+	// MainArrays returns the arrays the main unit holds (each under its own
+	// Name); nil when the main frame never initialized.
+	MainArrays() []*Array
 }
 
 // RunRanks is the rank harness under every engine: it fans newState out
@@ -108,7 +124,22 @@ func RunRanks(np int, prof netsim.Profile, newState func(b *MPI) RankState) (*Re
 		st := newState(b)
 		res.Errors[r.Me()] = runGuarded(st)
 		res.Output[r.Me()] = st.Output()
-		res.Arrays[r.Me()] = st.MainArrays()
+		if arrs := st.MainArrays(); arrs != nil {
+			// The rank is done with its arrays, so the result takes them as
+			// they are — unless a transfer it never waited on could still
+			// land in one after this point: then the result is a copy taken
+			// now, which that late write must not show in.
+			late := b.unwaited()
+			snap := make(map[string]interface{}, len(arrs))
+			for _, a := range arrs {
+				if late {
+					snap[a.Name] = a.Snapshot()
+				} else {
+					snap[a.Name] = a.Data()
+				}
+			}
+			res.Arrays[r.Me()] = snap
+		}
 	})
 	// A payload callback can fail after its rank's last MPI call (a
 	// transfer the program never waited on).
@@ -149,13 +180,16 @@ func runGuarded(st RankState) (err error) {
 
 // RunMain implements RankState.
 func (m *machine) RunMain() error {
-	unit := m.prog.File.Program()
-	fr, err := m.newFrame(unit, nil, nil)
+	us := m.prog.main
+	if us == nil {
+		return fmt.Errorf("interp: program was not built by Load")
+	}
+	fr, err := m.newFrame(us, nil)
 	if err != nil {
 		return err
 	}
 	m.main = fr
-	err = m.execStmts(fr, unit.Body)
+	err = m.execStmts(fr, us.unit.Body)
 	if err == errStop || err == errReturn {
 		err = nil
 	}
@@ -166,15 +200,17 @@ func (m *machine) RunMain() error {
 func (m *machine) Output() []string { return m.out }
 
 // MainArrays implements RankState.
-func (m *machine) MainArrays() map[string]interface{} {
+func (m *machine) MainArrays() []*Array {
 	if m.main == nil {
 		return nil
 	}
-	snap := map[string]interface{}{}
-	for name, a := range m.main.arr {
-		snap[name] = a.Snapshot()
+	arrs := []*Array{}
+	for i := range m.main.b {
+		if a := m.main.b[i].arr; a != nil {
+			arrs = append(arrs, a)
+		}
 	}
-	return snap
+	return arrs
 }
 
 // SameOutput reports whether two results printed identical lines and hold

@@ -5,6 +5,25 @@
 // harness of the reproduction: original and transformed programs run under
 // identical conditions and their outputs and final array states can be
 // compared exactly.
+//
+// The engine is a plain tree-walker — one switch over statements, one over
+// expressions — kept deliberately simple because it is the oracle the faster
+// tiers in internal/exec are proven against. Two things keep it affordable
+// as an oracle without changing that shape:
+//
+//   - Value is a payload word, a one-byte kind and a pointer to character
+//     data (24 bytes). Integers are the word itself, reals their IEEE bits,
+//     logicals 0/1, so every evalExpr returns in registers and the kinds the
+//     corpus computes with never touch the pointer.
+//   - Names are resolved once, by Load. The parsed file belongs to the
+//     Program alone, so Load numbers each unit's names and writes the slot on
+//     every Ident, Ref and DoStmt; a frame is one []binding indexed by slot.
+//     Declared names are bound when the frame is built, an undeclared one on
+//     first touch (implicit typing) or not at all (implicit none), in the
+//     check order consts → scalars → MPI constants → arrays → implicit.
+//     Resolution has to happen at Load and not lazily on first evaluation:
+//     every rank of a run walks the same tree from its own goroutine, so the
+//     tree must be read-only by the time the first rank starts.
 package interp
 
 import (
@@ -14,7 +33,7 @@ import (
 )
 
 // Kind is a runtime value kind.
-type Kind int
+type Kind uint8
 
 // Value kinds.
 const (
@@ -39,41 +58,72 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Value is a compact tagged scalar.
+// Value is a compact tagged scalar: one payload word, the character data (if
+// any) behind a pointer, and a one-byte kind — 24 bytes, so a Value travels
+// in registers through every evalExpr return. The zero Value is integer 0.
 type Value struct {
-	Kind Kind
+	// I is the payload word: the integer itself, a real's IEEE-754 bits, a
+	// logical's 0/1. Read it directly only under Kind == KInt; R, B and S
+	// (and AsInt/AsReal) decode the other kinds.
 	I    int64
-	R    float64
-	B    bool
-	S    string
+	s    *string
+	Kind Kind
 }
 
 // IntVal builds an integer value.
-func IntVal(i int64) Value { return Value{Kind: KInt, I: i} }
+func IntVal(i int64) Value { return Value{I: i} }
 
 // RealVal builds a real value.
-func RealVal(r float64) Value { return Value{Kind: KReal, R: r} }
+func RealVal(r float64) Value { return Value{Kind: KReal, I: int64(math.Float64bits(r))} }
 
 // BoolVal builds a logical value.
-func BoolVal(b bool) Value { return Value{Kind: KBool, B: b} }
+func BoolVal(b bool) Value {
+	if b {
+		return Value{Kind: KBool, I: 1}
+	}
+	return Value{Kind: KBool}
+}
 
 // StrVal builds a character value.
-func StrVal(s string) Value { return Value{Kind: KStr, S: s} }
+func StrVal(s string) Value { return Value{Kind: KStr, s: &s} }
 
-// AsReal converts to float64 (integer widens).
+// R is the real a KReal value holds (its exact bits), 0 for any other kind.
+func (v Value) R() float64 {
+	if v.Kind != KReal {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
+
+// B is the logical a KBool value holds, false for any other kind.
+func (v Value) B() bool { return v.Kind == KBool && v.I != 0 }
+
+// S is the text a KStr value holds, "" for any other kind.
+func (v Value) S() string {
+	if v.Kind != KStr || v.s == nil {
+		return ""
+	}
+	return *v.s
+}
+
+// AsReal converts to float64 (integer widens; logical and character read 0).
 func (v Value) AsReal() float64 {
 	if v.Kind == KInt {
 		return float64(v.I)
 	}
-	return v.R
+	return v.R()
 }
 
-// AsInt converts to int64 (real truncates toward zero, as Fortran INT does).
+// AsInt converts to int64 (real truncates toward zero, as Fortran INT does;
+// logical and character read 0).
 func (v Value) AsInt() int64 {
-	if v.Kind == KReal {
-		return int64(v.R)
+	switch v.Kind {
+	case KInt:
+		return v.I
+	case KReal:
+		return int64(v.R())
 	}
-	return v.I
+	return 0
 }
 
 // Format renders the value the way our PRINT statement does.
@@ -82,14 +132,14 @@ func (v Value) Format() string {
 	case KInt:
 		return fmt.Sprintf("%d", v.I)
 	case KReal:
-		return trimFloat(v.R)
+		return trimFloat(v.R())
 	case KBool:
-		if v.B {
+		if v.B() {
 			return "T"
 		}
 		return "F"
 	case KStr:
-		return v.S
+		return v.S()
 	}
 	return "?"
 }
@@ -150,17 +200,17 @@ func compare(op string, a, b Value) (Value, error) {
 	if a.Kind == KStr && b.Kind == KStr {
 		switch op {
 		case "==":
-			return BoolVal(a.S == b.S), nil
+			return BoolVal(a.S() == b.S()), nil
 		case "/=":
-			return BoolVal(a.S != b.S), nil
+			return BoolVal(a.S() != b.S()), nil
 		case "<":
-			return BoolVal(a.S < b.S), nil
+			return BoolVal(a.S() < b.S()), nil
 		case "<=":
-			return BoolVal(a.S <= b.S), nil
+			return BoolVal(a.S() <= b.S()), nil
 		case ">":
-			return BoolVal(a.S > b.S), nil
+			return BoolVal(a.S() > b.S()), nil
 		case ">=":
-			return BoolVal(a.S >= b.S), nil
+			return BoolVal(a.S() >= b.S()), nil
 		}
 	}
 	if a.Kind == KInt && b.Kind == KInt {
