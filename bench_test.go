@@ -221,8 +221,8 @@ func BenchmarkVerifyVariant(b *testing.B) {
 	})
 }
 
-// BenchmarkCompile measures the compile step itself (parse + closure
-// lowering) — the cost the variant cache amortizes to one per variant.
+// BenchmarkCompile measures the compile step itself (parse + name
+// resolution) — paid once per variant, like the lowering below.
 func BenchmarkCompile(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
 	b.ReportAllocs()
@@ -233,10 +233,10 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkBytecodeCompile measures the bytecode lowering on top of a
-// fresh closure compile — the one-time cost the bytecode tier adds per
-// variant before its cached register program replays for free. Compare
-// against BenchmarkCompile for the lowering's marginal cost.
+// BenchmarkBytecodeCompile measures a fresh compile plus the lowering of
+// every unit to bytecode — the whole one-time cost of a variant before its
+// cached register program replays for free. Compare against
+// BenchmarkCompile for the lowering's share.
 func BenchmarkBytecodeCompile(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
 	b.ReportAllocs()

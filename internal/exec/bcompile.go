@@ -1,8 +1,10 @@
-// Lowering from the compiled unit's AST + symbol table to bytecode. The
-// lowering never fails: anything it cannot model natively falls back to the
-// closure tier (bEval/bStmt instructions invoking the closure program's
-// pre-resolved closures), so every program lowers and the result is
-// bit-identical to the walk oracle on every path.
+// Lowering from a unit's AST + symbol table to bytecode. The lowering is
+// total and never fails: every unit, statement and expression of a program
+// without character values has a native form, and whatever the walker would
+// reject at run time lowers to an instruction raising the same positioned
+// error, so the result is bit-identical to the walk oracle on every path. (A
+// program that can create a character value never gets here: CompileSource
+// marks it not lowered and RunBytecode runs the walker on its source.)
 //
 // Compile-time work:
 //   - constant folding: parameter constants, MPI named constants, and any
@@ -25,10 +27,7 @@
 //     straight from the loop's value register;
 //   - charge merging: an integer division or mod whose divisor folds to a
 //     non-zero constant cannot raise, so it no longer splits the block's
-//     charge vector;
-//   - string exclusion: registers hold no character values, so any
-//     expression a character value can reach is evaluated by the closure
-//     tier as a whole (bEval) or takes its statement with it (bStmt).
+//     charge vector.
 package exec
 
 import (
@@ -42,13 +41,22 @@ import (
 // kUnknown marks a statically-unknown runtime kind.
 const kUnknown interp.Kind = 0xff
 
-// Bytecode returns the lazily-lowered bytecode form of the program's main
-// unit. Lowering never fails and runs at most once per Program.
+// Bytecode lowers every unit of the program, at most once per Program, and
+// returns the main unit's form — nil for a program that is not lowered.
 func (p *Program) Bytecode() *bprog {
+	if p.routed != "" {
+		return nil
+	}
 	p.bcOnce.Do(func() {
-		p.bc = lowerMain(p)
+		vecMap := map[chargeVec]int32{}
+		lowerUnit(p, p.main, vecMap)
+		for _, u := range p.subs {
+			lowerUnit(p, u, vecMap)
+			p.nreg = max(p.nreg, u.bp.nreg)
+		}
+		p.nreg += p.main.bp.nreg
 	})
-	return p.bc
+	return p.main.bp
 }
 
 // arrGeo is the static shape knowledge for one array slot.
@@ -75,18 +83,25 @@ type rv struct {
 type loopFrame struct {
 	exitPatches []int32 // bJmp pcs needing endPC
 	contPatches []int32 // bJmp pcs needing contPC
-	stmtPatches []int32 // bStmt pcs needing (contPC, endPC)
+	callPatches []int32 // bCall pcs needing (contPC, endPC)
 }
 
 // bc is the lowering state for one unit.
 type bc struct {
+	p  *Program
 	c  *comp
 	bp *bprog
 
 	nreg      int32
 	constRegs map[reg]int32
-	vecMap    map[[5]int64]int32
-	pending   [5]int64
+	vecMap    map[chargeVec]int32 // program-wide: index into p.vecs
+	pending   chargeVec
+
+	// setup is set while the unit's frame setup is lowered: no cell and no
+	// array is known to exist yet, a named constant is visible only once
+	// its own initializer has been lowered, and every name resolves at run
+	// time.
+	setup bool
 
 	// avail maps a scalar name to the register holding its cell's current
 	// value, valid to the end of the basic block being lowered; loopRegs
@@ -101,8 +116,8 @@ type bc struct {
 	kills     map[string]bool         // scalar names stored anywhere in the unit
 	poisoned  map[string]bool         // names whose cell kind may change at runtime
 	declScal  map[string]interp.Kind  // first non-param scalar decl kind
-	strNames  map[string]bool         // names whose value may be a character string
 	isParam   map[string]bool
+	early     map[string]bool // names setup reads by name: the read may create the cell
 	cellSet   map[string]bool // cell guaranteed to exist when the body runs
 	scalK     map[string]interp.Kind
 	arrInfo   map[string]*arrGeo
@@ -116,19 +131,18 @@ type bc struct {
 	scan   stripScan
 }
 
-// lowerMain lowers the main unit's body. Frame setup stays on the closure
-// tier (it runs once per activation); the body — where all repeated work
-// lives — becomes bytecode.
-func lowerMain(p *Program) *bprog {
-	c := p.main.cm
+// lowerUnit lowers one unit in the walker's order: named constants, then
+// scalar and array declarations, then the body.
+func lowerUnit(p *Program, u *unit, vecMap map[chargeVec]int32) {
+	c := u.cm
 	b := &bc{
+		p:         p,
 		c:         c,
-		bp:        &bprog{errAt: map[int32]error{}},
+		bp:        &bprog{errAt: map[int32]error{}, implicitNone: c.implicitNone},
 		constRegs: map[reg]int32{},
-		vecMap:    map[[5]int64]int32{},
+		vecMap:    vecMap,
 		avail:     map[string]int32{},
 		loopRegs:  map[string]int32{},
-		strNames:  map[string]bool{},
 		foldConst: map[string]interp.Value{},
 		mpiName:   map[string]bool{},
 		mpiSetup:  map[string]bool{},
@@ -136,25 +150,36 @@ func lowerMain(p *Program) *bprog {
 		poisoned:  map[string]bool{},
 		declScal:  map[string]interp.Kind{},
 		isParam:   map[string]bool{},
+		early:     map[string]bool{},
 		cellSet:   map[string]bool{},
 		scalK:     map[string]interp.Kind{},
 		arrInfo:   map[string]*arrGeo{},
 		intConsts: map[string]int64{},
 		facts:     map[string]factRange{},
 	}
-	b.analyze()
+	u.bp = b.bp
+	b.setup = true
+	b.scanNames()
+	b.lowerConsts()
+	b.lowerDecls()
+	b.flush()
+	b.scanShapes()
+	b.setup = false
+	b.bp.body = int(b.here())
 	for _, st := range c.u.Body {
 		b.stmt(st)
 	}
 	b.flush()
 	b.bp.nreg = int(b.nreg)
 	b.planStrips()
-	return b.bp
 }
 
 // --- static analysis ---
 
-func (b *bc) analyze() {
+// scanNames gathers what the unit's names allow before anything is lowered:
+// which cells are ever stored, which declarations fix a cell's kind, which
+// MPI constants can never be shadowed.
+func (b *bc) scanNames() {
 	u := b.c.u
 	for _, p := range u.Params {
 		b.isParam[p] = true
@@ -166,28 +191,17 @@ func (b *bc) analyze() {
 		}
 	})
 
-	// Declared-name facts: first non-param scalar decl fixes the cell kind
-	// (later decls keep the existing cell); last non-param array decl fixes
-	// the geometry (later decls replace the allocation).
+	// The first non-param scalar decl fixes the cell kind (later decls keep
+	// the existing cell).
 	hasDeclEntity := map[string]bool{}
 	for _, d := range u.Decls {
 		for _, e := range d.Entities {
 			hasDeclEntity[e.Name] = true
-			if d.Parameter {
+			if d.Parameter || len(d.DimsOf(e)) > 0 {
 				continue
 			}
-			if len(d.DimsOf(e)) > 0 {
-				continue // array geometry resolved below, decl-order last-wins
-			}
-			if _, seen := b.declScal[e.Name]; seen {
-				continue
-			}
-			k := declKind(d.Type.Base, e.Init)
-			b.declScal[e.Name] = k
-			if k == kUnknown {
-				// A character cell, or a logical one whose initializer is
-				// stored unconverted: either can hold a string.
-				b.strNames[e.Name] = true
+			if _, seen := b.declScal[e.Name]; !seen {
+				b.declScal[e.Name] = declKind(d.Type.Base, e.Init)
 			}
 		}
 	}
@@ -204,12 +218,17 @@ func (b *bc) analyze() {
 			b.intConsts[s.name] = s.mpi
 		}
 	}
+}
 
-	// Parameter constants fold in declaration order; a forward reference
-	// (which the walker resolves to an implicit zero mid-setup) marks the
-	// constant unfoldable rather than guessing.
+// lowerConsts lowers pass 1 of frame setup — the named constants'
+// initializers, in declaration order — and folds the ones it can as it
+// goes, so an initializer sees exactly the constants the walker's frame
+// holds at that point: a forward reference (which the walker resolves to an
+// implicit zero mid-setup) marks the constant unfoldable rather than
+// guessing.
+func (b *bc) lowerConsts() {
 	unfoldable := map[string]bool{}
-	for _, d := range u.Decls {
+	for _, d := range b.c.u.Decls {
 		if !d.Parameter {
 			continue
 		}
@@ -217,50 +236,54 @@ func (b *bc) analyze() {
 			if e.Init == nil {
 				continue
 			}
-			v, ok := b.foldSetup(e.Init)
-			if !ok || unfoldable[e.Name] {
+			v := b.expr(e.Init)
+			b.emit(bSetConst, int32(b.c.syms[e.Name].cslot), v.reg, int32(d.Type.Base))
+			if !v.konst || unfoldable[e.Name] {
 				delete(b.foldConst, e.Name)
 				unfoldable[e.Name] = true
-				if k := interp.KindOf(d.Type.Base); k != interp.KInt && k != interp.KReal {
-					b.strNames[e.Name] = true // run-time value of any kind
-				}
 				continue
 			}
-			b.foldConst[e.Name] = interp.CoerceDecl(d.Type.Base, v)
+			b.foldConst[e.Name] = interp.CoerceDecl(d.Type.Base, b.bp.regInit[v.reg].value())
 		}
 	}
 	for n, v := range b.foldConst {
-		switch v.Kind {
-		case interp.KInt:
+		if v.Kind == interp.KInt {
 			b.intConsts[n] = v.I
-		case interp.KStr:
-			b.strNames[n] = true
 		}
 	}
+}
 
-	// Array geometry: non-dummy names with at least one non-param array
-	// decl are non-nil after setup; statically-foldable dims give BCE
-	// geometry (column-major strides, exactly NewArray's layout).
+// scanShapes settles, with setup lowered and every constant folded, what the
+// body may assume once setup has run: array geometry, which cells exist, and
+// their kinds.
+func (b *bc) scanShapes() {
+	u := b.c.u
+	// Array geometry: a name with a non-param array decl is non-nil after
+	// setup (the last decl's allocation wins, a dummy's is a view of the
+	// caller's backing of unknown kind and shape); statically-foldable dims
+	// of a local give BCE geometry (column-major strides, exactly
+	// NewArray's layout).
 	for _, d := range u.Decls {
 		if d.Parameter {
 			continue
 		}
 		for _, e := range d.Entities {
 			dims := d.DimsOf(e)
-			if len(dims) == 0 || b.isParam[e.Name] {
+			if len(dims) == 0 {
 				continue
 			}
-			s := b.c.syms[e.Name]
-			if s == nil || s.aslot < 0 {
+			g := &arrGeo{aslot: int32(b.c.syms[e.Name].aslot), kind: kUnknown}
+			b.arrInfo[e.Name] = g // last decl wins
+			if b.isParam[e.Name] {
 				continue
 			}
-			g := &arrGeo{aslot: int32(s.aslot), kind: storageKind(d.Type.Base)}
+			g.kind = storageKind(d.Type.Base)
 			static := true
 			stride := int64(1)
 			for _, dim := range dims {
 				lo := int64(1)
 				if dim.Lo != nil {
-					v, ok := b.foldSetup(dim.Lo)
+					v, _, ok := b.fold(dim.Lo)
 					if !ok {
 						static = false
 						break
@@ -271,7 +294,7 @@ func (b *bc) analyze() {
 					static = false // assumed-size: setup errors anyway
 					break
 				}
-				hv, ok := b.foldSetup(dim.Hi)
+				hv, _, ok := b.fold(dim.Hi)
 				if !ok {
 					static = false
 					break
@@ -289,7 +312,6 @@ func (b *bc) analyze() {
 			if !static {
 				g.lo, g.hi, g.stride = nil, nil, nil
 			}
-			b.arrInfo[e.Name] = g // last decl wins
 		}
 	}
 
@@ -300,8 +322,11 @@ func (b *bc) analyze() {
 		name := s.name
 		if k, ok := b.declScal[name]; ok {
 			b.cellSet[name] = true
-			if b.isParam[name] {
-				k = kUnknown // dummy: the caller's cell, any kind
+			if b.isParam[name] || b.early[name] {
+				// A dummy's cell is the caller's, of any kind; a cell an
+				// initializer's forward reference created before the
+				// declaration ran has its implicit type, and is kept.
+				k = kUnknown
 			}
 			b.scalK[name] = k
 			continue
@@ -322,7 +347,51 @@ func (b *bc) analyze() {
 	}
 }
 
-// declKind is the runtime kind of a cell created by scalarDeclStep:
+// lowerDecls lowers pass 2 of frame setup: scalar and array declarations in
+// order. A cell that already exists (a dummy's, an earlier declaration's, one
+// an earlier initializer's forward reference created) is kept and its
+// initializer not evaluated.
+func (b *bc) lowerDecls() {
+	for _, d := range b.c.u.Decls {
+		if d.Parameter {
+			continue
+		}
+		base := int32(d.Type.Base)
+		for _, e := range d.Entities {
+			s := b.c.syms[e.Name]
+			dims := d.DimsOf(e)
+			switch {
+			case len(dims) == 0 && e.Init == nil:
+				b.emit(bDeclS, int32(s.sslot), -1, base)
+			case len(dims) == 0:
+				b.flush()
+				kept := b.emit(bJCell, -1, int32(s.sslot))
+				b.emit(bDeclS, int32(s.sslot), b.expr(e.Init).reg, base)
+				b.flush()
+				b.patch(kept, b.here())
+			default:
+				dd := declDesc{
+					aslot: int32(s.aslot), name: e.Name, kind: interp.KindOf(d.Type.Base),
+					dims: make([][2]int32, len(dims)), dummy: b.isParam[e.Name], pos: d.Pos(),
+				}
+				for i, dim := range dims {
+					dd.dims[i] = [2]int32{-1, -1}
+					if dim.Lo != nil {
+						dd.dims[i][0] = b.expr(dim.Lo).reg
+					}
+					if dim.Hi != nil {
+						dd.dims[i][1] = b.expr(dim.Hi).reg
+					}
+				}
+				b.bp.decls = append(b.bp.decls, dd)
+				b.flush() // the allocation can fail
+				b.emit(bDeclA, int32(len(b.bp.decls)-1))
+			}
+		}
+	}
+}
+
+// declKind is the runtime kind of a cell created by bDeclS:
 // ZeroOf(KindOf(base)) without an initializer, CoerceDecl(base, init) with
 // one — which only pins the kind for integer and real declarations.
 func declKind(base ftn.BaseType, init ftn.Expr) interp.Kind {
@@ -387,122 +456,26 @@ func killsName(stmts []ftn.Stmt, name string) bool {
 	return found
 }
 
-// hasStr reports whether a character value can appear anywhere in e: a
-// string literal or a name that may hold one. Such an expression is never
-// lowered onto registers.
-func (b *bc) hasStr(e ftn.Expr) bool {
-	switch e := e.(type) {
-	case *ftn.StrLit:
-		return true
-	case *ftn.Ident:
-		return b.strNames[e.Name]
-	case *ftn.Unary:
-		return b.hasStr(e.X)
-	case *ftn.Binary:
-		return b.hasStr(e.X) || b.hasStr(e.Y)
-	case *ftn.Ref:
-		return b.anyStr(e.Args)
-	}
-	return false
-}
-
-func (b *bc) anyStr(es []ftn.Expr) bool {
-	for _, e := range es {
-		if b.hasStr(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// strValued reports whether e's own value may be a character string, given
-// hasStr(e): only literals, names, unary plus and min/max pass one through;
-// every other operator yields a number, a logical, or an error.
-func (b *bc) strValued(e ftn.Expr) bool {
-	switch e := e.(type) {
-	case *ftn.StrLit, *ftn.Ident:
-		return true
-	case *ftn.Unary:
-		return e.Op == "+" && b.strValued(e.X)
-	case *ftn.Ref:
-		return e.Name == "min" || e.Name == "max"
-	}
-	return false
-}
-
 // --- constant folding ---
 
-// foldSetup folds an expression in frame-setup context (constant
-// initializers, array bounds): literals, already-folded constants, and MPI
-// names with no declaration. No charge counting — setup stays on closures.
-func (b *bc) foldSetup(e ftn.Expr) (interp.Value, bool) {
-	switch e := e.(type) {
-	case *ftn.IntLit:
-		return interp.IntVal(e.Value), true
-	case *ftn.RealLit:
-		return interp.RealVal(e.Value), true
-	case *ftn.StrLit:
-		return interp.StrVal(e.Value), true
-	case *ftn.BoolLit:
-		return interp.BoolVal(e.Value), true
-	case *ftn.Ident:
-		if v, ok := b.foldConst[e.Name]; ok {
-			return v, true
-		}
-		if b.mpiSetup[e.Name] {
-			return interp.IntVal(b.c.syms[e.Name].mpi), true
-		}
-	case *ftn.Unary:
-		v, ok := b.foldSetup(e.X)
-		if !ok {
-			return interp.Value{}, false
-		}
-		return foldUnary(e.Op, v)
-	case *ftn.Binary:
-		xv, ok := b.foldSetup(e.X)
-		if !ok {
-			return interp.Value{}, false
-		}
-		if e.Op == ".and." || e.Op == ".or." {
-			if xv.Kind != interp.KBool {
-				return interp.Value{}, false
-			}
-			if (e.Op == ".and." && !xv.B()) || (e.Op == ".or." && xv.B()) {
-				return interp.BoolVal(xv.B()), true
-			}
-			yv, ok := b.foldSetup(e.Y)
-			if !ok || yv.Kind != interp.KBool {
-				return interp.Value{}, false
-			}
-			return yv, true
-		}
-		yv, ok := b.foldSetup(e.Y)
-		if !ok {
-			return interp.Value{}, false
-		}
-		return foldBinary(e.Op, xv, yv)
-	}
-	return interp.Value{}, false
-}
-
-// fold folds a body expression, counting the Op charges the walker would
-// make evaluating it (folded subtrees still charge — only the evaluation
-// work disappears, never the accounting).
+// fold folds an expression over literals, the named constants folded so far
+// and the MPI constants nothing can shadow at this point (setup, or body),
+// counting the Op charges the walker would make evaluating it (folded
+// subtrees still charge — only the evaluation work disappears, never the
+// accounting).
 func (b *bc) fold(e ftn.Expr) (interp.Value, int64, bool) {
 	switch e := e.(type) {
 	case *ftn.IntLit:
 		return interp.IntVal(e.Value), 0, true
 	case *ftn.RealLit:
 		return interp.RealVal(e.Value), 0, true
-	case *ftn.StrLit:
-		return interp.StrVal(e.Value), 0, true
 	case *ftn.BoolLit:
 		return interp.BoolVal(e.Value), 0, true
 	case *ftn.Ident:
 		if v, ok := b.foldConst[e.Name]; ok {
 			return v, 0, true
 		}
-		if b.mpiName[e.Name] {
+		if b.mpiName[e.Name] || (b.setup && b.mpiSetup[e.Name]) {
 			return interp.IntVal(b.c.syms[e.Name].mpi), 0, true
 		}
 	case *ftn.Unary:
@@ -584,9 +557,10 @@ func foldBinary(op string, x, y interp.Value) (interp.Value, bool) {
 // emit appends one instruction (unused operands stay -1) and returns its pc.
 func (b *bc) emit(op bop, args ...int32) int32 {
 	switch op {
-	case bEval, bStmt, bJmp, bJF, bJT, bJFChk, bForPrep, bForIter, bForNext:
-		// A bridge may store any cell (callees hold them by reference) and
-		// a transfer ends the basic block: forwarded loads die here.
+	case bCall, bMPI, bJmp, bJF, bJT, bJFChk, bJArr, bJCell, bForPrep, bForIter, bForNext:
+		// A call may store any cell (callees hold them by reference, the
+		// MPI binding assigns its output arguments) and a transfer ends the
+		// basic block: forwarded loads die here.
 		b.forget()
 	}
 	ins := bins{op: op, a: -1, b: -1, c: -1}
@@ -644,15 +618,15 @@ func (b *bc) constReg(v interp.Value) rv {
 // vectors program-wide. Must run before any instruction that can error,
 // observe time, or transfer control.
 func (b *bc) flush() {
-	if b.pending == ([5]int64{}) {
+	if b.pending == (chargeVec{}) {
 		return
 	}
 	vec := b.pending
-	b.pending = [5]int64{}
+	b.pending = chargeVec{}
 	idx, ok := b.vecMap[vec]
 	if !ok {
-		idx = int32(len(b.bp.vecs))
-		b.bp.vecs = append(b.bp.vecs, vec)
+		idx = int32(len(b.p.vecs))
+		b.p.vecs = append(b.p.vecs, vec)
 		b.vecMap[vec] = idx
 	}
 	b.emit(bCharge, idx)
@@ -666,52 +640,32 @@ func (b *bc) here() int32 {
 	return int32(len(b.bp.code))
 }
 
-func (b *bc) evalIdx(fn exprFn) int32 {
-	b.bp.evals = append(b.bp.evals, fn)
-	return int32(len(b.bp.evals) - 1)
-}
-
-func (b *bc) stmtIdx(fn stmtFn) int32 {
-	b.bp.stmts = append(b.bp.stmts, fn)
-	return int32(len(b.bp.stmts) - 1)
-}
-
 // patch sets the a-operand (jump target) of instruction pc.
 func (b *bc) patch(pc, target int32) { b.bp.code[pc].a = target }
 
-// loadFast reports whether name's reads can address the cell directly.
+// loadFast reports whether name's reads can address the cell directly:
+// never during setup, when no cell is known to exist yet.
 func (b *bc) loadFast(name string) bool {
 	s := b.c.syms[name]
-	return s != nil && b.cellSet[name] && s.cslot < 0
+	return !b.setup && s != nil && b.cellSet[name] && s.cslot < 0
 }
 
 // storeFast reports whether name's writes can address the cell directly.
-func (b *bc) storeFast(name string) bool { return b.cellSet[name] }
+func (b *bc) storeFast(name string) bool { return !b.setup && b.cellSet[name] }
 
-// stmtFallback lowers a statement through the closure tier. Inside a
-// lowered loop, EXIT/CYCLE sentinels escaping the closure re-enter the
-// bytecode loop via patched jump targets — exactly the walker's innermost
-// runStmts handling.
-func (b *bc) stmtFallback(s ftn.Stmt) {
-	fn := b.c.stmt(s)
-	if fn == nil {
-		return
-	}
-	b.flush()
-	pc := b.emit(bStmt, b.stmtIdx(fn), -1, -1)
-	if n := len(b.loops); n > 0 {
-		lf := b.loops[n-1]
-		lf.stmtPatches = append(lf.stmtPatches, pc)
-	}
+// nameIdx describes a by-name use of a scalar.
+func (b *bc) nameIdx(name string, pos ftn.Pos) int32 {
+	b.bp.names = append(b.bp.names, nameDesc{s: b.c.syms[name], pos: pos})
+	return int32(len(b.bp.names) - 1)
 }
 
-// evalFallback lowers an expression through the closure tier. The caller
-// guarantees its value is never a character string.
-func (b *bc) evalFallback(fn exprFn) rv {
-	b.flush()
-	dst := b.newReg()
-	b.emit(bEval, dst, b.evalIdx(fn))
-	return rv{reg: dst, k: kUnknown}
+// aslotOf is the array slot a name can hold an array in, -1 when it never
+// does.
+func (b *bc) aslotOf(name string) int32 {
+	if s := b.c.syms[name]; s != nil {
+		return int32(s.aslot)
+	}
+	return -1
 }
 
 // --- statement lowering ---
@@ -720,11 +674,15 @@ func (b *bc) stmt(s ftn.Stmt) {
 	switch s := s.(type) {
 	case *ftn.CommentStmt, *ftn.ContinueStmt:
 	case *ftn.AssignStmt:
-		b.assign(s)
+		b.store(s.LHS, b.expr(s.RHS))
 	case *ftn.DoStmt:
 		b.doStmt(s)
 	case *ftn.IfStmt:
 		b.ifStmt(s)
+	case *ftn.CallStmt:
+		b.call(s)
+	case *ftn.PrintStmt:
+		b.print(s)
 	case *ftn.ReturnStmt:
 		b.flush()
 		b.emit(bRet)
@@ -748,24 +706,29 @@ func (b *bc) stmt(s ftn.Stmt) {
 			b.emit(bCycleS)
 		}
 	default:
-		// MPI calls, user calls, prints, and anything unmodeled: the
-		// closure tier's pre-resolved bindings.
-		b.stmtFallback(s)
+		b.raise(rte(s.Pos(), "unsupported statement %T", s), bErr)
 	}
 }
 
-func (b *bc) assign(s *ftn.AssignStmt) {
-	if b.hasStr(s.RHS) {
-		b.stmtFallback(s)
-		return
-	}
-	switch lhs := s.LHS.(type) {
+// store lowers the assignment of an already-lowered value to a designator
+// (the walker's m.store): a scalar store finds its cell, charges Assign and
+// converts to the cell's kind; an array-element store resolves the array
+// first, then the subscripts, then charges Store.
+func (b *bc) store(lhs ftn.Expr, v rv) {
+	switch lhs := lhs.(type) {
 	case *ftn.Ident:
+		if b.isParam[lhs.Name] {
+			// A dummy's cell may be another dummy's too: the store changes
+			// what every one of them reads next.
+			b.forget()
+		}
 		if !b.storeFast(lhs.Name) {
-			b.stmtFallback(s)
+			b.nonInt++
+			b.flush() // finding the cell can fail
+			b.emit(bStoreN, b.nameIdx(lhs.Name, lhs.Pos()), v.reg)
+			b.pending[kAssign]++
 			return
 		}
-		v := b.expr(s.RHS)
 		if v.k != interp.KInt || b.scalK[lhs.Name] != interp.KInt {
 			b.nonInt++
 		}
@@ -776,11 +739,21 @@ func (b *bc) assign(s *ftn.AssignStmt) {
 		delete(b.avail, lhs.Name)
 	case *ftn.Ref:
 		g := b.arrInfo[lhs.Name]
-		if g == nil || b.anyStr(lhs.Args) {
-			b.stmtFallback(s)
-			return
+		if g == nil {
+			// Whether the name holds an array is only known at run time (a
+			// dummy the caller may have bound either way).
+			notArray := rte(lhs.Pos(), "assignment to %s, which is not an array", lhs.Name)
+			aslot := b.aslotOf(lhs.Name)
+			if aslot < 0 {
+				b.raise(notArray, bErr)
+				return
+			}
+			b.flush()
+			bound := b.emit(bJArr, -1, aslot)
+			b.raise(notArray, bErr)
+			b.patch(bound, b.here())
+			g = &arrGeo{aslot: aslot, kind: kUnknown}
 		}
-		v := b.expr(s.RHS)
 		subs := b.lowerSubs(lhs.Args)
 		if v.k != interp.KInt || g.kind != interp.KInt || !allInt(subs) {
 			b.nonInt++
@@ -793,7 +766,7 @@ func (b *bc) assign(s *ftn.AssignStmt) {
 		b.flush()
 		b.emit(bStoreA, b.accIdx(g, subs, lhs.Pos()), v.reg)
 	default:
-		b.stmtFallback(s)
+		b.raise(rte(lhs.Pos(), "bad assignment target %T", lhs), bErr)
 	}
 }
 
@@ -890,18 +863,7 @@ func allInt(subs []rv) bool {
 }
 
 func (b *bc) ifStmt(s *ftn.IfStmt) {
-	var cond rv
-	switch {
-	case !b.hasStr(s.Cond):
-		cond = b.expr(s.Cond)
-	case b.strValued(s.Cond):
-		b.stmtFallback(s)
-		return
-	default:
-		// A string comparison: the closure tier evaluates the condition,
-		// the branches still lower natively.
-		cond = b.evalFallback(b.c.expr(s.Cond))
-	}
+	cond := b.expr(s.Cond)
 	b.pending[kOp]++
 	var jf int32
 	if cond.k == interp.KBool {
@@ -939,11 +901,6 @@ func (b *bc) bound(e ftn.Expr) (r rv, v int64) {
 }
 
 func (b *bc) doStmt(s *ftn.DoStmt) {
-	if !b.storeFast(s.Var) || b.hasStr(s.Lo) || b.hasStr(s.Hi) || (s.Step != nil && b.hasStr(s.Step)) {
-		b.stmtFallback(s)
-		return
-	}
-
 	// Bounds and step evaluate once, before the loop.
 	lo, loI := b.bound(s.Lo)
 	hi, hiI := b.bound(s.Hi)
@@ -963,6 +920,11 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	fdIdx := int32(len(b.bp.fors))
 	b.bp.fors = append(b.bp.fors, fd)
 	b.raise(rte(s.Pos(), "DO step is zero"), bForPrep, fdIdx)
+	if !b.storeFast(s.Var) {
+		// The loop stores through the cell's slot: find or create the cell
+		// now, where the walker looks it up (and may refuse to).
+		b.emit(bCellN, b.nameIdx(s.Var, s.Pos()))
+	}
 	head := b.here()
 	b.emit(bForIter, fdIdx)
 
@@ -970,7 +932,8 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	// register, and a fully static trip space additionally gives the
 	// variable a value-range fact for bounds-check elimination. (An inner
 	// DO over the same variable is a store, so neither can already be set.)
-	direct := b.loadFast(s.Var) && !killsName(s.Body, s.Var)
+	// Not a dummy's cell: another dummy may alias it.
+	direct := b.loadFast(s.Var) && !b.isParam[s.Var] && !killsName(s.Body, s.Var)
 	if direct {
 		b.loopRegs[s.Var] = fd.vReg
 		if static && stepI != 0 {
@@ -1013,7 +976,7 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	for _, pc := range lf.contPatches {
 		b.patch(pc, contPC)
 	}
-	for _, pc := range lf.stmtPatches {
+	for _, pc := range lf.callPatches {
 		b.bp.code[pc].b = contPC
 		b.bp.code[pc].c = endPC
 	}
@@ -1023,9 +986,112 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	}
 }
 
+// lazily lowers what emit produces into a code range of its own: nothing is
+// forwarded into or out of it and its charges are flushed inside it, so the
+// owning instruction may run it at any point of its execution, or not at
+// all. The caller has already jumped over the ranges.
+func (b *bc) lazily(emit func() int32) lazy {
+	l := lazy{pc0: b.here()}
+	l.reg = emit()
+	b.flush()
+	l.pc1 = b.here()
+	return l
+}
+
+// call lowers a CALL statement: an MPI routine of the shared binding, or a
+// user subroutine resolved here, where every unit is known.
+func (b *bc) call(s *ftn.CallStmt) {
+	d := callDesc{mpi: interp.LookupMPI(s.Name), stmt: s}
+	op := bMPI
+	if d.mpi == nil {
+		op = bCall
+		d.sub = b.p.subroutine(s.Name)
+		switch {
+		case d.sub == nil:
+			b.raise(rte(s.Pos(), "unknown subroutine %s", s.Name), bErr)
+			return
+		case len(s.Args) != len(d.sub.params):
+			b.raise(rte(s.Pos(), "call to %s with %d args, wants %d", s.Name, len(s.Args), len(d.sub.params)), bErr)
+			return
+		}
+		b.pending[kCall]++
+	}
+	// The call observes time (MPI) or charges before its arguments (user),
+	// and runs its arguments' ranges itself: jump over them.
+	b.flush()
+	over := b.emit(bJmp, -1)
+	if d.mpi == nil || len(s.Args) == len(d.mpi.Roles) {
+		// (An MPI call off its routine's signature touches no argument.)
+		d.args = make([]argDesc, len(s.Args))
+	}
+	for i := range d.args {
+		arg, a := s.Args[i], &d.args[i]
+		a.aslot, a.name, a.pos = -1, -1, arg.Pos()
+		byRef, byVal, byStore := true, true, false
+		if d.mpi != nil {
+			role := d.mpi.Roles[i]
+			byRef, byVal, byStore = role&interp.ArgBuffer != 0, role&interp.ArgValue != 0, role&interp.ArgStore != 0
+		}
+		if byRef {
+			switch arg := arg.(type) {
+			case *ftn.Ident:
+				a.aslot = b.aslotOf(arg.Name)
+				if d.mpi == nil {
+					a.name = b.nameIdx(arg.Name, arg.Pos())
+				}
+				byVal = byVal && d.mpi != nil
+			case *ftn.Ref:
+				if a.aslot = b.aslotOf(arg.Name); a.aslot >= 0 {
+					a.subs = b.lazily(func() int32 {
+						a.subRegs = regsOf(b.lowerSubs(arg.Args))
+						return -1
+					})
+				}
+				// An element of a proven array is never passed by value.
+				byVal = byVal && b.arrInfo[arg.Name] == nil
+			}
+		}
+		if byVal {
+			a.val = b.lazily(func() int32 { return b.expr(arg).reg })
+		}
+		if byStore {
+			a.sto = b.lazily(func() int32 {
+				in := b.newReg()
+				b.store(arg, rv{reg: in, k: interp.KInt}) // the binding assigns integers only
+				return in
+			})
+		}
+	}
+	if next := b.here(); next == over+1 {
+		b.bp.code = b.bp.code[:over] // no argument needed code: nothing to jump over
+	} else {
+		b.patch(over, next)
+	}
+	b.bp.calls = append(b.bp.calls, d)
+	pc := b.emit(op, int32(len(b.bp.calls)-1))
+	if n := len(b.loops); n > 0 && op == bCall {
+		b.loops[n-1].callPatches = append(b.loops[n-1].callPatches, pc)
+	}
+}
+
+// print lowers a PRINT statement: its items evaluate in order into registers
+// (a literal standing directly as an item stays a literal), then one
+// instruction formats the line.
+func (b *bc) print(s *ftn.PrintStmt) {
+	items := make([]printItem, len(s.Args))
+	for i, a := range s.Args {
+		if lit, ok := a.(*ftn.StrLit); ok {
+			items[i] = printItem{reg: -1, lit: interp.StrVal(lit.Value)}
+			continue
+		}
+		items[i].reg = b.expr(a).reg
+	}
+	b.bp.prints = append(b.bp.prints, items)
+	b.emit(bPrint, int32(len(b.bp.prints)-1))
+}
+
 // --- expression lowering ---
 
-// expr lowers an expression no character value can reach (!hasStr(e)).
 func (b *bc) expr(e ftn.Expr) rv {
 	if v, ops, ok := b.fold(e); ok {
 		b.pending[kOp] += ops
@@ -1041,13 +1107,21 @@ func (b *bc) expr(e ftn.Expr) rv {
 	case *ftn.Ref:
 		return b.ref(e)
 	}
-	// Literals always fold; anything else unmodeled goes to the closure.
-	return b.evalFallback(b.c.expr(e))
+	// Numeric and logical literals always fold; a character literal never
+	// reaches the lowering.
+	b.raise(rte(e.Pos(), "unsupported expression %T", e), bErr)
+	return rv{reg: b.newReg(), k: kUnknown}
 }
 
 func (b *bc) identLoad(e *ftn.Ident) rv {
 	if !b.loadFast(e.Name) {
-		return b.evalFallback(b.c.identRead(e))
+		if b.setup {
+			b.early[e.Name] = true
+		}
+		b.flush() // resolving the name can fail
+		dst := b.newReg()
+		b.emit(bLoadN, dst, b.nameIdx(e.Name, e.Pos()))
+		return rv{reg: dst, k: kUnknown}
 	}
 	if r, ok := b.loopRegs[e.Name]; ok {
 		return rv{reg: r, k: interp.KInt}
@@ -1227,19 +1301,35 @@ func (b *bc) compare(e *ftn.Binary) rv {
 	return rv{reg: b.binop(op, x, y, nil), k: interp.KBool}
 }
 
-// ref lowers name(args): a native array access when the array is provably
-// non-nil, the intrinsic path when the name can never be an array, and the
-// closure tier for the runtime-dispatched remainder (dummy arrays).
+// ref lowers name(args): an array element load when the name provably holds
+// an array, the intrinsic path when it never can, and for the remainder (a
+// dummy without an array declaration, any array name during setup) both,
+// behind a run-time test of the slot — the walker's evalRef. Either way the
+// arguments are evaluated first, in order.
 func (b *bc) ref(e *ftn.Ref) rv {
-	s := b.c.syms[e.Name]
-	if s == nil || s.aslot < 0 {
-		return b.intrinsic(e)
+	args := b.lowerSubs(e.Args)
+	aslot := b.aslotOf(e.Name)
+	if aslot < 0 {
+		return b.intrinsic(e, args)
 	}
-	g := b.arrInfo[e.Name]
-	if g == nil {
-		return b.evalFallback(b.c.expr(e))
+	if g := b.arrInfo[e.Name]; g != nil && !b.setup {
+		return b.load(e, g, args)
 	}
-	subs := b.lowerSubs(e.Args)
+	b.flush()
+	dst := b.newReg()
+	bound := b.emit(bJArr, -1, aslot)
+	b.emit(bMove, dst, b.intrinsic(e, args).reg)
+	b.flush()
+	done := b.emit(bJmp, -1)
+	b.patch(bound, b.here())
+	b.emit(bMove, dst, b.load(e, &arrGeo{aslot: aslot, kind: kUnknown}, args).reg)
+	b.flush()
+	b.patch(done, b.here())
+	return rv{reg: dst, k: kUnknown}
+}
+
+// load lowers the element load of array g at the lowered subscripts.
+func (b *bc) load(e *ftn.Ref, g *arrGeo, subs []rv) rv {
 	if g.kind != interp.KInt || !allInt(subs) {
 		b.nonInt++
 	}
@@ -1254,10 +1344,11 @@ func (b *bc) ref(e *ftn.Ref) rv {
 	return rv{reg: dst, k: g.kind}
 }
 
-func (b *bc) intrinsic(e *ftn.Ref) rv {
+// intrinsic lowers name(args) as an intrinsic call over the lowered
+// arguments.
+func (b *bc) intrinsic(e *ftn.Ref, args []rv) rv {
 	name := e.Name
 	pos := e.Pos()
-	args := b.lowerSubs(e.Args)
 	b.pending[kOp]++
 	switch {
 	case name == "mpi_wtime":
@@ -1288,9 +1379,6 @@ func (b *bc) intrinsic(e *ftn.Ref) rv {
 		case name == "max" && k == interp.KInt:
 			return rv{reg: b.binop(bMaxI, x, y, nil), k: k}
 		}
-	}
-	if len(args) > b.bp.maxArgs {
-		b.bp.maxArgs = len(args)
 	}
 	b.bp.intrs = append(b.bp.intrs, intrDesc{name: name, args: regsOf(args), pos: pos})
 	b.flush()

@@ -1,16 +1,18 @@
-// Bytecode execution tier: the main unit's body lowers once into a
-// register-based flat instruction stream dispatched through a single switch
-// (no closure trees, no map lookups on the hot path). The lowering
-// (bcompile.go) performs compile-time constant folding, hoists folded
-// constants and address geometry out of the loop body, batches cost-model
-// charges per basic block into precomputed charge vectors, forwards scalar
-// loads within a basic block, and eliminates bounds checks for subscripts
-// proven in-range by internal/dep's affine algebra. Statements the lowering
-// does not model natively (MPI calls, user subroutine calls, prints,
-// anything touching a character value) execute through the same
-// pre-resolved closures the closure program is made of, so the bytecode tier
-// is bit-identical to the walk oracle by construction on those paths and
-// differentially proven on the lowered ones.
+// The register machine: every unit lowers once into a register-based flat
+// instruction stream dispatched through a single switch (no closure trees,
+// no map lookups on the hot path). The lowering (bcompile.go) performs
+// compile-time constant folding, hoists folded constants and address
+// geometry out of the loop body, batches cost-model charges per basic block
+// into precomputed charge vectors, forwards scalar loads within a basic
+// block, and eliminates bounds checks for subscripts proven in-range by
+// internal/dep's affine algebra. A unit's stream starts with its frame
+// setup (named constants, scalar and array declarations); a CALL of a user
+// subroutine binds the actual arguments into a fresh frame and runs the
+// callee's stream by a recursive bexec over a window of the rank's register
+// stack; an MPI call hands interp.MPI accessors that run each actual
+// argument's code range on demand, so the shared binding keeps evaluating,
+// validating and charging in argument order; PRINT formats registers and
+// literals. Everything is differentially proven against the walk oracle.
 //
 // Charge batching is sound because mpi.Rank.Compute is purely additive
 // between observation points (netsim's Proc.Advance only accumulates):
@@ -27,8 +29,8 @@
 //     array it touches and every subscript is statically integer;
 //   - its body is straight-line integer code: bCharge, bNegI, bAddI, bSubI,
 //     bMulI, bDivI, bPowI, bModI, bMinI, bMaxI, bLoadS, bStoreS, and array
-//     loads and stores (checked or unchecked) of rank <= 3 — no jump,
-//     bridge, run-time-kinded op, comparison, bIntr, bWtime or nested loop;
+//     loads and stores (checked or unchecked) of rank <= 3 — no jump, call,
+//     PRINT, run-time-kinded op, comparison, bIntr, bWtime or nested loop;
 //   - every frame cell it stores is stored before it is loaded (the cell is
 //     private to an iteration; the last iteration's value is what remains,
 //     as is the DO cell's final value);
@@ -68,11 +70,10 @@ import (
 // reg is one VM register: a tagged scalar with no Go pointer in it, so a
 // register write is a plain 16-byte store with no write barrier. Integers
 // live in bits as two's complement, reals as their IEEE bit pattern,
-// logicals as 0/1. Character values never enter a register — the lowering
-// routes every expression that can carry one through the closure bridge —
-// so interp.Value (the same payload word and kind, plus the pointer to
-// character data) is only built at the edges: frame cells, bridge results,
-// and generic intrinsic calls.
+// logicals as 0/1. Character values never enter a register — a program that
+// can create one is not lowered at all — so interp.Value (the same payload
+// word and kind, plus the pointer to character data) is only built at the
+// edges: frame cells, MPI and PRINT arguments, and generic intrinsic calls.
 type reg struct {
 	bits uint64
 	k    interp.Kind
@@ -87,9 +88,9 @@ func boolReg(b bool) reg {
 	return reg{0, interp.KBool}
 }
 
-// toReg converts a frame cell or bridge result into a register. A character
-// value here means the lowering's string analysis let one through: a bug,
-// never an input condition.
+// toReg converts a frame cell or an intrinsic's result into a register. A
+// character value here means CompileSource's predicate let a program that
+// creates one through to the lowering: a bug, never an input condition.
 func toReg(v interp.Value) reg {
 	if v.Kind == interp.KStr {
 		panic("exec: character value in a bytecode register")
@@ -138,17 +139,30 @@ const (
 	bErr         // raise this pc's error
 	bRet         // return errReturn
 	bStop        // return errStop
-	bExitS       // return errExit  (EXIT outside any lowered loop)
-	bCycleS      // return errCycle (CYCLE outside any lowered loop)
+	bExitS       // return errExit  (EXIT outside any loop of its unit)
+	bCycleS      // return errCycle (CYCLE outside any loop of its unit)
 
 	bLoadS  // regs[a] = *fr.scal[b]
 	bStoreS // p := fr.scal[a]; *p = CoerceStore(*p, regs[b])
 
-	// bEval / bStmt bridge to the closure tier: pre-compiled expression and
-	// statement closures with pre-resolved slot and MPI bindings. The
-	// pending charge vector is always flushed before them.
-	bEval // regs[a] = evals[b](x, fr)
-	bStmt // stmts[a](x, fr); errCycle -> pc=b, errExit -> pc=c (when >= 0)
+	// By-name scalar access, for a name whose cell the lowering cannot prove
+	// exists (a dummy, a constant read before its initializer, a name that
+	// is illegal under implicit none): the walker's resolution order and
+	// its errors, decided against the frame at run time.
+	bLoadN  // regs[a] = names[b] read as a scalar
+	bStoreN // find or create names[a]'s cell, store regs[b] into it
+	bCellN  // find or create names[a]'s cell (a DO variable's)
+	bJArr   // if fr.arr[b] != nil { pc = a }: is the name an array here?
+
+	// Frame setup, the head of every unit's stream.
+	bSetConst // fr.consts[a] = CoerceDecl(base c, regs[b]), now visible
+	bJCell    // if fr.scal[b] != nil { pc = a }: skip a kept cell's initializer
+	bDeclS    // unless it exists, create cell a: base c's zero, or regs[b]
+	bDeclA    // allocate (or view the caller's backing as) array decls[a]
+
+	bCall  // call user subroutine calls[a]; errCycle -> pc=b, errExit -> pc=c (when >= 0)
+	bMPI   // MPI call calls[a] through interp.MPI
+	bPrint // append the line of prints[a] to the rank's output
 
 	bNegI   // regs[a] = -regs[b]      (statically KInt)
 	bNeg    // regs[a] = -regs[b]      (KInt -> int, else real)
@@ -266,23 +280,84 @@ type precEntry struct {
 	zero  interp.Value
 }
 
-// bprog is the lowered form of a Program's main unit body.
+// nameDesc is one by-name use of a scalar: the name's slots and where the
+// use stands, for the error.
+type nameDesc struct {
+	s   *sym
+	pos ftn.Pos
+}
+
+// declDesc is one array declaration: per dimension the registers holding
+// its evaluated lower and upper bound (-1: default 1, assumed size).
+type declDesc struct {
+	aslot int32
+	name  string
+	kind  interp.Kind
+	dims  [][2]int32
+	dummy bool // a dummy argument: view the caller's array if it passed one
+	pos   ftn.Pos
+}
+
+// lazy is a code range lowered out of line — the instruction that owns it
+// jumps over it — and run on demand through bexec: code[pc0:pc1] computes
+// a value into reg, or stores reg to a designator, or computes subscripts.
+type lazy struct{ pc0, pc1, reg int32 }
+
+// run executes the range in the activation that owns it.
+func (l lazy) run(bp *bprog, x *rctx, fr *frame, regs []reg) error {
+	if l.pc0 == l.pc1 {
+		return nil
+	}
+	return bp.bexec(x, fr, regs, int(l.pc0), int(l.pc1))
+}
+
+// argDesc is one actual argument of a CALL, lowered by what the callee or
+// the MPI binding may ask of it.
+type argDesc struct {
+	val     lazy    // its value (user call: a by-value temporary)
+	sto     lazy    // MPI: assign regs[sto.reg] to it
+	subs    lazy    // a Ref's subscripts, left in subRegs
+	subRegs []int32 // nil for an Ident
+	aslot   int32   // an Ident's or a Ref's array slot, -1 when the name has none
+	name    int32   // user call, Ident: names index of the cell to alias, else -1
+	pos     ftn.Pos
+}
+
+// callDesc is one CALL site: a user subroutine resolved at lowering time,
+// or an MPI routine of the shared binding.
+type callDesc struct {
+	sub  *unit
+	mpi  *interp.MPIRoutine
+	stmt *ftn.CallStmt
+	args []argDesc
+}
+
+// printItem is a PRINT item: a register, or (reg < 0) a string literal.
+type printItem struct {
+	reg int32
+	lit interp.Value
+}
+
+// bprog is the lowered form of one unit: code[:body] is its frame setup,
+// the rest its body.
 type bprog struct {
 	code    []bins
+	body    int
 	nreg    int
 	regInit []reg // folded constants, deduplicated by bit pattern
 	prec    []precEntry
-	vecs    [][5]int64 // charge vectors: op, assign, store, load, loopIter
 	// errAt holds the error a raising instruction returns, keyed by its pc;
 	// it is consulted only on the failing path.
-	errAt   map[int32]error
-	evals   []exprFn
-	stmts   []stmtFn
-	accs    []accDesc
-	geos    []geoDesc
-	intrs   []intrDesc
-	fors    []forDesc
-	maxArgs int // widest bIntr call, sizing the per-run argument scratch
+	errAt        map[int32]error
+	implicitNone bool
+	names        []nameDesc
+	decls        []declDesc
+	calls        []callDesc
+	prints       [][]printItem
+	accs         []accDesc
+	geos         []geoDesc
+	intrs        []intrDesc
+	fors         []forDesc
 	// lane maps a register to its lane vector inside the one strip-wise
 	// loop that writes it, -1 for a scalar; nil when no loop is eligible.
 	lane []int32
@@ -295,39 +370,255 @@ const (
 	kStore
 	kLoad
 	kLoopIter
+	kCall
+	nCharge
 )
+
+// chargeVec counts the walker charges one bCharge stands for, by kind.
+type chargeVec [nCharge]int64
 
 // chargeTab folds a cost model into the program's charge vectors: one
 // virtual-time total per vector, computed once per run.
-func (bp *bprog) chargeTab(costs interp.CostModel) []netsim.Time {
-	tab := make([]netsim.Time, len(bp.vecs))
-	for i, v := range bp.vecs {
+func (p *Program) chargeTab(costs interp.CostModel) []netsim.Time {
+	tab := make([]netsim.Time, len(p.vecs))
+	for i, v := range p.vecs {
 		tab[i] = costs.Op*netsim.Time(v[kOp]) +
 			costs.Assign*netsim.Time(v[kAssign]) +
 			costs.Store*netsim.Time(v[kStore]) +
 			costs.Load*netsim.Time(v[kLoad]) +
-			costs.LoopIter*netsim.Time(v[kLoopIter])
+			costs.LoopIter*netsim.Time(v[kLoopIter]) +
+			costs.CallOver*netsim.Time(v[kCall])
 	}
 	return tab
 }
 
-// RunBytecode executes the program on the bytecode tier. Results are
-// bit-identical to Run (the closure program) and to the walk oracle.
-func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	return p.run(np, prof, costs, p.Bytecode())
-}
-
-// run executes the lowered main body in the initialized main frame fr.
-func (bp *bprog) run(x *rctx, fr *frame, tab []netsim.Time) error {
+// enter runs the unit's frame setup in fr, then binds the dummy arrays no
+// declaration claimed (used as the caller shaped them) and pre-creates the
+// implicit cells the body addresses directly.
+func (u *unit) enter(x *rctx, fr *frame, regs []reg) error {
+	bp := u.bp
+	copy(regs, bp.regInit)
+	if err := bp.bexec(x, fr, regs, 0, bp.body); err != nil {
+		return err
+	}
+	for _, aslot := range u.paramArr {
+		if fr.arr[aslot] == nil {
+			fr.arr[aslot] = fr.dummy[aslot]
+		}
+	}
 	for _, pe := range bp.prec {
 		if fr.scal[pe.sslot] == nil {
 			v := pe.zero
 			fr.scal[pe.sslot] = &v
 		}
 	}
-	regs := make([]reg, bp.nreg)
-	copy(regs, bp.regInit)
-	return bp.bexec(x, fr, regs, tab, 0, len(bp.code))
+	return nil
+}
+
+// cell finds or (under implicit typing) creates the scalar cell of a name:
+// the walker's lookupScalar.
+func (bp *bprog) cell(fr *frame, d *nameDesc) (*interp.Value, error) {
+	s := d.s
+	if s.sslot >= 0 {
+		if p := fr.scal[s.sslot]; p != nil {
+			return p, nil
+		}
+	}
+	if s.cslot >= 0 && fr.constSet[s.cslot] {
+		return nil, rte(d.pos, "cannot assign to named constant %s", s.name)
+	}
+	if bp.implicitNone {
+		return nil, rte(d.pos, "undeclared variable %s under implicit none", s.name)
+	}
+	v := s.zero
+	fr.scal[s.sslot] = &v
+	return &v, nil
+}
+
+// loadName reads a name as a scalar in the walker's resolution order: named
+// constant (once its initializer ran), cell, MPI constant, whole-array
+// error, implicit-none error, implicit creation.
+func (bp *bprog) loadName(fr *frame, d *nameDesc) (interp.Value, error) {
+	s := d.s
+	if s.cslot >= 0 && fr.constSet[s.cslot] {
+		return fr.consts[s.cslot], nil
+	}
+	if s.sslot >= 0 {
+		if p := fr.scal[s.sslot]; p != nil {
+			return *p, nil
+		}
+	}
+	if s.isMPI {
+		return interp.IntVal(s.mpi), nil
+	}
+	if s.aslot >= 0 && fr.arr[s.aslot] != nil {
+		return interp.Value{}, rte(d.pos, "whole-array reference %s in scalar context", s.name)
+	}
+	if bp.implicitNone {
+		return interp.Value{}, rte(d.pos, "undeclared name %s", s.name)
+	}
+	v := s.zero
+	fr.scal[s.sslot] = &v
+	return v, nil
+}
+
+// declArray executes an array declaration: bounds from their registers, then
+// a view of the caller's backing (a dummy that was passed an array) or a
+// fresh allocation — which also replaces an earlier declaration's.
+func (d *declDesc) declArray(fr *frame, regs []reg) error {
+	bounds := make([]interp.DimBound, len(d.dims))
+	for i, dim := range d.dims {
+		bounds[i].Lo = 1
+		if dim[0] >= 0 {
+			bounds[i].Lo = regs[dim[0]].asInt()
+		}
+		if dim[1] < 0 {
+			bounds[i].Assumed = true
+		} else {
+			bounds[i].Hi = regs[dim[1]].asInt()
+		}
+	}
+	var a *interp.Array
+	var err error
+	if d.dummy && fr.dummy[d.aslot] != nil {
+		a, err = interp.View(d.name, fr.dummy[d.aslot], 0, bounds)
+	} else {
+		a, err = interp.NewArray(d.name, d.kind, bounds)
+	}
+	if err != nil {
+		return rte(d.pos, "%v", err)
+	}
+	fr.arr[d.aslot] = a
+	return nil
+}
+
+// storeCell assigns r to a scalar cell with the cell's conversion.
+func storeCell(p *interp.Value, r reg) {
+	switch p.Kind {
+	case interp.KInt:
+		*p = interp.IntVal(r.asInt())
+	case interp.KReal:
+		*p = interp.RealVal(r.asReal())
+	default:
+		*p = interp.CoerceStore(*p, r.value())
+	}
+}
+
+// ints reads registers as subscripts into the rank's scratch slice.
+func (x *rctx) ints(regs []reg, rs []int32) []int64 {
+	x.subs = x.subs[:0]
+	for _, r := range rs {
+		x.subs = append(x.subs, regs[r].asInt())
+	}
+	return x.subs
+}
+
+// callUser executes CALL site d of a user subroutine with Fortran reference
+// semantics (the walker's callUser): each actual is bound in order — an
+// identifier as the array it holds, else its aliased cell; an element of an
+// array as a sequence-association view from that element on; anything else
+// as a temporary the callee may write — then the callee's stream runs in
+// the new frame. RETURN ends the callee; STOP and a stray EXIT or CYCLE
+// pass through to the caller.
+func (bp *bprog) callUser(x *rctx, fr *frame, regs []reg, d *callDesc) error {
+	sub := d.sub
+	nfr := sub.newFrame()
+	for i := range d.args {
+		a := &d.args[i]
+		var arr *interp.Array
+		if a.aslot >= 0 {
+			arr = fr.arr[a.aslot]
+		}
+		switch {
+		case arr != nil && a.subRegs == nil:
+			nfr.dummy[sub.paramArr[i]] = arr
+		case arr != nil:
+			if err := a.subs.run(bp, x, fr, regs); err != nil {
+				return err
+			}
+			off, err := arr.Linear(x.ints(regs, a.subRegs))
+			if err != nil {
+				return err
+			}
+			view, err := interp.View(sub.params[i], arr, off, []interp.DimBound{{Lo: 1, Assumed: true}})
+			if err != nil {
+				return rte(a.pos, "%v", err)
+			}
+			nfr.dummy[sub.paramArr[i]] = view
+		case a.name >= 0:
+			p, err := bp.cell(fr, &bp.names[a.name])
+			if err != nil {
+				return err
+			}
+			nfr.scal[sub.paramScal[i]] = p // alias: writes are visible to the caller
+		default:
+			if err := a.val.run(bp, x, fr, regs); err != nil {
+				return err
+			}
+			v := regs[a.val.reg].value()
+			nfr.scal[sub.paramScal[i]] = &v
+		}
+	}
+	base := x.top
+	cregs := x.window(sub.bp.nreg)
+	err := sub.enter(x, nfr, cregs)
+	if err == nil {
+		err = sub.bp.bexec(x, nfr, cregs, sub.bp.body, len(sub.bp.code))
+	}
+	x.top = base
+	if err == errReturn {
+		err = nil
+	}
+	return err
+}
+
+// mpiSite is the MPI call a rank is executing: its arguments' descriptors
+// and the activation their code ranges run in. MPI calls do not nest, so
+// the rctx carries one and serves as the call's interp.MPIArgs without
+// allocating.
+type mpiSite struct {
+	bp   *bprog
+	fr   *frame
+	regs []reg
+	args []argDesc
+}
+
+func (x *rctx) runLazy(l lazy) error {
+	return l.run(x.site.bp, x, x.site.fr, x.site.regs)
+}
+
+// Value implements interp.MPIArgs.
+func (x *rctx) Value(i int) (interp.Value, error) {
+	a := &x.site.args[i]
+	if err := x.runLazy(a.val); err != nil {
+		return interp.Value{}, err
+	}
+	return x.site.regs[a.val.reg].value(), nil
+}
+
+// Store implements interp.MPIArgs.
+func (x *rctx) Store(i int, v interp.Value) error {
+	a := &x.site.args[i]
+	x.site.regs[a.sto.reg] = toReg(v)
+	return x.runLazy(a.sto)
+}
+
+// Buffer implements interp.MPIArgs.
+func (x *rctx) Buffer(i int) (*interp.Array, []int64, error) {
+	a := &x.site.args[i]
+	if a.aslot < 0 {
+		return nil, nil, nil
+	}
+	arr := x.site.fr.arr[a.aslot]
+	if arr == nil || a.subRegs == nil {
+		return arr, nil, nil
+	}
+	if err := x.runLazy(a.subs); err != nil {
+		return nil, nil, err
+	}
+	// The binding consumes the subscripts before it asks for anything else,
+	// so one scratch slice per rank serves every call.
+	return arr, x.ints(x.site.regs, a.subRegs), nil
 }
 
 // loadElem reads the element at linear offset off of an array whose storage
@@ -477,11 +768,11 @@ func compareRegs(op bop, x, y reg) bool {
 // bexec is the dispatch loop: a flat switch over the instruction stream.
 // No reflection, no map lookups on any path that continues — descriptor
 // tables are slices indexed by instruction operands, and errAt is read only
-// by the instruction that ends the run. It runs code[pc:end]: the whole
-// program, or one invariant instruction of a strip-wise loop.
-func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time, pc, end int) error {
-	code := bp.code
-	var args []interp.Value
+// by the instruction that ends the run. It runs code[pc:end]: a unit's
+// setup or body, an argument's lazy range, or one invariant instruction of a
+// strip-wise loop.
+func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
+	code, tab := bp.code, x.tab
 	for pc < end {
 		ins := code[pc]
 		pc++
@@ -525,24 +816,69 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time, pc, en
 		case bLoadS:
 			regs[ins.a] = toReg(*fr.scal[ins.b])
 		case bStoreS:
-			p := fr.scal[ins.a]
-			r := regs[ins.b]
-			switch p.Kind {
-			case interp.KInt:
-				*p = interp.IntVal(r.asInt())
-			case interp.KReal:
-				*p = interp.RealVal(r.asReal())
-			default:
-				*p = interp.CoerceStore(*p, r.value())
-			}
-		case bEval:
-			v, err := bp.evals[ins.b](x, fr)
+			storeCell(fr.scal[ins.a], regs[ins.b])
+		case bLoadN:
+			v, err := bp.loadName(fr, &bp.names[ins.b])
 			if err != nil {
 				return err
 			}
 			regs[ins.a] = toReg(v)
-		case bStmt:
-			err := bp.stmts[ins.a](x, fr)
+		case bStoreN:
+			p, err := bp.cell(fr, &bp.names[ins.a])
+			if err != nil {
+				return err
+			}
+			storeCell(p, regs[ins.b])
+		case bCellN:
+			if _, err := bp.cell(fr, &bp.names[ins.a]); err != nil {
+				return err
+			}
+		case bJArr:
+			if fr.arr[ins.b] != nil {
+				pc = int(ins.a)
+			}
+		case bSetConst:
+			fr.consts[ins.a] = interp.CoerceDecl(ftn.BaseType(ins.c), regs[ins.b].value())
+			fr.constSet[ins.a] = true
+		case bJCell:
+			if fr.scal[ins.b] != nil {
+				pc = int(ins.a)
+			}
+		case bDeclS:
+			if fr.scal[ins.a] != nil {
+				break
+			}
+			base := ftn.BaseType(ins.c)
+			v := interp.ZeroOf(interp.KindOf(base))
+			if ins.b >= 0 {
+				v = interp.CoerceDecl(base, regs[ins.b].value())
+			}
+			fr.scal[ins.a] = &v
+		case bDeclA:
+			if err := bp.decls[ins.a].declArray(fr, regs); err != nil {
+				return err
+			}
+		case bMPI:
+			d := &bp.calls[ins.a]
+			x.site = mpiSite{bp: bp, fr: fr, regs: regs, args: d.args}
+			if err := x.mpi.Call(d.mpi, d.stmt, x); err != nil {
+				return err
+			}
+		case bPrint:
+			items := bp.prints[ins.a]
+			vals := make([]interp.Value, len(items))
+			for i, it := range items {
+				if it.reg < 0 {
+					vals[i] = it.lit
+				} else {
+					vals[i] = regs[it.reg].value()
+				}
+			}
+			x.out = append(x.out, interp.FormatPrintLine(vals))
+		case bCall:
+			// A sentinel escaping the callee re-enters the caller's innermost
+			// loop, exactly as the walker's execDo catches it.
+			err := bp.callUser(x, fr, regs, &bp.calls[ins.a])
 			switch err {
 			case nil:
 			case errCycle:
@@ -668,13 +1004,11 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time, pc, en
 				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2], regs[ins.b])
 		case bIntr:
 			d := &bp.intrs[ins.b]
-			if args == nil {
-				args = make([]interp.Value, bp.maxArgs)
+			vals := x.vals[:0]
+			for _, ar := range d.args {
+				vals = append(vals, regs[ar].value())
 			}
-			vals := args[:len(d.args)]
-			for i, ar := range d.args {
-				vals[i] = regs[ar].value()
-			}
+			x.vals = vals
 			v, err := interp.EvalIntrinsic(d.name, vals)
 			if err != nil {
 				return rte(d.pos, "%v", err)
@@ -708,10 +1042,16 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, tab []netsim.Time, pc, en
 				// Loop entry: whole strips first; whatever they leave (all
 				// of it for an ineligible loop) runs below, one iteration
 				// at a time.
+				var strips int64
 				if fd.nvec > 0 {
-					x.stripIters += bp.runStrips(x, fr, regs, tab, fd)
+					strips = bp.runStrips(x, fr, regs, fd)
 				}
-				x.scalarIters += int64(regs[fd.tripsReg].bits)
+				if left := int64(regs[fd.tripsReg].bits); fr == x.main {
+					x.stripIters += strips
+					x.scalarIters += left
+				} else {
+					x.calleeIters += strips + left
+				}
 			}
 			*fr.scal[fd.sslot] = interp.IntVal(int64(regs[fd.vReg].bits))
 			if regs[fd.tripsReg].bits == 0 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/plan"
 )
@@ -38,7 +39,7 @@ end subroutine halve
 // TestLoadForwardingInvalidation: every way a forwarded scalar load can go
 // stale — a store, a coercing store, a callee writing through the cell, a
 // control-flow merge, a short-circuit, a DO variable assigned in its own
-// body, EXIT/CYCLE escaping a bridged statement — must still read what the
+// body, EXIT/CYCLE leaving an IF inside the loop — must still read what the
 // walker reads.
 func TestLoadForwardingInvalidation(t *testing.T) {
 	cases := []struct{ name, decls, body string }{
@@ -118,6 +119,8 @@ func TestLoadForwardingInvalidation(t *testing.T) {
   enddo
   x = x * 0.5
   print *, 'doreal', x, y`},
+		// (The name is from when initialized logicals sent these IFs through
+		// the closure bridge; the case is kept, now lowered natively.)
 		{"exit and cycle through bridged statements", `  integer i, s, u
   logical :: stopnow = .false.
   logical :: odd = .false.`, `
@@ -168,9 +171,10 @@ func TestSignedZeroConstants(t *testing.T) {
 	}
 }
 
-// TestCharacterValuesBridge: registers hold no strings, so everything a
-// character value can reach runs on the closure tier — and still agrees
-// with the walker, including the kind changes a character cell allows.
+// TestCharacterValuesBridge: registers hold no strings, so a program that can
+// create a character value is not lowered — it says where the first one
+// comes from — and RunBytecode runs the walker on its source: still the
+// walker's result, including the kind changes a character cell allows.
 func TestCharacterValuesBridge(t *testing.T) {
 	src := wrap(`  character(len=4) c, d
   character(len=2), parameter :: tag = 'ok'
@@ -193,8 +197,27 @@ func TestCharacterValuesBridge(t *testing.T) {
   d = 5 + me
   i = d + 1
   print *, c, ' ', tag, ' ', f, hits, k, r, d, i, max('a', 'b'), +c, c < tag`)
+	p, err := exec.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Routed(), "5:3: character declaration"; !strings.HasPrefix(got, want) {
+		t.Fatalf("not-lowered reason %q, want it to start with %q (the declaration of c, d)", got, want)
+	}
 	for _, m := range plan.PaperPair() {
 		runAll(t, "chars/"+m.Name, src, 2, m)
+	}
+	// Without a character declaration the first literal that is a value,
+	// not a PRINT item, is the reason.
+	p, err = exec.CompileSource(wrap(`  logical f`, `
+  print *, 'only an item'
+  f = 'abcd' == 'abcd'
+  print *, f`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Routed(), "10:7: character literal"; !strings.HasPrefix(got, want) {
+		t.Fatalf("not-lowered reason %q, want it to start with %q", got, want)
 	}
 }
 
@@ -273,5 +296,185 @@ func TestZeroDivisorErrorTime(t *testing.T) {
 		for _, m := range plan.PaperPair() {
 			requireSameFailure(t, fmt.Sprintf("%s/%s", tc.name, m.Name), src, 2, m, tc.want)
 		}
+	}
+}
+
+// TestLoweredStatementFailures: the statements that run as instructions of
+// their own — frame setup, CALL, MPI calls, by-name stores — fail with the
+// walker's exact error at the walker's exact virtual time. The compute
+// before each failure makes a charge flushed late or early show.
+func TestLoweredStatementFailures(t *testing.T) {
+	const work = `
+  s = 0
+  do i = 1, 7
+    s = s + i * (me + 2)
+  enddo`
+	cases := []struct{ name, decls, body, subs, want string }{
+		{"two bad MPI arguments: the first one wins", `  real a(8)
+  integer i, s, req`, work + `
+  call mpi_isend(a(s / s + 8), 2 * s - 3 * s, 70 + s, 1 - me, 0, mpi_comm_world, req, ierr)`, ``,
+			"array a: subscript 9 of dimension 1 out of bounds 1:8"},
+		{"a bad count after an out-of-bounds buffer subscript", `  real a(8)
+  integer i, s, req`, work + `
+  call mpi_irecv(a(0 - s), -3, mpi_real, 1 - me, 0, mpi_comm_world, req, ierr)`, ``,
+			"of dimension 1 out of bounds 1:8"},
+		{"a bad count before a bad peer", `  real a(8)
+  integer i, s, req`, work + `
+  call mpi_isend(a, 0 - s, mpi_real, s + 5, 0, mpi_comm_world, req, ierr)`, ``,
+			"negative MPI count -"},
+		{"MPI output argument that cannot be assigned", `  integer, parameter :: c = 3
+  integer i, s`, work + `
+  call mpi_comm_rank(mpi_comm_world, c, ierr)`, ``,
+			"cannot assign to named constant c"},
+		{"negative extent from a forward-referenced constant in a callee", `  integer i, s`, work + `
+  call shaped(s)`, `
+subroutine shaped(k)
+  integer, parameter :: c = d - 4 - k / k
+  integer, parameter :: d = 5
+  integer k
+  integer w(1:c)
+  w(1) = k
+end subroutine shaped
+`, "array w: negative extent 1:-5"},
+		{"negative extent from a dummy scalar bound", `  integer i, s`, work + `
+  call sized(0 - s)`, `
+subroutine sized(k)
+  integer k
+  real w(2, k)
+  w(1, 1) = k
+end subroutine sized
+`, "array w: negative extent 1:-"},
+		{"wrong arity", `  integer i, s`, work + `
+  call bump(s, i)`, ``,
+			"call to bump with 2 args, wants 1"},
+		{"unknown subroutine", `  integer i, s`, work + `
+  call nowhere(s + 1)`, ``,
+			"unknown subroutine nowhere"},
+		{"store to a named constant", `  integer, parameter :: c = 3
+  integer i, s`, work + `
+  c = s + c`, ``,
+			"cannot assign to named constant c"},
+		{"named constant as a by-reference actual", `  integer, parameter :: c = 3
+  integer i, s`, work + `
+  call bump(c)`, ``,
+			"cannot assign to named constant c"},
+		{"element store through a dummy that received a scalar", `  integer i, s`, work + `
+  call setelem(s, i)`, `
+subroutine setelem(x, i)
+  integer i
+  x(i - 7) = i * 2
+end subroutine setelem
+`, "assignment to x, which is not an array"},
+		{"element load through a dummy that received a scalar", `  integer i, s`, work + `
+  call getelem(s, i)`, `
+subroutine getelem(x, i)
+  integer i
+  i = x(i - 7) + 1
+end subroutine getelem
+`, `unknown array or intrinsic "x"`},
+		{"scalar read of a dummy that received an array", `  integer i, s, v(4)`, work + `
+  call getscal(v, i)`, `
+subroutine getscal(x, i)
+  integer i
+  i = i * 2 + x
+end subroutine getscal
+`, "whole-array reference x in scalar context"},
+		{"element actual out of the array", `  integer i, s, v(4)`, work + `
+  call bump(v(s))`, ``,
+			"array v: subscript"},
+		{"error two calls deep", `  integer i, s, v(4)`, work + `
+  call outer(v, s)`, `
+subroutine outer(a, k)
+  integer a(*), k
+  k = k / 7
+  call inner(a(2), k)
+end subroutine outer
+
+subroutine inner(a, k)
+  integer a(3), k, j
+  do j = 1, k
+    a(j) = j
+  enddo
+end subroutine inner
+`, "array a: subscript 4 of dimension 1 out of bounds 1:3"},
+	}
+	for _, tc := range cases {
+		src := wrap(tc.decls, tc.body) + tc.subs
+		for _, m := range plan.PaperPair() {
+			requireSameFailure(t, tc.name+"/"+m.Name, src, 2, m, tc.want)
+		}
+	}
+}
+
+// TestCalleeSeesItsArgumentsAsTheWalkerDoes: association cases that are not
+// errors — a dummy array stays invisible to its own unit's bounds and
+// initializers until its declaration, duplicate dummies, a dummy without
+// any declaration used as the caller shaped it, implicit cells created by a
+// callee's initializers, STOP inside a callee.
+func TestCalleeSeesItsArgumentsAsTheWalkerDoes(t *testing.T) {
+	src := wrap(`  integer v(6), i, s
+  real q`, `
+  do i = 1, 6
+    v(i) = i * 3 + me
+  enddo
+  s = 4
+  q = 1.5
+  call early(v, s)
+  call twice(s, s)
+  call asis(v, s)
+  call initcells(s)
+  print *, 'back', s, q, v(1), v(6)
+  call halt(s)
+  print *, 'not reached', s`) + `
+subroutine early(a, k)
+  integer :: m = a + 2
+  integer k
+  integer a(k)
+  k = m + a(k)
+end subroutine early
+
+subroutine twice(x, y)
+  integer x, y
+  x = x + 1
+  y = y * 2 + x
+end subroutine twice
+
+subroutine asis(a, k)
+  integer k
+  k = k + a(6) - a(1)
+end subroutine asis
+
+subroutine initcells(k)
+  integer :: w = later * 2 + 3
+  integer later, k
+  later = later + 5
+  k = k + w + later
+end subroutine initcells
+
+subroutine halt(k)
+  integer k
+  if (k > 0) then
+    stop
+  endif
+  k = -1
+end subroutine halt
+`
+	for _, m := range plan.PaperPair() {
+		runAll(t, "association/"+m.Name, src, 2, m)
+	}
+}
+
+// TestForwardReferenceKeepsImplicitCell: an initializer reading a scalar
+// before its declaration creates the cell with its implicit type, and the
+// declaration then keeps that cell — so the declared type says nothing about
+// the cell's kind, and no integer fast path may be chosen from it.
+func TestForwardReferenceKeepsImplicitCell(t *testing.T) {
+	src := wrap(`  real :: y = x + 1
+  integer x, z`, `
+  x = 2.5
+  z = x + 1
+  print *, 'fwd', x, y, z, x + 1`)
+	for _, m := range plan.PaperPair() {
+		runAll(t, "fwd/"+m.Name, src, 2, m)
 	}
 }

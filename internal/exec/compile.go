@@ -21,26 +21,33 @@ type sym struct {
 	zero  interp.Value // implicit-typing zero for on-demand creation
 }
 
-// comp compiles one unit.
+// comp is one unit's symbol table: every name the unit mentions, resolved
+// to its slots once, before anything is lowered.
 type comp struct {
-	prog         *Program
 	u            *ftn.Unit
 	implicitNone bool
 	syms         map[string]*sym
 	order        []*sym // first-encounter order, for deterministic slots
 	nscal, narr  int
 	nconst       int
+	// charWhy and charAt name the first place the unit can create a
+	// character value ("" when it cannot): such a program is not lowered.
+	charWhy string
+	charAt  ftn.Pos
 }
 
-// compileUnit lowers one program unit. It never fails: statements the
-// engine cannot lower (and names that are illegal under implicit none)
-// compile to closures returning the same runtime errors the tree-walker
-// raises, so a program only faults if the faulty statement executes.
-func compileUnit(prog *Program, u *ftn.Unit) *unit {
-	c := &comp{prog: prog, u: u, implicitNone: u.ImplicitNone, syms: map[string]*sym{}}
+// compileUnit resolves one program unit's names. It never fails: names that
+// are illegal under implicit none get no slot, and their uses lower to the
+// runtime errors the tree-walker raises, so a program only faults if the
+// faulty statement executes.
+func compileUnit(u *ftn.Unit) *unit {
+	c := &comp{u: u, implicitNone: u.ImplicitNone, syms: map[string]*sym{}}
 
 	// Pass A: declared names claim their slots first.
 	for _, d := range u.Decls {
+		if d.Type.Base == ftn.TCharacter {
+			c.noteChar(d.Pos(), "character declaration")
+		}
 		for _, e := range d.Entities {
 			s := c.sym(e.Name)
 			if d.Parameter {
@@ -77,151 +84,21 @@ func compileUnit(prog *Program, u *ftn.Unit) *unit {
 	cu := &unit{
 		name:   u.Name,
 		params: append([]string(nil), u.Params...),
+		nscal:  c.nscal, narr: c.narr, nconst: c.nconst,
+		cm: c,
 	}
-	isParam := map[string]bool{}
 	for _, p := range u.Params {
 		s := c.syms[p]
 		cu.paramScal = append(cu.paramScal, s.sslot)
 		cu.paramArr = append(cu.paramArr, s.aslot)
-		isParam[p] = true
 	}
-
-	// Frame setup, in the tree-walker's order: named constants first (they
-	// may reference each other in declaration order), then variables and
-	// arrays declaration by declaration.
-	for _, d := range u.Decls {
-		if !d.Parameter {
-			continue
-		}
-		for _, e := range d.Entities {
-			if e.Init == nil {
-				continue
-			}
-			s := c.syms[e.Name]
-			init := c.expr(e.Init)
-			base := d.Type.Base
-			cslot := s.cslot
-			cu.setup = append(cu.setup, func(x *rctx, fr *frame) error {
-				v, err := init(x, fr)
-				if err != nil {
-					return err
-				}
-				fr.consts[cslot] = interp.CoerceDecl(base, v)
-				fr.constSet[cslot] = true
-				return nil
-			})
-		}
-	}
-	for _, d := range u.Decls {
-		if d.Parameter {
-			continue
-		}
-		kind := interp.KindOf(d.Type.Base)
-		for _, e := range d.Entities {
-			s := c.syms[e.Name]
-			dims := d.DimsOf(e)
-			if len(dims) == 0 {
-				cu.setup = append(cu.setup, c.scalarDeclStep(s, d.Type.Base, kind, e.Init))
-				continue
-			}
-			cu.setup = append(cu.setup, c.arrayDeclStep(s, kind, dims, d.Pos(), isParam[e.Name]))
-		}
-	}
-
-	for _, st := range u.Body {
-		if fn := c.stmt(st); fn != nil {
-			cu.body = append(cu.body, fn)
-		}
-	}
-
-	cu.nscal, cu.narr, cu.nconst = c.nscal, c.narr, c.nconst
-	cu.cm = c
 	return cu
 }
 
-// scalarDeclStep compiles pass-2 handling of a declared scalar: keep an
-// existing binding (dummy), else allocate (and evaluate the initializer).
-func (c *comp) scalarDeclStep(s *sym, base ftn.BaseType, kind interp.Kind, init ftn.Expr) stmtFn {
-	var initFn exprFn
-	if init != nil {
-		initFn = c.expr(init)
-	}
-	sslot := s.sslot
-	return func(x *rctx, fr *frame) error {
-		if fr.scal[sslot] != nil {
-			return nil
-		}
-		v := interp.ZeroOf(kind)
-		if initFn != nil {
-			iv, err := initFn(x, fr)
-			if err != nil {
-				return err
-			}
-			v = interp.CoerceDecl(base, iv)
-		}
-		fr.scal[sslot] = &v
-		return nil
-	}
-}
-
-// arrayDeclStep compiles pass-2 handling of a declared array: evaluate the
-// bounds in this frame, then view the caller's backing (dummy) or allocate.
-// Only a dummy's slot can hold caller backing — for any other name a
-// pre-filled slot means an earlier declaration of the same name, which a
-// fresh allocation replaces (as the tree-walker's binding is overwritten).
-func (c *comp) arrayDeclStep(s *sym, kind interp.Kind, dims []ftn.Dim, pos ftn.Pos, isDummy bool) stmtFn {
-	type dimFns struct {
-		lo, hi  exprFn
-		assumed bool
-	}
-	fns := make([]dimFns, len(dims))
-	for i, d := range dims {
-		if d.Lo != nil {
-			fns[i].lo = c.expr(d.Lo)
-		}
-		if d.Hi == nil {
-			fns[i].assumed = true
-		} else {
-			fns[i].hi = c.expr(d.Hi)
-		}
-	}
-	name := s.name
-	aslot := s.aslot
-	return func(x *rctx, fr *frame) error {
-		bounds := make([]interp.DimBound, len(fns))
-		for i, f := range fns {
-			lo := int64(1)
-			if f.lo != nil {
-				v, err := f.lo(x, fr)
-				if err != nil {
-					return err
-				}
-				lo = v.AsInt()
-			}
-			if f.assumed {
-				bounds[i] = interp.DimBound{Lo: lo, Assumed: true}
-				continue
-			}
-			hv, err := f.hi(x, fr)
-			if err != nil {
-				return err
-			}
-			bounds[i] = interp.DimBound{Lo: lo, Hi: hv.AsInt()}
-		}
-		if backing := fr.arr[aslot]; isDummy && backing != nil {
-			view, err := interp.View(name, backing, 0, bounds)
-			if err != nil {
-				return rte(pos, "%v", err)
-			}
-			fr.arr[aslot] = view
-			return nil
-		}
-		a, err := interp.NewArray(name, kind, bounds)
-		if err != nil {
-			return rte(pos, "%v", err)
-		}
-		fr.arr[aslot] = a
-		return nil
+// noteChar records the first source of a character value.
+func (c *comp) noteChar(pos ftn.Pos, why string) {
+	if c.charWhy == "" {
+		c.charWhy, c.charAt = why, pos
 	}
 }
 
@@ -262,7 +139,7 @@ func implicitZero(name string) interp.Value {
 	return interp.RealVal(0)
 }
 
-// --- name scanning: give every Ident a slot before compiling closures ---
+// --- name scanning: give every Ident a slot before anything is lowered ---
 
 func (c *comp) scanDecls() {
 	for _, d := range c.u.Decls {
@@ -311,13 +188,20 @@ func (c *comp) scanStmt(s ftn.Stmt) {
 		}
 	case *ftn.PrintStmt:
 		for _, a := range s.Args {
-			c.scanExpr(a)
+			// A literal standing directly as a PRINT item never enters a
+			// register (bPrint holds it), so it is not a character value
+			// in the sense of noteChar.
+			if _, lit := a.(*ftn.StrLit); !lit {
+				c.scanExpr(a)
+			}
 		}
 	}
 }
 
 func (c *comp) scanExpr(e ftn.Expr) {
 	switch e := e.(type) {
+	case *ftn.StrLit:
+		c.noteChar(e.Pos(), "character literal")
 	case *ftn.Ident:
 		c.touchScalar(e.Name)
 	case *ftn.Ref:
@@ -336,7 +220,7 @@ func (c *comp) scanExpr(e ftn.Expr) {
 }
 
 // touchScalar ensures a scalar slot exists for a name used in scalar
-// position, unless implicit none forbids creating it (uses then compile to
+// position, unless implicit none forbids creating it (uses then lower to
 // the tree-walker's runtime errors). Named constants get one too: a
 // forward reference during frame setup reads the name before its
 // initializer runs, where the tree-walker falls back to an implicit
@@ -344,97 +228,7 @@ func (c *comp) scanExpr(e ftn.Expr) {
 func (c *comp) touchScalar(name string) {
 	s := c.sym(name)
 	if c.implicitNone && s.cslot < 0 && s.sslot < 0 && s.aslot < 0 {
-		return // undeclared under implicit none: error closures, no slot
+		return // undeclared under implicit none: no slot, every use is an error
 	}
 	c.scalSlot(s)
-}
-
-// --- scalar access closures (evalIdent / lookupScalar semantics) ---
-
-// identRead compiles reading name as a scalar expression, following the
-// tree-walker's resolution order: named constants, scalars, MPI constants,
-// whole-array error, implicit-none error, implicit creation.
-func (c *comp) identRead(e *ftn.Ident) exprFn {
-	s := c.sym(e.Name)
-	pos := e.Pos()
-	cslot, sslot, aslot := s.cslot, s.sslot, s.aslot
-	isMPI, mpiVal, zero := s.isMPI, s.mpi, s.zero
-	implicitNone := c.implicitNone
-	name := s.name
-	return func(x *rctx, fr *frame) (interp.Value, error) {
-		if cslot >= 0 && fr.constSet[cslot] {
-			// A constant is visible only once its initializer ran; an
-			// unset slot (a forward reference during frame setup) falls
-			// through to the tree-walker's implicit-typing path.
-			return fr.consts[cslot], nil
-		}
-		if sslot >= 0 {
-			if p := fr.scal[sslot]; p != nil {
-				return *p, nil
-			}
-		}
-		if isMPI {
-			return interp.IntVal(mpiVal), nil
-		}
-		if aslot >= 0 {
-			if fr.arr[aslot] != nil {
-				return interp.Value{}, rte(pos, "whole-array reference %s in scalar context", name)
-			}
-		}
-		if implicitNone {
-			return interp.Value{}, rte(pos, "undeclared name %s", name)
-		}
-		p := new(interp.Value)
-		*p = zero
-		fr.scal[sslot] = p
-		return *p, nil
-	}
-}
-
-// scalarPtr compiles lookupScalar: find or create the scalar cell for a
-// store (or a by-reference argument binding).
-func (c *comp) scalarPtr(name string, pos ftn.Pos) func(x *rctx, fr *frame) (*interp.Value, error) {
-	s := c.sym(name)
-	sslot, cslot := s.sslot, s.cslot
-	zero := s.zero
-	implicitNone := c.implicitNone
-	return func(x *rctx, fr *frame) (*interp.Value, error) {
-		if sslot >= 0 {
-			if p := fr.scal[sslot]; p != nil {
-				return p, nil
-			}
-		}
-		if cslot >= 0 {
-			return nil, rte(pos, "cannot assign to named constant %s", name)
-		}
-		if implicitNone {
-			return nil, rte(pos, "undeclared variable %s under implicit none", name)
-		}
-		if sslot < 0 {
-			// Unreachable in practice (scanning allocated a slot for every
-			// scalar use outside implicit none), kept as a hard error.
-			return nil, rte(pos, "undeclared variable %s", name)
-		}
-		p := new(interp.Value)
-		*p = zero
-		fr.scal[sslot] = p
-		return p, nil
-	}
-}
-
-// arrayOf compiles the fr.arr lookup for a name; the returned func yields
-// nil when the name holds no array in this frame.
-func (c *comp) arrayOf(name string) func(fr *frame) *interp.Array {
-	s := c.sym(name)
-	aslot := s.aslot
-	if aslot < 0 {
-		return func(fr *frame) *interp.Array { return nil }
-	}
-	return func(fr *frame) *interp.Array { return fr.arr[aslot] }
-}
-
-// errStmt compiles to a statement that always fails with the given message.
-func errStmt(pos ftn.Pos, format string, args ...interface{}) stmtFn {
-	err := rte(pos, format, args...)
-	return func(x *rctx, fr *frame) error { return err }
 }

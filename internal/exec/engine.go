@@ -7,17 +7,18 @@ import (
 	"repro/internal/netsim"
 )
 
-// Engine selects how program variants are executed: the bytecode tier
-// (a register machine lowered from the compiled variant, drawing from a
-// variant store) or the tree-walking interpreter, which is retained as the
-// differential oracle.
+// Engine selects how program variants are executed: the bytecode engine
+// (a register machine every unit of the compiled variant is lowered to,
+// drawing from a variant store) or the tree-walking interpreter, which is
+// retained as the differential oracle.
 type Engine string
 
 const (
-	// EngineBytecode lowers each compiled variant's main unit into a
+	// EngineBytecode lowers every unit of each compiled variant into a
 	// register-based flat instruction stream (constant folding, batched
 	// cost charges, bounds-check elimination) and dispatches through a
-	// flat switch. The fast tier, and the default.
+	// flat switch. The fast engine, and the default. A program holding
+	// character values is not lowered and runs on the walker.
 	EngineBytecode Engine = "bytecode"
 	// EngineWalk parses and tree-walks the AST for every run — the
 	// historical path, kept as the bit-identical oracle.
@@ -54,12 +55,7 @@ type Runner struct {
 // computation against costs. Both engines produce bit-identical results.
 func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, error) {
 	if r.Engine == EngineWalk {
-		p, err := interp.Load(src)
-		if err != nil {
-			return nil, err
-		}
-		p.Costs = costs
-		return p.Run(np, prof)
+		return runWalk(src, np, prof, costs)
 	}
 	get := CompileSource
 	if r.Store != nil {

@@ -1,30 +1,33 @@
-// Package exec is the compiled execution engine: it lowers a parsed ftn
-// program once into a closure program — statements become func(*rctx,
-// *frame) error closures, variable names are resolved to slot indices at
-// compile time, and MPI calls are lowered to pre-resolved bindings against
-// the same mpi runtime (and the same semantics tables) the tree-walking
-// interpreter in internal/interp uses. Executing a compiled program is
-// bit-identical to tree-walking the AST: the same output lines, final
-// arrays, message counts, and virtual times, including every cost-model
-// charge in the same order.
+// Package exec is the compiled execution engine: it resolves every name of
+// a parsed ftn program to a slot once (compile.go) and lowers every program
+// unit — the main program and each subroutine — to a register-machine
+// instruction stream (bcompile.go, bytecode.go, strip.go) that starts with
+// the unit's frame setup and runs user calls, PRINT and MPI statements as
+// instructions of their own. MPI calls execute through interp.MPI, the same
+// binding (and the same semantics tables) the tree-walking interpreter in
+// internal/interp uses, and ranks run through interp.RunRanks. Executing a
+// compiled program is bit-identical to tree-walking the AST: the same output
+// lines, final arrays, message counts, and virtual times, including every
+// cost-model charge in the same order.
 //
 // The point of compiling is the measurement loop: the tuner and the
 // harness run the same (program, plan) variant many times — per machine
 // model, per tuning candidate, per sweep — and the tree-walker re-parses
 // and re-walks the AST for each run. A compiled program is built once per
 // variant (see the VariantStore implementations in store.go), shared safely
-// across concurrent simulations (all mutable state lives in per-run
-// frames; a Program is immutable after compile), and replayed for the
-// price of calling closures.
+// across concurrent simulations (all mutable state lives in per-run frames
+// and registers; a Program is immutable once lowered), and replayed for the
+// price of dispatching instructions.
 //
-// The closure program is a substrate, not a selectable engine: Engine
-// "bytecode" (bytecode.go) lowers its main unit further and bridges into
-// these closures for whatever it does not lower; on their own they run only
-// through Program.Run. The tree-walker is retained as the differential
-// oracle (Engine "walk" runs internal/interp); this package's tests assert
-// walk, closure program and bytecode agree on every golden fixture and
-// corpus scenario. All three run ranks through interp.RunRanks and MPI
-// calls through interp.MPI.
+// There are two engines. Engine "bytecode" is this package; Engine "walk"
+// runs internal/interp, retained as the differential oracle: this package's
+// tests assert the two agree on every golden fixture, corpus scenario and
+// generated kernel. The one thing the register machine does not hold is a
+// character value, so a program that can create one — it declares a
+// character entity, or has a string literal anywhere but directly as a PRINT
+// item — is not lowered: CompileSource records where and why, keeps the
+// source, and RunBytecode runs the walker on it. That is a selection from
+// the input, not an option.
 package exec
 
 import (
@@ -41,13 +44,21 @@ import (
 // cost model, so one compiled artifact is shared across machines and
 // concurrent simulations.
 type Program struct {
-	main  *unit
-	units map[string]*unit // subroutines by name (first definition wins)
+	main *unit
+	subs []*unit // subroutines in file order (first definition of a name wins)
 
-	// bc is the lazily-lowered bytecode form of the main unit (the third
-	// execution tier); bcOnce guards the one lowering per Program.
+	// routed says where and why the program is not lowered ("" when it
+	// is); src is its source, kept only then, for the walker.
+	routed string
+	src    string
+
+	// bcOnce guards the one lowering of all units. vecs are the charge
+	// vectors of every unit's bCharge, deduplicated program-wide, so a run
+	// folds its cost model into one table; nreg sizes a rank's register
+	// stack for the main unit plus its widest callee.
 	bcOnce sync.Once
-	bc     *bprog
+	vecs   []chargeVec
+	nreg   int
 }
 
 // unit is one compiled program unit.
@@ -55,7 +66,7 @@ type unit struct {
 	name   string
 	params []string
 	// paramScal/paramArr map the i-th dummy onto its scalar and array
-	// slots; the call-site binder fills whichever side the actual argument
+	// slots; the call site fills whichever side the actual argument
 	// provides (both exist — Fortran's loose argument association means a
 	// dummy's classification is decided by the caller).
 	paramScal []int
@@ -63,12 +74,10 @@ type unit struct {
 
 	nscal, narr, nconst int
 
-	setup []stmtFn // frame initialization: consts, declarations, views
-	body  []stmtFn
-
-	// cm retains the unit's compile-time symbol state for the bytecode
-	// lowering (slot assignments, AST, pre-resolved MPI bindings).
+	// cm is the unit's symbol table and AST, which the lowering reads; bp
+	// its lowered form, set for every unit by Program.Bytecode.
 	cm *comp
+	bp *bprog
 }
 
 // frame is one procedure activation: slot-indexed storage. Scalar slots
@@ -84,12 +93,23 @@ type frame struct {
 	// binding's isConst), so a forward reference during frame setup
 	// falls through to implicit typing instead of reading a zero slot.
 	constSet []bool
+	// dummy holds, by array slot, the array a caller passed for a dummy
+	// argument. It stays out of arr until the dummy's declaration views it
+	// (or setup ends), so bounds and initializers cannot see it early —
+	// the tree-walker's rule. Empty in a unit without dummies.
+	dummy []*interp.Array
 }
 
 func (u *unit) newFrame() *frame {
+	n := u.narr
+	if len(u.params) > 0 {
+		n *= 2 // room for the dummy side
+	}
+	arrs := make([]*interp.Array, n)
 	return &frame{
 		scal:     make([]*interp.Value, u.nscal),
-		arr:      make([]*interp.Array, u.narr),
+		arr:      arrs[:u.narr:u.narr],
+		dummy:    arrs[u.narr:],
 		consts:   make([]interp.Value, u.nconst),
 		constSet: make([]bool, u.nconst),
 	}
@@ -97,34 +117,43 @@ func (u *unit) newFrame() *frame {
 
 // rctx is the per-rank execution context: everything mutable during a run.
 type rctx struct {
-	prog  *Program
-	rank  *mpi.Rank
-	costs interp.CostModel
-	out   []string
-	main  *frame
+	prog *Program
+	rank *mpi.Rank
+	tab  []netsim.Time // prog.vecs under the run's cost model
+	out  []string
+	main *frame
 
-	// bp and tab select the bytecode tier for the main body (see RunMain).
-	bp  *bprog
-	tab []netsim.Time
+	// regs is the rank's register stack: every activation's registers are a
+	// window of it above top, so a CALL allocates none. It only grows; a
+	// window handed out earlier keeps the backing it was cut from.
+	regs []reg
+	top  int
+	vals []interp.Value // bIntr's argument scratch
+	subs []int64        // subscript scratch of Buffer and of element actuals
+
 	// strip is the lane-vector scratch, taken from stripPool by the first
 	// strip-wise loop of the run. stripIters and scalarIters count the
-	// innermost-loop iterations entered each way; only tests read them.
-	strip                   *stripScratch
-	stripIters, scalarIters int64
+	// main unit's innermost-loop iterations entered each way, calleeIters
+	// those of subroutines (either way); only tests read them.
+	strip                                *stripScratch
+	stripIters, scalarIters, calleeIters int64
 
-	// mpi is the rank's MPI binding; args and argFr are the call site it is
-	// executing (the rctx is its own interp.MPIArgs, see mpi.go).
-	mpi   *interp.MPI
-	args  []mpiArg
-	argFr *frame
-	subs  []int64 // Buffer's subscript scratch
+	// mpi is the rank's MPI binding; site is the call it is executing (the
+	// rctx is its own interp.MPIArgs, see bytecode.go).
+	mpi  *interp.MPI
+	site mpiSite
 }
 
-func (x *rctx) charge(t netsim.Time) { x.rank.Compute(t) }
-
-// stmtFn is a compiled statement; exprFn a compiled expression.
-type stmtFn func(x *rctx, fr *frame) error
-type exprFn func(x *rctx, fr *frame) (interp.Value, error)
+// window cuts n zeroed registers off the register stack.
+func (x *rctx) window(n int) []reg {
+	if x.top+n > len(x.regs) {
+		x.regs = make([]reg, max(2*len(x.regs), x.top+n, x.prog.nreg))
+	}
+	w := x.regs[x.top : x.top+n : x.top+n]
+	x.top += n
+	clear(w)
+	return w
+}
 
 // Control-flow sentinels (same contract as the tree-walker's).
 var (
@@ -139,91 +168,96 @@ func rte(pos ftn.Pos, format string, args ...interface{}) error {
 	return fmt.Errorf("%s: %v", pos, fmt.Errorf(format, args...))
 }
 
-// runStmts executes a compiled statement list.
-func runStmts(x *rctx, fr *frame, fns []stmtFn) error {
-	for _, fn := range fns {
-		if err := fn(x, fr); err != nil {
-			return err
-		}
+// CompileSource parses src and resolves its names (uncached; a
+// VariantStore is the caching layer above this). Lowering to bytecode is
+// left to the first Bytecode or RunBytecode call.
+func CompileSource(src string) (*Program, error) {
+	file, err := ftn.Parse(src)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// Compile lowers a parsed file into a closure program.
-func Compile(file *ftn.File) (*Program, error) {
 	if file.Program() == nil {
 		return nil, fmt.Errorf("exec: no program unit")
 	}
-	prog := &Program{units: map[string]*unit{}}
+	prog := &Program{}
 	for _, un := range file.Units {
-		cu := compileUnit(prog, un)
+		cu := compileUnit(un)
+		if prog.routed == "" && cu.cm.charWhy != "" {
+			prog.routed = fmt.Sprintf("%s: %s: registers hold no character values", cu.cm.charAt, cu.cm.charWhy)
+			prog.src = src
+		}
 		switch un.Kind {
 		case ftn.ProgramUnit:
 			if prog.main == nil {
 				prog.main = cu
 			}
 		case ftn.SubroutineUnit:
-			if _, ok := prog.units[un.Name]; !ok {
-				prog.units[un.Name] = cu
+			if prog.subroutine(un.Name) == nil {
+				prog.subs = append(prog.subs, cu)
 			}
 		}
 	}
 	return prog, nil
 }
 
-// CompileSource parses and compiles src (uncached; a VariantStore is the
-// caching layer above this).
-func CompileSource(src string) (*Program, error) {
-	f, err := ftn.Parse(src)
-	if err != nil {
-		return nil, err
+// subroutine returns the first subroutine of that name, or nil.
+func (p *Program) subroutine(name string) *unit {
+	for _, u := range p.subs {
+		if u.name == name {
+			return u
+		}
 	}
-	return Compile(f)
+	return nil
 }
 
-// Run executes the closure program on np simulated ranks over the profile,
+// RunBytecode executes the program on np simulated ranks over the profile,
 // charging computation against costs. The result is bit-identical to
-// interp's tree-walk of the same source under the same machine.
-func (p *Program) Run(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	return p.run(np, prof, costs, nil)
-}
-
-// run drives interp's rank harness with one rctx per rank. bp selects the
-// tier executing the main body: nil for the closure program, else its
-// bytecode lowering.
-func (p *Program) run(np int, prof netsim.Profile, costs interp.CostModel, bp *bprog) (*interp.Result, error) {
-	var tab []netsim.Time
-	if bp != nil {
-		tab = bp.chargeTab(costs)
+// interp's tree-walk of the same source under the same machine — for a
+// program that is not lowered (see the package comment) because it is that
+// tree-walk.
+func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
+	if p.routed != "" {
+		return runWalk(p.src, np, prof, costs)
 	}
+	p.Bytecode()
+	tab := p.chargeTab(costs)
 	return interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
-		return &rctx{prog: p, rank: b.Rank, mpi: b, costs: costs, bp: bp, tab: tab}
+		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab}
 	})
 }
 
-// RunMain implements interp.RankState: frame setup (constants,
-// declarations, views) always runs the compiled setup steps; only the body
-// differs by tier.
+// Run is RunBytecode. It keeps its own name only because benchmark/layers.go
+// times it as the exec.closure_run_ms_p50 probe (the closure tier it used to
+// run is gone); probe and synonym retire together in a benchmark PR.
+func (p *Program) Run(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
+	return p.RunBytecode(np, prof, costs)
+}
+
+// runWalk parses src afresh and tree-walks it: the walk engine.
+func runWalk(src string, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
+	p, err := interp.Load(src)
+	if err != nil {
+		return nil, err
+	}
+	p.Costs = costs
+	return p.Run(np, prof)
+}
+
+// RunMain implements interp.RankState.
 func (x *rctx) RunMain() error {
-	main := x.prog.main
-	fr := main.newFrame()
-	for _, st := range main.setup {
-		if err := st(x, fr); err != nil {
-			return err
-		}
+	u := x.prog.main
+	fr := u.newFrame()
+	regs := x.window(u.bp.nreg)
+	if err := u.enter(x, fr, regs); err != nil {
+		return err
 	}
 	// Arrays are snapshotted only once the frame initialized cleanly,
 	// matching the tree-walker (newFrame failure leaves no main frame).
 	x.main = fr
-	var err error
-	if x.bp != nil {
-		err = x.bp.run(x, fr, x.tab)
-		if x.strip != nil {
-			stripPool.Put(x.strip)
-			x.strip = nil
-		}
-	} else {
-		err = runStmts(x, fr, main.body)
+	err := u.bp.bexec(x, fr, regs, u.bp.body, len(u.bp.code))
+	if x.strip != nil {
+		stripPool.Put(x.strip)
+		x.strip = nil
 	}
 	if err == errStop || err == errReturn {
 		err = nil

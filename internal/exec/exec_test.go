@@ -16,9 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// tier is one way of executing a source text. Only walk and bytecode are
-// selectable engines; the closure program the bytecode tier bridges into is
-// driven directly through Program.Run so it stays differentially covered.
+// tier is one way of executing a source text: one of the two engines.
 type tier struct {
 	name string
 	run  func(src string, np int, m plan.Machine) (*interp.Result, error)
@@ -35,17 +33,10 @@ func engineTier(e exec.Engine) tier {
 var (
 	walkTier     = engineTier(exec.EngineWalk)
 	bytecodeTier = engineTier(exec.EngineBytecode)
-	closureTier  = tier{"closure", func(src string, np int, m plan.Machine) (*interp.Result, error) {
-		p, err := exec.CompileSource(src)
-		if err != nil {
-			return nil, err
-		}
-		return p.Run(np, m.Profile, m.Costs)
-	}}
 
 	// fastEngines are the tiers proven against the walk oracle.
-	fastEngines = []tier{closureTier, bytecodeTier}
-	allEngines  = []tier{walkTier, closureTier, bytecodeTier}
+	fastEngines = []tier{bytecodeTier}
+	allEngines  = []tier{walkTier, bytecodeTier}
 )
 
 // requireBitIdentical asserts two results agree on everything the
@@ -271,8 +262,8 @@ end program fwdconst
 }
 
 // TestNameResolutionEdgeCasesAllTiers runs internal/interp's name-resolution
-// fixtures (whose headers hold the walker to its expected output) on all
-// three tiers: the same output, arrays, makespan and per-rank stats, or the
+// fixtures (whose headers hold the walker to its expected output) on both
+// engines: the same output, arrays, makespan and per-rank stats, or the
 // same exact error text.
 func TestNameResolutionEdgeCasesAllTiers(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "resolve", "*.f90"))
@@ -291,5 +282,63 @@ func TestNameResolutionEdgeCasesAllTiers(t *testing.T) {
 				t.Errorf("%s: outcome %q, fixture header expects an error: %v", path, got, wantErr)
 			}
 		}
+	}
+}
+
+// TestLoweringIsTotal: the opcode table has no instruction that leaves the
+// register machine, so "lowered" means every unit, statement and expression
+// — and none of the programs the differential tests run is routed to the
+// walker instead: the golden fixtures, the name-resolution fixtures, the
+// corpus with its default-K and K/4 variants and the random kernels (the
+// strip kernels check themselves). Only a character value routes a program,
+// see TestCharacterValuesBridge.
+func TestLoweringIsTotal(t *testing.T) {
+	lowered := func(label, src string) {
+		t.Helper()
+		p, err := exec.CompileSource(src)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if why := p.Routed(); why != "" {
+			t.Errorf("%s is not lowered: %s", label, why)
+		}
+		if p.Bytecode() == nil {
+			t.Errorf("%s has no bytecode", label)
+		}
+	}
+	for _, glob := range []string{
+		filepath.Join("..", "..", "testdata", "*.f90"),
+		filepath.Join("..", "interp", "testdata", "resolve", "*.f90"),
+	} {
+		paths, err := filepath.Glob(glob)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no fixtures under %s: %v", glob, err)
+		}
+		for _, path := range paths {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(b), "program ") { // not a code fragment
+				lowered(path, string(b))
+			}
+		}
+	}
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
+		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", sc.Name, err)
+		}
+		lowered(sc.Name, sc.Source)
+		for _, k := range []int64{sc.K, max(sc.K/4, 1)} {
+			src, _, err := core.Apply(prog, core.Options{K: k}.Plan())
+			if err != nil {
+				t.Fatalf("%s: apply K=%d: %v", sc.Name, k, err)
+			}
+			lowered(fmt.Sprintf("%s/K%d", sc.Name, k), src)
+		}
+	}
+	for i := 0; i < randomKernels; i++ {
+		lowered(fmt.Sprintf("kernel %d", i), randomKernel(i))
 	}
 }

@@ -1,6 +1,6 @@
 package exec
 
-// Strip-executor internals the external differential tests steer by.
+// Internals the external differential tests steer by.
 
 // StripLen and StripMin are the strip executor's two constants.
 const (
@@ -19,3 +19,7 @@ func (p *Program) StripEligible() []bool {
 	}
 	return out
 }
+
+// Routed reports where and why the program is not lowered — RunBytecode runs
+// the walker on its source — or "" when every unit lowers.
+func (p *Program) Routed() string { return p.routed }

@@ -60,9 +60,10 @@ var positioned = regexp.MustCompile(`^rank 0: \d+:\d+: `)
 // TestMPISignatureTableErrors walks every routine of the binding's signature
 // table and breaks its call one argument at a time — wrong arity, negative
 // count, unknown datatype, a buffer that is a scalar, an expression, or out
-// of bounds — requiring the walker, the closure program and the bytecode
-// tier to report the identical positioned error. The binding is one piece
-// of code under all three; this is the check that it stays one.
+// of bounds — requiring the walker and the bytecode engine to report the
+// identical positioned error. The binding is one piece of code under both
+// (the walker hands it the AST, the register machine lazy argument code);
+// this is the check that it stays one.
 func TestMPISignatureTableErrors(t *testing.T) {
 	m := plan.MPICHGM2005()
 	for _, r := range interp.MPIRoutines() {
@@ -133,7 +134,7 @@ func TestMPISignatureTableErrors(t *testing.T) {
 // called the simulation: while they panicked instead of recording their
 // failures, the first case below (the peer's receive is posted, so the NIC
 // does read the window) and the "message longer" cases crashed the caller of
-// Run on all three engines.
+// Run on every engine.
 func TestMPIBadTransfersArePositionedErrors(t *testing.T) {
 	const peer = `  integer other, req(2)`
 	const setPeer = `

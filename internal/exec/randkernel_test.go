@@ -15,7 +15,11 @@ import (
 // or mod(abs(e), extent) + lo), divisors are non-zero, and reals are
 // clamped so no NaN reaches the array comparison.
 type kgen struct {
-	r     *rand.Rand
+	r *rand.Rand
+	// x draws the choices of the calls-and-messages phase (extras): a
+	// stream of its own, so the phases before it keep the shapes their
+	// seeds always gave them.
+	x     *rand.Rand
 	sb    strings.Builder
 	depth int
 	loops []kloop // enclosing DO loops, outermost first
@@ -280,9 +284,135 @@ func (g *kgen) block(budget int) {
 	}
 }
 
+// extras emits the calls-and-messages phase, everything the lowering runs
+// as an instruction of its own rather than inline arithmetic: subroutines
+// taking an assumed-size and an explicit-shape dummy array (bounds from
+// dummy scalars), element actuals (sequence association) and expression
+// actuals (a temporary: the callee's write is lost), callees that RETURN
+// out of a DO, EXIT and CYCLE inside one, send a stray EXIT or CYCLE to the
+// caller's loop, call on two deep, or touch their dummies by name only; an
+// ISEND/IRECV/WAITALL exchange whose peer, tag and request slot are
+// run-time expressions; and a PRINT mixing literals with every kind.
+func (g *kgen) extras() {
+	x := g.x
+	pick := func(ss ...string) string { return ss[x.Intn(len(ss))] }
+	col := 1 + x.Intn(3)
+	g.line("call fillseq(ia, %d, %s)", kN, pick(kInts...))
+	g.line("call fillseq(ib(1, %d, %d), %d, i1 + %d)", col, 1+x.Intn(2), 1+x.Intn(kNB), x.Intn(9))
+	g.line("call scale2(ra, %d, 3, %d)", kN, 1+x.Intn(4))
+	g.line("call scale2(ra(0, %d), %d, 1, i0)", col, 1+x.Intn(kN))
+	g.line("call bump(%s + %d)", pick(kInts...), x.Intn(5))
+	g.line("call bump(ia(%d) * 1)", 1+x.Intn(kN))
+	g.line("call findfirst(ia, nrt, %d, k1)", x.Intn(40)-5)
+	g.line("call sumodd(ia, %d, k2)", 3+x.Intn(kN-2))
+	g.line("call chain(ia, n - 1, k2)")
+	g.line("call byname(%s, %s)", pick(kReals...), pick(kInts...))
+	g.line("k3 = 0")
+	g.line("do j1 = 1, %d", 4+x.Intn(5))
+	g.line("  call leave(j1 - %d, %d)", 2+x.Intn(4), 1+x.Intn(3))
+	g.line("  k3 = k3 + j1")
+	g.line("enddo")
+	for i := 1; i <= 3; i++ {
+		g.line("sb(%d) = mod(%s, 1000) + me", i, pick("k1", "k2", "k3", "i0", "i2"))
+	}
+	tag := x.Intn(50)
+	g.line("call mpi_irecv(rb(1 + me - me), 3, mpi_integer, mod(me + 1, 2), %d + n - %d, mpi_comm_world, rq(1 + mod(me, 2)), ierr)", tag, kN)
+	g.line("call mpi_isend(sb, 2 + n / %d, mpi_integer, 1 - me, %d + mod(n, %d), mpi_comm_world, rq(2 - mod(me, 2)), ierr)", kN, tag, kN)
+	g.line("call mpi_waitall(2, rq, mpi_statuses_ignore, ierr)")
+	g.line("k3 = k3 + rb(%d) - rb(%d)", 1+x.Intn(3), 1+x.Intn(3))
+	g.line("print *, 'calls', k1, k2, k3, ' r1 =', r1, l0, 'rank>0', me > 0, %s", pick("r0 / 2", "i0 + 0.5", "k1 == k2"))
+}
+
+// kernelSubs are the subroutines every kernel can call.
+const kernelSubs = `
+subroutine bump(x)
+  integer x
+  x = mod(x, 1000) + 1
+end subroutine bump
+
+subroutine halve(r)
+  real r
+  r = r / 2
+end subroutine halve
+
+subroutine fillseq(a, cnt, x)
+  integer a(*), cnt, x
+  integer k
+  do k = 1, cnt
+    a(k) = mod(a(k), 500) + k * 2 + mod(x, 7)
+  enddo
+  x = mod(x, 1000) + cnt
+end subroutine fillseq
+
+subroutine scale2(b, n, m, s)
+  integer n, m, s
+  real b(n, m)
+  integer i, j
+  do j = 1, m
+    do i = 1, n
+      b(i, j) = min(max(b(i, j) * 0.5 + s * 0.25 + i, -1000.0), 1000.0)
+    enddo
+  enddo
+end subroutine scale2
+
+subroutine findfirst(a, cnt, lim, pos)
+  integer a(*), cnt, lim, pos
+  integer k
+  do k = 1, cnt
+    if (a(k) > lim) then
+      pos = k
+      return
+    endif
+  enddo
+  pos = -1
+end subroutine findfirst
+
+subroutine sumodd(a, cnt, acc)
+  integer a(*), cnt, acc
+  integer k
+  acc = 0
+  do k = 1, cnt
+    if (mod(a(k), 2) == 0) then
+      cycle
+    endif
+    if (k > cnt - 2) then
+      exit
+    endif
+    acc = acc + mod(a(k), 100)
+  enddo
+end subroutine sumodd
+
+subroutine chain(a, cnt, x)
+  integer, parameter :: w = 8
+  integer a(*), cnt, x
+  integer t(1:w), k
+  do k = 1, w
+    t(k) = k * 3 - w
+  enddo
+  call fillseq(a(2), cnt - 1, x)
+  call bump(x)
+  x = x + t(w) - t(1)
+end subroutine chain
+
+subroutine byname(x, k)
+  x = x / 2 + k
+  k = mod(k + int(x), 1000)
+end subroutine byname
+
+subroutine leave(c, d)
+  integer c, d
+  if (c == d) then
+    cycle
+  endif
+  if (c > d) then
+    exit
+  endif
+end subroutine leave
+`
+
 // program emits the whole kernel: set-up, a first random phase filling the
 // send buffer, one ALLTOALL, a second random phase reading the receive
-// buffer, and prints of every scalar.
+// buffer, the calls-and-messages phase, and prints of every scalar.
 func (g *kgen) program() string {
 	g.sb.WriteString(`
 program k
@@ -292,6 +422,7 @@ program k
   integer ia(1:n), ib(1:4, 1:3, 1:2), as(1:8), ar(1:8)
   real ra(0:n-1, 1:3)
   integer ierr, me, nz, nrt, i0, i1, i2, i3, j1, j2, j3
+  integer rq(1:2), sb(1:3), rb(1:3), k1, k2, k3
   real r0, r1, r2
   logical l0, l1
   call mpi_init(ierr)
@@ -317,40 +448,37 @@ program k
 	g.line("i2 = ar(%s) + ar(%d)", g.sub(1, kNS), kNS)
 	g.doStmt(3)
 	g.block(3)
+	g.extras()
 	g.line("print *, 'ints', i0, i1, i2, i3, j1, j2, j3")
 	g.line("print *, 'reals', r0, r1, r2, 'logicals', l0, l1")
-	g.sb.WriteString(`  call mpi_finalize(ierr)
-end program k
-
-subroutine bump(x)
-  integer x
-  x = mod(x, 1000) + 1
-end subroutine bump
-
-subroutine halve(r)
-  real r
-  r = r / 2
-end subroutine halve
-`)
+	g.sb.WriteString("  call mpi_finalize(ierr)\nend program k\n" + kernelSubs)
 	return g.sb.String()
+}
+
+const randomKernels = 200
+
+// randomKernel is the i-th kernel of the seeded family.
+func randomKernel(i int) string {
+	g := &kgen{r: rand.New(rand.NewSource(int64(20060425 + i))), x: rand.New(rand.NewSource(int64(20261001 + i)))}
+	return g.program()
 }
 
 // TestRandomKernelsBitIdentical generates small kernels from a fixed seed —
 // nested DOs with constant and run-time bounds, integer/real/logical
 // scalars, 1- to 3-D arrays, intrinsics, IF/ELSE, EXIT/CYCLE, by-reference
-// calls, one ALLTOALL — and requires walk ≡ compile ≡ bytecode on every
-// observable. The corpus is all-integer straight-line loop nests; this is
-// where mixed kinds, coercing stores and control flow inside lowered loops
-// get their differential coverage.
+// calls, one ALLTOALL, then the calls-and-messages phase (see extras) — and
+// requires walk ≡ bytecode on every observable. The corpus is all-integer
+// straight-line loop nests; this is where mixed kinds, coercing stores,
+// control flow inside lowered loops, argument association and MPI argument
+// evaluation get their differential coverage.
 func TestRandomKernelsBitIdentical(t *testing.T) {
-	count := 200
+	count := randomKernels
 	if testing.Short() {
 		count = 20
 	}
 	machines := plan.PaperPair()
 	for i := 0; i < count; i++ {
-		g := &kgen{r: rand.New(rand.NewSource(int64(20060425 + i)))}
-		src := g.program()
+		src := randomKernel(i)
 		m := machines[i%len(machines)]
 		label := fmt.Sprintf("kernel %d", i)
 		func() {
@@ -550,7 +678,7 @@ func abs(x int) int {
 // scalars and the DO variable read after the loop, and a zero divisor or an
 // out-of-bounds checked subscript at the first, middle and last lane of
 // the first and last strips. Every kernel's loop must be strip-eligible,
-// and walk ≡ closure ≡ bytecode on every observable — for the faulting
+// and walk ≡ bytecode on every observable — for the faulting
 // ones on each rank's exact error, the virtual time of the failure, and
 // everything stored before it.
 func TestStripKernels(t *testing.T) {
@@ -576,6 +704,9 @@ func TestStripKernels(t *testing.T) {
 		p, err := exec.CompileSource(src)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		if why := p.Routed(); why != "" {
+			t.Fatalf("%s is not lowered: %s", label, why)
 		}
 		if el := p.StripEligible(); len(el) != 2 || !el[0] || !el[1] {
 			t.Fatalf("%s: strip-wise loops %v, want both", label, el)

@@ -95,7 +95,7 @@ func (b *bc) planStrips() {
 // eligible). It requires of the body, bForIter to bForNext exclusive:
 //
 //   - straight-line integer code only: bCharge, integer arithmetic,
-//     bLoadS/bStoreS and array loads/stores of rank <= 3 — no jump, bridge,
+//     bLoadS/bStoreS and array loads/stores of rank <= 3 — no jump, call,
 //     generic (run-time-kinded) op, intrinsic call, clock read or loop;
 //   - every frame cell the body stores is stored before it is loaded, so
 //     the cell is private to an iteration (no value is carried from one
@@ -219,7 +219,7 @@ func (s *stripRun) vec(i int32) []int64 {
 // leaves the loop registers at the first iteration not executed — the end
 // of the loop, or the first lane of a strip the scalar bexec must replay.
 // It returns the number of iterations executed.
-func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, tab []netsim.Time, fd *forDesc) int64 {
+func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
 	trips := int64(regs[fd.tripsReg].bits)
 	if trips < stripMin {
 		return 0
@@ -240,7 +240,7 @@ func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, tab []netsim.Time, fd
 		for l := range iv {
 			iv[l] = v + int64(l)*step
 		}
-		charge, ok := s.compute(x, tab, body, int(fd.headPC)+1)
+		charge, ok := s.compute(x, body, int(fd.headPC)+1)
 		if !ok {
 			break
 		}
@@ -257,8 +257,8 @@ func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, tab []netsim.Time, fd
 // compute runs the body over the strip's lanes with no side effect beyond
 // lane vectors and the body's invariant registers, returning the body's
 // per-iteration charge. It reports false as soon as any lane would fault.
-func (s *stripRun) compute(x *rctx, tab []netsim.Time, body []bins, pc0 int) (charge netsim.Time, ok bool) {
-	lane := s.bp.lane
+func (s *stripRun) compute(x *rctx, body []bins, pc0 int) (charge netsim.Time, ok bool) {
+	lane, tab := s.bp.lane, x.tab
 	for i, ins := range body {
 		switch ins.op {
 		case bCharge:
@@ -279,7 +279,7 @@ func (s *stripRun) compute(x *rctx, tab []netsim.Time, body []bins, pc0 int) (ch
 			// (the cell itself is only written at commit).
 			if ins.op == bLoadS && ins.c >= 0 {
 				s.regs[ins.a] = s.regs[ins.c]
-			} else if s.bp.bexec(x, s.fr, s.regs, tab, pc0+i, pc0+i+1) != nil {
+			} else if s.bp.bexec(x, s.fr, s.regs, pc0+i, pc0+i+1) != nil {
 				return 0, false
 			}
 			continue

@@ -330,7 +330,7 @@ end program p
 // resolveFixture is one program of testdata/resolve: its header comments
 // give rank 0's expected output ("! want: line") or the run's exact error
 // ("! error: text"). internal/exec's differential tests run the same files
-// on all three tiers.
+// on both engines.
 type resolveFixture struct {
 	name, src string
 	want      []string

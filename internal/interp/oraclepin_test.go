@@ -203,10 +203,9 @@ end subroutine fill
 }
 
 // TestOraclePin holds the tree-walker to a digest file generated before its
-// value layout and name resolution were reworked. The closure and bytecode
-// tiers share Value, NumericBinop, EvalIntrinsic and Array with the walker,
-// so the engine differential alone could see all three agree on a wrong
-// answer; this file is the independent witness. Regenerate only for an
+// value layout and name resolution were reworked. The bytecode engine
+// shares Value, NumericBinop, EvalIntrinsic and Array with the walker, so
+// the engine differential alone could see both agree on a wrong answer; this file is the independent witness. Regenerate only for an
 // intended change of the simulated semantics: go test ./internal/interp -run
 // TestOraclePin -update.
 func TestOraclePin(t *testing.T) {

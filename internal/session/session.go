@@ -112,26 +112,6 @@ func (s *Session) Analyze(src string, np int64) (*core.Program, error) {
 	return p, nil
 }
 
-// Tune runs the plan search through the session: the variant store backs
-// every measured run, and the plan memo short-circuits (fingerprint,
-// machine) pairs tuned before. Caller options other than Store/Memo/Engine
-// pass through.
-func (s *Session) Tune(in tune.Input, opts tune.Options) ([]tune.Choice, error) {
-	opts.Store = s.store
-	opts.Memo = s.memo
-	if opts.Engine == "" {
-		opts.Engine = s.engine
-	}
-	if in.Program == nil && in.Source != "" {
-		p, err := s.Analyze(in.Source, 0)
-		if err != nil {
-			return nil, fmt.Errorf("session: analyze: %w", err)
-		}
-		in.Program = p
-	}
-	return tune.Tune(in, opts)
-}
-
 // Query is one plan request: tune this program for this machine.
 type Query struct {
 	// Source is the untransformed Fortran program.
