@@ -1353,6 +1353,7 @@ func (b *bc) intrinsic(e *ftn.Ref, args []rv) rv {
 	switch {
 	case name == "mpi_wtime":
 		b.flush()
+		b.p.timed = true
 		dst := b.newReg()
 		b.emit(bWtime, dst)
 		return rv{reg: dst, k: interp.KReal}

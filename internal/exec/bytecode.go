@@ -363,7 +363,7 @@ type bprog struct {
 	lane []int32
 }
 
-// Charge-vector component indices.
+// Charge-vector component indices: interp.CostModel's field order.
 const (
 	kOp = iota
 	kAssign
@@ -371,23 +371,17 @@ const (
 	kLoad
 	kLoopIter
 	kCall
-	nCharge
 )
 
 // chargeVec counts the walker charges one bCharge stands for, by kind.
-type chargeVec [nCharge]int64
+type chargeVec = interp.ChargeCounts
 
 // chargeTab folds a cost model into the program's charge vectors: one
 // virtual-time total per vector, computed once per run.
 func (p *Program) chargeTab(costs interp.CostModel) []netsim.Time {
 	tab := make([]netsim.Time, len(p.vecs))
-	for i, v := range p.vecs {
-		tab[i] = costs.Op*netsim.Time(v[kOp]) +
-			costs.Assign*netsim.Time(v[kAssign]) +
-			costs.Store*netsim.Time(v[kStore]) +
-			costs.Load*netsim.Time(v[kLoad]) +
-			costs.LoopIter*netsim.Time(v[kLoopIter]) +
-			costs.CallOver*netsim.Time(v[kCall])
+	for i := range p.vecs {
+		tab[i] = costs.Price(&p.vecs[i])
 	}
 	return tab
 }
@@ -779,6 +773,9 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 		switch ins.op {
 		case bCharge:
 			x.rank.Compute(tab[ins.a])
+			if x.trace != nil {
+				x.trace.Charge(&x.prog.vecs[ins.a], 1)
+			}
 		case bJmp:
 			pc = int(ins.a)
 		case bJF:

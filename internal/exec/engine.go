@@ -51,19 +51,39 @@ type Runner struct {
 	Store VariantStore
 }
 
-// Run executes src on np simulated ranks under the profile, charging
+// Run executes src in full on np simulated ranks under the profile, charging
 // computation against costs. Both engines produce bit-identical results.
 func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, error) {
 	if r.Engine == EngineWalk {
 		return runWalk(src, np, prof, costs)
 	}
-	get := CompileSource
-	if r.Store != nil {
-		get = r.Store.Get
-	}
-	p, err := get(src)
+	p, err := r.get(src)
 	if err != nil {
 		return nil, err
 	}
 	return p.RunBytecode(np, prof, costs)
+}
+
+// Measure is Run's measuring twin (see Program.Measure): Run's answer,
+// replayed from the skeleton the variant's Program — drawn from the Store like
+// any run's — holds; full is non-nil exactly then. The walk engine never
+// replays, nor does a Runner without a Store (each of its Programs is new).
+func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, full func() (*interp.Result, error), err error) {
+	if r.Engine == EngineWalk {
+		res, err = runWalk(src, np, prof, costs)
+		return res, nil, err
+	}
+	p, err := r.get(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Measure(np, prof, costs)
+}
+
+// get draws the compiled variant from the store, or compiles it afresh.
+func (r Runner) get(src string) (*Program, error) {
+	if r.Store != nil {
+		return r.Store.Get(src)
+	}
+	return CompileSource(src)
 }

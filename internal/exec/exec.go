@@ -16,8 +16,19 @@
 // and re-walks the AST for each run. A compiled program is built once per
 // variant (see the VariantStore implementations in store.go), shared safely
 // across concurrent simulations (all mutable state lives in per-run frames
-// and registers; a Program is immutable once lowered), and replayed for the
+// and registers; a Program is immutable once lowered), and executed for the
 // price of dispatching instructions.
+//
+// Run vs measure. Running (Runner.Run, Program.RunBytecode) always executes
+// in full. What a program computes does not depend on the machine, only when
+// things happen does, so the first execution at a rank count also records the
+// run's skeleton on the Program (interp/skeleton.go), and measuring
+// (Runner.Measure, Program.Measure) answers from it: charge counts priced
+// under the asked-for cost model, MPI operations pushed through the same
+// mpi/netsim code with no VM and no payloads — an execution's exact Stats for
+// about a tenth of its host time. Which runs leave no skeleton the input
+// decides (skeleton.go; mpi_wtime at lowering time); there is no switch, the
+// walker never records or replays, a DiskStore persists sources only.
 //
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
@@ -59,6 +70,13 @@ type Program struct {
 	bcOnce sync.Once
 	vecs   []chargeVec
 	nreg   int
+	// timed: a unit reads mpi_wtime (set by the lowering), so what the
+	// program computes can depend on the machine: its runs are not recorded.
+	timed bool
+	// skels holds, by rank count, the *interp.Skeleton the first execution at
+	// that rank count recorded — nil while it runs, and for good if no replay
+	// can stand for it. On the Program, so every VariantStore carries it.
+	skels sync.Map
 }
 
 // unit is one compiled program unit.
@@ -142,6 +160,8 @@ type rctx struct {
 	// rctx is its own interp.MPIArgs, see bytecode.go).
 	mpi  *interp.MPI
 	site mpiSite
+	// trace is mpi.Trace: non-nil in the one run that records the skeleton.
+	trace *interp.RankTrace
 }
 
 // window cuts n zeroed registers off the register stack.
@@ -210,20 +230,53 @@ func (p *Program) subroutine(name string) *unit {
 	return nil
 }
 
-// RunBytecode executes the program on np simulated ranks over the profile,
-// charging computation against costs. The result is bit-identical to
-// interp's tree-walk of the same source under the same machine — for a
+// RunBytecode executes the program in full on np simulated ranks over the
+// profile, charging computation against costs. The result is bit-identical
+// to interp's tree-walk of the same source under the same machine — for a
 // program that is not lowered (see the package comment) because it is that
-// tree-walk.
+// tree-walk. The first execution at a rank count also records the run's
+// skeleton for Measure; every later one pays one map load for that.
 func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
 	if p.routed != "" {
 		return runWalk(p.src, np, prof, costs)
 	}
 	p.Bytecode()
 	tab := p.chargeTab(costs)
-	return interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
-		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab}
+	var traces []*interp.RankTrace
+	if _, seen := p.skels.Load(np); !seen && !p.timed {
+		// Whoever stores the placeholder records; a concurrent run just executes.
+		if _, raced := p.skels.LoadOrStore(np, (*interp.Skeleton)(nil)); !raced {
+			traces = make([]*interp.RankTrace, np)
+		}
+	}
+	res, err := interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
+		if traces != nil {
+			b.Trace = interp.NewRankTrace(np)
+			traces[b.Rank.Me()] = b.Trace
+		}
+		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab, trace: b.Trace}
 	})
+	if traces != nil {
+		p.skels.Store(np, interp.NewSkeleton(traces, res, err))
+	}
+	return res, err
+}
+
+// Measure answers what RunBytecode would — the same Stats and, unless the
+// program's data depends on message timing, observables — by replaying the
+// recorded skeleton when there is one, else by executing. full is non-nil
+// exactly when res is a replay: the execution it stands for. A failed replay
+// is never the answer: the execution reports.
+func (p *Program) Measure(np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, full func() (*interp.Result, error), err error) {
+	full = func() (*interp.Result, error) { return p.RunBytecode(np, prof, costs) }
+	v, _ := p.skels.Load(np)
+	if s, _ := v.(*interp.Skeleton); s != nil {
+		if res, err := s.Replay(prof, costs); err == nil {
+			return res, full, nil
+		}
+	}
+	res, err = full()
+	return res, nil, err
 }
 
 // Run is RunBytecode. It keeps its own name only because benchmark/layers.go

@@ -246,6 +246,13 @@ func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
 		}
 		s.commit(body)
 		x.rank.Compute(charge * netsim.Time(s.n))
+		if x.trace != nil {
+			for _, ins := range body {
+				if ins.op == bCharge {
+					x.trace.Charge(&x.prog.vecs[ins.a], int64(s.n))
+				}
+			}
+		}
 		v += int64(s.n) * step
 		left -= int64(s.n)
 	}

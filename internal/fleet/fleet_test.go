@@ -58,12 +58,21 @@ func startWorker(t *testing.T, cacheDir string) (*Worker, string) {
 	return w, serve(t, w.Mux())
 }
 
-// normalize strips the volatile counters — wall time and cache/verify
-// economics — that legitimately differ between a fleet sweep and a
-// single-process sweep. Everything else must agree byte for byte.
+// normalize strips the volatile counters — wall time and cache, verify and
+// run-skeleton economics — that legitimately differ between a fleet sweep
+// and a single-process sweep. Everything else must agree byte for byte.
 func normalize(t *testing.T, rep *harness.Report) string {
 	t.Helper()
 	clone := *rep
+	clone.Summary.ReplayedRuns, clone.Summary.CertifiedRuns = 0, 0
+	clone.Scenarios = append([]harness.Outcome(nil), rep.Scenarios...)
+	for i := range clone.Scenarios {
+		tuned := append([]harness.TunedRun(nil), clone.Scenarios[i].Tuned...)
+		for j := range tuned {
+			tuned[j].ReplayedRuns, tuned[j].CertifiedRuns = 0, 0
+		}
+		clone.Scenarios[i].Tuned = tuned
+	}
 	clone.Summary.SweepWallNs = 0
 	clone.Summary.VariantsCompiled = 0
 	clone.Summary.CacheHits = 0

@@ -193,6 +193,10 @@ type TunedRun struct {
 	// TieredChecks counts the check-engine runs that re-proved this row's
 	// original and adopted plan (tiered tuning only; 0 when off).
 	TieredChecks int `json:"tiered_checks,omitempty"`
+	// ReplayedRuns and CertifiedRuns are tune.Choice's: skeleton replays and
+	// certifying executions; which search came first decides — economics.
+	ReplayedRuns  int `json:"replayed_runs,omitempty"`
+	CertifiedRuns int `json:"certified_runs,omitempty"`
 }
 
 // TunedSite is one site's slice of a tuned plan: the chosen decision plus
@@ -287,6 +291,10 @@ type Summary struct {
 	// only). It is the whole oracle bill of a tiered sweep: two runs per
 	// adopted plan instead of one per measured candidate. Merge sums it.
 	TieredChecks int64 `json:"tiered_checks,omitempty"`
+	// ReplayedRuns and CertifiedRuns sum the tuned rows' counters; Merge
+	// sums them across shards.
+	ReplayedRuns  int64 `json:"replayed_runs,omitempty"`
+	CertifiedRuns int64 `json:"certified_runs,omitempty"`
 }
 
 // ProfileSummary is one machine's aggregate row.
@@ -672,6 +680,7 @@ func (st *scenarioState) tuneMachine(mi int, cfg Config) {
 		Divergent:    c.Divergent, UniformSpeedup: c.UniformSpeedup,
 		Evaluations: c.Evaluations, SearchSimNs: c.SearchSimNs,
 		TieredChecks: c.TieredChecks,
+		ReplayedRuns: c.ReplayedRuns, CertifiedRuns: c.CertifiedRuns,
 	}
 	for _, s := range c.Sites {
 		tr.Sites = append(tr.Sites, TunedSite{
@@ -935,6 +944,8 @@ func summarize(outcomes []Outcome) Summary {
 				s.IdentityPlans++
 			}
 			s.TieredChecks += int64(tr.TieredChecks)
+			s.ReplayedRuns += int64(tr.ReplayedRuns)
+			s.CertifiedRuns += int64(tr.CertifiedRuns)
 		}
 		if gained {
 			s.OffloadGained++

@@ -56,6 +56,18 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 }
 
+// stripReplayCounters zeroes the run-skeleton economics — which search
+// reached a shared variant first, so which one replayed it, depends on
+// scheduling, on the engine (walk never replays) and on sharding.
+func stripReplayCounters(r *Report) {
+	r.Summary.ReplayedRuns, r.Summary.CertifiedRuns = 0, 0
+	for i := range r.Scenarios {
+		for j := range r.Scenarios[i].Tuned {
+			r.Scenarios[i].Tuned[j].ReplayedRuns, r.Scenarios[i].Tuned[j].CertifiedRuns = 0, 0
+		}
+	}
+}
+
 // TestDeterministicAcrossParallelism: the sweep's report must be identical
 // regardless of worker count — concurrency must not leak into results.
 func TestDeterministicAcrossParallelism(t *testing.T) {
@@ -71,6 +83,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 		rep.Summary.SweepWallNs = 0
 		rep.Summary.VariantsCompiled = 0
 		rep.Summary.CacheHits = 0
+		stripReplayCounters(rep)
 		b, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -99,6 +112,7 @@ func TestEnginesAgreeFixedAndTuned(t *testing.T) {
 		r.Summary.SweepWallNs = 0
 		r.Summary.VariantsCompiled = 0
 		r.Summary.CacheHits = 0
+		stripReplayCounters(r)
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
@@ -239,6 +253,7 @@ func TestWarmDiskStoreAcrossSessions(t *testing.T) {
 		r.Summary.VariantsCompiled = 0
 		r.Summary.CacheHits = 0
 		r.Summary.DiskHits = 0
+		stripReplayCounters(r)
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
@@ -311,6 +326,7 @@ func TestTieredTuningSweep(t *testing.T) {
 		r.Summary.VariantsCompiled = 0
 		r.Summary.CacheHits = 0
 		r.Summary.TieredChecks = 0
+		stripReplayCounters(r)
 		for i := range r.Scenarios {
 			for j := range r.Scenarios[i].Tuned {
 				r.Scenarios[i].Tuned[j].TieredChecks = 0
@@ -547,11 +563,47 @@ func TestMergeShards(t *testing.T) {
 		r.Summary.VariantsCompiled = 0
 		r.Summary.CacheHits = 0
 		r.Summary.DiskHits = 0
+		stripReplayCounters(r)
 	}
 	a, _ := json.Marshal(whole)
 	b, _ := json.Marshal(merged)
 	if string(a) != string(b) {
 		t.Errorf("merged report differs from the unsharded sweep:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestReplayCountersSumAndMerge: a tuned sweep's summary carries the sum of
+// its rows' replayed and certified runs, Merge the sum of its shards', and a
+// sweep replays at all (the second and third machine's searches of a
+// scenario find the first's variants in the session's store).
+func TestReplayCountersSumAndMerge(t *testing.T) {
+	corpus := smallCorpus(t, 2)
+	var shards []*Report
+	var replayed, certified int64
+	for _, sc := range corpus {
+		rep, err := Run(Config{Scenarios: []workload.Scenario{sc}, Tune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows, certs int64
+		for _, tr := range rep.Scenarios[0].Tuned {
+			rows += int64(tr.ReplayedRuns)
+			certs += int64(tr.CertifiedRuns)
+		}
+		if rep.Summary.ReplayedRuns != rows || rep.Summary.CertifiedRuns != certs || rows == 0 || certs > rows {
+			t.Fatalf("%s: summary %d replayed / %d certified, rows %d / %d", sc.Name,
+				rep.Summary.ReplayedRuns, rep.Summary.CertifiedRuns, rows, certs)
+		}
+		replayed, certified = replayed+rows, certified+certs
+		shards = append(shards, rep)
+	}
+	merged, err := Merge(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Summary.ReplayedRuns != replayed || merged.Summary.CertifiedRuns != certified {
+		t.Errorf("merged summary %d replayed / %d certified, shards sum to %d / %d",
+			merged.Summary.ReplayedRuns, merged.Summary.CertifiedRuns, replayed, certified)
 	}
 }
 

@@ -111,6 +111,16 @@ type MPI struct {
 	// that next completes a request (or at run end, see RunRanks). One field
 	// rather than one per request keeps a posted message as cheap as before.
 	cbErr error
+	// Trace, when non-nil, records the rank's skeleton (skeleton.go): the
+	// engine that set it reports charges, Call each operation.
+	Trace *RankTrace
+}
+
+// trace records operation e when the run is being recorded.
+func (b *MPI) trace(e skelEntry) {
+	if b.Trace != nil {
+		b.Trace.record(e)
+	}
 }
 
 // note records a payload callback's failure.
@@ -186,12 +196,14 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 	case opSize:
 		err = a.Store(1, IntVal(int64(b.Rank.NP())))
 	case opBarrier:
+		b.trace(skelEntry{op: opBarrier})
 		b.Rank.Barrier()
 	case opIsend, opIrecv, opSend, opRecv:
 		var req *mpi.Request
 		if req, err = b.post(r.op, s, arr[0], num[0], num[1], num[2], int(num[3]), int(num[4])); err != nil {
 			break
 		}
+		b.trace(skelEntry{op: r.op, peer: int32(num[3]), tag: num[4], bytes: num[1] * num[2]})
 		if r.op == opSend || r.op == opRecv {
 			b.Rank.Wait(req)
 			err = b.failed(s)
@@ -218,6 +230,7 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 		// §3.5 partition semantics: the send array is NP consecutive blocks
 		// of scount elements, block r going to rank r.
 		sArr, sOff, sCount, rArr, rOff, rCount := arr[0], num[0], num[1], arr[3], num[3], num[4]
+		b.trace(skelEntry{op: opAlltoall, bytes: sCount * num[2]})
 		b.Rank.Alltoall(sCount*num[2],
 			func(dst int) interface{} {
 				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
@@ -299,6 +312,7 @@ func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
 		return nil // already waited
 	}
 	b.reqs[h-1] = nil
+	b.trace(skelEntry{op: opWait, slot: int32(h)})
 	b.Rank.Wait(req)
 	return b.failed(s)
 }

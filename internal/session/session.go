@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -40,6 +41,9 @@ type Session struct {
 
 	mu       sync.Mutex
 	programs map[programKey]*core.Program
+
+	// replayed and certified sum the searches' run-skeleton counters.
+	replayed, certified atomic.Int64
 }
 
 type programKey struct {
@@ -214,6 +218,8 @@ func (s *Session) Plan(q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.replayed.Add(int64(choices[0].ReplayedRuns))
+	s.certified.Add(int64(choices[0].CertifiedRuns))
 	return &Result{
 		Fingerprint: rq.fingerprint,
 		MemoHit:     choices[0].MemoHit,
@@ -260,13 +266,17 @@ func IsQueryError(err error) bool {
 		strings.Contains(msg, "unknown machine")
 }
 
-// Stats bundles the session's store and memo counters (the /stats payload).
+// Stats bundles the session's store and memo counters (the /stats payload)
+// with its Plan searches' replayed and certifying runs (tune.Choice).
 type Stats struct {
-	Store exec.StoreStats `json:"store"`
-	Memo  tune.MemoStats  `json:"memo"`
+	Store         exec.StoreStats `json:"store"`
+	Memo          tune.MemoStats  `json:"memo"`
+	ReplayedRuns  int64           `json:"replayed_runs"`
+	CertifiedRuns int64           `json:"certified_runs"`
 }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
-	return Stats{Store: s.store.Stats(), Memo: s.memo.Stats()}
+	return Stats{Store: s.store.Stats(), Memo: s.memo.Stats(),
+		ReplayedRuns: s.replayed.Load(), CertifiedRuns: s.certified.Load()}
 }

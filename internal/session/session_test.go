@@ -57,6 +57,41 @@ func TestPlanMemoHitOnRepeatQuery(t *testing.T) {
 	}
 }
 
+// TestStatsCountReplayedRuns: the second machine's search of one program
+// finds the variants the first executed, measures them by replay, and the
+// session says so; a memo hit adds nothing.
+func TestStatsCountReplayedRuns(t *testing.T) {
+	s, err := session.New(session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := session.Query{Source: testSource(), Machine: "mpich-gm-2005", NP: 4}
+	if _, err := s.Plan(q); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.ReplayedRuns != 0 || st.CertifiedRuns != 0 {
+		t.Fatalf("first search of a fresh session replayed: %+v", st)
+	}
+	q.Machine = "mpich-tcp-2005"
+	res, err := s.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if res.Choice.ReplayedRuns == 0 || st.ReplayedRuns != int64(res.Choice.ReplayedRuns) ||
+		st.CertifiedRuns != int64(res.Choice.CertifiedRuns) || st.CertifiedRuns > st.ReplayedRuns {
+		t.Fatalf("second machine: choice replayed %d, certified %d; stats %+v",
+			res.Choice.ReplayedRuns, res.Choice.CertifiedRuns, st)
+	}
+	hit, err := s.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.MemoHit || hit.Choice.ReplayedRuns != 0 || s.Stats().ReplayedRuns != st.ReplayedRuns {
+		t.Fatalf("memo hit counted runs: choice %d, stats %+v", hit.Choice.ReplayedRuns, s.Stats())
+	}
+}
+
 // TestPlanValidatesQuery: missing source, rank count, or an unknown
 // machine must error instead of searching garbage.
 func TestPlanValidatesQuery(t *testing.T) {

@@ -1,0 +1,204 @@
+package tune
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/interp"
+	"repro/internal/plan"
+	"repro/internal/workload"
+)
+
+// TestEveryReplayedCandidateIsItsRun: over a tuned sweep of one scenario per
+// family under the three sweep machines (sharing a store, so the second and
+// third searches measure mostly by replay), every candidate's replay is the
+// full execution of the same program under the same machine — makespan,
+// traffic, per-rank times, output and arrays — and is the number the search
+// recorded. The walk engine replays nothing.
+func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
+	scenarios := workload.GenerateScenarios(workload.GenOptions{})[:9]
+	if testing.Short() {
+		scenarios = scenarios[:3]
+	}
+	for _, sc := range scenarios {
+		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := plan.DefaultSweep()
+		for i := range ms {
+			if sc.Costs != nil {
+				ms[i].Costs = *sc.Costs
+			}
+		}
+		in := Input{Source: sc.Source, Program: prog, NP: sc.NP, FixedK: sc.K, Machines: ms}
+		store := exec.NewMemStore()
+		choices, err := Tune(in, Options{Store: store, Arrays: sc.Arrays})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		plans := &search{sites: siteStates(prog)}
+		replays := 0
+		for i, ch := range choices {
+			replays += ch.ReplayedRuns
+			if ch.CertifiedRuns > ch.ReplayedRuns {
+				t.Errorf("%s on %s: %d certified runs for %d replays", sc.Name, ch.Machine, ch.CertifiedRuns, ch.ReplayedRuns)
+			}
+			for _, c := range ch.Candidates {
+				src, _, err := core.Apply(prog, plans.buildPlan(c.Decisions))
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := store.Get(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay, full, err := p.Measure(sc.NP, ms[i].Profile, ms[i].Costs)
+				if err != nil || full == nil {
+					t.Fatalf("%s on %s, %v: measured candidate does not replay (err %v)", sc.Name, ch.Machine, c.Decisions, err)
+				}
+				run, err := full()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(replay.Stats, run.Stats) || !reflect.DeepEqual(replay.OutputLines(), run.OutputLines()) {
+					t.Errorf("%s on %s, %v: replay differs from the run: %+v vs %+v", sc.Name, ch.Machine, c.Decisions, replay.Stats, run.Stats)
+				}
+				if same, why := interp.SameOutput(run, replay); !same {
+					t.Errorf("%s on %s, %v: replay differs from the run: %s", sc.Name, ch.Machine, c.Decisions, why)
+				}
+				if int64(run.Elapsed()) != c.PrepushNs {
+					t.Errorf("%s on %s, %v: search recorded %d ns, the run takes %d ns", sc.Name, ch.Machine, c.Decisions, c.PrepushNs, int64(run.Elapsed()))
+				}
+			}
+		}
+		if choices[0].ReplayedRuns != 0 || replays == 0 {
+			t.Errorf("%s: %d replays under the first machine, %d in all; want 0 and some", sc.Name, choices[0].ReplayedRuns, replays)
+		}
+		walk, err := Tune(in, Options{Engine: exec.EngineWalk, Arrays: sc.Arrays})
+		if err != nil {
+			t.Fatalf("%s: walk: %v", sc.Name, err)
+		}
+		for i := range walk {
+			if walk[i].ReplayedRuns != 0 || walk[i].CertifiedRuns != 0 {
+				t.Errorf("%s on %s: the walk engine replayed", sc.Name, walk[i].Machine)
+			}
+			c := choices[i]
+			c.ReplayedRuns, c.CertifiedRuns = 0, 0
+			if !reflect.DeepEqual(c, walk[i]) {
+				t.Errorf("%s on %s: measuring by replay changed the choice:\n%+v\nvs\n%+v", sc.Name, c.Machine, c, walk[i])
+			}
+		}
+	}
+}
+
+// A hand-tiled exchange: rank 0 posts its send, refills the buffer for the
+// next phase, and only then waits. That is the original's data as long as
+// the send is eager (the payload is packed when it is posted) and the next
+// phase's data once it is a rendezvous (the payload is read when the
+// transfer starts, after the refill).
+const (
+	racyOriginal = `
+program racy
+  include 'mpif.h'
+  integer a(1:512), b(1:512)
+  integer ierr, me, i, j
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  do i = 1, 512
+    a(i) = i + me
+  enddo
+  if (me == 0) then
+    call mpi_send(a, 512, mpi_integer, 1, 3, mpi_comm_world, ierr)
+    do j = 1, 40
+      do i = 1, 512
+        a(i) = -i - j
+      enddo
+    enddo
+  else
+    call mpi_recv(b, 512, mpi_integer, 0, 3, mpi_comm_world, mpi_status_ignore, ierr)
+  endif
+  print *, b(1), b(512)
+end program racy
+`
+	racyTiled = `
+program racy
+  include 'mpif.h'
+  integer a(1:512), b(1:512)
+  integer ierr, me, i, j, req
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  do i = 1, 512
+    a(i) = i + me
+  enddo
+  if (me == 0) then
+    call mpi_isend(a, 512, mpi_integer, 1, 3, mpi_comm_world, req, ierr)
+    do j = 1, 40
+      do i = 1, 512
+        a(i) = -i - j
+      enddo
+    enddo
+    call mpi_wait(req, mpi_status_ignore, ierr)
+  else
+    call mpi_recv(b, 512, mpi_integer, 0, 3, mpi_comm_world, mpi_status_ignore, ierr)
+  endif
+  print *, b(1), b(512)
+end program racy
+`
+)
+
+// handSearch starts a search over the hand-written pair under machine m: the
+// original executed in full, the identity registered.
+func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
+	t.Helper()
+	orig, err := runner.Run(racyOriginal, 2, m.Costs, m.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &search{
+		in: Input{Source: racyOriginal, NP: 2}, machine: m, sites: []siteState{{key: "hand"}},
+		arrays: []string{"b"}, maxM: 4, runner: runner, orig: orig, origNs: int64(orig.Elapsed()),
+		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
+		replayed: map[*Candidate]func() (*interp.Result, error){},
+	}
+	s.registerIdentity()
+	return s
+}
+
+// TestRacyWinnerIsNotCertified: the tiled variant is right under an eager
+// machine, and its skeleton — recorded there — makes it look right and fast
+// under a rendezvous machine too, where it really ships the refilled buffer.
+// The replay may rank it first; the full execution behind every adopted plan
+// must throw it out. (Mutation check: make certifiedBest return best() and
+// this test fails on the adopted plan.)
+func TestRacyWinnerIsNotCertified(t *testing.T) {
+	eager, rendezvous := plan.MPICHGM2005(), plan.MPICHGM2005()
+	eager.Profile = eager.Profile.WithEagerThreshold(1 << 20)
+	rendezvous.Profile = rendezvous.Profile.WithEagerThreshold(0)
+	runner := exec.Runner{Store: exec.NewMemStore()}
+	tiled := []plan.Decision{plan.Decision{K: 1}.Normalize()}
+
+	se := handSearch(t, eager, runner)
+	ce := se.measure(racyTiled, tiled, false)
+	if ce == nil || !ce.Identical || se.replays != 0 {
+		t.Fatalf("eager machine: candidate %+v after %d replays, want an identical one from a full run", ce, se.replays)
+	}
+
+	sr := handSearch(t, rendezvous, runner)
+	cr := sr.measure(racyTiled, tiled, false)
+	if cr == nil || sr.replays != 1 || !cr.Identical || cr.Speedup <= 1 {
+		t.Fatalf("rendezvous machine: candidate %+v after %d replays, want a replay ranking it identical and faster", cr, sr.replays)
+	}
+	w, err := sr.certifiedBest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w == cr || w == nil || !w.Decisions[0].Skip {
+		t.Fatalf("rendezvous machine: adopted %+v, want the identity plan", w)
+	}
+	if cr.Identical || sr.certified != 1 {
+		t.Errorf("rendezvous machine: tiled variant left identical = %v after %d certifying runs", cr.Identical, sr.certified)
+	}
+}

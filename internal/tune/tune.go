@@ -24,6 +24,17 @@
 // a candidate that corrupts results is never chosen, and the fixed-K
 // default decision is always measured first so the tuned choice can never
 // lose to the baseline.
+//
+// Run vs measure. Candidates are measured through exec.Runner.Measure: the
+// first execution of a variant by any search records its machine-independent
+// skeleton, and every later measurement — the same candidate reached by the
+// next machine's search — prices and replays it instead of executing. Timing
+// comes out exactly; data a replay cannot vouch for (it carries the recording
+// run's observables, and a variant overwriting an in-flight rendezvous send
+// buffer computes other data where the eager threshold differs). So a replay
+// ranks and never certifies: each search executes its original under its own
+// machine, a replayed "not identical" is re-taken from an execution, and an
+// adopted plan measured by replay is executed once before the search returns.
 package tune
 
 import (
@@ -93,8 +104,7 @@ type Options struct {
 	// skipping the non-K knob flips — kept for ablation comparisons.
 	KOnly bool
 	// Engine selects the execution engine for every measured run; ""
-	// means exec.Default (the bytecode engine, whose variant store makes
-	// revisiting a candidate across machines nearly free).
+	// means exec.Default (the bytecode engine).
 	Engine exec.Engine
 	// CheckEngine, when non-empty and different from Engine, re-runs just
 	// the original program and the adopted plan on this engine after the
@@ -102,9 +112,10 @@ type Options struct {
 	// tiered-tuning contract: candidates are measured on the fast tier,
 	// the winner stays oracle-backed. "" disables the re-check.
 	CheckEngine exec.Engine
-	// Store caches compiled variants across measured runs (revisiting a
-	// candidate on another machine compiles nothing); nil gives this call
-	// a private in-memory store.
+	// Store caches compiled variants, and with them their run skeletons,
+	// across measured runs (revisiting a candidate on another machine
+	// compiles nothing and executes nothing); nil gives this call a private
+	// in-memory store.
 	Store exec.VariantStore
 	// Memo, when non-nil, short-circuits the search for (fingerprint,
 	// machine) pairs tuned before and records fresh outcomes. The caller
@@ -174,6 +185,12 @@ type Choice struct {
 	// with (0 when tiered checking was off or the choice came from the
 	// memo).
 	TieredChecks int `json:"tiered_checks,omitempty"`
+	// ReplayedRuns counts the evaluations answered by replaying a variant's
+	// skeleton (see the package comment), CertifiedRuns the executions behind
+	// winners so measured. Which search reached a variant first decides both:
+	// economics, like cache hits; 0 under the walk engine and on a memo hit.
+	ReplayedRuns  int `json:"replayed_runs,omitempty"`
+	CertifiedRuns int `json:"certified_runs,omitempty"`
 }
 
 // siteState is one transformable site's search facts.
@@ -245,6 +262,7 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 			memoKey = MemoKey(core.Fingerprint(prog, m.Name), in, maxM, opts.KOnly, arrays)
 			if ch, ok := opts.Memo.Lookup(memoKey); ok {
 				ch.MemoHit = true
+				ch.ReplayedRuns, ch.CertifiedRuns = 0, 0
 				choices = append(choices, ch)
 				continue
 			}
@@ -314,8 +332,13 @@ type search struct {
 
 	measured map[string]*Candidate // by whole-plan key; nil = rejected/failed
 	bySrc    map[string]*Candidate // by generated source: knob no-ops alias
-	order    [][]plan.Decision     // unique measured decision vectors, visit order
+	order    []*Candidate          // unique measured candidates, visit order
 	runs     int
+
+	// replayed holds, for each candidate whose measurement is a replay, the
+	// execution it stands for; replays and certified count both kinds.
+	replayed           map[*Candidate]func() (*interp.Result, error)
+	replays, certified int
 }
 
 // tuneMachine runs the seeded, measured search for one machine: the uniform
@@ -326,7 +349,9 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 	uniformLadder []int64, arrays []string, maxM int, kOnly bool, runner exec.Runner,
 	check *exec.Runner) (Choice, error) {
 
-	orig, err := simulate(in.Source, in.NP, m, runner)
+	// Executed in full whatever the store knows: every verdict compares
+	// against this run under this machine.
+	orig, err := runner.Run(in.Source, in.NP, m.Costs, m.Profile)
 	if err != nil {
 		return Choice{}, fmt.Errorf("tune: original run under %s: %w", m.Name, err)
 	}
@@ -335,6 +360,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 		runner: runner,
 		orig:   orig, origNs: int64(orig.Elapsed()),
 		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
+		replayed: map[*Candidate]func() (*interp.Result, error){},
 	}
 
 	ch := Choice{
@@ -425,10 +451,14 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 		}
 	}
 
-	winner := s.best()
+	winner, err := s.certifiedBest()
+	if err != nil {
+		return Choice{}, err
+	}
 	if winner == nil {
 		return Choice{}, fmt.Errorf("tune: no valid plan found under %s (fixed K=%d)", m.Name, in.FixedK)
 	}
+	ch.ReplayedRuns, ch.CertifiedRuns = s.replays, s.certified
 	ch.Chosen = winner.Decisions[0]
 	ch.Plan = s.buildPlan(winner.Decisions)
 	ch.Plan.Machine = m.Name
@@ -448,11 +478,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 	// simulation failed still spent a slot); SearchSimNs sums the
 	// successful runs' simulated makespans.
 	ch.Evaluations = s.runs
-	for _, ds := range s.order {
-		c := s.measured[s.vecKey(ds)]
-		if c == nil {
-			continue
-		}
+	for _, c := range s.order {
 		ch.Candidates = append(ch.Candidates, *c)
 		ch.SearchSimNs += c.PrepushNs
 		if c.Identical && c.Uniform && c.Speedup > ch.UniformSpeedup {
@@ -465,7 +491,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 	// (the walk oracle in CI) and require exact agreement — same makespans
 	// the search ranked on, same observables the never-lose gate compared.
 	if check != nil {
-		co, err := simulate(in.Source, in.NP, m, *check)
+		co, err := check.Run(in.Source, in.NP, m.Costs, m.Profile)
 		if err != nil {
 			return Choice{}, fmt.Errorf("tune: tiered check: original under %s on %q: %w", m.Name, check.Engine, err)
 		}
@@ -485,7 +511,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 			return Choice{}, fmt.Errorf("tune: tiered check: re-apply winner under %s: %w", m.Name, err)
 		}
 		if winnerSrc != in.Source {
-			cw, err := simulate(winnerSrc, in.NP, m, *check)
+			cw, err := check.Run(winnerSrc, in.NP, m.Costs, m.Profile)
 			if err != nil {
 				return Choice{}, fmt.Errorf("tune: tiered check: winner under %s on %q: %w", m.Name, check.Engine, err)
 			}
@@ -515,7 +541,7 @@ func (s *search) registerIdentity() {
 	}
 	s.measured[s.vecKey(ds)] = c
 	s.bySrc[s.in.Source] = c
-	s.order = append(s.order, ds)
+	s.order = append(s.order, c)
 }
 
 // skipCount returns how many sites of the vector decline transformation.
@@ -638,22 +664,74 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 	if s.runs >= s.maxM {
 		return nil
 	}
+	c := s.measure(src, ds, seeded)
+	s.measured[key] = c
+	return c
+}
+
+// measure spends one evaluation on the variant src of decision vector ds: a
+// replay when some search executed the variant before, under whatever
+// machine, else an execution. A replay neither rejects nor certifies: "not
+// identical" is re-taken from an execution here, a winner's in certifiedBest.
+func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate {
 	s.runs++
-	res, err := simulate(src, s.in.NP, s.machine, s.runner)
+	res, full, err := s.runner.Measure(src, s.in.NP, s.machine.Costs, s.machine.Profile)
 	if err != nil {
-		s.measured[key] = nil
 		return nil
 	}
-	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), PrepushNs: int64(res.Elapsed()), Seeded: seeded}
+	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded}
+	if s.score(c, res); full != nil && !c.Identical {
+		if res, err = full(); err != nil {
+			return nil
+		}
+		s.score(c, res)
+		full = nil
+	}
+	if full != nil {
+		s.replays++
+		s.replayed[c] = full
+	}
+	s.bySrc[src] = c
+	s.order = append(s.order, c)
+	return c
+}
+
+// score records a run of the candidate's variant under the search's machine.
+func (s *search) score(c *Candidate, res *interp.Result) {
+	c.PrepushNs, c.Speedup = int64(res.Elapsed()), 0
 	if c.PrepushNs > 0 {
 		c.Speedup = float64(s.origNs) / float64(c.PrepushNs)
 	}
-	same, _ := interp.SameObservable(s.orig, res, s.arrays...)
-	c.Identical = same
-	s.measured[key] = c
-	s.bySrc[src] = c
-	s.order = append(s.order, ds)
-	return c
+	c.Identical, _ = interp.SameObservable(s.orig, res, s.arrays...)
+}
+
+// certifiedBest is best() with an execution under this machine behind it. A
+// replay carries the observables of the recording run, under another machine
+// perhaps; whether a variant's data survives this machine's eager/rendezvous
+// split only an execution here can say. So a winner measured by replay is
+// executed once: with other observables than the original's it is re-scored
+// and the next best takes its turn; with the same, any makespan but the
+// replayed one is a broken replay — an error, not a verdict.
+func (s *search) certifiedBest() (*Candidate, error) {
+	for {
+		w := s.best()
+		full := s.replayed[w]
+		if full == nil {
+			return w, nil
+		}
+		delete(s.replayed, w)
+		s.certified++
+		res, err := full()
+		if err != nil {
+			w.Identical = false
+			continue
+		}
+		ranked := w.PrepushNs
+		if s.score(w, res); w.Identical && w.PrepushNs != ranked {
+			return nil, fmt.Errorf("tune: plan %s under %s: replayed makespan %d ns, executed %d ns",
+				s.vecKey(w.Decisions), s.machine.Name, ranked, w.PrepushNs)
+		}
+	}
 }
 
 // climbK hill-climbs the ladder around the best decision vector, varying
@@ -795,9 +873,8 @@ func flipOrder(o plan.SendOrder) plan.SendOrder {
 // better.
 func (s *search) best() *Candidate {
 	var best *Candidate
-	for _, ds := range s.order {
-		c := s.measured[s.vecKey(ds)]
-		if c == nil || !c.Identical {
+	for _, c := range s.order {
+		if !c.Identical {
 			continue
 		}
 		if best == nil || c.Speedup > best.Speedup {
@@ -805,13 +882,6 @@ func (s *search) best() *Candidate {
 		}
 	}
 	return best
-}
-
-// simulate runs one variant on the virtual cluster under the machine's CPU
-// cost model and network profile, through the selected execution engine
-// and its variant store.
-func simulate(src string, np int, m plan.Machine, runner exec.Runner) (*interp.Result, error) {
-	return runner.Run(src, np, m.Costs, m.Profile)
 }
 
 // sortedKeys returns the map's keys in ascending order.

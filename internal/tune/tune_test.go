@@ -380,7 +380,7 @@ func TestPerSiteDivergenceBeatsUniform(t *testing.T) {
 		if m == nil {
 			t.Fatalf("machine %s not found", c.Machine)
 		}
-		res, err := simulate(src, sc.NP, *m, exec.Runner{Engine: exec.Default})
+		res, err := exec.Runner{Engine: exec.Default}.Run(src, sc.NP, m.Costs, m.Profile)
 		if err != nil {
 			t.Fatalf("%s: replayed plan does not run: %v", c.Machine, err)
 		}
