@@ -26,27 +26,25 @@ import (
 	"repro/internal/workload"
 )
 
-// simulate runs src on np ranks under prof and returns virtual time.
-func simulate(b *testing.B, src string, np int, prof netsim.Profile, costs *interp.CostModel) netsim.Time {
+// simulate runs src on np ranks under machine m and returns virtual time.
+func simulate(b *testing.B, src string, np int, m plan.Machine) netsim.Time {
 	b.Helper()
-	prog, err := interp.Load(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if costs != nil {
-		prog.Costs = *costs
-	}
-	res, err := prog.Run(np, prof)
+	res, err := exec.Runner{}.Run(src, np, m.Costs, m.Profile)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res.Elapsed()
 }
 
-// transform rewrites src or fails the benchmark.
-func transform(b *testing.B, src string, opts core.Options) string {
+// transform rewrites src under the uniform plan d (Analyze → Apply) or
+// fails the benchmark.
+func transform(b *testing.B, src string, d plan.Decision) string {
 	b.Helper()
-	out, rep, err := core.Transform(src, opts)
+	prog, err := core.Analyze(src, core.AnalyzeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, rep, err := core.Apply(prog, plan.Uniform(d))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,32 +54,32 @@ func transform(b *testing.B, src string, opts core.Options) string {
 	return out
 }
 
-// fig1Sources builds the Figure 1 kernel and its prepush version per
-// profile (per-platform K, as §1 motivates).
-func fig1Sources(b *testing.B) (src string, prepush map[string]string, opts workload.RunOptions) {
-	p, o := workload.Figure1Params()
-	src = workload.Inner3DSource(p)
-	prepush = map[string]string{
-		"mpich-tcp": transform(b, src, core.Options{K: 32}),
-		"mpich-gm":  transform(b, src, core.Options{K: 16}),
+// gmWith returns the paper's offload machine charging computation against
+// costs (nil keeps the machine's own).
+func gmWith(costs *interp.CostModel) plan.Machine {
+	m := plan.MPICHGM2005()
+	if costs != nil {
+		m.Costs = *costs
 	}
-	return src, prepush, o
+	return m
 }
 
 // BenchmarkFigure1 reproduces the paper's measured figure: the four bars
-// MPICH original/prepush and MPICH-GM original/prepush.
+// MPICH original/prepush and MPICH-GM original/prepush, each stack at its
+// own tile size (workload.Figure1).
 func BenchmarkFigure1(b *testing.B) {
-	src, prepush, opts := fig1Sources(b)
-	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
+	sc, tileFor := workload.Figure1()
+	for _, m := range plan.PaperPair() {
+		m.Costs = *sc.Costs
+		variants := map[string]string{
+			"Original": sc.Source,
+			"Prepush":  transform(b, sc.Source, plan.Decision{K: tileFor[m.Name]}),
+		}
 		for _, variant := range []string{"Original", "Prepush"} {
-			text := src
-			if variant == "Prepush" {
-				text = prepush[prof.Name]
-			}
-			b.Run(fmt.Sprintf("%s/%s", prof.Name, variant), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", m.Name, variant), func(b *testing.B) {
 				var total netsim.Time
 				for i := 0; i < b.N; i++ {
-					total += simulate(b, text, opts.NP, prof, opts.Costs)
+					total += simulate(b, variants[variant], sc.NP, m)
 				}
 				b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 			})
@@ -90,18 +88,19 @@ func BenchmarkFigure1(b *testing.B) {
 }
 
 // BenchmarkFigure1_Normalized reports the normalized-execution-time bars in
-// one shot (slow per iteration: it runs all four configurations).
+// one shot (it runs all four configurations per iteration).
 func BenchmarkFigure1_Normalized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := workload.Figure1()
+		rows, err := harness.Figure1()
 		if err != nil {
 			b.Fatal(err)
 		}
-		norm := cmp.Normalized()
-		b.ReportMetric(norm["mpich-tcp original"], "tcp-orig")
-		b.ReportMetric(norm["mpich-tcp prepush"], "tcp-pre")
-		b.ReportMetric(norm["mpich-gm original"], "gm-orig")
-		b.ReportMetric(norm["mpich-gm prepush"], "gm-pre")
+		tcp, gm := rows[0], rows[1]
+		best := float64(gm.PrepushNs)
+		b.ReportMetric(float64(tcp.OriginalNs)/best, "tcp-orig")
+		b.ReportMetric(float64(tcp.PrepushNs)/best, "tcp-pre")
+		b.ReportMetric(float64(gm.OriginalNs)/best, "gm-orig")
+		b.ReportMetric(float64(gm.PrepushNs)/best, "gm-pre")
 	}
 }
 
@@ -111,9 +110,8 @@ func BenchmarkFigure2_TransformDirect(b *testing.B) {
 	src := workload.DirectSource(workload.DirectParams{NX: 64, Outer: 4, NP: 8})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, rep, err := core.Transform(src, core.Options{K: 4})
-		if err != nil || rep.TransformedCount() != 1 || len(out) == 0 {
-			b.Fatalf("transform failed: %v", err)
+		if out := transform(b, src, plan.Decision{K: 4}); len(out) == 0 {
+			b.Fatal("transform produced no source")
 		}
 	}
 }
@@ -124,9 +122,8 @@ func BenchmarkFigure3_TransformIndirect(b *testing.B) {
 	src := workload.IndirectSource(workload.IndirectParams{N: 8, NP: 4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, rep, err := core.Transform(src, core.Options{K: 2})
-		if err != nil || rep.TransformedCount() != 1 || len(out) == 0 {
-			b.Fatalf("transform failed: %v", err)
+		if out := transform(b, src, plan.Decision{K: 2}); len(out) == 0 {
+			b.Fatal("transform produced no source")
 		}
 	}
 }
@@ -137,9 +134,8 @@ func BenchmarkFigure4_CommGen(b *testing.B) {
 	src := workload.Inner3DSource(workload.Inner3DParams{M: 4, NY: 16, SZ: 8, NP: 4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, rep, err := core.Transform(src, core.Options{K: 4})
-		if err != nil || rep.TransformedCount() != 1 || len(out) == 0 {
-			b.Fatalf("transform failed: %v", err)
+		if out := transform(b, src, plan.Decision{K: 4}); len(out) == 0 {
+			b.Fatal("transform produced no source")
 		}
 	}
 }
@@ -194,7 +190,7 @@ func BenchmarkEngineRun(b *testing.B) {
 // pre-vetting step a fleet dispatcher can afford on every cold query.
 func BenchmarkVerifyVariant(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
-	pl := core.Options{K: sc.K}.Plan()
+	pl := plan.Uniform(plan.Decision{K: sc.K})
 	prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -261,13 +257,12 @@ func ablationKernel() (string, *interp.CostModel) {
 // parameter the paper declares out of scope but performance-critical (§2).
 func BenchmarkAblation_TileSweep(b *testing.B) {
 	src, costs := ablationKernel()
-	prof := netsim.MPICHGM()
 	for _, k := range []int64{1, 2, 4, 8, 16, 32} {
-		pre := transform(b, src, core.Options{K: k})
+		pre := transform(b, src, plan.Decision{K: k})
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			var total netsim.Time
 			for i := 0; i < b.N; i++ {
-				total += simulate(b, pre, 4, prof, costs)
+				total += simulate(b, pre, 4, gmWith(costs))
 			}
 			b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 		})
@@ -280,15 +275,14 @@ func BenchmarkAblation_NPSweep(b *testing.B) {
 	for _, np := range []int{2, 4, 8} {
 		p := workload.Inner3DParams{M: 64, NY: 32, SZ: 8, NP: np, Weight: 1}
 		src := workload.Inner3DSource(p)
-		pre := transform(b, src, core.Options{K: 8})
-		prof := netsim.MPICHGM()
+		pre := transform(b, src, plan.Decision{K: 8})
 		costs := interp.DefaultCosts()
 		costs.Store = 8 * netsim.Nanosecond
 		for variant, text := range map[string]string{"orig": src, "pre": pre} {
 			b.Run(fmt.Sprintf("np=%d/%s", np, variant), func(b *testing.B) {
 				var total netsim.Time
 				for i := 0; i < b.N; i++ {
-					total += simulate(b, text, np, prof, &costs)
+					total += simulate(b, text, np, gmWith(&costs))
 				}
 				b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 			})
@@ -299,16 +293,15 @@ func BenchmarkAblation_NPSweep(b *testing.B) {
 // BenchmarkAblation_MsgSize (A3): eager-vs-rendezvous crossover on the
 // direct 1-D kernel (paper Fig. 2 shape) as the array grows.
 func BenchmarkAblation_MsgSize(b *testing.B) {
-	prof := netsim.MPICHGM()
 	for _, nx := range []int{4096, 16384, 65536} {
 		p := workload.DirectParams{NX: nx, Outer: 2, NP: 4, Weight: 2}
 		src := workload.DirectSource(p)
-		pre := transform(b, src, core.Options{K: int64(nx / 4 / 4)}) // 4 tiles per partition
+		pre := transform(b, src, plan.Decision{K: int64(nx / 4 / 4)}) // 4 tiles per partition
 		for variant, text := range map[string]string{"orig": src, "pre": pre} {
 			b.Run(fmt.Sprintf("nx=%d/%s", nx, variant), func(b *testing.B) {
 				var total netsim.Time
 				for i := 0; i < b.N; i++ {
-					total += simulate(b, text, 4, prof, nil)
+					total += simulate(b, text, 4, gmWith(nil))
 				}
 				b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 			})
@@ -344,14 +337,13 @@ end program swapk
 // interchange when the node loop is outermost (§3.5's efficiency
 // discussion).
 func BenchmarkAblation_NodeLoopOuter(b *testing.B) {
-	prof := netsim.MPICHGM()
-	subset := transform(b, interchangeKernel, core.Options{K: 4, InterchangeMinBlockBytes: -1})
-	inter := transform(b, interchangeKernel, core.Options{K: 4, InterchangeMinBlockBytes: 1})
+	subset := transform(b, interchangeKernel, plan.Decision{K: 4, Interchange: plan.InterchangeOff})
+	inter := transform(b, interchangeKernel, plan.Decision{K: 4, InterchangeMinBlockBytes: 1})
 	for variant, text := range map[string]string{"subset-send": subset, "interchange": inter} {
 		b.Run(variant, func(b *testing.B) {
 			var total netsim.Time
 			for i := 0; i < b.N; i++ {
-				total += simulate(b, text, 4, prof, nil)
+				total += simulate(b, text, 4, gmWith(nil))
 			}
 			b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 		})
@@ -362,13 +354,12 @@ func BenchmarkAblation_NodeLoopOuter(b *testing.B) {
 // original (with copy loop) vs prepush (copy removed, At sent directly).
 func BenchmarkAblation_CopyElim(b *testing.B) {
 	src := workload.IndirectSource(workload.IndirectParams{N: 16, NP: 4, Weight: 1})
-	pre := transform(b, src, core.Options{K: 2})
-	prof := netsim.MPICHGM()
+	pre := transform(b, src, plan.Decision{K: 2})
 	for variant, text := range map[string]string{"orig-with-copy": src, "pre-no-copy": pre} {
 		b.Run(variant, func(b *testing.B) {
 			var total netsim.Time
 			for i := 0; i < b.N; i++ {
-				total += simulate(b, text, 4, prof, nil)
+				total += simulate(b, text, 4, gmWith(nil))
 			}
 			b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 		})
@@ -379,15 +370,15 @@ func BenchmarkAblation_CopyElim(b *testing.B) {
 // profile with offload artificially disabled vs enabled, prepush code.
 func BenchmarkAblation_Offload(b *testing.B) {
 	src, costs := ablationKernel()
-	pre := transform(b, src, core.Options{K: 8})
+	pre := transform(b, src, plan.Decision{K: 8})
 	for _, offload := range []bool{false, true} {
-		prof := netsim.MPICHGM()
-		prof.Offload = offload
-		prof.EagerThreshold = 1024 // keep tile messages on the rendezvous path
+		m := gmWith(costs)
+		m.Profile.Offload = offload
+		m.Profile.EagerThreshold = 1024 // keep tile messages on the rendezvous path
 		b.Run(fmt.Sprintf("offload=%v", offload), func(b *testing.B) {
 			var total netsim.Time
 			for i := 0; i < b.N; i++ {
-				total += simulate(b, pre, 4, prof, costs)
+				total += simulate(b, pre, 4, m)
 			}
 			b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 		})
@@ -400,14 +391,13 @@ func BenchmarkAblation_Offload(b *testing.B) {
 // compute per tile is small (§3.5's congestion caveat made measurable).
 func BenchmarkAblation_WaitSchedule(b *testing.B) {
 	src, costs := ablationKernel()
-	perTile := transform(b, src, core.Options{K: 8, PerTileWait: true})
-	deferred := transform(b, src, core.Options{K: 8})
-	prof := netsim.MPICHGM()
+	perTile := transform(b, src, plan.Decision{K: 8, Wait: plan.WaitPerTile})
+	deferred := transform(b, src, plan.Decision{K: 8})
 	for variant, text := range map[string]string{"per-tile-wait": perTile, "deferred-drain": deferred} {
 		b.Run(variant, func(b *testing.B) {
 			var total netsim.Time
 			for i := 0; i < b.N; i++ {
-				total += simulate(b, text, 4, prof, costs)
+				total += simulate(b, text, 4, gmWith(costs))
 			}
 			b.ReportMetric(float64(total)/float64(b.N)/1e6, "vms/op")
 		})

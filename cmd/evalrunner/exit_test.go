@@ -19,8 +19,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestUnknownEngineExit2: a bad -engine name is a usage error (exit 2),
-// diagnosed before any sweeping starts.
+// TestUnknownEngineExit2: a bad -engine name — or the retired -tune-konly
+// flag — is a usage error (exit 2), diagnosed before any sweeping starts.
 func TestUnknownEngineExit2(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -30,6 +30,7 @@ func TestUnknownEngineExit2(t *testing.T) {
 		{name: "unknown engine", args: "-engine jit", wantOut: "unknown engine"},
 		{name: "retired closure engine", args: "-engine compile", wantOut: "unknown engine"},
 		{name: "unknown tune check engine", args: "-tune -tune-check-engine jit", wantOut: "unknown engine"},
+		{name: "retired tune-konly flag", args: "-tune -tune-konly", wantOut: "flag provided but not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,7 +16,7 @@
 //
 //	evalrunner [-out BENCH_harness.json] [-seed N] [-limit N] [-shard I/N]
 //	           [-machines a,b] [-engine bytecode|walk] [-parallel N]
-//	           [-min 20] [-q] [-tune] [-tunemax N] [-tune-konly]
+//	           [-min 20] [-q] [-tune] [-tunemax N]
 //	           [-tune-check-engine walk] [-cache-dir DIR] [-verify]
 //	           [-check-baseline BENCH_harness.json] [-baseline-tol 0.01]
 //	           [-summary-md path]
@@ -125,7 +125,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress the per-scenario table")
 	tuneFlag := flag.Bool("tune", false, "auto-tune the overlap plan (K + wait/send-order/interchange knobs) per scenario and machine")
 	tuneMax := flag.Int("tunemax", 0, "measured tuning candidates per scenario/machine (0 = default)")
-	konly := flag.Bool("tune-konly", false, "restrict -tune to the tile size (ablation: the historical K-only search)")
 	tuneCheck := flag.String("tune-check-engine", "", "re-check only the original and each adopted -tune plan on this engine (e.g. walk); candidates stay on the sweep engine ('' = off)")
 	cacheDir := flag.String("cache-dir", "", "persist compiled variants content-addressed under this directory so sweeps sharing it start warm ('' = in-memory only)")
 	verifyFlag := flag.Bool("verify", false, "statically verify every (program, plan) variant the sweep touches; any finding fails the run")
@@ -141,7 +140,7 @@ func main() {
 	flag.Parse()
 
 	engine, err := validateFlags(cliFlags{
-		Merge: *merge, Shard: *shard, Tune: *tuneFlag, TuneKOnly: *konly,
+		Merge: *merge, Shard: *shard, Tune: *tuneFlag,
 		TuneMax: *tuneMax, TuneCheckEngine: *tuneCheck, Engine: *engineName,
 		Parallel: *parallel, Limit: *limit, CacheDir: *cacheDir,
 		Verify: *verifyFlag, Fleet: *fleetAddr, FleetShards: *fleetShards,
@@ -168,8 +167,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	t := tail{out: *out, quiet: *quiet, baseline: baseline, baselineTol: *baselineTol, summaryMD: *summaryMD}
 	if *merge {
-		runMerge(*out, flag.Args(), *seed, *quiet, baseline, *baselineTol, *summaryMD)
+		runMerge(t, flag.Args(), *seed)
 		return
 	}
 	if flag.NArg() > 0 {
@@ -177,42 +177,46 @@ func main() {
 		os.Exit(2)
 	}
 
-	machines, err := resolveMachines(*machineList)
+	machineNames, machines, err := resolveMachines(*machineList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
 		os.Exit(2)
 	}
 
+	// whole feeds the strict gate (tuned must strictly beat fixed), which
+	// requires the whole canonical corpus: a truncated prefix may
+	// legitimately already be optimally tuned. A -limit at or above the
+	// corpus size still runs the whole corpus, so it stays strict.
+	scenarios, size, whole, err := workload.SelectCorpus(workload.GenOptions{Seed: *seed, Limit: *limit}, *shard)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evalrunner:", err)
+		os.Exit(2)
+	}
+	if size < *min {
+		fmt.Fprintf(os.Stderr, "evalrunner: corpus has %d scenarios, need at least %d\n", size, *min)
+		os.Exit(1)
+	}
+
 	if *fleetAddr != "" {
-		runFleet(*fleetAddr, fleet.SweepSpec{
-			Seed: *seed, Limit: *limit, Machines: machineNames(*machineList),
-			Tune: *tuneFlag, TuneMax: *tuneMax, KOnly: *konly,
+		// The fleet's merged artifact covers the whole selection, so the
+		// aggregate gates run here rather than on any worker.
+		rep, err := (&fleet.Client{Base: *fleetAddr}).RunSweep(context.Background(), fleet.SweepSpec{
+			Seed: *seed, Limit: *limit, Machines: machineNames,
+			Tune: *tuneFlag, TuneMax: *tuneMax,
 			Verify: *verifyFlag, Shards: *fleetShards,
-		}, *out, *min, *quiet, baseline, *baselineTol, *summaryMD)
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "evalrunner:", err)
+			os.Exit(1)
+		}
+		t.finish(rep, " (fleet sweep via "+*fleetAddr+")", "fleet tuned sweep", true, whole, *tuneFlag)
 		return
 	}
 
-	full := workload.GenerateScenarios(workload.GenOptions{Seed: *seed})
-	scenarios := full
-	if *limit > 0 && *limit < len(full) {
-		scenarios = full[:*limit]
-	}
-	if len(scenarios) < *min {
-		fmt.Fprintf(os.Stderr, "evalrunner: corpus has %d scenarios, need at least %d\n", len(scenarios), *min)
-		os.Exit(1)
-	}
-	sharded := false
-	if *shard != "" {
-		scenarios, err = workload.SelectShard(scenarios, *shard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(2)
-		}
-		sharded = true
-		if len(scenarios) == 0 {
-			fmt.Fprintln(os.Stderr, "evalrunner: shard selects no scenarios")
-			os.Exit(2)
-		}
+	sharded := *shard != ""
+	if sharded && len(scenarios) == 0 {
+		fmt.Fprintln(os.Stderr, "evalrunner: shard selects no scenarios")
+		os.Exit(2)
 	}
 
 	var sess *session.Session
@@ -231,7 +235,7 @@ func main() {
 
 	rep, err := harness.Run(harness.Config{
 		Scenarios: scenarios, Machines: machines, Parallelism: *parallel,
-		Tune: *tuneFlag, TuneMaxMeasured: *tuneMax, TuneKOnly: *konly,
+		Tune: *tuneFlag, TuneMaxMeasured: *tuneMax,
 		TuneCheckEngine: exec.Engine(*tuneCheck),
 		Engine:          engine, Session: sess, Verify: *verifyFlag,
 	})
@@ -239,38 +243,71 @@ func main() {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
 		os.Exit(1)
 	}
-	if !*quiet {
+	// Aggregate gates run only on complete artifacts: a shard defers them
+	// to the -merge step.
+	if sharded {
+		fmt.Fprintln(os.Stderr, "evalrunner: shard run — aggregate gates deferred to -merge")
+	}
+	t.finish(rep, "", "differential sweep", !sharded, !sharded && whole, *tuneFlag)
+}
+
+// tail is what every mode (sweep, -fleet, -merge) does with its report.
+type tail struct {
+	out         string
+	quiet       bool
+	baseline    *harness.Report // nil = no -check-baseline
+	baselineTol float64
+	summaryMD   string
+}
+
+// finish prints the table (or the one-line verdict), writes the artifact,
+// applies the gates, the baseline-regression check and the markdown step
+// summary, and exits 1 when a gate failed. wrote annotates the "wrote" line,
+// title heads the markdown summary; aggregate, strict and tuned are gates'.
+func (t tail) finish(rep *harness.Report, wrote, title string, aggregate, strict, tuned bool) {
+	if !t.quiet {
 		fmt.Print(rep.Table())
 	} else {
 		fmt.Printf("%d scenarios, %d identical, %d errors\n",
 			rep.Summary.Scenarios, rep.Summary.Correct, rep.Summary.Errors)
 	}
-	if *verifyFlag {
+	if rep.Verify {
 		fmt.Printf("statically verified %d variant(s) (%d skipped via ledger, %d finding(s), %.1fms)\n",
 			rep.Summary.VerifiedVariants, rep.Summary.VerifySkipped,
 			rep.Summary.VerifyFailures, float64(rep.Summary.VerifyWallNs)/1e6)
 	}
-
-	if *out != "" {
-		if err := rep.WriteJSON(*out); err != nil {
+	if t.out != "" {
+		if err := rep.WriteJSON(t.out); err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Printf("wrote %s%s\n", t.out, wrote)
 	}
-
-	// Aggregate gates run only on complete artifacts: a shard defers them
-	// to the -merge step. Strictness (tuned must strictly beat fixed)
-	// additionally requires the full canonical corpus; a truncated prefix
-	// may legitimately already be optimally tuned. A -limit at or above
-	// the corpus size still runs the full corpus, so it stays strict.
-	aggregate := !sharded
-	strict := aggregate && len(scenarios) == len(full)
-	if sharded {
-		fmt.Fprintln(os.Stderr, "evalrunner: shard run — aggregate gates deferred to -merge")
+	ok := gates(rep, aggregate, strict, tuned)
+	if t.baseline != nil {
+		if viols := harness.CompareBaseline(rep, t.baseline, t.baselineTol); len(viols) > 0 {
+			for _, v := range viols {
+				fmt.Fprintln(os.Stderr, "evalrunner:", v)
+			}
+			ok = false
+		} else {
+			fmt.Printf("baseline check ok (tolerance %.1f%%)\n", t.baselineTol*100)
+		}
 	}
-	ok := gates(rep, aggregate, strict, *tuneFlag)
-	ok = postProcess(rep, baseline, *baselineTol, *summaryMD, "differential sweep") && ok
+	if t.summaryMD != "" {
+		f, err := os.OpenFile(t.summaryMD, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err == nil {
+			_, err = f.WriteString(rep.MarkdownSummary(title))
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			// The step summary is informational; failing the sweep over it
+			// would hide the real verdict.
+			fmt.Fprintln(os.Stderr, "evalrunner: -summary-md:", err)
+		}
+	}
 	if !ok {
 		os.Exit(1)
 	}
@@ -322,7 +359,6 @@ type cliFlags struct {
 	Merge           bool
 	Shard           string
 	Tune            bool
-	TuneKOnly       bool
 	TuneMax         int
 	TuneCheckEngine string
 	Engine          string
@@ -362,9 +398,6 @@ func validateFlags(f cliFlags) (exec.Engine, error) {
 	}
 	if f.CacheDir != "" && engine == exec.EngineWalk {
 		return "", fmt.Errorf("-cache-dir persists compiled variants; the walk engine re-interprets sources and compiles nothing")
-	}
-	if f.TuneKOnly && !f.Tune {
-		return "", fmt.Errorf("-tune-konly restricts the -tune search; pass -tune as well")
 	}
 	if f.TuneMax != 0 && !f.Tune {
 		return "", fmt.Errorf("-tunemax only applies to -tune sweeps; pass -tune as well")
@@ -406,65 +439,6 @@ func validateFlags(f cliFlags) (exec.Engine, error) {
 	return engine, nil
 }
 
-// machineNames splits the -machines list into names for the fleet wire spec
-// (already validated by resolveMachines).
-func machineNames(list string) []string {
-	if list == "" {
-		return nil
-	}
-	var names []string
-	for _, name := range strings.Split(list, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	return names
-}
-
-// runFleet dispatches the sweep to a coordinator and applies the same
-// reporting, artifact, and gate path as a local merged run: the fleet's
-// merged artifact covers the whole (possibly -limit-truncated) corpus, so
-// the aggregate gates run here rather than on any worker.
-func runFleet(coord string, spec fleet.SweepSpec, out string, min int, quiet bool, baseline *harness.Report, baselineTol float64, summaryMD string) {
-	full := workload.GenerateScenarios(workload.GenOptions{Seed: spec.Seed})
-	size := len(full)
-	if spec.Limit > 0 && spec.Limit < size {
-		size = spec.Limit
-	}
-	if size < min {
-		fmt.Fprintf(os.Stderr, "evalrunner: corpus has %d scenarios, need at least %d\n", size, min)
-		os.Exit(1)
-	}
-	client := &fleet.Client{Base: coord}
-	rep, err := client.RunSweep(context.Background(), spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "evalrunner:", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Print(rep.Table())
-	} else {
-		fmt.Printf("%d scenarios, %d identical, %d errors\n",
-			rep.Summary.Scenarios, rep.Summary.Correct, rep.Summary.Errors)
-	}
-	if spec.Verify {
-		fmt.Printf("statically verified %d variant(s) (%d skipped via ledger, %d finding(s), %.1fms)\n",
-			rep.Summary.VerifiedVariants, rep.Summary.VerifySkipped,
-			rep.Summary.VerifyFailures, float64(rep.Summary.VerifyWallNs)/1e6)
-	}
-	if out != "" {
-		if err := rep.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (fleet sweep via %s)\n", out, coord)
-	}
-	strict := size == len(full)
-	ok := gates(rep, true, strict, spec.Tune)
-	ok = postProcess(rep, baseline, baselineTol, summaryMD, "fleet tuned sweep") && ok
-	if !ok {
-		os.Exit(1)
-	}
-}
-
 // loadBaseline reads the -check-baseline artifact ("" means the gate is
 // off). It runs before any sweeping or writing so a bad path fails fast
 // and a sweep can never compare itself against a file it just overwrote.
@@ -482,41 +456,9 @@ func loadBaseline(path string) (*harness.Report, error) {
 	return rep, err
 }
 
-// postProcess applies the optional baseline-regression check (baseline nil
-// means off) and appends the markdown step summary; it returns false when
-// the baseline gate fails.
-func postProcess(rep, baseline *harness.Report, tol float64, summaryMD, title string) bool {
-	ok := true
-	if baseline != nil {
-		if viols := harness.CompareBaseline(rep, baseline, tol); len(viols) > 0 {
-			for _, v := range viols {
-				fmt.Fprintln(os.Stderr, "evalrunner:", v)
-			}
-			ok = false
-		} else {
-			fmt.Printf("baseline check ok (tolerance %.1f%%)\n", tol*100)
-		}
-	}
-	if summaryMD != "" {
-		f, err := os.OpenFile(summaryMD, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err == nil {
-			_, err = f.WriteString(rep.MarkdownSummary(title))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			// The step summary is informational; failing the sweep over it
-			// would hide the real verdict.
-			fmt.Fprintln(os.Stderr, "evalrunner: -summary-md:", err)
-		}
-	}
-	return ok
-}
-
-// runMerge folds shard artifacts into one report, writes it, and applies
-// the full gate set.
-func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harness.Report, baselineTol float64, summaryMD string) {
+// runMerge folds shard artifacts into one report and finishes it with the
+// full gate set.
+func runMerge(t tail, paths []string, seed int64) {
 	if len(paths) < 2 {
 		fmt.Fprintln(os.Stderr, "evalrunner: -merge needs at least two input artifacts")
 		os.Exit(1)
@@ -541,23 +483,9 @@ func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harn
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
 		os.Exit(1)
 	}
-	if !quiet {
-		fmt.Print(rep.Table())
-	}
-	if out != "" {
-		if err := rep.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (merged from %d shards)\n", out, len(paths))
-	}
-	full := workload.GenerateScenarios(workload.GenOptions{Seed: seed})
-	strict := len(rep.Scenarios) == len(full)
-	ok := gates(rep, true, strict, tuned)
-	ok = postProcess(rep, baseline, baselineTol, summaryMD, "merged tuned sweep") && ok
-	if !ok {
-		os.Exit(1)
-	}
+	_, size, _, _ := workload.SelectCorpus(workload.GenOptions{Seed: seed}, "")
+	t.finish(rep, fmt.Sprintf(" (merged from %d shards)", len(paths)), "merged tuned sweep",
+		true, len(rep.Scenarios) == size, tuned)
 }
 
 // Offload-gate thresholds. A machine whose original runs spend at least
@@ -669,19 +597,20 @@ func gates(rep *harness.Report, aggregate, strict, tuned bool) bool {
 	return ok
 }
 
-// resolveMachines parses the -machines list ("" = the default sweep set:
-// the paper pair plus hpc-rdma-2019).
-func resolveMachines(list string) ([]plan.Machine, error) {
+// resolveMachines parses the -machines list into names (the fleet wire
+// spec's form) and models; "" yields none of either, which the harness reads
+// as the default sweep set (plan.DefaultSweep).
+func resolveMachines(list string) (names []string, machines []plan.Machine, err error) {
 	if list == "" {
-		return nil, nil // harness default: plan.DefaultSweep()
+		return nil, nil, nil
 	}
-	var machines []plan.Machine
 	for _, name := range strings.Split(list, ",") {
 		m, err := plan.ByName(strings.TrimSpace(name))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		names = append(names, m.Name)
 		machines = append(machines, m)
 	}
-	return machines, nil
+	return names, machines, nil
 }

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	overlapsim [-np N] [-profile mpich-tcp|mpich-gm] [-eager BYTES]
-//	           [-elem-ns N] [-quiet] [input.f90]
+//	overlapsim [-np N] [-profile mpich-tcp-2005|mpich-gm-2005|hpc-rdma-2019]
+//	           [-eager BYTES] [-elem-ns N] [-quiet] [input.f90]
 package main
 
 import (
@@ -13,46 +13,36 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
-	"repro/internal/interp"
+	"repro/internal/exec"
 	"repro/internal/netsim"
+	"repro/internal/plan"
 )
 
 func main() {
 	np := flag.Int("np", 4, "number of simulated ranks")
-	profName := flag.String("profile", "mpich-gm", "network profile (mpich-tcp, mpich-gm)")
-	eager := flag.Int64("eager", 0, "override the profile's eager threshold (bytes)")
+	profName := flag.String("profile", "mpich-gm-2005", "machine model (mpich-tcp-2005, mpich-gm-2005, hpc-rdma-2019)")
+	eager := flag.Int64("eager", 0, "override the machine's eager threshold (bytes)")
 	elemNs := flag.Int64("elem-ns", 0, "override per-array-store compute cost (ns)")
 	quiet := flag.Bool("quiet", false, "suppress program output, print only statistics")
 	flag.Parse()
 
-	profs := netsim.Profiles()
-	prof, ok := profs[*profName]
-	if !ok {
-		names := make([]string, 0, len(profs))
-		for n := range profs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fatal(fmt.Errorf("unknown profile %q; have %v", *profName, names))
+	m, err := plan.ByName(*profName)
+	if err != nil {
+		fatal(err)
 	}
 	if *eager > 0 {
-		prof.EagerThreshold = *eager
+		m.Profile.EagerThreshold = *eager
+	}
+	if *elemNs > 0 {
+		m.Costs.Store = netsim.Time(*elemNs)
 	}
 
 	src, err := readInput(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := interp.Load(src)
-	if err != nil {
-		fatal(err)
-	}
-	if *elemNs > 0 {
-		prog.Costs.Store = netsim.Time(*elemNs)
-	}
-	res, err := prog.Run(*np, prof)
+	res, err := exec.Runner{}.Run(src, *np, m.Costs, m.Profile)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,7 +52,7 @@ func main() {
 			fmt.Println(line)
 		}
 	}
-	fmt.Printf("profile   %s\n", prof.Name)
+	fmt.Printf("profile   %s\n", m.Name)
 	fmt.Printf("ranks     %d\n", *np)
 	fmt.Printf("elapsed   %s\n", res.Elapsed())
 	fmt.Printf("messages  %d (%d bytes)\n", res.Stats.Messages, res.Stats.Bytes)

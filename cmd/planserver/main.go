@@ -28,7 +28,7 @@
 // Endpoints:
 //
 //	POST /plan    — body: a JSON query {source, machine, np, fixed_k?,
-//	                max_measured?, k_only?, arrays?}; response: the tuning
+//	                max_measured?, arrays?}; response: the tuning
 //	                result {fingerprint, memo_hit, choice, verify} where
 //	                choice.plan is the replayable overlap plan and verify
 //	                is the static-verification verdict on the chosen
@@ -65,10 +65,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fleet"
-	"repro/internal/plan"
 	"repro/internal/session"
 	"repro/internal/verify"
 )
@@ -182,7 +180,7 @@ func newMux(s *session.Session, dispatcher *fleetDispatcher) *http.ServeMux {
 			// The session rejects malformed queries before any analysis or
 			// search runs; those are the client's fault, the rest ours.
 			status := http.StatusInternalServerError
-			if session.IsQueryError(err) {
+			if errors.Is(err, session.ErrQuery) {
 				status = http.StatusBadRequest
 			}
 			writeError(w, status, err)
@@ -229,11 +227,8 @@ type planResponse struct {
 	Verify verifyStatus `json:"verify"`
 }
 
-// verifyChoice statically verifies the chosen plan's variant. Clean verdicts
-// are recorded in the session store's verify ledger (keyed by the
-// original+transformed content pair), so a repeated query — or a restarted
-// server sharing an on-disk store — answers from the ledger without
-// re-proving anything.
+// verifyChoice shapes session.Verify's verdict on the chosen plan's variant
+// for the response.
 func verifyChoice(s *session.Session, q session.Query, res *session.Result) verifyStatus {
 	if res.Choice.Plan == nil {
 		return verifyStatus{}
@@ -242,27 +237,15 @@ func verifyChoice(s *session.Session, q session.Query, res *session.Result) veri
 	if err != nil {
 		return verifyStatus{}
 	}
-	out, rep, err := core.Apply(prog, res.Choice.Plan)
+	v, err := s.Verify(prog, res.Choice.Plan)
 	if err != nil {
 		return verifyStatus{Checked: true, Findings: []string{"apply: " + err.Error()}}
 	}
-	key := exec.KeyOf(prog.Source() + "\x00" + out)
-	ledger, _ := s.Store().(exec.VerifyLedger)
-	if ledger != nil && ledger.Verified(key) {
-		return verifyStatus{Checked: true, Clean: true}
+	st := verifyStatus{Checked: true, Clean: len(v.Diags) == 0}
+	for _, d := range v.Diags {
+		st.Findings = append(st.Findings, d.String())
 	}
-	diags := verify.Variant(prog, res.Choice.Plan, out, rep)
-	if len(diags) == 0 {
-		if ledger != nil {
-			ledger.MarkVerified(key)
-		}
-		return verifyStatus{Checked: true, Clean: true}
-	}
-	findings := make([]string, len(diags))
-	for i, d := range diags {
-		findings[i] = d.String()
-	}
-	return verifyStatus{Checked: true, Findings: findings}
+	return st
 }
 
 // fleetDispatcher answers cold queries by dispatching the tuning job to a
@@ -281,42 +264,14 @@ type fleetDispatcher struct {
 // session store's ledger — shared with the fleet's workers via -cache-dir —
 // so the workers skip re-proving the same variant.
 func (d *fleetDispatcher) tune(q session.Query) (*session.Result, error) {
-	if err := d.preVet(q); err != nil {
-		return nil, err
+	v, err := d.sess.VerifyBaseline(q)
+	if err != nil {
+		return nil, fmt.Errorf("pre-vet: fixed-K baseline: %w", err)
+	}
+	if len(v.Diags) > 0 {
+		return nil, fmt.Errorf("pre-vet: static verifier refused dispatch: %s", verify.Summarize(v.Diags))
 	}
 	return d.client.RunTune(context.Background(), q)
-}
-
-func (d *fleetDispatcher) preVet(q session.Query) error {
-	m, err := plan.ByName(q.Machine)
-	if err != nil {
-		return fmt.Errorf("session: %w", err)
-	}
-	fixedK := q.FixedK
-	if fixedK <= 0 {
-		fixedK = m.DefaultK()
-	}
-	prog, err := d.sess.Analyze(q.Source, int64(q.NP))
-	if err != nil {
-		return fmt.Errorf("session: analyze: %w", err)
-	}
-	pl := core.Options{K: fixedK}.Plan()
-	out, rep, err := core.Apply(prog, pl)
-	if err != nil {
-		return fmt.Errorf("pre-vet: apply fixed-K baseline: %w", err)
-	}
-	key := exec.KeyOf(prog.Source() + "\x00" + out)
-	ledger, _ := d.sess.Store().(exec.VerifyLedger)
-	if ledger != nil && ledger.Verified(key) {
-		return nil
-	}
-	if diags := verify.Variant(prog, pl, out, rep); len(diags) > 0 {
-		return fmt.Errorf("pre-vet: static verifier refused dispatch: %s", verify.Summarize(diags))
-	}
-	if ledger != nil {
-		ledger.MarkVerified(key)
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -169,8 +169,11 @@ func TestServerRejectsBadQueries(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Malformed JSON and unknown fields are 400s too.
-	for _, body := range []string{"{not json", `{"source": "x", "np": 4, "machine": "mpich-gm-2005", "bogus": 1}`} {
+	// Malformed JSON and unknown fields — the retired k_only among them —
+	// are 400s too.
+	for _, body := range []string{"{not json",
+		`{"source": "x", "np": 4, "machine": "mpich-gm-2005", "bogus": 1}`,
+		`{"source": "x", "np": 4, "machine": "mpich-gm-2005", "k_only": true}`} {
 		resp, err := http.Post(base+"/plan", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

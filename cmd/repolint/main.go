@@ -32,6 +32,10 @@
 //     rank's error with the wording the engines' differential contract
 //     fixes. Any other recover either duplicates it or hides a bug that
 //     should be a positioned diagnostic.
+//  7. One way to run a program: no call to the walk oracle's Load (package
+//     interp) outside internal/exec, internal/interp and tests. Product
+//     code runs programs through exec.Runner (Engine walk reaches the
+//     oracle); tests keep calling the walker directly as the reference.
 //
 // Usage:
 //
@@ -63,7 +67,6 @@ var allowedGlobals = map[string]string{
 	"internal/ftn:tokNames":       "token-kind name table (read-only)",
 	"internal/ftn:dotOps":         "Fortran dot-operator table (read-only)",
 	"internal/ftn:relOps":         "relational-operator spelling table (read-only)",
-	"internal/plan:aliases":       "machine-name alias table (read-only)",
 	"internal/interp:mpiConsts":   "MPI named-constant table (read-only)",
 	"internal/interp:mpiRoutines": "MPI routine signature table (read-only)",
 	// A sync.Pool is a cache, not state: nothing observable depends on what
@@ -173,6 +176,7 @@ func lintFile(fset *token.FileSet, rel string, f *ast.File) []string {
 		lintHTTPTimeouts(pkgDir, f, report)
 		lintExecHotPath(pkgDir, f, report)
 		lintRecover(rel, f, report)
+		lintOneRoad(pkgDir, f, report)
 	}
 	lintMemoClone(pkgDir, f, report)
 	return findings
@@ -348,6 +352,23 @@ func lintRecover(rel string, f *ast.File, report reportFn) {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "recover" && len(call.Args) == 0 {
 				report(call.Pos(), "stray-recover",
 					"recover() outside %s; a rank's panic is converted once, in the rank harness — return a positioned error instead", recoverFile)
+			}
+		}
+		return true
+	})
+}
+
+// lintOneRoad flags calls to package interp's Load outside the two engine
+// packages.
+func lintOneRoad(pkgDir string, f *ast.File, report reportFn) {
+	if pkgDir == "internal/exec" || pkgDir == "internal/interp" || !importsPackage(f, "repro/internal/interp") {
+		return
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Load" {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "interp" {
+				report(sel.Pos(), "one-road",
+					"the walk oracle's Load called outside the engines; run programs through exec.Runner (Engine: exec.EngineWalk for the oracle)")
 			}
 		}
 		return true

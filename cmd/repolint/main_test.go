@@ -43,10 +43,10 @@ func TestMutableGlobalRule(t *testing.T) {
 			src: "package foo\nimport \"fmt\"\nvar errStop = fmt.Errorf(\"stop\")\n"},
 		{name: "blank assertion", rel: "internal/foo/a.go", want: false,
 			src: "package foo\nvar _ error = (*myErr)(nil)\ntype myErr struct{}\nfunc (*myErr) Error() string { return \"\" }\n"},
-		{name: "allowlisted", rel: "internal/plan/machine.go", want: false,
-			src: "package plan\nvar aliases = map[string]string{}\n"},
+		{name: "allowlisted", rel: "internal/ftn/lexer.go", want: false,
+			src: "package ftn\nvar dotOps = map[string]string{}\n"},
 		{name: "allowlist is per package", rel: "internal/foo/a.go", want: true,
-			src: "package foo\nvar aliases = map[string]string{}\n"},
+			src: "package foo\nvar dotOps = map[string]string{}\n"},
 		{name: "test file exempt", rel: "internal/foo/a_test.go", want: false,
 			src: "package foo\nvar fixtures = map[string]int{}\n"},
 		{name: "const is not state", rel: "internal/foo/a.go", want: false,
@@ -216,6 +216,25 @@ func TestRecoverRule(t *testing.T) {
 		if findings := lintSrc(t, rel, src); len(findings) != 0 {
 			t.Errorf("%s: unexpected findings %v", rel, findings)
 		}
+	}
+}
+
+func TestOneRoadRule(t *testing.T) {
+	src := "package foo\nimport \"repro/internal/interp\"\nfunc f(s string) error {\n\t_, err := interp.Load(s)\n\treturn err\n}\n"
+	wantRule(t, lintSrc(t, "internal/workload/a.go", src), "one-road")
+	wantRule(t, lintSrc(t, "cmd/overlapsim/main.go", src), "one-road")
+	wantRule(t, lintSrc(t, "examples/quickstart/main.go", src), "one-road")
+
+	// The engines own the walker's entry; tests use it as the reference.
+	for _, rel := range []string{"internal/exec/exec.go", "internal/interp/a.go", "internal/workload/a_test.go"} {
+		if findings := lintSrc(t, rel, src); len(findings) != 0 {
+			t.Errorf("%s: unexpected findings %v", rel, findings)
+		}
+	}
+	// Another package's Load is not the walker's.
+	other := "package foo\nimport \"repro/internal/interp\"\nvar _ interp.Value\nfunc f() { cfg.Load() }\n"
+	if findings := lintSrc(t, "internal/foo/a.go", other); len(findings) != 0 {
+		t.Errorf("unexpected findings %v", findings)
 	}
 }
 

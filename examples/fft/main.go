@@ -16,6 +16,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/harness"
+	"repro/internal/netsim"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -68,20 +71,22 @@ end program ffttranspose
 func main() {
 	fmt.Println("FFT transpose workload (paper §2 motivating application)")
 	fmt.Println()
-	cmp, err := workload.Compare("fft-transpose", fftSource, workload.RunOptions{
-		NP: 4, K: 16, CheckEquivalence: true,
+	rep, err := harness.Run(harness.Config{
+		Scenarios: []workload.Scenario{{Name: "fft-transpose", Source: fftSource, NP: 4, K: 16}},
+		Machines:  plan.PaperPair(),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(cmp)
+	fmt.Print(rep.Table())
+	if rep.Summary.Correct != 1 {
+		log.Fatal("original and prepush runs differ")
+	}
 
 	// Show how overlap shifts the breakdown on the offload stack.
-	fmt.Println("per-rank time breakdown on mpich-gm:")
-	for _, m := range cmp.Measurements {
-		if m.Profile != "mpich-gm" {
-			continue
-		}
-		fmt.Printf("  %-10s compute %-12s blocked-in-MPI %-12s\n", m.Variant, m.Compute, m.Blocked)
+	fmt.Println("\nper-rank time blocked in MPI (average), original → prepush:")
+	for _, pr := range rep.Scenarios[0].Profiles {
+		fmt.Printf("  %-15s %-12s → %s\n", pr.Profile,
+			netsim.Time(pr.OriginalBlockedNs), netsim.Time(pr.PrepushBlockedNs))
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/interp"
-	"repro/internal/netsim"
+	"repro/internal/plan"
 )
 
 // source is the paper's Fig. 2(a) structure — a computation loop nest that
@@ -51,7 +52,11 @@ func main() {
 	// 1. Transform: tile the column loop by K=8, so each tile finalizes 8
 	//    columns (a 24 KiB block owned by one rank) and pre-pushes them
 	//    with an asynchronous send while the next tile computes.
-	transformed, report, err := core.Transform(source, core.Options{K: 8})
+	prog, err := core.Analyze(source, core.AnalyzeOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	transformed, report, err := core.Apply(prog, plan.Uniform(plan.Decision{K: 8}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,25 +68,21 @@ func main() {
 
 	// 2. Run both versions on 4 simulated ranks under both stacks.
 	fmt.Println("=== Simulated execution ===")
-	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
-		orig := run(source, prof)
-		pre := run(transformed, prof)
+	for _, m := range plan.PaperPair() {
+		orig := run(source, m)
+		pre := run(transformed, m)
 		same, why := interp.SameObservable(orig, pre, "ar")
 		status := "outputs identical"
 		if !same {
 			status = "MISMATCH: " + why
 		}
-		fmt.Printf("%-10s original %-12s prepush %-12s  %s\n",
-			prof.Name, orig.Elapsed(), pre.Elapsed(), status)
+		fmt.Printf("%-15s original %-12s prepush %-12s  %s\n",
+			m.Name, orig.Elapsed(), pre.Elapsed(), status)
 	}
 }
 
-func run(src string, prof netsim.Profile) *interp.Result {
-	prog, err := interp.Load(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := prog.Run(4, prof)
+func run(src string, m plan.Machine) *interp.Result {
+	res, err := exec.Runner{}.Run(src, 4, m.Costs, m.Profile)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,9 +12,7 @@
 // node-loop case, partition geometry, interchange legality). Apply replays a
 // serializable plan.Plan — per-site Decision{K, Wait, SendOrder, Interchange}
 // — onto a fresh clone of the parsed AST, memoized by the plan's canonical
-// key, so a tuner can walk plan space without re-parsing. The legacy one-shot
-// entry point Transform(src, Options) survives as a thin shim that builds a
-// uniform plan from the flat Options.
+// key, so a tuner can walk plan space without re-parsing.
 package core
 
 import (
@@ -28,53 +26,15 @@ import (
 	"repro/internal/transform"
 )
 
-// Options configures a legacy one-shot Transform run. It survives only as a
-// shim over the Plan/Apply pipeline: Plan() maps the flat fields onto a
-// uniform plan applied to every site.
+// Options names a uniform fixed-K plan. It keeps its own name only because
+// benchmark/ builds its fixed plans through it; it goes with the next PR
+// that edits benchmark/, where plan.Uniform(plan.Decision{K: k}) replaces it.
 type Options struct {
-	// K is the tile size (iterations per tile). The paper treats choosing
-	// K as a tuning problem (§2); 0 selects plan.DefaultK.
-	K int64
-	// NP is the number of ranks the transformed code targets. 0 means
-	// "use the program's named constant np".
-	NP int64
-	// Oracle answers semi-automatic questions (§3.1). nil means fully
-	// automatic (conservative).
-	Oracle analysis.Oracle
-	// PerTileWait selects the paper's literal per-tile wait (§3.6 step 2)
-	// instead of the default deferred-drain schedule; it maps onto the
-	// plan knob Wait: "per-tile".
-	PerTileWait bool
-	// InterchangeMinBlockBytes gates the §3.5 loop interchange: a legal
-	// interchange is applied only when the resulting Fig. 4 exchange sends
-	// contiguous blocks of at least this many bytes (blockElems × K × 4).
-	// 0 selects the default (plan.DefaultInterchangeMinBlockBytes); a
-	// negative value disables interchange entirely (Interchange: "off").
-	InterchangeMinBlockBytes int64
+	K int64 // tile size; 0 selects plan.DefaultK
 }
 
-// DefaultOptions returns the options used when none are given.
-func DefaultOptions() Options { return Options{K: plan.DefaultK} }
-
-// Plan maps the flat options onto the uniform plan they denote.
-func (o Options) Plan() *plan.Plan {
-	d := plan.Decision{K: o.K}
-	if d.K <= 0 {
-		d.K = plan.DefaultK
-	}
-	if o.PerTileWait {
-		d.Wait = plan.WaitPerTile
-	}
-	if o.InterchangeMinBlockBytes < 0 {
-		d.Interchange = plan.InterchangeOff
-	} else {
-		d.Interchange = plan.InterchangeAuto
-		d.InterchangeMinBlockBytes = o.InterchangeMinBlockBytes
-	}
-	p := plan.Uniform(d)
-	p.NP = o.NP
-	return p
-}
+// Plan returns the uniform plan at tile size K.
+func (o Options) Plan() *plan.Plan { return plan.Uniform(plan.Decision{K: o.K}) }
 
 // AnalyzeOptions configures the analysis stage.
 type AnalyzeOptions struct {
@@ -263,18 +223,6 @@ func (p *Program) TransformableCount() int {
 		}
 	}
 	return n
-}
-
-// Transform parses src, transforms every transformable MPI_ALLTOALL site,
-// and returns the rewritten source plus a report — the legacy one-shot
-// entry point, now a shim over Analyze + Apply with the uniform plan the
-// Options denote.
-func Transform(src string, opts Options) (string, *Report, error) {
-	prog, err := Analyze(src, AnalyzeOptions{NP: opts.NP, Oracle: opts.Oracle})
-	if err != nil {
-		return "", nil, err
-	}
-	return Apply(prog, opts.Plan())
 }
 
 // SiteReport describes one MPI_ALLTOALL site's outcome under a plan.

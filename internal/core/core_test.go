@@ -19,6 +19,15 @@ import (
 	"repro/internal/workload"
 )
 
+// transform is the one-shot road: analyze src afresh, apply the uniform plan d.
+func transform(src string, aopts core.AnalyzeOptions, d plan.Decision) (string, *core.Report, error) {
+	prog, err := core.Analyze(src, aopts)
+	if err != nil {
+		return "", nil, err
+	}
+	return core.Apply(prog, plan.Uniform(d))
+}
+
 func readTestdata(t *testing.T, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
@@ -33,7 +42,7 @@ func readTestdata(t *testing.T, name string) string {
 func TestGoldenDirect(t *testing.T) {
 	src := readTestdata(t, "figure2_before.f90")
 	want := readTestdata(t, "figure2_after.f90")
-	got, rep, err := core.Transform(src, core.Options{K: 4})
+	got, rep, err := transform(src, core.AnalyzeOptions{}, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +58,7 @@ func TestGoldenDirect(t *testing.T) {
 func TestGoldenIndirect(t *testing.T) {
 	src := readTestdata(t, "figure3_before.f90")
 	want := readTestdata(t, "figure3_after.f90")
-	got, rep, err := core.Transform(src, core.Options{K: 2})
+	got, rep, err := transform(src, core.AnalyzeOptions{}, plan.Decision{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestTransformedGoldenRunsIdentically(t *testing.T) {
 // TestReportContents checks the report plumbing end to end.
 func TestReportContents(t *testing.T) {
 	src := readTestdata(t, "figure2_before.f90")
-	_, rep, err := core.Transform(src, core.Options{K: 4})
+	_, rep, err := transform(src, core.AnalyzeOptions{}, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ program twosites
   call mpi_finalize(ierr)
 end program twosites
 `
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, core.AnalyzeOptions{}, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ program p
   call mpi_alltoall(as, 2, mpi_integer, ar, 2, mpi_integer, mpi_comm_world, ierr)
 end program p
 `
-	_, rep, err := core.Transform(src, core.Options{K: 2, NP: 4})
+	_, rep, err := transform(src, core.AnalyzeOptions{NP: 4}, plan.Decision{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ end program p
 	// The oracle says extfill writes as: ℓ is found (then rejected at the
 	// pattern stage, since only a call mutates as — but the rejection
 	// message proves the oracle was consulted and ℓ located).
-	_, rep, err := core.Transform(src, core.Options{K: 2, NP: 4, Oracle: analysis.MapOracle{"extfill:as": true}})
+	_, rep, err := transform(src, core.AnalyzeOptions{NP: 4, Oracle: analysis.MapOracle{"extfill:as": true}}, plan.Decision{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +293,7 @@ func TestPipelineGoldenEquivalence(t *testing.T) {
 		}
 
 		// Via the Options shim (the legacy one-shot surface).
-		got, rep, err := core.Apply(prog, core.Options{K: c.k}.Plan())
+		got, rep, err := core.Apply(prog, plan.Uniform(plan.Decision{K: c.k}))
 		if err != nil {
 			t.Fatalf("%s: apply(shim plan): %v", c.before, err)
 		}
@@ -357,7 +366,7 @@ func TestAnalyzeSites(t *testing.T) {
 }
 
 // TestApplyMatchesTransform: applying a uniform plan at K must produce
-// exactly what a fresh Transform at that K produces, for every K the
+// exactly what a fresh Analyze + Apply at that K produces, for every K the
 // transform accepts — the property the tuner's pipeline reuse depends on.
 func TestApplyMatchesTransform(t *testing.T) {
 	src := readTestdata(t, "figure2_before.f90")
@@ -366,16 +375,16 @@ func TestApplyMatchesTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int64{2, 4, 8} {
-		got, grep, err := core.Apply(prog, core.Options{K: k}.Plan())
+		got, grep, err := core.Apply(prog, plan.Uniform(plan.Decision{K: k}))
 		if err != nil {
 			t.Fatalf("apply K=%d: %v", k, err)
 		}
-		want, wrep, err := core.Transform(src, core.Options{K: k})
+		want, wrep, err := transform(src, core.AnalyzeOptions{}, plan.Decision{K: k})
 		if err != nil {
 			t.Fatalf("transform K=%d: %v", k, err)
 		}
 		if got != want {
-			t.Errorf("K=%d: applied source differs from Transform output", k)
+			t.Errorf("K=%d: applied source differs from a fresh analysis's output", k)
 		}
 		if grep.TransformedCount() != wrep.TransformedCount() {
 			t.Errorf("K=%d: transformed %d sites, want %d", k, grep.TransformedCount(), wrep.TransformedCount())
@@ -384,7 +393,7 @@ func TestApplyMatchesTransform(t *testing.T) {
 	// Memoization: an equivalent plan hits the memo, but each caller gets
 	// its own defensive report copy — never the stored pointer (a shared
 	// pointer would let one caller's mutation race another's read).
-	_, r1, _ := core.Apply(prog, core.Options{K: 4}.Plan())
+	_, r1, _ := core.Apply(prog, plan.Uniform(plan.Decision{K: 4}))
 	_, r2, _ := core.Apply(prog, plan.Uniform(plan.Decision{K: 4}))
 	if r1 == r2 {
 		t.Error("apply memo returned the same *Report pointer to two callers")

@@ -232,7 +232,7 @@ func TestStripCoverageCorpus(t *testing.T) {
 		}
 		srcs := []string{sc.Source}
 		for _, k := range []int64{sc.K, max(sc.K/4, 1)} {
-			src, _, err := core.Apply(prog, core.Options{K: k}.Plan())
+			src, _, err := core.Apply(prog, plan.Uniform(plan.Decision{K: k}))
 			if err != nil {
 				t.Fatalf("%s: apply K=%d: %v", sc.Name, k, err)
 			}

@@ -146,7 +146,7 @@ func TestCorpusBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
-			transformed, rep, err := core.Apply(prog, core.Options{K: sc.K}.Plan())
+			transformed, rep, err := core.Apply(prog, plan.Uniform(plan.Decision{K: sc.K}))
 			if err != nil {
 				t.Fatalf("apply: %v", err)
 			}
@@ -331,7 +331,7 @@ func TestLoweringIsTotal(t *testing.T) {
 		}
 		lowered(sc.Name, sc.Source)
 		for _, k := range []int64{sc.K, max(sc.K/4, 1)} {
-			src, _, err := core.Apply(prog, core.Options{K: k}.Plan())
+			src, _, err := core.Apply(prog, plan.Uniform(plan.Decision{K: k}))
 			if err != nil {
 				t.Fatalf("%s: apply K=%d: %v", sc.Name, k, err)
 			}

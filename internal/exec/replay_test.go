@@ -88,7 +88,7 @@ func TestReplayEqualsRunCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
-			transformed, rep, err := core.Apply(prog, core.Options{K: sc.K}.Plan())
+			transformed, rep, err := core.Apply(prog, plan.Uniform(plan.Decision{K: sc.K}))
 			if err != nil || rep.TransformedCount() == 0 {
 				t.Fatalf("apply: %v (%s)", err, rep.FirstRejection())
 			}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/workload"
 )
 
 // Options tunes the coordinator's dispatch behavior; the zero value selects
@@ -175,7 +176,8 @@ func (c *Coordinator) Enqueue(req EnqueueRequest) (string, error) {
 		if shards < 1 {
 			shards = 1
 		}
-		if size := corpusSize(spec); shards > size {
+		// No shard work item is ever empty: clamp to the corpus size.
+		if _, size, _, _ := workload.SelectCorpus(workload.GenOptions{Seed: spec.Seed, Limit: spec.Limit}, ""); shards > size {
 			shards = size
 		}
 		for i := 0; i < shards; i++ {

@@ -38,8 +38,6 @@ type SweepSpec struct {
 	Tune bool `json:"tune,omitempty"`
 	// TuneMax caps measured tuning candidates (0 = tuner default).
 	TuneMax int `json:"tune_max,omitempty"`
-	// KOnly restricts the search to tile sizes.
-	KOnly bool `json:"k_only,omitempty"`
 	// Verify runs the static verification tier on every variant touched.
 	Verify bool `json:"verify,omitempty"`
 	// Shards is the number of shard work items to decompose into; <= 0
@@ -82,12 +80,7 @@ type EnqueueRequest struct {
 // would, and harness.Merge folds the artifacts back into corpus order.
 func RunShard(sess *session.Session, req ShardRequest) (*harness.Report, error) {
 	spec := req.Sweep
-	full := workload.GenerateScenarios(workload.GenOptions{Seed: spec.Seed})
-	scenarios := full
-	if spec.Limit > 0 && spec.Limit < len(full) {
-		scenarios = full[:spec.Limit]
-	}
-	scenarios, err := workload.SelectShard(scenarios, req.Shard)
+	scenarios, _, _, err := workload.SelectCorpus(workload.GenOptions{Seed: spec.Seed, Limit: spec.Limit}, req.Shard)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -97,7 +90,7 @@ func RunShard(sess *session.Session, req ShardRequest) (*harness.Report, error) 
 	}
 	return harness.Run(harness.Config{
 		Scenarios: scenarios, Machines: machines,
-		Tune: spec.Tune, TuneMaxMeasured: spec.TuneMax, TuneKOnly: spec.KOnly,
+		Tune: spec.Tune, TuneMaxMeasured: spec.TuneMax,
 		Verify: spec.Verify, Engine: sess.Engine(), Session: sess,
 	})
 }
@@ -113,14 +106,4 @@ func resolveMachines(names []string) ([]plan.Machine, error) {
 		machines = append(machines, m)
 	}
 	return machines, nil
-}
-
-// corpusSize is the scenario count a spec sweeps (after Limit) — the clamp
-// for the shard count, so no shard work item is ever empty.
-func corpusSize(spec SweepSpec) int {
-	n := len(workload.GenerateScenarios(workload.GenOptions{Seed: spec.Seed}))
-	if spec.Limit > 0 && spec.Limit < n {
-		n = spec.Limit
-	}
-	return n
 }

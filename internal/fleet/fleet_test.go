@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -308,6 +309,30 @@ func TestEnqueueValidationAndClamp(t *testing.T) {
 	}
 	if st.State != StateQueued {
 		t.Errorf("job with no workers is %q, want %q", st.State, StateQueued)
+	}
+}
+
+// TestWorkerRejectsBadRequests: a request that can never succeed — an
+// unknown field (the retired k_only among them), a malformed shard spec, an
+// unknown machine — is the sender's fault and a 400, so the coordinator
+// does not retry it; the classification is by error type, not wording.
+func TestWorkerRejectsBadRequests(t *testing.T) {
+	_, base := startWorker(t, "")
+	for _, c := range []struct{ path, body string }{
+		{"/tune", `{"source": "x", "np": 4, "machine": "mpich-gm-2005", "k_only": true}`},
+		{"/tune", `{"source": "x", "np": 4, "machine": "mpich-gm"}`},
+		{"/run", `{"sweep": {"seed": 0, "limit": 2, "k_only": true}, "shard": "0/1"}`},
+		{"/run", `{"sweep": {"seed": 0, "limit": 2}, "shard": "2/2"}`},
+		{"/run", `{"sweep": {"seed": 0, "limit": 2, "machines": ["mpich-gm"]}, "shard": "0/1"}`},
+	} {
+		resp, err := http.Post(base+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+		}
 	}
 }
 

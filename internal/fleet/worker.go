@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/plan"
 	"repro/internal/session"
+	"repro/internal/workload"
 )
 
 // Worker is the worker-side HTTP surface: a thin loop around harness.Run
@@ -62,7 +64,7 @@ func (w *Worker) Mux() *http.ServeMux {
 			// coordinator's fault and permanent; everything else might be
 			// transient.
 			status := http.StatusInternalServerError
-			if isShardRequestError(err) {
+			if errors.Is(err, workload.ErrBadShard) || errors.Is(err, plan.ErrUnknownMachine) {
 				status = http.StatusBadRequest
 			}
 			writeError(rw, status, err)
@@ -89,7 +91,7 @@ func (w *Worker) Mux() *http.ServeMux {
 		w.mu.Unlock()
 		if err != nil {
 			status := http.StatusInternalServerError
-			if session.IsQueryError(err) {
+			if errors.Is(err, session.ErrQuery) {
 				status = http.StatusBadRequest
 			}
 			writeError(rw, status, err)
@@ -102,13 +104,6 @@ func (w *Worker) Mux() *http.ServeMux {
 		fmt.Fprintln(rw, "ok")
 	})
 	return mux
-}
-
-// isShardRequestError reports whether a RunShard failure was caused by the
-// request itself rather than the sweep machinery.
-func isShardRequestError(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "bad shard") || strings.Contains(msg, "unknown machine")
 }
 
 // Announce registers a worker with the coordinator and keeps its heartbeat

@@ -249,10 +249,10 @@ type Expr interface {
 type Ident struct {
 	Name string
 	XPos Pos
-	// Slot is the name's number within its unit, 0 while unresolved. Only
-	// interp.Load writes it, on a file it parsed itself and before anything
-	// runs; it is an annotation of that one loaded tree, not syntax — the
-	// printer and EqualExpr ignore it and clones do not carry it.
+	// Slot is the name's number within its unit, 0 while unresolved. Only the
+	// walk oracle's Load writes it, on a file it parsed itself and before
+	// anything runs; it is an annotation of that one loaded tree, not syntax —
+	// the printer and EqualExpr ignore it and clones do not carry it.
 	Slot int
 }
 

@@ -57,11 +57,6 @@ type Config struct {
 	// are collected by index, so reports are deterministic regardless of
 	// the value.
 	Parallelism int
-	// Arrays names the observable arrays the correctness oracle compares
-	// (besides all printed output); empty means {"ar"}, the receive array
-	// every corpus kernel exposes. The send array is excluded because the
-	// indirect transformation legally makes it dead (§3.4).
-	Arrays []string
 	// Tune enables the per-(scenario, machine) plan search: next to the
 	// fixed-K measurement, internal/tune picks the whole plan decision —
 	// K, wait schedule, send order, interchange gate — and the outcome
@@ -70,9 +65,6 @@ type Config struct {
 	// TuneMaxMeasured caps measured candidates per (scenario, machine);
 	// <= 0 selects tune.DefaultMaxMeasured.
 	TuneMaxMeasured int
-	// TuneKOnly restricts the search to the tile size (the historical
-	// K-only tuner), for ablation sweeps.
-	TuneKOnly bool
 	// TuneCheckEngine, when non-empty, makes tuning tiered: candidates are
 	// measured on the sweep engine, and only the original program and each
 	// adopted plan are re-run on this engine (the walk oracle in CI),
@@ -137,8 +129,8 @@ type Outcome struct {
 	PairBytes int64  `json:"pair_bytes"`
 	Regime    string `json:"regime"` // eager | rendezvous
 
-	// Plan is the uniform decision the fixed measurement replayed (built
-	// from the scenario's K by the core.Options shim).
+	// Plan is the uniform decision the fixed measurement replayed (the
+	// scenario's K, every other knob at its default).
 	Plan plan.Decision `json:"plan"`
 
 	TransformedSites int  `json:"transformed_sites"`
@@ -248,7 +240,7 @@ type Summary struct {
 	// NonDefaultPlans counts tuned rows whose chosen plan differs from the
 	// fixed decision in a non-K knob (wait schedule, send order, or
 	// interchange gate) — the signal that the multi-knob search is finding
-	// wins the K-only tuner could not.
+	// wins no tile size alone could.
 	NonDefaultPlans int `json:"non_default_plans"`
 	// DivergentPlans counts tuned rows whose chosen plan gives different
 	// decisions to different MPI_ALLTOALL sites of one program — the signal
@@ -369,10 +361,6 @@ func Run(cfg Config) (*Report, error) {
 	if len(machines) == 0 {
 		machines = plan.DefaultSweep()
 	}
-	arrays := cfg.Arrays
-	if len(arrays) == 0 {
-		arrays = []string{"ar"}
-	}
 	sess := cfg.Session
 	if sess == nil {
 		// A private session per Run: fresh in-memory variant store, no
@@ -419,12 +407,12 @@ func Run(cfg Config) (*Report, error) {
 
 	var vt *verifyTracker
 	if cfg.Verify {
-		vt = newVerifyTracker(sess.Store())
+		vt = newVerifyTracker(sess)
 	}
 
 	states := make([]*scenarioState, len(scenarios))
 	for i, sc := range scenarios {
-		states[i] = newScenarioState(sc, machines, arrays, sess, memoPlans, vt)
+		states[i] = newScenarioState(sc, machines, sess, memoPlans, vt)
 	}
 
 	nm := len(machines)
@@ -544,9 +532,13 @@ type scenarioState struct {
 	tuneErr  []string
 }
 
-func newScenarioState(sc workload.Scenario, machines []plan.Machine, arrays []string, sess *session.Session, memoPlans bool, vt *verifyTracker) *scenarioState {
-	// A scenario naming its own observable arrays (multi-site kernels have
-	// one receive array per exchange) overrides the sweep default.
+func newScenarioState(sc workload.Scenario, machines []plan.Machine, sess *session.Session, memoPlans bool, vt *verifyTracker) *scenarioState {
+	// The oracle compares all printed output plus the receive array every
+	// corpus kernel exposes; the send array is excluded because the indirect
+	// transformation legally makes it dead (§3.4). A scenario naming its own
+	// observable arrays (multi-site kernels have one receive array per
+	// exchange) overrides that.
+	arrays := []string{"ar"}
 	if len(sc.Arrays) > 0 {
 		arrays = sc.Arrays
 	}
@@ -559,7 +551,7 @@ func newScenarioState(sc workload.Scenario, machines []plan.Machine, arrays []st
 		memoPlans:   memoPlans,
 		verify:      vt,
 		verifyTuned: make([][]string, len(machines)),
-		fixedPlan:   core.Options{K: sc.K}.Plan(),
+		fixedPlan:   plan.Uniform(plan.Decision{K: sc.K}),
 		profiles:    make([]ProfileRun, len(machines)),
 		runErr:      make([]string, len(machines)),
 		mismatch:    make([]string, len(machines)),
@@ -592,7 +584,7 @@ func (st *scenarioState) prepare() {
 		st.transformedSites = rep.TransformedCount()
 		st.interchanged = rep.AnyInterchanged()
 		if st.verify != nil {
-			st.verifyFixed = st.verify.variant(prog, st.fixedPlan, transformed, rep)
+			st.verifyFixed = st.verify.variant(prog, st.fixedPlan)
 		}
 	})
 }
@@ -657,8 +649,7 @@ func (st *scenarioState) tuneMachine(mi int, cfg Config) {
 	}
 	m := st.machines[mi]
 	opts := tune.Options{MaxMeasured: cfg.TuneMaxMeasured, Arrays: st.arrays,
-		KOnly: cfg.TuneKOnly, Engine: st.sess.Engine(), Store: st.sess.Store(),
-		CheckEngine: cfg.TuneCheckEngine}
+		Engine: st.sess.Engine(), Store: st.sess.Store(), CheckEngine: cfg.TuneCheckEngine}
 	if st.memoPlans {
 		opts.Memo = st.sess.Memo()
 	}

@@ -751,23 +751,43 @@ func TestSummaryCountsNonPositiveSpeedups(t *testing.T) {
 	}
 }
 
-// TestBrokenScenarioIsolated: one unparseable scenario must not take down
-// the sweep — it is reported in its outcome and the summary.
+// TestBrokenScenarioIsolated: an unparseable scenario, or one whose
+// transformation is rejected (a conditional write cannot be proven final),
+// must not take down the sweep — each is reported in its outcome and the
+// summary.
 func TestBrokenScenarioIsolated(t *testing.T) {
 	good := smallCorpus(t, 1)
 	bad := workload.Scenario{
 		Name: "broken/unparseable", Family: "direct",
 		Source: "this is not fortran", NP: 4, K: 2,
 	}
-	rep, err := Run(Config{Scenarios: []workload.Scenario{bad, good[0]}, Parallelism: 2})
+	rejected := workload.Scenario{
+		Name: "broken/rejected", Family: "direct", NP: 4, K: 2,
+		Source: `
+program p
+  implicit none
+  include 'mpif.h'
+  integer as(1:8), ar(1:8), i, ierr
+  do i = 1, 8
+    if (i > 2) then
+      as(i) = i
+    endif
+  enddo
+  call mpi_alltoall(as, 2, mpi_integer, ar, 2, mpi_integer, mpi_comm_world, ierr)
+end program p
+`}
+	rep, err := Run(Config{Scenarios: []workload.Scenario{bad, rejected, good[0]}, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Summary.Errors != 1 {
-		t.Fatalf("errors = %d, want 1:\n%s", rep.Summary.Errors, rep.Table())
+	if rep.Summary.Errors != 2 {
+		t.Fatalf("errors = %d, want 2:\n%s", rep.Summary.Errors, rep.Table())
 	}
 	if rep.Scenarios[0].Err == "" {
 		t.Error("broken scenario has no recorded error")
+	}
+	if !strings.Contains(rep.Scenarios[1].Err, "transform did not fire") {
+		t.Errorf("rejected scenario's error = %q, want the transform-did-not-fire reason", rep.Scenarios[1].Err)
 	}
 	if rep.Summary.Correct != 1 {
 		t.Errorf("good scenario should still pass (correct=%d)", rep.Summary.Correct)

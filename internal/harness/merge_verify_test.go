@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
+	"repro/internal/session"
+	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -99,5 +102,39 @@ func TestMergeRejectsMixedVerify(t *testing.T) {
 	// Either order must be rejected (the first report seeds the expectation).
 	if _, err := Merge([]*Report{reports[1], reports[0]}); err == nil {
 		t.Fatal("merging verify-off and verify-on shards succeeded")
+	}
+}
+
+// TestVerifyTrackerCountsPairsNotCalls: two workers can reach the same
+// content pair at once — one proves it (and marks the ledger), the other
+// finds the mark — and either may report first. The counters must not
+// depend on which: one pair verified, every other sighting skipped, a
+// failing pair reported once.
+func TestVerifyTrackerCountsPairsNotCalls(t *testing.T) {
+	proved := session.Verification{Key: exec.KeyOf("pair")}
+	known := session.Verification{Key: exec.KeyOf("pair"), Known: true}
+	dirty := session.Verification{Key: exec.KeyOf("bad"), Diags: []verify.Diagnostic{{Code: "X"}, {Code: "Y"}}}
+	for _, order := range [][]session.Verification{
+		{proved, known, known, dirty, dirty},
+		{known, proved, dirty, known, dirty},
+		{dirty, known, known, dirty, proved},
+	} {
+		vt := newVerifyTracker(nil)
+		reported := 0
+		for _, v := range order {
+			reported += len(vt.record(v, 1))
+		}
+		verified, skipped, failures, wall := vt.counts()
+		if verified != 1 || skipped != 3 || failures != 2 || reported != 2 || wall != 5 {
+			t.Errorf("order %v: verified %d skipped %d failures %d reported %d wall %d; want 1, 3, 2, 2, 5",
+				order, verified, skipped, failures, reported, wall)
+		}
+	}
+	// A pair the ledger knew before the sweep is never "verified" by it.
+	vt := newVerifyTracker(nil)
+	vt.record(known, 0)
+	vt.record(known, 0)
+	if verified, skipped, _, _ := vt.counts(); verified != 0 || skipped != 2 {
+		t.Errorf("ledger-warm pair: verified %d skipped %d, want 0, 2", verified, skipped)
 	}
 }

@@ -7,101 +7,71 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/session"
 	"repro/internal/tune"
-	"repro/internal/verify"
 )
 
-// verifyTracker runs the static verification tier over every variant the
-// sweep touches, deduplicated by content hash. When the session's variant
-// store keeps a VerifyLedger (both built-in stores do), clean hashes are
-// recorded there — so a second sweep in the same process, or a warm process
-// sharing an on-disk store, re-verifies nothing. Safe for concurrent use by
-// the sweep workers.
+// verifyTracker counts the static verification tier's work over one sweep,
+// one verdict per content pair: session.Verify owns the proving and the
+// store's ledger (so a second sweep in the same process, or a warm process
+// sharing an on-disk store, re-verifies nothing); the tracker dedupes
+// sightings within this sweep and keeps the counters. Safe for concurrent
+// use by the sweep workers.
 type verifyTracker struct {
-	ledger exec.VerifyLedger // nil when the store keeps none
+	sess *session.Session
 
-	mu       sync.Mutex
-	local    map[exec.Key]bool // dedupe fallback (and single-flight window)
-	verified int64
-	skipped  int64
-	failures int64
-	wallNs   int64
+	mu sync.Mutex
+	// pairs holds every content pair sighted this sweep; true marks a pair
+	// some call proved clean here rather than finding it in the ledger.
+	// Counting pairs, not calls, keeps the counters independent of which of
+	// two racing workers reaches the ledger first.
+	pairs     map[exec.Key]bool
+	sightings int64
+	dirty     int64 // pairs with findings
+	failures  int64
+	wallNs    int64
 }
 
-func newVerifyTracker(store exec.VariantStore) *verifyTracker {
-	vt := &verifyTracker{local: map[exec.Key]bool{}}
-	if l, ok := store.(exec.VerifyLedger); ok {
-		vt.ledger = l
-	}
-	return vt
+func newVerifyTracker(sess *session.Session) *verifyTracker {
+	return &verifyTracker{sess: sess, pairs: map[exec.Key]bool{}}
 }
 
-// variantKey pairs the original source with the transformed output: the
-// verifier's verdict is a function of exactly that pair (the report is
-// deterministic given them), so the pair hash is the ledger unit.
-func variantKey(orig, out string) exec.Key {
-	return exec.KeyOf(orig + "\x00" + out)
-}
-
-// variant statically verifies one (program, plan) variant, at most once per
-// content pair. It returns rendered diagnostics — nil when the variant is
-// clean or its hash is already known clean.
-func (vt *verifyTracker) variant(prog *core.Program, pl *plan.Plan, out string, rep *core.Report) []string {
-	key := variantKey(prog.Source(), out)
-	vt.mu.Lock()
-	if vt.local[key] {
-		vt.skipped++
-		vt.mu.Unlock()
-		return nil
-	}
-	if vt.ledger != nil && vt.ledger.Verified(key) {
-		vt.local[key] = true
-		vt.skipped++
-		vt.mu.Unlock()
-		return nil
-	}
-	vt.mu.Unlock()
-
+// variant statically verifies one (program, plan) variant. It returns
+// rendered diagnostics — nil when the variant is clean, or its findings were
+// already reported by this sweep (once per pair, not per sighting).
+func (vt *verifyTracker) variant(prog *core.Program, pl *plan.Plan) []string {
 	start := time.Now()
-	diags := verify.Variant(prog, pl, out, rep)
-	elapsed := time.Since(start).Nanoseconds()
-
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	vt.wallNs += elapsed
-	if vt.local[key] {
-		// A racing worker finished the same pair first; fold this attempt
-		// into the skip column so counters stay one-per-variant.
-		vt.skipped++
-		return nil
-	}
-	if len(diags) == 0 {
-		vt.verified++
-		vt.local[key] = true
-		if vt.ledger != nil {
-			vt.ledger.MarkVerified(key)
-		}
-		return nil
-	}
-	vt.failures += int64(len(diags))
-	vt.local[key] = true // a failing variant is reported once, not per sighting
-	out2 := make([]string, len(diags))
-	for i, d := range diags {
-		out2[i] = d.String()
-	}
-	return out2
-}
-
-// apply replays a plan through core.Apply (memoized, so regeneration is
-// free for plans the sweep already materialized) and verifies the output.
-func (vt *verifyTracker) apply(prog *core.Program, pl *plan.Plan) []string {
-	out, rep, err := core.Apply(prog, pl)
+	v, err := vt.sess.Verify(prog, pl)
 	if err != nil {
 		// An unappliable plan never produced a variant; there is nothing to
 		// verify statically (the tuner already surfaced the error).
 		return nil
 	}
-	return vt.variant(prog, pl, out, rep)
+	return vt.record(v, time.Since(start).Nanoseconds())
+}
+
+// record counts one verdict and returns the findings to report for it.
+func (vt *verifyTracker) record(v session.Verification, elapsedNs int64) []string {
+	vt.mu.Lock()
+	defer vt.mu.Unlock()
+	vt.wallNs += elapsedNs
+	vt.sightings++
+	fresh, seen := vt.pairs[v.Key]
+	if len(v.Diags) == 0 {
+		vt.pairs[v.Key] = fresh || !v.Known
+		return nil
+	}
+	vt.pairs[v.Key] = false
+	if seen {
+		return nil
+	}
+	vt.dirty++
+	vt.failures += int64(len(v.Diags))
+	out := make([]string, len(v.Diags))
+	for i, d := range v.Diags {
+		out[i] = d.String()
+	}
+	return out
 }
 
 // choice verifies every variant a tuning choice touched: each measured
@@ -120,15 +90,21 @@ func (vt *verifyTracker) choice(prog *core.Program, c tune.Choice) []string {
 		for i := range c.Sites {
 			cand.Sites[i] = plan.SitePlan{Site: c.Sites[i].Site, Decision: cd.Decisions[i]}
 		}
-		fails = append(fails, vt.apply(prog, &cand)...)
+		fails = append(fails, vt.variant(prog, &cand)...)
 	}
-	fails = append(fails, vt.apply(prog, c.Plan)...)
+	fails = append(fails, vt.variant(prog, c.Plan)...)
 	return fails
 }
 
-// counts snapshots the tracker's counters.
+// counts snapshots the tracker's counters: pairs freshly proven clean, clean
+// or repeated sightings that proved nothing new, findings, and wall cost.
 func (vt *verifyTracker) counts() (verified, skipped, failures, wallNs int64) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
-	return vt.verified, vt.skipped, vt.failures, vt.wallNs
+	for _, fresh := range vt.pairs {
+		if fresh {
+			verified++
+		}
+	}
+	return verified, vt.sightings - verified - vt.dirty, vt.failures, vt.wallNs
 }

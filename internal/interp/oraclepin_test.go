@@ -237,7 +237,7 @@ func TestOraclePin(t *testing.T) {
 				if err != nil {
 					t.Fatalf("analyze: %v", err)
 				}
-				transformed, rep, err := core.Apply(prog, core.Options{K: sc.K}.Plan())
+				transformed, rep, err := core.Apply(prog, plan.Uniform(plan.Decision{K: sc.K}))
 				if err != nil {
 					t.Fatalf("apply: %v", err)
 				}

@@ -67,22 +67,6 @@ func (p Profile) WithEagerThreshold(bytes int64) Profile {
 	return p
 }
 
-// WithOffload returns a copy of the profile with NIC autonomy forced on or
-// off — the ablation knob that isolates how much of the pre-push gain needs
-// hardware progress.
-func (p Profile) WithOffload(offload bool) Profile {
-	p.Offload = offload
-	return p
-}
-
-// Profiles returns the built-in profiles by name.
-func Profiles() map[string]Profile {
-	return map[string]Profile{
-		"mpich-tcp": MPICHTCP(),
-		"mpich-gm":  MPICHGM(),
-	}
-}
-
 // nicState tracks per-rank NIC occupancy for serialization/contention.
 type nicState struct {
 	sendFree Time // when the send side can inject the next message

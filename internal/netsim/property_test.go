@@ -110,14 +110,9 @@ func TestQuickEngineClockMonotone(t *testing.T) {
 	}
 }
 
-// TestProfilesTable sanity-checks the built-in profile registry.
+// TestProfilesTable sanity-checks the two built-in profiles.
 func TestProfilesTable(t *testing.T) {
-	ps := Profiles()
-	tcp, ok1 := ps["mpich-tcp"]
-	gm, ok2 := ps["mpich-gm"]
-	if !ok1 || !ok2 {
-		t.Fatalf("profiles = %v", ps)
-	}
+	tcp, gm := MPICHTCP(), MPICHGM()
 	if tcp.Offload {
 		t.Error("mpich-tcp must not be offload-capable")
 	}

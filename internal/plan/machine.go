@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -97,13 +98,6 @@ func HPCRDMA2019() Machine {
 	}
 }
 
-// aliases maps the historical short profile names onto machine models so
-// existing call sites ("mpich-gm") keep resolving.
-var aliases = map[string]string{
-	"mpich-tcp": "mpich-tcp-2005",
-	"mpich-gm":  "mpich-gm-2005",
-}
-
 // Builtin returns the named machine models, sorted by name.
 func Builtin() []Machine {
 	ms := []Machine{MPICHTCP2005(), MPICHGM2005(), HPCRDMA2019()}
@@ -125,26 +119,18 @@ func DefaultSweep() []Machine {
 	return []Machine{MPICHTCP2005(), MPICHGM2005(), HPCRDMA2019()}
 }
 
-// ByName resolves a machine model by name or historical alias.
+// ErrUnknownMachine marks a ByName failure: the caller named a machine model
+// this binary does not have.
+var ErrUnknownMachine = errors.New("unknown machine")
+
+// ByName resolves a machine model by name.
 func ByName(name string) (Machine, error) {
-	resolved := name
-	if a, ok := aliases[strings.ToLower(name)]; ok {
-		resolved = a
-	}
-	for _, m := range Builtin() {
-		if m.Name == resolved {
-			return m, nil
-		}
-	}
 	var names []string
 	for _, m := range Builtin() {
+		if m.Name == name {
+			return m, nil
+		}
 		names = append(names, m.Name)
 	}
-	return Machine{}, fmt.Errorf("plan: unknown machine %q (have %s)", name, strings.Join(names, ", "))
-}
-
-// FromProfile wraps a bare network profile as a machine with default-era
-// CPU costs — the bridge for callers that still deal in netsim.Profile.
-func FromProfile(prof netsim.Profile) Machine {
-	return Machine{Name: prof.Name, Profile: prof, Costs: interp.DefaultCosts()}
+	return Machine{}, fmt.Errorf("plan: %w %q (have %s)", ErrUnknownMachine, name, strings.Join(names, ", "))
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,11 +237,11 @@ func TestSkipRoundTripAndKey(t *testing.T) {
 	}
 }
 
-// TestMachineRegistry: the built-ins resolve by name and by historical
-// alias, and include an offload-capable modern model next to the paper
-// pair.
+// TestMachineRegistry: the built-ins resolve by their full names only (the
+// short profile names of the first generation are unknown machines), and
+// include an offload-capable modern model next to the paper pair.
 func TestMachineRegistry(t *testing.T) {
-	for _, name := range []string{"mpich-tcp-2005", "mpich-gm-2005", "hpc-rdma-2019", "mpich-gm", "mpich-tcp"} {
+	for _, name := range []string{"mpich-tcp-2005", "mpich-gm-2005", "hpc-rdma-2019"} {
 		m, err := ByName(name)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
@@ -253,10 +254,12 @@ func TestMachineRegistry(t *testing.T) {
 			t.Errorf("%s: uncalibrated machine: %+v", name, m)
 		}
 	}
-	if _, err := ByName("cray-t3e"); err == nil {
-		t.Error("unknown machine resolved")
+	for _, name := range []string{"cray-t3e", "mpich-gm", "mpich-tcp", "MPICH-GM-2005"} {
+		if _, err := ByName(name); !errors.Is(err, ErrUnknownMachine) {
+			t.Errorf("ByName(%q) = %v, want ErrUnknownMachine", name, err)
+		}
 	}
-	gm, _ := ByName("mpich-gm")
+	gm, _ := ByName("mpich-gm-2005")
 	if !gm.Profile.Offload {
 		t.Error("mpich-gm-2005 must keep the offload capability")
 	}

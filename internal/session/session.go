@@ -3,13 +3,13 @@
 // instead of package globals. A Session is what a long-lived service holds:
 // repeat tuning queries hit the memo, repeat variant executions hit the
 // store, and two sessions in one process never share counters. The
-// zero-configuration default (fresh in-memory store, fresh memo, compiled
-// engine) reproduces the historical per-run behavior exactly.
+// zero-configuration default is a fresh in-memory store, a fresh memo and
+// the bytecode engine.
 package session
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/tune"
+	"repro/internal/verify"
 )
 
 // Options configures a session.
@@ -131,8 +132,6 @@ type Query struct {
 	// MaxMeasured caps measured candidates; <= 0 selects the tuner
 	// default.
 	MaxMeasured int `json:"max_measured,omitempty"`
-	// KOnly restricts the search to tile sizes.
-	KOnly bool `json:"k_only,omitempty"`
 	// Arrays names the observable arrays the oracle compares; empty means
 	// the default {"ar"}.
 	Arrays []string `json:"arrays,omitempty"`
@@ -166,14 +165,14 @@ type resolvedQuery struct {
 // under the same key a local search would have used.
 func (s *Session) resolveQuery(q Query) (resolvedQuery, error) {
 	if q.Source == "" {
-		return resolvedQuery{}, fmt.Errorf("session: query needs a program source")
+		return resolvedQuery{}, queryError{fmt.Errorf("session: query needs a program source")}
 	}
 	if q.NP < 1 {
-		return resolvedQuery{}, fmt.Errorf("session: query needs np >= 1 (the search simulates the program)")
+		return resolvedQuery{}, queryError{fmt.Errorf("session: query needs np >= 1 (the search simulates the program)")}
 	}
 	m, err := plan.ByName(q.Machine)
 	if err != nil {
-		return resolvedQuery{}, fmt.Errorf("session: %w", err)
+		return resolvedQuery{}, queryError{fmt.Errorf("session: %w", err)}
 	}
 	fixedK := q.FixedK
 	if fixedK <= 0 {
@@ -181,7 +180,7 @@ func (s *Session) resolveQuery(q Query) (resolvedQuery, error) {
 	}
 	prog, err := s.Analyze(q.Source, int64(q.NP))
 	if err != nil {
-		return resolvedQuery{}, fmt.Errorf("session: analyze: %w", err)
+		return resolvedQuery{}, queryError{fmt.Errorf("session: analyze: %w", err)}
 	}
 	arrays := q.Arrays
 	if len(arrays) == 0 {
@@ -189,7 +188,7 @@ func (s *Session) resolveQuery(q Query) (resolvedQuery, error) {
 	}
 	fp := core.Fingerprint(prog, m.Name)
 	key := tune.MemoKey(fp, tune.Input{NP: q.NP, FixedK: fixedK},
-		tune.ResolveMaxMeasured(q.MaxMeasured, prog.TransformableCount()), q.KOnly, arrays)
+		tune.ResolveMaxMeasured(q.MaxMeasured, prog.TransformableCount()), arrays)
 	return resolvedQuery{machine: m, prog: prog, fixedK: fixedK, fingerprint: fp, memoKey: key}, nil
 }
 
@@ -210,7 +209,6 @@ func (s *Session) Plan(q Query) (*Result, error) {
 	}, tune.Options{
 		MaxMeasured: q.MaxMeasured,
 		Arrays:      q.Arrays,
-		KOnly:       q.KOnly,
 		Engine:      s.engine,
 		Store:       s.store,
 		Memo:        s.memo,
@@ -255,15 +253,63 @@ func (s *Session) PlanRemote(q Query, remote func(Query) (*Result, error)) (*Res
 	return res, nil
 }
 
-// IsQueryError reports whether a Plan/PlanRemote failure was caused by the
-// query itself (validation, an unknown machine, or a program that does not
-// parse/analyze) rather than by the search machinery — the HTTP surfaces
-// map the former to 400 and the rest to 500.
-func IsQueryError(err error) bool {
-	msg := err.Error()
-	return strings.HasPrefix(msg, "session: query") ||
-		strings.HasPrefix(msg, "session: analyze") ||
-		strings.Contains(msg, "unknown machine")
+// ErrQuery marks a Plan/PlanRemote failure caused by the query itself
+// (validation, an unknown machine, or a program that does not parse/analyze)
+// rather than by the search machinery — the HTTP surfaces map it to 400 and
+// everything else to 500.
+var ErrQuery = errors.New("bad query")
+
+// queryError tags a query-caused failure as ErrQuery without touching its
+// wording; the cause stays reachable through Unwrap.
+type queryError struct{ error }
+
+func (e queryError) Is(target error) bool { return target == ErrQuery }
+func (e queryError) Unwrap() error        { return e.error }
+
+// Verification is Verify's verdict on one (program, plan) variant.
+type Verification struct {
+	// Key hashes the (original, transformed) content pair. The verifier's
+	// verdict is a function of exactly that pair, so it is the ledger unit.
+	Key exec.Key
+	// Known reports that the store's ledger already held a clean verdict
+	// for Key: nothing was re-proven.
+	Known bool
+	// Diags are the static verifier's findings; none means clean.
+	Diags []verify.Diagnostic
+}
+
+// Verify replays pl onto prog (core.Apply, memoized per plan) and statically
+// verifies the variant — translation validator plus MPI schedule linter, no
+// execution. A clean verdict is recorded in the store's verify ledger when
+// it keeps one (both built-in stores do), so a repeat — or a later process
+// sharing an on-disk store — answers Known without re-proving anything. The
+// error is Apply's: an unappliable plan never produced a variant.
+func (s *Session) Verify(prog *core.Program, pl *plan.Plan) (Verification, error) {
+	out, rep, err := core.Apply(prog, pl)
+	if err != nil {
+		return Verification{}, err
+	}
+	v := Verification{Key: exec.KeyOf(prog.Source() + "\x00" + out)}
+	ledger, _ := s.store.(exec.VerifyLedger)
+	if ledger != nil && ledger.Verified(v.Key) {
+		v.Known = true
+		return v, nil
+	}
+	v.Diags = verify.Variant(prog, pl, out, rep)
+	if len(v.Diags) == 0 && ledger != nil {
+		ledger.MarkVerified(v.Key)
+	}
+	return v, nil
+}
+
+// VerifyBaseline verifies the fixed-K variant a search for q starts from,
+// with the machine and tile-size defaults Plan would resolve.
+func (s *Session) VerifyBaseline(q Query) (Verification, error) {
+	rq, err := s.resolveQuery(q)
+	if err != nil {
+		return Verification{}, err
+	}
+	return s.Verify(rq.prog, plan.Uniform(plan.Decision{K: rq.fixedK}))
 }
 
 // Stats bundles the session's store and memo counters (the /stats payload)

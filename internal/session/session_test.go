@@ -1,9 +1,11 @@
 package session_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/session"
 	"repro/internal/workload"
 )
@@ -105,9 +107,31 @@ func TestPlanValidatesQuery(t *testing.T) {
 		{Source: testSource(), Machine: "no-such-machine", NP: 4},
 	}
 	for i, q := range bad {
-		if _, err := s.Plan(q); err == nil {
-			t.Errorf("bad query %d accepted", i)
+		if _, err := s.Plan(q); !errors.Is(err, session.ErrQuery) {
+			t.Errorf("bad query %d: err = %v, want an ErrQuery", i, err)
 		}
+	}
+	if _, err := s.Plan(bad[2]); !errors.Is(err, plan.ErrUnknownMachine) {
+		t.Errorf("unknown machine: err = %v, want plan.ErrUnknownMachine in the chain", err)
+	}
+	// A well-formed query whose search fails (here a run-time bounds error
+	// in the original program) is not the query's fault.
+	lateFail := `
+program p
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: np = 4
+  integer as(1:32), ar(1:32), i, ierr
+  do i = 1, 32
+    as(i) = i
+  enddo
+  call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
+  print *, ar(33)
+end program p
+`
+	_, err = s.Plan(session.Query{Source: lateFail, Machine: "mpich-gm-2005", NP: 4})
+	if err == nil || errors.Is(err, session.ErrQuery) {
+		t.Errorf("run-time failure of a well-formed query: err = %v, want a non-query error", err)
 	}
 }
 
@@ -212,5 +236,51 @@ func TestAnalyzeCachedPerSession(t *testing.T) {
 	}
 	if p3 == p1 {
 		t.Fatal("distinct rank counts share one analysis")
+	}
+}
+
+// TestVerifyOwnsTheLedger: Verify is the one place a variant is applied,
+// hashed, looked up, proven and marked — a repeat answers Known from the
+// store's ledger, a different plan is a different pair, and an unappliable
+// plan is an error, not a verdict.
+func TestVerifyOwnsTheLedger(t *testing.T) {
+	s, err := session.New(session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := s.Analyze(testSource(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := plan.Uniform(plan.Decision{K: 256})
+	first, err := s.Verify(prog, pl)
+	if err != nil || first.Known || len(first.Diags) != 0 {
+		t.Fatalf("first verify: %+v, %v; want a fresh clean verdict", first, err)
+	}
+	again, err := s.Verify(prog, pl)
+	if err != nil || !again.Known || again.Key != first.Key {
+		t.Fatalf("repeat verify: %+v, %v; want Known under the same key", again, err)
+	}
+	if ledger := s.Store().(exec.VerifyLedger); !ledger.Verified(first.Key) {
+		t.Error("clean verdict not recorded in the store's ledger")
+	}
+	other, err := s.Verify(prog, plan.Uniform(plan.Identity()))
+	if err != nil || other.Known || other.Key == first.Key {
+		t.Errorf("identity plan: %+v, %v; want a fresh verdict on a different pair", other, err)
+	}
+	stale := plan.Uniform(plan.Decision{K: 256})
+	stale.Set("999:1", plan.Decision{K: 4})
+	if _, err := s.Verify(prog, stale); err == nil {
+		t.Error("a plan naming a site the program lacks verified instead of erroring")
+	}
+
+	// VerifyBaseline resolves the machine and fixed K the way Plan does.
+	q := session.Query{Source: testSource(), Machine: "mpich-gm-2005", NP: 4, FixedK: 256}
+	if v, err := s.VerifyBaseline(q); err != nil || !v.Known || v.Key != first.Key {
+		t.Errorf("baseline at the verified K: %+v, %v; want Known under the same key", v, err)
+	}
+	q.Machine = "mpich-gm"
+	if _, err := s.VerifyBaseline(q); !errors.Is(err, session.ErrQuery) {
+		t.Errorf("baseline for an unknown machine: %v, want an ErrQuery", err)
 	}
 }

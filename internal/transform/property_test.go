@@ -5,9 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/netsim"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -50,7 +50,7 @@ func TestQuickRandomKernelsEquivalent(t *testing.T) {
 			})
 		}
 
-		out, rep, err := core.Transform(src, core.Options{K: k})
+		out, rep, err := transform(src, 0, plan.Decision{K: k})
 		if err != nil {
 			t.Logf("transform error (np=%d K=%d): %v\n%s", np, k, err, src)
 			return false

@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 // rejectCase runs the pipeline and asserts the single site is rejected with
 // a reason containing want.
-func rejectCase(t *testing.T, src string, opts core.Options, want string) {
+func rejectCase(t *testing.T, src string, k, np int64, want string) {
 	t.Helper()
-	_, rep, err := core.Transform(src, opts)
+	_, rep, err := transform(src, np, plan.Decision{K: k})
 	if err != nil {
 		t.Fatalf("pipeline error: %v", err)
 	}
@@ -41,7 +41,7 @@ program p
   enddo
   call mpi_alltoall(as, 4, mpi_integer, ar, 4, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 4}, "does not exchange the whole array")
+`, 4, 0, "does not exchange the whole array")
 }
 
 func TestRejectUnknownNP(t *testing.T) {
@@ -55,7 +55,7 @@ program p
   enddo
   call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 4}, "number of ranks unknown")
+`, 4, 0, "number of ranks unknown")
 }
 
 func TestRejectIndivisibleLastDim(t *testing.T) {
@@ -69,7 +69,7 @@ program p
   enddo
   call mpi_alltoall(as, 6, mpi_integer, ar, 6, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 3, NP: 4}, "not divisible")
+`, 3, 4, "not divisible")
 }
 
 func TestRejectStridedSubscript(t *testing.T) {
@@ -85,7 +85,7 @@ program p
   enddo
   call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 4}, "coefficient")
+`, 4, 0, "coefficient")
 }
 
 func TestRejectPartialCoverage(t *testing.T) {
@@ -101,7 +101,7 @@ program p
   enddo
   call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 4}, "finalize")
+`, 4, 0, "finalize")
 }
 
 func TestRejectScalarBuffer(t *testing.T) {
@@ -116,7 +116,7 @@ program p
   enddo
   call mpi_alltoall(as, 1, mpi_integer, ar, 1, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 1}, "not a declared array")
+`, 1, 0, "not a declared array")
 }
 
 func TestRejectWrongArgCount(t *testing.T) {
@@ -131,7 +131,7 @@ program p
   enddo
   call mpi_alltoall(as, 2, mpi_integer, ar, 2, mpi_integer, mpi_comm_world)
 end program p
-`, core.Options{K: 2}, "8")
+`, 2, 0, "8")
 }
 
 func TestRejectIndirectExtraStatement(t *testing.T) {
@@ -166,7 +166,7 @@ subroutine p2(iy, at)
   integer at(*)
   at(1) = iy
 end subroutine p2
-`, core.Options{K: 1}, "extra array assignment")
+`, 1, 0, "extra array assignment")
 }
 
 func TestRejectIndirectNoFillCall(t *testing.T) {
@@ -190,7 +190,7 @@ program p
   enddo
   call mpi_alltoall(as, 16, mpi_integer, ar, 16, mpi_integer, mpi_comm_world, ierr)
 end program p
-`, core.Options{K: 1}, "no call filling")
+`, 1, 0, "no call filling")
 }
 
 func TestRejectKZero(t *testing.T) {
@@ -206,10 +206,9 @@ program p
   call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
 end program p
 `
-	// K<=0 falls back to the default at the core layer; the transform
-	// itself must reject it when called directly. Through core, K=0 means
-	// "default", so this must succeed.
-	_, rep, err := core.Transform(src, core.Options{K: 0})
+	// The transform itself must reject K<=0 when called directly. In a
+	// plan, K=0 means "default" (plan.DefaultK), so this must succeed.
+	_, rep, err := transform(src, 0, plan.Decision{K: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ end program p
 }
 
 func TestNPOptionOverridesParameter(t *testing.T) {
-	// No 'np' constant in the program; Options.NP supplies it.
+	// No 'np' constant in the program; AnalyzeOptions.NP supplies it.
 	src := `
 program p
   implicit none
@@ -231,7 +230,7 @@ program p
   call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
 end program p
 `
-	_, rep, err := core.Transform(src, core.Options{K: 4, NP: 4})
+	_, rep, err := transform(src, 4, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +252,11 @@ program p
   call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
 end program p
 `
-	perTile, _, err := core.Transform(src, core.Options{K: 4, PerTileWait: true})
+	perTile, _, err := transform(src, 0, plan.Decision{K: 4, Wait: plan.WaitPerTile})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deferred, _, err := core.Transform(src, core.Options{K: 4})
+	deferred, _, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/netsim"
+	"repro/internal/plan"
 )
 
 // staggerKernel renders a 1-D subset-send kernel with the given loop body
@@ -64,7 +64,7 @@ func differentialIdentical(t *testing.T, src, transformed string) {
 // stays bit-identical.
 func TestStaggeredScheduleApplied(t *testing.T) {
 	src := staggerKernel("    as(ix) = ix*3 + 1")
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStaggeredScheduleApplied(t *testing.T) {
 // original owner-ordered schedule — and remain correct.
 func TestStaggerFallsBackOnCarriedScalar(t *testing.T) {
 	src := staggerKernel("    s = s + ix\n    as(ix) = ix*2 + s")
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStaggerFallsBackOnCarriedScalar(t *testing.T) {
 // tiled loop through another array also disables the reordering.
 func TestStaggerFallsBackOnCarriedArrayDep(t *testing.T) {
 	src := staggerKernel("    b(ix + 1) = ix*5\n    as(ix) = b(ix) + ix")
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStaggerFallsBackOnCarriedArrayDep(t *testing.T) {
 // per-rank output lines would be permuted otherwise).
 func TestStaggerFallsBackOnPrint(t *testing.T) {
 	src := staggerKernel("    as(ix) = ix*3\n    print *, ix")
-	_, rep, err := core.Transform(src, core.Options{K: 4})
+	_, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func postLoopKernel(body, after string) string {
 // must disable the reordering (and the fallback must stay bit-identical).
 func TestStaggerFallsBackOnPostLoopVarRead(t *testing.T) {
 	src := postLoopKernel("    as(ix) = ix*3 + 1", "  checksum = checksum + ix*7")
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStaggerFallsBackOnPostLoopVarRead(t *testing.T) {
 // assigns — its final value depends on the traversal order.
 func TestStaggerFallsBackOnPostLoopScalarRead(t *testing.T) {
 	src := postLoopKernel("    t = ix*2\n    as(ix) = t + ix", "  checksum = checksum + t")
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ program p
   call mpi_finalize(ierr)
 end program p
 `
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ end program p
 func TestStaggerSurvivesLoopVarReuse(t *testing.T) {
 	src := postLoopKernel("    as(ix) = ix*3 + 1",
 		"  do ix = 1, nx\n    checksum = checksum + ar(ix)\n  enddo")
-	out, rep, err := core.Transform(src, core.Options{K: 4})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestStaggerSurvivesLoopVarReuse(t *testing.T) {
 // mode must keep the original owner-ordered schedule.
 func TestStaggerPerTileWaitKeepsOwnerOrder(t *testing.T) {
 	src := staggerKernel("    as(ix) = ix*3 + 1")
-	out, rep, err := core.Transform(src, core.Options{K: 4, PerTileWait: true})
+	out, rep, err := transform(src, 0, plan.Decision{K: 4, Wait: plan.WaitPerTile})
 	if err != nil {
 		t.Fatal(err)
 	}

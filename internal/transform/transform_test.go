@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/netsim"
+	"repro/internal/plan"
 )
 
 // directOutermostSrc is the paper's Fig. 2(a) program made concrete.
@@ -142,16 +143,26 @@ subroutine p(iy, me, at)
 end subroutine p
 `
 
+// transform is the one-shot road: analyze src afresh (np 0 = the program's
+// own np constant) and apply the uniform plan d.
+func transform(src string, np int64, d plan.Decision) (string, *core.Report, error) {
+	prog, err := core.Analyze(src, core.AnalyzeOptions{NP: np})
+	if err != nil {
+		return "", nil, err
+	}
+	return core.Apply(prog, plan.Uniform(d))
+}
+
 // transformAndCompare transforms src, runs both versions on np ranks under
 // both network profiles, and requires identical outputs and final arrays.
 // It returns the elapsed times (orig, prepush) under the GM profile.
-func transformAndCompare(t *testing.T, src string, np int, k int64, tweak ...func(*core.Options)) (netsim.Time, netsim.Time) {
+func transformAndCompare(t *testing.T, src string, np int, k int64, tweak ...func(*plan.Decision)) (netsim.Time, netsim.Time) {
 	t.Helper()
-	opts := core.Options{K: k}
+	d := plan.Decision{K: k}
 	for _, f := range tweak {
-		f(&opts)
+		f(&d)
 	}
-	out, rep, err := core.Transform(src, opts)
+	out, rep, err := transform(src, 0, d)
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -206,8 +217,8 @@ func TestEquivalenceInterchange(t *testing.T) {
 	// Force the interchange path (the granularity gate would otherwise
 	// choose subset sends for this small array).
 	for _, k := range []int64{2, 4} {
-		transformAndCompare(t, interchangeSrc, 4, k, func(o *core.Options) {
-			o.InterchangeMinBlockBytes = 1
+		transformAndCompare(t, interchangeSrc, 4, k, func(d *plan.Decision) {
+			d.InterchangeMinBlockBytes = 1
 		})
 	}
 }
@@ -268,7 +279,7 @@ func TestPrepushFasterOnOffloadStack(t *testing.T) {
 	// is computation to overlap. A lower eager threshold puts the tile
 	// blocks (64×8×4 B = 2 KiB) on the rendezvous path without needing a
 	// huge (slow-to-interpret) workload.
-	out, rep, err := core.Transform(prepushPerfSrc, core.Options{K: 8})
+	out, rep, err := transform(prepushPerfSrc, 0, plan.Decision{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +313,7 @@ func TestPrepushFasterOnOffloadStack(t *testing.T) {
 }
 
 func TestTransformedSourceShape(t *testing.T) {
-	out, _, err := core.Transform(directOutermostSrc, core.Options{K: 4})
+	out, _, err := transform(directOutermostSrc, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +336,7 @@ func TestTransformedSourceShape(t *testing.T) {
 }
 
 func TestFig4ShapeForInnerNodeLoop(t *testing.T) {
-	out, _, err := core.Transform(directInnerSrc, core.Options{K: 4})
+	out, _, err := transform(directInnerSrc, 0, plan.Decision{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +353,7 @@ func TestFig4ShapeForInnerNodeLoop(t *testing.T) {
 }
 
 func TestIndirectShape(t *testing.T) {
-	out, rep, err := core.Transform(indirectSrc, core.Options{K: 2})
+	out, rep, err := transform(indirectSrc, 0, plan.Decision{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +377,7 @@ func TestIndirectShape(t *testing.T) {
 }
 
 func TestRejectionKNotDividingPartition(t *testing.T) {
-	_, rep, err := core.Transform(directOutermostSrc, core.Options{K: 3})
+	_, rep, err := transform(directOutermostSrc, 0, plan.Decision{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,14 +73,14 @@ func (m *Memo) Stats() MemoStats {
 // MemoKey builds the memo key for a tuning query: the analysis fingerprint
 // (which already covers the machine and the program shape) extended with
 // every search parameter that steers the outcome — rank count, fixed-K
-// baseline, measurement budget, knob restriction, and the oracle's
-// observable arrays. Two queries agreeing on all of it would run the
-// identical deterministic search.
-func MemoKey(fingerprint string, in Input, maxMeasured int, kOnly bool, arrays []string) string {
+// baseline, measurement budget, and the oracle's observable arrays. Two
+// queries agreeing on all of it would run the identical deterministic
+// search.
+func MemoKey(fingerprint string, in Input, maxMeasured int, arrays []string) string {
 	sorted := append([]string(nil), arrays...)
 	sort.Strings(sorted)
-	return fmt.Sprintf("%s|np=%d|fixedk=%d|maxm=%d|konly=%t|arrays=%s",
-		fingerprint, in.NP, in.FixedK, maxMeasured, kOnly, strings.Join(sorted, ","))
+	return fmt.Sprintf("%s|np=%d|fixedk=%d|maxm=%d|arrays=%s",
+		fingerprint, in.NP, in.FixedK, maxMeasured, strings.Join(sorted, ","))
 }
 
 // cloneChoice deep-copies a Choice: the plan, the per-site choices (and

@@ -98,17 +98,16 @@ func TestMemoAliasesShapeIdenticalSources(t *testing.T) {
 	}
 }
 
-// TestMemoSplitsOnSearchParameters: a different budget, fixed K, or knob
-// restriction would run a different search, so none of them may alias.
+// TestMemoSplitsOnSearchParameters: a different rank count, fixed K, budget
+// or array set would run a different search, so none of them may alias.
 func TestMemoSplitsOnSearchParameters(t *testing.T) {
-	base := MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, false, []string{"ar"})
+	base := MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, []string{"ar"})
 	variants := []string{
-		MemoKey("fp1-x", Input{NP: 8, FixedK: 256}, 14, false, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 128}, 14, false, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 20, false, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, true, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, false, []string{"ar", "br"}),
-		MemoKey("fp1-y", Input{NP: 4, FixedK: 256}, 14, false, []string{"ar"}),
+		MemoKey("fp1-x", Input{NP: 8, FixedK: 256}, 14, []string{"ar"}),
+		MemoKey("fp1-x", Input{NP: 4, FixedK: 128}, 14, []string{"ar"}),
+		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 20, []string{"ar"}),
+		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, []string{"ar", "br"}),
+		MemoKey("fp1-y", Input{NP: 4, FixedK: 256}, 14, []string{"ar"}),
 	}
 	for i, v := range variants {
 		if v == base {
@@ -116,8 +115,8 @@ func TestMemoSplitsOnSearchParameters(t *testing.T) {
 		}
 	}
 	// Array order is not a search parameter.
-	if MemoKey("fp1-x", Input{NP: 4}, 14, false, []string{"br", "ar"}) !=
-		MemoKey("fp1-x", Input{NP: 4}, 14, false, []string{"ar", "br"}) {
+	if MemoKey("fp1-x", Input{NP: 4}, 14, []string{"br", "ar"}) !=
+		MemoKey("fp1-x", Input{NP: 4}, 14, []string{"ar", "br"}) {
 		t.Error("memo key depends on array order")
 	}
 }

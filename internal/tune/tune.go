@@ -49,8 +49,7 @@ import (
 )
 
 // DefaultMaxMeasured bounds measured candidates per (kernel, machine) for a
-// single-site kernel. The knob stage needs headroom beyond the K climb, so
-// the budget sits above the K-only tuner's historical 10.
+// single-site kernel: the K climb plus headroom for the knob stage.
 const DefaultMaxMeasured = 14
 
 // PerSiteExtraMeasured is the additional default budget granted for every
@@ -100,9 +99,6 @@ type Options struct {
 	// Arrays names the observable arrays the oracle compares (besides all
 	// printed output); empty means {"ar"}.
 	Arrays []string
-	// KOnly restricts the search to tile sizes (uniform and per-site),
-	// skipping the non-K knob flips — kept for ablation comparisons.
-	KOnly bool
 	// Engine selects the execution engine for every measured run; ""
 	// means exec.Default (the bytecode engine).
 	Engine exec.Engine
@@ -259,7 +255,7 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 	for _, m := range in.Machines {
 		var memoKey string
 		if opts.Memo != nil {
-			memoKey = MemoKey(core.Fingerprint(prog, m.Name), in, maxM, opts.KOnly, arrays)
+			memoKey = MemoKey(core.Fingerprint(prog, m.Name), in, maxM, arrays)
 			if ch, ok := opts.Memo.Lookup(memoKey); ok {
 				ch.MemoHit = true
 				ch.ReplayedRuns, ch.CertifiedRuns = 0, 0
@@ -267,7 +263,7 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 				continue
 			}
 		}
-		ch, err := tuneMachine(prog, in, m, sites, uniformLadder, arrays, maxM, opts.KOnly, runner, check)
+		ch, err := tuneMachine(prog, in, m, sites, uniformLadder, arrays, maxM, runner, check)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +342,7 @@ type search struct {
 // search, and the best-uniform baseline), then coordinate descent across
 // the sites.
 func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState,
-	uniformLadder []int64, arrays []string, maxM int, kOnly bool, runner exec.Runner,
+	uniformLadder []int64, arrays []string, maxM int, runner exec.Runner,
 	check *exec.Runner) (Choice, error) {
 
 	// Executed in full whatever the store knows: every verdict compares
@@ -406,17 +402,15 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 	// Refinement: hill-climb the divisor ladder from the best decision so
 	// far until no neighbor improves or the measurement budget runs out.
 	s.climbK(-1, uniformLadder)
-	if !kOnly {
-		// Knob stage: each non-K knob flip gets its own K-climb, because a
-		// flip can be a no-op at the incumbent K (the interchange gate, for
-		// one, only disagrees with "auto" on part of the ladder) — such
-		// no-op rungs alias earlier candidates and cost nothing, so the
-		// climb walks through them for free until the flip starts mattering.
-		// A flipped plan displaces the incumbent only when strictly better;
-		// afterwards one more default climb refines K under the winner.
-		s.climbKnobs(-1, uniformLadder)
-		s.climbK(-1, uniformLadder)
-	}
+	// Knob stage: each non-K knob flip gets its own K-climb, because a flip
+	// can be a no-op at the incumbent K (the interchange gate, for one, only
+	// disagrees with "auto" on part of the ladder) — such no-op rungs alias
+	// earlier candidates and cost nothing, so the climb walks through them
+	// for free until the flip starts mattering. A flipped plan displaces the
+	// incumbent only when strictly better; afterwards one more default climb
+	// refines K under the winner.
+	s.climbKnobs(-1, uniformLadder)
+	s.climbK(-1, uniformLadder)
 
 	// Coordinate descent across sites: climb each site's K (and knobs) with
 	// the others held at the incumbent, iterating until a whole pass adopts
@@ -437,9 +431,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 					}
 				}
 				s.climbK(si, sites[si].ladder)
-				if !kOnly {
-					s.climbKnobs(si, sites[si].ladder)
-				}
+				s.climbKnobs(si, sites[si].ladder)
 			}
 			after := ""
 			if b := s.best(); b != nil {

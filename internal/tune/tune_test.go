@@ -171,37 +171,6 @@ func TestIdentityCandidateNeverLoses(t *testing.T) {
 	}
 }
 
-// TestMultiKnobNeverLosesToKOnly: the K stage of the multi-knob search is
-// identical to the K-only search and the knob stage only ever adopts
-// strictly better plans, so pointwise the multi-knob tuned speedup is
-// bounded below by the K-only tuned speedup.
-func TestMultiKnobNeverLosesToKOnly(t *testing.T) {
-	for _, sc := range workload.GenerateScenarios(workload.GenOptions{Limit: 6}) {
-		in := Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)}
-		multi, err := Tune(in, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		konly, err := Tune(in, Options{KOnly: true})
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		for i := range multi {
-			if multi[i].Speedup+1e-12 < konly[i].Speedup {
-				t.Errorf("%s/%s: multi-knob %.4f below K-only %.4f",
-					sc.Name, multi[i].Machine, multi[i].Speedup, konly[i].Speedup)
-			}
-			// The identity plan (skip) is part of every search — including
-			// the K-only ablation, where it is the baseline candidate, not a
-			// knob flip. A non-skip K-only choice must keep the default knobs.
-			if d := konly[i].Chosen; !d.Skip &&
-				(d.Wait != plan.WaitDeferred || d.SendOrder != plan.SendStaggered || d.Interchange != plan.InterchangeAuto) {
-				t.Errorf("%s/%s: K-only search flipped a non-K knob: %+v", sc.Name, konly[i].Machine, d)
-			}
-		}
-	}
-}
-
 // TestMeasurementBudget: MaxMeasured caps the simulated pre-push runs.
 func TestMeasurementBudget(t *testing.T) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 1})[0]

@@ -71,7 +71,7 @@ func TestCorpusClean(t *testing.T) {
 func pickScenario(t *testing.T, pred func(prog *core.Program, out string, rep *core.Report) bool) (workload.Scenario, *plan.Plan, *core.Program, string, *core.Report) {
 	t.Helper()
 	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
-		pl := core.Options{K: sc.K}.Plan()
+		pl := plan.Uniform(plan.Decision{K: sc.K})
 		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
 		if err != nil {
 			continue
@@ -511,7 +511,7 @@ func TestMutationCatalog(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := core.Options{K: sc.K}.Plan()
+				pl := plan.Uniform(plan.Decision{K: sc.K})
 				pl.Sites = append(pl.Sites, plan.SitePlan{
 					Site: prog.Sites[0].Key(), Decision: plan.Identity(),
 				})

@@ -138,6 +138,26 @@ func GenerateScenarios(opts GenOptions) []Scenario {
 	return out
 }
 
+// Figure1 is the paper's Figure 1 as data: the measured kernel — a
+// bandwidth-bound inner-node-loop exchange (512 KiB per outer step, 32 KiB
+// per rank pair, rendezvous-sized on the GM stack) with computation of the
+// same order, the regime the paper's applications run in — and the tile size
+// for each network stack. As §1 motivates ("the performance of the
+// transformed code depends on several cluster and application related
+// parameters [that] have to be recomputed… every time the cluster… changes"),
+// K is per stack: TCP amortizes its higher per-message overhead with larger
+// tiles, the offload stack pipelines better with smaller ones. A caller
+// sweeps the scenario under each named machine at that machine's K.
+func Figure1() (sc Scenario, tileFor map[string]int64) {
+	const m, ny, sz, np = 128, 64, 8, 4
+	pair := int64(m * ny * sz / np * 4)
+	return Scenario{
+		Name: "inner3d(fig1)", Family: "inner3d", NP: np,
+		Source:    Inner3DSource(Inner3DParams{M: m, NY: ny, SZ: sz, NP: np, Weight: 1}),
+		PairBytes: pair, Regime: regimeFor(pair), Costs: heavyCosts(),
+	}, map[string]int64{"mpich-tcp-2005": 32, "mpich-gm-2005": 16}
+}
+
 // directScenarios sweeps the Fig. 2(a) 1-D shape across the eager/rendezvous
 // crossover and two rank counts.
 func directScenarios(seed int64) []Scenario {
@@ -372,7 +392,7 @@ func raggedScenarios(seed int64) []Scenario {
 // scenarios where the plan's interchange knob is a real decision — the
 // auto gate picks the balanced interchange at coarse tiles, but the
 // staggered subset-send schedule often beats it there, so the multi-knob
-// tuner can find plans a K-only search cannot express.
+// tuner can find plans no choice of K alone can express.
 func xchgScenarios(seed int64) []Scenario {
 	type cfg struct {
 		m, ny, nz, np int

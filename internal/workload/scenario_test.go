@@ -6,8 +6,50 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftn"
+	"repro/internal/harness"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
+
+// TestFigure1ShapeHolds pins the paper's Figure 1 on the road that now
+// produces it — workload.Figure1 swept by harness.Run: the four makespans
+// bit-equal to what the first-generation Compare road measured, and the
+// paper's ordering among them.
+func TestFigure1ShapeHolds(t *testing.T) {
+	rows, err := harness.Figure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Profile != "mpich-tcp-2005" || rows[1].Profile != "mpich-gm-2005" {
+		t.Fatalf("rows = %+v, want one per paper stack", rows)
+	}
+	tcp, gm := rows[0], rows[1]
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"tcp original", tcp.OriginalNs, 5081746},
+		{"tcp prepush", tcp.PrepushNs, 4605588},
+		{"gm original", gm.OriginalNs, 3193786},
+		{"gm prepush", gm.PrepushNs, 2842413},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s makespan = %d ns, want %d", c.what, c.got, c.want)
+		}
+	}
+	// The paper's ordering: prepush beats original on both stacks, and the
+	// offload stack is fastest overall — even its original beats TCP's
+	// prepush.
+	if tcp.PrepushNs >= tcp.OriginalNs {
+		t.Errorf("tcp prepush (%d) not better than original (%d)", tcp.PrepushNs, tcp.OriginalNs)
+	}
+	if gm.PrepushNs >= gm.OriginalNs {
+		t.Errorf("gm prepush (%d) not better than original (%d)", gm.PrepushNs, gm.OriginalNs)
+	}
+	if gm.OriginalNs >= tcp.PrepushNs {
+		t.Errorf("gm original (%d) should beat tcp prepush (%d)", gm.OriginalNs, tcp.PrepushNs)
+	}
+}
 
 // TestEveryCorpusScenarioTransforms: each generated kernel must parse and
 // the Compuniformer must fire on every site the scenario declares — a
@@ -23,9 +65,13 @@ func TestEveryCorpusScenarioTransforms(t *testing.T) {
 			if want == 0 {
 				want = 1
 			}
-			out, rep, err := core.Transform(sc.Source, core.Options{K: sc.K})
+			prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
 			if err != nil {
-				t.Fatalf("transform: %v", err)
+				t.Fatalf("analyze: %v", err)
+			}
+			out, rep, err := core.Apply(prog, plan.Uniform(plan.Decision{K: sc.K}))
+			if err != nil {
+				t.Fatalf("apply: %v", err)
 			}
 			if rep.TransformedCount() != want {
 				t.Fatalf("transformed %d sites, want %d: %s", rep.TransformedCount(), want, rep.FirstRejection())

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -110,5 +111,35 @@ func TestSelectShardEmptyAndOverwide(t *testing.T) {
 		if _, err := SelectShard(corpus, spec); err == nil {
 			t.Errorf("spec %q accepted, want error", spec)
 		}
+	}
+}
+
+// TestSelectCorpus: the one selection order — seed, Limit, shard — with the
+// size before sharding and the whole-corpus verdict every entry point
+// (evalrunner sweep, -fleet, -merge, the fleet worker and coordinator) reads.
+func TestSelectCorpus(t *testing.T) {
+	full := GenerateScenarios(GenOptions{Seed: 7})
+	all, size, whole, err := SelectCorpus(GenOptions{Seed: 7}, "")
+	if err != nil || size != len(full) || !whole || len(all) != len(full) || all[3].Source != full[3].Source {
+		t.Fatalf("unlimited: %d scenarios, size %d, whole %v, err %v; want the %d-scenario seed-7 corpus", len(all), size, whole, err, len(full))
+	}
+	shard, size, whole, err := SelectCorpus(GenOptions{Seed: 7, Limit: 10}, "1/3")
+	if err != nil || size != 10 || whole {
+		t.Fatalf("limit 10 shard 1/3: size %d, whole %v, err %v; want 10, false, nil", size, whole, err)
+	}
+	for i, sc := range shard {
+		if want := 1 + 3*i; sc.Index != want || sc.Name != full[want].Name {
+			t.Errorf("limit 10 shard 1/3 [%d] = #%d %s, want #%d %s", i, sc.Index, sc.Name, want, full[want].Name)
+		}
+	}
+	if len(shard) != 3 {
+		t.Errorf("limit 10 shard 1/3 has %d scenarios, want 3", len(shard))
+	}
+	// A Limit at or above the corpus size truncates nothing.
+	if _, size, whole, _ := SelectCorpus(GenOptions{Seed: 7, Limit: len(full) + 5}, ""); size != len(full) || !whole {
+		t.Errorf("over-wide limit: size %d, whole %v; want %d, true", size, whole, len(full))
+	}
+	if _, _, _, err := SelectCorpus(GenOptions{}, "3/3"); !errors.Is(err, ErrBadShard) {
+		t.Errorf("shard 3/3: err = %v, want ErrBadShard", err)
 	}
 }

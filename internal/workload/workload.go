@@ -1,18 +1,14 @@
 // Package workload generates the parametric Fortran kernels the evaluation
 // uses: the paper's abstract target forms (Fig. 2a direct, Fig. 3a
-// indirect, and the 3-D inner-node-loop form) at tunable sizes, plus the
-// experiment driver that runs original-vs-prepush comparisons across
-// network profiles. It is shared by the benchmark harness, cmd/paperfigs
-// and the examples so every consumer reproduces exactly the same series.
+// indirect, and the 3-D inner-node-loop form) at tunable sizes, dressed as
+// the scenario corpus internal/harness sweeps, plus the paper's Figure 1
+// configuration. It is shared by the harness, cmd/paperfigs and the
+// examples so every consumer reproduces exactly the same series.
 package workload
 
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/interp"
-	"repro/internal/netsim"
 )
 
 // DirectParams sizes the Fig. 2(a)-shaped kernel.
@@ -374,167 +370,4 @@ subroutine p(iy, me, at)
   enddo
 end subroutine p
 `, p.N, p.NP, n2, n2, n2*p.N/p.NP, n2*p.N/p.NP, n2, rhs)
-}
-
-// Measurement is one (profile, variant) timing.
-type Measurement struct {
-	Profile  string
-	Variant  string // "original" or "prepush"
-	Elapsed  netsim.Time
-	Compute  netsim.Time // average per-rank compute time
-	Blocked  netsim.Time // average per-rank blocked (waiting) time
-	Messages int64
-	Bytes    int64
-}
-
-// Comparison holds the four Figure-1 series for one kernel.
-type Comparison struct {
-	Kernel       string
-	K            int64
-	NP           int
-	Measurements []Measurement
-}
-
-// Normalized returns elapsed / min(elapsed) for each measurement, the
-// paper's normalized execution time.
-func (c *Comparison) Normalized() map[string]float64 {
-	min := netsim.Time(1<<62 - 1)
-	for _, m := range c.Measurements {
-		if m.Elapsed < min {
-			min = m.Elapsed
-		}
-	}
-	out := map[string]float64{}
-	for _, m := range c.Measurements {
-		out[m.Profile+" "+m.Variant] = float64(m.Elapsed) / float64(min)
-	}
-	return out
-}
-
-// String renders the comparison as the Figure 1 table.
-func (c *Comparison) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "kernel=%s np=%d K=%d\n", c.Kernel, c.NP, c.K)
-	fmt.Fprintf(&sb, "%-12s %-10s %14s %12s %12s %10s\n", "profile", "variant", "time", "compute", "blocked", "normalized")
-	norm := c.Normalized()
-	for _, m := range c.Measurements {
-		fmt.Fprintf(&sb, "%-12s %-10s %14s %12s %12s %10.2f\n",
-			m.Profile, m.Variant, m.Elapsed, m.Compute, m.Blocked, norm[m.Profile+" "+m.Variant])
-	}
-	return sb.String()
-}
-
-// RunOptions configures a comparison run.
-type RunOptions struct {
-	NP       int
-	K        int64
-	Profiles []netsim.Profile // defaults to MPICH-TCP and MPICH-GM
-	Costs    *interp.CostModel
-	// CheckEquivalence verifies the transformed run produces identical
-	// observable results (printed output + Ar) under every profile.
-	CheckEquivalence bool
-}
-
-// Compare transforms src and measures original vs. prepush under each
-// profile, reproducing the paper's Figure 1 protocol.
-func Compare(name, src string, opts RunOptions) (*Comparison, error) {
-	if len(opts.Profiles) == 0 {
-		opts.Profiles = []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()}
-	}
-	transformed, rep, err := core.Transform(src, core.Options{K: opts.K})
-	if err != nil {
-		return nil, fmt.Errorf("transform: %w", err)
-	}
-	if rep.TransformedCount() != 1 {
-		return nil, fmt.Errorf("transform did not fire:\n%s", rep)
-	}
-	cmp := &Comparison{Kernel: name, K: opts.K, NP: opts.NP}
-	for _, prof := range opts.Profiles {
-		var results [2]*interp.Result
-		for vi, text := range []string{src, transformed} {
-			prog, err := interp.Load(text)
-			if err != nil {
-				return nil, fmt.Errorf("load: %w", err)
-			}
-			if opts.Costs != nil {
-				prog.Costs = *opts.Costs
-			}
-			res, err := prog.Run(opts.NP, prof)
-			if err != nil {
-				return nil, fmt.Errorf("run %s/%s: %w", prof, variantName(vi), err)
-			}
-			results[vi] = res
-			var comp, blocked netsim.Time
-			for _, rs := range res.Stats.PerRank {
-				comp += rs.Compute
-				blocked += rs.Blocked
-			}
-			n := netsim.Time(len(res.Stats.PerRank))
-			cmp.Measurements = append(cmp.Measurements, Measurement{
-				Profile:  prof.Name,
-				Variant:  variantName(vi),
-				Elapsed:  res.Elapsed(),
-				Compute:  comp / n,
-				Blocked:  blocked / n,
-				Messages: res.Stats.Messages,
-				Bytes:    res.Stats.Bytes,
-			})
-		}
-		if opts.CheckEquivalence {
-			if same, why := interp.SameObservable(results[0], results[1], "ar"); !same {
-				return nil, fmt.Errorf("equivalence violated under %s: %s", prof, why)
-			}
-		}
-	}
-	return cmp, nil
-}
-
-func variantName(i int) string {
-	if i == 0 {
-		return "original"
-	}
-	return "prepush"
-}
-
-// Figure1Params returns the canonical configuration used to regenerate the
-// paper's Figure 1: a bandwidth-bound inner-node-loop kernel (512 KiB
-// exchanged per outer step, 32 KiB per rank pair — rendezvous-sized on the
-// GM stack) with computation of the same order as the exchange, which is
-// the regime the paper's applications run in.
-func Figure1Params() (Inner3DParams, RunOptions) {
-	p := Inner3DParams{M: 128, NY: 64, SZ: 8, NP: 4, Weight: 1}
-	costs := interp.DefaultCosts()
-	// Each interpreted element models a heavier real-world kernel body
-	// (the paper's applications do real floating-point work per element).
-	costs.Store = 8 * netsim.Nanosecond
-	opts := RunOptions{NP: 4, K: 16, Costs: &costs, CheckEquivalence: true}
-	return p, opts
-}
-
-// Figure1 runs the canonical Figure 1 reproduction. As the paper's §1
-// motivates ("the performance of the transformed code depends on several
-// cluster and application related parameters [that] have to be recomputed…
-// every time the cluster… changes"), the tile size is tuned per network
-// stack: the TCP stack amortizes its higher per-message overhead with
-// larger tiles, the offload stack pipelines better with smaller ones.
-func Figure1() (*Comparison, error) {
-	p, opts := Figure1Params()
-	src := Inner3DSource(p)
-
-	kFor := map[string]int64{"mpich-tcp": 32, "mpich-gm": 16}
-	merged := &Comparison{Kernel: "inner3d(fig1)", K: 0, NP: opts.NP}
-	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
-		o := opts
-		o.Profiles = []netsim.Profile{prof}
-		o.K = kFor[prof.Name]
-		cmp, err := Compare("inner3d(fig1)", src, o)
-		if err != nil {
-			return nil, err
-		}
-		merged.Measurements = append(merged.Measurements, cmp.Measurements...)
-		if merged.K == 0 || o.K < merged.K {
-			merged.K = o.K
-		}
-	}
-	return merged, nil
 }
