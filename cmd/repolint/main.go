@@ -36,6 +36,10 @@
 //     interp) outside internal/exec, internal/interp and tests. Product
 //     code runs programs through exec.Runner (Engine walk reaches the
 //     oracle); tests keep calling the walker directly as the reference.
+//  8. verify re-proves: nothing under internal/verify, tests included, names
+//     analysis.ProofMemo or the Proofs field of analysis.Options. The
+//     transformer memoises its proofs on the core.Program; the validator is
+//     there to catch one acting on a wrong fact, so it re-derives them all.
 //
 // Usage:
 //
@@ -179,6 +183,7 @@ func lintFile(fset *token.FileSet, rel string, f *ast.File) []string {
 		lintOneRoad(pkgDir, f, report)
 	}
 	lintMemoClone(pkgDir, f, report)
+	lintVerifyReproves(pkgDir, f, report)
 	return findings
 }
 
@@ -407,4 +412,20 @@ func lintMemoClone(pkgDir string, f *ast.File, report reportFn) {
 				"%s touches the memo's entries map without cloneChoice; the memo must store and hand out deep copies", fd.Name.Name)
 		}
 	}
+}
+
+// lintVerifyReproves flags any mention of the transformer's proof memo in
+// the static verifier: the memo's type, or the analysis.Options field that
+// carries one.
+func lintVerifyReproves(pkgDir string, f *ast.File, report reportFn) {
+	if pkgDir != "internal/verify" && !strings.HasPrefix(pkgDir, "internal/verify/") {
+		return
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && (id.Name == "ProofMemo" || id.Name == "Proofs") {
+			report(id.Pos(), "verify-reproves",
+				"%s named in internal/verify; the validator must re-prove from the source, never read the transformer's memoised proofs", id.Name)
+		}
+		return true
+	})
 }

@@ -238,6 +238,30 @@ func TestOneRoadRule(t *testing.T) {
 	}
 }
 
+func TestVerifyReprovesRule(t *testing.T) {
+	// Handing the validator the transformer's memo, by field or by type.
+	setsField := "package verify\nimport \"repro/internal/analysis\"\nfunc f(m *analysis.Options) { _ = analysis.Options{NP: 4, Proofs: nil} }\n"
+	wantRule(t, lintSrc(t, "internal/verify/verify.go", setsField), "verify-reproves")
+	namesType := "package verify\nimport \"repro/internal/analysis\"\nvar _ *analysis.ProofMemo\n"
+	wantRule(t, lintSrc(t, "internal/verify/guard.go", namesType), "verify-reproves")
+	// Tests are in scope too: a test that verifies through the memo proves
+	// nothing about the validator.
+	wantRule(t, lintSrc(t, "internal/verify/verify_test.go", namesType), "verify-reproves")
+
+	// What verify does today — a fresh analysis with no memo — is clean, and
+	// the transformer's side may of course name its own memo.
+	fresh := "package verify\nimport \"repro/internal/analysis\"\nfunc f() { _ = analysis.Options{NP: 4} }\n"
+	if findings := lintSrc(t, "internal/verify/verify.go", fresh); len(findings) != 0 {
+		t.Errorf("unexpected findings %v", findings)
+	}
+	for _, rel := range []string{"internal/core/core.go", "internal/core/proofs_test.go"} {
+		src := strings.Replace(namesType, "package verify", "package core", 1)
+		if findings := lintSrc(t, rel, src); len(findings) != 0 {
+			t.Errorf("%s: unexpected findings %v", rel, findings)
+		}
+	}
+}
+
 func TestRepoIsClean(t *testing.T) {
 	findings, err := lintTree("../..")
 	if err != nil {

@@ -3,6 +3,11 @@
 // the send/receive arrays As/Ar, and the finalizing loop nest ℓ), deciding
 // the compute-copy pattern (direct vs. indirect), recognizing the redundant
 // copy loop ℓcp, and determining the node loop position.
+//
+// A site is located per file and proved once per program: FindOpportunities
+// re-walks whatever file it is given (a transformer clone has its own nodes),
+// but the dependence and slab-mapping proofs about what it located are kept
+// in the caller's ProofMemo when Options carries one.
 package analysis
 
 import (
@@ -161,6 +166,11 @@ type Opportunity struct {
 	SemiAuto bool             // true when the oracle was consulted
 
 	Notes []string // human-readable analysis notes
+
+	// proofs (nil when the caller gave none) and key address this site's
+	// ProofMemo entries.
+	proofs *ProofMemo
+	key    proofKey
 }
 
 // note appends a formatted analysis note.
@@ -174,6 +184,9 @@ type Options struct {
 	// NP, when > 0, overrides/provides the number of ranks for checks that
 	// need it numerically (otherwise a named constant "np" is used if found).
 	NP int
+	// Proofs, when non-nil, keeps the per-site proofs across calls on clones
+	// of one program. Nil derives everything afresh, as a validator must.
+	Proofs *ProofMemo
 }
 
 // RejectionError explains why a candidate call site is not transformable.

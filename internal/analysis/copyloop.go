@@ -90,9 +90,18 @@ func analyzeIndirect(file *ftn.File, op *Opportunity, writes []*ftn.AssignStmt, 
 	if len(cl.AtDims) != 1 {
 		return reject(w.Pos(), "temporary %s must be declared one-dimensional", atName)
 	}
-	if err := verifySlabMapping(op, cl, w, rhs); err != nil {
-		return err
+	type verdict struct {
+		count int64 // elements per slab, when err is nil
+		err   error
 	}
+	slab := ProveOnce(op, "slab-mapping", func() verdict {
+		err := verifySlabMapping(op, cl, w, rhs)
+		return verdict{cl.Count, err}
+	})
+	if slab.err != nil {
+		return slab.err
+	}
+	cl.Count = slab.count
 	op.CopyLoop = cl
 	op.NodeCase = NodeLoopOutermost // the outer ℓ loop walks As's last dim
 	op.NodeLoopLevel = 0
@@ -117,12 +126,9 @@ func containsStmt(stmts []ftn.Stmt, target ftn.Stmt) bool {
 // consecutive whole slabs of As in order: linear As offset of the element
 // copied from At(j) at outer value iy equals (iy-iyLo)·Count + (j-atLo),
 // and that the slabs exactly tile As. This is what makes
-// At -> As -> Ar equivalent to At -> Ar (§3.4).
+// At -> As -> Ar equivalent to At -> Ar (§3.4). Every element is visited;
+// the expressions it evaluates per element are resolved to slots up front.
 func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.Ref) error {
-	env := map[string]int64{}
-	for k, v := range op.Consts {
-		env[k] = v
-	}
 	// Numeric As dims.
 	var lo, hi, stride []int64
 	strideAcc := int64(1)
@@ -144,27 +150,58 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 		return reject(w.Pos(), "At lower bound is not numeric")
 	}
 
-	outerLo, ok1 := EvalInt(op.L.Lo, env)
-	outerHi, ok2 := EvalInt(op.L.Hi, env)
+	// Resolve everything the enumeration evaluates, then make the environment:
+	// constants are defined, other names not until the walk assigns them.
+	var sc scope
+	bounds := func(do *ftn.DoStmt) (lo, hi, step code) {
+		if do.Step != nil {
+			step = sc.resolve(do.Step)
+		}
+		return sc.resolve(do.Lo), sc.resolve(do.Hi), step
+	}
+	outerLoC, outerHiC, outerStepC := bounds(op.L)
+	cpLoC, cpHiC, cpStepC := bounds(cl.Loop)
+	outerVar, cpVar := sc.slotOf(op.L.Var), sc.slotOf(cl.Loop.Var)
+	type scalarDef struct {
+		stmt *ftn.AssignStmt
+		slot int
+		rhs  code
+	}
+	var scalars []scalarDef // the copy loop body's scalar assignments, in order
+	for _, s := range cl.Loop.Body {
+		if a, ok := s.(*ftn.AssignStmt); ok && a != w {
+			scalars = append(scalars, scalarDef{a, sc.slotOf(a.LHS.(*ftn.Ident).Name), sc.resolve(a.RHS)})
+		}
+	}
+	lhs := w.LHS.(*ftn.Ref)
+	subs := make([]code, len(lhs.Args))
+	for d, sub := range lhs.Args {
+		subs[d] = sc.resolve(sub)
+	}
+	atSub := sc.resolve(rhs.Args[0])
+	en := sc.newEnv(op.Consts)
+
+	outerLo, ok1 := en.run(outerLoC)
+	outerHi, ok2 := en.run(outerHiC)
 	if !ok1 || !ok2 {
 		return reject(op.L.Pos(), "outer loop bounds are not numeric")
 	}
-	if op.L.Step != nil {
-		if s, oks := EvalInt(op.L.Step, env); !oks || s != 1 {
+	if outerStepC != nil {
+		if s, oks := en.run(outerStepC); !oks || s != 1 {
 			return reject(op.L.Pos(), "outer loop step must be 1 for the indirect transformation")
 		}
 	}
 
 	count := int64(-1)
 	for iy := outerLo; iy <= outerHi; iy++ {
-		env[op.L.Var] = iy
-		cpLo, okl := EvalInt(cl.Loop.Lo, env)
-		cpHi, okh := EvalInt(cl.Loop.Hi, env)
+		en.set(outerVar, iy)
+		cpLo, okl := en.run(cpLoC)
+		cpHi, okh := en.run(cpHiC)
 		if !okl || !okh {
 			return reject(cl.Loop.Pos(), "copy loop bounds are not numeric")
 		}
-		if cl.Loop.Step != nil {
-			if s, oks := EvalInt(cl.Loop.Step, env); !oks || s != 1 {
+		if cpStepC != nil {
+			if s, oks := en.run(cpStepC); !oks || s != 1 {
 				return reject(cl.Loop.Pos(), "copy loop step must be 1")
 			}
 		}
@@ -176,28 +213,22 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 		}
 		slabBase := (iy - outerLo) * count
 		for ix := cpLo; ix <= cpHi; ix++ {
-			env[cl.Loop.Var] = ix
+			en.set(cpVar, ix)
 			// Execute the scalar assignments of the copy loop body.
-			for _, s := range cl.Loop.Body {
-				a, ok := s.(*ftn.AssignStmt)
-				if !ok || a == w {
-					continue
-				}
-				id := a.LHS.(*ftn.Ident)
-				v, okv := EvalInt(a.RHS, env)
+			for _, sd := range scalars {
+				v, okv := en.run(sd.rhs)
 				if !okv {
-					return reject(a.Pos(), "cannot evaluate scalar %s in copy loop", id.Name)
+					return reject(sd.stmt.Pos(), "cannot evaluate scalar %s in copy loop", sc.names[sd.slot])
 				}
-				env[id.Name] = v
+				en.set(sd.slot, v)
 			}
 			// Destination offset.
-			lhs := w.LHS.(*ftn.Ref)
-			if len(lhs.Args) != len(op.AsDims) {
+			if len(subs) != len(op.AsDims) {
 				return reject(w.Pos(), "copy LHS rank mismatch")
 			}
 			off := int64(0)
-			for d, sub := range lhs.Args {
-				v, okv := EvalInt(sub, env)
+			for d, sub := range subs {
+				v, okv := en.run(sub)
 				if !okv {
 					return reject(w.Pos(), "cannot evaluate As subscript %d", d+1)
 				}
@@ -207,7 +238,7 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 				off += (v - lo[d]) * stride[d]
 			}
 			// Source index.
-			j, okj := EvalInt(rhs.Args[0], env)
+			j, okj := en.run(atSub)
 			if !okj {
 				return reject(w.Pos(), "cannot evaluate At subscript")
 			}
@@ -218,7 +249,7 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 					op.L.Var, iy, cl.Loop.Var, ix, off, want)
 			}
 		}
-		delete(env, cl.Loop.Var)
+		en.unset(cpVar) // ℓcp's variable is not a value the next bounds may use
 	}
 	// The slabs must exactly tile As.
 	if (outerHi-outerLo+1)*count != totalAs {

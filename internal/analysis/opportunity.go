@@ -54,7 +54,8 @@ func FindOpportunities(file *ftn.File, opts Options) ([]*Opportunity, []error) {
 }
 
 // analyzeSite runs the full per-site analysis pipeline for the call at
-// (*list)[callIdx].
+// (*list)[callIdx]: it locates C, ℓ and the unit's facts in this file, then
+// classifies the pattern, whose proofs go through opts.Proofs.
 func analyzeSite(file *ftn.File, unit *ftn.Unit, list *[]ftn.Stmt, callIdx int, opts Options) (*Opportunity, error) {
 	call := (*list)[callIdx].(*ftn.CallStmt)
 	ac, err := parseAlltoall(call)
@@ -118,6 +119,11 @@ func analyzeSite(file *ftn.File, unit *ftn.Unit, list *[]ftn.Stmt, callIdx int, 
 		return nil, reject(call.Pos(), "no loop nest preceding the call mutates %s", ac.As)
 	}
 
+	if opts.Proofs != nil {
+		op.proofs = opts.Proofs
+		op.key = proofKey{site: call.Pos(), nest: ftn.PrintStmts([]ftn.Stmt{op.L}, 0), np: opts.NP}
+	}
+
 	// Ar must not be consumed between ℓ and C, nor inside ℓ: the receives
 	// are posted inside ℓ, so any earlier use would read unarrived data
 	// (§3.1's "earliest safe receive point").
@@ -175,26 +181,33 @@ func gatherUnitFacts(op *Opportunity, unit *ftn.Unit, opts Options) {
 	st := ftn.Symbols(unit)
 	op.Consts = map[string]int64{}
 	op.Arrays = map[string]bool{}
+	var sc scope
+	type param struct {
+		slot int
+		init code
+	}
+	var params []param
 	for _, name := range st.Names() {
 		sym := st.Lookup(name)
 		if sym.IsArray() {
 			op.Arrays[name] = true
 		}
 		if sym.Parameter && sym.Init != nil {
-			if v, ok := EvalInt(sym.Init, op.Consts); ok {
-				op.Consts[name] = v
+			params = append(params, param{sc.slotOf(name), sc.resolve(sym.Init)})
+		}
+	}
+	// Parameters may reference each other; repeated passes resolve chains.
+	en := sc.newEnv(nil)
+	for pass := 0; pass < 4; pass++ {
+		for _, p := range params {
+			if v, ok := en.run(p.init); ok {
+				en.set(p.slot, v)
 			}
 		}
 	}
-	// Parameters may reference each other; a second pass resolves chains.
-	for pass := 0; pass < 3; pass++ {
-		for _, name := range st.Names() {
-			sym := st.Lookup(name)
-			if sym.Parameter && sym.Init != nil {
-				if v, ok := EvalInt(sym.Init, op.Consts); ok {
-					op.Consts[name] = v
-				}
-			}
+	for _, p := range params {
+		if en.def[p.slot] {
+			op.Consts[sc.names[p.slot]] = en.val[p.slot]
 		}
 	}
 	if opts.NP > 0 {

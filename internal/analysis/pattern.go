@@ -81,8 +81,15 @@ func analyzeDirect(op *Opportunity, opts Options) error {
 	op.WriteRefs = writes
 
 	// Safe references: no output dependence leaves them (§3.3).
-	for _, w := range writes {
-		if dep.HasOutputDepAfter(w, writes) == dep.Infeasible {
+	safe := ProveOnce(op, "safe-refs", func() []bool {
+		safe := make([]bool, len(writes))
+		for i, w := range writes {
+			safe[i] = dep.HasOutputDepAfter(w, writes) == dep.Infeasible
+		}
+		return safe
+	})
+	for i, w := range writes {
+		if safe[i] {
 			op.SafeRefs = append(op.SafeRefs, w)
 		}
 	}
@@ -150,17 +157,22 @@ func nodeLoopAnalysis(op *Opportunity) error {
 	}
 	op.NodeCase = NodeLoopOutermost
 	// Try loop interchange (§3.5): find an inner level whose loop can be
-	// swapped with the outermost.
-	for j := 1; j < len(chain); j++ {
-		legal, exact := dep.InterchangeLegal(op.Nest.Refs, 0, j)
-		if legal && exact {
-			op.InterchangeOK = true
-			op.InterchangeWith = j
-			op.InterchangeBlockElems = interchangeBlockElems(op, chain[j].Var)
-			op.note("interchange of %q and %q is legal: node loop moves inward (block granularity %d elems × K)",
-				chain[0].Var, chain[j].Var, op.InterchangeBlockElems)
-			return nil
+	// swapped with the outermost (0: none).
+	with := ProveOnce(op, "interchange", func() int {
+		for j := 1; j < len(chain); j++ {
+			if legal, exact := dep.InterchangeLegal(op.Nest.Refs, 0, j); legal && exact {
+				return j
+			}
 		}
+		return 0
+	})
+	if with > 0 {
+		op.InterchangeOK = true
+		op.InterchangeWith = with
+		op.InterchangeBlockElems = interchangeBlockElems(op, chain[with].Var)
+		op.note("interchange of %q and %q is legal: node loop moves inward (block granularity %d elems × K)",
+			chain[0].Var, chain[with].Var, op.InterchangeBlockElems)
+		return nil
 	}
 	op.note("node loop %q is outermost and interchange is not possible: subset sends per tile (congestion caveat)", chain[0].Var)
 	return nil

@@ -13,6 +13,13 @@
 // serializable plan.Plan — per-site Decision{K, Wait, SendOrder, Interchange}
 // — onto a fresh clone of the parsed AST, memoized by the plan's canonical
 // key, so a tuner can walk plan space without re-parsing.
+//
+// Each Apply locates the sites again in its clone, after every rewrite (the
+// nodes it rewrites are that clone's, and earlier rewrites move them). What
+// is proved about a site — safe references, interchange legality, the
+// whole-slab copy mapping, tile-order independence — is proved once per
+// Program and kept in its analysis.ProofMemo. Package verify never sees that
+// memo: it re-parses and re-proves, which is what makes it a check on this one.
 package core
 
 import (
@@ -87,6 +94,9 @@ type Program struct {
 	file *ftn.File
 	opts AnalyzeOptions
 
+	// proofs is what Analyze and every Apply so far have proved about the sites.
+	proofs *analysis.ProofMemo
+
 	mu   sync.Mutex
 	memo map[string]applied
 }
@@ -121,7 +131,7 @@ func Analyze(src string, opts AnalyzeOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{src: src, file: file, opts: opts, memo: map[string]applied{}}
+	p := &Program{src: src, file: file, opts: opts, proofs: &analysis.ProofMemo{}, memo: map[string]applied{}}
 
 	// Probe: replay the most permissive uniform plan (K=1 divides every
 	// partition; interchange off keeps loop order stable) on a clone and
@@ -129,7 +139,7 @@ func Analyze(src string, opts AnalyzeOptions) (*Program, error) {
 	// discarded — only the analysis outcome matters.
 	probe := plan.Uniform(plan.Decision{K: 1, Interchange: plan.InterchangeOff})
 	probe.NP = opts.NP
-	rep, err := applyPlan(ftn.CloneFile(file), probe, opts)
+	rep, err := applyPlan(ftn.CloneFile(file), probe, opts, p.proofs)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +194,7 @@ func Apply(p *Program, pl *plan.Plan) (string, *Report, error) {
 	p.mu.Unlock()
 
 	clone := ftn.CloneFile(p.file)
-	rep, err := applyPlan(clone, pl, p.opts)
+	rep, err := applyPlan(clone, pl, p.opts, p.proofs)
 	r := applied{rep: rep, err: err}
 	if err == nil {
 		if rep.TransformedCount() == 0 {
@@ -349,13 +359,14 @@ func (r *Report) String() string {
 	return out
 }
 
-// applyPlan rewrites the AST in place according to the plan.
-func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions) (*Report, error) {
+// applyPlan rewrites the AST in place according to the plan: sites are
+// located in file on every round, their proofs read from and added to proofs.
+func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions, proofs *analysis.ProofMemo) (*Report, error) {
 	np := pl.NP
 	if np == 0 {
 		np = opts.NP
 	}
-	aopts := analysis.Options{Oracle: opts.Oracle, NP: int(np)}
+	aopts := analysis.Options{Oracle: opts.Oracle, NP: int(np), Proofs: proofs}
 	report := &Report{}
 
 	// Sites are transformed one at a time; each transformation removes its

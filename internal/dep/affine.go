@@ -243,8 +243,10 @@ func FromExpr(e ftn.Expr, env *Env) (Affine, bool) {
 			}
 			return Affine{}, false
 		case "**":
-			if x.IsConst() && y.IsConst() && y.Const >= 0 {
-				return NewAffine(ipow(x.Const, y.Const)), true
+			if x.IsConst() && y.IsConst() {
+				if p, ok := IntPow(x.Const, y.Const); ok {
+					return NewAffine(p), true
+				}
 			}
 			return Affine{}, false
 		}
@@ -282,12 +284,34 @@ func scaleDiv(a Affine, k int64) Affine {
 	return c
 }
 
-func ipow(base, exp int64) int64 {
-	r := int64(1)
-	for ; exp > 0; exp-- {
-		r *= base
+// IntPow is x**y by squaring: at most 63 steps whatever y is, where y
+// multiplications let one declaration (2**3000000000) stall every analysis.
+// ok is false for a negative exponent or a result outside int64.
+func IntPow(x, y int64) (int64, bool) {
+	if y < 0 {
+		return 0, false
 	}
-	return r
+	r := int64(1)
+	for {
+		if y&1 == 1 {
+			p := r * x
+			if x != 0 && p/x != r {
+				return 0, false
+			}
+			r = p
+		}
+		y >>= 1
+		if y == 0 {
+			return r, true
+		}
+		// A factor x² is still owed, so if it overflows the result does too
+		// (|x| ≥ 2 here: 0, 1 and -1 square to themselves or to 1).
+		sq := x * x
+		if x != 0 && sq/x != x {
+			return 0, false
+		}
+		x = sq
+	}
 }
 
 func gcd(a, b int64) int64 {

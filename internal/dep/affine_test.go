@@ -166,3 +166,44 @@ func TestSystemUnboundedSymbol(t *testing.T) {
 		t.Errorf("solve = %v, want not infeasible", got)
 	}
 }
+
+func TestIntPowEdges(t *testing.T) {
+	cases := []struct {
+		x, y, want int64
+		ok         bool
+	}{
+		{2, 62, 1 << 62, true},
+		{2, 63, 0, false},
+		{-2, 63, -(1 << 63), true},
+		{-2, 64, 0, false},
+		{3, 39, 4052555153018976267, true},
+		{3, 40, 0, false},
+		{0, 0, 1, true},
+		{0, 1 << 62, 0, true},
+		{1, 1 << 62, 1, true},
+		{-1, 1<<62 + 1, -1, true},
+		{-1, 1 << 62, 1, true},
+		{2, -1, 0, false},
+		{2, 3000000000, 0, false},
+		{2, 1 << 62, 0, false},
+		{-(1 << 63), 1, -(1 << 63), true},
+		{-(1 << 63), 2, 0, false},
+		{3037000500, 2, 0, false}, // just above √(2⁶³)
+		{3037000499, 2, 9223372030926249001, true},
+	}
+	for _, c := range cases {
+		got, ok := IntPow(c.x, c.y)
+		if ok != c.ok || (ok && got != c.want) {
+			t.Errorf("IntPow(%d, %d) = %d,%v want %d,%v", c.x, c.y, got, ok, c.want, c.ok)
+		}
+	}
+	// FromExpr folds constant powers through IntPow: an overflowing one is
+	// not affine (and is decided in a handful of steps, not 2⁶² of them).
+	env := &Env{LoopVars: map[string]bool{}, Consts: map[string]int64{}}
+	if a, ok := FromExpr(parseExpr(t, "2**(2**62) + 1"), env); ok {
+		t.Errorf("FromExpr(2**(2**62) + 1) = %v, want not affine", a)
+	}
+	if a, ok := FromExpr(parseExpr(t, "2**5 + 1"), env); !ok || !a.IsConst() || a.Const != 33 {
+		t.Errorf("FromExpr(2**5 + 1) = %v,%v want 33", a, ok)
+	}
+}

@@ -24,17 +24,6 @@ func (n *NestInfo) Writes(array string) []*Ref {
 	return out
 }
 
-// Reads returns the read references to the named array.
-func (n *NestInfo) Reads(array string) []*Ref {
-	var out []*Ref
-	for _, r := range n.ByArray[array] {
-		if !r.Write {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // scalarState tracks forward-substitutable scalar definitions while walking
 // statements in order: "tx = ix + 1" lets later subscripts As(tx) be
 // analyzed as As(ix+1). Assignments with non-affine right-hand sides poison

@@ -17,14 +17,11 @@ type Lexer struct {
 	toks    []Token
 	errors  []*Error
 	pending *Token // a COMMENT token produced inside blank-skipping
-	// comments records '!' comment text keyed by the line it appeared on,
-	// so the parser can preserve whole-line comments through a transform.
-	comments map[int]string
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1, comments: make(map[int]string)}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
 // Lex tokenizes the whole input. It returns the token slice (always
@@ -49,9 +46,6 @@ func (lx *Lexer) Run() []Token {
 	}
 	return lx.collapseNewlines(lx.toks)
 }
-
-// Comments returns whole-line comment text keyed by source line.
-func (lx *Lexer) Comments() map[int]string { return lx.comments }
 
 // Errors returns all diagnostics produced while lexing.
 func (lx *Lexer) Errors() []*Error { return lx.errors }
@@ -122,7 +116,6 @@ func (lx *Lexer) skipBlanksAndComments() bool {
 			// Only whole-line comments (nothing but blanks before '!')
 			// are preserved as COMMENT tokens; trailing comments are dropped.
 			if lx.lineBlankBefore(startCol) {
-				lx.comments[startPos.Line] = text
 				lx.pending = &Token{Kind: COMMENT, Text: text, Pos: startPos}
 				return false
 			}

@@ -18,13 +18,6 @@ func Print(f *File) string {
 	return pr.sb.String()
 }
 
-// PrintUnit renders a single program unit.
-func PrintUnit(u *Unit) string {
-	var pr printer
-	pr.unit(u)
-	return pr.sb.String()
-}
-
 // PrintStmts renders a statement list at the given indent level; used by
 // golden tests and by cmd/paperfigs to show generated code fragments.
 func PrintStmts(stmts []Stmt, indent int) string {

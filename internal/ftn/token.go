@@ -19,9 +19,6 @@ type Pos struct {
 // String renders the position as "line:col".
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // TokKind enumerates lexical token kinds.
 type TokKind int
 

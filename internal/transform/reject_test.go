@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -285,3 +286,79 @@ end program p
 		t.Errorf("deferred variant should use the staggered traversal:\n%s", deferred)
 	}
 }
+
+// slabSrc is the Fig. 3(a) copy-loop shape with four places to break the
+// whole-slab mapping: the copy loop's upper bound, the first subscript, the
+// expression defining tx, and the extent of As's last dimension.
+func slabSrc(cpHi, sub1, tx, lastExt string) string {
+	return `
+program p
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: n = 4
+  integer, parameter :: np = 4
+  integer as(1:n, 1:n, 1:` + lastExt + `)
+  integer ar(1:n, 1:n, 1:` + lastExt + `)
+  integer at(1:16)
+  integer iy, ix, tx, ty, ierr
+
+  do iy = 1, n
+    call p2(iy, at)
+    do ix = 1, ` + cpHi + `
+      tx = ` + tx + `
+      ty = (ix - 1)/n + 1
+      as(` + sub1 + `, ty, iy) = at(ix)
+    enddo
+  enddo
+  call mpi_alltoall(as, 16, mpi_integer, ar, 16, mpi_integer, mpi_comm_world, ierr)
+end program p
+
+subroutine p2(iy, at)
+  integer iy
+  integer at(*)
+  at(1) = iy
+end subroutine p2
+`
+}
+
+// TestRejectSlabMapping pins the §3.4 check's rejections word for word, and
+// that it visits every element: each defect below exists at exactly one
+// (iy, ix), so a check that skipped an outer iteration or an element would
+// accept the program or report a different reason.
+func TestRejectSlabMapping(t *testing.T) {
+	const txOK = "mod(ix - 1, n) + 1"
+	if _, rep, err := transform(slabSrc("16", "tx", txOK, "n"), 0, plan.Decision{K: 1}); err != nil || rep.TransformedCount() != 1 {
+		t.Fatalf("the unbroken shape must transform: err=%v\n%s", err, rep)
+	}
+	reject := func(name, src, want string) {
+		t.Run(name, func(t *testing.T) {
+			_, rep, err := transform(src, 0, plan.Decision{K: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Sites) != 1 || rep.Sites[0].Transformed || rep.Sites[0].Reason != want {
+				t.Errorf("got\n%s\nwant the site rejected with exactly %q", rep, want)
+			}
+		})
+	}
+	reject("trip count varies at the last outer iteration", slabSrc("16 - iy/n", "tx", txOK, "n"),
+		"copy loop trip count varies across outer iterations (16 vs 15)")
+	reject("subscript out of bounds at the last outer iteration", slabSrc("16", "tx - iy/n", txOK, "n"),
+		"As subscript 1 out of bounds (0 not in 1:4)")
+	reject("slabs do not tile As", slabSrc("16", "tx", txOK, "n + 1"),
+		"slabs cover 64 elements but as has 80")
+	// One rotated element at (iy, ix) = (k, j): (iy/k)*(k/iy) is 1 only at
+	// iy = k, likewise for ix.
+	for k := int64(1); k <= 4; k++ {
+		for _, j := range []int64{1, 7, 16} {
+			at := "(iy/" + itoa(k) + ")*(" + itoa(k) + "/iy)*(ix/" + itoa(j) + ")*(" + itoa(j) + "/ix)"
+			want := (k-1)*16 + (j - 1)
+			got := (k-1)*16 + (j-1)/4*4 + j%4
+			reject("one element off at iy="+itoa(k)+", ix="+itoa(j), slabSrc("16", "tx", "mod(ix - 1 + "+at+", n) + 1", "n"),
+				"copy mapping is not a whole-slab mapping: at iy="+itoa(k)+", ix="+itoa(j)+
+					" the element lands at offset "+itoa(got)+", want "+itoa(want))
+		}
+	}
+}
+
+func itoa(v int64) string { return strconv.FormatInt(v, 10) }

@@ -31,15 +31,18 @@ import (
 // (the staggered traversal rewrites its fill order) and every check above
 // must pass. The transformer gates the staggered schedule on exactly this
 // predicate, so a validator calling it re-derives the same legality verdict
-// from the same dependence facts.
+// from the same dependence facts. Like the analysis' own proofs it is kept in
+// the caller's analysis.ProofMemo, if any (a validator supplies none).
 func ReorderSafe(op *analysis.Opportunity) bool {
 	if op == nil || op.Nest == nil || op.L == nil || op.Unit == nil {
 		return false
 	}
-	if len(op.Nest.ByArray[op.Call.Ar]) != 0 {
-		return false
-	}
-	return tileReorderSafe(op.Nest.Refs, op.Unit.Body, op.L, op.Arrays, op.Consts)
+	return analysis.ProveOnce(op, "tile-order", func() bool {
+		if len(op.Nest.ByArray[op.Call.Ar]) != 0 {
+			return false
+		}
+		return tileReorderSafe(op.Nest.Refs, op.Unit.Body, op.L, op.Arrays, op.Consts)
+	})
 }
 
 // tileReorderSafe runs all the checks for the opportunity's nest. unitBody

@@ -473,13 +473,3 @@ func mentionsIdent(e ftn.Expr, name string) bool {
 	}
 	return ftn.IdentsIn(e)[name]
 }
-
-// LintSource parses and lints source text in one call — the entry point for
-// callers holding raw text (CLI verify paths, the plan server).
-func LintSource(src string) ([]Diagnostic, error) {
-	f, err := ftn.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Lint(f), nil
-}

@@ -125,7 +125,7 @@ func Variant(prog *core.Program, pl *plan.Plan, transformed string, rep *core.Re
 	}
 
 	// Re-analyze the original from scratch: the validator must not trust the
-	// transformer's cached facts.
+	// transformer's cached facts — fresh parse, no proof memo (repolint rule 8).
 	of, err := ftn.Parse(prog.Source())
 	if err != nil {
 		return []Diagnostic{{Code: CodeParseError, Msg: fmt.Sprintf("original source: %v", err)}}
