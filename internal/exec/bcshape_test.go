@@ -70,11 +70,18 @@ func (bp *bprog) innermost() []bstats {
 	return out
 }
 
-// runCounted is RunBytecode keeping each rank's context, to read the
-// per-run iteration counters: the main unit's innermost-loop iterations
-// executed strip-wise and those entered on the scalar path, and the
-// innermost-loop iterations of subroutines (either way).
-func (p *Program) runCounted(np int, m plan.Machine) (strip, scalar, callee int64, err error) {
+// runCounts are the per-run counters summed over the ranks: the main
+// unit's innermost-loop iterations executed strip-wise and those entered on
+// the scalar path, the innermost-loop iterations of subroutines (either
+// way), and the strip-executed mod and / lanes by path.
+type runCounts struct {
+	strip, scalar, callee int64
+	recur, idiv           int64
+}
+
+// runCounted is RunBytecode keeping each rank's context, to read its
+// counters.
+func (p *Program) runCounted(np int, m plan.Machine) (c runCounts, err error) {
 	p.Bytecode()
 	tab := p.chargeTab(m.Costs)
 	var ranks []*rctx
@@ -84,11 +91,13 @@ func (p *Program) runCounted(np int, m plan.Machine) (strip, scalar, callee int6
 		return x
 	})
 	for _, x := range ranks {
-		strip += x.stripIters
-		scalar += x.scalarIters
-		callee += x.calleeIters
+		c.strip += x.stripIters
+		c.scalar += x.scalarIters
+		c.callee += x.calleeIters
+		c.recur += x.recurLanes
+		c.idiv += x.idivLanes
 	}
-	return strip, scalar, callee, err
+	return c, err
 }
 
 // disasm renders the unit's instruction stream one instruction per line.
@@ -218,13 +227,18 @@ end program t
 // dummy arrays, whose kind and aliasing the lowering does not know, so they
 // run scalar. The ratio is a property of the full corpus (0.91); the -short
 // prefix reads 0.87 and is only required to run strip-wise at all.
+//
+// It is also the gate against losing the affine division path: of the
+// strip-executed mod and / lanes, at least nine in ten must run by the
+// remainder recurrence rather than one division per lane (full corpus
+// 0.948; the -short prefix reads 0.92 and need only take the path at all).
 func TestStripCoverageCorpus(t *testing.T) {
 	scenarios := workload.GenerateScenarios(workload.GenOptions{})
 	if testing.Short() {
 		scenarios = scenarios[:12]
 	}
 	m := plan.MPICHGM2005()
-	var strip, scalar, callee int64
+	var sum runCounts
 	for _, sc := range scenarios {
 		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
 		if err != nil {
@@ -243,22 +257,34 @@ func TestStripCoverageCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/variant%d: %v", sc.Name, vi, err)
 			}
-			stripped, entered, inCallee, err := p.runCounted(sc.NP, m)
+			c, err := p.runCounted(sc.NP, m)
 			if err != nil {
 				t.Fatalf("%s/variant%d: %v", sc.Name, vi, err)
 			}
-			strip += stripped
-			scalar += entered
-			callee += inCallee
+			sum.strip += c.strip
+			sum.scalar += c.scalar
+			sum.callee += c.callee
+			sum.recur += c.recur
+			sum.idiv += c.idiv
 		}
 	}
+	strip, scalar := sum.strip, sum.scalar
 	share := float64(strip) / float64(strip+scalar)
 	t.Logf("%d of %d main-unit innermost-loop iterations ran strip-wise (%.4f); with the %d in subroutines: %.4f",
-		strip, strip+scalar, share, callee, float64(strip)/float64(strip+scalar+callee))
+		strip, strip+scalar, share, sum.callee, float64(strip)/float64(strip+scalar+sum.callee))
+	divs := sum.recur + sum.idiv
+	recur := float64(sum.recur) / float64(max(divs, 1))
+	t.Logf("%d of %d strip-executed mod and / lanes ran by the remainder recurrence (%.4f)", sum.recur, divs, recur)
 	if strip == 0 {
 		t.Fatal("no innermost-loop iteration ran strip-wise")
 	}
+	if sum.recur == 0 {
+		t.Fatal("no mod or / lane ran by the remainder recurrence")
+	}
 	if !testing.Short() && share < 0.90 {
 		t.Fatalf("strip-wise share of main-unit innermost-loop iterations is %.4f, want >= 0.90", share)
+	}
+	if !testing.Short() && recur < 0.90 {
+		t.Fatalf("recurrence share of strip-executed mod and / lanes is %.4f, want >= 0.90", recur)
 	}
 }

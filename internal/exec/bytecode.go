@@ -360,7 +360,9 @@ type bprog struct {
 	fors         []forDesc
 	// lane maps a register to its lane vector inside the one strip-wise
 	// loop that writes it, -1 for a scalar; nil when no loop is eligible.
+	// aff marks the lane vectors that are affine in the lane (strip.go).
 	lane []int32
+	aff  []bool
 }
 
 // Charge-vector component indices: interp.CostModel's field order.
@@ -670,19 +672,6 @@ func (d *accDesc) checkedOff(a *interp.Array, regs []reg) (int64, error) {
 	return off, nil
 }
 
-// powInt is NumericBinop's integer ** branch: a negative exponent truncates
-// to zero, else repeated multiplication.
-func powInt(base, e int64) int64 {
-	if e < 0 {
-		return 0
-	}
-	r := int64(1)
-	for ; e > 0; e-- {
-		r *= base
-	}
-	return r
-}
-
 // arithRegs is the generic arithmetic of NumericBinop and of two-argument
 // mod: integer when both operands are integers at run time, else Fortran's
 // real promotion. ok is false for an integer division or mod by zero.
@@ -697,7 +686,7 @@ func arithRegs(op bop, x, y reg) (v reg, ok bool) {
 		case bMul:
 			return intReg(a * b), true
 		case bPow:
-			return intReg(powInt(a, b)), true
+			return intReg(interp.PowInt(a, b)), true
 		}
 		if b == 0 {
 			return reg{}, false
@@ -922,7 +911,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 			}
 			regs[ins.a] = intReg(int64(regs[ins.b].bits) / d)
 		case bPowI:
-			regs[ins.a] = intReg(powInt(int64(regs[ins.b].bits), int64(regs[ins.c].bits)))
+			regs[ins.a] = intReg(interp.PowInt(int64(regs[ins.b].bits), int64(regs[ins.c].bits)))
 		case bModI:
 			d := int64(regs[ins.c].bits)
 			if d == 0 {

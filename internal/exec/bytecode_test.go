@@ -2,8 +2,10 @@ package exec_test
 
 import (
 	"fmt"
+	"math/big"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/interp"
@@ -295,6 +297,61 @@ func TestZeroDivisorErrorTime(t *testing.T) {
   print *, 'unreachable', s`)
 		for _, m := range plan.PaperPair() {
 			requireSameFailure(t, fmt.Sprintf("%s/%s", tc.name, m.Name), src, 2, m, tc.want)
+		}
+	}
+}
+
+// TestHugeIntegerPowerEnds: integer ** with a 2⁶² exponent — folded at
+// lowering time, computed by the VM and by the walker, inside a strip-wise
+// loop too — ends within a wall bound (it used to multiply y times, so
+// CompileSource never returned) and prints base**e modulo 2⁶⁴ under both
+// engines.
+func TestHugeIntegerPowerEnds(t *testing.T) {
+	src := wrap(`  integer, parameter :: big = 3**(2**62)
+  integer k, i, j, a(1:100)`, `
+  k = 2**62
+  i = 3**k
+  j = (me + 2)**(k + 1)
+  do i = 1, 100
+    a(i) = mod(i + k, 5)**k
+  enddo
+  i = 3**k
+  print *, 'pow', big, i, j, 7**1000000000, 5**(-3)`)
+	type runs struct {
+		walk, bytecode *interp.Result
+		err            error
+	}
+	done := make(chan runs, 1)
+	m := plan.MPICHGM2005()
+	go func() {
+		var r runs
+		if r.walk, r.err = walkTier.run(src, 2, m); r.err == nil {
+			r.bytecode, r.err = bytecodeTier.run(src, 2, m)
+		}
+		done <- r
+	}()
+	var r runs
+	select {
+	case r = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("integer ** with a 2**62 exponent still running after 30 s")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	requireBitIdentical(t, "pow", r.walk, r.bytecode)
+	// The expected words, from math/big: b**e mod 2⁶⁴ as a signed integer.
+	pow := func(b, e int64) int64 {
+		mod := new(big.Int).Lsh(big.NewInt(1), 64)
+		v := new(big.Int).Exp(new(big.Int).Mod(big.NewInt(b), mod), big.NewInt(e), mod)
+		return int64(v.Uint64())
+	}
+	for rank, out := range r.walk.Output {
+		want := interp.FormatPrintLine([]interp.Value{interp.StrVal("pow"),
+			interp.IntVal(pow(3, 1<<62)), interp.IntVal(pow(3, 1<<62)), interp.IntVal(pow(int64(rank)+2, 1<<62+1)),
+			interp.IntVal(pow(7, 1000000000)), interp.IntVal(0)})
+		if len(out) != 1 || out[0] != want {
+			t.Fatalf("rank %d printed %q, want %q", rank, out, want)
 		}
 	}
 }

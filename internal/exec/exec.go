@@ -152,9 +152,12 @@ type rctx struct {
 	// strip is the lane-vector scratch, taken from stripPool by the first
 	// strip-wise loop of the run. stripIters and scalarIters count the
 	// main unit's innermost-loop iterations entered each way, calleeIters
-	// those of subroutines (either way); only tests read them.
+	// those of subroutines (either way); recurLanes and idivLanes count the
+	// strip-executed mod and / lanes by path (remainder recurrence, or one
+	// division per lane). Only tests read them.
 	strip                                *stripScratch
 	stripIters, scalarIters, calleeIters int64
+	recurLanes, idivLanes                int64
 
 	// mpi is the rank's MPI binding; site is the call it is executing (the
 	// rctx is its own interp.MPIArgs, see bytecode.go).

@@ -745,6 +745,124 @@ func TestStripKernels(t *testing.T) {
 	}
 }
 
+// TestStripAffineEdges drives the affine forms and the remainder recurrence
+// through their edges: dividends crossing zero mid-strip or all negative,
+// negative DO steps, divisors the recurrence must decline (negative, above
+// 2⁶²), steps above 2⁵⁶, affine lanes that wrap, the indirect family's copy
+// shape, affine private scalars read after the loop, and divisors that are
+// zero at run time from lane 0 or from the middle of a strip. Every loop runs
+// strip-wise, and walk ≡ bytecode on every observable.
+func TestStripAffineEdges(t *testing.T) {
+	const decls = `  integer, parameter :: n = 8
+  integer ia(1:200), ib(1:200), ic(1:n, 1:25)
+  integer i, j, k, m, mbig, z, t, u, w, tx, ty`
+	const init = `
+  k = 5 + me
+  m = 7
+  mbig = 4611686018427387904 + 1
+  z = 0
+  t = -1
+  u = -2
+  w = -3
+  tx = -4
+  ty = -5
+  do j = 1, 25
+    do i = 1, n
+      ic(i, j) = i * 100 + j - me
+    enddo
+  enddo`
+	cases := []struct{ name, loop, want string }{
+		{"dividend crossing zero mid-strip", `
+  do i = 1, 200
+    ia(i) = mod(i - 40, 7) * 1000 + (i - 40) / 7
+  enddo`, ""},
+		{"negative steps", `
+  do i = 200, 1, -3
+    ia(i) = mod(i * 5 + k, 11) - (2 * i - 1) / 13 + mod(0 - i * 3, 7) * 100
+  enddo
+  do i = -1, -150, -1
+    ib(0 - i) = mod(i, 9) + i / 4 + mod(i * k - 1, m) * 10
+  enddo`, ""},
+		{"negative divisor and divisor above 2**62", `
+  do i = 1, 200
+    ia(i) = mod(i, -7) + i / (-7) + mod(i - 100, mbig) + (i * k) / mbig
+    ib(i) = mod(i * 4611686018427387903, mbig) + mod(i * 3, 0 - m)
+  enddo`, ""},
+		{"step above 2**56 and wrapping lanes", `
+  do i = 1, 100
+    ia(i) = mod(i * 72057594037927936 + k, 1000003) + (i * 72057594037927936) / m
+  enddo
+  do i = 1, 200, 3
+    ib(i) = mod(i * 72057594037927936, 1000003) + mod(i * 4611686018427387904 + k, 13)
+  enddo
+  do i = 1, 200
+    ia(i) = i * 4611686018427387904 + k
+  enddo`, ""},
+		{"the indirect copy shape", `
+  do i = 1, 200
+    tx = mod(i - 1, n) + 1
+    ty = (i - 1) / n + 1
+    ia(i) = ic(tx, ty)
+  enddo`, ""},
+		{"affine private scalars read after the loop", `
+  do i = 1, 150
+    t = i * 3 + k
+    u = -t
+    w = t - 2 * u
+    ia(i) = mod(w, m) + t
+  enddo`, ""},
+		// 63 steps of (2⁶⁴ + 47)/63 wrap to 47: both end lanes of the strip
+		// are in bounds, the lanes between them are not.
+		{"store subscript wrapping back in bounds at the last lane", `
+  do i = 1, 64
+    ia(1 + (i - 1) * 292805461487453201) = i
+  enddo`, "out of bounds"},
+		{"load subscript wrapping back in bounds at the last lane", `
+  do i = 1, 64
+    ia(i) = ib(1 + (i - 1) * 292805461487453201)
+  enddo`, "out of bounds"},
+		{"zero invariant divisor of mod at lane 0", `
+  do i = 1, 150
+    ia(i) = i * 2 + mod(i * 3 + 1, z)
+  enddo`, "mod by zero"},
+		{"zero invariant divisor of / at lane 0", `
+  do i = 1, 150
+    ia(i) = i * 2 + (i * 3 + 1) / z
+  enddo`, "integer division by zero"},
+		{"divisor reaching zero mid-strip", `
+  do i = 1, 150
+    ia(i) = i + 100 / (i - 37 - me)
+  enddo`, "integer division by zero"},
+		{"mod divisor reaching zero in the second strip", `
+  do i = 1, 150
+    ia(i) = i + mod(i * 5, i - 100 + me)
+  enddo`, "mod by zero"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			src := wrap(decls, init+tc.loop+`
+  print *, 'after', i, t, u, w, tx, ty`)
+			p, err := exec.CompileSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, ok := range p.StripEligible() {
+				if !ok {
+					t.Fatalf("innermost loop %d does not run strip-wise\n%s", li, src)
+				}
+			}
+			for _, m := range plan.PaperPair() {
+				if tc.want == "" {
+					runAll(t, m.Name, src, 2, m)
+				} else {
+					requireSameFailure(t, m.Name, src, 2, m, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // TestStripIneligibleLoops: loops the strip executor must leave to the
 // scalar path — a value carried between iterations, an array both read
 // and written or written twice, anything not integer, any control flow,

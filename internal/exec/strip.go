@@ -18,6 +18,31 @@
 // vectors) written. A strip that would fault has committed nothing; the
 // loop registers are left at its first lane and the scalar bexec replays it,
 // raising the walker's positioned error at the exact iteration and time.
+//
+// Affine vectors. Inside one strip a lane vector is affine when lane l holds
+// base + l·step: the DO variable; a + or − of operands each affine or
+// invariant; a * of an affine operand by an invariant; a unary − of an
+// affine operand; a load of a private cell holding an affine register.
+// stripPlan marks these registers (bp.aff) from the instructions alone, and
+// compute keeps such a vector as its (base, step) form, writing its lanes
+// only when a lane-wise consumer asks (lanes): non-affine arithmetic, array
+// loads and stores, subscripts, the commit of a private scalar. The lanes so
+// written equal the lane-wise results bit for bit, overflow included:
+// reduction modulo 2⁶⁴ is a ring homomorphism ℤ → ℤ/2⁶⁴, so evaluating
+// (b + l·s) ± c, (b + l·s)·c or −(b + l·s) lane by lane in wrapping
+// arithmetic gives the same word as base' + l·step' with base' and step'
+// computed in wrapping arithmetic. Only one consumer needs true values: a
+// mod or / of an affine dividend by a non-zero invariant divisor m, which
+// instead of one division per lane divides base and step once and steps the
+// remainder (r += rs; r ≥ m ⇒ r −= m, q++; affineDivMod). It runs when
+// 0 < m ≤ 2⁶², |step| ≤ 2⁵⁶, |base| ≤ 2⁶¹ and the first and last lanes have
+// one sign — then no lane (|x| < 2⁶²), remainder sum (< 2m) or quotient
+// wraps, and truncated division of a one-signed strip is floored division of
+// |x| with the sign put back — and otherwise falls back to the per-lane loop,
+// which also keeps raising a zero divisor by failing the strip. The same
+// bounds make an affine subscript's lanes run straight from its first lane
+// to its last, so offsets checks such a subscript at those two and sums it
+// into one affine offset instead of writing and checking its lanes.
 package exec
 
 import (
@@ -41,11 +66,36 @@ const stripLen = 64
 // The 2-trip copy loops of fine-tiled variants stay scalar.
 const stripMin = 3
 
+// The bounds under which an affine vector's lanes and the remainder
+// recurrence cannot wrap (package comment): lanes stay inside ±2⁶² over a
+// strip, remainder sums below 2m ≤ 2⁶³.
+const (
+	maxBase    = 1 << 61
+	maxStep    = 1 << 56
+	maxDivisor = 1 << 62
+)
+
+// straight: lanes base + l·step, l < stripLen, cannot wrap.
+func straight(base, step int64) bool {
+	return -maxBase <= base && base <= maxBase && -maxStep <= step && step <= maxStep
+}
+
 // stripScratch is the lane-vector storage of one rank's run: nvec vectors
-// of stripLen lanes, sized by the widest eligible loop the run has entered.
-// It is recycled across runs through stripPool, never hung on the shared
-// bprog (programs run concurrently).
-type stripScratch struct{ v []int64 }
+// of stripLen lanes and their forms, sized by the widest eligible loop the
+// run has entered. It is recycled across runs through stripPool, never hung
+// on the shared bprog (programs run concurrently).
+type stripScratch struct {
+	v     []int64
+	forms []affine
+}
+
+// affine is a lane vector's form in the current strip: lane l is
+// base + l·step, and lanes says whether the lanes are written. A vector
+// that is not affine is always lanes.
+type affine struct {
+	base, step int64
+	lanes      bool
+}
 
 var stripPool = sync.Pool{New: func() interface{} { return new(stripScratch) }}
 
@@ -108,7 +158,7 @@ func (b *bc) planStrips() {
 // every register computed from a lane vector, and one offset vector per
 // array store (recorded in the instruction's free c operand, as is the
 // source register of a load from a private cell; the scalar bexec reads
-// neither).
+// neither), and marks the affine ones (see the package comment).
 func (b *bc) stripPlan(fd *forDesc) int32 {
 	bp, sc := b.bp, &b.scan
 	body := bp.code[fd.headPC+1 : fd.endPC-1]
@@ -148,14 +198,16 @@ func (b *bc) stripPlan(fd *forDesc) int32 {
 		for r := range bp.lane {
 			bp.lane[r] = -1
 		}
+		bp.aff = make([]bool, bp.nreg)
 	}
-	lane := bp.lane
-	lane[fd.vReg] = 0
+	lane, aff := bp.lane, bp.aff
+	lane[fd.vReg], aff[fd.vReg] = 0, true
 	next := int32(1)
-	vector := func(r int32) {
-		lane[r] = next
+	vector := func(r int32, af bool) {
+		lane[r], aff[r] = next, af
 		next++
 	}
+	affOrInv := func(r int32) bool { return lane[r] < 0 || aff[r] }
 	// cellReg pairs each cell stored so far with the register last stored.
 	sc.cellReg = sc.cellReg[:0]
 	for i := range body {
@@ -169,20 +221,20 @@ func (b *bc) stripPlan(fd *forDesc) int32 {
 				if sc.cellReg[j] == ins.b {
 					ins.c = sc.cellReg[j+1]
 					if lane[ins.c] >= 0 {
-						vector(ins.a)
+						vector(ins.a, aff[ins.c])
 					}
 					break
 				}
 			}
 		case bNegI:
 			if lane[ins.b] >= 0 {
-				vector(ins.a)
+				vector(ins.a, aff[ins.b])
 			}
 		case bLoadA, bLoadU1, bLoadU2, bLoadU3:
 			_, subs := bp.access(*ins)
 			for _, r := range subs {
 				if lane[r] >= 0 {
-					vector(ins.a)
+					vector(ins.a, false)
 					break
 				}
 			}
@@ -191,7 +243,14 @@ func (b *bc) stripPlan(fd *forDesc) int32 {
 			next++
 		default:
 			if lane[ins.b] >= 0 || lane[ins.c] >= 0 {
-				vector(ins.a)
+				af := false
+				switch ins.op {
+				case bAddI, bSubI:
+					af = affOrInv(ins.b) && affOrInv(ins.c)
+				case bMulI: // by an invariant only
+					af = affOrInv(ins.b) && affOrInv(ins.c) && (lane[ins.b] < 0 || lane[ins.c] < 0)
+				}
+				vector(ins.a, af)
 			}
 		}
 	}
@@ -202,16 +261,71 @@ func (b *bc) stripPlan(fd *forDesc) int32 {
 
 // stripRun is the state of one loop's strip execution.
 type stripRun struct {
-	bp   *bprog
-	fr   *frame
-	regs []reg
-	vecs []int64
-	n    int // lanes in the current strip
+	x     *rctx
+	bp    *bprog
+	fr    *frame
+	regs  []reg
+	vecs  []int64
+	forms []affine
+	n     int // lanes in the current strip
 }
 
 func (s *stripRun) vec(i int32) []int64 {
 	o := int(i) * stripLen
 	return s.vecs[o : o+s.n : o+s.n]
+}
+
+// lanes returns lane vector i with its lanes written, writing an affine
+// vector's from its form at the first ask in the strip.
+func (s *stripRun) lanes(i int32) []int64 {
+	d := s.vec(i)
+	if f := &s.forms[i]; !f.lanes {
+		for l := range d {
+			d[l] = f.base + int64(l)*f.step
+		}
+		f.lanes = true
+	}
+	return d
+}
+
+// form is register r's affine form: its lane vector's, or an invariant's
+// value with step 0.
+func (s *stripRun) form(r int32) affine {
+	if l := s.bp.lane[r]; l >= 0 {
+		return affine{base: s.forms[l].base, step: s.forms[l].step}
+	}
+	return affine{base: int64(s.regs[r].bits)}
+}
+
+// span is register r's form when every lane lies between its first and its
+// last: an invariant, or an affine vector within the no-wrap bounds.
+func (s *stripRun) span(r int32) (affine, bool) {
+	if s.bp.lane[r] >= 0 && !s.bp.aff[r] {
+		return affine{}, false
+	}
+	f := s.form(r)
+	return f, f.step == 0 || straight(f.base, f.step)
+}
+
+// affineOf is the form of the affine register ins writes, from its
+// operands' forms, in the wrapping arithmetic the lanes would use.
+func (s *stripRun) affineOf(ins bins) affine {
+	switch ins.op {
+	case bLoadS:
+		return s.form(ins.c)
+	case bNegI:
+		x := s.form(ins.b)
+		return affine{base: -x.base, step: -x.step}
+	}
+	x, y := s.form(ins.b), s.form(ins.c)
+	switch ins.op {
+	case bAddI:
+		return affine{base: x.base + y.base, step: x.step + y.step}
+	case bSubI:
+		return affine{base: x.base - y.base, step: x.step - y.step}
+	}
+	// bMulI: one factor is invariant (step 0), so there is no l² term.
+	return affine{base: x.base * y.base, step: x.base*y.step + x.step*y.base}
 }
 
 // runStrips executes the eligible loop fd, entered with its loop registers
@@ -227,20 +341,20 @@ func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
 	if x.strip == nil {
 		x.strip = stripPool.Get().(*stripScratch)
 	}
-	if need := int(fd.nvec) * stripLen; len(x.strip.v) < need {
-		x.strip.v = make([]int64, need)
+	if n := int(fd.nvec); len(x.strip.forms) < n {
+		*x.strip = stripScratch{v: make([]int64, n*stripLen), forms: make([]affine, n)}
 	}
-	s := stripRun{bp: bp, fr: fr, regs: regs, vecs: x.strip.v}
+	s := stripRun{x: x, bp: bp, fr: fr, regs: regs, vecs: x.strip.v, forms: x.strip.forms[:fd.nvec]}
+	for i := range s.forms {
+		s.forms[i].lanes = true // compute clears it for the affine vectors it writes
+	}
 	v, step := int64(regs[fd.vReg].bits), int64(regs[fd.stepValReg].bits)
 	body := bp.code[fd.headPC+1 : fd.endPC-1]
 	left := trips
 	for left >= stripMin {
 		s.n = int(min(left, stripLen))
-		iv := s.vec(0)
-		for l := range iv {
-			iv[l] = v + int64(l)*step
-		}
-		charge, ok := s.compute(x, body, int(fd.headPC)+1)
+		s.forms[0] = affine{base: v, step: step}
+		charge, ok := s.compute(body, int(fd.headPC)+1)
 		if !ok {
 			break
 		}
@@ -264,8 +378,8 @@ func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
 // compute runs the body over the strip's lanes with no side effect beyond
 // lane vectors and the body's invariant registers, returning the body's
 // per-iteration charge. It reports false as soon as any lane would fault.
-func (s *stripRun) compute(x *rctx, body []bins, pc0 int) (charge netsim.Time, ok bool) {
-	lane, tab := s.bp.lane, x.tab
+func (s *stripRun) compute(body []bins, pc0 int) (charge netsim.Time, ok bool) {
+	lane, aff, tab := s.bp.lane, s.bp.aff, s.x.tab
 	for i, ins := range body {
 		switch ins.op {
 		case bCharge:
@@ -286,17 +400,21 @@ func (s *stripRun) compute(x *rctx, body []bins, pc0 int) (charge netsim.Time, o
 			// (the cell itself is only written at commit).
 			if ins.op == bLoadS && ins.c >= 0 {
 				s.regs[ins.a] = s.regs[ins.c]
-			} else if s.bp.bexec(x, s.fr, s.regs, pc0+i, pc0+i+1) != nil {
+			} else if s.bp.bexec(s.x, s.fr, s.regs, pc0+i, pc0+i+1) != nil {
 				return 0, false
 			}
+			continue
+		}
+		if aff[ins.a] {
+			s.forms[dl] = s.affineOf(ins)
 			continue
 		}
 		d := s.vec(dl)
 		switch ins.op {
 		case bLoadS:
-			copy(d, s.vec(lane[ins.c]))
+			copy(d, s.lanes(lane[ins.c]))
 		case bNegI:
-			for l, v := range s.vec(lane[ins.b]) {
+			for l, v := range s.lanes(lane[ins.b]) {
 				d[l] = -v
 			}
 		case bLoadA, bLoadU1, bLoadU2, bLoadU3:
@@ -326,7 +444,7 @@ func (s *stripRun) commit(body []bins) {
 		case bStoreS:
 			v := int64(s.regs[ins.b].bits)
 			if l := lane[ins.b]; l >= 0 {
-				v = s.vec(l)[s.n-1]
+				v = s.lanes(l)[s.n-1]
 			}
 			p := s.fr.scal[ins.a]
 			*p = interp.CoerceStore(*p, interp.IntVal(v))
@@ -335,7 +453,7 @@ func (s *stripRun) commit(body []bins) {
 			data := s.fr.arr[aslot].Ints()
 			offs := s.vec(ins.c)
 			if l := lane[ins.b]; l >= 0 {
-				vals := s.vec(l)
+				vals := s.lanes(l)
 				for l, off := range offs {
 					data[off] = vals[l]
 				}
@@ -359,26 +477,35 @@ func (s *stripRun) offsets(off []int64, ins bins) bool {
 	if len(subs) != len(a.Dims) {
 		return false
 	}
-	lane := s.bp.lane
-	var base int64
+	// Subscripts whose lanes run straight from the first to the last are
+	// checked at those two and summed into one affine offset; the rest lane
+	// by lane.
+	last := int64(len(off) - 1)
+	var base, step int64
 	for d, r := range subs {
-		if lane[r] >= 0 {
+		f, ok := s.span(r)
+		if !ok {
 			continue
 		}
-		v, dim := int64(s.regs[r].bits), a.Dims[d]
-		if v < dim.Lo || v > dim.Hi {
+		lo, hi := f.base, f.base+last*f.step
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		dim, stride := a.Dims[d], a.Stride(d)
+		if lo < dim.Lo || hi > dim.Hi {
 			return false
 		}
-		base += (v - dim.Lo) * a.Stride(d)
+		base += (f.base - dim.Lo) * stride
+		step += f.step * stride
 	}
 	for l := range off {
-		off[l] = base
+		off[l] = base + int64(l)*step
 	}
 	for d, r := range subs {
-		if lane[r] < 0 {
+		if _, ok := s.span(r); ok {
 			continue
 		}
-		x := s.vec(lane[r])[:len(off)]
+		x := s.lanes(s.bp.lane[r])[:len(off)]
 		lo, hi, stride := a.Dims[d].Lo, a.Dims[d].Hi, a.Stride(d)
 		for l := range off {
 			v := x[l]
@@ -398,20 +525,28 @@ func fill(d []int64, v int64) {
 }
 
 // arith runs one two-operand integer instruction over the strip: d = x op
-// y per lane, each operand a lane vector or a scalar register. It reports
-// false when any lane's divisor is zero.
+// y per lane, each operand a lane vector or a scalar register — or, for a
+// mod or / of an affine vector by a non-zero scalar, by affineDivMod when
+// its guards pass. It reports false when any lane's divisor is zero.
 func (s *stripRun) arith(ins bins, d []int64) bool {
 	var x, y []int64
 	var xs, ys int64
-	if l := s.bp.lane[ins.b]; l >= 0 {
-		x = s.vec(l)[:len(d)]
-	} else {
-		xs = int64(s.regs[ins.b].bits)
-	}
+	div := ins.op == bDivI || ins.op == bModI
 	if l := s.bp.lane[ins.c]; l >= 0 {
-		y = s.vec(l)[:len(d)]
+		y = s.lanes(l)[:len(d)]
 	} else {
 		ys = int64(s.regs[ins.c].bits)
+	}
+	if l := s.bp.lane[ins.b]; l < 0 {
+		xs = int64(s.regs[ins.b].bits)
+	} else if f := s.forms[l]; div && y == nil && s.bp.aff[ins.b] && affineDivMod(d, f.base, f.step, ys, ins.op == bModI) {
+		s.x.recurLanes += int64(len(d))
+		return true
+	} else {
+		x = s.lanes(l)[:len(d)]
+	}
+	if div {
+		s.x.idivLanes += int64(len(d))
 	}
 	// Two loop shapes per operator, vector∘vector and vector∘scalar: a
 	// scalar left operand swaps over when the operator commutes and is
@@ -499,7 +634,57 @@ func (s *stripRun) arith(ins bins, d []int64) bool {
 		}
 	case bPowI:
 		for l := range d {
-			d[l] = powInt(x[l], y[l])
+			d[l] = interp.PowInt(x[l], y[l])
+		}
+	}
+	return true
+}
+
+// affineDivMod writes d[l] = (base + l·step) / m, or % m when mod, with Go's
+// (Fortran's) truncated division, by one division of base and one of step
+// and the remainder recurrence — if it can: it reports false, writing
+// nothing, unless len(d) ≤ stripLen, 0 < m ≤ 2⁶², |step| ≤ 2⁵⁶,
+// |base| ≤ 2⁶¹ and the first and last lanes have one sign. Those bounds keep
+// every lane and the lane after the last inside ±2⁶³ and r + rs < 2m ≤ 2⁶³,
+// so nothing below wraps; a strip of non-positive lanes is divided as its
+// negation, whose truncated quotient and remainder are the negated ones.
+func affineDivMod(d []int64, base, step, m int64, mod bool) bool {
+	if len(d) == 0 || len(d) > stripLen || m <= 0 || m > maxDivisor || !straight(base, step) {
+		return false
+	}
+	last := base + int64(len(d)-1)*step
+	neg := base < 0 || last < 0
+	if neg {
+		if base > 0 || last > 0 {
+			return false
+		}
+		base, step = -base, -step
+	}
+	q, r := base/m, base%m
+	qs, rs := step/m, step%m
+	if rs < 0 { // floored: 0 ≤ rs < m
+		qs, rs = qs-1, rs+m
+	}
+	if mod {
+		for l := range d {
+			d[l] = r
+			if r += rs; r >= m {
+				r -= m
+			}
+		}
+	} else {
+		for l := range d {
+			d[l] = q
+			q += qs
+			if r += rs; r >= m {
+				r -= m
+				q++
+			}
+		}
+	}
+	if neg {
+		for l := range d {
+			d[l] = -d[l]
 		}
 	}
 	return true

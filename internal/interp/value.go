@@ -165,15 +165,7 @@ func numericBinop(op string, a, b Value) (Value, error) {
 			}
 			return IntVal(a.I / b.I), nil
 		case "**":
-			if b.I < 0 {
-				return IntVal(0), nil // Fortran integer pow with negative exp
-			}
-			r := int64(1)
-			base := a.I
-			for e := b.I; e > 0; e-- {
-				r *= base
-			}
-			return IntVal(r), nil
+			return IntVal(PowInt(a.I, b.I)), nil
 		}
 		return Value{}, fmt.Errorf("bad integer operator %q", op)
 	}
@@ -194,6 +186,24 @@ func numericBinop(op string, a, b Value) (Value, error) {
 }
 
 func powFloat(x, y float64) float64 { return math.Pow(x, y) }
+
+// PowInt is integer ** (exported for the compiled engine): zero for a
+// negative exponent (Fortran truncation), else base**e in two's complement,
+// by squaring — O(log e), and equal to e repeated multiplications because
+// multiplication modulo 2⁶⁴ is associative.
+func PowInt(base, e int64) int64 {
+	if e < 0 {
+		return 0
+	}
+	r := int64(1)
+	for ; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			r *= base
+		}
+		base *= base
+	}
+	return r
+}
 
 // compare applies a relational operator.
 func compare(op string, a, b Value) (Value, error) {

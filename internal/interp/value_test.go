@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -132,6 +133,35 @@ func TestCoerceTables(t *testing.T) {
 	for k, want := range map[Kind]Value{KInt: IntVal(0), KReal: RealVal(0), KBool: BoolVal(false), KStr: StrVal("")} {
 		if got := ZeroOf(k); !same(got, want) {
 			t.Errorf("ZeroOf(%s) = %s %q", k, got.Kind, got.Format())
+		}
+	}
+}
+
+// TestPowIntBySquaring: integer ** by squaring is e repeated
+// multiplications in two's complement, for every e in [0, 300] over the
+// edge bases and random ones, and 0 for a negative exponent.
+func TestPowIntBySquaring(t *testing.T) {
+	r := rand.New(rand.NewSource(2006))
+	bases := []int64{0, 1, -1, 2, -2, 3, -3, math.MinInt64, math.MaxInt64}
+	for i := 0; i < 8; i++ {
+		bases = append(bases, int64(r.Uint64()))
+	}
+	for _, b := range bases {
+		want := int64(1)
+		for e := int64(0); e <= 300; e++ {
+			if got := PowInt(b, e); got != want {
+				t.Fatalf("PowInt(%d, %d) = %d, want %d", b, e, got, want)
+			}
+			v, err := numericBinop("**", IntVal(b), IntVal(e))
+			if err != nil || v != IntVal(want) {
+				t.Fatalf("%d ** %d = %v (%v), want %d", b, e, v, err, want)
+			}
+			want *= b
+		}
+		for _, e := range []int64{-1, -2, math.MinInt64} {
+			if got := PowInt(b, e); got != 0 {
+				t.Fatalf("PowInt(%d, %d) = %d, want 0", b, e, got)
+			}
 		}
 	}
 }
