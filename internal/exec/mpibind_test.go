@@ -169,6 +169,14 @@ func TestMPIBadTransfersArePositionedErrors(t *testing.T) {
   call mpi_irecv(b(5), 4, mpi_real, other, 0, mpi_comm_world, req(1), ierr)
   call mpi_isend(a, 8, mpi_real, other, 0, mpi_comm_world, req(2), ierr)`,
 			"MPI transfer never waited on: array b: recv window out of range"},
+		{"negative send tag", peer + `
+  real a(8)`, setPeer + `
+  call mpi_isend(a, 8, mpi_real, other, -1, mpi_comm_world, req(1), ierr)`,
+			"11:41: negative MPI send tag -1"},
+		{"receive tag below any tag", peer + `
+  real a(8)`, setPeer + `
+  call mpi_recv(a, 8, mpi_real, other, -2, mpi_comm_world, mpi_status_ignore, ierr)`,
+			"11:40: MPI receive tag -2 below -1 (any tag)"},
 		{"request array shorter than the waitall count", peer, setPeer + `
   call mpi_waitall(3, req, mpi_statuses_ignore, ierr)`,
 			"10:23: array req: MPI window [0,3) out of range"},
@@ -179,6 +187,60 @@ func TestMPIBadTransfersArePositionedErrors(t *testing.T) {
 			got := sameOutcome(t, label, wrap(tc.decls, tc.body), 2, m)
 			if !strings.HasPrefix(got, "rank 0: ") || !strings.Contains(got, tc.want) {
 				t.Errorf("%s: error %q, want rank 0 to report %q", label, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestCollectiveTrafficIsNotUserTraffic: collectives match in a context of
+// their own, as in a real MPI library, so a user receive never takes their
+// traffic. An any-tag receive posted before mpi_barrier used to take the
+// barrier's release (the run deadlocked on a nil payload), and a receive
+// with the tag mpi_alltoall then used internally (2²⁴ + 1) swapped payloads
+// with the alltoall's own receive.
+func TestCollectiveTrafficIsNotUserTraffic(t *testing.T) {
+	cases := []struct{ name, decls, body, want string }{
+		{"any-tag receive across a barrier", `  integer req, buf(1)`, `
+  buf(1) = 0
+  if (me == 1) then
+    call mpi_irecv(buf, 1, mpi_integer, 0, -1, mpi_comm_world, req, ierr)
+  endif
+  call mpi_barrier(mpi_comm_world, ierr)
+  if (me == 0) then
+    buf(1) = 42
+    call mpi_send(buf, 1, mpi_integer, 1, 5, mpi_comm_world, ierr)
+  else
+    call mpi_wait(req, mpi_status_ignore, ierr)
+    print *, 'rank 1 got', buf(1)
+  endif`, "rank 1 got 42"},
+		{"alltoall's internal tag across an alltoall", `  integer req, i, x(1), as(2), ar(3)`, `
+  do i = 1, 2
+    as(i) = 10 * i + me
+  enddo
+  ar(3) = 0
+  if (me == 1) then
+    call mpi_irecv(ar(3), 1, mpi_integer, 0, 16777217, mpi_comm_world, req, ierr)
+  endif
+  call mpi_alltoall(as, 1, mpi_integer, ar, 1, mpi_integer, mpi_comm_world, ierr)
+  if (me == 0) then
+    x(1) = 10
+    call mpi_send(x, 1, mpi_integer, 1, 16777217, mpi_comm_world, ierr)
+  else
+    call mpi_wait(req, mpi_status_ignore, ierr)
+    print *, 'ar =', ar(1), ar(2), ar(3)
+  endif`, "ar = 20 21 10"},
+	}
+	for _, tc := range cases {
+		src := wrap(tc.decls, tc.body)
+		for _, m := range plan.Builtin() {
+			label := tc.name + "/" + m.Name
+			runAll(t, label, src, 2, m)
+			res, err := bytecodeTier.run(src, 2, m)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got := res.Output[1]; len(got) != 1 || got[0] != tc.want {
+				t.Errorf("%s: rank 1 printed %q, want %q", label, got, tc.want)
 			}
 		}
 	}

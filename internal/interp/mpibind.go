@@ -279,8 +279,10 @@ func windowErr(arg ftn.Expr, a *Array, off, count int64) error {
 }
 
 // post starts one point-to-point transfer of count elements at arr+off.
-// Peer and window are validated before anything is posted, so a bad call is
-// a positioned error on this rank instead of a fault inside the transfer.
+// Peer, window and tag are validated before anything is posted, so a bad
+// call is a positioned error on this rank instead of a fault inside the
+// transfer. A send's tag is non-negative; a receive's may also be -1, any
+// tag (MPI_ANY_TAG).
 func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes int64, peer, tag int) (*mpi.Request, error) {
 	if peer < 0 || peer >= b.Rank.NP() {
 		return nil, rte(s.Args[3].Pos(), "MPI peer rank %d outside 0..%d", peer, b.Rank.NP()-1)
@@ -288,7 +290,14 @@ func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes 
 	if !arr.InWindow(off, count) {
 		return nil, windowErr(s.Args[0], arr, off, count)
 	}
-	if op == opIsend || op == opSend {
+	send := op == opIsend || op == opSend
+	if send && tag < 0 {
+		return nil, rte(s.Args[4].Pos(), "negative MPI send tag %d", tag)
+	}
+	if tag < mpi.AnyTag {
+		return nil, rte(s.Args[4].Pos(), "MPI receive tag %d below -1 (any tag)", tag)
+	}
+	if send {
 		return b.Rank.Isend(peer, tag, count*elemBytes, func() interface{} {
 			p, _ := arr.CopyOut(off, count) // cannot fail: the window was checked
 			return p

@@ -1,12 +1,21 @@
 package mpi
 
 // Collective operations, implemented over the point-to-point layer the way
-// MPICH-era libraries did. Tags above collTagBase are reserved for
-// collectives; user code should use small non-negative tags.
+// MPICH-era libraries did. Their messages travel in the collective context
+// (collCtx), so the program's own receives never see them; within it each
+// collective keeps a tag of its own.
 
 import "repro/internal/netsim"
 
-const collTagBase = 1 << 24
+const (
+	tagAlltoall = iota + 1
+	tagBarrier
+	tagBcast
+	tagReduce
+	tagAllgather
+	tagAllgathers
+	tagAlltoallv
+)
 
 // memcpyNsPerByte prices local buffer copies (the alltoall self partition):
 // zero-copy NICs do not make local memcpys free.
@@ -19,18 +28,16 @@ const memcpyNsPerByte = 1.0
 // call (no overlap with computation), exactly like the original codes the
 // paper transforms.
 func (r *Rank) Alltoall(bytesPer int64, fetch func(dst int) interface{}, place func(src int, payload interface{})) {
-	tag := collTagBase + 1
+	tag := tagAlltoall
 	reqs := make([]*Request, 0, 2*(r.np-1))
 	// Staggered ring order to avoid hammering rank 0 first.
 	for j := 1; j < r.np; j++ {
-		from := (r.np + r.me - j) % r.np
-		src := from
-		reqs = append(reqs, r.Irecv(from, tag, bytesPer, func(p interface{}) { place(src, p) }))
+		src := (r.np + r.me - j) % r.np
+		reqs = append(reqs, r.irecv(collCtx, src, tag, bytesPer, func(p interface{}) { place(src, p) }))
 	}
 	for j := 1; j < r.np; j++ {
-		to := (r.me + j) % r.np
-		dst := to
-		reqs = append(reqs, r.Isend(to, tag, bytesPer, func() interface{} { return fetch(dst) }))
+		dst := (r.me + j) % r.np
+		reqs = append(reqs, r.isend(collCtx, dst, tag, bytesPer, func() interface{} { return fetch(dst) }))
 	}
 	place(r.me, fetch(r.me))
 	r.Compute(netsim.Time(float64(bytesPer) * memcpyNsPerByte)) // local partition memcpy
@@ -40,19 +47,19 @@ func (r *Rank) Alltoall(bytesPer int64, fetch func(dst int) interface{}, place f
 // Barrier synchronizes all ranks (central coordinator algorithm: gather
 // zero-byte tokens at rank 0, then broadcast the release).
 func (r *Rank) Barrier() {
-	tag := collTagBase + 2
+	tag := tagBarrier
 	none := func() interface{} { return nil }
 	drop := func(interface{}) {}
 	if r.me == 0 {
 		for src := 1; src < r.np; src++ {
-			r.Recv(src, tag, 1, drop)
+			r.Wait(r.irecv(collCtx, src, tag, 1, drop))
 		}
 		for dst := 1; dst < r.np; dst++ {
-			r.Send(dst, tag, 1, none)
+			r.Wait(r.isend(collCtx, dst, tag, 1, none))
 		}
 	} else {
-		r.Send(0, tag, 1, none)
-		r.Recv(0, tag, 1, drop)
+		r.Wait(r.isend(collCtx, 0, tag, 1, none))
+		r.Wait(r.irecv(collCtx, 0, tag, 1, drop))
 	}
 }
 
@@ -60,7 +67,7 @@ func (r *Rank) Barrier() {
 // fetch supplies the payload on the root; place stores it on every other
 // rank. It returns the payload on every rank for convenience.
 func (r *Rank) Bcast(root int, bytes int64, fetch func() interface{}, place func(interface{})) {
-	tag := collTagBase + 3
+	tag := tagBcast
 	// Rotate ranks so the root is virtual rank 0.
 	vr := (r.me - root + r.np) % r.np
 	var payload interface{}
@@ -78,10 +85,10 @@ func (r *Rank) Bcast(root int, bytes int64, fetch func() interface{}, place func
 			if !have {
 				panic("mpi: Bcast internal: sending before receiving")
 			}
-			r.Send(dst, tag, bytes, func() interface{} { return p })
+			r.Wait(r.isend(collCtx, dst, tag, bytes, func() interface{} { return p }))
 		} else if vr >= k && vr < 2*k {
 			src := (vr - k + root) % r.np
-			r.Recv(src, tag, bytes, func(p interface{}) { payload = p; have = true })
+			r.Wait(r.irecv(collCtx, src, tag, bytes, func(p interface{}) { payload = p; have = true }))
 			if place != nil {
 				place(payload)
 			}
@@ -94,18 +101,18 @@ func (r *Rank) Bcast(root int, bytes int64, fetch func() interface{}, place func
 
 // ReduceInt64 combines one int64 per rank at the root with op.
 func (r *Rank) ReduceInt64(root int, x int64, op func(a, b int64) int64) int64 {
-	tag := collTagBase + 4
+	tag := tagReduce
 	acc := x
 	if r.me == root {
 		for src := 0; src < r.np; src++ {
 			if src == root {
 				continue
 			}
-			r.Recv(src, tag, 8, func(p interface{}) { acc = op(acc, p.(int64)) })
+			r.Wait(r.irecv(collCtx, src, tag, 8, func(p interface{}) { acc = op(acc, p.(int64)) }))
 		}
 		return acc
 	}
-	r.Send(root, tag, 8, func() interface{} { return x })
+	r.Wait(r.isend(collCtx, root, tag, 8, func() interface{} { return x }))
 	return 0
 }
 
@@ -118,18 +125,17 @@ func (r *Rank) AllreduceInt64(x int64, op func(a, b int64) int64) int64 {
 
 // AllgatherInt64 collects one int64 from every rank on every rank.
 func (r *Rank) AllgatherInt64(x int64) []int64 {
-	tag := collTagBase + 5
+	tag := tagAllgather
 	out := make([]int64, r.np)
 	out[r.me] = x
 	reqs := make([]*Request, 0, 2*(r.np-1))
 	for j := 1; j < r.np; j++ {
 		src := (r.np + r.me - j) % r.np
-		s := src
-		reqs = append(reqs, r.Irecv(src, tag, 8, func(p interface{}) { out[s] = p.(int64) }))
+		reqs = append(reqs, r.irecv(collCtx, src, tag, 8, func(p interface{}) { out[src] = p.(int64) }))
 	}
 	for j := 1; j < r.np; j++ {
 		dst := (r.me + j) % r.np
-		reqs = append(reqs, r.Isend(dst, tag, 8, func() interface{} { return x }))
+		reqs = append(reqs, r.isend(collCtx, dst, tag, 8, func() interface{} { return x }))
 	}
 	r.Waitall(reqs)
 	return out
@@ -137,7 +143,7 @@ func (r *Rank) AllgatherInt64(x int64) []int64 {
 
 // AllgatherInt64s collects a fixed-size []int64 from every rank.
 func (r *Rank) AllgatherInt64s(xs []int64) [][]int64 {
-	tag := collTagBase + 6
+	tag := tagAllgathers
 	out := make([][]int64, r.np)
 	mine := append([]int64(nil), xs...)
 	out[r.me] = mine
@@ -145,12 +151,11 @@ func (r *Rank) AllgatherInt64s(xs []int64) [][]int64 {
 	reqs := make([]*Request, 0, 2*(r.np-1))
 	for j := 1; j < r.np; j++ {
 		src := (r.np + r.me - j) % r.np
-		s := src
-		reqs = append(reqs, r.Irecv(src, tag, bytes, func(p interface{}) { out[s] = p.([]int64) }))
+		reqs = append(reqs, r.irecv(collCtx, src, tag, bytes, func(p interface{}) { out[src] = p.([]int64) }))
 	}
 	for j := 1; j < r.np; j++ {
 		dst := (r.me + j) % r.np
-		reqs = append(reqs, r.Isend(dst, tag, bytes, func() interface{} { return mine }))
+		reqs = append(reqs, r.isend(collCtx, dst, tag, bytes, func() interface{} { return mine }))
 	}
 	r.Waitall(reqs)
 	return out
@@ -172,29 +177,24 @@ func (r *Rank) AlltoallvInt64(parts [][]int64) [][]int64 {
 		func(dst int) interface{} { return counts[dst] },
 		func(src int, p interface{}) { recvCounts[src] = p.(int64) })
 
-	tag := collTagBase + 7
+	tag := tagAlltoallv
 	out := make([][]int64, r.np)
 	out[r.me] = append([]int64(nil), parts[r.me]...)
 	var reqs []*Request
 	for j := 1; j < r.np; j++ {
 		src := (r.np + r.me - j) % r.np
-		s := src
 		if recvCounts[src] > 0 {
-			reqs = append(reqs, r.Irecv(src, tag, 8*recvCounts[src], func(p interface{}) { out[s] = p.([]int64) }))
-		} else {
-			out[s] = nil
+			reqs = append(reqs, r.irecv(collCtx, src, tag, 8*recvCounts[src], func(p interface{}) { out[src] = p.([]int64) }))
 		}
 	}
 	for j := 1; j < r.np; j++ {
 		dst := (r.me + j) % r.np
-		d := dst
 		if len(parts[dst]) > 0 {
 			buf := parts[dst]
-			reqs = append(reqs, r.Isend(dst, tag, 8*int64(len(buf)), func() interface{} {
+			reqs = append(reqs, r.isend(collCtx, dst, tag, 8*int64(len(buf)), func() interface{} {
 				return append([]int64(nil), buf...)
 			}))
 		}
-		_ = d
 	}
 	r.Waitall(reqs)
 	return out

@@ -12,6 +12,11 @@
 // This timing-accurate snapshotting means a transformed program that
 // overwrites an in-flight buffer produces wrong answers in simulation just
 // as it would on hardware.
+//
+// Matching follows MPI's rules, per channel (context and source: there is
+// no wildcard source); collectives match in a context of their own, so no
+// user receive takes their traffic (docs/execution-tiers.md, "The
+// simulator").
 package mpi
 
 import (
@@ -23,72 +28,112 @@ import (
 // AnyTag matches any tag on a receive.
 const AnyTag = -1
 
-// Request is a nonblocking operation handle.
+// ctx is a matching context: a receive matches only messages sent in its own.
+type ctx uint8
+
+const (
+	userCtx ctx = iota // point-to-point calls of the program
+	collCtx            // the collectives' internal traffic
+	numCtx
+)
+
+// Request is a nonblocking operation handle and the whole state of its side
+// of one message, and the engine event its protocol steps schedule: a message
+// side costs this one object.
 type Request struct {
-	done  *netsim.Completion
+	done  netsim.Completion
+	w     *World
 	recv  bool
+	ctx   ctx
+	phase phase // a send's next event
+	src   int
+	dst   int
+	tag   int
 	bytes int64
-	eager bool
-	kind  string
+	// at is a receive's post time, or a send's arrival time at dst while it
+	// waits unmatched.
+	at      netsim.Time
+	place   func(interface{})  // receive: stores the payload
+	fetch   func() interface{} // rendezvous send: reads the buffer when the data leaves
+	payload interface{}        // send: the data read, until it is placed
+	match   *Request           // rendezvous send: the receive it matched
+	fl      netsim.Flight
 }
 
-// World couples a simulated cluster with per-rank MPI endpoint state.
+// phase is what a send's next Fire means; one Flight carries RTS, CTS, data.
+type phase uint8
+
+const (
+	eagerData phase = iota // the eager payload reaches dst
+	rtsArrive              // the rendezvous RTS reaches dst
+	ctsArrive              // the CTS reaches the sender
+	dataKick               // host progress hands the data to the NIC
+	bulkData               // the rendezvous data reaches dst
+)
+
+// World couples a simulated cluster with the ranks' MPI state.
 type World struct {
 	Cluster *netsim.Cluster
-	eps     []*endpoint
+	ranks   []*Rank
 }
 
-// endpoint is per-rank matching and progress state; mutated only inside
-// engine events or by the (exclusively running) owner proc.
-type endpoint struct {
-	world  *World
-	rank   int
-	owner  *Rank // the rank this endpoint belongs to
-	proc   *netsim.Proc
-	posted []*recvPost
-	unexp  []*inbound
-	ready  []*pendingTx // rendezvous transfers awaiting host progress
-	inWait bool
-}
-
-// recvPost is a posted receive awaiting a match.
-type recvPost struct {
-	src, tag int
-	bytes    int64
-	place    func(interface{})
-	postedAt netsim.Time
-	req      *Request
-}
-
-// inbound is an arrived-but-unmatched message (eager payload) or an
-// arrived rendezvous RTS.
-type inbound struct {
-	src, tag  int
-	bytes     int64
-	arrivedAt netsim.Time
-	payload   interface{} // eager only
-	rdv       *pendingTx  // rendezvous only
-}
-
-// pendingTx is one rendezvous transfer in flight.
-type pendingTx struct {
-	src, dst, tag int
-	bytes         int64
-	fetch         func() interface{}
-	sendReq       *Request
-	recvReq       *recvPost // set once matched
-	ctsSent       bool
-	kicked        bool
-}
-
-// Rank is the per-process MPI handle used by rank bodies.
+// Rank is the per-process MPI handle used by rank bodies, and that rank's
+// matching and progress state. The state is mutated only inside engine
+// events or by the (exclusively running) owner proc.
 type Rank struct {
 	world *World
-	ep    *endpoint
 	proc  *netsim.Proc
 	me    int
 	np    int
+	// By channel (context·np + source): receives in post order, unmatched
+	// messages (eager payloads, rendezvous RTSs) in arrival order.
+	posted []queue
+	unexp  []queue
+	ready  []*Request // rendezvous sends whose CTS arrived, awaiting host progress
+	inWait bool
 }
+
+// queue is a FIFO of one channel's posted receives or unmatched messages.
+type queue struct {
+	items []*Request
+	head  int
+}
+
+func (q *queue) push(req *Request) {
+	if n := len(q.items); n == cap(q.items) && q.head > 0 && q.head >= n/2 {
+		// Slide the live entries down instead of growing.
+		live := copy(q.items, q.items[q.head:])
+		clear(q.items[live:])
+		q.items, q.head = q.items[:live], 0
+	}
+	q.items = append(q.items, req)
+}
+
+// take removes and returns the first entry whose tag matches tag (only
+// receives carry AnyTag), or nil; in-order traffic finds it at the head.
+func (q *queue) take(tag int) *Request {
+	for i := q.head; i < len(q.items); i++ {
+		req := q.items[i]
+		if req.tag != tag && req.tag != AnyTag && tag != AnyTag {
+			continue
+		}
+		if i == q.head {
+			q.items[i] = nil
+			if q.head++; q.head == len(q.items) {
+				q.items, q.head = q.items[:0], 0
+			}
+		} else {
+			copy(q.items[i:], q.items[i+1:])
+			q.items[len(q.items)-1] = nil
+			q.items = q.items[:len(q.items)-1]
+		}
+		return req
+	}
+	return nil
+}
+
+// channel indexes the queues of the rank receiving from src in context c.
+func (r *Rank) channel(c ctx, src int) int { return int(c)*r.np + src }
 
 // Me returns the rank id.
 func (r *Rank) Me() int { return r.me }
@@ -121,27 +166,20 @@ type RankStats struct {
 // returns the virtual completion time and statistics.
 func Run(np int, prof netsim.Profile, body func(r *Rank)) (*RunStats, error) {
 	cl := netsim.NewCluster(np, prof)
-	w := &World{Cluster: cl}
-	ranks := make([]*Rank, np)
+	w := &World{Cluster: cl, ranks: make([]*Rank, np)}
 	for i := 0; i < np; i++ {
-		ep := &endpoint{world: w, rank: i}
-		w.eps = append(w.eps, ep)
-		rank := &Rank{world: w, ep: ep, me: i, np: np}
-		ep.owner = rank
-		ranks[i] = rank
-		cl.Eng.Spawn(func(p *netsim.Proc) {
-			rank.proc = p
-			ep.proc = p
-			body(rank)
-		})
+		queues := make([]queue, 2*int(numCtx)*np)
+		rank := &Rank{world: w, me: i, np: np, posted: queues[:len(queues)/2], unexp: queues[len(queues)/2:]}
+		w.ranks[i] = rank
+		rank.proc = cl.Eng.Spawn(func(*netsim.Proc) { body(rank) })
 	}
 	end, err := cl.Eng.Run()
 	if err != nil {
 		return nil, err
 	}
 	st := &RunStats{End: end, Messages: cl.Stat.Messages, Bytes: cl.Stat.Bytes}
-	for i := 0; i < np; i++ {
-		p := ranks[i].proc
+	for _, r := range w.ranks {
+		p := r.proc
 		st.PerRank = append(st.PerRank, RankStats{
 			Finish:  p.Now(),
 			Compute: p.ComputeTime,
@@ -157,188 +195,170 @@ func (r *Rank) progress() {
 	if r.world.Cluster.Prof.Offload {
 		return
 	}
-	ep := r.ep
-	for _, tx := range ep.ready {
-		r.kickTx(tx, false)
+	for _, m := range r.ready {
+		r.kick(m, false)
 	}
-	ep.ready = ep.ready[:0]
+	r.ready = r.ready[:0]
 }
 
-// kickTx starts the bulk data movement of a rendezvous transfer from this
+// kick starts the bulk data movement of rendezvous send m from this
 // (sending) host. inEvent marks calls from engine events (host blocked in a
 // wait): the copy cost then delays the transfer instead of advancing the
 // blocked proc.
-func (r *Rank) kickTx(tx *pendingTx, inEvent bool) {
-	if tx.kicked {
-		return
-	}
-	tx.kicked = true
-	w := r.world
+func (r *Rank) kick(m *Request, inEvent bool) {
 	var start netsim.Time
-	copyCost := w.Cluster.CopyCost(tx.bytes)
+	copyCost := r.world.Cluster.CopyCost(m.bytes)
 	if inEvent {
 		start = r.proc.Now() + copyCost
 	} else {
 		r.proc.Advance(copyCost)
 		start = r.proc.Now()
 	}
-	payload := tx.fetch()
-	w.Cluster.Eng.At(start, func(now netsim.Time) {
-		tx.sendReq.done.Complete(now) // buffer handed off to the stack
-		w.Cluster.Transfer(tx.src, tx.dst, tx.bytes, now, func(t netsim.Time) {
-			w.deliverData(tx, payload, t)
-		})
-	})
+	m.payload, m.fetch = m.fetch(), nil
+	m.phase = dataKick
+	r.world.Cluster.Eng.Schedule(start, m)
 }
 
-// deliverData completes a matched rendezvous receive.
-func (w *World) deliverData(tx *pendingTx, payload interface{}, t netsim.Time) {
-	rp := tx.recvReq
-	if rp == nil {
-		panic("mpi: rendezvous data arrived before match")
+// Fire advances the message side's protocol; only the engine calls it.
+func (req *Request) Fire(now netsim.Time) {
+	w := req.w
+	if req.recv {
+		w.post(req, now)
+		return
 	}
-	rp.place(payload)
-	rp.req.done.Complete(t)
+	switch req.phase {
+	case eagerData, rtsArrive:
+		w.arrive(req, now)
+	case ctsArrive:
+		w.ctsArrived(req, now)
+	case dataKick:
+		w.sendData(req, now)
+	case bulkData:
+		rp := req.match
+		rp.place(req.payload)
+		req.payload = nil
+		rp.done.Complete(now)
+	}
 }
 
-// matchKey reports whether a posted receive accepts (src, tag).
-func matches(rp *recvPost, src, tag int) bool {
-	return rp.src == src && (rp.tag == AnyTag || rp.tag == tag)
+// post enters receive rp into matching, at its post time.
+func (w *World) post(rp *Request, now netsim.Time) {
+	r := w.ranks[rp.dst]
+	ch := r.channel(rp.ctx, rp.src)
+	if m := r.unexp[ch].take(rp.tag); m != nil {
+		w.matched(m, rp, now)
+		return
+	}
+	r.posted[ch].push(rp)
+}
+
+// arrive handles an eager payload or a rendezvous RTS reaching dst.
+func (w *World) arrive(m *Request, now netsim.Time) {
+	r := w.ranks[m.dst]
+	ch := r.channel(m.ctx, m.src)
+	m.at = now
+	if rp := r.posted[ch].take(m.tag); rp != nil {
+		w.matched(m, rp, now)
+		return
+	}
+	r.unexp[ch].push(m)
+}
+
+// matched pairs message m with receive rp, inside the event at now that
+// found the pair.
+func (w *World) matched(m, rp *Request, now netsim.Time) {
+	if m.phase == rtsArrive {
+		// Clear to send: on its arrival the data transfer starts (offload)
+		// or is queued for host progress (non-offload).
+		m.match = rp
+		m.phase = ctsArrive
+		w.Cluster.Send(&m.fl, m.dst, m.src, w.Cluster.Prof.CtrlBytes, now, m)
+		return
+	}
+	rp.place(m.payload)
+	m.payload = nil
+	rp.done.Complete(max(m.at, rp.at))
+}
+
+// ctsArrived handles the CTS reaching the sender of m.
+func (w *World) ctsArrived(m *Request, now netsim.Time) {
+	if w.Cluster.Prof.Offload {
+		// The NIC reads the buffer and moves the data by itself.
+		m.payload, m.fetch = m.fetch(), nil
+		w.sendData(m, now)
+		return
+	}
+	s := w.ranks[m.src]
+	if s.inWait {
+		// The host is polling inside a blocking MPI call: kick now.
+		s.kick(m, true)
+		return
+	}
+	s.ready = append(s.ready, m)
+}
+
+// sendData hands rendezvous send m's data to the network at now: the send
+// buffer is the stack's from here on.
+func (w *World) sendData(m *Request, now netsim.Time) {
+	m.done.Complete(now)
+	m.phase = bulkData
+	w.Cluster.Send(&m.fl, m.src, m.dst, m.bytes, now, m)
 }
 
 // Isend posts a nonblocking send of bytes to dst with the given tag. fetch
 // must return the payload; it is invoked exactly once, when the protocol
 // reads the buffer.
 func (r *Rank) Isend(dst, tag int, bytes int64, fetch func() interface{}) *Request {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: Isend with negative tag %d", tag))
+	}
+	return r.isend(userCtx, dst, tag, bytes, fetch)
+}
+
+func (r *Rank) isend(c ctx, dst, tag int, bytes int64, fetch func() interface{}) *Request {
 	if dst < 0 || dst >= r.np {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", dst))
 	}
 	r.progress()
-	prof := r.world.Cluster.Prof
-	req := &Request{done: r.world.Cluster.Eng.NewCompletion(), bytes: bytes, kind: "send"}
-	r.proc.Advance(prof.OSend)
+	cl := r.world.Cluster
+	req := &Request{w: r.world, ctx: c, src: r.me, dst: dst, tag: tag, bytes: bytes}
+	r.proc.Advance(cl.Prof.OSend)
 
-	if bytes <= prof.EagerThreshold {
-		req.eager = true
+	if bytes <= cl.Prof.EagerThreshold {
 		// Eager: host packs now; the send buffer is immediately reusable.
-		r.proc.Advance(r.world.Cluster.CopyCost(bytes))
-		payload := fetch()
+		r.proc.Advance(cl.CopyCost(bytes))
+		req.payload = fetch()
 		now := r.proc.Now()
 		req.done.Complete(now)
-		w := r.world
-		src := r.me
-		w.Cluster.Transfer(src, dst, bytes, now, func(t netsim.Time) {
-			w.arriveEager(dst, src, tag, bytes, payload, t)
-		})
+		req.phase = eagerData
+		cl.Send(&req.fl, r.me, dst, bytes, now, req)
 		return req
 	}
 
 	// Rendezvous: an RTS travels to the receiver; data moves on CTS —
 	// autonomously with offload, at the next host MPI call without.
-	tx := &pendingTx{src: r.me, dst: dst, tag: tag, bytes: bytes, fetch: fetch, sendReq: req}
-	w := r.world
-	now := r.proc.Now()
-	w.Cluster.Ctrl(r.me, dst, now, func(t netsim.Time) {
-		w.arriveRTS(tx, t)
-	})
+	req.fetch = fetch
+	req.phase = rtsArrive
+	cl.Send(&req.fl, r.me, dst, cl.Prof.CtrlBytes, r.proc.Now(), req)
 	return req
-}
-
-// arriveEager handles an eager payload reaching dst.
-func (w *World) arriveEager(dst, src, tag int, bytes int64, payload interface{}, t netsim.Time) {
-	ep := w.eps[dst]
-	for i, rp := range ep.posted {
-		if matches(rp, src, tag) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-			rp.place(payload)
-			at := t
-			if rp.postedAt > at {
-				at = rp.postedAt
-			}
-			rp.req.done.Complete(at)
-			return
-		}
-	}
-	ep.unexp = append(ep.unexp, &inbound{src: src, tag: tag, bytes: bytes, arrivedAt: t, payload: payload})
-}
-
-// arriveRTS handles a rendezvous request-to-send reaching the receiver.
-func (w *World) arriveRTS(tx *pendingTx, t netsim.Time) {
-	ep := w.eps[tx.dst]
-	for i, rp := range ep.posted {
-		if matches(rp, tx.src, tx.tag) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-			tx.recvReq = rp
-			w.sendCTS(tx, t)
-			return
-		}
-	}
-	ep.unexp = append(ep.unexp, &inbound{src: tx.src, tag: tx.tag, bytes: tx.bytes, arrivedAt: t, rdv: tx})
-}
-
-// sendCTS sends clear-to-send back to the sender; on arrival the data
-// transfer starts (offload) or is queued for host progress (non-offload).
-func (w *World) sendCTS(tx *pendingTx, t netsim.Time) {
-	if tx.ctsSent {
-		return
-	}
-	tx.ctsSent = true
-	w.Cluster.Ctrl(tx.dst, tx.src, t, func(at netsim.Time) {
-		sep := w.eps[tx.src]
-		if w.Cluster.Prof.Offload {
-			// The NIC reads the buffer and moves the data by itself.
-			payload := tx.fetch()
-			tx.sendReq.done.Complete(at)
-			w.Cluster.Transfer(tx.src, tx.dst, tx.bytes, at, func(t2 netsim.Time) {
-				w.deliverData(tx, payload, t2)
-			})
-			return
-		}
-		if sep.inWait {
-			// The host is polling inside a blocking MPI call: kick now.
-			sep.owner.kickTx(tx, true)
-			return
-		}
-		sep.ready = append(sep.ready, tx)
-	})
 }
 
 // Irecv posts a nonblocking receive from src (no wildcard sources) with the
 // given tag; place is invoked with the payload when the data arrives.
 func (r *Rank) Irecv(src, tag int, bytes int64, place func(interface{})) *Request {
+	return r.irecv(userCtx, src, tag, bytes, place)
+}
+
+func (r *Rank) irecv(c ctx, src, tag int, bytes int64, place func(interface{})) *Request {
 	if src < 0 || src >= r.np {
 		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d", src))
 	}
 	r.progress()
-	prof := r.world.Cluster.Prof
-	r.proc.Advance(prof.ORecv)
-	req := &Request{done: r.world.Cluster.Eng.NewCompletion(), recv: true, bytes: bytes, kind: "recv"}
-	rp := &recvPost{src: src, tag: tag, bytes: bytes, place: place, postedAt: r.proc.Now(), req: req}
-	req.eager = bytes <= prof.EagerThreshold
-	w := r.world
-	me := r.me
+	r.proc.Advance(r.world.Cluster.Prof.ORecv)
+	now := r.proc.Now()
+	req := &Request{w: r.world, recv: true, ctx: c, src: src, dst: r.me, tag: tag, bytes: bytes, at: now, place: place}
 	// Matching is engine-side state: mutate it in an event at post time.
-	w.Cluster.Eng.At(r.proc.Now(), func(t netsim.Time) {
-		ep := w.eps[me]
-		for i, in := range ep.unexp {
-			if in.src == src && (tag == AnyTag || in.tag == tag) {
-				ep.unexp = append(ep.unexp[:i], ep.unexp[i+1:]...)
-				if in.rdv != nil {
-					in.rdv.recvReq = rp
-					w.sendCTS(in.rdv, t)
-				} else {
-					rp.place(in.payload)
-					at := in.arrivedAt
-					if rp.postedAt > at {
-						at = rp.postedAt
-					}
-					req.done.Complete(at)
-				}
-				return
-			}
-		}
-		ep.posted = append(ep.posted, rp)
-	})
+	r.world.Cluster.Eng.Schedule(now, req)
 	return req
 }
 
@@ -347,14 +367,16 @@ func (r *Rank) Irecv(src, tag int, bytes int64, place func(interface{})) *Reques
 // per-message overhead o was already charged at post time.
 func (r *Rank) Wait(req *Request) {
 	r.progress()
-	r.ep.inWait = true
-	r.proc.Wait(req.done, req.kind)
-	r.ep.inWait = false
-	prof := r.world.Cluster.Prof
+	r.inWait = true
+	kind := "send"
 	if req.recv {
-		if req.eager || !prof.Offload {
-			r.proc.Advance(r.world.Cluster.CopyCost(req.bytes))
-		}
+		kind = "recv"
+	}
+	r.proc.Wait(&req.done, kind)
+	r.inWait = false
+	prof := r.world.Cluster.Prof
+	if req.recv && (req.bytes <= prof.EagerThreshold || !prof.Offload) {
+		r.proc.Advance(r.world.Cluster.CopyCost(req.bytes))
 	}
 }
 
@@ -379,12 +401,10 @@ func (r *Rank) Test(req *Request) bool {
 
 // Send is the blocking send wrapper.
 func (r *Rank) Send(dst, tag int, bytes int64, fetch func() interface{}) {
-	req := r.Isend(dst, tag, bytes, fetch)
-	r.Wait(req)
+	r.Wait(r.Isend(dst, tag, bytes, fetch))
 }
 
 // Recv is the blocking receive wrapper.
 func (r *Rank) Recv(src, tag int, bytes int64, place func(interface{})) {
-	req := r.Irecv(src, tag, bytes, place)
-	r.Wait(req)
+	r.Wait(r.Irecv(src, tag, bytes, place))
 }

@@ -332,6 +332,52 @@ func TestOverlapMechanism(t *testing.T) {
 	}
 }
 
+// TestAnyTagReceiveSkipsCollectives: an any-tag receive left outstanding
+// across Barrier and Alltoall (eager and rendezvous partitions) takes the next
+// user message, never the collectives' own traffic, which matches in a
+// context of its own. Before collectives had one, the barrier's release
+// landed in the user's buffer and the barrier never ended.
+func TestAnyTagReceiveSkipsCollectives(t *testing.T) {
+	for _, prof := range profiles() {
+		for _, part := range []int64{8, 4 * prof.EagerThreshold} {
+			const np = 3
+			var got interface{}
+			recv := make([][]interface{}, np)
+			_, err := Run(np, prof, func(r *Rank) {
+				var req *Request
+				if r.Me() == 1 {
+					req = r.Irecv(0, AnyTag, 8, func(p interface{}) { got = p })
+				}
+				r.Barrier()
+				recv[r.Me()] = make([]interface{}, np)
+				r.Alltoall(part,
+					func(dst int) interface{} { return 10*r.Me() + dst },
+					func(src int, p interface{}) { recv[r.Me()][src] = p })
+				r.Barrier()
+				switch r.Me() {
+				case 0:
+					r.Send(1, 3, 8, func() interface{} { return "user" })
+				case 1:
+					r.Wait(req)
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s part %d: %v", prof, part, err)
+			}
+			if got != "user" {
+				t.Errorf("%s part %d: any-tag receive got %v, want the user message", prof, part, got)
+			}
+			for me := range recv {
+				for src, p := range recv[me] {
+					if p != 10*src+me {
+						t.Errorf("%s part %d: rank %d got %v from %d in the alltoall, want %d", prof, part, me, p, src, 10*src+me)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDeadlockReported(t *testing.T) {
 	_, err := Run(2, netsim.MPICHGM(), func(r *Rank) {
 		if r.Me() == 0 {

@@ -101,46 +101,57 @@ func NewCluster(np int, prof Profile) *Cluster {
 
 // Transfer models moving bytes from src to dst, starting no earlier than t.
 // onDelivered fires (as an event) when the last byte has been drained by
-// the destination NIC. Contention model: the sender NIC injects messages
+// the destination NIC. See Send for the contention model.
+func (c *Cluster) Transfer(src, dst int, bytes int64, t Time, onDelivered func(Time)) {
+	c.Send(new(Flight), src, dst, bytes, t, funcEvent(onDelivered))
+}
+
+// Flight is one message's passage through the network, scheduled as its own
+// two stage events; embedded in a record that outlives the message, it makes
+// a transfer allocation-free. It carries one message at a time.
+type Flight struct {
+	c        *Cluster
+	to       Event
+	bytes    int64
+	src, dst int32
+	headed   bool // the injection happened; the next stage is the head's arrival
+}
+
+// Send moves bytes from src to dst through f, starting no earlier than t,
+// and schedules to at the time the last byte has been drained by the
+// destination NIC. Contention model: the sender NIC injects messages
 // serially (gap G per byte); the head propagates after latency L; the
 // receiver NIC drains arrivals serially, so concurrent senders to one
-// destination queue up (the alltoall hotspot).
-func (c *Cluster) Transfer(src, dst int, bytes int64, t Time, onDelivered func(Time)) {
+// destination queue up (the alltoall hotspot). A loopback send is a
+// memcpy-speed transfer that uses no NIC: to fires at t.
+func (c *Cluster) Send(f *Flight, src, dst int, bytes int64, t Time, to Event) {
 	if src == dst {
-		// Loopback: treated as a memcpy-speed transfer without NIC usage.
-		c.Eng.At(t, func(now Time) { onDelivered(now) })
+		c.Eng.Schedule(t, to)
 		return
 	}
 	if src < 0 || src >= c.NP || dst < 0 || dst >= c.NP {
 		panic(fmt.Sprintf("netsim: rank out of range: %d -> %d (np=%d)", src, dst, c.NP))
 	}
-	c.Eng.At(t, func(now Time) {
-		c.Stat.Messages++
-		c.Stat.Bytes += bytes
-		wire := Time(float64(bytes) * c.Prof.GapNsPerByte)
-		start := now
-		if c.nics[src].sendFree > start {
-			start = c.nics[src].sendFree
-		}
-		inject := start + wire
-		c.nics[src].sendFree = inject
-		arrHead := start + c.Prof.Latency
-		c.Eng.At(arrHead, func(now2 Time) {
-			at := now2
-			if c.nics[dst].recvFree > at {
-				at = c.nics[dst].recvFree
-			}
-			delivered := at + wire
-			c.nics[dst].recvFree = delivered
-			c.Eng.At(delivered, onDelivered)
-		})
-	})
+	*f = Flight{c: c, to: to, bytes: bytes, src: int32(src), dst: int32(dst)}
+	c.Eng.Schedule(t, f)
 }
 
-// Ctrl models a small control message (RTS/CTS) with the same path but
-// fixed CtrlBytes size.
-func (c *Cluster) Ctrl(src, dst int, t Time, onDelivered func(Time)) {
-	c.Transfer(src, dst, c.Prof.CtrlBytes, t, onDelivered)
+// Fire runs the flight's next stage; only Send schedules it.
+func (f *Flight) Fire(now Time) {
+	c := f.c
+	wire := Time(float64(f.bytes) * c.Prof.GapNsPerByte)
+	if !f.headed {
+		c.Stat.Messages++
+		c.Stat.Bytes += f.bytes
+		start := max(now, c.nics[f.src].sendFree)
+		c.nics[f.src].sendFree = start + wire
+		f.headed = true
+		c.Eng.Schedule(start+c.Prof.Latency, f)
+		return
+	}
+	delivered := max(now, c.nics[f.dst].recvFree) + wire
+	c.nics[f.dst].recvFree = delivered
+	c.Eng.Schedule(delivered, f.to)
 }
 
 // CopyCost returns the host CPU time to copy/pack bytes under this profile.

@@ -41,39 +41,62 @@ func (t Time) String() string {
 // Seconds converts to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is one scheduled callback.
-type event struct {
+// Event is something scheduled on the engine; Fire runs at its time, in
+// event context. Scheduling a pointer to an existing record allocates nothing.
+type Event interface {
+	Fire(now Time)
+}
+
+// funcEvent adapts a callback to Event (allocation-free: a func is a pointer).
+type funcEvent func(now Time)
+
+func (f funcEvent) Fire(now Time) { f(now) }
+
+// Events fire in (at, seq) order, seq numbering the scheduling calls. What
+// a proc schedules while it runs goes to its lane, a FIFO that stays sorted
+// because a proc schedules at or after its own clock; the rest goes to the
+// heap. Run fires the least of the heap top and the lane heads
+// (docs/execution-tiers.md, "The simulator").
+
+// stamp is an event's position in the total order.
+type stamp struct {
 	at  Time
 	seq int64
-	fn  func(now Time)
 }
 
-// eventHeap is a binary min-heap of events by (at, seq). The order is total
-// (seq is unique), so the pop sequence does not depend on the heap's shape.
-// Events are held by value: scheduling one allocates nothing beyond the
-// slice's growth.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (a stamp) before(b stamp) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-func (h *eventHeap) push(ev event) {
-	q := *h
-	if len(q) == cap(q) {
-		// Double, where append would grow a large slice by a quarter and
-		// copy a fine-tiled run's few thousand in-flight events five times
-		// over.
-		q = append(make(eventHeap, 0, max(64, 2*cap(q))), q...)
+// heapEntry is pointer-free, so sifting needs no write barriers.
+type heapEntry struct {
+	stamp
+	slot int32
+}
+
+// eventHeap is a binary min-heap of stamps; callbacks sit in a slot table
+// whose free list lets a steady state of scheduling and firing grow nothing.
+type eventHeap struct {
+	q     []heapEntry
+	slots []Event
+	free  []int32
+}
+
+func (h *eventHeap) push(s stamp, ev Event) {
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slots[slot] = ev
+	} else {
+		slot = int32(len(h.slots))
+		h.slots = append(h.slots, ev)
 	}
-	q = append(q, ev)
-	*h = q
+	q := append(h.q, heapEntry{s, slot})
+	h.q = q
 	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !q[i].before(q[parent].stamp) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -81,21 +104,20 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
-	q := *h
+// pop removes the earliest entry and returns its stamp and callback.
+func (h *eventHeap) pop() (stamp, Event) {
+	q := h.q
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // drop the callback reference
 	q = q[:n]
-	*h = q
+	h.q = q
 	for i := 0; ; {
 		least := i
-		if l := 2*i + 1; l < n && q.less(l, least) {
+		if l := 2*i + 1; l < n && q[l].before(q[least].stamp) {
 			least = l
 		}
-		if r := 2*i + 2; r < n && q.less(r, least) {
+		if r := 2*i + 2; r < n && q[r].before(q[least].stamp) {
 			least = r
 		}
 		if least == i {
@@ -104,7 +126,55 @@ func (h *eventHeap) pop() event {
 		q[i], q[least] = q[least], q[i]
 		i = least
 	}
-	return top
+	ev := h.slots[top.slot]
+	h.slots[top.slot] = nil
+	h.free = append(h.free, top.slot)
+	return top.stamp, ev
+}
+
+// laneEntry is one event in a proc's lane.
+type laneEntry struct {
+	stamp
+	ev Event
+}
+
+// lane is a FIFO ring of events in stamp order; len(buf) is zero or a power
+// of two.
+type lane struct {
+	buf  []laneEntry
+	head int
+	n    int
+}
+
+// front is the earliest queued event; the lane must not be empty.
+func (l *lane) front() stamp { return l.buf[l.head].stamp }
+
+// accepts reports whether an event at t, stamped after everything queued,
+// keeps the lane sorted.
+func (l *lane) accepts(t Time) bool {
+	return l.n == 0 || l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at <= t
+}
+
+// push appends x; a full ring grows to the larger of twice its size and
+// hint.
+func (l *lane) push(x laneEntry, hint int) {
+	if l.n == len(l.buf) {
+		grown := make([]laneEntry, max(16, 2*len(l.buf), hint))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = x
+	l.n++
+}
+
+func (l *lane) pop() (stamp, Event) {
+	x := l.buf[l.head]
+	l.buf[l.head].ev = nil // drop the reference
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return x.stamp, x.ev
 }
 
 // procState is a process's scheduling state.
@@ -120,17 +190,18 @@ const (
 // Proc is one simulated rank: a goroutine whose virtual clock advances via
 // Advance and which interacts with the network only through engine events.
 type Proc struct {
-	ID  int
-	eng *Engine
+	ID int
 
 	now    Time
 	state  procState
 	resume chan struct{}
 	yield  chan struct{}
+	lane   lane // events scheduled while this proc ran
 
 	// blockReason describes what the proc is waiting for (deadlock
-	// diagnostics).
+	// diagnostics); nextWaiter links the waiters of that completion.
 	blockReason string
+	nextWaiter  *Proc
 
 	// Stats.
 	ComputeTime Time // time spent in Advance
@@ -154,9 +225,14 @@ func (p *Proc) Advance(d Time) {
 // time; all cross-process effects are timestamped events processed in
 // global time order, which makes runs deterministic.
 type Engine struct {
-	evq   eventHeap
+	heap  eventHeap
 	seq   int64
 	procs []*Proc
+	// running is the proc executing now, nil in event context.
+	running *Proc
+	// laneCap is the largest lane grown so far: ranks of one program fill
+	// theirs alike, so a growing lane starts there instead of doubling up.
+	laneCap int
 	// live counts proc goroutines that have not exited, so a deadlocked Run
 	// can wait for the ones it unwinds.
 	live sync.WaitGroup
@@ -171,7 +247,6 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Spawn(fn func(p *Proc)) *Proc {
 	p := &Proc{
 		ID:     len(e.procs),
-		eng:    e,
 		state:  procReady,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
@@ -189,10 +264,19 @@ func (e *Engine) Spawn(fn func(p *Proc)) *Proc {
 }
 
 // At schedules fn at time t (which must not be in the engine's past when
-// it pops; the heap keeps order regardless).
-func (e *Engine) At(t Time, fn func(now Time)) {
+// it fires; the queues keep order regardless).
+func (e *Engine) At(t Time, fn func(now Time)) { e.Schedule(t, funcEvent(fn)) }
+
+// Schedule schedules ev at time t, in the same order as At.
+func (e *Engine) Schedule(t Time, ev Event) {
 	e.seq++
-	e.evq.push(event{at: t, seq: e.seq, fn: fn})
+	s := stamp{t, e.seq}
+	if p := e.running; p != nil && p.lane.accepts(t) {
+		p.lane.push(laneEntry{s, ev}, e.laneCap)
+		e.laneCap = max(e.laneCap, len(p.lane.buf))
+		return
+	}
+	e.heap.push(s, ev)
 }
 
 // Run drives the simulation until every process is done. It returns the
@@ -200,29 +284,47 @@ func (e *Engine) At(t Time, fn func(now Time)) {
 // way no process goroutine is left parked when it returns.
 func (e *Engine) Run() (Time, error) {
 	for {
-		// Earliest ready process.
-		var next *Proc
+		// The earliest ready process (procs are in ID order: the lowest ID
+		// wins a tie) and the proc holding the earliest lane head.
+		var next, lead *Proc
 		for _, p := range e.procs {
-			if p.state == procReady && (next == nil || p.now < next.now ||
-				(p.now == next.now && p.ID < next.ID)) {
+			if p.state == procReady && (next == nil || p.now < next.now) {
 				next = p
 			}
+			if p.lane.n > 0 && (lead == nil || p.lane.front().before(lead.lane.front())) {
+				lead = p
+			}
 		}
-		haveEvent := len(e.evq) > 0
+		// The earliest pending event: the heap top or lead's lane head.
+		haveEvent, fromLane := len(e.heap.q) > 0, false
+		var first stamp
+		if haveEvent {
+			first = e.heap.q[0].stamp
+		}
+		if lead != nil && (!haveEvent || lead.lane.front().before(first)) {
+			first, haveEvent, fromLane = lead.lane.front(), true, true
+		}
 		switch {
-		case next != nil && (!haveEvent || next.now <= e.evq[0].at):
+		case next != nil && (!haveEvent || next.now <= first.at):
 			if e.Trace != nil {
 				e.Trace(fmt.Sprintf("run p%d @%s", next.ID, next.now))
 			}
 			next.state = procRunning
+			e.running = next
 			next.resume <- struct{}{}
 			<-next.yield
+			e.running = nil
 		case haveEvent:
-			ev := e.evq.pop()
-			if e.Trace != nil {
-				e.Trace(fmt.Sprintf("event @%s", ev.at))
+			var ev Event
+			if fromLane {
+				first, ev = lead.lane.pop()
+			} else {
+				first, ev = e.heap.pop()
 			}
-			ev.fn(ev.at)
+			if e.Trace != nil {
+				e.Trace(fmt.Sprintf("event @%s", first.at))
+			}
+			ev.Fire(first.at)
 		default:
 			// No events, no ready procs.
 			done := true
@@ -257,16 +359,16 @@ func (e *Engine) Run() (Time, error) {
 	}
 }
 
-// Completion is a one-shot future: events complete it, processes wait on it.
+// Completion is a one-shot future: events complete it, processes wait on
+// it. The zero value is an incomplete completion.
 type Completion struct {
-	eng     *Engine
-	done    bool
 	at      Time
-	waiters []*Proc
+	waiters *Proc // linked through Proc.nextWaiter: a proc waits on one thing at a time
+	done    bool
 }
 
 // NewCompletion returns an incomplete completion.
-func (e *Engine) NewCompletion() *Completion { return &Completion{eng: e} }
+func (e *Engine) NewCompletion() *Completion { return &Completion{} }
 
 // Done reports whether the completion fired. Note: processes may observe
 // this only at MPI-layer points; the value changes only inside events.
@@ -282,13 +384,16 @@ func (c *Completion) Complete(t Time) {
 	}
 	c.done = true
 	c.at = t
-	for _, p := range c.waiters {
+	for p := c.waiters; p != nil; {
+		next := p.nextWaiter
+		p.nextWaiter = nil
 		if t > p.now {
 			p.BlockedTime += t - p.now
 			p.now = t
 		}
 		p.state = procReady
 		p.blockReason = ""
+		p = next
 	}
 	c.waiters = nil
 }
@@ -303,7 +408,7 @@ func (p *Proc) Wait(c *Completion, reason string) {
 		}
 		return
 	}
-	c.waiters = append(c.waiters, p)
+	p.nextWaiter, c.waiters = c.waiters, p
 	p.blockReason = reason
 	p.block()
 }

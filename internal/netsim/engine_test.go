@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,24 +91,35 @@ func TestEngineDeadlockDetected(t *testing.T) {
 // TestDeadlockLeavesNoGoroutines: a deadlocked Run unwinds every parked
 // proc — blocked mid-body, and never started — before it returns, running
 // their deferred calls on the way out, so a resident server does not leak a
-// goroutine set per bad query.
+// goroutine set per bad query. Procs that block with events queued in their
+// lanes deadlock the same way, once those events have fired.
 func TestDeadlockLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var unwound atomic.Int32 // poisoned procs unwind concurrently
 	for i := 0; i < 100; i++ {
 		e := NewEngine()
 		c := e.NewCompletion()
+		fired := 0
 		for r := 0; r < 4; r++ {
 			e.Spawn(func(p *Proc) {
 				defer unwound.Add(1)
 				p.Advance(Microsecond)
 				p.Yield()
+				for k := 0; k < 3; k++ {
+					e.At(p.Now()+Time(k), func(Time) { fired++ })
+				}
+				if p.lane.n != 3 {
+					t.Errorf("%d events in the lane of a proc about to block, want 3", p.lane.n)
+				}
 				p.Wait(c, "never completed")
 				t.Error("a poisoned proc returned into its body")
 			})
 		}
-		if _, err := e.Run(); err == nil {
-			t.Fatal("want deadlock error")
+		if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("error %v, want a deadlock", err)
+		}
+		if fired != 12 {
+			t.Fatalf("%d of 12 lane events fired before the deadlock", fired)
 		}
 	}
 	if n := unwound.Load(); n != 400 {

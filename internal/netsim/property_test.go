@@ -152,10 +152,14 @@ func TestTimeFormatting(t *testing.T) {
 }
 
 // TestQuickEventOrderTotal: whatever order events are scheduled in — many
-// at one time, some from inside other events — they fire by (time,
-// scheduling order), the total order every run's determinism rests on.
+// at one time, some from inside other events, some by running procs at or
+// after their own clock (into their lanes, or onto the heap when before the
+// lane's tail), some completing a completion a proc waits on — they fire by
+// (time, scheduling order), the total order every run's determinism rests
+// on.
 func TestQuickEventOrderTotal(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
+	var laned, fellBack int
 	check := func() bool {
 		e := NewEngine()
 		type key struct {
@@ -164,19 +168,52 @@ func TestQuickEventOrderTotal(t *testing.T) {
 		}
 		var fired []key
 		seq := 0
-		var schedule func(at Time, depth int)
-		schedule = func(at Time, depth int) {
+		ok := true
+		var schedule func(at Time, depth int, then func(now Time))
+		schedule = func(at Time, depth int, then func(now Time)) {
+			if p := e.running; p != nil {
+				if p.lane.accepts(at) {
+					laned++
+				} else {
+					fellBack++
+				}
+			}
 			seq++
 			k := key{at, seq}
 			e.At(at, func(now Time) {
+				ok = ok && now == k.at
 				fired = append(fired, k)
+				if then != nil {
+					then(now)
+				}
 				if depth > 0 && r.Intn(2) == 0 {
-					schedule(now+Time(r.Intn(3)), depth-1)
+					schedule(now+Time(r.Intn(3)), depth-1, nil)
 				}
 			})
 		}
-		for n := 1 + r.Intn(200); n > 0; n-- {
-			schedule(Time(r.Intn(40)), 2)
+		for n := r.Intn(100); n > 0; n-- {
+			schedule(Time(r.Intn(40)), 2, nil)
+		}
+		for n := r.Intn(5); n > 0; n-- {
+			e.Spawn(func(p *Proc) {
+				for step := r.Intn(30); step > 0; step-- {
+					switch r.Intn(5) {
+					case 0:
+						p.Advance(Time(r.Intn(4)))
+					case 1:
+						schedule(p.Now(), 1, nil)
+					case 2:
+						// Before the lane's tail when an earlier one went further.
+						schedule(p.Now()+Time(r.Intn(5)), 1, nil)
+					case 3:
+						p.Yield()
+					case 4:
+						c := &Completion{}
+						schedule(p.Now()+Time(r.Intn(5)), 1, c.Complete)
+						p.Wait(c, "wake-up")
+					}
+				}
+			})
 		}
 		if _, err := e.Run(); err != nil {
 			return false
@@ -187,9 +224,12 @@ func TestQuickEventOrderTotal(t *testing.T) {
 				return false
 			}
 		}
-		return len(fired) == seq
+		return ok && len(fired) == seq
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	if laned == 0 || fellBack == 0 {
+		t.Fatalf("procs scheduled %d events into their lanes and %d onto the heap; want both paths", laned, fellBack)
 	}
 }
