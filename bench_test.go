@@ -187,7 +187,7 @@ func BenchmarkEngineRun(b *testing.B) {
 // walk-engine run on the same variant: the correctness-tier cost ladder
 // (static verify → walk oracle) in numbers. Static verification re-parses
 // and re-analyzes but never executes, so it is the microsecond-scale
-// pre-vetting step a fleet dispatcher can afford on every cold query.
+// check planserver can afford on every /plan answer.
 func BenchmarkVerifyVariant(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
 	pl := plan.Uniform(plan.Decision{K: sc.K})

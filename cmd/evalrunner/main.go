@@ -97,7 +97,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -107,7 +106,6 @@ import (
 	"strings"
 
 	"repro/internal/exec"
-	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/plan"
 	"repro/internal/session"
@@ -129,8 +127,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist compiled variants content-addressed under this directory so sweeps sharing it start warm ('' = in-memory only)")
 	verifyFlag := flag.Bool("verify", false, "statically verify every (program, plan) variant the sweep touches; any finding fails the run")
 	merge := flag.Bool("merge", false, "merge shard artifacts named as arguments instead of sweeping")
-	fleetAddr := flag.String("fleet", "", "dispatch the sweep to a fleet coordinator at this base URL instead of sweeping in-process ('' = in-process)")
-	fleetShards := flag.Int("fleet-shards", 0, "shard work items for a -fleet sweep (0 = one per live worker)")
 	engineName := flag.String("engine", "", "execution engine: bytecode (default; cached register programs) or walk (tree-walking oracle)")
 	baselinePath := flag.String("check-baseline", "", "fail if per-profile geomeans regress vs this committed artifact ('' disables)")
 	baselineTol := flag.Float64("baseline-tol", 0.01, "relative tolerance for -check-baseline (0.01 = 1%)")
@@ -143,7 +139,7 @@ func main() {
 		Merge: *merge, Shard: *shard, Tune: *tuneFlag,
 		TuneMax: *tuneMax, TuneCheckEngine: *tuneCheck, Engine: *engineName,
 		Parallel: *parallel, Limit: *limit, CacheDir: *cacheDir,
-		Verify: *verifyFlag, Fleet: *fleetAddr, FleetShards: *fleetShards,
+		Verify: *verifyFlag,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
@@ -177,7 +173,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	machineNames, machines, err := resolveMachines(*machineList)
+	machines, err := resolveMachines(*machineList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
 		os.Exit(2)
@@ -195,22 +191,6 @@ func main() {
 	if size < *min {
 		fmt.Fprintf(os.Stderr, "evalrunner: corpus has %d scenarios, need at least %d\n", size, *min)
 		os.Exit(1)
-	}
-
-	if *fleetAddr != "" {
-		// The fleet's merged artifact covers the whole selection, so the
-		// aggregate gates run here rather than on any worker.
-		rep, err := (&fleet.Client{Base: *fleetAddr}).RunSweep(context.Background(), fleet.SweepSpec{
-			Seed: *seed, Limit: *limit, Machines: machineNames,
-			Tune: *tuneFlag, TuneMax: *tuneMax,
-			Verify: *verifyFlag, Shards: *fleetShards,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
-		}
-		t.finish(rep, " (fleet sweep via "+*fleetAddr+")", "fleet tuned sweep", true, whole, *tuneFlag)
-		return
 	}
 
 	sharded := *shard != ""
@@ -251,7 +231,7 @@ func main() {
 	t.finish(rep, "", "differential sweep", !sharded, !sharded && whole, *tuneFlag)
 }
 
-// tail is what every mode (sweep, -fleet, -merge) does with its report.
+// tail is what both modes (sweep, -merge) do with their report.
 type tail struct {
 	out         string
 	quiet       bool
@@ -366,8 +346,6 @@ type cliFlags struct {
 	Limit           int
 	CacheDir        string
 	Verify          bool
-	Fleet           string
-	FleetShards     int
 }
 
 // validateFlags rejects mutually-inconsistent flag combinations and
@@ -412,28 +390,6 @@ func validateFlags(f cliFlags) (exec.Engine, error) {
 		}
 		if checkEngine == engine {
 			return "", fmt.Errorf("-tune-check-engine %q is the sweep engine itself; name a different tier (e.g. walk) to cross-check against", checkEngine)
-		}
-	}
-	if f.FleetShards != 0 && f.Fleet == "" {
-		return "", fmt.Errorf("-fleet-shards decomposes a -fleet sweep; pass -fleet as well")
-	}
-	if f.FleetShards < 0 {
-		return "", fmt.Errorf("-fleet-shards %d is not a shard count; pass a positive count, or 0 for one per live worker", f.FleetShards)
-	}
-	if f.Fleet != "" {
-		switch {
-		case f.Merge:
-			return "", fmt.Errorf("-fleet dispatches a sweep; -merge folds existing artifacts locally")
-		case f.Shard != "":
-			return "", fmt.Errorf("-fleet decomposes the sweep into shards itself; drop -shard")
-		case f.CacheDir != "":
-			return "", fmt.Errorf("-cache-dir configures a local sweep's store; a fleet's cache dir is configured on its workers")
-		case f.Engine != "":
-			return "", fmt.Errorf("-engine selects how a local sweep executes; a fleet's engine is configured on its workers")
-		case f.TuneCheckEngine != "":
-			return "", fmt.Errorf("-tune-check-engine configures a local sweep's tiered tuning; a fleet's check engine is configured on its workers")
-		case f.Parallel != 0:
-			return "", fmt.Errorf("-parallel bounds a local sweep's workers; a fleet worker uses its own parallelism")
 		}
 	}
 	return engine, nil
@@ -597,20 +553,19 @@ func gates(rep *harness.Report, aggregate, strict, tuned bool) bool {
 	return ok
 }
 
-// resolveMachines parses the -machines list into names (the fleet wire
-// spec's form) and models; "" yields none of either, which the harness reads
-// as the default sweep set (plan.DefaultSweep).
-func resolveMachines(list string) (names []string, machines []plan.Machine, err error) {
+// resolveMachines parses the -machines list into models; "" yields none,
+// which the harness reads as the default sweep set (plan.DefaultSweep).
+func resolveMachines(list string) ([]plan.Machine, error) {
 	if list == "" {
-		return nil, nil, nil
+		return nil, nil
 	}
+	var machines []plan.Machine
 	for _, name := range strings.Split(list, ",") {
 		m, err := plan.ByName(strings.TrimSpace(name))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		names = append(names, m.Name)
 		machines = append(machines, m)
 	}
-	return names, machines, nil
+	return machines, nil
 }

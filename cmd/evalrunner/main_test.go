@@ -45,16 +45,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "verify tuned sweep with cache dir", f: cliFlags{Verify: true, Tune: true, CacheDir: "varcache"}, engine: exec.EngineBytecode},
 		{name: "verify with walk engine", f: cliFlags{Verify: true, Engine: "walk"}, engine: exec.EngineWalk},
 		{name: "verify with merge", f: cliFlags{Merge: true, Verify: true}, wantErr: "-verify"},
-		{name: "fleet sweep", f: cliFlags{Fleet: "http://127.0.0.1:8790"}, engine: exec.EngineBytecode},
-		{name: "fleet tuned verified sweep", f: cliFlags{Fleet: "http://c:1", Tune: true, Verify: true, FleetShards: 3}, engine: exec.EngineBytecode},
-		{name: "fleet shards without fleet", f: cliFlags{FleetShards: 3}, wantErr: "-fleet-shards"},
-		{name: "negative fleet shards", f: cliFlags{Fleet: "http://c:1", FleetShards: -1}, wantErr: "-fleet-shards"},
-		{name: "fleet with merge", f: cliFlags{Fleet: "http://c:1", Merge: true}, wantErr: "-merge"},
-		{name: "fleet with shard", f: cliFlags{Fleet: "http://c:1", Shard: "0/2"}, wantErr: "-shard"},
-		{name: "fleet with cache dir", f: cliFlags{Fleet: "http://c:1", CacheDir: "varcache"}, wantErr: "-cache-dir"},
-		{name: "fleet with engine", f: cliFlags{Fleet: "http://c:1", Engine: "walk"}, wantErr: "-engine"},
-		{name: "fleet with tune check", f: cliFlags{Fleet: "http://c:1", Tune: true, TuneCheckEngine: "walk"}, wantErr: "-tune-check-engine"},
-		{name: "fleet with parallel", f: cliFlags{Fleet: "http://c:1", Parallel: 4}, wantErr: "-parallel"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

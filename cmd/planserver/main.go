@@ -7,19 +7,7 @@
 // Usage:
 //
 //	planserver [-addr :8714] [-engine bytecode|walk] [-cache-dir DIR]
-//	           [-fleet URL] [-drain 30s]
-//
-// With -fleet, a cold query (one the plan memo cannot answer) is not tuned
-// inline: the server statically pre-vets the query's fixed-K baseline
-// variant with internal/verify (refusing dispatch on any finding — a
-// program the verifier flags must not burn fleet measurement time), then
-// dispatches the tuning job to the fleet coordinator and memoizes the
-// returned choice under the exact key a local search would have used. The
-// repeat of a fleet-dispatched query is therefore a local memo hit: no
-// dispatch, no search, no new compiles. Warm queries never leave the
-// process either way. Share -cache-dir with the fleet's workers so
-// pre-vetted verdicts (ledger markers) and compiled variants flow both
-// ways.
+//	           [-drain 30s]
 //
 // The server drains gracefully: SIGTERM/SIGINT stop the listener and
 // in-flight /plan tuning jobs get -drain to finish, so the memo and stats
@@ -66,16 +54,13 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/fleet"
 	"repro/internal/session"
-	"repro/internal/verify"
 )
 
 func main() {
 	addr := flag.String("addr", ":8714", "listen address")
 	engineName := flag.String("engine", "", "execution engine for measured runs: bytecode (default) or walk")
 	cacheDir := flag.String("cache-dir", "", "persist compiled variants content-addressed under this directory ('' = in-memory only)")
-	fleetAddr := flag.String("fleet", "", "dispatch cold queries to a fleet coordinator at this base URL instead of tuning inline ('' = inline)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight queries")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -105,12 +90,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "planserver:", err)
 		os.Exit(1)
 	}
-	var dispatcher *fleetDispatcher
-	if *fleetAddr != "" {
-		dispatcher = &fleetDispatcher{client: &fleet.Client{Base: *fleetAddr}, sess: sess}
-	}
 
-	srv := &http.Server{Addr: *addr, Handler: newMux(sess, dispatcher), ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{Addr: *addr, Handler: newMux(sess), ReadHeaderTimeout: 10 * time.Second, ReadTimeout: readTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("planserver: engine %s, listening on %s", engine, *addr)
@@ -135,11 +116,16 @@ func main() {
 	}
 }
 
+// readTimeout bounds reading one whole request, body included. At the
+// 16 MiB body cap it still admits a client sending 0.8 MB/s; a real query is
+// a few kilobytes and arrives in milliseconds. Without it a client that
+// announces a body and stops sending holds a handler goroutine forever:
+// ReadHeaderTimeout stops covering the request once its headers are in.
+const readTimeout = 20 * time.Second
+
 // newMux wires the session into the HTTP surface. Split from main so the
 // smoke test can mount the identical handler on an ephemeral listener.
-// A nil dispatcher tunes cold queries inline; a non-nil one pre-vets and
-// dispatches them to the fleet.
-func newMux(s *session.Session, dispatcher *fleetDispatcher) *http.ServeMux {
+func newMux(s *session.Session) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plan", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -169,13 +155,7 @@ func newMux(s *session.Session, dispatcher *fleetDispatcher) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("query needs a non-empty program source"))
 			return
 		}
-		var res *session.Result
-		var err error
-		if dispatcher != nil {
-			res, err = s.PlanRemote(q, dispatcher.tune)
-		} else {
-			res, err = s.Plan(q)
-		}
+		res, err := s.Plan(q)
 		if err != nil {
 			// The session rejects malformed queries before any analysis or
 			// search runs; those are the client's fault, the rest ours.
@@ -246,32 +226,6 @@ func verifyChoice(s *session.Session, q session.Query, res *session.Result) veri
 		st.Findings = append(st.Findings, d.String())
 	}
 	return st
-}
-
-// fleetDispatcher answers cold queries by dispatching the tuning job to a
-// fleet coordinator. session.PlanRemote guarantees it only ever sees memo
-// misses on validated queries, and memoizes whatever it returns.
-type fleetDispatcher struct {
-	client *fleet.Client
-	sess   *session.Session
-}
-
-// tune pre-vets, then dispatches. The pre-vet statically proves the
-// query's fixed-K baseline variant (the seed every measured search starts
-// from) with internal/verify before any worker burns measured runs: a
-// program the verifier flags gets refused here, at the cost of one local
-// transform, instead of occupying a worker. Clean verdicts land in the
-// session store's ledger — shared with the fleet's workers via -cache-dir —
-// so the workers skip re-proving the same variant.
-func (d *fleetDispatcher) tune(q session.Query) (*session.Result, error) {
-	v, err := d.sess.VerifyBaseline(q)
-	if err != nil {
-		return nil, fmt.Errorf("pre-vet: fixed-K baseline: %w", err)
-	}
-	if len(v.Diags) > 0 {
-		return nil, fmt.Errorf("pre-vet: static verifier refused dispatch: %s", verify.Summarize(v.Diags))
-	}
-	return d.client.RunTune(context.Background(), q)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/session"
 	"repro/internal/workload"
 )
@@ -27,7 +26,7 @@ func startServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: newMux(sess, nil)}
+	srv := &http.Server{Handler: newMux(sess)}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return "http://" + ln.Addr().String()
@@ -277,105 +276,6 @@ func TestPlanResponseVerifyStatus(t *testing.T) {
 	if !warm.Checked || !warm.Clean {
 		t.Fatalf("warm verify status %+v, want checked and clean (from the ledger)", warm)
 	}
-}
-
-// TestFleetDispatchedColdQueryMemoized is the fleet-mode contract: a cold
-// /plan query is pre-vetted and dispatched to a fleet worker (the server
-// itself compiles nothing), the worker's choice agrees with a local search,
-// and the repeat of the same query is a local memo hit — no new dispatch,
-// no new compiles anywhere.
-func TestFleetDispatchedColdQueryMemoized(t *testing.T) {
-	// Fleet: one worker, one coordinator, real listeners.
-	workerSess, err := session.New(session.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker := fleet.NewWorker(workerSess)
-	workerURL := serveHandler(t, worker.Mux())
-	coord := fleet.NewCoordinator(fleet.Options{})
-	t.Cleanup(coord.Close)
-	coordURL := serveHandler(t, coord.Mux())
-	coord.Register(workerURL)
-
-	// Plan server in fleet mode.
-	sess, err := session.New(session.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dispatcher := &fleetDispatcher{
-		client: &fleet.Client{Base: coordURL, Poll: 20 * time.Millisecond},
-		sess:   sess,
-	}
-	base := serveHandler(t, newMux(sess, dispatcher))
-
-	q := session.Query{
-		Source:  workload.DirectSource(workload.DirectParams{NX: 4096, NP: 4}),
-		Machine: "mpich-gm-2005",
-		NP:      4,
-	}
-	cold, resp := postPlan(t, base, q)
-	if cold == nil {
-		t.Fatalf("cold POST /plan = %d, want 200", resp.StatusCode)
-	}
-	if cold.MemoHit {
-		t.Fatal("cold fleet-dispatched query reported memo_hit")
-	}
-	if cold.Choice.Plan == nil || len(cold.Choice.Plan.Sites) == 0 {
-		t.Fatal("fleet-dispatched query returned no plan")
-	}
-	var stats session.Stats
-	getJSON(t, base+"/stats", &stats)
-	if stats.Store.Compiled != 0 {
-		t.Errorf("plan server compiled %d variants in fleet mode, want 0 (the worker measures)", stats.Store.Compiled)
-	}
-	workerCompiled := workerSess.Stats().Store.Compiled
-	if workerCompiled == 0 {
-		t.Fatal("worker compiled nothing — the search did not run on the fleet")
-	}
-
-	warm, resp := postPlan(t, base, q)
-	if warm == nil {
-		t.Fatalf("warm POST /plan = %d, want 200", resp.StatusCode)
-	}
-	if !warm.MemoHit {
-		t.Fatal("repeat of a fleet-dispatched query was not a memo hit")
-	}
-	if warm.Choice.Plan.Key() != cold.Choice.Plan.Key() {
-		t.Fatal("memoized plan differs from the fleet-tuned plan")
-	}
-	if got := workerSess.Stats().Store.Compiled; got != workerCompiled {
-		t.Errorf("repeat query compiled %d new variants on the worker, want 0", got-workerCompiled)
-	}
-	// One dispatched job total: the repeat never left the plan server.
-	if st := coord.Status(); len(st.Jobs) != 1 {
-		t.Errorf("coordinator saw %d jobs, want 1 (the repeat must be memo-served)", len(st.Jobs))
-	}
-
-	// The fleet-tuned choice agrees with a local inline search.
-	localSess, err := session.New(session.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := localSess.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Choice.Plan.Key() != local.Choice.Plan.Key() {
-		t.Errorf("fleet plan %s differs from inline plan %s", cold.Choice.Plan.Key(), local.Choice.Plan.Key())
-	}
-}
-
-// serveHandler mounts a handler on an ephemeral listener.
-func serveHandler(t *testing.T, h http.Handler) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return "http://" + ln.Addr().String()
 }
 
 func getJSON(t *testing.T, url string, v any) {

@@ -17,11 +17,12 @@
 //     stores deep copies and hands out deep copies — callers annotate their
 //     Choice without corrupting the cache.
 //  4. No timeout-less net/http servers in cmd/. An http.Server composite
-//     literal must set ReadHeaderTimeout, and the http.ListenAndServe /
-//     http.Serve conveniences (which construct a timeout-less server
-//     internally) are banned outright — a slow-loris client dribbling
-//     header bytes would otherwise pin a planserver/fleetd connection
-//     forever.
+//     literal must set both ReadHeaderTimeout and ReadTimeout, and the
+//     http.ListenAndServe / http.Serve conveniences (which construct a
+//     timeout-less server internally) are banned outright — a slow-loris
+//     client dribbling header bytes, or one that announces a body and stops
+//     sending it, would otherwise pin a planserver connection and its
+//     handler forever.
 //  5. Hot-path discipline in internal/exec: no reflect import, and no
 //     func-valued map types (map-based dispatch tables). The execution
 //     engines are the inner loop of every sweep; dispatch there is a flat
@@ -77,8 +78,7 @@ var allowedGlobals = map[string]string{
 	// it holds, and it is the only way scratch outlives one run.
 	"internal/exec:stripPool": "strip-executor lane vectors recycled across runs (sync.Pool; a per-run or per-Program scratch would add ~20 KiB per rank to runs that allocate ~2 MiB)",
 	// The linter's own configuration tables (read-only).
-	"cmd/repolint:allowedGlobals":  "this allowlist",
-	"cmd/repolint:wallClockExempt": "wall-clock exemption table (read-only)",
+	"cmd/repolint:allowedGlobals": "this allowlist",
 }
 
 // recoverFile is the one file under internal/ allowed to call recover().
@@ -88,15 +88,9 @@ const recoverFile = "internal/interp/run.go"
 // packages under it compute simulated time only.
 const deterministicRoot = "internal"
 
-// wallClockExempt lists deterministic-tree packages allowed to read the
+// wallClockPkg is the one deterministic-tree package allowed to read the
 // wall clock (reported as explicitly volatile counters).
-var wallClockExempt = map[string]bool{
-	"internal/harness": true,
-	// Dispatch plumbing, not measurement: heartbeat TTLs, per-item request
-	// deadlines, and retry backoff are wall-clock by nature; every measured
-	// number inside a shard still comes from the simulated clock.
-	"internal/fleet": true,
-}
+const wallClockPkg = "internal/harness"
 
 func main() {
 	flag.Usage = func() {
@@ -237,7 +231,7 @@ func isErrorSentinel(e ast.Expr) bool {
 
 // lintWallClock flags time.Now/time.Since in deterministic packages.
 func lintWallClock(pkgDir string, f *ast.File, report reportFn) {
-	if !strings.HasPrefix(pkgDir, deterministicRoot+"/") || wallClockExempt[pkgDir] {
+	if !strings.HasPrefix(pkgDir, deterministicRoot+"/") || pkgDir == wallClockPkg {
 		return
 	}
 	if !importsPackage(f, "time") {
@@ -273,9 +267,11 @@ func importsPackage(f *ast.File, path string) bool {
 }
 
 // lintHTTPTimeouts flags net/http servers in cmd/ that can be held open by
-// a client that never finishes its request headers: an http.Server literal
-// without ReadHeaderTimeout, or the package-level ListenAndServe/Serve
-// conveniences (whose implicit server has no timeouts at all).
+// a client that never finishes its request: an http.Server literal without
+// ReadHeaderTimeout (headers) or ReadTimeout (the body — ReadHeaderTimeout
+// stops covering a request once its headers are in), or the package-level
+// ListenAndServe/Serve conveniences (whose implicit server has no timeouts
+// at all).
 func lintHTTPTimeouts(pkgDir string, f *ast.File, report reportFn) {
 	if pkgDir != "cmd" && !strings.HasPrefix(pkgDir, "cmd/") {
 		return
@@ -293,15 +289,20 @@ func lintHTTPTimeouts(pkgDir string, f *ast.File, report reportFn) {
 			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "http" || sel.Sel.Name != "Server" {
 				return true
 			}
+			set := map[string]bool{}
 			for _, el := range n.Elts {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "ReadHeaderTimeout" {
-						return true
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set[id.Name] = true
 					}
 				}
 			}
-			report(n.Pos(), "http-timeout",
-				"http.Server constructed without ReadHeaderTimeout; a slow-loris client can pin the connection forever")
+			for _, field := range []string{"ReadHeaderTimeout", "ReadTimeout"} {
+				if !set[field] {
+					report(n.Pos(), "http-timeout",
+						"http.Server constructed without %s; a client that stalls its request can pin the connection forever", field)
+				}
+			}
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
 			if !ok {
@@ -310,7 +311,7 @@ func lintHTTPTimeouts(pkgDir string, f *ast.File, report reportFn) {
 			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "http" &&
 				(sel.Sel.Name == "ListenAndServe" || sel.Sel.Name == "ListenAndServeTLS" || sel.Sel.Name == "Serve") {
 				report(sel.Pos(), "http-timeout",
-					"http.%s builds a server with no timeouts; construct an http.Server with ReadHeaderTimeout and call its methods", sel.Sel.Name)
+					"http.%s builds a server with no timeouts; construct an http.Server with ReadHeaderTimeout and ReadTimeout and call its methods", sel.Sel.Name)
 			}
 		}
 		return true

@@ -133,20 +133,39 @@ func main() { var ln net.Listener; _ = http.Serve(ln, nil) }
 `
 	wantRule(t, lintSrc(t, "cmd/foo/main.go", serveConvenience), "http-timeout")
 
+	// Either read timeout alone leaves a stalled request open: headers
+	// without ReadHeaderTimeout, a body without ReadTimeout.
+	for _, c := range []struct{ set, missing string }{
+		{"ReadHeaderTimeout", "ReadTimeout"},
+		{"ReadTimeout", "ReadHeaderTimeout"},
+	} {
+		src := `package main
+import (
+	"net/http"
+	"time"
+)
+func main() { srv := &http.Server{Addr: ":80", ` + c.set + `: 10 * time.Second}; _ = srv }
+`
+		findings := lintSrc(t, "cmd/foo/main.go", src)
+		if len(findings) != 1 || !strings.Contains(findings[0], "without "+c.missing) {
+			t.Errorf("server setting only %s: findings %v, want one naming %s", c.set, findings, c.missing)
+		}
+	}
+
 	withTimeout := `package main
 import (
 	"net/http"
 	"time"
 )
-func main() { srv := &http.Server{Addr: ":80", ReadHeaderTimeout: 10 * time.Second}; _ = srv }
+func main() { srv := &http.Server{Addr: ":80", ReadHeaderTimeout: 10 * time.Second, ReadTimeout: 20 * time.Second}; _ = srv }
 `
 	if findings := lintSrc(t, "cmd/foo/main.go", withTimeout); len(findings) != 0 {
-		t.Errorf("ReadHeaderTimeout server flagged: %v", findings)
+		t.Errorf("server with both read timeouts flagged: %v", findings)
 	}
 
 	// Out of scope: internal packages (servers there are the caller's
 	// responsibility to configure) and test files (ephemeral listeners).
-	for _, rel := range []string{"internal/fleet/a.go", "cmd/foo/main_test.go"} {
+	for _, rel := range []string{"internal/foo/a.go", "cmd/foo/main_test.go"} {
 		if findings := lintSrc(t, rel, bare); len(findings) != 0 {
 			t.Errorf("%s: unexpected findings %v", rel, findings)
 		}
@@ -160,7 +179,7 @@ import (
 	"time"
 )
 func main() {
-	srv := &http.Server{Addr: ":80", ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{Addr: ":80", ReadHeaderTimeout: 10 * time.Second, ReadTimeout: 20 * time.Second}
 	_ = srv.ListenAndServe()
 }
 `

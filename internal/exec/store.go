@@ -20,8 +20,7 @@ import (
 //
 // A store is an injected interface scoped to a session, never a package
 // global: concurrent sweeps in one process keep independent stats, and an
-// on-disk implementation carries variant knowledge across processes and
-// fleet workers.
+// on-disk implementation carries variant knowledge across processes.
 
 // Key content-addresses a variant: the sha256 of its source bytes.
 type Key [sha256.Size]byte
@@ -73,8 +72,8 @@ type VariantStore interface {
 	// counts as a hit rather than a compile.
 	Get(src string) (*Program, error)
 	// Put records the variant durably (where the store has a durable
-	// layer) without compiling it — fleet workers warm a shared store
-	// with variants other workers will need.
+	// layer) without compiling it — one process warms a shared store with
+	// variants other processes will need.
 	Put(src string) error
 	// Stats snapshots the store's traffic counters.
 	Stats() StoreStats
@@ -175,7 +174,7 @@ func (m *MemStore) Stats() StoreStats {
 // disk-behind-memory: compiled artifacts live in a per-instance MemStore,
 // and every variant's source is persisted under <dir>/<sha256-hex>.f90 so
 // variant knowledge survives process restarts and can be shared across
-// fleet workers through a common directory. Entries are checksummed on
+// concurrent processes through a common directory. Entries are checksummed on
 // read — the file name is the content key, so a truncated or bit-flipped
 // entry can never be trusted: it is recompiled from the requested source
 // and rewritten.

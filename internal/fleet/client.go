@@ -1,90 +1,39 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
+	"net/url"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/session"
 )
 
-// Client talks to a coordinator: enqueue a job, poll it to completion,
-// decode the result. This is the `evalrunner -fleet` and planserver
-// dispatch path.
+// Client enqueues tuning queries with a coordinator and polls them to
+// completion.
 type Client struct {
 	// Base is the coordinator base URL, e.g. "http://127.0.0.1:8790".
 	Base string
-	// HTTP issues the requests; nil selects a fresh client with a short
-	// per-request timeout (polling requests are cheap; the sweep itself
-	// runs server-side).
-	HTTP *http.Client
 	// Poll is the job-status polling interval; <= 0 selects 200ms.
 	Poll time.Duration
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 30 * time.Second}
-}
-
-func (c *Client) base() string { return strings.TrimRight(c.Base, "/") }
-
-// Enqueue submits a job and returns its ID.
-func (c *Client) Enqueue(ctx context.Context, req EnqueueRequest) (string, error) {
-	body, err := json.Marshal(req)
+// RunTune forwards one tuning query through the coordinator and returns the
+// worker's result. A failed job is an error carrying the job's message.
+func (c *Client) RunTune(ctx context.Context, q session.Query) (*session.Result, error) {
+	body, _ := json.Marshal(q) // strings, ints and a string slice always encode
+	payload, err := call(ctx, http.MethodPost, c.Base+"/enqueue", body)
 	if err != nil {
-		return "", fmt.Errorf("fleet: encode job: %w", err)
+		return nil, fmt.Errorf("fleet: enqueue: %w", err)
 	}
-	payload, err := c.post(ctx, "/enqueue", body)
-	if err != nil {
-		return "", err
-	}
-	var resp struct {
+	var enq struct {
 		ID string `json:"id"`
 	}
-	if err := json.Unmarshal(payload, &resp); err != nil || resp.ID == "" {
-		return "", fmt.Errorf("fleet: coordinator returned no job id")
+	if err := json.Unmarshal(payload, &enq); err != nil || enq.ID == "" {
+		return nil, fmt.Errorf("fleet: coordinator returned no job id")
 	}
-	return resp.ID, nil
-}
-
-// Job fetches one job's status.
-func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	payload, err := c.get(ctx, "/job?id="+id)
-	if err != nil {
-		return nil, err
-	}
-	var st JobStatus
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("fleet: bad job status: %w", err)
-	}
-	return &st, nil
-}
-
-// Status fetches the coordinator's registry-and-jobs snapshot.
-func (c *Client) Status(ctx context.Context) (*Status, error) {
-	payload, err := c.get(ctx, "/status")
-	if err != nil {
-		return nil, err
-	}
-	var st Status
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("fleet: bad status: %w", err)
-	}
-	return &st, nil
-}
-
-// Wait polls a job until it completes (or the context expires) and returns
-// its terminal status; a failed job is an error carrying the job's message.
-func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 	poll := c.Poll
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
@@ -92,98 +41,28 @@ func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 	t := time.NewTicker(poll)
 	defer t.Stop()
 	for {
-		st, err := c.Job(ctx, id)
+		payload, err := call(ctx, http.MethodGet, c.Base+"/job?id="+url.QueryEscape(enq.ID), nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: job %s: %w", enq.ID, err)
+		}
+		var st job
+		if err := json.Unmarshal(payload, &st); err != nil {
+			return nil, fmt.Errorf("fleet: bad job status: %w", err)
 		}
 		switch st.State {
-		case StateDone:
-			return st, nil
-		case StateFailed:
-			return st, fmt.Errorf("fleet: job %s failed: %s", id, st.Error)
+		case stateDone:
+			var res session.Result
+			if err := json.Unmarshal(st.Result, &res); err != nil {
+				return nil, fmt.Errorf("fleet: bad tuning result: %w", err)
+			}
+			return &res, nil
+		case stateFailed:
+			return nil, fmt.Errorf("fleet: job %s failed: %s", enq.ID, st.Error)
 		}
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("fleet: waiting for job %s: %w", id, ctx.Err())
+			return nil, fmt.Errorf("fleet: waiting for job %s: %w", enq.ID, ctx.Err())
 		case <-t.C:
 		}
 	}
-}
-
-// RunSweep dispatches a sweep through the fleet and returns the merged
-// artifact.
-func (c *Client) RunSweep(ctx context.Context, spec SweepSpec) (*harness.Report, error) {
-	id, err := c.Enqueue(ctx, EnqueueRequest{Kind: KindSweep, Sweep: &spec})
-	if err != nil {
-		return nil, err
-	}
-	st, err := c.Wait(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	var rep harness.Report
-	if err := json.Unmarshal(st.Result, &rep); err != nil {
-		return nil, fmt.Errorf("fleet: bad merged artifact: %w", err)
-	}
-	if rep.Schema != harness.Schema {
-		return nil, fmt.Errorf("fleet: merged artifact has schema %q, want %q", rep.Schema, harness.Schema)
-	}
-	return &rep, nil
-}
-
-// RunTune dispatches one tuning query through the fleet and returns the
-// worker's result.
-func (c *Client) RunTune(ctx context.Context, q session.Query) (*session.Result, error) {
-	id, err := c.Enqueue(ctx, EnqueueRequest{Kind: KindTune, Tune: &q})
-	if err != nil {
-		return nil, err
-	}
-	st, err := c.Wait(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	var res session.Result
-	if err := json.Unmarshal(st.Result, &res); err != nil {
-		return nil, fmt.Errorf("fleet: bad tuning result: %w", err)
-	}
-	return &res, nil
-}
-
-func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base()+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req)
-}
-
-func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return c.do(req)
-}
-
-func (c *Client) do(req *http.Request) ([]byte, error) {
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: coordinator %s: %w", req.URL.Path, err)
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: coordinator %s: %w", req.URL.Path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("fleet: coordinator %s: %s", req.URL.Path, e.Error)
-		}
-		return nil, fmt.Errorf("fleet: coordinator %s: %s", req.URL.Path, resp.Status)
-	}
-	return payload, nil
 }

@@ -1,109 +1,132 @@
-// Package fleet farms sweep and tuning work out to worker processes that
-// share one content-addressed variant store and one verify ledger. The
-// coordinator decomposes a sweep into shard work items (the `-shard I/N`
-// semantics of workload.SelectShard), dispatches them to registered workers
-// over HTTP with per-item retry/timeout/backoff and failed-worker
-// reassignment, and folds the per-shard bench-harness artifacts back
-// together with harness.Merge — so the fleet artifact is byte-identical to
-// a single-process sweep modulo the wall-clock and cache-economics
-// counters, which are volatile by contract.
+// Package fleet forwards one plan-tuning query over one HTTP hop: a Client
+// enqueues the query with a Coordinator, the coordinator posts it to a
+// registered Worker, the worker answers it with session.Plan, and the client
+// polls the coordinator until the result is in.
 //
-// A worker is a thin HTTP loop around harness.Run (for shards) and
-// session.Plan (for tuning queries), holding a session.Session whose
-// DiskStore and verify ledger live in the shared cache directory: every
-// variant one worker compiles or verifies is a disk hit (or ledger skip)
-// for every other.
+// The package exists only for benchmark/'s fleet.dispatch_overhead_ms_p50
+// probe, which prices that hop against the same query answered inline.
+// Nothing else in the repository dispatches work to another process: a sweep
+// splits across processes with evalrunner's -shard and -merge. The package
+// is deleted together with the probe in the change that next edits
+// benchmark/ (ROADMAP item F).
 package fleet
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 
-	"repro/internal/harness"
-	"repro/internal/plan"
 	"repro/internal/session"
-	"repro/internal/workload"
 )
 
-// SweepSpec is the wire form of one sweep request: everything a worker
-// needs to regenerate its shard of the corpus and run it exactly as a
-// single-process `evalrunner` invocation would.
-type SweepSpec struct {
-	// Seed selects the generated corpus (0 = canonical).
-	Seed int64 `json:"seed"`
-	// Limit truncates the corpus to its first N scenarios (0 = all).
-	Limit int `json:"limit,omitempty"`
-	// Machines names the machine models; empty means the default sweep set.
-	Machines []string `json:"machines,omitempty"`
-	// Tune enables the per-(scenario, machine) plan search.
-	Tune bool `json:"tune,omitempty"`
-	// TuneMax caps measured tuning candidates (0 = tuner default).
-	TuneMax int `json:"tune_max,omitempty"`
-	// Verify runs the static verification tier on every variant touched.
-	Verify bool `json:"verify,omitempty"`
-	// Shards is the number of shard work items to decompose into; <= 0
-	// selects one per live worker (clamped to the corpus size either way).
-	Shards int `json:"shards,omitempty"`
+// Options configures a coordinator. It has no fields; it stays so the
+// probe's NewCoordinator call compiles unchanged.
+type Options struct{}
+
+// Worker answers forwarded tuning queries with session.Plan over one
+// session. session.Plan is safe for concurrent use, so requests are not
+// serialised.
+type Worker struct {
+	sess *session.Session
 }
 
-// ShardRequest is one work item: a sweep spec narrowed to shard I/N.
-type ShardRequest struct {
-	Sweep SweepSpec `json:"sweep"`
-	Shard string    `json:"shard"`
+// NewWorker wraps a session as a worker.
+func NewWorker(sess *session.Session) *Worker {
+	return &Worker{sess: sess}
 }
 
-// Job kinds.
-const (
-	KindSweep = "sweep"
-	KindTune  = "tune"
-)
-
-// Job states, in lifecycle order.
-const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
-)
-
-// EnqueueRequest is the POST /enqueue body: exactly one of Sweep or Tune,
-// selected by Kind.
-type EnqueueRequest struct {
-	Kind  string         `json:"kind"`
-	Sweep *SweepSpec     `json:"sweep,omitempty"`
-	Tune  *session.Query `json:"tune,omitempty"`
-}
-
-// RunShard regenerates the requested shard of the corpus and sweeps it
-// through the session — the worker-side body of one sweep work item. The
-// shard keys on the stable corpus index, so the shards of a fleet sweep
-// partition the corpus exactly like N `evalrunner -shard I/N` processes
-// would, and harness.Merge folds the artifacts back into corpus order.
-func RunShard(sess *session.Session, req ShardRequest) (*harness.Report, error) {
-	spec := req.Sweep
-	scenarios, _, _, err := workload.SelectCorpus(workload.GenOptions{Seed: spec.Seed, Limit: spec.Limit}, req.Shard)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	machines, err := resolveMachines(spec.Machines)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return harness.Run(harness.Config{
-		Scenarios: scenarios, Machines: machines,
-		Tune: spec.Tune, TuneMaxMeasured: spec.TuneMax,
-		Verify: spec.Verify, Engine: sess.Engine(), Session: sess,
-	})
-}
-
-// resolveMachines maps machine names to models (empty = harness default).
-func resolveMachines(names []string) ([]plan.Machine, error) {
-	var machines []plan.Machine
-	for _, name := range names {
-		m, err := plan.ByName(name)
-		if err != nil {
-			return nil, err
+// Mux wires the worker's HTTP surface: POST /tune takes a session.Query and
+// answers its session.Result. A malformed or invalid query is a 400, a
+// failed search a 500.
+func (w *Worker) Mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/tune", func(rw http.ResponseWriter, r *http.Request) {
+		if !requirePost(rw, r) {
+			return
 		}
-		machines = append(machines, m)
+		var q session.Query
+		if err := decodeBody(rw, r, &q); err != nil {
+			writeError(rw, http.StatusBadRequest, fmt.Errorf("bad tuning query: %w", err))
+			return
+		}
+		res, err := w.sess.Plan(q)
+		if err != nil {
+			status := http.StatusInternalServerError
+			if errors.Is(err, session.ErrQuery) {
+				status = http.StatusBadRequest
+			}
+			writeError(rw, status, err)
+			return
+		}
+		writeJSON(rw, res)
+	})
+	return mux
+}
+
+// maxBodyBytes caps a coordinator or worker request body (16 MiB — three
+// orders of magnitude above any real query).
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes a capped JSON request body, rejecting unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// call issues one request and returns the body of a 200 answer; any other
+// status is an error carrying the status and the server's message.
+func call(ctx context.Context, method, url string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	return machines, nil
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg := strings.TrimSpace(string(payload))
+		var e struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
+			msg = e.Error
+		}
+		return nil, fmt.Errorf("%s: %s", resp.Status, msg)
+	}
+	return payload, nil
+}
+
+// requirePost answers a non-POST request with 405 and reports whether the
+// handler may go on.
+func requirePost(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodPost {
+		return true
+	}
+	w.Header().Set("Allow", http.MethodPost)
+	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST %s", r.URL.Path))
+	return false
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
+}
+
+func writeError(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }

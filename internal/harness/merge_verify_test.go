@@ -34,7 +34,7 @@ func shardByParity(t *testing.T, corpus []workload.Scenario, verify bool) []*Rep
 
 // TestMergeSumsVerifyCounters: the PR 8 verify counters must fold across
 // shards by summation — a merged artifact claiming fewer verified variants
-// than its shards proved would make the fleet's merged verdict unsound.
+// than its shards proved would make the merged verdict unsound.
 func TestMergeSumsVerifyCounters(t *testing.T) {
 	corpus := smallCorpus(t, 4)
 	shards := shardByParity(t, corpus, true)

@@ -147,32 +147,19 @@ type Result struct {
 	Choice tune.Choice `json:"choice"`
 }
 
-// resolvedQuery is a validated Query bound to the session: the machine
-// model, the memoized analysis, the resolved fixed-K baseline, and the
-// exact memo key tune.Tune would use for it.
-type resolvedQuery struct {
-	machine     plan.Machine
-	prog        *core.Program
-	fixedK      int64
-	fingerprint string
-	memoKey     string
-}
-
-// resolveQuery validates a query and resolves every default the tuner
-// would resolve (fixed-K, measurement budget, oracle arrays), yielding the
-// memo key the search for it runs under. Plan and PlanRemote resolving
-// through one helper is what guarantees a remotely-tuned choice is stored
-// under the same key a local search would have used.
-func (s *Session) resolveQuery(q Query) (resolvedQuery, error) {
+// Plan answers one tuning query through the session's memo and store: the
+// first query for a (program-shape, machine) pair runs the seeded search,
+// repeats are O(memo lookup).
+func (s *Session) Plan(q Query) (*Result, error) {
 	if q.Source == "" {
-		return resolvedQuery{}, queryError{fmt.Errorf("session: query needs a program source")}
+		return nil, queryError{fmt.Errorf("session: query needs a program source")}
 	}
 	if q.NP < 1 {
-		return resolvedQuery{}, queryError{fmt.Errorf("session: query needs np >= 1 (the search simulates the program)")}
+		return nil, queryError{fmt.Errorf("session: query needs np >= 1 (the search simulates the program)")}
 	}
 	m, err := plan.ByName(q.Machine)
 	if err != nil {
-		return resolvedQuery{}, queryError{fmt.Errorf("session: %w", err)}
+		return nil, queryError{fmt.Errorf("session: %w", err)}
 	}
 	fixedK := q.FixedK
 	if fixedK <= 0 {
@@ -180,32 +167,14 @@ func (s *Session) resolveQuery(q Query) (resolvedQuery, error) {
 	}
 	prog, err := s.Analyze(q.Source, int64(q.NP))
 	if err != nil {
-		return resolvedQuery{}, queryError{fmt.Errorf("session: analyze: %w", err)}
-	}
-	arrays := q.Arrays
-	if len(arrays) == 0 {
-		arrays = []string{"ar"}
-	}
-	fp := core.Fingerprint(prog, m.Name)
-	key := tune.MemoKey(fp, tune.Input{NP: q.NP, FixedK: fixedK},
-		tune.ResolveMaxMeasured(q.MaxMeasured, prog.TransformableCount()), arrays)
-	return resolvedQuery{machine: m, prog: prog, fixedK: fixedK, fingerprint: fp, memoKey: key}, nil
-}
-
-// Plan answers one tuning query through the session's memo and store: the
-// first query for a (program-shape, machine) pair runs the seeded search,
-// repeats are O(memo lookup).
-func (s *Session) Plan(q Query) (*Result, error) {
-	rq, err := s.resolveQuery(q)
-	if err != nil {
-		return nil, err
+		return nil, queryError{fmt.Errorf("session: analyze: %w", err)}
 	}
 	choices, err := tune.Tune(tune.Input{
 		Source:   q.Source,
-		Program:  rq.prog,
+		Program:  prog,
 		NP:       q.NP,
-		FixedK:   rq.fixedK,
-		Machines: []plan.Machine{rq.machine},
+		FixedK:   fixedK,
+		Machines: []plan.Machine{m},
 	}, tune.Options{
 		MaxMeasured: q.MaxMeasured,
 		Arrays:      q.Arrays,
@@ -219,41 +188,13 @@ func (s *Session) Plan(q Query) (*Result, error) {
 	s.replayed.Add(int64(choices[0].ReplayedRuns))
 	s.certified.Add(int64(choices[0].CertifiedRuns))
 	return &Result{
-		Fingerprint: rq.fingerprint,
+		Fingerprint: core.Fingerprint(prog, m.Name),
 		MemoHit:     choices[0].MemoHit,
 		Choice:      choices[0],
 	}, nil
 }
 
-// PlanRemote answers a tuning query like Plan, but delegates a memo miss to
-// the remote callback (a fleet dispatch) instead of searching inline. The
-// returned choice is stored in the session memo under the exact key a local
-// search would have used, so the repeat of a remotely-tuned query is a
-// local memo hit with no dispatch and no compiles. Warm queries never reach
-// the callback at all.
-func (s *Session) PlanRemote(q Query, remote func(Query) (*Result, error)) (*Result, error) {
-	rq, err := s.resolveQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if ch, ok := s.memo.Lookup(rq.memoKey); ok {
-		ch.MemoHit = true
-		return &Result{Fingerprint: rq.fingerprint, MemoHit: true, Choice: ch}, nil
-	}
-	res, err := remote(q)
-	if err != nil {
-		return nil, err
-	}
-	// The memo stores the search outcome, not the transport history: a
-	// remote worker's own memo hit is still a cold answer here.
-	res.MemoHit = false
-	res.Choice.MemoHit = false
-	res.Fingerprint = rq.fingerprint
-	s.memo.Store(rq.memoKey, res.Choice)
-	return res, nil
-}
-
-// ErrQuery marks a Plan/PlanRemote failure caused by the query itself
+// ErrQuery marks a Plan failure caused by the query itself
 // (validation, an unknown machine, or a program that does not parse/analyze)
 // rather than by the search machinery — the HTTP surfaces map it to 400 and
 // everything else to 500.
@@ -300,16 +241,6 @@ func (s *Session) Verify(prog *core.Program, pl *plan.Plan) (Verification, error
 		ledger.MarkVerified(v.Key)
 	}
 	return v, nil
-}
-
-// VerifyBaseline verifies the fixed-K variant a search for q starts from,
-// with the machine and tile-size defaults Plan would resolve.
-func (s *Session) VerifyBaseline(q Query) (Verification, error) {
-	rq, err := s.resolveQuery(q)
-	if err != nil {
-		return Verification{}, err
-	}
-	return s.Verify(rq.prog, plan.Uniform(plan.Decision{K: rq.fixedK}))
 }
 
 // Stats bundles the session's store and memo counters (the /stats payload)

@@ -273,14 +273,4 @@ func TestVerifyOwnsTheLedger(t *testing.T) {
 	if _, err := s.Verify(prog, stale); err == nil {
 		t.Error("a plan naming a site the program lacks verified instead of erroring")
 	}
-
-	// VerifyBaseline resolves the machine and fixed K the way Plan does.
-	q := session.Query{Source: testSource(), Machine: "mpich-gm-2005", NP: 4, FixedK: 256}
-	if v, err := s.VerifyBaseline(q); err != nil || !v.Known || v.Key != first.Key {
-		t.Errorf("baseline at the verified K: %+v, %v; want Known under the same key", v, err)
-	}
-	q.Machine = "mpich-gm"
-	if _, err := s.VerifyBaseline(q); !errors.Is(err, session.ErrQuery) {
-		t.Errorf("baseline for an unknown machine: %v, want an ErrQuery", err)
-	}
 }

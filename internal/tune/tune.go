@@ -61,13 +61,11 @@ const PerSiteExtraMeasured = 10
 // descent stops earlier at the first pass that adopts nothing.
 const maxDescentPasses = 4
 
-// ResolveMaxMeasured resolves a requested measured-candidate budget for a
+// resolveMaxMeasured resolves a requested measured-candidate budget for a
 // search over the given number of transformable sites: a non-positive
 // request selects DefaultMaxMeasured plus PerSiteExtraMeasured per site
-// beyond the first. Exported so a caller that needs the exact MemoKey of a
-// query it did not run itself (the plan server memoizing a fleet-dispatched
-// search) resolves the budget identically to Tune.
-func ResolveMaxMeasured(requested, sites int) int {
+// beyond the first.
+func resolveMaxMeasured(requested, sites int) int {
 	if requested > 0 {
 		return requested
 	}
@@ -241,7 +239,7 @@ func Tune(in Input, opts Options) ([]Choice, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("tune: transform does not fire on this kernel: %s", firstReason(prog))
 	}
-	maxM := ResolveMaxMeasured(opts.MaxMeasured, len(sites))
+	maxM := resolveMaxMeasured(opts.MaxMeasured, len(sites))
 	// Uniform ladder: the union of every site's rungs. A rung one site
 	// rejects at evaluation time is skipped without costing a measurement.
 	var uniformLadder []int64

@@ -4,8 +4,8 @@
 // sweep prove variants bit-identical dynamically (hundreds of seconds for a
 // full corpus); this package answers the same legality questions the paper
 // answers statically (§3.5 interchange direction vectors, §3.6 tiling
-// coverage, the pre-posted-receive stagger invariant) in microseconds, so a
-// fleet dispatcher can vet a cold variant before ever scheduling it.
+// coverage, the pre-posted-receive stagger invariant) in microseconds, so
+// every variant a sweep or a plan query touches can afford it.
 //
 // Two entry points:
 //
