@@ -22,6 +22,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/netsim"
 	"repro/internal/plan"
+	"repro/internal/session"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -151,7 +152,11 @@ func BenchmarkHarnessSweep(b *testing.B) {
 	for _, engine := range []exec.Engine{exec.EngineWalk, exec.EngineBytecode} {
 		b.Run(string(engine), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := harness.Run(harness.Config{Scenarios: corpus, Parallelism: 4, Engine: engine})
+				sess, err := session.New(session.Options{Engine: engine})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := harness.Run(harness.Config{Scenarios: corpus, Parallelism: 4, Session: sess})
 				if err != nil {
 					b.Fatal(err)
 				}

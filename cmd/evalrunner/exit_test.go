@@ -19,8 +19,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestUnknownEngineExit2: a bad -engine name — or the retired -tune-konly
-// flag — is a usage error (exit 2), diagnosed before any sweeping starts.
+// TestUnknownEngineExit2: a bad -engine name — or a retired flag such as
+// -tune-konly or -tunemax — is a usage error (exit 2), diagnosed before any
+// sweeping starts.
 func TestUnknownEngineExit2(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -31,6 +32,7 @@ func TestUnknownEngineExit2(t *testing.T) {
 		{name: "retired closure engine", args: "-engine compile", wantOut: "unknown engine"},
 		{name: "unknown tune check engine", args: "-tune -tune-check-engine jit", wantOut: "unknown engine"},
 		{name: "retired tune-konly flag", args: "-tune -tune-konly", wantOut: "flag provided but not defined"},
+		{name: "retired tunemax flag", args: "-tune -tunemax 6", wantOut: "flag provided but not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

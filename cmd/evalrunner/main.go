@@ -10,14 +10,17 @@
 // (scenario, machine) by internal/tune (analytic seeding + measured
 // search); the report then carries the chosen plan, the tuned speedup, and
 // the search cost next to the fixed-K numbers, and the offload gate
-// requires the tuned geomean to strictly beat the fixed-K geomean.
+// requires the tuned geomean to strictly beat the fixed-K geomean. The
+// sweep runs in one session, so a (program shape, machine model, search
+// parameters) tuple is searched once per run and answered from the plan
+// memo after that.
 //
 // Usage:
 //
 //	evalrunner [-out BENCH_harness.json] [-seed N] [-limit N] [-shard I/N]
 //	           [-machines a,b] [-engine bytecode|walk] [-parallel N]
-//	           [-min 20] [-q] [-tune] [-tunemax N]
-//	           [-tune-check-engine walk] [-cache-dir DIR] [-verify]
+//	           [-min 20] [-q] [-tune] [-tune-check-engine walk]
+//	           [-cache-dir DIR] [-verify]
 //	           [-check-baseline BENCH_harness.json] [-baseline-tol 0.01]
 //	           [-summary-md path]
 //	evalrunner -merge -out merged.json shard0.json shard1.json ...
@@ -40,9 +43,9 @@
 //
 // -tune-check-engine makes -tune tiered: every candidate is measured on
 // the (fast) sweep engine, and only the original program and each adopted
-// plan are re-run on the named engine — "walk" in CI — which must
-// reproduce the exact makespans the search ranked on and the exact
-// observables the never-lose gate compared. The per-candidate cost drops
+// plan (memo hits included) are re-run on the named engine — "walk" in CI —
+// which must reproduce the exact makespans the search ranked on and the
+// exact observables the never-lose gate compared. The per-candidate cost drops
 // to the fast tier while the adopted plans stay oracle-backed; the report
 // records tune_check_engine and the per-row/summary tiered_checks
 // counters.
@@ -122,7 +125,6 @@ func main() {
 	min := flag.Int("min", 20, "fail unless the corpus (before sharding) has at least this many scenarios")
 	quiet := flag.Bool("q", false, "suppress the per-scenario table")
 	tuneFlag := flag.Bool("tune", false, "auto-tune the overlap plan (K + wait/send-order/interchange knobs) per scenario and machine")
-	tuneMax := flag.Int("tunemax", 0, "measured tuning candidates per scenario/machine (0 = default)")
 	tuneCheck := flag.String("tune-check-engine", "", "re-check only the original and each adopted -tune plan on this engine (e.g. walk); candidates stay on the sweep engine ('' = off)")
 	cacheDir := flag.String("cache-dir", "", "persist compiled variants content-addressed under this directory so sweeps sharing it start warm ('' = in-memory only)")
 	verifyFlag := flag.Bool("verify", false, "statically verify every (program, plan) variant the sweep touches; any finding fails the run")
@@ -137,7 +139,7 @@ func main() {
 
 	engine, err := validateFlags(cliFlags{
 		Merge: *merge, Shard: *shard, Tune: *tuneFlag,
-		TuneMax: *tuneMax, TuneCheckEngine: *tuneCheck, Engine: *engineName,
+		TuneCheckEngine: *tuneCheck, Engine: *engineName,
 		Parallel: *parallel, Limit: *limit, CacheDir: *cacheDir,
 		Verify: *verifyFlag,
 	})
@@ -199,25 +201,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sess *session.Session
+	// One session carries the sweep: its variant store in memory or on
+	// -cache-dir, its plan memo in memory.
+	var store exec.VariantStore
 	if *cacheDir != "" {
-		store, err := exec.NewDiskStore(*cacheDir)
-		if err != nil {
+		if store, err = exec.NewDiskStore(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner: -cache-dir:", err)
 			os.Exit(1)
 		}
-		sess, err = session.New(session.Options{Engine: engine, Store: store})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
-		}
+	}
+	sess, err := session.New(session.Options{Engine: engine, Store: store})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evalrunner:", err)
+		os.Exit(1)
 	}
 
 	rep, err := harness.Run(harness.Config{
 		Scenarios: scenarios, Machines: machines, Parallelism: *parallel,
-		Tune: *tuneFlag, TuneMaxMeasured: *tuneMax,
-		TuneCheckEngine: exec.Engine(*tuneCheck),
-		Engine:          engine, Session: sess, Verify: *verifyFlag,
+		Tune: *tuneFlag, TuneCheckEngine: exec.Engine(*tuneCheck),
+		Session: sess, Verify: *verifyFlag,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
@@ -339,7 +341,6 @@ type cliFlags struct {
 	Merge           bool
 	Shard           string
 	Tune            bool
-	TuneMax         int
 	TuneCheckEngine string
 	Engine          string
 	Parallel        int
@@ -376,9 +377,6 @@ func validateFlags(f cliFlags) (exec.Engine, error) {
 	}
 	if f.CacheDir != "" && engine == exec.EngineWalk {
 		return "", fmt.Errorf("-cache-dir persists compiled variants; the walk engine re-interprets sources and compiles nothing")
-	}
-	if f.TuneMax != 0 && !f.Tune {
-		return "", fmt.Errorf("-tunemax only applies to -tune sweeps; pass -tune as well")
 	}
 	if f.TuneCheckEngine != "" {
 		if !f.Tune {

@@ -26,8 +26,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "shard alone", f: cliFlags{Shard: "0/2"}, engine: exec.EngineBytecode},
 		{name: "merge with shard", f: cliFlags{Merge: true, Shard: "0/2"}, wantErr: "-merge"},
 		{name: "merge with engine", f: cliFlags{Merge: true, Engine: "walk"}, wantErr: "-engine"},
-		{name: "tunemax without tune", f: cliFlags{TuneMax: 9}, wantErr: "-tunemax"},
-		{name: "tunemax with tune", f: cliFlags{Tune: true, TuneMax: 9}, engine: exec.EngineBytecode},
 		{name: "tiered tuning", f: cliFlags{Tune: true, TuneCheckEngine: "walk"}, engine: exec.EngineBytecode},
 		{name: "tune check without tune", f: cliFlags{TuneCheckEngine: "walk"}, wantErr: "-tune-check-engine"},
 		{name: "tune check unknown engine", f: cliFlags{Tune: true, TuneCheckEngine: "jit"}, wantErr: "unknown engine"},

@@ -23,8 +23,10 @@
 //	                plan's variant ({checked, clean, findings?}). The
 //	                first query for a (program shape, machine, search
 //	                params) tuple runs the seeded measured search; repeats
-//	                are served from the analysis-fingerprint memo with
-//	                memo_hit=true and no new search or compiles. Clean
+//	                are served from the session's plan memo (keyed on the
+//	                analysis fingerprint, the machine model and the search
+//	                params) with memo_hit=true and no new search or
+//	                compiles. Clean
 //	                verify verdicts land in the session store's ledger, so
 //	                repeats (and, with -cache-dir, restarts) skip
 //	                re-verification.

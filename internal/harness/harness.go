@@ -6,6 +6,14 @@
 // §4 protocol), and reports simulated makespans under each machine model.
 // The sweep is the repository's regression gate: a transformation change
 // that corrupts results or loses the overlap gain fails it.
+//
+// A sweep runs in one session.Session (the caller's, or a private default
+// one): its engine runs every measurement, its store holds every compiled
+// variant, and in tuned mode every (scenario, machine) search goes through
+// session.Session.Tune, so a search the session's plan memo already answered
+// is not run again. Tiered tuning is the harness's own step after each
+// choice, memo hits included: the original and the adopted plan are re-run
+// on the check engine and must reproduce what the search ranked on.
 package harness
 
 import (
@@ -61,15 +69,13 @@ type Config struct {
 	// fixed-K measurement, internal/tune picks the whole plan decision —
 	// K, wait schedule, send order, interchange gate — and the outcome
 	// records the chosen plan, the tuned speedup, and the search cost.
+	// Searches go through the session's plan memo (session.Session.Tune).
 	Tune bool
-	// TuneMaxMeasured caps measured candidates per (scenario, machine);
-	// <= 0 selects tune.DefaultMaxMeasured.
-	TuneMaxMeasured int
 	// TuneCheckEngine, when non-empty, makes tuning tiered: candidates are
-	// measured on the sweep engine, and only the original program and each
-	// adopted plan are re-run on this engine (the walk oracle in CI),
-	// requiring identical makespans and observables. Ignored when it names
-	// the sweep engine itself.
+	// measured on the sweep engine, and the original program and each
+	// adopted plan — memo hits included — are re-run on this engine (the
+	// walk oracle in CI), requiring identical makespans and observables.
+	// Ignored when it names the sweep engine itself.
 	TuneCheckEngine exec.Engine
 	// Verify enables the static verification tier: every (program, plan)
 	// variant the sweep touches — the fixed variant, every measured tuner
@@ -82,20 +88,13 @@ type Config struct {
 	// they do not mark the scenario errored (the dynamic oracle verdict
 	// stays independent).
 	Verify bool
-	// Engine selects the execution engine: exec.EngineBytecode (default)
-	// lowers each (program, plan) variant once into a register bytecode
-	// program, and exec.EngineWalk re-parses and tree-walks per run — the
-	// differential oracle. Fast-tier artifacts are shared through the
-	// sweep session's variant store.
-	Engine exec.Engine
-	// Session, when non-nil, supplies the variant store, plan memo, and
-	// engine the sweep runs through — two sweeps sharing a session share
-	// compiled variants (and, in tuned mode, memoized plans: the caller
-	// owns the fingerprint-aliasing assumption that makes memoized plans
-	// replayable). Nil gives each Run a private session (fresh in-memory
-	// store, no cross-run memoization) — the historical behavior, and
-	// what keeps concurrent sweeps in one process from sharing counters.
-	// A non-empty Engine must agree with the session's.
+	// Session supplies the execution engine, variant store and plan memo
+	// the sweep runs through — two sweeps sharing a session share compiled
+	// variants and, in tuned mode, memoized plans. Nil gives each Run a
+	// private default session (bytecode engine, fresh in-memory store,
+	// empty memo), so concurrent sweeps in one process never share
+	// counters. The walk oracle sweeps through a session built with
+	// session.Options{Engine: exec.EngineWalk}.
 	Session *session.Session
 }
 
@@ -363,40 +362,25 @@ func Run(cfg Config) (*Report, error) {
 	}
 	sess := cfg.Session
 	if sess == nil {
-		// A private session per Run: fresh in-memory variant store, no
-		// memoized plans. Concurrent sweeps in one process never share
-		// counters — the old process-global cache (and its test-only
-		// ResetCache escape hatch) is gone.
 		var err error
-		sess, err = session.New(session.Options{Engine: cfg.Engine})
-		if err != nil {
+		if sess, err = session.New(session.Options{}); err != nil {
 			return nil, fmt.Errorf("harness: %v", err)
 		}
-	} else if cfg.Engine != "" && cfg.Engine != sess.Engine() {
-		return nil, fmt.Errorf("harness: config engine %q disagrees with session engine %q",
-			cfg.Engine, sess.Engine())
 	}
 	engine := sess.Engine()
 	// Tiered tuning: resolve the check engine up front so a typo fails the
 	// sweep before any work; a check engine naming the sweep engine itself
 	// is a no-op (nothing to cross-check).
-	checkEngine := exec.Engine("")
+	var check *exec.Runner
 	if cfg.Tune && cfg.TuneCheckEngine != "" {
 		ce, err := exec.ParseEngine(string(cfg.TuneCheckEngine))
 		if err != nil {
 			return nil, fmt.Errorf("harness: tune check engine: %v", err)
 		}
 		if ce != engine {
-			checkEngine = ce
+			check = &exec.Runner{Engine: ce, Store: sess.Store()}
 		}
 	}
-	cfg.TuneCheckEngine = checkEngine
-	// Plans are memoized across queries only through an explicit shared
-	// session: a caller wiring one in accepts that fingerprint-equal
-	// (scenario, machine) pairs replay each other's plans. Default sweeps
-	// tune every pair from scratch, so the committed artifact never
-	// depends on the aliasing assumption.
-	memoPlans := cfg.Session != nil
 	par := cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -412,7 +396,7 @@ func Run(cfg Config) (*Report, error) {
 
 	states := make([]*scenarioState, len(scenarios))
 	for i, sc := range scenarios {
-		states[i] = newScenarioState(sc, machines, sess, memoPlans, vt)
+		states[i] = newScenarioState(sc, machines, sess, check, vt)
 	}
 
 	nm := len(machines)
@@ -429,7 +413,7 @@ func Run(cfg Config) (*Report, error) {
 	// rows already tell the story).
 	if cfg.Tune {
 		runTasks(par, len(states)*nm, func(ti int) {
-			states[ti/nm].tuneMachine(ti%nm, cfg)
+			states[ti/nm].tuneMachine(ti % nm)
 		})
 	}
 
@@ -438,8 +422,10 @@ func Run(cfg Config) (*Report, error) {
 		outcomes[i] = st.assemble(cfg.Tune)
 	}
 
-	rep := &Report{Schema: Schema, Engine: string(engine),
-		TuneCheckEngine: string(checkEngine), Verify: cfg.Verify, Scenarios: outcomes}
+	rep := &Report{Schema: Schema, Engine: string(engine), Verify: cfg.Verify, Scenarios: outcomes}
+	if check != nil {
+		rep.TuneCheckEngine = string(check.Engine)
+	}
 	for _, m := range machines {
 		rep.Machines = append(rep.Machines, m.Name)
 	}
@@ -505,9 +491,10 @@ type scenarioState struct {
 	arrays   []string
 	sess     *session.Session
 	runner   exec.Runner
-	// memoPlans gates the plan memo for wave 2 (only explicit shared
-	// sessions memoize plans across queries).
-	memoPlans bool
+	// check, when non-nil, is the tiered-tuning check runner; wave 1 then
+	// keeps what the check compares of each machine's original run in orig.
+	check *exec.Runner
+	orig  []*interp.Result
 	// verify, when non-nil, is the sweep-wide static verification tracker;
 	// verifyFixed holds the fixed variant's findings, verifyTuned the
 	// per-machine tuned-search findings.
@@ -532,7 +519,7 @@ type scenarioState struct {
 	tuneErr  []string
 }
 
-func newScenarioState(sc workload.Scenario, machines []plan.Machine, sess *session.Session, memoPlans bool, vt *verifyTracker) *scenarioState {
+func newScenarioState(sc workload.Scenario, machines []plan.Machine, sess *session.Session, check *exec.Runner, vt *verifyTracker) *scenarioState {
 	// The oracle compares all printed output plus the receive array every
 	// corpus kernel exposes; the send array is excluded because the indirect
 	// transformation legally makes it dead (§3.4). A scenario naming its own
@@ -542,13 +529,13 @@ func newScenarioState(sc workload.Scenario, machines []plan.Machine, sess *sessi
 	if len(sc.Arrays) > 0 {
 		arrays = sc.Arrays
 	}
-	return &scenarioState{
+	st := &scenarioState{
 		sc:          sc,
 		machines:    machinesFor(sc, machines),
 		arrays:      arrays,
 		sess:        sess,
 		runner:      sess.Runner(),
-		memoPlans:   memoPlans,
+		check:       check,
 		verify:      vt,
 		verifyTuned: make([][]string, len(machines)),
 		fixedPlan:   plan.Uniform(plan.Decision{K: sc.K}),
@@ -558,6 +545,10 @@ func newScenarioState(sc workload.Scenario, machines []plan.Machine, sess *sessi
 		tuned:       make([]*TunedRun, len(machines)),
 		tuneErr:     make([]string, len(machines)),
 	}
+	if check != nil {
+		st.orig = make([]*interp.Result, len(machines))
+	}
+	return st
 }
 
 // prepare analyzes the scenario and applies the fixed plan, once. The
@@ -623,9 +614,28 @@ func (st *scenarioState) runMachine(mi int) {
 		pr.Speedup = float64(times[0]) / float64(times[1])
 	}
 	st.profiles[mi] = pr
+	if st.orig != nil {
+		st.orig[mi] = observed(results[0], st.arrays)
+	}
 	if same, why := interp.SameObservable(results[0], results[1], st.arrays...); !same {
 		st.mismatch[mi] = fmt.Sprintf("%s: %s", m.Name, why)
 	}
+}
+
+// observed keeps of a run what SameObservable compares — the output and the
+// named arrays, digested — so that wave 1's originals wait for the tiered
+// check without holding every rank's arrays.
+func observed(res *interp.Result, arrays []string) *interp.Result {
+	out := &interp.Result{Output: res.Output, Arrays: make([]map[string]interface{}, len(res.Arrays))}
+	for r, all := range res.Arrays {
+		out.Arrays[r] = map[string]interface{}{}
+		for _, name := range arrays {
+			if data, ok := all[name]; ok {
+				out.Arrays[r][name] = interp.Digest(data)
+			}
+		}
+	}
+	return out
 }
 
 // clean reports whether the scenario prepared, ran, and passed the oracle
@@ -642,27 +652,18 @@ func (st *scenarioState) clean() bool {
 	return true
 }
 
-// tuneMachine runs the plan search for one machine (wave 2).
-func (st *scenarioState) tuneMachine(mi int, cfg Config) {
+// tuneMachine runs the plan search for one machine (wave 2) through the
+// session's plan memo, then the tiered check when one is configured.
+func (st *scenarioState) tuneMachine(mi int) {
 	if !st.clean() {
 		return
 	}
-	m := st.machines[mi]
-	opts := tune.Options{MaxMeasured: cfg.TuneMaxMeasured, Arrays: st.arrays,
-		Engine: st.sess.Engine(), Store: st.sess.Store(), CheckEngine: cfg.TuneCheckEngine}
-	if st.memoPlans {
-		opts.Memo = st.sess.Memo()
-	}
-	choices, err := tune.Tune(
-		tune.Input{Source: st.sc.Source, Program: st.prog, NP: st.sc.NP, FixedK: st.sc.K,
-			Machines: []plan.Machine{m}},
-		opts,
-	)
+	res, err := st.sess.Tune(st.prog, st.machines[mi], tune.Params{NP: st.sc.NP, FixedK: st.sc.K, Arrays: st.arrays})
 	if err != nil {
 		st.tuneErr[mi] = fmt.Sprintf("tune: %v", err)
 		return
 	}
-	c := choices[0]
+	c := res.Choice
 	tr := &TunedRun{
 		Profile: c.Machine, Offload: c.Offload,
 		Plan: c.Chosen, ChosenK: c.Chosen.K,
@@ -670,8 +671,13 @@ func (st *scenarioState) tuneMachine(mi int, cfg Config) {
 		FixedSpeedup: c.FixedSpeedup,
 		Divergent:    c.Divergent, UniformSpeedup: c.UniformSpeedup,
 		Evaluations: c.Evaluations, SearchSimNs: c.SearchSimNs,
-		TieredChecks: c.TieredChecks,
 		ReplayedRuns: c.ReplayedRuns, CertifiedRuns: c.CertifiedRuns,
+	}
+	if st.check != nil {
+		if tr.TieredChecks, err = st.tieredCheck(mi, c); err != nil {
+			st.tuneErr[mi] = fmt.Sprintf("tune: tiered check: %v", err)
+			return
+		}
 	}
 	for _, s := range c.Sites {
 		tr.Sites = append(tr.Sites, TunedSite{
@@ -682,6 +688,49 @@ func (st *scenarioState) tuneMachine(mi int, cfg Config) {
 	if st.verify != nil {
 		st.verifyTuned[mi] = st.verify.choice(st.prog, c)
 	}
+}
+
+// tieredCheck re-runs the original and the adopted plan of c on the check
+// engine and requires exact agreement with what the search ranked on: the
+// original's makespan, and its observables against wave 1's run on the
+// sweep engine (as kept by observed); the winner's makespan, and its
+// observables against the checked original. It returns the check runs
+// spent: one, plus one when the winner's source is not the original's.
+func (st *scenarioState) tieredCheck(mi int, c tune.Choice) (int, error) {
+	m, check := st.machines[mi], st.check
+	co, err := check.Run(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		return 0, fmt.Errorf("original under %s on %q: %w", m.Name, check.Engine, err)
+	}
+	if int64(co.Elapsed()) != c.OriginalNs {
+		return 0, fmt.Errorf("original makespan %d ns on %q vs %d ns on %q under %s",
+			int64(co.Elapsed()), check.Engine, c.OriginalNs, st.runner.Engine, m.Name)
+	}
+	if same, why := interp.SameObservable(st.orig[mi], co, st.arrays...); !same {
+		return 0, fmt.Errorf("original observables diverge between %q and %q under %s: %s",
+			st.runner.Engine, check.Engine, m.Name, why)
+	}
+	// core.Apply is memoized by plan key: re-materializing the winner's
+	// source is free.
+	winnerSrc, _, err := core.Apply(st.prog, c.Plan)
+	if err != nil {
+		return 0, fmt.Errorf("re-apply winner under %s: %w", m.Name, err)
+	}
+	if winnerSrc == st.sc.Source {
+		return 1, nil
+	}
+	cw, err := check.Run(winnerSrc, st.sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		return 0, fmt.Errorf("winner under %s on %q: %w", m.Name, check.Engine, err)
+	}
+	if int64(cw.Elapsed()) != c.PrepushNs {
+		return 0, fmt.Errorf("winner makespan %d ns on %q vs %d ns on %q under %s",
+			int64(cw.Elapsed()), check.Engine, c.PrepushNs, st.runner.Engine, m.Name)
+	}
+	if same, why := interp.SameObservable(co, cw, st.arrays...); !same {
+		return 0, fmt.Errorf("winner corrupts observables on %q under %s: %s", check.Engine, m.Name, why)
+	}
+	return 2, nil
 }
 
 // assemble folds the slots into the scenario's Outcome, deterministically:

@@ -25,6 +25,16 @@ func smallCorpus(t testing.TB, n int) []workload.Scenario {
 	return scenarios
 }
 
+// engineSession returns a fresh session running the named engine.
+func engineSession(t testing.TB, engine exec.Engine) *session.Session {
+	t.Helper()
+	sess, err := session.New(session.Options{Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
 // TestDifferentialSweep is the end-to-end conformance check on a corpus
 // prefix: every transformed program must produce bit-identical observable
 // results under both profiles.
@@ -120,7 +130,7 @@ func TestEnginesAgreeFixedAndTuned(t *testing.T) {
 		return string(b)
 	}
 	for _, tuned := range []bool{false, true} {
-		walk, err := Run(Config{Scenarios: corpus, Tune: tuned, Engine: exec.EngineWalk})
+		walk, err := Run(Config{Scenarios: corpus, Tune: tuned, Session: engineSession(t, exec.EngineWalk)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +138,7 @@ func TestEnginesAgreeFixedAndTuned(t *testing.T) {
 			t.Fatalf("engine recorded as %q", walk.Engine)
 		}
 		want := norm(walk)
-		fast, err := Run(Config{Scenarios: corpus, Tune: tuned, Engine: exec.EngineBytecode})
+		fast, err := Run(Config{Scenarios: corpus, Tune: tuned, Session: engineSession(t, exec.EngineBytecode)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +158,7 @@ func TestEnginesAgreeFixedAndTuned(t *testing.T) {
 // session.
 func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	corpus := smallCorpus(t, 3)
-	rep, err := Run(Config{Scenarios: corpus, Engine: exec.EngineBytecode})
+	rep, err := Run(Config{Scenarios: corpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +178,7 @@ func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	// A second private-session sweep compiles everything again (sessions
 	// are isolated); the same sweep through a shared session is served
 	// from the first sweep's store.
-	private, err := Run(Config{Scenarios: corpus, Engine: exec.EngineBytecode})
+	private, err := Run(Config{Scenarios: corpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +203,12 @@ func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	if again.Summary.VariantsCompiled != 0 {
 		t.Errorf("warm shared-session sweep compiled %d variants, want 0", again.Summary.VariantsCompiled)
 	}
-	walk, err := Run(Config{Scenarios: corpus, Engine: exec.EngineWalk})
+	walk, err := Run(Config{Scenarios: corpus, Session: engineSession(t, exec.EngineWalk)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if walk.Summary.VariantsCompiled != 0 || walk.Summary.CacheHits != 0 {
 		t.Errorf("walk sweep touched the variant store: %+v", walk.Summary)
-	}
-	// A config engine that disagrees with the session's is refused.
-	if _, err := Run(Config{Scenarios: corpus, Session: sess, Engine: exec.EngineWalk}); err == nil {
-		t.Error("engine/session disagreement accepted")
 	}
 }
 
@@ -269,11 +275,11 @@ func TestWarmDiskStoreAcrossSessions(t *testing.T) {
 // must not merge — the summed wall/cache counters would be meaningless.
 func TestMergeRejectsEngineMismatch(t *testing.T) {
 	corpus := smallCorpus(t, 2)
-	a, err := Run(Config{Scenarios: corpus[:1], Engine: exec.EngineBytecode})
+	a, err := Run(Config{Scenarios: corpus[:1], Session: engineSession(t, exec.EngineBytecode)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Scenarios: corpus[1:], Engine: exec.EngineWalk})
+	b, err := Run(Config{Scenarios: corpus[1:], Session: engineSession(t, exec.EngineWalk)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +322,17 @@ func TestTieredTuningSweep(t *testing.T) {
 	if checked.Summary.TieredChecks == 0 {
 		t.Fatal("tiered sweep recorded zero oracle check runs")
 	}
+	// Per row: one run for the original, one more unless the adopted plan
+	// skips every site (its source is the original's).
+	for _, o := range checked.Scenarios {
+		for _, tr := range o.Tuned {
+			skips, sites := tr.skipCounts()
+			if tr.TieredChecks < 1 || tr.TieredChecks > 2 || (skips == sites && tr.TieredChecks != 1) {
+				t.Errorf("%s on %s: %d check runs for a plan skipping %d of %d sites",
+					o.Name, tr.Profile, tr.TieredChecks, skips, sites)
+			}
+		}
+	}
 	plain, err := Run(Config{Scenarios: corpus, Tune: true})
 	if err != nil {
 		t.Fatal(err)
@@ -349,6 +366,111 @@ func TestTieredTuningSweep(t *testing.T) {
 	if noop.TuneCheckEngine != "" || noop.Summary.TieredChecks != 0 {
 		t.Fatalf("self-check sweep recorded engine %q / %d checks, want none",
 			noop.TuneCheckEngine, noop.Summary.TieredChecks)
+	}
+}
+
+// stripEconomics zeroes everything that depends on what a sweep's session
+// already knew — wall time, store and verify-ledger traffic, replays — so
+// what is left is the sweep's answer.
+func stripEconomics(r *Report) {
+	r.Summary.SweepWallNs = 0
+	r.Summary.VariantsCompiled, r.Summary.CacheHits, r.Summary.DiskHits = 0, 0, 0
+	r.Summary.VerifiedVariants, r.Summary.VerifySkipped, r.Summary.VerifyWallNs = 0, 0, 0
+	stripReplayCounters(r)
+}
+
+// tunedRows counts a report's tuned rows.
+func tunedRows(r *Report) int64 {
+	var n int64
+	for _, o := range r.Scenarios {
+		n += int64(len(o.Tuned))
+	}
+	return n
+}
+
+// TestMemoEqualsNoMemo: a tuned, verified sweep run in a private session,
+// through an explicit session, and again through that same session gives
+// one answer. The third run is answered by the plan memo — every row a
+// hit — and compiles nothing.
+func TestMemoEqualsNoMemo(t *testing.T) {
+	corpus := smallCorpus(t, 4)
+	cfg := Config{Scenarios: corpus, Tune: true, Verify: true}
+	sweep := func(sess *session.Session) *Report {
+		t.Helper()
+		c := cfg
+		c.Session = sess
+		rep, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Summary.Errors != 0 || rep.Summary.Correct != len(corpus) {
+			t.Fatalf("sweep failed:\n%s", rep.Table())
+		}
+		return rep
+	}
+	private := sweep(nil)
+	sess := engineSession(t, exec.Default)
+	first := sweep(sess)
+	hitsBefore := sess.Stats().Memo.Hits
+	again := sweep(sess)
+	if hits := sess.Stats().Memo.Hits - hitsBefore; hits != tunedRows(again) || hits == 0 {
+		t.Errorf("repeat sweep: %d memo hits for %d tuned rows", hits, tunedRows(again))
+	}
+	if again.Summary.VariantsCompiled != 0 {
+		t.Errorf("repeat sweep compiled %d variants, want 0", again.Summary.VariantsCompiled)
+	}
+	var want string
+	for i, r := range []*Report{private, first, again} {
+		stripEconomics(r)
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = string(b)
+		} else if string(b) != want {
+			t.Errorf("sweep %d differs from the private-session sweep:\n%s\nvs\n%s", i, b, want)
+		}
+	}
+}
+
+// TestMemoHitsAreWalkChecked: the tiered check runs after every choice, memo
+// hits included. A walk-checked sweep through a session whose memo an
+// unchecked sweep filled answers every row from the memo, checks every row,
+// and equals a fresh walk-checked sweep.
+func TestMemoHitsAreWalkChecked(t *testing.T) {
+	corpus := smallCorpus(t, 3)
+	sess := engineSession(t, exec.Default)
+	if _, err := Run(Config{Scenarios: corpus, Tune: true, Session: sess}); err != nil {
+		t.Fatal(err)
+	}
+	hitsBefore := sess.Stats().Memo.Hits
+	checked := Config{Scenarios: corpus, Tune: true, TuneCheckEngine: exec.EngineWalk}
+	fresh, err := Run(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked.Session = sess
+	warm, err := Run(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := sess.Stats().Memo.Hits - hitsBefore; hits != tunedRows(warm) || hits == 0 {
+		t.Fatalf("checked sweep over a filled memo: %d hits for %d tuned rows", hits, tunedRows(warm))
+	}
+	for _, o := range warm.Scenarios {
+		for _, tr := range o.Tuned {
+			if tr.TieredChecks < 1 {
+				t.Errorf("%s on %s: memo hit with %d walk checks", o.Name, tr.Profile, tr.TieredChecks)
+			}
+		}
+	}
+	stripEconomics(fresh)
+	stripEconomics(warm)
+	a, _ := json.Marshal(fresh)
+	b, _ := json.Marshal(warm)
+	if string(a) != string(b) {
+		t.Errorf("checked sweep over a filled memo differs from a fresh checked sweep:\n%s\nvs\n%s", b, a)
 	}
 }
 

@@ -271,7 +271,7 @@ func diffData(a, b interface{}) string {
 	_, aDigest := a.(ArrayDigest)
 	if _, bDigest := b.(ArrayDigest); aDigest || bDigest {
 		// A replay holds digests: equal or not is all there is to say.
-		if da, db := digestOf(a), digestOf(b); da != db {
+		if da, db := Digest(a), Digest(b); da != db {
 			return fmt.Sprintf("digest %+v vs %+v", da, db)
 		}
 		return ""

@@ -113,8 +113,10 @@ type ArrayDigest struct {
 	Sum  uint64
 }
 
-// digestOf digests final-array data (or passes a digest through).
-func digestOf(data interface{}) ArrayDigest {
+// Digest digests final-array data (or passes a digest through): what a
+// replay's Result holds for an array, and what a caller keeps of a run it
+// compares against much later.
+func Digest(data interface{}) ArrayDigest {
 	const mul = 0x9E3779B97F4A7C15
 	mix := func(h, w uint64) uint64 { h = (h ^ w) * mul; return h ^ h>>32 }
 	var d ArrayDigest
@@ -159,7 +161,7 @@ func NewSkeleton(traces []*RankTrace, res *Result, err error) *Skeleton {
 	for _, arrs := range res.Arrays {
 		digests := make(map[string]interface{}, len(arrs))
 		for name, data := range arrs {
-			digests[name] = digestOf(data)
+			digests[name] = Digest(data)
 		}
 		s.arrays = append(s.arrays, digests)
 	}

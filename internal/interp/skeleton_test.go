@@ -16,7 +16,7 @@ func TestArrayDigestStandsForItsData(t *testing.T) {
 		return &Result{Output: [][]string{nil}, Arrays: []map[string]interface{}{{"a": a, "b": b}}}
 	}
 	data := result(ints, reals)
-	digests := result(digestOf(ints), digestOf(reals))
+	digests := result(Digest(ints), Digest(reals))
 	for _, pair := range [][2]*Result{{data, digests}, {digests, data}, {digests, digests}} {
 		if same, why := SameOutput(pair[0], pair[1]); !same {
 			t.Fatalf("digest does not stand for its data: %s", why)

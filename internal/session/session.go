@@ -1,20 +1,30 @@
 // Package session scopes the pipeline's shared state — the compiled-variant
-// store, the plan memo, and the execution engine — into one injected object
-// instead of package globals. A Session is what a long-lived service holds:
-// repeat tuning queries hit the memo, repeat variant executions hit the
-// store, and two sessions in one process never share counters. The
-// zero-configuration default is a fresh in-memory store, a fresh memo and
-// the bytecode engine.
+// store, the plan memo, cached analyses and the execution engine — into one
+// injected object instead of package globals. A Session is what a long-lived
+// service holds: repeat tuning queries hit the memo, repeat variant
+// executions hit the store, and two sessions in one process never share
+// counters. The zero-configuration default is a fresh in-memory store, an
+// empty memo and the bytecode engine.
+//
+// Tune is the one road into the tuner, for plan queries (Plan) and harness
+// sweeps alike. Its memo key is complete: the analysis fingerprint, the
+// machine model by value (name, network profile, CPU cost model) and every
+// search parameter, so a memo hit is the choice a fresh search would make
+// and any caller may memoize through its session.
 package session
 
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/interp"
+	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/tune"
 	"repro/internal/verify"
@@ -28,9 +38,6 @@ type Options struct {
 	// store private to this session. Pass an exec.DiskStore to carry
 	// variant knowledge across processes.
 	Store exec.VariantStore
-	// Memo caches tuning outcomes by analysis fingerprint; nil means a
-	// fresh memo private to this session.
-	Memo *tune.Memo
 }
 
 // Session carries the pipeline state one service instance shares across
@@ -62,14 +69,10 @@ func New(opts Options) (*Session, error) {
 	if store == nil {
 		store = exec.NewMemStore()
 	}
-	memo := opts.Memo
-	if memo == nil {
-		memo = tune.NewMemo()
-	}
 	return &Session{
 		engine:   engine,
 		store:    store,
-		memo:     memo,
+		memo:     tune.NewMemo(),
 		programs: map[programKey]*core.Program{},
 	}, nil
 }
@@ -79,9 +82,6 @@ func (s *Session) Engine() exec.Engine { return s.engine }
 
 // Store returns the session's variant store.
 func (s *Session) Store() exec.VariantStore { return s.store }
-
-// Memo returns the session's plan memo.
-func (s *Session) Memo() *tune.Memo { return s.memo }
 
 // Runner returns the execution handle binding the session's engine to its
 // store.
@@ -137,18 +137,20 @@ type Query struct {
 	Arrays []string `json:"arrays,omitempty"`
 }
 
-// Result is a plan query's outcome.
+// Result is one search's outcome, memoized or fresh.
 type Result struct {
-	// Fingerprint is the analysis fingerprint the memo keyed on.
+	// Fingerprint is the analysis fingerprint: the program-shape part of the
+	// memo key.
 	Fingerprint string `json:"fingerprint"`
-	// MemoHit reports whether the plan came from the memo (no search ran).
+	// MemoHit reports whether the plan came from the memo (no search ran;
+	// the recorded measurements are the original search's).
 	MemoHit bool `json:"memo_hit"`
 	// Choice is the tuning outcome; Choice.Plan is the replayable plan.
 	Choice tune.Choice `json:"choice"`
 }
 
-// Plan answers one tuning query through the session's memo and store: the
-// first query for a (program-shape, machine) pair runs the seeded search,
+// Plan answers one tuning query through Tune: the first query for a
+// (program shape, machine, search parameters) tuple runs the seeded search,
 // repeats are O(memo lookup).
 func (s *Session) Plan(q Query) (*Result, error) {
 	if q.Source == "" {
@@ -169,29 +171,57 @@ func (s *Session) Plan(q Query) (*Result, error) {
 	if err != nil {
 		return nil, queryError{fmt.Errorf("session: analyze: %w", err)}
 	}
-	choices, err := tune.Tune(tune.Input{
-		Source:   q.Source,
-		Program:  prog,
-		NP:       q.NP,
-		FixedK:   fixedK,
-		Machines: []plan.Machine{m},
-	}, tune.Options{
-		MaxMeasured: q.MaxMeasured,
-		Arrays:      q.Arrays,
-		Engine:      s.engine,
-		Store:       s.store,
-		Memo:        s.memo,
-	})
+	return s.Tune(prog, m, tune.Params{NP: q.NP, FixedK: fixedK, MaxMeasured: q.MaxMeasured, Arrays: q.Arrays})
+}
+
+// memoKey is everything a search's outcome depends on: the program shape
+// (core.Fingerprint — site facts, analysis rank count, normalized code), the
+// machine model by value and the search parameters. Array order is not a
+// parameter, so arrays are sorted before joining; every non-positive budget
+// selects the same default.
+type memoKey struct {
+	fingerprint string
+	machine     string
+	profile     netsim.Profile
+	costs       interp.CostModel
+	np          int
+	fixedK      int64
+	maxMeasured int
+	arrays      string
+}
+
+func newMemoKey(fingerprint string, m plan.Machine, p tune.Params) memoKey {
+	arrays := strings.Join(p.Arrays, ",")
+	if len(p.Arrays) > 1 {
+		sorted := append([]string(nil), p.Arrays...)
+		sort.Strings(sorted)
+		arrays = strings.Join(sorted, ",")
+	}
+	return memoKey{
+		fingerprint: fingerprint, machine: m.Name, profile: m.Profile, costs: m.Costs,
+		np: p.NP, fixedK: p.FixedK, maxMeasured: max(p.MaxMeasured, 0), arrays: arrays,
+	}
+}
+
+// Tune answers one search through the session's plan memo: a hit returns
+// the stored choice (no search, no runs, zero replayed and certified runs);
+// a miss runs tune.Tune on the session's runner, stores the choice and adds
+// its replayed and certified runs to the session counters.
+func (s *Session) Tune(prog *core.Program, m plan.Machine, p tune.Params) (*Result, error) {
+	fp := core.Fingerprint(prog, m.Name)
+	key := newMemoKey(fp, m, p)
+	if ch, ok := s.memo.Lookup(key); ok {
+		ch.ReplayedRuns, ch.CertifiedRuns = 0, 0
+		return &Result{Fingerprint: fp, MemoHit: true, Choice: ch}, nil
+	}
+	ch, err := tune.Tune(prog, m, p, s.Runner())
 	if err != nil {
 		return nil, err
 	}
-	s.replayed.Add(int64(choices[0].ReplayedRuns))
-	s.certified.Add(int64(choices[0].CertifiedRuns))
-	return &Result{
-		Fingerprint: core.Fingerprint(prog, m.Name),
-		MemoHit:     choices[0].MemoHit,
-		Choice:      choices[0],
-	}, nil
+	s.memo.Store(key, ch)
+	s.replayed.Add(int64(ch.ReplayedRuns))
+	s.certified.Add(int64(ch.CertifiedRuns))
+	return &Result{Fingerprint: fp, Choice: ch}, nil
 }
 
 // ErrQuery marks a Plan failure caused by the query itself

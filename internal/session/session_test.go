@@ -2,11 +2,15 @@ package session_test
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/interp"
 	"repro/internal/plan"
 	"repro/internal/session"
+	"repro/internal/tune"
 	"repro/internal/workload"
 )
 
@@ -14,8 +18,10 @@ func testSource() string {
 	return workload.DirectSource(workload.DirectParams{NX: 4096, NP: 4})
 }
 
-// TestPlanMemoHitOnRepeatQuery: the second identical query must come from
-// the memo — same plan, no new compiled variants, no search.
+// TestPlanMemoHitOnRepeatQuery: the second identical query — and a query
+// whose source differs only in a comment, the same tuning problem — must
+// come from the memo: same plan, same fingerprint, no new compiled
+// variants, no search.
 func TestPlanMemoHitOnRepeatQuery(t *testing.T) {
 	s, err := session.New(session.Options{})
 	if err != nil {
@@ -38,24 +44,81 @@ func TestPlanMemoHitOnRepeatQuery(t *testing.T) {
 		t.Fatal("cold query compiled nothing")
 	}
 
-	second, err := s.Plan(q)
+	lines := strings.SplitN(testSource(), "\n", 2)
+	for round, src := range []string{testSource(), lines[0] + " ! incidental\n" + lines[1]} {
+		q.Source = src
+		again, err := s.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.MemoHit {
+			t.Fatalf("round %d: repeat query was not served from the memo", round)
+		}
+		if again.Choice.Plan.Key() != first.Choice.Plan.Key() {
+			t.Fatalf("round %d: memoized plan differs from the tuned plan", round)
+		}
+		if again.Fingerprint != first.Fingerprint {
+			t.Fatalf("round %d: fingerprint unstable across identical queries", round)
+		}
+	}
+	if got := s.Store().Stats().Compiled; got != compiled {
+		t.Fatalf("repeat queries compiled %d new variants, want 0", got-compiled)
+	}
+	if st := s.Stats(); st.Memo.Hits != 2 {
+		t.Fatalf("session stats = %+v, want two memo hits", st)
+	}
+}
+
+// TestMemoKeySplitsOnMachineModel: the memo keys on the machine model by
+// value, not by name. Tuning direct/nx1024/np4/K256 on mpich-gm-2005 with the
+// scenario's heavy cost model must not answer the same machine name with the
+// default cost model: that query misses and reports what a fresh search
+// measures (original 260 235 ns), not the heavy model's 272 523 ns.
+func TestMemoKeySplitsOnMachineModel(t *testing.T) {
+	var sc workload.Scenario
+	for _, c := range workload.GenerateScenarios(workload.GenOptions{}) {
+		if c.Name == "direct/nx1024/np4/K256" {
+			sc = c
+		}
+	}
+	if sc.Costs == nil {
+		t.Fatal("direct/nx1024/np4/K256 with a cost override not in the corpus")
+	}
+	p := tune.Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}
+	heavy, light := plan.MPICHGM2005(), plan.MPICHGM2005()
+	heavy.Costs, light.Costs = *sc.Costs, interp.DefaultCosts()
+	tuneOn := func(s *session.Session, m plan.Machine) *session.Result {
+		t.Helper()
+		prog, err := s.Analyze(sc.Source, int64(sc.NP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Tune(prog, m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	s, err := session.New(session.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.MemoHit {
-		t.Fatal("repeat query was not served from the memo")
+	if res := tuneOn(s, heavy); res.MemoHit || res.Choice.OriginalNs != 272523 {
+		t.Fatalf("heavy costs: memo hit %v, original %d ns; want a fresh search at 272523 ns", res.MemoHit, res.Choice.OriginalNs)
 	}
-	if second.Choice.Plan.Key() != first.Choice.Plan.Key() {
-		t.Fatal("memoized plan differs from the tuned plan")
+	got := tuneOn(s, light)
+	if got.MemoHit || got.Choice.OriginalNs != 260235 {
+		t.Fatalf("default costs: memo hit %v, original %d ns; want a miss at 260235 ns", got.MemoHit, got.Choice.OriginalNs)
 	}
-	if second.Fingerprint != first.Fingerprint {
-		t.Fatal("fingerprint unstable across identical queries")
+	fresh, err := session.New(session.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Store().Stats().Compiled; got != compiled {
-		t.Fatalf("repeat query compiled %d new variants, want 0", got-compiled)
-	}
-	if st := s.Stats(); st.Memo.Hits != 1 {
-		t.Fatalf("session stats = %+v, want one memo hit", st)
+	want := tuneOn(fresh, light)
+	got.Choice.ReplayedRuns, got.Choice.CertifiedRuns = 0, 0
+	want.Choice.ReplayedRuns, want.Choice.CertifiedRuns = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("default costs after heavy costs differ from a fresh search:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

@@ -1,29 +1,25 @@
 package tune
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/plan"
 )
 
-// Memo caches tuning outcomes by analysis fingerprint: a (program-shape,
-// machine) pair that has been tuned once returns its Choice without
-// re-running the search. The underlying assumption is the fingerprint's —
-// two programs with the same fingerprint present the same tuning problem
-// (same sites, same facts, same normalized compute structure, same
-// machine), so the search would retrace the same candidates to the same
-// winner. This is what turns repeat plan queries from O(sweep) into
-// O(lookup) for a long-lived service.
+// Memo stores tuning outcomes under their caller's key: a query answered
+// once returns its Choice without re-running the search. The key is any
+// comparable value, and it is the caller's promise — two queries under one
+// key must present the same search, so that a hit equals what a fresh Tune
+// would return. session.Session keys on the analysis fingerprint, the whole
+// machine model and every search parameter; that is what turns repeat plan
+// queries from O(sweep) into O(lookup) for a long-lived service.
 //
 // The memo stores deep copies and hands out deep copies: callers mutate
 // their Choice (harness rows annotate it) without corrupting the cache.
 // Safe for concurrent use.
 type Memo struct {
 	mu      sync.Mutex
-	entries map[string]Choice
+	entries map[any]Choice
 	stats   MemoStats
 }
 
@@ -36,12 +32,12 @@ type MemoStats struct {
 
 // NewMemo returns an empty plan memo.
 func NewMemo() *Memo {
-	return &Memo{entries: map[string]Choice{}}
+	return &Memo{entries: map[any]Choice{}}
 }
 
 // Lookup returns the memoized choice for the key, deep-copied, and whether
 // one exists.
-func (m *Memo) Lookup(key string) (Choice, bool) {
+func (m *Memo) Lookup(key any) (Choice, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.entries[key]
@@ -56,7 +52,7 @@ func (m *Memo) Lookup(key string) (Choice, bool) {
 // Store memoizes a tuning outcome under the key (deep-copied; the last
 // store wins on a racing duplicate — both raced the same search on the
 // same problem, so the outcomes agree).
-func (m *Memo) Store(key string, ch Choice) {
+func (m *Memo) Store(key any, ch Choice) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries[key] = cloneChoice(ch)
@@ -68,19 +64,6 @@ func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// MemoKey builds the memo key for a tuning query: the analysis fingerprint
-// (which already covers the machine and the program shape) extended with
-// every search parameter that steers the outcome — rank count, fixed-K
-// baseline, measurement budget, and the oracle's observable arrays. Two
-// queries agreeing on all of it would run the identical deterministic
-// search.
-func MemoKey(fingerprint string, in Input, maxMeasured int, arrays []string) string {
-	sorted := append([]string(nil), arrays...)
-	sort.Strings(sorted)
-	return fmt.Sprintf("%s|np=%d|fixedk=%d|maxm=%d|arrays=%s",
-		fingerprint, in.NP, in.FixedK, maxMeasured, strings.Join(sorted, ","))
 }
 
 // cloneChoice deep-copies a Choice: the plan, the per-site choices (and

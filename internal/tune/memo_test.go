@@ -1,123 +1,45 @@
 package tune
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
-// memoTestInput is a small single-site kernel plus machines, cheap enough
-// to tune twice in a unit test.
-func memoTestInput() Input {
-	return Input{
-		Source: workload.DirectSource(workload.DirectParams{NX: 4096, NP: 4}),
-		NP:     4,
-		FixedK: 256,
-		Machines: []plan.Machine{
-			plan.MPICHGM2005(),
-			plan.MPICHTCP2005(),
-		},
-	}
-}
-
-// TestMemoShortCircuitsRepeatQueries: the second Tune over the same
-// (shape, machine) pair must be served from the memo — same plan, no
-// additional measured runs against the variant store.
-func TestMemoShortCircuitsRepeatQueries(t *testing.T) {
-	in := memoTestInput()
-	memo := NewMemo()
-	store := exec.NewMemStore()
-	opts := Options{Memo: memo, Store: store}
-
-	first, err := Tune(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiledAfterFirst := store.Stats().Compiled
-	if compiledAfterFirst == 0 {
-		t.Fatal("first tune measured nothing through the store")
-	}
-	for _, ch := range first {
-		if ch.MemoHit {
-			t.Fatalf("%s: fresh search marked as memo hit", ch.Machine)
-		}
-	}
-	st := memo.Stats()
-	if st.Hits != 0 || st.Misses != int64(len(in.Machines)) || st.Entries != int64(len(in.Machines)) {
-		t.Fatalf("memo stats after first tune = %+v", st)
-	}
-
-	second, err := Tune(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := store.Stats().Compiled; got != compiledAfterFirst {
-		t.Fatalf("repeat query compiled %d new variants, want 0", got-compiledAfterFirst)
-	}
-	if st := memo.Stats(); st.Hits != int64(len(in.Machines)) {
-		t.Fatalf("memo stats after repeat tune = %+v", st)
-	}
-	for i, ch := range second {
-		if !ch.MemoHit {
-			t.Fatalf("%s: repeat query not served from memo", ch.Machine)
-		}
-		if ch.Plan.Key() != first[i].Plan.Key() {
-			t.Fatalf("%s: memoized plan differs from the tuned plan", ch.Machine)
-		}
-		if ch.Speedup != first[i].Speedup || ch.Evaluations != first[i].Evaluations {
-			t.Fatalf("%s: memoized measurements differ: %+v vs %+v", ch.Machine, ch, first[i])
-		}
-	}
-}
-
 // TestMemoAliasesShapeIdenticalSources: a source differing only in a
-// trailing comment presents the identical tuning problem, so the memo must
-// serve it without a second search — the whole point of fingerprint keys
-// over content keys.
+// trailing comment presents the identical tuning problem — the same
+// fingerprint and, searched afresh, the same choice — which is what lets a
+// memo keyed on fingerprints (session.Session.Tune) serve one from the
+// other.
 func TestMemoAliasesShapeIdenticalSources(t *testing.T) {
-	in := memoTestInput()
-	in.Machines = in.Machines[:1]
-	memo := NewMemo()
-	opts := Options{Memo: memo, Store: exec.NewMemStore()}
-	if _, err := Tune(in, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	tweaked := in
-	lines := strings.SplitN(in.Source, "\n", 2)
-	tweaked.Source = lines[0] + " ! incidental\n" + lines[1]
-	got, err := Tune(tweaked, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].MemoHit {
-		t.Fatal("shape-identical source missed the memo")
-	}
-}
-
-// TestMemoSplitsOnSearchParameters: a different rank count, fixed K, budget
-// or array set would run a different search, so none of them may alias.
-func TestMemoSplitsOnSearchParameters(t *testing.T) {
-	base := MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, []string{"ar"})
-	variants := []string{
-		MemoKey("fp1-x", Input{NP: 8, FixedK: 256}, 14, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 128}, 14, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 20, []string{"ar"}),
-		MemoKey("fp1-x", Input{NP: 4, FixedK: 256}, 14, []string{"ar", "br"}),
-		MemoKey("fp1-y", Input{NP: 4, FixedK: 256}, 14, []string{"ar"}),
-	}
-	for i, v := range variants {
-		if v == base {
-			t.Errorf("variant %d aliases the base memo key: %s", i, v)
+	src := workload.DirectSource(workload.DirectParams{NX: 4096, NP: 4})
+	lines := strings.SplitN(src, "\n", 2)
+	tweaked := lines[0] + " ! incidental\n" + lines[1]
+	m := plan.MPICHGM2005()
+	var fps []string
+	var choices []Choice
+	for _, s := range []string{src, tweaked} {
+		prog, err := core.Analyze(s, core.AnalyzeOptions{NP: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ch, err := Tune(prog, m, Params{NP: 4, FixedK: 256}, exec.Runner{Store: exec.NewMemStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, core.Fingerprint(prog, m.Name))
+		choices = append(choices, ch)
 	}
-	// Array order is not a search parameter.
-	if MemoKey("fp1-x", Input{NP: 4}, 14, []string{"br", "ar"}) !=
-		MemoKey("fp1-x", Input{NP: 4}, 14, []string{"ar", "br"}) {
-		t.Error("memo key depends on array order")
+	if fps[0] != fps[1] {
+		t.Fatalf("shape-identical sources fingerprint apart: %s vs %s", fps[0], fps[1])
+	}
+	if !reflect.DeepEqual(choices[0], choices[1]) {
+		t.Errorf("shape-identical sources tuned apart:\n%+v\nvs\n%+v", choices[0], choices[1])
 	}
 }
 

@@ -33,12 +33,20 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 				ms[i].Costs = *sc.Costs
 			}
 		}
-		in := Input{Source: sc.Source, Program: prog, NP: sc.NP, FixedK: sc.K, Machines: ms}
+		p := Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}
 		store := exec.NewMemStore()
-		choices, err := Tune(in, Options{Store: store, Arrays: sc.Arrays})
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
+		tuneAll := func(runner exec.Runner) []Choice {
+			var out []Choice
+			for _, m := range ms {
+				ch, err := Tune(prog, m, p, runner)
+				if err != nil {
+					t.Fatalf("%s on %s (%s): %v", sc.Name, m.Name, runner.Engine, err)
+				}
+				out = append(out, ch)
+			}
+			return out
 		}
+		choices := tuneAll(exec.Runner{Store: store})
 		plans := &search{sites: siteStates(prog)}
 		replays := 0
 		for i, ch := range choices {
@@ -77,10 +85,7 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 		if choices[0].ReplayedRuns != 0 || replays == 0 {
 			t.Errorf("%s: %d replays under the first machine, %d in all; want 0 and some", sc.Name, choices[0].ReplayedRuns, replays)
 		}
-		walk, err := Tune(in, Options{Engine: exec.EngineWalk, Arrays: sc.Arrays})
-		if err != nil {
-			t.Fatalf("%s: walk: %v", sc.Name, err)
-		}
+		walk := tuneAll(exec.Runner{Engine: exec.EngineWalk})
 		for i := range walk {
 			if walk[i].ReplayedRuns != 0 || walk[i].CertifiedRuns != 0 {
 				t.Errorf("%s on %s: the walk engine replayed", sc.Name, walk[i].Machine)
@@ -158,8 +163,8 @@ func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
 		t.Fatal(err)
 	}
 	s := &search{
-		in: Input{Source: racyOriginal, NP: 2}, machine: m, sites: []siteState{{key: "hand"}},
-		arrays: []string{"b"}, maxM: 4, runner: runner, orig: orig, origNs: int64(orig.Elapsed()),
+		src: racyOriginal, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
+		maxM: 4, runner: runner, orig: orig, origNs: int64(orig.Elapsed()),
 		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
 		replayed: map[*Candidate]func() (*interp.Result, error){},
 	}

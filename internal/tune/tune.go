@@ -35,6 +35,12 @@
 // ranks and never certifies: each search executes its original under its own
 // machine, a replayed "not identical" is re-taken from an execution, and an
 // adopted plan measured by replay is executed once before the search returns.
+//
+// Tune is the search and nothing around it: the caller analyzes the program,
+// picks the machine, and owns the runner (engine and variant store) every
+// measurement goes through. Memoizing outcomes across queries is
+// session.Session's job (Memo is its storage), and re-checking adopted plans
+// on another engine is the harness's.
 package tune
 
 import (
@@ -75,47 +81,17 @@ func resolveMaxMeasured(requested, sites int) int {
 	return DefaultMaxMeasured + PerSiteExtraMeasured*(sites-1)
 }
 
-// Input is the kernel to tune.
-type Input struct {
-	Source string // untransformed Fortran source
-	// Program optionally reuses an already-analyzed core.Program for the
-	// same source (sharing its analysis and plan-key memo, so variants the
-	// caller already generated are not re-transformed); nil re-analyzes
-	// Source.
-	Program  *core.Program
-	NP       int   // rank count
-	FixedK   int64 // the fixed tile size used as the search baseline
-	Machines []plan.Machine
-}
-
-// Options configures the search.
-type Options struct {
-	// MaxMeasured caps simulated pre-push runs per machine (seeds plus
-	// refinement and knob flips); <= 0 selects DefaultMaxMeasured plus
-	// PerSiteExtraMeasured per site beyond the first.
+// Params are the search parameters besides the program and the machine.
+type Params struct {
+	NP     int   // rank count
+	FixedK int64 // the fixed tile size used as the search baseline
+	// MaxMeasured caps simulated pre-push runs (seeds plus refinement and
+	// knob flips); <= 0 selects DefaultMaxMeasured plus PerSiteExtraMeasured
+	// per site beyond the first.
 	MaxMeasured int
 	// Arrays names the observable arrays the oracle compares (besides all
 	// printed output); empty means {"ar"}.
 	Arrays []string
-	// Engine selects the execution engine for every measured run; ""
-	// means exec.Default (the bytecode engine).
-	Engine exec.Engine
-	// CheckEngine, when non-empty and different from Engine, re-runs just
-	// the original program and the adopted plan on this engine after the
-	// search and requires bit-identical makespans and observables — the
-	// tiered-tuning contract: candidates are measured on the fast tier,
-	// the winner stays oracle-backed. "" disables the re-check.
-	CheckEngine exec.Engine
-	// Store caches compiled variants, and with them their run skeletons,
-	// across measured runs (revisiting a candidate on another machine
-	// compiles nothing and executes nothing); nil gives this call a private
-	// in-memory store.
-	Store exec.VariantStore
-	// Memo, when non-nil, short-circuits the search for (fingerprint,
-	// machine) pairs tuned before and records fresh outcomes. The caller
-	// owns the aliasing assumption: programs that share an analysis
-	// fingerprint are handed each other's plans.
-	Memo *Memo
 }
 
 // Candidate is one evaluated whole-plan decision vector under one machine.
@@ -172,13 +148,6 @@ type Choice struct {
 	Evaluations    int         `json:"evaluations"`   // measured pre-push runs
 	SearchSimNs    int64       `json:"search_sim_ns"` // simulated time spent searching
 	Candidates     []Candidate `json:"candidates"`
-	// MemoHit marks a choice served from the plan memo: no search ran for
-	// this query; the recorded measurements are the original search's.
-	MemoHit bool `json:"memo_hit,omitempty"`
-	// TieredChecks counts the check-engine runs this choice was verified
-	// with (0 when tiered checking was off or the choice came from the
-	// memo).
-	TieredChecks int `json:"tiered_checks,omitempty"`
 	// ReplayedRuns counts the evaluations answered by replaying a variant's
 	// skeleton (see the package comment), CertifiedRuns the executions behind
 	// winners so measured. Which search reached a variant first decides both:
@@ -194,83 +163,40 @@ type siteState struct {
 	ladder []int64
 }
 
-// Tune searches plan space for the kernel under every machine. The search
-// is fully deterministic: the same input and options always produce the
-// same choices (candidates are visited in sorted order, ties prefer the
-// default knobs and then the smaller K). Transformed variants are shared
-// across machines through core.Apply's plan-key memo, so a candidate plan
-// is generated at most once per kernel.
-func Tune(in Input, opts Options) ([]Choice, error) {
-	arrays := opts.Arrays
-	if len(arrays) == 0 {
-		arrays = []string{"ar"}
-	}
-	engine, err := exec.ParseEngine(string(opts.Engine))
-	if err != nil {
-		return nil, fmt.Errorf("tune: %v", err)
-	}
-	store := opts.Store
-	if store == nil {
-		store = exec.NewMemStore()
-	}
-	var check *exec.Runner
-	if opts.CheckEngine != "" {
-		checkEngine, err := exec.ParseEngine(string(opts.CheckEngine))
-		if err != nil {
-			return nil, fmt.Errorf("tune: check engine: %v", err)
-		}
-		if checkEngine != engine {
-			check = &exec.Runner{Engine: checkEngine, Store: store}
-		}
-	}
-
-	prog := in.Program
-	if prog == nil {
-		var err error
-		prog, err = core.Analyze(in.Source, core.AnalyzeOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("tune: parse: %w", err)
-		}
-	}
-	if in.Source == "" {
-		in.Source = prog.Source()
+// Tune runs the seeded, measured search for the analyzed program under
+// machine m, every run going through runner: the uniform stage first (all
+// sites share one decision — the historical single-site search, and the
+// best-uniform baseline), then coordinate descent across the sites. The
+// search is fully deterministic: the same program, machine and parameters
+// always produce the same choice (candidates are visited in sorted order,
+// ties prefer the default knobs and then the smaller K); the runner's store
+// decides only what is replayed rather than executed. Transformed variants
+// are shared across calls through core.Apply's plan-key memo on prog, so a
+// candidate plan is generated at most once per program.
+func Tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
+	if len(p.Arrays) == 0 {
+		p.Arrays = []string{"ar"}
 	}
 	sites := siteStates(prog)
 	if len(sites) == 0 {
-		return nil, fmt.Errorf("tune: transform does not fire on this kernel: %s", firstReason(prog))
+		return Choice{}, fmt.Errorf("tune: transform does not fire on this kernel: %s", firstReason(prog))
 	}
-	maxM := resolveMaxMeasured(opts.MaxMeasured, len(sites))
-	// Uniform ladder: the union of every site's rungs. A rung one site
-	// rejects at evaluation time is skipped without costing a measurement.
-	var uniformLadder []int64
-	for _, st := range sites {
-		uniformLadder = mergeLadders(uniformLadder, st.ladder)
+	// Executed in full whatever the store knows: every verdict compares
+	// against this run under this machine.
+	src := prog.Source()
+	orig, err := runner.Run(src, p.NP, m.Costs, m.Profile)
+	if err != nil {
+		return Choice{}, fmt.Errorf("tune: original run under %s: %w", m.Name, err)
 	}
-
-	runner := exec.Runner{Engine: engine, Store: store}
-
-	var choices []Choice
-	for _, m := range in.Machines {
-		var memoKey string
-		if opts.Memo != nil {
-			memoKey = MemoKey(core.Fingerprint(prog, m.Name), in, maxM, arrays)
-			if ch, ok := opts.Memo.Lookup(memoKey); ok {
-				ch.MemoHit = true
-				ch.ReplayedRuns, ch.CertifiedRuns = 0, 0
-				choices = append(choices, ch)
-				continue
-			}
-		}
-		ch, err := tuneMachine(prog, in, m, sites, uniformLadder, arrays, maxM, runner, check)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Memo != nil {
-			opts.Memo.Store(memoKey, ch)
-		}
-		choices = append(choices, ch)
+	s := &search{
+		prog: prog, src: src, p: p, machine: m, sites: sites,
+		maxM:   resolveMaxMeasured(p.MaxMeasured, len(sites)),
+		runner: runner,
+		orig:   orig, origNs: int64(orig.Elapsed()),
+		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
+		replayed: map[*Candidate]func() (*interp.Result, error){},
 	}
-	return choices, nil
+	return s.run()
 }
 
 // geom carries the kernel facts the analytic seeding needs.
@@ -311,13 +237,13 @@ func firstReason(prog *core.Program) string {
 	return "no MPI_ALLTOALL site found"
 }
 
-// search carries the per-machine evaluation state.
+// search carries one Tune call's evaluation state.
 type search struct {
 	prog    *core.Program
-	in      Input
+	src     string // the program's untransformed source
+	p       Params
 	machine plan.Machine
 	sites   []siteState
-	arrays  []string
 	maxM    int
 	runner  exec.Runner
 
@@ -335,31 +261,18 @@ type search struct {
 	replays, certified int
 }
 
-// tuneMachine runs the seeded, measured search for one machine: the uniform
-// stage first (all sites share one decision — the historical single-site
-// search, and the best-uniform baseline), then coordinate descent across
-// the sites.
-func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState,
-	uniformLadder []int64, arrays []string, maxM int, runner exec.Runner,
-	check *exec.Runner) (Choice, error) {
-
-	// Executed in full whatever the store knows: every verdict compares
-	// against this run under this machine.
-	orig, err := runner.Run(in.Source, in.NP, m.Costs, m.Profile)
-	if err != nil {
-		return Choice{}, fmt.Errorf("tune: original run under %s: %w", m.Name, err)
-	}
-	s := &search{
-		prog: prog, in: in, machine: m, sites: sites, arrays: arrays, maxM: maxM,
-		runner: runner,
-		orig:   orig, origNs: int64(orig.Elapsed()),
-		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
-		replayed: map[*Candidate]func() (*interp.Result, error){},
-	}
-
+// run is Tune's search once the original has been executed.
+func (s *search) run() (Choice, error) {
+	m, sites, fixedK := s.machine, s.sites, s.p.FixedK
 	ch := Choice{
 		Machine: m.Name, Offload: m.Profile.Offload,
-		OriginalNs: s.origNs, FixedK: in.FixedK,
+		OriginalNs: s.origNs, FixedK: fixedK,
+	}
+	// Uniform ladder: the union of every site's rungs. A rung one site
+	// rejects at evaluation time is skipped without costing a measurement.
+	var uniformLadder []int64
+	for _, st := range sites {
+		uniformLadder = mergeLadders(uniformLadder, st.ladder)
 	}
 
 	// The identity plan — skip every site — is candidate zero. It costs no
@@ -373,7 +286,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 
 	// The fixed-K default decision is measured next so the tuned choice can
 	// also never lose to the fixed-K baseline, then the analytic seeds.
-	fixed := plan.Decision{K: in.FixedK}.Normalize()
+	fixed := plan.Decision{K: fixedK}.Normalize()
 	fds := uniformVecOf(fixed, len(sites))
 	if s.evaluate(fds, true) == nil {
 		// Fatal only when there is nothing to tune; a simulation failure at
@@ -381,7 +294,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 		// so the re-check is free).
 		if _, rep, err := core.Apply(s.prog, s.buildPlan(fds)); err != nil || rep.TransformedCount() < len(sites) {
 			return Choice{}, fmt.Errorf("tune: transform did not fire on all %d site(s) at fixed K=%d under %s",
-				len(sites), in.FixedK, m.Name)
+				len(sites), fixedK, m.Name)
 		}
 	}
 	// Per-site analytic seeds, snapped onto each site's own ladder; the
@@ -389,7 +302,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 	siteSeeds := make([][]int64, len(sites))
 	seedSet := map[int64]bool{}
 	for i, st := range sites {
-		siteSeeds[i] = seedKs(m, &st.geo, in.FixedK, st.ladder)
+		siteSeeds[i] = seedKs(m, &st.geo, fixedK, st.ladder)
 		for _, k := range siteSeeds[i] {
 			seedSet[k] = true
 		}
@@ -446,7 +359,7 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 		return Choice{}, err
 	}
 	if winner == nil {
-		return Choice{}, fmt.Errorf("tune: no valid plan found under %s (fixed K=%d)", m.Name, in.FixedK)
+		return Choice{}, fmt.Errorf("tune: no valid plan found under %s (fixed K=%d)", m.Name, fixedK)
 	}
 	ch.ReplayedRuns, ch.CertifiedRuns = s.replays, s.certified
 	ch.Chosen = winner.Decisions[0]
@@ -475,47 +388,6 @@ func tuneMachine(prog *core.Program, in Input, m plan.Machine, sites []siteState
 			ch.UniformSpeedup = c.Speedup
 		}
 	}
-
-	// Tiered check: the candidates above were measured on the fast tier;
-	// re-run only the original and the adopted plan on the check engine
-	// (the walk oracle in CI) and require exact agreement — same makespans
-	// the search ranked on, same observables the never-lose gate compared.
-	if check != nil {
-		co, err := check.Run(in.Source, in.NP, m.Costs, m.Profile)
-		if err != nil {
-			return Choice{}, fmt.Errorf("tune: tiered check: original under %s on %q: %w", m.Name, check.Engine, err)
-		}
-		ch.TieredChecks++
-		if int64(co.Elapsed()) != s.origNs {
-			return Choice{}, fmt.Errorf("tune: tiered check: original makespan %d ns on %q vs %d ns on %q under %s",
-				int64(co.Elapsed()), check.Engine, s.origNs, runner.Engine, m.Name)
-		}
-		if same, why := interp.SameObservable(s.orig, co, arrays...); !same {
-			return Choice{}, fmt.Errorf("tune: tiered check: original observables diverge between %q and %q under %s: %s",
-				runner.Engine, check.Engine, m.Name, why)
-		}
-		// core.Apply is memoized by plan key: re-materializing the winner's
-		// source is free.
-		winnerSrc, _, err := core.Apply(prog, ch.Plan)
-		if err != nil {
-			return Choice{}, fmt.Errorf("tune: tiered check: re-apply winner under %s: %w", m.Name, err)
-		}
-		if winnerSrc != in.Source {
-			cw, err := check.Run(winnerSrc, in.NP, m.Costs, m.Profile)
-			if err != nil {
-				return Choice{}, fmt.Errorf("tune: tiered check: winner under %s on %q: %w", m.Name, check.Engine, err)
-			}
-			ch.TieredChecks++
-			if int64(cw.Elapsed()) != winner.PrepushNs {
-				return Choice{}, fmt.Errorf("tune: tiered check: winner makespan %d ns on %q vs %d ns on %q under %s",
-					int64(cw.Elapsed()), check.Engine, winner.PrepushNs, runner.Engine, m.Name)
-			}
-			if same, why := interp.SameObservable(co, cw, arrays...); !same {
-				return Choice{}, fmt.Errorf("tune: tiered check: winner corrupts observables on %q under %s: %s",
-					check.Engine, m.Name, why)
-			}
-		}
-	}
 	return ch, nil
 }
 
@@ -530,7 +402,7 @@ func (s *search) registerIdentity() {
 		PrepushNs: s.origNs, Speedup: 1.0, Identical: true, Seeded: true,
 	}
 	s.measured[s.vecKey(ds)] = c
-	s.bySrc[s.in.Source] = c
+	s.bySrc[s.src] = c
 	s.order = append(s.order, c)
 }
 
@@ -665,7 +537,7 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 // identical" is re-taken from an execution here, a winner's in certifiedBest.
 func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate {
 	s.runs++
-	res, full, err := s.runner.Measure(src, s.in.NP, s.machine.Costs, s.machine.Profile)
+	res, full, err := s.runner.Measure(src, s.p.NP, s.machine.Costs, s.machine.Profile)
 	if err != nil {
 		return nil
 	}
@@ -692,7 +564,7 @@ func (s *search) score(c *Candidate, res *interp.Result) {
 	if c.PrepushNs > 0 {
 		c.Speedup = float64(s.origNs) / float64(c.PrepushNs)
 	}
-	c.Identical, _ = interp.SameObservable(s.orig, res, s.arrays...)
+	c.Identical, _ = interp.SameObservable(s.orig, res, s.p.Arrays...)
 }
 
 // certifiedBest is best() with an execution under this machine behind it. A

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -23,20 +24,34 @@ func machines(sc workload.Scenario) []plan.Machine {
 	return ms
 }
 
+// tuneEach analyzes the scenario once and tunes it under each machine in
+// turn through one runner over a fresh in-memory store — a session's
+// successive queries, without its memo.
+func tuneEach(t *testing.T, sc workload.Scenario, ms []plan.Machine) []Choice {
+	t.Helper()
+	prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := exec.Runner{Store: exec.NewMemStore()}
+	var out []Choice
+	for _, m := range ms {
+		ch, err := Tune(prog, m, Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, runner)
+		if err != nil {
+			t.Fatalf("%s under %s: %v", sc.Name, m.Name, err)
+		}
+		out = append(out, ch)
+	}
+	return out
+}
+
 // TestDeterministicChoices: the search is a pure function of its input —
 // running it twice must produce byte-identical choices (the property the
 // harness's determinism-across-parallelism test builds on).
 func TestDeterministicChoices(t *testing.T) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 2})[1]
-	in := Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)}
-	a, err := Tune(in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Tune(in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tuneEach(t, sc, machines(sc))
+	b := tuneEach(t, sc, machines(sc))
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same input produced different choices:\n%+v\nvs\n%+v", a, b)
 	}
@@ -47,15 +62,8 @@ func TestDeterministicChoices(t *testing.T) {
 func TestSameSeedSameChosenPlan(t *testing.T) {
 	pick := func() map[string]plan.Decision {
 		sc := workload.GenerateScenarios(workload.GenOptions{Seed: 7, Limit: 4})[3]
-		choices, err := Tune(
-			Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)},
-			Options{},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
 		out := map[string]plan.Decision{}
-		for _, c := range choices {
+		for _, c := range tuneEach(t, sc, machines(sc)) {
 			out[c.Machine] = c.Chosen
 		}
 		return out
@@ -70,14 +78,7 @@ func TestSameSeedSameChosenPlan(t *testing.T) {
 // speedup, and every choice is backed by an oracle-identical run.
 func TestTunedNeverLosesToFixed(t *testing.T) {
 	for _, sc := range workload.GenerateScenarios(workload.GenOptions{Limit: 5}) {
-		choices, err := Tune(
-			Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)},
-			Options{},
-		)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		for _, c := range choices {
+		for _, c := range tuneEach(t, sc, machines(sc)) {
 			if c.Speedup < c.FixedSpeedup {
 				t.Errorf("%s/%s: tuned %.3f worse than fixed %.3f",
 					sc.Name, c.Machine, c.Speedup, c.FixedSpeedup)
@@ -118,15 +119,7 @@ func TestIdentityCandidateNeverLoses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range workload.GenerateScenarios(workload.GenOptions{Limit: 4}) {
-		ms := append(machines(sc), modern)
-		choices, err := Tune(
-			Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: ms},
-			Options{},
-		)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		for _, c := range choices {
+		for _, c := range tuneEach(t, sc, append(machines(sc), modern)) {
 			if c.Speedup < 1.0 {
 				t.Errorf("%s/%s: tuned speedup %.4f below 1.0 — identity candidate lost",
 					sc.Name, c.Machine, c.Speedup)
@@ -174,22 +167,58 @@ func TestIdentityCandidateNeverLoses(t *testing.T) {
 // TestMeasurementBudget: MaxMeasured caps the simulated pre-push runs.
 func TestMeasurementBudget(t *testing.T) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 1})[0]
-	choices, err := Tune(
-		Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)[1:]},
-		Options{MaxMeasured: 2},
-	)
+	prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := choices[0].Evaluations; got > 2 {
+	ch, err := Tune(prog, machines(sc)[1], Params{NP: sc.NP, FixedK: sc.K, MaxMeasured: 2}, exec.Runner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ch.Evaluations; got > 2 {
 		t.Errorf("evaluations = %d, want ≤ 2", got)
 	}
 }
 
+// TestTuneRejectsBrokenSource: a program the transformation cannot fire on,
+// or whose original run fails, is an error — never a choice.
 func TestTuneRejectsBrokenSource(t *testing.T) {
-	_, err := Tune(Input{Source: "not fortran", NP: 4, FixedK: 4, Machines: plan.PaperPair()}, Options{})
-	if err == nil {
-		t.Fatal("expected an error for unparseable source")
+	for _, c := range []struct{ name, src, wantErr string }{
+		{"untransformable", `
+program p
+  implicit none
+  include 'mpif.h'
+  integer as(1:8), ar(1:8), i, ierr
+  do i = 1, 8
+    if (i > 2) then
+      as(i) = i
+    endif
+  enddo
+  call mpi_alltoall(as, 2, mpi_integer, ar, 2, mpi_integer, mpi_comm_world, ierr)
+end program p
+`, "does not fire"},
+		{"failing original", `
+program p
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: np = 4
+  integer as(1:32), ar(1:32), i, ierr
+  do i = 1, 32
+    as(i) = i
+  enddo
+  call mpi_alltoall(as, 8, mpi_integer, ar, 8, mpi_integer, mpi_comm_world, ierr)
+  print *, ar(33)
+end program p
+`, "original run"},
+	} {
+		prog, err := core.Analyze(c.src, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := Tune(prog, plan.MPICHGM2005(), Params{NP: 4, FixedK: 4}, exec.Runner{}); err == nil ||
+			!strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.wantErr)
+		}
 	}
 }
 
@@ -198,13 +227,7 @@ func TestTuneRejectsBrokenSource(t *testing.T) {
 // Retiler), so evaluations stay per-machine but codegen does not repeat.
 func TestSharedVariantsAcrossMachines(t *testing.T) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 2})[1]
-	choices, err := Tune(
-		Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)},
-		Options{},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	choices := tuneEach(t, sc, machines(sc))
 	if len(choices) != 2 {
 		t.Fatalf("choices = %d, want 2", len(choices))
 	}
@@ -283,15 +306,8 @@ func TestPerSiteDivergenceBeatsUniform(t *testing.T) {
 	if sc.Name == "" {
 		t.Fatal("no multi scenario in the corpus")
 	}
-	choices, err := Tune(
-		Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)},
-		Options{Arrays: sc.Arrays},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	divergentWins := 0
-	for _, c := range choices {
+	for _, c := range tuneEach(t, sc, machines(sc)) {
 		if len(c.Sites) != sc.Sites {
 			t.Fatalf("%s: %d site choices, want %d", c.Machine, len(c.Sites), sc.Sites)
 		}
@@ -359,46 +375,5 @@ func TestPerSiteDivergenceBeatsUniform(t *testing.T) {
 	}
 	if divergentWins == 0 {
 		t.Error("no machine's divergent plan strictly beat the best uniform plan on the first multi scenario")
-	}
-}
-
-// TestTieredChecking: with a check engine named, every adopted plan (and
-// the original baseline) is differentially re-run on that engine; the
-// choices themselves must be exactly what the unchecked search picks, and
-// each choice must record its oracle runs. The sweep engine itself as
-// check engine is a no-op: no check runner, no counted runs.
-func TestTieredChecking(t *testing.T) {
-	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 3})[2]
-	in := Input{Source: sc.Source, NP: sc.NP, FixedK: sc.K, Machines: machines(sc)}
-	plain, err := Tune(in, Options{Engine: exec.EngineBytecode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := Tune(in, Options{Engine: exec.EngineBytecode, CheckEngine: exec.EngineWalk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(checked) != len(plain) {
-		t.Fatalf("checked search produced %d choices, unchecked %d", len(checked), len(plain))
-	}
-	for i := range checked {
-		if checked[i].TieredChecks == 0 {
-			t.Errorf("machine %q: no oracle check runs recorded", checked[i].Machine)
-		}
-		c, p := checked[i], plain[i]
-		c.TieredChecks, p.TieredChecks = 0, 0
-		if !reflect.DeepEqual(c, p) {
-			t.Errorf("machine %q: tiered checking changed the choice:\n%+v\nvs\n%+v",
-				checked[i].Machine, c, p)
-		}
-	}
-	noop, err := Tune(in, Options{Engine: exec.EngineBytecode, CheckEngine: exec.EngineBytecode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range noop {
-		if c.TieredChecks != 0 {
-			t.Errorf("machine %q: self-check counted %d runs, want 0", c.Machine, c.TieredChecks)
-		}
 	}
 }
