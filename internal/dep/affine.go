@@ -3,6 +3,19 @@
 // tests, an exact Fourier–Motzkin integer solver (the role the Omega test
 // plays in the paper), dependence direction vectors, and loop-interchange
 // legality.
+//
+// Every question about a (source, sink) reference pair — Depends,
+// DirectionVectors and through them HasOutputDepAfter and InterchangeLegal —
+// builds that pair's system once: both copies' iteration-space rows and the
+// subscript equalities, as dense int64 rows over the pair's variables by
+// index (the pair's symbols, then each copy's loop index and iteration
+// counter per level). Each direction vector asked about appends at most one
+// row per common level to a copy of it and solves; nothing outlives the
+// call. The solver normalizes equalities (GCD test), substitutes
+// unit-coefficient variables, then runs Fourier–Motzkin with a dark-shadow
+// exactness flag. It answers Unknown — never a guess — when a row it would
+// multiply exceeds coefLimit (2³⁰), in substitution and elimination alike,
+// or when elimination passes 4 000 rows.
 package dep
 
 import (

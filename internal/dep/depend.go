@@ -1,6 +1,9 @@
 package dep
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Direction is one component of a dependence direction vector, constraining
 // how the source iteration relates to the sink iteration at one loop level.
@@ -31,14 +34,22 @@ func (d Direction) String() string {
 
 // Loop describes one enclosing DO loop: var, affine bounds, constant step.
 type Loop struct {
+	// ID is the loop's identity within one AnalyzeNest result, assigned by
+	// its walk (1, 2, … in pre-order); 0 for a loop record built by hand.
+	ID   int
 	Var  string
 	Lo   Affine
 	Hi   Affine
 	Step int64 // nonzero; analysis is exact for any constant step
 }
 
-// SameLoop reports whether two loop records denote the same loop.
+// SameLoop reports whether two loop records denote the same loop. Loops of
+// one AnalyzeNest result compare by identity, so two sibling loops with
+// identical headers stay distinct; records built by hand compare by header.
 func SameLoop(a, b Loop) bool {
+	if a.ID != 0 || b.ID != 0 {
+		return a.ID == b.ID
+	}
 	return a.Var == b.Var && a.Step == b.Step && a.Lo.Equal(b.Lo) && a.Hi.Equal(b.Hi)
 }
 
@@ -65,65 +76,207 @@ func CommonDepth(r1, r2 *Ref) int {
 	return d
 }
 
-// varName builds a solver variable name unique per (level, copy).
-func varName(kind string, level, copy int) string {
-	return fmt.Sprintf("%s%d#%d", kind, level, copy)
+// observePair, when set, is told every direction query a pair answers. It
+// exists for the differential test against the reference solver; nothing
+// else sets it.
+var observePair func(r1, r2 *Ref, dirs []Direction, got Feasibility)
+
+// pair is the dependence problem of one (source, sink) reference pair: the
+// iteration-space rows of both copies and the subscript equalities, built
+// once on first use, to which each query appends its direction rows before
+// solving. Copy c's loop at level l has an index i and an iteration counter
+// k (i = lo + step·k, k ≥ 0, i within hi). Columns, in the order the solver
+// breaks ties in: the pair's symbols, the free unknowns (loop-variable
+// names that are not enclosing indices where they appear), then i by
+// (level, copy), then k by (level, copy).
+type pair struct {
+	refs    [2]*Ref // source, sink
+	common  int
+	built   bool
+	settled bool // answer holds for every query, nothing to solve
+	answer  Feasibility
+	n, nsym int
+	free    []string // free unknowns, sorted; columns nsym, nsym+1, …
+	syms    []string // symbols, sorted; columns 0, 1, …
+	icol    [2][]int
+	kcol    [2][]int
+	base    []row
+	sv      solver
 }
 
-// addLoopConstraints adds, for one reference copy, the iteration-space
-// constraints of its enclosing loops: v = lo + step·k, k ≥ 0 and the
-// direction-appropriate upper bound. Shared (common-depth) loops of the two
-// copies still get independent index variables; only the constraints tie
-// them together.
-func addLoopConstraints(sys *System, r *Ref, copy int, ok *bool) {
-	for lvl, lp := range r.Loops {
-		if lp.Step == 0 {
-			*ok = false
-			return
+func newPair(r1, r2 *Ref) *pair {
+	return &pair{refs: [2]*Ref{r1, r2}, common: CommonDepth(r1, r2)}
+}
+
+// test decides whether a dependence from r1 to r2 can exist under dirs
+// over the common loops; missing entries are DirStar.
+func (p *pair) test(dirs []Direction) Feasibility {
+	if !p.built {
+		p.build()
+	}
+	got := p.answer
+	if !p.settled {
+		sv := &p.sv
+		sv.reset(p.n, p.nsym)
+		for _, b := range p.base {
+			copy(sv.push(b.eq, b.k), b.c)
 		}
-		iv := varName("i", lvl, copy)
-		kv := varName("k", lvl, copy)
-		// v - lo - step·k = 0, with v and k canonical names.
-		eq := lp.Lo.Rename(renameOuter(r, lvl, copy)).Scale(-1)
-		eq = eq.Add(Var(iv))
-		kterm := Var(kv).Scale(lp.Step)
-		eq = eq.Sub(kterm)
-		sys.AddEq(eq)
-		// k ≥ 0.
-		sys.AddGE(Var(kv))
-		// Terminal bound: step>0: hi - v ≥ 0 ; step<0: v - hi ≥ 0.
-		hi := lp.Hi.Rename(renameOuter(r, lvl, copy))
-		if lp.Step > 0 {
-			sys.AddGE(hi.Sub(Var(iv)))
+		for lvl := 0; lvl < p.common && lvl < len(dirs); lvl++ {
+			k1, k2 := p.kcol[0][lvl], p.kcol[1][lvl]
+			switch dirs[lvl] {
+			case DirLT: // k2 - k1 - 1 ≥ 0
+				c := sv.push(false, -1)
+				c[k2], c[k1] = 1, -1
+			case DirEQ:
+				c := sv.push(true, 0)
+				c[k1], c[k2] = 1, -1
+			case DirGT:
+				c := sv.push(false, -1)
+				c[k1], c[k2] = 1, -1
+			}
+		}
+		got = sv.solve()
+	}
+	if observePair != nil {
+		observePair(p.refs[0], p.refs[1], dirs, got)
+	}
+	return got
+}
+
+func (p *pair) settle(f Feasibility) {
+	p.settled, p.answer = true, f
+}
+
+// build lays out the pair's columns and writes its base rows: per copy and
+// level, i - lo - step·k = 0, k ≥ 0 and the step-appropriate bound on i;
+// then one equality per subscript dimension.
+func (p *pair) build() {
+	p.built = true
+	refs := p.refs
+	r1, r2 := refs[0], refs[1]
+	if r1.NonAffine || r2.NonAffine {
+		p.settle(Unknown)
+		return
+	}
+	if r1.Array != r2.Array || len(r1.Subs) != len(r2.Subs) {
+		p.settle(Infeasible)
+		return
+	}
+	for _, r := range refs {
+		for lvl, lp := range r.Loops {
+			if lp.Step == 0 {
+				p.settle(Unknown)
+				return
+			}
+			p.collect(r, lvl, lp.Lo)
+			p.collect(r, lvl, lp.Hi)
+		}
+		for _, s := range r.Subs {
+			p.collect(r, len(r.Loops), s)
+		}
+	}
+	sort.Strings(p.syms)
+	sort.Strings(p.free)
+	p.nsym = len(p.syms)
+	p.n = p.nsym + len(p.free)
+	depth := max(len(r1.Loops), len(r2.Loops))
+	for _, cols := range []*[2][]int{&p.icol, &p.kcol} {
+		for c, r := range refs {
+			cols[c] = make([]int, len(r.Loops))
+		}
+		for lvl := 0; lvl < depth; lvl++ {
+			for c, r := range refs {
+				if lvl < len(r.Loops) {
+					cols[c][lvl] = p.n
+					p.n++
+				}
+			}
+		}
+	}
+
+	rows := 0
+	for _, r := range refs {
+		rows += 3 * len(r.Loops)
+	}
+	rows += len(r1.Subs)
+	buf := make([]int64, rows*p.n)
+	add := func(eq bool, k int64) []int64 {
+		c := buf[:p.n:p.n]
+		buf = buf[p.n:]
+		p.base = append(p.base, row{c: c, k: k, eq: eq})
+		return c
+	}
+	for cp, r := range refs {
+		for lvl, lp := range r.Loops {
+			iv, kv := p.icol[cp][lvl], p.kcol[cp][lvl]
+			c := add(true, -lp.Lo.Const)
+			p.addForm(c, cp, lvl, lp.Lo, -1)
+			c[iv]++
+			c[kv] -= lp.Step
+			add(false, 0)[kv] = 1
+			if lp.Step > 0 {
+				c = add(false, lp.Hi.Const)
+				p.addForm(c, cp, lvl, lp.Hi, 1)
+				c[iv]--
+			} else {
+				c = add(false, -lp.Hi.Const)
+				p.addForm(c, cp, lvl, lp.Hi, -1)
+				c[iv]++
+			}
+		}
+	}
+	for d := range r1.Subs {
+		c := add(true, r1.Subs[d].Const-r2.Subs[d].Const)
+		p.addForm(c, 0, len(r1.Loops), r1.Subs[d], 1)
+		p.addForm(c, 1, len(r2.Loops), r2.Subs[d], -1)
+	}
+}
+
+// level returns the first of r's loops [0, upto) whose variable is v, or -1:
+// a bound of level l sees the indices of the loops outside it, a subscript
+// those of every enclosing loop.
+func level(r *Ref, upto int, v string) int {
+	for l := 0; l < upto; l++ {
+		if r.Loops[l].Var == v {
+			return l
+		}
+	}
+	return -1
+}
+
+// collect records a's symbols and free unknowns as seen from r's first upto
+// loops.
+func (p *pair) collect(r *Ref, upto int, a Affine) {
+	for v, k := range a.Coef {
+		if k != 0 && level(r, upto, v) < 0 && !contains(p.free, v) {
+			p.free = append(p.free, v)
+		}
+	}
+	for s, k := range a.Syms {
+		if k != 0 && !contains(p.syms, s) {
+			p.syms = append(p.syms, s)
+		}
+	}
+}
+
+// addForm adds sign·a, less its constant, to row c of copy cp, resolving a's
+// loop variables against that copy's first upto loops.
+func (p *pair) addForm(c []int64, cp, upto int, a Affine, sign int64) {
+	r := p.refs[cp]
+	for v, k := range a.Coef {
+		if k == 0 {
+			continue
+		}
+		if l := level(r, upto, v); l >= 0 {
+			c[p.icol[cp][l]] += sign * k
 		} else {
-			sys.AddGE(Var(iv).Sub(hi))
+			c[p.nsym+sort.SearchStrings(p.free, v)] += sign * k
 		}
 	}
-}
-
-// renameOuter maps loop-variable names appearing in bounds of loop lvl to
-// the canonical index variables of outer levels (triangular loops).
-func renameOuter(r *Ref, lvl, copy int) func(string) string {
-	return func(v string) string {
-		for outer := 0; outer < lvl; outer++ {
-			if r.Loops[outer].Var == v {
-				return varName("i", outer, copy)
-			}
+	for s, k := range a.Syms {
+		if k != 0 {
+			c[sort.SearchStrings(p.syms, s)] += sign * k
 		}
-		// Not an enclosing loop variable: keep as a shared unknown.
-		return "?" + v
-	}
-}
-
-// renameSubs maps a subscript's loop variables to canonical index variables.
-func renameSubs(r *Ref, copy int) func(string) string {
-	return func(v string) string {
-		for lvl := range r.Loops {
-			if r.Loops[lvl].Var == v {
-				return varName("i", lvl, copy)
-			}
-		}
-		return "?" + v
 	}
 }
 
@@ -131,41 +284,7 @@ func renameSubs(r *Ref, copy int) func(string) string {
 // can exist under the given direction vector over their common loops.
 // dirs may be shorter than the common depth; missing entries are DirStar.
 func TestDirection(r1, r2 *Ref, dirs []Direction) Feasibility {
-	if r1.NonAffine || r2.NonAffine {
-		return Unknown
-	}
-	if r1.Array != r2.Array || len(r1.Subs) != len(r2.Subs) {
-		return Infeasible
-	}
-	sys := &System{}
-	ok := true
-	addLoopConstraints(sys, r1, 1, &ok)
-	addLoopConstraints(sys, r2, 2, &ok)
-	if !ok {
-		return Unknown
-	}
-	// Subscript equality per dimension.
-	for d := range r1.Subs {
-		s1 := r1.Subs[d].Rename(renameSubs(r1, 1))
-		s2 := r2.Subs[d].Rename(renameSubs(r2, 2))
-		sys.AddEq(s1.Sub(s2))
-	}
-	// Direction constraints over iteration counters of common loops.
-	common := CommonDepth(r1, r2)
-	for lvl := 0; lvl < common && lvl < len(dirs); lvl++ {
-		k1 := Var(varName("k", lvl, 1))
-		k2 := Var(varName("k", lvl, 2))
-		switch dirs[lvl] {
-		case DirLT:
-			sys.AddGE(k2.Sub(k1).Add(NewAffine(-1))) // k2 - k1 - 1 >= 0
-		case DirEQ:
-			sys.AddEq(k1.Sub(k2))
-		case DirGT:
-			sys.AddGE(k1.Sub(k2).Add(NewAffine(-1)))
-		case DirStar:
-		}
-	}
-	return sys.Solve()
+	return newPair(r1, r2).test(dirs)
 }
 
 // Depends decides whether any instance of r1 executes before an instance of
@@ -175,19 +294,22 @@ func Depends(r1, r2 *Ref) Feasibility {
 	if r1.NonAffine || r2.NonAffine {
 		return Unknown
 	}
-	common := CommonDepth(r1, r2)
+	p := newPair(r1, r2)
 	result := Infeasible
+	dirs := make([]Direction, p.common)
 	// Classes (=^j, <, *^rest) for j in [0, common).
-	for j := 0; j < common; j++ {
-		dirs := make([]Direction, common)
-		for i := 0; i < j; i++ {
-			dirs[i] = DirEQ
+	for j := 0; j < p.common; j++ {
+		for i := range dirs {
+			switch {
+			case i < j:
+				dirs[i] = DirEQ
+			case i == j:
+				dirs[i] = DirLT
+			default:
+				dirs[i] = DirStar
+			}
 		}
-		dirs[j] = DirLT
-		for i := j + 1; i < common; i++ {
-			dirs[i] = DirStar
-		}
-		switch TestDirection(r1, r2, dirs) {
+		switch p.test(dirs) {
 		case Feasible:
 			return Feasible
 		case Unknown:
@@ -196,11 +318,10 @@ func Depends(r1, r2 *Ref) Feasibility {
 	}
 	// Same-iteration class: r1 lexically precedes r2.
 	if r1.Order < r2.Order {
-		dirs := make([]Direction, common)
 		for i := range dirs {
 			dirs[i] = DirEQ
 		}
-		switch TestDirection(r1, r2, dirs) {
+		switch p.test(dirs) {
 		case Feasible:
 			return Feasible
 		case Unknown:
@@ -236,7 +357,8 @@ func HasOutputDepAfter(w *Ref, writes []*Ref) Feasibility {
 // The second result is false when any class was Unknown (then the returned
 // set additionally contains those unknown vectors, conservatively).
 func DirectionVectors(r1, r2 *Ref) ([][]Direction, bool) {
-	common := CommonDepth(r1, r2)
+	p := newPair(r1, r2)
+	common := p.common
 	exact := true
 	var out [][]Direction
 	if r1.NonAffine || r2.NonAffine {
@@ -245,34 +367,35 @@ func DirectionVectors(r1, r2 *Ref) ([][]Direction, bool) {
 		out = append(out, allPlausible(common, r1.Order < r2.Order)...)
 		return out, exact
 	}
-	var rec func(prefix []Direction)
-	rec = func(prefix []Direction) {
-		if len(prefix) == common {
-			if !plausible(prefix, r1.Order < r2.Order) {
+	vec := make([]Direction, common)
+	var rec func(depth int)
+	rec = func(depth int) {
+		if depth == common {
+			if !plausible(vec, r1.Order < r2.Order) {
 				return
 			}
-			switch TestDirection(r1, r2, prefix) {
+			switch p.test(vec) {
 			case Feasible:
-				out = append(out, append([]Direction(nil), prefix...))
+				out = append(out, append([]Direction(nil), vec...))
 			case Unknown:
 				exact = false
-				out = append(out, append([]Direction(nil), prefix...))
+				out = append(out, append([]Direction(nil), vec...))
 			}
 			return
 		}
 		// Prune: test the partial vector (rest DirStar) first.
-		dirs := append(append([]Direction(nil), prefix...), make([]Direction, common-len(prefix))...)
-		for i := len(prefix); i < common; i++ {
-			dirs[i] = DirStar
+		for i := depth; i < common; i++ {
+			vec[i] = DirStar
 		}
-		if TestDirection(r1, r2, dirs) == Infeasible {
+		if p.test(vec) == Infeasible {
 			return
 		}
-		for _, d := range []Direction{DirLT, DirEQ, DirGT} {
-			rec(append(prefix, d))
+		for _, d := range [...]Direction{DirLT, DirEQ, DirGT} {
+			vec[depth] = d
+			rec(depth + 1)
 		}
 	}
-	rec(nil)
+	rec(0)
 	return out, exact
 }
 

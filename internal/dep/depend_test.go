@@ -538,3 +538,46 @@ end program p
 		t.Error("branch-dependent scalar must poison the subscript")
 	}
 }
+
+// TestSiblingLoopsAreDistinct: two sibling loops with identical headers are
+// two loops, not one common level. The second loop overwrites as(2..nx-1)
+// after the first wrote it, in the same iteration of j.
+func TestSiblingLoopsAreDistinct(t *testing.T) {
+	src := `
+program p
+  integer nx
+  integer as(1:100)
+  integer ix, j
+  do j = 1, 1
+    do ix = 1, nx-1
+      as(ix) = ix
+    enddo
+    do ix = 1, nx-1
+      as(ix+1) = ix
+    enddo
+  enddo
+end program p
+`
+	info := analyzeSrc(t, src, "as")
+	writes := info.Writes("as")
+	if len(writes) != 2 {
+		t.Fatalf("writes = %d, want 2", len(writes))
+	}
+	first, second := writes[0], writes[1]
+	if d := CommonDepth(first, second); d != 1 {
+		t.Errorf("CommonDepth = %d, want 1 (only j is shared)", d)
+	}
+	if d := CommonDepth(first, first); d != 2 {
+		t.Errorf("CommonDepth(first, first) = %d, want 2", d)
+	}
+	if got := HasOutputDepAfter(first, writes); got != Feasible {
+		t.Errorf("HasOutputDepAfter(first write) = %v, want feasible: the second loop overwrites it", got)
+	}
+	vecs, exact := DirectionVectors(first, second)
+	if !exact || len(vecs) != 1 || len(vecs[0]) != 1 || vecs[0][0] != DirEQ {
+		t.Errorf("DirectionVectors(first, second) = %v (exact %v), want [[=]]", vecs, exact)
+	}
+	if got := HasOutputDepAfter(second, writes); got != Infeasible {
+		t.Errorf("HasOutputDepAfter(second write) = %v, want infeasible", got)
+	}
+}

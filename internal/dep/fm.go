@@ -3,7 +3,6 @@ package dep
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Feasibility is the three-valued answer of the integer solver.
@@ -29,63 +28,13 @@ func (f Feasibility) String() string {
 	return fmt.Sprintf("Feasibility(%d)", int(f))
 }
 
-// LinTerm is one variable's coefficient in a constraint row.
-type LinTerm struct {
-	Var  string
-	Coef int64
-}
-
-// Constraint is  Σ coef·var + Const  (= 0 | ≥ 0).
-type Constraint struct {
-	Terms []LinTerm
-	Const int64
-	Eq    bool // true: equality; false: ≥ 0
-}
-
-func (c Constraint) String() string {
-	var sb strings.Builder
-	for i, t := range c.Terms {
-		if i > 0 {
-			sb.WriteString(" + ")
-		}
-		fmt.Fprintf(&sb, "%d*%s", t.Coef, t.Var)
-	}
-	if len(c.Terms) == 0 {
-		sb.WriteString("0")
-	}
-	fmt.Fprintf(&sb, " + %d", c.Const)
-	if c.Eq {
-		sb.WriteString(" == 0")
-	} else {
-		sb.WriteString(" >= 0")
-	}
-	return sb.String()
-}
-
-// coefOf returns the coefficient of v in c.
-func (c Constraint) coefOf(v string) int64 {
-	for _, t := range c.Terms {
-		if t.Var == v {
-			return t.Coef
-		}
-	}
-	return 0
-}
-
-// withoutVar returns c's terms minus variable v.
-func (c Constraint) withoutVar(v string) []LinTerm {
-	out := make([]LinTerm, 0, len(c.Terms))
-	for _, t := range c.Terms {
-		if t.Var != v {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// System is a conjunction of integer linear constraints.
+// System is a conjunction of integer linear constraints written as affine
+// forms. Loop variables and symbols are distinct unknowns even when they
+// share a name; a symbol is unbounded unless a constraint bounds it, so the
+// solver can only prove infeasibility through one that cancels.
 type System struct {
-	Cons []Constraint
+	cons []Affine
+	eq   []bool
 }
 
 // AddEq adds the equality a = 0 over the system's variables.
@@ -97,122 +46,188 @@ func (s *System) AddGE(a Affine) { s.add(a, false) }
 // AddLE adds a ≤ 0 (i.e. -a ≥ 0).
 func (s *System) AddLE(a Affine) { s.add(a.Scale(-1), false) }
 
-// add converts an affine form to a constraint row. Symbolic terms are kept
-// as ordinary variables (they become unbounded unknowns, which keeps the
-// solver conservative: it can never prove infeasibility via an unbounded
-// symbol unless the symbol cancels).
 func (s *System) add(a Affine, eq bool) {
-	c := Constraint{Const: a.Const, Eq: eq}
-	for _, v := range a.Vars() {
-		c.Terms = append(c.Terms, LinTerm{Var: v, Coef: a.Coef[v]})
-	}
-	syms := make([]string, 0, len(a.Syms))
-	for sym := range a.Syms {
-		syms = append(syms, sym)
+	s.cons = append(s.cons, a.Clone())
+	s.eq = append(s.eq, eq)
+}
+
+// Clone copies the system.
+func (s *System) Clone() *System {
+	return &System{cons: append([]Affine(nil), s.cons...), eq: append([]bool(nil), s.eq...)}
+}
+
+// Solve decides integer feasibility of the system. Its columns are the
+// symbols, then the loop variables, each sorted by name — the order the
+// elimination breaks ties in — and each row lists its loop variables before
+// its symbols, the order equality substitution scans.
+func (s *System) Solve() Feasibility {
+	var syms, vars []string
+	for _, a := range s.cons {
+		vars = appendNew(vars, a.Coef)
+		syms = appendNew(syms, a.Syms)
 	}
 	sort.Strings(syms)
-	for _, sym := range syms {
-		c.Terms = append(c.Terms, LinTerm{Var: "$" + sym, Coef: a.Syms[sym]})
-	}
-	s.Cons = append(s.Cons, c)
-}
-
-// Clone deep-copies the system.
-func (s *System) Clone() *System {
-	c := &System{Cons: make([]Constraint, len(s.Cons))}
-	for i, con := range s.Cons {
-		c.Cons[i] = Constraint{Terms: append([]LinTerm(nil), con.Terms...), Const: con.Const, Eq: con.Eq}
-	}
-	return c
-}
-
-// vars returns all variables mentioned, sorted.
-func (s *System) vars() []string {
-	set := map[string]bool{}
-	for _, c := range s.Cons {
-		for _, t := range c.Terms {
-			if t.Coef != 0 {
-				set[t.Var] = true
+	sort.Strings(vars)
+	var sv solver
+	sv.reset(len(syms)+len(vars), len(syms))
+	for i, a := range s.cons {
+		c := sv.push(s.eq[i], a.Const)
+		for v, k := range a.Coef {
+			if k != 0 {
+				c[len(syms)+sort.SearchStrings(vars, v)] += k
+			}
+		}
+		for name, k := range a.Syms {
+			if k != 0 {
+				c[sort.SearchStrings(syms, name)] += k
 			}
 		}
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return sv.solve()
 }
 
-// Solve decides integer feasibility of the system using equality
-// normalization followed by Fourier–Motzkin elimination with the dark-shadow
-// integer refinement (the same technique family as the Omega test). It is
-// exact (never returns Unknown) when all eliminations are unit-coefficient
-// or dark-shadow exact, which covers the affine subscripts that occur in the
-// paper's domain.
-func (s *System) Solve() Feasibility {
-	sys := s.Clone()
+// appendNew appends the names of m's nonzero entries not yet in names.
+func appendNew(names []string, m map[string]int64) []string {
+	for name, k := range m {
+		if k != 0 && !contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+func contains(names []string, name string) bool {
+	for _, n := range names {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// row is one constraint  Σ c[j]·x_j + k  (= 0 when eq, ≥ 0 otherwise) with
+// one coefficient per variable of its system. terms lists an equality's
+// nonzero columns in the order unit-coefficient substitution scans them:
+// the row's own order, with variables substitution brings in appended.
+// Only equalities carry it, and only while phase 1 runs.
+type row struct {
+	c     []int64
+	k     int64
+	eq    bool
+	terms []int
+}
+
+// solver decides one system of rows in place. Its arenas outlive a solve so
+// that the queries of one reference pair reuse them, never longer.
+type solver struct {
+	n int // variables
+	// rot is the first column of a row's own term order: columns [rot, n)
+	// come first, then [0, rot).
+	rot   int
+	rows  []row
+	next  []row // the rows of the next elimination round
+	lows  []row
+	highs []row
+	cbuf  []int64 // coefficient arena
+	tbuf  []int   // term-list arena
+}
+
+// reset empties the solver for a system of n variables.
+func (sv *solver) reset(n, rot int) {
+	sv.n, sv.rot = n, rot
+	sv.rows = sv.rows[:0]
+	sv.cbuf = sv.cbuf[:0]
+	sv.tbuf = sv.tbuf[:0]
+}
+
+// push appends a zero row with constant k and returns its coefficients.
+func (sv *solver) push(eq bool, k int64) []int64 {
+	c := carve(&sv.cbuf, sv.n)
+	sv.rows = append(sv.rows, row{c: c, k: k, eq: eq})
+	return c
+}
+
+// carve takes n zeroed elements from an arena, starting a new chunk when
+// the current one is full (rows already carved keep the old chunk).
+func carve[T int64 | int](buf *[]T, n int) []T {
+	b := *buf
+	if len(b)+n > cap(b) {
+		b = make([]T, 0, max(64*n, 2*cap(b)))
+	}
+	s := b[len(b) : len(b)+n : len(b)+n]
+	clear(s)
+	*buf = b[:len(b)+n]
+	return s
+}
+
+// solve decides integer feasibility using equality normalization followed
+// by Fourier–Motzkin elimination with the dark-shadow integer refinement
+// (the same technique family as the Omega test). It is exact (never returns
+// Unknown) when all eliminations are unit-coefficient or dark-shadow exact,
+// which covers the affine subscripts that occur in the paper's domain.
+func (sv *solver) solve() Feasibility {
+	for i := range sv.rows {
+		if r := &sv.rows[i]; r.eq {
+			r.terms = sv.termsOf(r.c)
+		}
+	}
 	exact := true
 
 	// Phase 1: eliminate equalities.
 	for {
 		progress := false
-		for i := 0; i < len(sys.Cons); i++ {
-			c := sys.Cons[i]
-			if !c.Eq {
+		for i := 0; i < len(sv.rows); i++ {
+			r := &sv.rows[i]
+			if !r.eq {
 				continue
 			}
-			c = normalize(c)
-			if len(c.Terms) == 0 {
-				if c.Const != 0 {
+			// GCD test: gcd of coefficients must divide the constant.
+			g := rowGCD(r.c)
+			if g == 0 {
+				if r.k != 0 {
 					return Infeasible
 				}
-				sys.Cons = append(sys.Cons[:i], sys.Cons[i+1:]...)
+				sv.rows = append(sv.rows[:i], sv.rows[i+1:]...)
 				i--
 				progress = true
 				continue
 			}
-			// GCD test: gcd of coefficients must divide the constant.
-			g := int64(0)
-			for _, t := range c.Terms {
-				g = gcd(g, t.Coef)
-			}
 			if g > 1 {
-				if c.Const%g != 0 {
+				if r.k%g != 0 {
 					return Infeasible
 				}
-				for j := range c.Terms {
-					c.Terms[j].Coef /= g
+				for j := range r.c {
+					r.c[j] /= g
 				}
-				c.Const /= g
+				r.k /= g
 			}
-			// Substitute a unit-coefficient variable if there is one.
-			idx := -1
-			for j, t := range c.Terms {
-				if t.Coef == 1 || t.Coef == -1 {
-					idx = j
+			v := -1
+			for _, j := range r.terms {
+				if r.c[j] == 1 || r.c[j] == -1 {
+					v = j
 					break
 				}
 			}
-			if idx < 0 {
+			if v < 0 {
 				// No unit coefficient: leave the equality as a pair of
 				// inequalities; mark inexact (FM may not be able to prove
 				// integer feasibility).
 				exact = false
-				ge := Constraint{Terms: c.Terms, Const: c.Const, Eq: false}
-				le := Constraint{Terms: negTerms(c.Terms), Const: -c.Const, Eq: false}
-				sys.Cons[i] = ge
-				sys.Cons = append(sys.Cons, le)
+				r.eq, r.terms = false, nil
+				ge := *r
+				le := carve(&sv.cbuf, sv.n)
+				for j, k := range ge.c {
+					le[j] = -k
+				}
+				sv.rows = append(sv.rows, row{c: le, k: -ge.k})
 				progress = true
 				continue
 			}
-			v := c.Terms[idx].Var
-			coef := c.Terms[idx].Coef
-			// v = -(rest + Const)/coef ; coef = ±1.
-			rest := c.withoutVar(v)
-			repl := replacement{terms: rest, constant: c.Const, negate: coef == 1}
-			sys.Cons = append(sys.Cons[:i], sys.Cons[i+1:]...)
-			substAll(sys, v, repl)
+			e := *r
+			sv.rows = append(sv.rows[:i], sv.rows[i+1:]...)
+			if !sv.substitute(e, v) {
+				return Unknown
+			}
 			progress = true
 			i--
 		}
@@ -223,59 +238,56 @@ func (s *System) Solve() Feasibility {
 
 	// Phase 2: Fourier–Motzkin elimination on inequalities.
 	for {
-		vars := sys.vars()
-		if len(vars) == 0 {
-			break
-		}
 		// Pick the variable with the fewest lower×upper combinations.
-		best, bestCost := "", int(^uint(0)>>1)
-		for _, v := range vars {
+		v, bestCost := -1, int(^uint(0)>>1)
+		for j := 0; j < sv.n; j++ {
 			lo, hi := 0, 0
-			for _, c := range sys.Cons {
-				switch k := c.coefOf(v); {
+			for i := range sv.rows {
+				switch k := sv.rows[i].c[j]; {
 				case k > 0:
 					lo++
 				case k < 0:
 					hi++
 				}
 			}
-			cost := lo * hi
-			if cost < bestCost {
-				best, bestCost = v, cost
+			if lo+hi > 0 && lo*hi < bestCost {
+				v, bestCost = j, lo*hi
 			}
 		}
-		v := best
-		var lows, highs, rest []Constraint
-		for _, c := range sys.Cons {
-			switch k := c.coefOf(v); {
+		if v < 0 {
+			break
+		}
+		lows, highs, rest := sv.lows[:0], sv.highs[:0], sv.next[:0]
+		for _, r := range sv.rows {
+			switch k := r.c[v]; {
 			case k > 0:
-				lows = append(lows, c) // a·v ≥ L form: a·v + rest + const ≥ 0
+				lows = append(lows, r) // a·v + rest + const ≥ 0
 			case k < 0:
-				highs = append(highs, c)
+				highs = append(highs, r)
 			default:
-				rest = append(rest, c)
+				rest = append(rest, r)
 			}
 		}
+		sv.lows, sv.highs = lows, highs
 		if len(lows) == 0 || len(highs) == 0 {
 			// v unbounded on one side: all constraints involving v are
 			// satisfiable by pushing v far enough; drop them.
-			sys.Cons = rest
+			sv.rows, sv.next = rest, sv.rows[:0]
 			continue
 		}
 		for _, lo := range lows {
-			if maxAbsCoef(lo) > coefLimit {
+			if maxAbs(lo) > coefLimit {
 				return Unknown
 			}
-			a := lo.coefOf(v)
+			a := lo.c[v]
 			for _, hi := range highs {
-				if maxAbsCoef(hi) > coefLimit {
+				if maxAbs(hi) > coefLimit {
 					return Unknown
 				}
-				b := -hi.coefOf(v)
+				b := -hi.c[v]
 				// lo: a·v + Lrest ≥ 0  →  a·v ≥ -Lrest
 				// hi: -b·v + Hrest ≥ 0 →  b·v ≤ Hrest
 				// real shadow: b·(-Lrest) ≤ a·Hrest → a·Hrest + b·Lrest ≥ 0.
-				comb := combine(lo, hi, b, a, v)
 				// When a==1 or b==1 the real shadow is integer-exact; with
 				// both coefficients > 1 it only bounds rational solutions,
 				// so a Feasible outcome degrades to Unknown (Infeasible
@@ -283,29 +295,39 @@ func (s *System) Solve() Feasibility {
 				if a > 1 && b > 1 {
 					exact = false
 				}
-				comb = normalize(comb)
-				if len(comb.Terms) == 0 && comb.Const < 0 {
-					return Infeasible
+				comb := row{c: carve(&sv.cbuf, sv.n), k: b*lo.k + a*hi.k}
+				for j := range comb.c {
+					comb.c[j] = b*lo.c[j] + a*hi.c[j]
 				}
-				if len(comb.Terms) > 0 || comb.Const < 0 {
-					rest = append(rest, comb)
+				comb.c[v] = 0
+				g := rowGCD(comb.c)
+				if g == 0 {
+					if comb.k < 0 {
+						return Infeasible
+					}
+					continue
 				}
+				if g > 1 {
+					// Floor on the constant is exact for integer rows.
+					for j := range comb.c {
+						comb.c[j] /= g
+					}
+					comb.k = floorDiv(comb.k, g)
+				}
+				rest = append(rest, comb)
 			}
 		}
-		sys.Cons = rest
-		if len(sys.Cons) > 4000 {
+		sv.rows, sv.next = rest, sv.rows[:0]
+		if len(sv.rows) > 4000 {
 			// Constraint explosion guard; the dependence problems in our
 			// domain never approach this.
 			return Unknown
 		}
 	}
 
-	// All variables eliminated: check residual constant constraints.
-	for _, c := range sys.Cons {
-		if c.Eq && c.Const != 0 {
-			return Infeasible
-		}
-		if !c.Eq && c.Const < 0 {
+	// All variables eliminated: only constant inequalities remain.
+	for _, r := range sv.rows {
+		if r.k < 0 {
 			return Infeasible
 		}
 	}
@@ -315,24 +337,93 @@ func (s *System) Solve() Feasibility {
 	return Unknown
 }
 
+// substitute eliminates v, whose coefficient in the equality e is ±1, from
+// every row: v = -(e - e[v]·v)/e[v]. The new variables of an equality are
+// appended to its term list, in e's order. Like an elimination round it
+// refuses rows past coefLimit (false: the system is Unknown) rather than
+// form a product that could wrap.
+func (sv *solver) substitute(e row, v int) bool {
+	if maxAbs(e) > coefLimit {
+		return false
+	}
+	sign := -e.c[v]
+	for i := range sv.rows {
+		r := &sv.rows[i]
+		k := r.c[v]
+		if k == 0 {
+			continue
+		}
+		if maxAbs(*r) > coefLimit {
+			return false
+		}
+		m := sign * k
+		r.c[v] = 0
+		if r.terms != nil {
+			r.terms = removeTerm(r.terms, v)
+		}
+		for _, j := range e.terms {
+			if j == v {
+				continue
+			}
+			was := r.c[j]
+			r.c[j] += m * e.c[j]
+			if r.terms != nil {
+				switch {
+				case was == 0:
+					r.terms = append(r.terms, j)
+				case r.c[j] == 0:
+					r.terms = removeTerm(r.terms, j)
+				}
+			}
+		}
+		r.k += m * e.k
+	}
+	return true
+}
+
+// termsOf lists c's nonzero columns in the row order: [rot, n), then
+// [0, rot). The list has room for every column, so appends stay in place.
+func (sv *solver) termsOf(c []int64) []int {
+	t := carve(&sv.tbuf, sv.n)[:0]
+	for j := sv.rot; j < sv.n; j++ {
+		if c[j] != 0 {
+			t = append(t, j)
+		}
+	}
+	for j := 0; j < sv.rot; j++ {
+		if c[j] != 0 {
+			t = append(t, j)
+		}
+	}
+	return t
+}
+
+func removeTerm(terms []int, j int) []int {
+	for i, t := range terms {
+		if t == j {
+			return append(terms[:i], terms[i+1:]...)
+		}
+	}
+	return terms
+}
+
 // coefLimit bounds coefficient growth during elimination. Combining two
-// rows multiplies coefficients pairwise; with every input magnitude at most
-// coefLimit (2³⁰) the products stay under 2⁶⁰ and their sums under 2⁶², so
-// int64 arithmetic cannot overflow within one round. A row that grows past
-// the limit makes the solver answer Unknown — the conservative verdict
-// (treated as feasible by dependence tests) — instead of deciding from
-// silently wrapped numbers.
+// rows — or substituting an equality into a row — multiplies coefficients
+// pairwise; with every input magnitude at most coefLimit (2³⁰) the products
+// stay under 2⁶⁰ and their sums under 2⁶², so int64 arithmetic cannot
+// overflow within one step. A row that grows past the limit makes the
+// solver answer Unknown — the conservative verdict (treated as feasible by
+// dependence tests) — instead of deciding from silently wrapped numbers.
 const coefLimit = 1 << 30
 
-// maxAbsCoef returns the largest magnitude among a row's coefficients and
+// maxAbs returns the largest magnitude among a row's coefficients and
 // constant.
-func maxAbsCoef(c Constraint) int64 {
-	m := c.Const
+func maxAbs(r row) int64 {
+	m := r.k
 	if m < 0 {
 		m = -m
 	}
-	for _, t := range c.Terms {
-		k := t.Coef
+	for _, k := range r.c {
 		if k < 0 {
 			k = -k
 		}
@@ -343,110 +434,15 @@ func maxAbsCoef(c Constraint) int64 {
 	return m
 }
 
-// replacement is v := ±(terms + constant) used for equality substitution.
-type replacement struct {
-	terms    []LinTerm
-	constant int64
-	negate   bool // true when v had coefficient +1: v = -(rest+const)
-}
-
-func substAll(sys *System, v string, r replacement) {
-	sign := int64(1)
-	if r.negate {
-		sign = -1
-	}
-	for i := range sys.Cons {
-		c := &sys.Cons[i]
-		k := c.coefOf(v)
-		if k == 0 {
-			continue
-		}
-		terms := c.withoutVar(v)
-		for _, t := range r.terms {
-			terms = addTerm(terms, t.Var, sign*k*t.Coef)
-		}
-		c.Terms = terms
-		c.Const += sign * k * r.constant
-	}
-}
-
-func addTerm(terms []LinTerm, v string, coef int64) []LinTerm {
-	if coef == 0 {
-		return terms
-	}
-	for i := range terms {
-		if terms[i].Var == v {
-			terms[i].Coef += coef
-			if terms[i].Coef == 0 {
-				return append(terms[:i], terms[i+1:]...)
-			}
-			return terms
-		}
-	}
-	return append(terms, LinTerm{Var: v, Coef: coef})
-}
-
-func negTerms(terms []LinTerm) []LinTerm {
-	out := make([]LinTerm, len(terms))
-	for i, t := range terms {
-		out[i] = LinTerm{Var: t.Var, Coef: -t.Coef}
-	}
-	return out
-}
-
-// combine forms  mulLo·lo + mulHi·hi  with variable v eliminated.
-func combine(lo, hi Constraint, mulLo, mulHi int64, v string) Constraint {
-	var terms []LinTerm
-	for _, t := range lo.Terms {
-		if t.Var != v {
-			terms = addTerm(terms, t.Var, mulLo*t.Coef)
-		}
-	}
-	for _, t := range hi.Terms {
-		if t.Var != v {
-			terms = addTerm(terms, t.Var, mulHi*t.Coef)
-		}
-	}
-	return Constraint{Terms: terms, Const: mulLo*lo.Const + mulHi*hi.Const}
-}
-
-// normalize divides an inequality by the gcd of its coefficients (floor on
-// the constant, which is exact for integer constraints) and drops zero terms.
-func normalize(c Constraint) Constraint {
-	terms := make([]LinTerm, 0, len(c.Terms))
-	for _, t := range c.Terms {
-		if t.Coef != 0 {
-			terms = append(terms, t)
-		}
-	}
-	c.Terms = terms
-	if len(terms) == 0 {
-		return c
-	}
+// rowGCD is the gcd of a row's coefficients, 0 when they are all zero.
+func rowGCD(c []int64) int64 {
 	g := int64(0)
-	for _, t := range terms {
-		g = gcd(g, t.Coef)
-	}
-	if g > 1 {
-		for i := range c.Terms {
-			c.Terms[i].Coef /= g
-		}
-		if c.Eq {
-			// Caller checks divisibility for equalities.
-			if c.Const%g == 0 {
-				c.Const /= g
-			} else {
-				// Leave as-is; the equality GCD test will catch it.
-				for i := range c.Terms {
-					c.Terms[i].Coef *= g
-				}
-				return c
-			}
-		} else {
-			c.Const = floorDiv(c.Const, g)
+	for _, k := range c {
+		if k != 0 {
+			g = gcd(g, k)
 		}
 	}
-	return c
+	return g
 }
 
 func floorDiv(a, b int64) int64 {

@@ -123,3 +123,19 @@ func TestSolveEmptyBoundsViaEquality(t *testing.T) {
 		t.Errorf("v == 7 ∧ v ≤ 6: %v, want infeasible", got)
 	}
 }
+
+// TestSolveSubstitutionOverflowGuard: equality substitution multiplies
+// coefficients just as an elimination round does, so it refuses the same
+// magnitudes. {i − 2⁴⁰·j = 0, 2⁴⁰·i − 1 ≥ 0, j − 1 ≥ 0} is feasible (j = 1,
+// i = 2⁴⁰); substituting i would form 2⁸⁰·j, which wraps to 0 and "proves"
+// −1 ≥ 0 — an Infeasible that would mark a reference safe to pre-push.
+func TestSolveSubstitutionOverflowGuard(t *testing.T) {
+	big := int64(1) << 40
+	s := &System{}
+	s.AddEq(Var("i").Sub(Var("j").Scale(big)))
+	s.AddGE(Var("i").Scale(big).Sub(NewAffine(1)))
+	s.AddGE(Var("j").Sub(NewAffine(1)))
+	if got := s.Solve(); got != Unknown {
+		t.Errorf("i = 2⁴⁰·j ∧ 2⁴⁰·i ≥ 1 ∧ j ≥ 1: %v, want unknown (overflow guard)", got)
+	}
+}

@@ -66,6 +66,7 @@ func (ss *scalarState) invalidate(v string) {
 func AnalyzeNest(do *ftn.DoStmt, consts map[string]int64, arrays map[string]bool) *NestInfo {
 	info := &NestInfo{ByArray: map[string][]*Ref{}}
 	order := 0
+	loopID := 0
 	ss := newScalarState()
 	var walk func(stmts []ftn.Stmt, loops []Loop, ss *scalarState)
 
@@ -176,7 +177,8 @@ func AnalyzeNest(do *ftn.DoStmt, consts map[string]int64, arrays map[string]bool
 					hi = NewAffine(0)
 					hi.Syms["?hi:"+s.Var] = 1
 				}
-				lp := Loop{Var: s.Var, Lo: lo, Hi: hi, Step: step}
+				loopID++
+				lp := Loop{ID: loopID, Var: s.Var, Lo: lo, Hi: hi, Step: step}
 				inner := append(append([]Loop(nil), loops...), lp)
 				// The loop variable invalidates scalar defs built on it,
 				// and scalars defined inside are only valid inside.
@@ -260,7 +262,8 @@ func AnalyzeNest(do *ftn.DoStmt, consts map[string]int64, arrays map[string]bool
 }
 
 // chainOf extracts the perfect-nest chain starting at do: the root loop and
-// each singleton DO child, used for tiling decisions.
+// each singleton DO child, used for tiling decisions. The chain's loops are
+// the first the nest walk numbers, one per level, so level l has ID l+1.
 func chainOf(do *ftn.DoStmt, consts map[string]int64) []Loop {
 	var loops []Loop
 	cur := do
@@ -290,7 +293,7 @@ func chainOf(do *ftn.DoStmt, consts map[string]int64) []Loop {
 				step = 0
 			}
 		}
-		lp := Loop{Var: cur.Var, Lo: lo, Hi: hi, Step: step}
+		lp := Loop{ID: len(loops) + 1, Var: cur.Var, Lo: lo, Hi: hi, Step: step}
 		loops = append(loops, lp)
 		outer = append(outer, lp)
 		// Descend only through singleton DO bodies (perfect nesting).
