@@ -38,9 +38,11 @@
 //     code runs programs through exec.Runner (Engine walk reaches the
 //     oracle); tests keep calling the walker directly as the reference.
 //  8. verify re-proves: nothing under internal/verify, tests included, names
-//     analysis.ProofMemo or the Proofs field of analysis.Options. The
-//     transformer memoises its proofs on the core.Program; the validator is
-//     there to catch one acting on a wrong fact, so it re-derives them all.
+//     analysis.ProofMemo or the Proofs field of analysis.Options, or calls
+//     transform.Check. The transformer memoises its proofs on the
+//     core.Program and decides each site in its check half; the validator is
+//     there to catch one acting on a wrong fact or verdict, so it re-derives
+//     them all.
 //
 // Usage:
 //
@@ -418,16 +420,25 @@ func lintMemoClone(pkgDir string, f *ast.File, report reportFn) {
 }
 
 // lintVerifyReproves flags any mention of the transformer's proof memo in
-// the static verifier: the memo's type, or the analysis.Options field that
-// carries one.
+// the static verifier — the memo's type, or the analysis.Options field that
+// carries one — and any call of the transformer's check half.
 func lintVerifyReproves(pkgDir string, f *ast.File, report reportFn) {
 	if pkgDir != "internal/verify" && !strings.HasPrefix(pkgDir, "internal/verify/") {
 		return
 	}
+	asksTransform := importsPackage(f, "repro/internal/transform")
 	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && (id.Name == "ProofMemo" || id.Name == "Proofs") {
-			report(id.Pos(), "verify-reproves",
-				"%s named in internal/verify; the validator must re-prove from the source, never read the transformer's memoised proofs", id.Name)
+		switch n := n.(type) {
+		case *ast.Ident:
+			if n.Name == "ProofMemo" || n.Name == "Proofs" {
+				report(n.Pos(), "verify-reproves",
+					"%s named in internal/verify; the validator must re-prove from the source, never read the transformer's memoised proofs", n.Name)
+			}
+		case *ast.SelectorExpr:
+			if pkg, ok := n.X.(*ast.Ident); ok && asksTransform && pkg.Name == "transform" && n.Sel.Name == "Check" {
+				report(n.Pos(), "verify-reproves",
+					"transform.Check called in internal/verify; the validator must re-derive the transformer's verdicts, never ask the transformer for them")
+			}
 		}
 		return true
 	})

@@ -267,6 +267,11 @@ func TestVerifyReprovesRule(t *testing.T) {
 	// nothing about the validator.
 	wantRule(t, lintSrc(t, "internal/verify/verify_test.go", namesType), "verify-reproves")
 
+	// Asking the transformer's check half for its verdict.
+	asksCheck := "package verify\nimport \"repro/internal/transform\"\nfunc f() { _, _ = transform.Check(nil, transform.Options{K: 1}) }\n"
+	wantRule(t, lintSrc(t, "internal/verify/verify.go", asksCheck), "verify-reproves")
+	wantRule(t, lintSrc(t, "internal/verify/verify_test.go", asksCheck), "verify-reproves")
+
 	// What verify does today — a fresh analysis with no memo — is clean, and
 	// the transformer's side may of course name its own memo.
 	fresh := "package verify\nimport \"repro/internal/analysis\"\nfunc f() { _ = analysis.Options{NP: 4} }\n"
@@ -274,10 +279,18 @@ func TestVerifyReprovesRule(t *testing.T) {
 		t.Errorf("unexpected findings %v", findings)
 	}
 	for _, rel := range []string{"internal/core/core.go", "internal/core/proofs_test.go"} {
-		src := strings.Replace(namesType, "package verify", "package core", 1)
-		if findings := lintSrc(t, rel, src); len(findings) != 0 {
-			t.Errorf("%s: unexpected findings %v", rel, findings)
+		for _, src := range []string{namesType, asksCheck} {
+			src = strings.Replace(src, "package verify", "package core", 1)
+			if findings := lintSrc(t, rel, src); len(findings) != 0 {
+				t.Errorf("%s: unexpected findings %v", rel, findings)
+			}
 		}
+	}
+	// The validator may re-derive with transform's own predicates, and
+	// another package's Check is not the transformer's.
+	reproves := "package verify\nimport \"repro/internal/transform\"\nfunc f() { _ = transform.ReorderSafe(nil); plan.Check() }\n"
+	if findings := lintSrc(t, "internal/verify/verify.go", reproves); len(findings) != 0 {
+		t.Errorf("unexpected findings %v", findings)
 	}
 }
 

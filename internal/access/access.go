@@ -253,23 +253,6 @@ func mulAffine(a, b dep.Affine, consts map[string]int64) dep.Affine {
 	return out
 }
 
-// LinearOffset returns the 0-based column-major linear offset of the region
-// origin within the array, as an affine form (element units).
-func LinearOffset(region Region, arrDims []Triplet, consts map[string]int64) (dep.Affine, bool) {
-	off := dep.NewAffine(0)
-	stride := dep.NewAffine(1)
-	for d := 0; d < len(arrDims); d++ {
-		delta := region.Dims[d].Lo.Sub(arrDims[d].Lo)
-		sb := stride.Bind(consts)
-		if !sb.IsConst() {
-			return dep.Affine{}, false
-		}
-		off = off.Add(delta.Scale(sb.Const))
-		stride = mulAffine(stride, arrDims[d].Extent(), consts)
-	}
-	return off, true
-}
-
 // TileBounds builds the Bounds map for one tile of the paper's
 // transformation: the tiled loop variable is restricted to
 // [tileLo, tileLo+k-1] and every other loop keeps its declared range.

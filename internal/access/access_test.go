@@ -195,18 +195,6 @@ func TestBlocksUndecidableSymbolicConservative(t *testing.T) {
 	}
 }
 
-func TestLinearOffset(t *testing.T) {
-	arr := []Triplet{tri(1, 10), tri(1, 10)}
-	reg := Region{Dims: []Triplet{tri(1, 10), tri(3, 5)}}
-	off, ok := LinearOffset(reg, arr, nil)
-	if !ok {
-		t.Fatal("LinearOffset failed")
-	}
-	if v, _ := off.Eval(nil); v != 20 {
-		t.Errorf("offset = %d, want 20 (two full columns)", v)
-	}
-}
-
 func TestUnionRegions(t *testing.T) {
 	a := Region{Dims: []Triplet{tri(1, 5)}}
 	b := Region{Dims: []Triplet{tri(4, 9)}}

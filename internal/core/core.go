@@ -9,7 +9,8 @@
 //	out, rep, _ := core.Apply(prog, pl)                   // replay the plan onto the program
 //
 // Analyze parses once and discovers every MPI_ALLTOALL site's facts (pattern,
-// node-loop case, partition geometry, interchange legality). Apply replays a
+// node-loop case, partition geometry, interchange legality) from the
+// analysis and transform.Check, without rewriting anything. Apply replays a
 // serializable plan.Plan — per-site Decision{K, Wait, SendOrder, Interchange}
 // — onto a fresh clone of the parsed AST, memoized by the plan's canonical
 // key, so a tuner can walk plan space without re-parsing.
@@ -53,15 +54,15 @@ type AnalyzeOptions struct {
 }
 
 // Site is one MPI_ALLTOALL site's analysis outcome: the facts a planner
-// needs to choose a Decision for it. Geometry fields are harvested from a
-// probe transformation at K=1 (every legal ladder contains 1) and are zero
-// when the probe rejected the site.
+// needs to choose a Decision for it. Geometry fields are the transformation's
+// own check at K=1 (every legal ladder contains 1), with interchange off, and
+// are zero when the check rejected the site.
 type Site struct {
 	Pos      ftn.Pos
 	Pattern  analysis.Pattern
 	NodeCase analysis.NodeLoopCase
-	// Transformable reports whether the probe transformation fired; when
-	// false, Reason carries the rejection.
+	// Transformable reports whether the transformation can fire at K=1;
+	// when false, Reason carries the rejection.
 	Transformable bool
 	Reason        string
 	// PartitionSize is As's last-dimension extent per rank — candidate tile
@@ -133,35 +134,42 @@ func Analyze(src string, opts AnalyzeOptions) (*Program, error) {
 	}
 	p := &Program{src: src, file: file, opts: opts, proofs: &analysis.ProofMemo{}, memo: map[string]applied{}}
 
-	// Probe: replay the most permissive uniform plan (K=1 divides every
-	// partition; interchange off keeps loop order stable) on a clone and
-	// harvest per-site facts from its report. The probe's generated code is
-	// discarded — only the analysis outcome matters.
-	probe := plan.Uniform(plan.Decision{K: 1, Interchange: plan.InterchangeOff})
-	probe.NP = opts.NP
-	rep, err := applyPlan(ftn.CloneFile(file), probe, opts, p.proofs)
-	if err != nil {
-		return nil, err
-	}
-	for _, sr := range rep.Sites {
-		site := Site{
-			Pos: sr.Pos, Pattern: sr.Pattern, NodeCase: sr.NodeCase,
-			Transformable: sr.Transformed, Reason: sr.Reason, Notes: sr.Notes,
-			InterchangeLegal:      sr.InterchangeLegal,
-			InterchangeBlockElems: sr.InterchangeBlockElems,
+	// Rejections first, then the opportunities in program order, as Apply
+	// reports them; each is checked at K=1 with interchange off (see Site).
+	ops, errs := analysis.FindOpportunities(file, analysis.Options{Oracle: opts.Oracle, NP: int(opts.NP), Proofs: p.proofs})
+	for _, e := range errs {
+		if re, ok := e.(*analysis.RejectionError); ok {
+			p.Sites = append(p.Sites, Site{Pos: re.Pos, Reason: re.Reason})
 		}
-		if res := sr.Result; res != nil {
+	}
+	for _, op := range ops {
+		site := Site{
+			Pos: op.Call.Stmt.Pos(), Pattern: op.Pattern, NodeCase: op.NodeCase, Notes: op.Notes,
+			InterchangeLegal:      op.InterchangeOK,
+			InterchangeBlockElems: op.InterchangeBlockElems,
+		}
+		op.InterchangeOK = false // interchange off: the subset-send fallback
+		res, err := transform.Check(op, transform.Options{K: 1, NP: opts.NP})
+		if err != nil {
+			site.Reason = rejection(err)
+		} else {
+			site.Transformable = true
 			site.PartitionSize = res.PartitionSize
-			if res.TileCount > 0 {
-				site.TripCount = res.TileCount*res.K + res.Leftover
-			}
-			if res.TileMsgElems > 0 && res.K > 0 {
-				site.PerIterBytes = res.TileMsgElems * 4 / res.K
-			}
+			// At K=1 every tile is one iteration of the tiled loop.
+			site.TripCount = max(res.TileCount, 0)
+			site.PerIterBytes = max(res.TileMsgElems*4, 0)
 		}
 		p.Sites = append(p.Sites, site)
 	}
 	return p, nil
+}
+
+// rejection is the reason a transformation error gives for its site.
+func rejection(err error) string {
+	if te, ok := err.(*transform.Error); ok {
+		return te.Msg
+	}
+	return err.Error()
 }
 
 // Apply replays a plan onto the analyzed program: every transformable
@@ -223,18 +231,6 @@ func siteKeys(p *Program) []string {
 	return keys
 }
 
-// TransformableCount returns the number of analyzed sites the transformation
-// can rewrite — the count a full per-site plan must cover.
-func (p *Program) TransformableCount() int {
-	n := 0
-	for i := range p.Sites {
-		if p.Sites[i].Transformable {
-			n++
-		}
-	}
-	return n
-}
-
 // SiteReport describes one MPI_ALLTOALL site's outcome under a plan.
 type SiteReport struct {
 	Pos         ftn.Pos
@@ -250,10 +246,6 @@ type SiteReport struct {
 	Result   *transform.Result
 	Reason   string   // rejection reason when not transformed
 	Notes    []string // analysis notes
-	// Interchange facts captured at analysis time (valid for the direct
-	// pattern with an outermost node loop).
-	InterchangeLegal      bool
-	InterchangeBlockElems int64
 }
 
 // Report summarizes a whole Apply.
@@ -395,7 +387,6 @@ func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions, proofs *analy
 		}
 		pos := op.Call.Stmt.Pos()
 		dec := pl.For(pos.String())
-		legal, blockElems := op.InterchangeOK, op.InterchangeBlockElems
 
 		if dec.Skip {
 			// The plan declines this site: leave the AST untouched. The
@@ -406,7 +397,6 @@ func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions, proofs *analy
 			report.Sites = append(report.Sites, SiteReport{
 				Pos: pos, Skipped: true, Pattern: op.Pattern, NodeCase: op.NodeCase,
 				Reason: "skipped by plan", Decision: dec, Notes: op.Notes,
-				InterchangeLegal: legal, InterchangeBlockElems: blockElems,
 			})
 			continue
 		}
@@ -430,8 +420,7 @@ func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions, proofs *analy
 				if op == nil {
 					rejected[pos] = true
 					report.Sites = append(report.Sites, SiteReport{
-						Pos: pos, Reason: "site no longer analyzable after interchange",
-						Decision: dec, InterchangeLegal: legal, InterchangeBlockElems: blockElems,
+						Pos: pos, Reason: "site no longer analyzable after interchange", Decision: dec,
 					})
 					continue
 				}
@@ -452,23 +441,16 @@ func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions, proofs *analy
 		res, err := transform.Apply(op, topts)
 		if err != nil {
 			rejected[pos] = true
-			sr := SiteReport{
+			report.Sites = append(report.Sites, SiteReport{
 				Pos: pos, Pattern: op.Pattern, NodeCase: op.NodeCase, Notes: op.Notes,
-				Decision: dec, InterchangeLegal: legal, InterchangeBlockElems: blockElems,
-			}
-			if te, ok := err.(*transform.Error); ok {
-				sr.Reason = te.Msg
-			} else {
-				sr.Reason = err.Error()
-			}
-			report.Sites = append(report.Sites, sr)
+				Decision: dec, Reason: rejection(err),
+			})
 			continue
 		}
 		res.Interchanged = interchanged
 		report.Sites = append(report.Sites, SiteReport{
 			Pos: pos, Transformed: true, Pattern: op.Pattern,
-			NodeCase: op.NodeCase, Result: res, Notes: op.Notes,
-			Decision: dec, InterchangeLegal: legal, InterchangeBlockElems: blockElems,
+			NodeCase: op.NodeCase, Result: res, Notes: op.Notes, Decision: dec,
 		})
 	}
 	return report, nil

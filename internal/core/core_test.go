@@ -16,6 +16,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/netsim"
 	"repro/internal/plan"
+	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -218,6 +219,109 @@ end program p
 	}
 	if len(rep.Sites) != 1 {
 		t.Errorf("sites = %d, want 1:\n%s", len(rep.Sites), rep)
+	}
+}
+
+// dimAttrTempSrc has an indirect site whose temporary is declared through a
+// dimension attribute, which the buffer expansion does not support, followed
+// by a direct site that transforms.
+const dimAttrTempSrc = `
+program twosites
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: n = 4
+  integer, parameter :: np = 2
+  integer, parameter :: nx = 16
+  integer as(1:n, 1:n, 1:n)
+  integer ar(1:n, 1:n, 1:n)
+  integer, dimension(1:16) :: at
+  integer bs(1:nx)
+  integer br(1:nx)
+  integer iy, ix, tx, ty, ierr, me
+
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  do iy = 1, n
+    call p(iy, me, at)
+    do ix = 1, 16
+      tx = mod(ix - 1, n) + 1
+      ty = (ix - 1)/n + 1
+      as(tx, ty, iy) = at(ix)
+    enddo
+  enddo
+  call mpi_alltoall(as, 32, mpi_integer, ar, 32, mpi_integer, mpi_comm_world, ierr)
+  do ix = 1, nx
+    bs(ix) = ix*3 + me
+  enddo
+  call mpi_alltoall(bs, nx/np, mpi_integer, br, nx/np, mpi_integer, mpi_comm_world, ierr)
+  print *, ar(1, 1, 1), ar(n, n, n), br(1), br(nx)
+  call mpi_finalize(ierr)
+end program twosites
+
+subroutine p(iy, me, at)
+  integer iy, me
+  integer at(*)
+  integer i
+  do i = 1, 16
+    at(i) = i*1000 + iy*10 + me
+  enddo
+end subroutine p
+`
+
+// TestRejectedSiteLeftUntouched: a site the transformer rejects is rejected
+// before anything is written. The temporary's declaration keeps its bytes,
+// the program has two sites (no phantom third one from re-analysing a
+// half-rewritten first), the variant verifies, and it runs identically.
+func TestRejectedSiteLeftUntouched(t *testing.T) {
+	prog, err := core.Analyze(dimAttrTempSrc, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Sites) != 2 || prog.Sites[0].Transformable || !prog.Sites[1].Transformable {
+		t.Fatalf("want the indirect site rejected and the direct one transformable, got %+v", prog.Sites)
+	}
+	atDecl := func(src string) string {
+		for _, line := range strings.Split(src, "\n") {
+			if strings.Contains(line, ":: at") {
+				return line
+			}
+		}
+		return ""
+	}
+	orig, err := interp.Load(dimAttrTempSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := orig.Run(2, netsim.MPICHGM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{1, 2} {
+		pl := plan.Uniform(plan.Decision{K: k})
+		out, rep, err := core.Apply(prog, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TransformedCount() != 1 || len(rep.Sites) != 2 {
+			t.Fatalf("K=%d: %s", k, rep)
+		}
+		if got, want := atDecl(out), atDecl(dimAttrTempSrc); got != want {
+			t.Errorf("K=%d: the rejected site's temporary is declared %q, was %q", k, got, want)
+		}
+		if diags := verify.Variant(prog, pl, out, rep); len(diags) != 0 {
+			t.Errorf("K=%d: %s", k, verify.Summarize(diags))
+		}
+		pre, err := interp.Load(out)
+		if err != nil {
+			t.Fatalf("K=%d: %v\n%s", k, err, out)
+		}
+		rt, err := pre.Run(2, netsim.MPICHGM())
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if same, why := interp.SameObservable(ro, rt, "ar", "br"); !same {
+			t.Errorf("K=%d: %s", k, why)
+		}
 	}
 }
 
@@ -590,8 +694,14 @@ func TestMixedSkipTransformDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.TransformableCount() != 2 {
-		t.Fatalf("transformable sites = %d, want 2", prog.TransformableCount())
+	transformable := 0
+	for _, s := range prog.Sites {
+		if s.Transformable {
+			transformable++
+		}
+	}
+	if transformable != 2 {
+		t.Fatalf("transformable sites = %d, want 2", transformable)
 	}
 	pl := plan.Uniform(plan.Decision{K: 4})
 	pl.Set(prog.Sites[0].Key(), plan.Identity())
@@ -669,8 +779,14 @@ func TestMultiSiteDivergentApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.TransformableCount() != 2 {
-		t.Fatalf("transformable sites = %d, want 2", prog.TransformableCount())
+	transformable := 0
+	for _, s := range prog.Sites {
+		if s.Transformable {
+			transformable++
+		}
+	}
+	if transformable != 2 {
+		t.Fatalf("transformable sites = %d, want 2", transformable)
 	}
 	wantK := map[string]int64{}
 	pl := plan.Uniform(plan.Decision{K: 4})

@@ -82,24 +82,10 @@ func TestProofMemoDifferential(t *testing.T) {
 		}
 		core.DropProofs(without)
 
-		// Analyze's own probe used the memo from its second round on; the
-		// same plan replayed without it must report the same site facts.
-		probe := plan.Uniform(plan.Decision{K: 1, Interchange: plan.InterchangeOff})
-		_, rep, err := core.Apply(without, probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Sites) != len(withMemo.Sites) {
-			t.Fatalf("%s: %d sites analysed, %d without the memo", sc.Name, len(withMemo.Sites), len(rep.Sites))
-		}
-		for i, sr := range rep.Sites {
-			s := withMemo.Sites[i]
-			if s.Pos != sr.Pos || s.Pattern != sr.Pattern || s.NodeCase != sr.NodeCase ||
-				s.Transformable != sr.Transformed || s.Reason != sr.Reason ||
-				s.InterchangeLegal != sr.InterchangeLegal || s.InterchangeBlockElems != sr.InterchangeBlockElems ||
-				!reflect.DeepEqual(s.Notes, sr.Notes) {
-				t.Errorf("%s site %s: analysed facts %+v, without the memo %+v", sc.Name, s.Pos, s, sr)
-			}
+		// Analyze filled the memo; the K=1 probe replayed without it must
+		// harvest the same site facts.
+		if probe := probeSites(t, without); !reflect.DeepEqual(withMemo.Sites, probe) {
+			t.Errorf("%s: analysed sites\n%+v\nthe memo-less probe\n%+v", sc.Name, withMemo.Sites, probe)
 		}
 
 		plans := knobPlans(sc.K)

@@ -102,9 +102,6 @@ func (a Affine) IsConst() bool { return len(a.Coef) == 0 && len(a.Syms) == 0 }
 // ConstVal returns the constant value; valid only when IsConst.
 func (a Affine) ConstVal() int64 { return a.Const }
 
-// HasSyms reports whether any unresolved symbolic term remains.
-func (a Affine) HasSyms() bool { return len(a.Syms) > 0 }
-
 // Vars returns the loop variables with nonzero coefficients, sorted.
 func (a Affine) Vars() []string {
 	out := make([]string, 0, len(a.Coef))

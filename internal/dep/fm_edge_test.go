@@ -56,7 +56,7 @@ func TestSolveDegenerateBounds(t *testing.T) {
 func TestSymbolicOnlySubscripts(t *testing.T) {
 	env := &Env{LoopVars: map[string]bool{}, Consts: map[string]int64{}}
 	nPlus1, ok := FromExpr(&ftn.Binary{X: &ftn.Ident{Name: "n"}, Op: "+", Y: &ftn.IntLit{Value: 1}}, env)
-	if !ok || !nPlus1.HasSyms() {
+	if !ok || len(nPlus1.Syms) == 0 {
 		t.Fatalf("n+1 did not convert to a symbolic affine form: %v ok=%v", nPlus1, ok)
 	}
 	n, _ := FromExpr(&ftn.Ident{Name: "n"}, env)

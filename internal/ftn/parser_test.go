@@ -47,7 +47,7 @@ func TestParseFigure2a(t *testing.T) {
 	if !st.IsArray("as") || !st.IsArray("ar") {
 		t.Error("as/ar should be arrays")
 	}
-	if !st.IsParameter("nx") {
+	if sym := st.Lookup("nx"); sym == nil || !sym.Parameter {
 		t.Error("nx should be a parameter")
 	}
 	if st.IsArray("ix") {

@@ -217,19 +217,6 @@ func TestFreshNamer(t *testing.T) {
 	}
 }
 
-func TestSubstituteExpr(t *testing.T) {
-	f := MustParse("program p\nx = a + b*a\nend program p\n")
-	rhs := f.Program().Body[0].(*AssignStmt).RHS
-	out := SubstituteExpr(rhs, "a", Int(7))
-	if got := ExprString(out); got != "7 + b * 7" {
-		t.Errorf("substitute = %q", got)
-	}
-	// Original untouched.
-	if got := ExprString(rhs); got != "a + b * a" {
-		t.Errorf("original mutated: %q", got)
-	}
-}
-
 func TestPrintStmtsIndent(t *testing.T) {
 	f := MustParse("program p\ninteger i\ni = 1\nend program p\n")
 	out := PrintStmts(f.Program().Body, 2)

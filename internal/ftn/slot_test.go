@@ -45,14 +45,16 @@ func slots(f *ftn.File) (set, unset int) {
 			if do, ok := s.(*ftn.DoStmt); ok {
 				count(do.Slot)
 			}
-			return true
-		})
-		ftn.InspectExprs(u.Body, func(e ftn.Expr) bool {
-			switch e := e.(type) {
-			case *ftn.Ident:
-				count(e.Slot)
-			case *ftn.Ref:
-				count(e.Slot)
+			for _, e := range ftn.StmtExprs(s) {
+				ftn.WalkExpr(e, func(e ftn.Expr) bool {
+					switch e := e.(type) {
+					case *ftn.Ident:
+						count(e.Slot)
+					case *ftn.Ref:
+						count(e.Slot)
+					}
+					return true
+				})
 			}
 			return true
 		})

@@ -59,12 +59,6 @@ func (st *SymbolTable) IsArray(name string) bool {
 	return s != nil && s.IsArray()
 }
 
-// IsParameter reports whether name is a named constant.
-func (st *SymbolTable) IsParameter(name string) bool {
-	s := st.syms[name]
-	return s != nil && s.Parameter
-}
-
 // Names returns all declared names (unordered).
 func (st *SymbolTable) Names() []string {
 	out := make([]string, 0, len(st.syms))

@@ -18,18 +18,6 @@ func Inspect(stmts []Stmt, fn func(Stmt) bool) {
 	}
 }
 
-// InspectExprs traverses every expression appearing in the statement list
-// (including loop bounds and conditions), calling fn on each expression node
-// top-down. If fn returns false, the expression's children are skipped.
-func InspectExprs(stmts []Stmt, fn func(Expr) bool) {
-	Inspect(stmts, func(s Stmt) bool {
-		for _, e := range StmtExprs(s) {
-			WalkExpr(e, fn)
-		}
-		return true
-	})
-}
-
 // StmtExprs returns the top-level expressions directly referenced by s
 // (not those of nested statements).
 func StmtExprs(s Stmt) []Expr {
@@ -68,39 +56,6 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 		WalkExpr(e.X, fn)
 		WalkExpr(e.Y, fn)
 	}
-}
-
-// MapExpr rebuilds e bottom-up, replacing each node with fn's result.
-// fn receives a node whose children have already been mapped.
-func MapExpr(e Expr, fn func(Expr) Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *Ref:
-		n := &Ref{Name: x.Name, XPos: x.XPos}
-		for _, a := range x.Args {
-			n.Args = append(n.Args, MapExpr(a, fn))
-		}
-		return fn(n)
-	case *Unary:
-		return fn(&Unary{Op: x.Op, X: MapExpr(x.X, fn), XPos: x.XPos})
-	case *Binary:
-		return fn(&Binary{Op: x.Op, X: MapExpr(x.X, fn), Y: MapExpr(x.Y, fn), XPos: x.XPos})
-	default:
-		return fn(CloneExpr(e))
-	}
-}
-
-// SubstituteExpr returns e with every occurrence of identifier name replaced
-// by a clone of repl.
-func SubstituteExpr(e Expr, name string, repl Expr) Expr {
-	return MapExpr(e, func(n Expr) Expr {
-		if id, ok := n.(*Ident); ok && id.Name == name {
-			return CloneExpr(repl)
-		}
-		return n
-	})
 }
 
 // ExprUses reports whether identifier name occurs anywhere in e.

@@ -130,67 +130,6 @@ func TestWalkExprTopDown(t *testing.T) {
 	}
 }
 
-// TestInspectExprsCoversControlExprs: loop bounds and if conditions must be
-// walked, not just assignment operands.
-func TestInspectExprsCoversControlExprs(t *testing.T) {
-	f, err := Parse(walkFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idents := map[string]bool{}
-	InspectExprs(f.Program().Body, func(e Expr) bool {
-		switch e := e.(type) {
-		case *Ident:
-			idents[e.Name] = true
-		case *Ref:
-			idents[e.Name] = true
-		}
-		return true
-	})
-	for _, want := range []string{"a", "i", "s"} {
-		if !idents[want] {
-			t.Errorf("identifier %s not reached (got %v)", want, idents)
-		}
-	}
-}
-
-// TestMapExprBottomUp: fn must receive nodes whose children were already
-// mapped, and the input expression must be left untouched.
-func TestMapExprBottomUp(t *testing.T) {
-	e := Bin("+", &Ident{Name: "x"}, Bin("*", &Ident{Name: "x"}, Int(2)))
-	mapped := MapExpr(e, func(n Expr) Expr {
-		if id, ok := n.(*Ident); ok && id.Name == "x" {
-			return Int(5)
-		}
-		return n
-	})
-	if Expr2String(e) != "x + x * 2" {
-		t.Errorf("MapExpr mutated its input: %s", Expr2String(e))
-	}
-	if got := Expr2String(mapped); got != "5 + 5 * 2" {
-		t.Errorf("mapped = %s, want 5 + 5 * 2", got)
-	}
-}
-
-// TestSubstituteExprClones: each substitution site must get its own clone
-// of the replacement, not a shared pointer.
-func TestSubstituteExprClones(t *testing.T) {
-	e := Bin("+", &Ident{Name: "k"}, &Ident{Name: "k"})
-	repl := &Ident{Name: "r"}
-	out := SubstituteExpr(e, "k", repl)
-	b := out.(*Binary)
-	if b.X == b.Y {
-		t.Fatal("both substitution sites share one node")
-	}
-	if b.X == Expr(repl) || b.Y == Expr(repl) {
-		t.Fatal("substitution inserted the replacement itself, not a clone")
-	}
-	b.X.(*Ident).Name = "mut"
-	if repl.Name != "r" || b.Y.(*Ident).Name != "r" {
-		t.Error("substitution sites are aliased")
-	}
-}
-
 // TestExprUsesAndIdentsIn covers the query helpers on a mixed expression.
 func TestExprUsesAndIdentsIn(t *testing.T) {
 	e := Bin("+", &Ref{Name: "arr", Args: []Expr{&Ident{Name: "i"}}}, &Ident{Name: "n"})

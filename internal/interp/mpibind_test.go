@@ -60,7 +60,7 @@ func TestSendRecvBothRegimesBothProfiles(t *testing.T) {
 		for _, regime := range []string{"eager", "rendezvous"} {
 			p := prof
 			if regime == "rendezvous" {
-				p = p.WithEagerThreshold(16) // 32-byte payload goes rendezvous
+				p.EagerThreshold = 16 // 32-byte payload goes rendezvous
 			}
 			t.Run(name+"/"+regime, func(t *testing.T) {
 				res := runOn(t, pingPong, 2, p)
@@ -127,7 +127,8 @@ func TestEagerSnapshotsAtPostTime(t *testing.T) {
 // as it would on hardware.
 func TestRendezvousReadsBufferAtTransferStart(t *testing.T) {
 	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
-		res := runOn(t, overwriteAfterIsend, 2, prof.WithEagerThreshold(4))
+		prof.EagerThreshold = 4
+		res := runOn(t, overwriteAfterIsend, 2, prof)
 		if got := res.Output[1][0]; got != "9 9" {
 			t.Errorf("%s: receiver saw %q, want post-overwrite %q", prof, got, "9 9")
 		}
@@ -140,7 +141,8 @@ func TestRendezvousReadsBufferAtTransferStart(t *testing.T) {
 func TestRendezvousSlowerThanEagerOnTCP(t *testing.T) {
 	prof := netsim.MPICHTCP()
 	eager := runOn(t, pingPong, 2, prof).Elapsed()
-	rdv := runOn(t, pingPong, 2, prof.WithEagerThreshold(16)).Elapsed()
+	prof.EagerThreshold = 16
+	rdv := runOn(t, pingPong, 2, prof).Elapsed()
 	if rdv <= eager {
 		t.Errorf("rendezvous (%s) should be slower than eager (%s) for a tiny payload", rdv, eager)
 	}
@@ -166,11 +168,9 @@ end program dl
 // TestDeadlockDetected: the engine must detect the cycle and report the
 // blocked processes instead of hanging, under both profiles and regimes.
 func TestDeadlockDetected(t *testing.T) {
-	for _, prof := range []netsim.Profile{
-		netsim.MPICHTCP(),
-		netsim.MPICHGM(),
-		netsim.MPICHGM().WithEagerThreshold(4),
-	} {
+	lowEager := netsim.MPICHGM()
+	lowEager.EagerThreshold = 4
+	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM(), lowEager} {
 		p, err := Load(crossRecv)
 		if err != nil {
 			t.Fatal(err)

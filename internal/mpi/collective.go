@@ -8,13 +8,11 @@ package mpi
 import "repro/internal/netsim"
 
 const (
-	tagAlltoall = iota + 1
-	tagBarrier
-	tagBcast
-	tagReduce
-	tagAllgather
-	tagAllgathers
-	tagAlltoallv
+	tagAlltoall   = 1
+	tagBarrier    = 2
+	tagBcast      = 3
+	tagAllgathers = 6
+	tagAlltoallv  = 7
 )
 
 // memcpyNsPerByte prices local buffer copies (the alltoall self partition):
@@ -97,48 +95,6 @@ func (r *Rank) Bcast(root int, bytes int64, fetch func() interface{}, place func
 	if vr == 0 && place != nil {
 		place(payload)
 	}
-}
-
-// ReduceInt64 combines one int64 per rank at the root with op.
-func (r *Rank) ReduceInt64(root int, x int64, op func(a, b int64) int64) int64 {
-	tag := tagReduce
-	acc := x
-	if r.me == root {
-		for src := 0; src < r.np; src++ {
-			if src == root {
-				continue
-			}
-			r.Wait(r.irecv(collCtx, src, tag, 8, func(p interface{}) { acc = op(acc, p.(int64)) }))
-		}
-		return acc
-	}
-	r.Wait(r.isend(collCtx, root, tag, 8, func() interface{} { return x }))
-	return 0
-}
-
-// AllreduceInt64 is ReduceInt64 followed by a broadcast of the result.
-func (r *Rank) AllreduceInt64(x int64, op func(a, b int64) int64) int64 {
-	res := r.ReduceInt64(0, x, op)
-	r.Bcast(0, 8, func() interface{} { return res }, func(p interface{}) { res = p.(int64) })
-	return res
-}
-
-// AllgatherInt64 collects one int64 from every rank on every rank.
-func (r *Rank) AllgatherInt64(x int64) []int64 {
-	tag := tagAllgather
-	out := make([]int64, r.np)
-	out[r.me] = x
-	reqs := make([]*Request, 0, 2*(r.np-1))
-	for j := 1; j < r.np; j++ {
-		src := (r.np + r.me - j) % r.np
-		reqs = append(reqs, r.irecv(collCtx, src, tag, 8, func(p interface{}) { out[src] = p.(int64) }))
-	}
-	for j := 1; j < r.np; j++ {
-		dst := (r.me + j) % r.np
-		reqs = append(reqs, r.isend(collCtx, dst, tag, 8, func() interface{} { return x }))
-	}
-	r.Waitall(reqs)
-	return out
 }
 
 // AllgatherInt64s collects a fixed-size []int64 from every rank.

@@ -233,37 +233,6 @@ func TestBcastAllRanks(t *testing.T) {
 	}
 }
 
-func TestAllreduceSum(t *testing.T) {
-	for _, prof := range profiles() {
-		sums := make([]int64, 6)
-		_, err := Run(6, prof, func(r *Rank) {
-			sums[r.Me()] = r.AllreduceInt64(int64(r.Me()+1), func(a, b int64) int64 { return a + b })
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", prof, err)
-		}
-		for i, s := range sums {
-			if s != 21 {
-				t.Errorf("%s: rank %d sum = %d, want 21", prof, i, s)
-			}
-		}
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	_, err := Run(4, netsim.MPICHGM(), func(r *Rank) {
-		got := r.AllgatherInt64(int64(r.Me() * 11))
-		for i, v := range got {
-			if v != int64(i*11) {
-				panic("allgather wrong")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallvVariableSizes(t *testing.T) {
 	np := 4
 	_, err := Run(np, netsim.MPICHGM(), func(r *Rank) {

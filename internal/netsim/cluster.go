@@ -59,14 +59,6 @@ func MPICHGM() Profile {
 	}
 }
 
-// WithEagerThreshold returns a copy of the profile with the eager/rendezvous
-// protocol switch moved to the given byte count. Evaluation code uses it to
-// force a message-size regime without resizing the workload.
-func (p Profile) WithEagerThreshold(bytes int64) Profile {
-	p.EagerThreshold = bytes
-	return p
-}
-
 // nicState tracks per-rank NIC occupancy for serialization/contention.
 type nicState struct {
 	sendFree Time // when the send side can inject the next message

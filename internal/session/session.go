@@ -101,7 +101,7 @@ func (s *Session) Analyze(src string, np int64) (*core.Program, error) {
 		return p, nil
 	}
 	s.mu.Unlock()
-	// Analyze outside the lock (it probe-transforms every site); a racing
+	// Analyze outside the lock (it checks every site); a racing
 	// duplicate analysis of the same source is harmless and the first
 	// stored wins.
 	p, err := core.Analyze(src, core.AnalyzeOptions{NP: np})

@@ -9,9 +9,9 @@ import (
 	"repro/internal/ftn"
 )
 
-// applyDirect transforms a direct-pattern site (§3.3) according to the node
+// checkDirect decides a direct-pattern site (§3.3) according to the node
 // loop placement (§3.5).
-func (rw *rewriter) applyDirect() error {
+func (rw *rewriter) checkDirect() error {
 	op := rw.op
 	pos := op.L.Pos()
 	if len(op.SafeRefs) != len(op.WriteRefs) {
@@ -43,12 +43,12 @@ func (rw *rewriter) applyDirect() error {
 
 	switch op.NodeCase {
 	case analysis.NodeLoopInner:
-		return rw.directInner()
+		return rw.checkDirectInner()
 	case analysis.NodeLoopOutermost:
 		if op.InterchangeOK {
 			return failf(pos, "interchange is pending; apply Interchange before the transformation")
 		}
-		return rw.directOutermost()
+		return rw.checkSubset()
 	}
 	return failf(pos, "node loop not found")
 }
@@ -104,15 +104,15 @@ func (rw *rewriter) unionRegion(tileLo *dep.Affine, tiledVar string) (access.Reg
 	return union, nil
 }
 
-// directOutermost handles the case where the node loop is ℓ's outermost
-// (tiled) loop and interchange was not possible: each tile's block belongs
-// to a single partition, so all ranks send to one owner per tile (§3.5's
-// subset-send fallback, the shape of Fig. 2(b)).
-func (rw *rewriter) directOutermost() error {
+// checkSubset decides the case where the node loop is ℓ's outermost (tiled)
+// loop and interchange was not possible: each tile's block belongs to a
+// single partition, so all ranks send to one owner per tile (§3.5's
+// subset-send fallback, the shape of Fig. 2(b)). It also chooses between the
+// owner-ordered and the staggered traversal.
+func (rw *rewriter) checkSubset() error {
 	op := rw.op
 	pos := op.L.Pos()
-	chain := op.Nest.Loops
-	tiled := chain[0]
+	tiled := op.Nest.Loops[0]
 	rank := len(op.AsDims)
 
 	lo0, ok1 := tiled.Lo.Bind(op.Consts).Eval(nil)
@@ -158,6 +158,7 @@ func (rw *rewriter) directOutermost() error {
 	if !ok || info.FullPrefix < rank-1 {
 		return failf(pos, "a tile does not cover the leading dimensions of %s fully (region %s)", op.Call.As, region)
 	}
+	rw.lo0, rw.cOff = lo0, cOff
 
 	// Staggered schedule (the Fig. 4 idea applied across tiles): when the
 	// tiled loop's iterations are provably order-independent, each rank
@@ -167,9 +168,24 @@ func (rw *rewriter) directOutermost() error {
 	// rank ends on its own partition's self copy, leaving no communication
 	// tail. The paper's literal per-tile wait keeps the original owner
 	// order (its wait structure assumes it).
-	if !rw.opts.PerTileWait && !rw.opts.NoStagger && ReorderSafe(op) {
-		return rw.directOutermostStaggered(lo0, cOff, n)
+	rw.res.Staggered = !rw.opts.PerTileWait && !rw.opts.NoStagger && ReorderSafe(op)
+	rw.res.TileCount = n / rw.k
+	rw.res.Leftover = n % rw.k // always 0 under the divisibility checks
+	rw.res.MessagesTile = rw.np - 1
+	rw.res.TileMsgElems = rw.numericElems(op.AsDims[:rank-1]) * rw.k
+	if rw.res.Staggered {
+		rw.res.Notes = append(rw.res.Notes, "staggered subset-send schedule: ring partition order per rank, receives pre-posted (incast fix)")
+	} else {
+		rw.res.Notes = append(rw.res.Notes, "subset-send schedule: one owner per tile (congestion caveat, §3.5)")
 	}
+	return nil
+}
+
+// emitSubset emits the owner-ordered subset-send schedule: after each tile,
+// every rank sends its block to the tile's owner, which receives them all.
+func (rw *rewriter) emitSubset() {
+	op := rw.op
+	tiled := op.Nest.Loops[0]
 
 	// Generated code: the builders shared with the staggered schedule.
 	g := rw.newSubsetCodegen()
@@ -185,11 +201,10 @@ func (rw *rewriter) directOutermost() error {
 		Else: []ftn.Stmt{recvLoop, comment("local copy of this rank's own partition block"), g.selfCopy()},
 	}
 
-	tiles := n / rw.k
 	guardBody := []ftn.Stmt{
 		comment("pre-push tile exchange (inserted by compuniformer)"),
 		// Tile start as a last-dimension index.
-		assign(rw.vLo, ftn.Add(ftn.Sub(ftn.Id(tiled.Var), ftn.Int(rw.k-1)), ftn.Int(cOff))),
+		assign(rw.vLo, ftn.Add(ftn.Sub(ftn.Id(tiled.Var), ftn.Int(rw.k-1)), ftn.Int(rw.cOff))),
 	}
 	if rw.opts.PerTileWait {
 		guardBody = append(guardBody, rw.waitAllBlock())
@@ -201,7 +216,7 @@ func (rw *rewriter) directOutermost() error {
 		sendOrRecv,
 	)
 	guard := &ftn.IfStmt{
-		Cond: ftn.Bin("==", ftn.Mod(ftn.Add(ftn.Sub(ftn.Id(tiled.Var), ftn.Int(lo0)), ftn.Int(1)), ftn.Int(rw.k)), ftn.Int(0)),
+		Cond: ftn.Bin("==", ftn.Mod(ftn.Add(ftn.Sub(ftn.Id(tiled.Var), ftn.Int(rw.lo0)), ftn.Int(1)), ftn.Int(rw.k)), ftn.Int(0)),
 		Then: guardBody,
 	}
 	op.L.Body = append(op.L.Body, guard)
@@ -215,34 +230,24 @@ func (rw *rewriter) directOutermost() error {
 		rw.declareReqArray(rw.np)
 	} else {
 		// Deferred waits: requests accumulate over a whole execution of ℓ.
-		rw.declareReqArray(tiles * rw.np)
+		rw.declareReqArray(rw.res.TileCount * rw.np)
 	}
 	post := []ftn.Stmt{
 		comment("drain the last tile's communication (inserted by compuniformer)"),
 		rw.waitAllBlock(),
 	}
 	rw.spliceAroundL(rw.preLoopSetup(), post)
-
-	rw.res.TileCount = n / rw.k
-	rw.res.Leftover = n % rw.k // always 0 under the divisibility checks
-	rw.res.MessagesTile = rw.np - 1
-	rw.res.TileMsgElems = rw.numericElems(op.AsDims[:rank-1]) * rw.k
-	rw.res.Notes = append(rw.res.Notes, "subset-send schedule: one owner per tile (congestion caveat, §3.5)")
-	return nil
 }
 
-// directOutermostStaggered emits the reordered subset-send schedule: the
-// tiled loop (which traverses the last dimension, one partition owner per
-// tile) is restructured so each rank visits the partitions in ring order
-// starting at me+1 and finishing with its own. All receives are pre-posted
-// before the loop (legal: Ar is unused inside ℓ), tagged by absolute tile
-// index, so rendezvous transfers start the moment the sender's data is
-// ready. Callers have already validated bounds, divisibility, and tile
-// order independence.
-func (rw *rewriter) directOutermostStaggered(lo0, cOff, n int64) error {
+// emitStaggered emits the reordered subset-send schedule: the tiled loop
+// (which traverses the last dimension, one partition owner per tile) is
+// restructured so each rank visits the partitions in ring order starting at
+// me+1 and finishing with its own. All receives are pre-posted before the
+// loop (legal: Ar is unused inside ℓ), tagged by absolute tile index, so
+// rendezvous transfers start the moment the sender's data is ready.
+func (rw *rewriter) emitStaggered() {
 	op := rw.op
-	chain := op.Nest.Loops
-	tiled := chain[0]
+	tiled := op.Nest.Loops[0]
 	tpp := rw.psz / rw.k // tiles per partition
 
 	g := rw.newSubsetCodegen()
@@ -267,8 +272,8 @@ func (rw *rewriter) directOutermostStaggered(lo0, cOff, n int64) error {
 		comment("staggered subset-send traversal (inserted by compuniformer)"),
 		// Absolute tile index (also the message tag) and its bounds.
 		assign(rw.vTile, ftn.Add(ftn.Mul(ftn.Id(rw.vTo), ftn.Int(tpp)), ftn.Id(vTt))),
-		assign(vIt, ftn.Add(ftn.Int(lo0), ftn.Mul(ftn.Id(rw.vTile), ftn.Int(rw.k)))),
-		assign(rw.vLo, ftn.Add(ftn.Id(vIt), ftn.Int(cOff))),
+		assign(vIt, ftn.Add(ftn.Int(rw.lo0), ftn.Mul(ftn.Id(rw.vTile), ftn.Int(rw.k)))),
+		assign(rw.vLo, ftn.Add(ftn.Id(vIt), ftn.Int(rw.cOff))),
 		innerDo,
 		assign(rw.vOff, ftn.Mul(ftn.Id(vTt), ftn.Int(rw.k))),
 		sendOrCopy,
@@ -308,14 +313,6 @@ func (rw *rewriter) directOutermostStaggered(lo0, cOff, n int64) error {
 	}
 	rw.declareReqArray(2 * (rw.np - 1) * tpp)
 	rw.spliceAroundL(pre, post)
-
-	rw.res.TileCount = n / rw.k
-	rw.res.Leftover = n % rw.k
-	rw.res.MessagesTile = rw.np - 1
-	rw.res.Staggered = true
-	rw.res.TileMsgElems = rw.numericElems(op.AsDims[:len(op.AsDims)-1]) * rw.k
-	rw.res.Notes = append(rw.res.Notes, "staggered subset-send schedule: ring partition order per rank, receives pre-posted (incast fix)")
-	return nil
 }
 
 // subsetCodegen bundles the generated-code builders shared by the
@@ -401,14 +398,13 @@ func (rw *rewriter) numericElems(dims []access.Triplet) int64 {
 	return elems
 }
 
-// directInner handles the preferred case: the node loop is inside the tiled
-// loop, so every tile writes data for all destinations and the Fig. 4
+// checkDirectInner decides the preferred case: the node loop is inside the
+// tiled loop, so every tile writes data for all destinations and the Fig. 4
 // staggered all-peers exchange runs at the end of each tile.
-func (rw *rewriter) directInner() error {
+func (rw *rewriter) checkDirectInner() error {
 	op := rw.op
 	pos := op.L.Pos()
-	chain := op.Nest.Loops
-	tiled := chain[0]
+	tiled := op.Nest.Loops[0]
 	rank := len(op.AsDims)
 
 	tileLo := dep.Var(rw.vLo)
@@ -448,11 +444,9 @@ func (rw *rewriter) directInner() error {
 
 	// Block geometry: contiguous runs of prefixProduct × tileLen elements;
 	// loop dims iterate the remaining dimensions, with the last dimension
-	// restricted to one partition per peer.
-	blockDim := info.BlockDim
-	// Count the point-to-point messages per tile for reporting and for the
-	// request array size: blocksPerDest = Π loop-dim extents with the last
-	// dim contributing psz.
+	// restricted to one partition per peer. Count the point-to-point
+	// messages per tile for reporting and for the request array size:
+	// blocksPerDest = Π loop-dim extents with the last dim contributing psz.
 	blocksPerDest := rw.psz
 	for _, d := range info.LoopDims {
 		if d == rank-1 {
@@ -464,19 +458,34 @@ func (rw *rewriter) directInner() error {
 		}
 		blocksPerDest *= ext
 	}
+	rw.region, rw.info = region, info
+
 	// Deferred waits need the request array sized for every tile of one
 	// execution; that requires a numeric trip count. Fall back to the
 	// paper's per-tile wait otherwise.
-	perTile := rw.opts.PerTileWait
-	reqSize := 2 * (rw.np - 1) * blocksPerDest
-	if !perTile {
-		if trip, okt := tripOf(tiled, op.Consts); okt {
-			tiles := trip/rw.k + 1 // +1 for the leftover batch
-			reqSize *= tiles
-		} else {
-			perTile = true
-		}
+	trip, numeric := tripOf(tiled, op.Consts)
+	rw.perTile = rw.opts.PerTileWait || !numeric
+	rw.reqSize = 2 * (rw.np - 1) * blocksPerDest
+	rw.res.MessagesTile = rw.reqSize
+	if !rw.perTile {
+		rw.reqSize *= trip/rw.k + 1 // +1 for the leftover batch
 	}
+	if numeric {
+		rw.res.TileCount = trip / rw.k
+		rw.res.Leftover = trip % rw.k
+	}
+	rw.res.TileMsgElems = rw.numericElems(op.AsDims[:info.BlockDim]) * rw.k
+	rw.res.Notes = append(rw.res.Notes, "all-peers staggered exchange per tile (Fig. 4)")
+	return nil
+}
+
+// emitDirectInner emits the all-peers exchange after every whole tile, and
+// once more after ℓ for the leftover iterations.
+func (rw *rewriter) emitDirectInner() {
+	op := rw.op
+	tiled := op.Nest.Loops[0]
+	rank := len(op.AsDims)
+	blockDim := rw.info.BlockDim
 
 	// Loop variables: one per array dimension (used by block loops and the
 	// self copy).
@@ -499,11 +508,11 @@ func (rw *rewriter) directInner() error {
 				case d < blockDim:
 					r.Args = append(r.Args, affineToExpr(op.AsDims[d].Lo))
 				case d == blockDim:
-					r.Args = append(r.Args, affineToExpr(region.Dims[d].Lo))
-				case contains(info.LoopDims, d) || d == rank-1:
+					r.Args = append(r.Args, affineToExpr(rw.region.Dims[d].Lo))
+				case contains(rw.info.LoopDims, d) || d == rank-1:
 					r.Args = append(r.Args, ftn.Id(dimVars[d]))
 				default:
-					r.Args = append(r.Args, affineToExpr(region.Dims[d].Lo))
+					r.Args = append(r.Args, affineToExpr(rw.region.Dims[d].Lo))
 				}
 			}
 			return r
@@ -517,12 +526,12 @@ func (rw *rewriter) directInner() error {
 			// Innermost to outermost: last dim first.
 			pStart := rw.partitionStart(ftn.Id(peerVar))
 			s = doLoop(dimVars[rank-1], pStart, ftn.Add(ftn.CloneExpr(pStart), ftn.Int(rw.psz-1)), wrapped)
-			for i := len(info.LoopDims) - 1; i >= 0; i-- {
-				d := info.LoopDims[i]
+			for i := len(rw.info.LoopDims) - 1; i >= 0; i-- {
+				d := rw.info.LoopDims[i]
 				if d == rank-1 {
 					continue
 				}
-				s = doLoop(dimVars[d], affineToExpr(region.Dims[d].Lo), affineToExpr(region.Dims[d].Hi), []ftn.Stmt{s})
+				s = doLoop(dimVars[d], affineToExpr(rw.region.Dims[d].Lo), affineToExpr(rw.region.Dims[d].Hi), []ftn.Stmt{s})
 			}
 			return s
 		}
@@ -554,16 +563,16 @@ func (rw *rewriter) directInner() error {
 				p := rw.partitionStart(ftn.Id(rw.vMe))
 				lo, hi = p, ftn.Add(ftn.CloneExpr(p), ftn.Int(rw.psz-1))
 			case d == blockDim:
-				lo = affineToExpr(region.Dims[d].Lo)
+				lo = affineToExpr(rw.region.Dims[d].Lo)
 				hi = ftn.Add(ftn.Add(ftn.CloneExpr(lo), ftn.CloneExpr(tileLen)), ftn.Int(-1))
 			default:
-				lo, hi = affineToExpr(region.Dims[d].Lo), affineToExpr(region.Dims[d].Hi)
+				lo, hi = affineToExpr(rw.region.Dims[d].Lo), affineToExpr(rw.region.Dims[d].Hi)
 			}
 			selfCopy = doLoop(dimVars[d], lo, hi, []ftn.Stmt{selfCopy})
 		}
 
 		out := []ftn.Stmt{}
-		if perTile {
+		if rw.perTile {
 			out = append(out, rw.waitAllBlock())
 		}
 		out = append(out,
@@ -607,17 +616,8 @@ func (rw *rewriter) directInner() error {
 
 	rw.declareInts(rw.vMe, rw.vNp, rw.vIerr, rw.vNreq, rw.vTile, rw.vLo, rw.vTo, rw.vFrom, rw.vJ, vRem)
 	rw.declareInts(dimVars...)
-	rw.declareReqArray(reqSize)
+	rw.declareReqArray(rw.reqSize)
 	rw.spliceAroundL(rw.preLoopSetup(), post)
-
-	rw.res.MessagesTile = 2 * (rw.np - 1) * blocksPerDest
-	if trip, ok := tripOf(tiled, op.Consts); ok {
-		rw.res.TileCount = trip / rw.k
-		rw.res.Leftover = trip % rw.k
-	}
-	rw.res.TileMsgElems = rw.numericElems(op.AsDims[:blockDim]) * rw.k
-	rw.res.Notes = append(rw.res.Notes, "all-peers staggered exchange per tile (Fig. 4)")
-	return nil
 }
 
 // regionCoversDim reports whether region covers array dimension d fully.

@@ -5,12 +5,11 @@ import (
 	"repro/internal/ftn"
 )
 
-// applyIndirect transforms an indirect-pattern site (§3.4, Fig. 3): the
-// redundant copy loop ℓcp is removed, the temporary At gains a buffer
-// dimension so a tile's worth of procedure results can be in flight at
-// once, and the contents of At are sent directly (At → Ar replaces
-// At → As → Ar).
-func (rw *rewriter) applyIndirect() error {
+// checkIndirect decides an indirect-pattern site (§3.4, Fig. 3): the
+// redundant copy loop ℓcp can be removed, the temporary At can gain a buffer
+// dimension so a tile's worth of procedure results can be in flight at once,
+// and the contents of At can be sent directly (At → Ar replaces At → As → Ar).
+func (rw *rewriter) checkIndirect() error {
 	op := rw.op
 	cl := op.CopyLoop
 	pos := op.L.Pos()
@@ -43,24 +42,65 @@ func (rw *rewriter) applyIndirect() error {
 		if !okl || !okh {
 			return failf(pos, "dimension %d of %s is not numeric", d+1, op.Call.As)
 		}
-		prefix *= h - l + 1
+		rw.planeLo = append(rw.planeLo, l)
+		rw.planeExt = append(rw.planeExt, h-l+1)
+		prefix *= rw.planeExt[d]
 	}
 	if prefix != cl.Count {
 		return failf(pos, "slab volume %d does not match the plane volume %d of %s", cl.Count, prefix, op.Call.As)
 	}
-
-	atLo, _ := cl.AtDims[0].Lo.Bind(op.Consts).Eval(nil)
-
-	// 1. Expand At with a buffer dimension: at(lo:hi) -> at(lo:hi, 1:K).
-	if err := rw.expandAt(); err != nil {
+	if err := rw.checkAtDecl(); err != nil {
 		return err
 	}
+	rw.lo0 = lo0
+	rw.atLo, _ = cl.AtDims[0].Lo.Bind(op.Consts).Eval(nil)
+
+	rw.res.TileCount = n / rw.k
+	rw.res.Leftover = n % rw.k
+	rw.res.MessagesTile = rw.np - 1
+	rw.res.TileMsgElems = cl.Count * rw.k
+	rw.res.Notes = append(rw.res.Notes,
+		"copy loop eliminated; temporary expanded with a buffer dimension (double buffering across the tile)")
+	return nil
+}
+
+// checkAtDecl finds At's declaration, which emitIndirect expands with a
+// buffer dimension: At must be one-dimensional, declared on the entity itself
+// so the expansion changes no sibling.
+func (rw *rewriter) checkAtDecl() error {
+	cl := rw.op.CopyLoop
+	for _, d := range rw.op.Unit.Decls {
+		for _, e := range d.Entities {
+			if e.Name != cl.At {
+				continue
+			}
+			if len(d.DimsOf(e)) != 1 {
+				return failf(rw.op.L.Pos(), "temporary %s is not one-dimensional", cl.At)
+			}
+			if len(d.DimAttr) > 0 {
+				return failf(rw.op.L.Pos(), "temporary %s declared via dimension attribute is unsupported", cl.At)
+			}
+			rw.atEntity = e
+			return nil
+		}
+	}
+	return failf(rw.op.L.Pos(), "declaration of %s not found", cl.At)
+}
+
+// emitIndirect emits the indirect schedule check decided on.
+func (rw *rewriter) emitIndirect() {
+	op := rw.op
+	cl := op.CopyLoop
+	rank := len(op.AsDims)
+
+	// 1. Expand At with a buffer dimension: at(lo:hi) -> at(lo:hi, 1:K).
+	rw.atEntity.Dims = []ftn.Dim{rw.atEntity.Dims[0], {Lo: ftn.Int(1), Hi: ftn.Int(rw.k)}}
 
 	// 2. Redirect the fill call to the tile-local buffer:
 	//    call p(..., at)  ->  call p(..., at(atLo, cc_buf)).
 	vBuf := rw.fresh.Fresh("cc_buf")
-	cl.Call.Args[cl.CallArgPos] = ftn.Call(cl.At, ftn.Int(atLo), ftn.Id(vBuf))
-	bufAssign := assign(vBuf, ftn.Add(ftn.Mod(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(lo0)), ftn.Int(rw.k)), ftn.Int(1)))
+	cl.Call.Args[cl.CallArgPos] = ftn.Call(cl.At, ftn.Int(rw.atLo), ftn.Id(vBuf))
+	bufAssign := assign(vBuf, ftn.Add(ftn.Mod(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(rw.lo0)), ftn.Int(rw.k)), ftn.Int(1)))
 
 	// 3. Build the tile-end exchange. A tile covers K outer iterations =
 	//    K consecutive planes, all owned by one rank (K divides psz).
@@ -93,14 +133,12 @@ func (rw *rewriter) applyIndirect() error {
 	dstRef.Args = append(dstRef.Args, planeIdx)
 	// Linear index within the plane: (c2-lo2)*e1 + (c1-lo1) + atLo + cc_i? —
 	// expressed directly: atIdx = atLo + Σ (c_d - lo_d)·stride_d.
-	atIdx := ftn.Expr(ftn.Int(atLo))
+	atIdx := ftn.Expr(ftn.Int(rw.atLo))
 	stride := int64(1)
 	for d := 0; d < rank-1; d++ {
-		l, _ := op.AsDims[d].Lo.Bind(op.Consts).Eval(nil)
-		h, _ := op.AsDims[d].Hi.Bind(op.Consts).Eval(nil)
-		term := ftn.Mul(ftn.Sub(ftn.Id(prefixVars[d]), ftn.Int(l)), ftn.Int(stride))
+		term := ftn.Mul(ftn.Sub(ftn.Id(prefixVars[d]), ftn.Int(rw.planeLo[d])), ftn.Int(stride))
 		atIdx = ftn.Add(atIdx, term)
-		stride *= h - l + 1
+		stride *= rw.planeExt[d]
 	}
 	var selfCopy ftn.Stmt = assignRef(dstRef, ftn.Call(cl.At, atIdx, ftn.Id(vB)))
 	for d := rank - 2; d >= 0; d-- {
@@ -110,16 +148,16 @@ func (rw *rewriter) applyIndirect() error {
 
 	sendOrRecv := &ftn.IfStmt{
 		Cond: ftn.Bin("/=", ftn.Id(rw.vTo), ftn.Id(rw.vMe)),
-		Then: rw.isend(ftn.Call(cl.At, ftn.Int(atLo), ftn.Int(1)), countExpr, ftn.Id(rw.vTo)),
+		Then: rw.isend(ftn.Call(cl.At, ftn.Int(rw.atLo), ftn.Int(1)), countExpr, ftn.Id(rw.vTo)),
 		Else: []ftn.Stmt{recvLoop, comment("local copy of this rank's own planes from the temporary"), selfCopy},
 	}
 
 	guard := &ftn.IfStmt{
-		Cond: ftn.Bin("==", ftn.Mod(ftn.Add(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(lo0)), ftn.Int(1)), ftn.Int(rw.k)), ftn.Int(0)),
+		Cond: ftn.Bin("==", ftn.Mod(ftn.Add(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(rw.lo0)), ftn.Int(1)), ftn.Int(rw.k)), ftn.Int(0)),
 		Then: []ftn.Stmt{
 			comment("pre-push tile exchange of the temporary (inserted by compuniformer)"),
 			// Tile's first plane index on the last dimension.
-			assign(rw.vLo, ftn.Add(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(lo0)), ftn.Int(rw.lastLo-rw.k+1))),
+			assign(rw.vLo, ftn.Add(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(rw.lo0)), ftn.Int(rw.lastLo-rw.k+1))),
 			incr(rw.vTile),
 			assign(rw.vTo, ftn.Div(ftn.Sub(ftn.Id(rw.vLo), ftn.Int(rw.lastLo)), ftn.Int(rw.psz))),
 			assign(rw.vOff, ftn.Sub(ftn.Sub(ftn.Id(rw.vLo), ftn.Int(rw.lastLo)), ftn.Mul(ftn.Id(rw.vTo), ftn.Int(rw.psz)))),
@@ -132,7 +170,7 @@ func (rw *rewriter) applyIndirect() error {
 	//    that protects the buffered At planes still in flight, and the
 	//    exchange at the tile end.
 	waitAtStart := &ftn.IfStmt{
-		Cond: ftn.Bin("==", ftn.Mod(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(lo0)), ftn.Int(rw.k)), ftn.Int(0)),
+		Cond: ftn.Bin("==", ftn.Mod(ftn.Sub(ftn.Id(op.L.Var), ftn.Int(rw.lo0)), ftn.Int(rw.k)), ftn.Int(0)),
 		Then: []ftn.Stmt{rw.waitAllBlock()},
 	}
 	var body []ftn.Stmt
@@ -158,41 +196,6 @@ func (rw *rewriter) applyIndirect() error {
 		rw.waitAllBlock(),
 	}
 	rw.spliceAroundL(rw.preLoopSetup(), post)
-
-	rw.res.TileCount = n / rw.k
-	rw.res.Leftover = n % rw.k
-	rw.res.MessagesTile = rw.np - 1
-	rw.res.TileMsgElems = cl.Count * rw.k
-	rw.res.Notes = append(rw.res.Notes,
-		"copy loop eliminated; temporary expanded with a buffer dimension (double buffering across the tile)")
-	return nil
-}
-
-// expandAt rewrites At's declaration from at(lo:hi) to at(lo:hi, 1:K).
-func (rw *rewriter) expandAt() error {
-	cl := rw.op.CopyLoop
-	for _, d := range rw.op.Unit.Decls {
-		for _, e := range d.Entities {
-			if e.Name != cl.At {
-				continue
-			}
-			dims := d.DimsOf(e)
-			if len(dims) != 1 {
-				return failf(rw.op.L.Pos(), "temporary %s is not one-dimensional", cl.At)
-			}
-			e.Dims = []ftn.Dim{
-				{Lo: ftn.CloneExpr(dims[0].Lo), Hi: ftn.CloneExpr(dims[0].Hi)},
-				{Lo: ftn.Int(1), Hi: ftn.Int(rw.k)},
-			}
-			// If dims came from a dimension attribute, detach this entity
-			// into its own declaration to avoid changing siblings.
-			if len(d.DimAttr) > 0 {
-				return failf(rw.op.L.Pos(), "temporary %s declared via dimension attribute is unsupported", cl.At)
-			}
-			return nil
-		}
-	}
-	return failf(rw.op.L.Pos(), "declaration of %s not found", cl.At)
 }
 
 func itoa(i int) string {

@@ -4,11 +4,18 @@
 // leftover iterations, removing the original MPI_ALLTOALL, and — for the
 // indirect pattern — eliminating the redundant copy loop and expanding the
 // temporary array with a buffer dimension (§3.4).
+//
+// A site is rewritten in two halves. Check runs every legality and geometry
+// rule, decides the schedule and fills the Result without writing the AST.
+// Emit builds nodes from what check decided and cannot fail. Check alone
+// gives a site's facts without a rewrite; Apply is check then emit, so a
+// rejected site is left exactly as it was.
 package transform
 
 import (
 	"fmt"
 
+	"repro/internal/access"
 	"repro/internal/analysis"
 	"repro/internal/ftn"
 )
@@ -90,11 +97,44 @@ type rewriter struct {
 
 	typeExpr ftn.Expr // the MPI datatype argument, reused from C
 	commExpr ftn.Expr // the communicator argument, reused from C
+
+	// Decided by check for emit: ℓ's numeric lower bound and last subscript
+	// offset (subset sends, indirect); one tile's write region, its blocks and
+	// the request array's waits and size (all-peers); At's declared entity and
+	// lower bound, and As's plane layout (indirect).
+	lo0, cOff         int64
+	region            access.Region
+	info              *access.BlockInfo
+	perTile           bool
+	reqSize           int64
+	atEntity          *ftn.Entity
+	atLo              int64
+	planeLo, planeExt []int64
+}
+
+// Check runs every legality and geometry rule of the transformation for the
+// opportunity and returns what Apply would report, without touching the AST.
+func Check(op *analysis.Opportunity, opts Options) (*Result, error) {
+	rw, err := check(op, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rw.res, nil
 }
 
 // Apply transforms the opportunity in place (the AST the analysis refers
 // to is rewritten) and returns a result description.
 func Apply(op *analysis.Opportunity, opts Options) (*Result, error) {
+	rw, err := check(op, opts)
+	if err != nil {
+		return nil, err
+	}
+	rw.emit()
+	return rw.res, nil
+}
+
+// check is the first half of a rewrite: it decides the site or rejects it.
+func check(op *analysis.Opportunity, opts Options) (*rewriter, error) {
 	if opts.K <= 0 {
 		return nil, failf(op.Call.Stmt.Pos(), "tile size K must be positive, got %d", opts.K)
 	}
@@ -108,21 +148,35 @@ func Apply(op *analysis.Opportunity, opts Options) (*Result, error) {
 	if err := rw.resolveParameters(); err != nil {
 		return nil, err
 	}
-	rw.allocateNames()
+	rw.allocateNames() // reserved, not declared: the tile regions are affine in vLo
 
 	var err error
 	switch op.Pattern {
 	case analysis.PatternDirect:
-		err = rw.applyDirect()
+		err = rw.checkDirect()
 	case analysis.PatternIndirect:
-		err = rw.applyIndirect()
+		err = rw.checkIndirect()
 	default:
 		err = failf(op.Call.Stmt.Pos(), "unknown pattern")
 	}
 	if err != nil {
 		return nil, err
 	}
-	return rw.res, nil
+	return rw, nil
+}
+
+// emit is the second half: it builds the schedule check chose.
+func (rw *rewriter) emit() {
+	switch {
+	case rw.op.Pattern == analysis.PatternIndirect:
+		rw.emitIndirect()
+	case rw.op.NodeCase == analysis.NodeLoopInner:
+		rw.emitDirectInner()
+	case rw.res.Staggered:
+		rw.emitStaggered()
+	default:
+		rw.emitSubset()
+	}
 }
 
 // resolveParameters determines NP, the last-dimension bounds, and the

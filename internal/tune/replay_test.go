@@ -180,8 +180,8 @@ func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
 // this test fails on the adopted plan.)
 func TestRacyWinnerIsNotCertified(t *testing.T) {
 	eager, rendezvous := plan.MPICHGM2005(), plan.MPICHGM2005()
-	eager.Profile = eager.Profile.WithEagerThreshold(1 << 20)
-	rendezvous.Profile = rendezvous.Profile.WithEagerThreshold(0)
+	eager.Profile.EagerThreshold = 1 << 20
+	rendezvous.Profile.EagerThreshold = 0
 	runner := exec.Runner{Store: exec.NewMemStore()}
 	tiled := []plan.Decision{plan.Decision{K: 1}.Normalize()}
 

@@ -390,14 +390,14 @@ func TestMutationCatalog(t *testing.T) {
 				_, pl, prog, out, rep := pickScenario(t, func(prog *core.Program, _ string, rep *core.Report) bool {
 					for i := range rep.Sites {
 						sr := &rep.Sites[i]
-						if sr.Transformed && sr.Result != nil && !sr.Result.Interchanged && !sr.InterchangeLegal {
+						if sr.Transformed && sr.Result != nil && !sr.Result.Interchanged && !prog.Site(sr.Pos.String()).InterchangeLegal {
 							return true
 						}
 					}
 					return false
 				})
 				lie := cloneReportFlipping(rep, func(i int, sr *core.SiteReport) {
-					if sr.Transformed && sr.Result != nil && !sr.InterchangeLegal {
+					if sr.Transformed && sr.Result != nil && !prog.Site(sr.Pos.String()).InterchangeLegal {
 						sr.Result.Interchanged = true
 					}
 				})
