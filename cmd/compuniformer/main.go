@@ -186,13 +186,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "verify: static validator and MPI schedule linter clean")
 	}
 	if *verifyFlag && rep.TransformedCount() > 0 {
-		// The plan's NP wins when -np is unset: a replayed plan may have
-		// specialized the transformation for its own rank count.
-		npv := *np
-		if npv == 0 {
-			npv = pl.NP
+		npv, err := rankCount(rep)
+		if err != nil {
+			fatal(err)
 		}
-		if err := verifyEquivalence(src, out, int(npv), machine, engine); err != nil {
+		if err := verifyEquivalence(src, out, npv, machine, engine); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "verify: original and transformed produce identical results on all machines")
@@ -216,15 +214,27 @@ func siteList(prog *core.Program) string {
 	return strings.Join(keys, ", ")
 }
 
-// verifyEquivalence runs both versions on the simulated cluster under the
-// paper pair plus the selected machine and compares printed output and the
-// receive arrays.
-func verifyEquivalence(src, transformed string, np int, selected plan.Machine, engine exec.Engine) error {
-	if np == 0 {
-		// Use the program's np parameter via a probe run of the analysis;
-		// simplest robust default: 4.
-		np = 4
+// rankCount is the rank count the transformed sites were specialized for:
+// -np, else the plan's NP, else the program's np parameter, as each site
+// resolved it. Sites resolving different counts cannot run as one program.
+func rankCount(rep *core.Report) (int, error) {
+	var np int64
+	for _, s := range rep.Sites {
+		if !s.Transformed {
+			continue
+		}
+		if np != 0 && s.Result.NP != np {
+			return 0, fmt.Errorf("verify: sites transformed for %d and for %d ranks", np, s.Result.NP)
+		}
+		np = s.Result.NP
 	}
+	return int(np), nil
+}
+
+// verifyEquivalence runs both versions on np simulated ranks under the paper
+// pair plus the selected machine and compares printed output and the receive
+// arrays.
+func verifyEquivalence(src, transformed string, np int, selected plan.Machine, engine exec.Engine) error {
 	machines := plan.PaperPair()
 	have := false
 	for _, m := range machines {

@@ -8,8 +8,10 @@
 // profile constants and CPU cost model (eager/rendezvous crossover,
 // per-message setup amortization, and the sqrt-form pipeline optimum), then
 // refined by a deterministic hill-climb of simulated runs; at the best K,
-// the non-K knobs — wait schedule, send order, interchange gate — are
-// flipped greedily, adopting only strictly better settings.
+// the two knob flips that ever win — skip the site, force the §3.5
+// interchange gate off — are tried greedily, adopting only strictly better
+// settings. The other knobs (the paper's literal §3.6 schedule, the gate
+// forced on) stay in plan.Decision, untried: the search never adopted them.
 //
 // The search is per site. A program with several MPI_ALLTOALL sites first
 // gets the uniform search above (every site shares one decision — the best
@@ -174,6 +176,19 @@ type siteState struct {
 // are shared across calls through core.Apply's plan-key memo on prog, so a
 // candidate plan is generated at most once per program.
 func Tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
+	return tune(prog, m, p, runner, []knob{
+		// "Don't" leads: declining the transformation outright is the most
+		// consequential move on already-overlapped machines, where every
+		// transformed variant loses. Toggling skip off a skipped incumbent
+		// re-enters the transformed space at the default knobs.
+		flip(func(d *plan.Decision) { d.Skip = !d.Skip }),
+		flip(func(d *plan.Decision) { d.Interchange = plan.InterchangeOff }),
+	})
+}
+
+// tune is Tune with the knob stage's moves as a parameter, so the tests can
+// hold the search to the one that also tried the flips that never win.
+func tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner, knobs []knob) (Choice, error) {
 	if len(p.Arrays) == 0 {
 		p.Arrays = []string{"ar"}
 	}
@@ -189,7 +204,7 @@ func Tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Cho
 		return Choice{}, fmt.Errorf("tune: original run under %s: %w", m.Name, err)
 	}
 	s := &search{
-		prog: prog, src: src, p: p, machine: m, sites: sites,
+		prog: prog, src: src, p: p, machine: m, sites: sites, knobs: knobs,
 		maxM:   resolveMaxMeasured(p.MaxMeasured, len(sites)),
 		runner: runner,
 		orig:   orig, origNs: int64(orig.Elapsed()),
@@ -246,6 +261,7 @@ type search struct {
 	sites   []siteState
 	maxM    int
 	runner  exec.Runner
+	knobs   []knob // the knob stage's moves, in order
 
 	orig   *interp.Result
 	origNs int64
@@ -318,10 +334,8 @@ func (s *search) run() (Choice, error) {
 	// disagrees with "auto" on part of the ladder) — such no-op rungs alias
 	// earlier candidates and cost nothing, so the climb walks through them
 	// for free until the flip starts mattering. A flipped plan displaces the
-	// incumbent only when strictly better; afterwards one more default climb
-	// refines K under the winner.
+	// incumbent only when strictly better.
 	s.climbKnobs(-1, uniformLadder)
-	s.climbK(-1, uniformLadder)
 
 	// Coordinate descent across sites: climb each site's K (and knobs) with
 	// the others held at the incumbent, iterating until a whole pass adopts
@@ -472,18 +486,18 @@ func withK(ds []plan.Decision, si int, k int64) []plan.Decision {
 	return out
 }
 
-// withFlip returns a copy of the vector with the knob flip applied to site
-// si (si < 0 flips every site).
-func withFlip(ds []plan.Decision, si int, flip func(*plan.Decision)) []plan.Decision {
+// withFlip returns a copy of the vector with the knob flip f applied to
+// site si (si < 0 flips every site).
+func withFlip(ds []plan.Decision, si int, f func(*plan.Decision)) []plan.Decision {
 	out := append([]plan.Decision(nil), ds...)
 	if si < 0 {
 		for i := range out {
-			flip(&out[i])
+			f(&out[i])
 			out[i] = out[i].Normalize()
 		}
 		return out
 	}
-	flip(&out[si])
+	f(&out[si])
 	out[si] = out[si].Normalize()
 	return out
 }
@@ -633,35 +647,28 @@ func (s *search) climbK(si int, ladder []int64) {
 	}
 }
 
-// climbKnobs explores each non-K knob flip of the incumbent on axis si in a
-// fixed order. Every flip is evaluated at the incumbent K and then
-// hill-climbed along the ladder within its own variant: a flip whose code
-// is identical at the incumbent K (an aliased no-op) is walked outward for
-// free until the rungs where it changes the schedule. The interchange
-// flips lead — the fixed granularity gate is the most platform-sensitive
-// heuristic.
+// A knob is one move of the knob stage on axis si (< 0: every site at once).
+type knob func(s *search, si int, ladder []int64)
+
+// climbKnobs makes the search's knob moves on axis si in order, while the
+// measurement budget lasts.
 func (s *search) climbKnobs(si int, ladder []int64) {
-	flips := []func(*plan.Decision){
-		// "Don't" leads: declining the transformation outright is the most
-		// consequential move on already-overlapped machines, where every
-		// transformed variant loses. Toggling skip off a skipped incumbent
-		// re-enters the transformed space at the default knobs.
-		func(d *plan.Decision) { d.Skip = !d.Skip },
-		func(d *plan.Decision) { d.Interchange = plan.InterchangeOff },
-		func(d *plan.Decision) { d.Interchange = plan.InterchangeOn },
-		func(d *plan.Decision) { d.Wait = flipWait(d.Wait) },
-		func(d *plan.Decision) { d.SendOrder = flipOrder(d.SendOrder) },
-	}
-	for _, flip := range flips {
-		best := s.best()
-		if best == nil || s.runs >= s.maxM {
+	for _, move := range s.knobs {
+		if s.runs >= s.maxM {
 			break
 		}
-		ds := withFlip(best.Decisions, si, flip)
-		if s.vecKey(ds) == s.vecKey(best.Decisions) {
-			continue
+		move(s, si, ladder)
+	}
+}
+
+// flip is the knob move that applies f to the incumbent on axis si and
+// climbs K within the flipped variant (climbVariant).
+func flip(f func(*plan.Decision)) knob {
+	return func(s *search, si int, ladder []int64) {
+		best := s.best()
+		if ds := withFlip(best.Decisions, si, f); s.vecKey(ds) != s.vecKey(best.Decisions) {
+			s.climbVariant(ds, si, ladder)
 		}
-		s.climbVariant(ds, si, ladder)
 	}
 }
 
@@ -712,20 +719,6 @@ func (s *search) climbVariant(ds []plan.Decision, si int, ladder []int64) {
 			}
 		}
 	}
-}
-
-func flipWait(w plan.WaitSchedule) plan.WaitSchedule {
-	if w == plan.WaitPerTile {
-		return plan.WaitDeferred
-	}
-	return plan.WaitPerTile
-}
-
-func flipOrder(o plan.SendOrder) plan.SendOrder {
-	if o == plan.SendSequential {
-		return plan.SendStaggered
-	}
-	return plan.SendSequential
 }
 
 // best returns the oracle-identical candidate with the highest speedup.
