@@ -423,3 +423,60 @@ func TestEvalInt(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectEmptySlabs: a loop that never runs covers no element of As, so
+// the slabs do not tile it. The covered count is max(0, outer trips) ×
+// max(0, copy trips); a zero-trip loop once proved the mapping with
+// Count = -1 or reported a negative cover.
+func TestRejectEmptySlabs(t *testing.T) {
+	src := func(outer, copyLoop string) string {
+		return `
+program empty
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: np = 2
+  integer as(1:2, 1:2, 1:2)
+  integer ar(1:2, 1:2, 1:2)
+  integer at(1:4)
+  integer iy, ix, tx, ty, ierr
+
+  do iy = ` + outer + `
+    call p(iy, at)
+    do ix = ` + copyLoop + `
+      tx = mod(ix - 1, 2) + 1
+      ty = (ix - 1)/2 + 1
+      as(tx, ty, iy) = at(ix)
+    enddo
+  enddo
+  call mpi_alltoall(as, 4, mpi_integer, ar, 4, mpi_integer, mpi_comm_world, ierr)
+end program empty
+
+subroutine p(iy, at)
+  integer iy
+  integer at(*)
+  at(1) = iy
+end subroutine p
+`
+	}
+	const want = "slabs cover 0 elements but as has 8"
+	for _, c := range []struct{ name, outer, copyLoop string }{
+		{"zero-trip outer loop", "10, 1", "1, 4"},
+		{"outer loop three short", "3, 1", "1, 4"},
+		{"zero-trip copy loop", "1, 2", "5, 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ops, errs := findOps(t, src(c.outer, c.copyLoop), Options{})
+			if len(ops) != 0 {
+				t.Fatalf("accepted with Count = %d, notes %q", ops[0].CopyLoop.Count, ops[0].Notes)
+			}
+			if len(errs) != 1 || !strings.Contains(errs[0].Error(), want) {
+				t.Errorf("errors = %v, want %q", errs, want)
+			}
+		})
+	}
+	// The unbroken shape still proves, with two slabs of four elements.
+	ops, errs := findOps(t, src("1, 2", "1, 4"), Options{})
+	if len(ops) != 1 || ops[0].CopyLoop.Count != 4 {
+		t.Fatalf("ops = %d, errs = %v", len(ops), errs)
+	}
+}

@@ -192,7 +192,7 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 		}
 	}
 
-	count := int64(-1)
+	var count int64 // elements per slab: the first slab's copy trips, 0 when there is none
 	for iy := outerLo; iy <= outerHi; iy++ {
 		en.set(outerVar, iy)
 		cpLo, okl := en.run(cpLoC)
@@ -205,8 +205,8 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 				return reject(cl.Loop.Pos(), "copy loop step must be 1")
 			}
 		}
-		n := cpHi - cpLo + 1
-		if count < 0 {
+		n := max(0, cpHi-cpLo+1)
+		if iy == outerLo {
 			count = n
 		} else if count != n {
 			return reject(cl.Loop.Pos(), "copy loop trip count varies across outer iterations (%d vs %d)", count, n)
@@ -252,8 +252,8 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 		en.unset(cpVar) // ℓcp's variable is not a value the next bounds may use
 	}
 	// The slabs must exactly tile As.
-	if (outerHi-outerLo+1)*count != totalAs {
-		return reject(w.Pos(), "slabs cover %d elements but %s has %d", (outerHi-outerLo+1)*count, op.Call.As, totalAs)
+	if covered := max(0, outerHi-outerLo+1) * count; covered != totalAs {
+		return reject(w.Pos(), "slabs cover %d elements but %s has %d", covered, op.Call.As, totalAs)
 	}
 	cl.Count = count
 	return nil
