@@ -79,8 +79,9 @@ var allowedGlobals = map[string]string{
 	// A sync.Pool is a cache, not state: nothing observable depends on what
 	// it holds, and it is the only way scratch outlives one run.
 	"internal/exec:stripPool": "strip-executor lane vectors recycled across runs (sync.Pool; a per-run or per-Program scratch would add ~20 KiB per rank to runs that allocate ~2 MiB)",
-	// A test seam that product code only reads: nil outside tests.
-	"internal/dep:observePair": "differential-test observer of pair queries (set only by internal/dep's tests, which hold every answer to the reference solver)",
+	// Test seams that product code only reads: nil outside tests.
+	"internal/dep:observePair":      "differential-test observer of pair queries (set only by internal/dep's tests, which hold every answer to the reference solver)",
+	"internal/analysis:observeSlab": "differential-test observer of §3.4 slab proofs (set only by internal/analysis's tests, which hold every verdict to the exhaustive enumeration and pin the elements evaluated)",
 	// The linter's own configuration tables (read-only).
 	"cmd/repolint:allowedGlobals": "this allowlist",
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"repro/internal/ftn"
 )
 
@@ -121,14 +123,34 @@ func containsStmt(stmts []ftn.Stmt, target ftn.Stmt) bool {
 	return found
 }
 
-// verifySlabMapping exhaustively checks (it is a finite, small space) that
-// executing ℓcp for every outer iteration writes At's elements to
-// consecutive whole slabs of As in order: linear As offset of the element
-// copied from At(j) at outer value iy equals (iy-iyLo)·Count + (j-atLo),
-// and that the slabs exactly tile As. This is what makes
-// At -> As -> Ar equivalent to At -> Ar (§3.4). Every element is visited;
-// the expressions it evaluates per element are resolved to slots up front.
-func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.Ref) error {
+// observeSlab, when set, is told each slab-mapping proof as it ends: its
+// inputs, the elements it evaluated and its verdict. Only tests set it.
+var observeSlab func(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.Ref, elements int64, err error)
+
+// verifySlabMapping checks that executing ℓcp for every outer iteration
+// writes At's elements to consecutive whole slabs of As in order: linear As
+// offset of the element copied from At(j) at outer value iy equals
+// (iy-iyLo)·Count + (j-atLo), and that the slabs exactly tile As. This is
+// what makes At -> As -> Ar equivalent to At -> Ar (§3.4).
+//
+// The first slab is checked element by element, and so is every slab when
+// some code reads both loop variables, ix (ℓcp's) and iy (ℓ's). A code's
+// class is the union of the classes of the slots it reads; a body scalar
+// read before the body assigns it carries a value over from the previous
+// element, so it reads both. Otherwise off - want splits as A(ix) + B(iy) in
+// wrapping int64 arithmetic: each subscript, slabBase and j is in one class,
+// and reduction mod 2⁶⁴ is a ring homomorphism. The first slab proved A
+// constant over its ix range and every ix-only code defined and in bounds
+// there, and an iy-only code is constant within a slab. So a later slab whose
+// copy loop starts where the first one did is checked at its first element
+// alone: every element has that element's off - want, and the walk would
+// fail there first, with the same message. A slab whose copy loop starts
+// elsewhere takes the same loop to cpHi. Codes are resolved to slots up front.
+func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.Ref) (err error) {
+	var elements int64 // evaluated, for observeSlab
+	if observeSlab != nil {
+		defer func() { observeSlab(op, cl, w, rhs, elements, err) }()
+	}
 	// Numeric As dims.
 	var lo, hi, stride []int64
 	strideAcc := int64(1)
@@ -181,6 +203,35 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 	atSub := sc.resolve(rhs.Args[0])
 	en := sc.newEnv(op.Consts)
 
+	// Class the codes by the loop variables they can read, in the order the
+	// body runs them. reads is each slot's class as the element stands.
+	const byIx, byIy = 1, 2
+	reads := make([]uint8, len(sc.names))
+	reads[outerVar] = byIy
+	reads[cpVar] |= byIx
+	for _, sd := range scalars {
+		reads[sd.slot] = byIx | byIy // carried over from the previous element
+	}
+	separable := true // no code reads both
+	classOf := func(c code) (m uint8) {
+		for _, in := range c {
+			if in.op == opVar {
+				m |= reads[in.k]
+			}
+		}
+		separable = separable && m != byIx|byIy
+		return m
+	}
+	for _, sd := range scalars {
+		reads[sd.slot] = classOf(sd.rhs)
+	}
+	for _, sub := range subs {
+		classOf(sub)
+	}
+	classOf(atSub)
+	var firstLo int64 // the first slab's cpLo
+	var last []int64  // the environment the first slab's last element left
+
 	outerLo, ok1 := en.run(outerLoC)
 	outerHi, ok2 := en.run(outerHiC)
 	if !ok1 || !ok2 {
@@ -212,7 +263,13 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 			return reject(cl.Loop.Pos(), "copy loop trip count varies across outer iterations (%d vs %d)", count, n)
 		}
 		slabBase := (iy - outerLo) * count
-		for ix := cpLo; ix <= cpHi; ix++ {
+		oneElement := separable && iy > outerLo && cpLo == firstLo && count > 0
+		end := cpHi
+		if oneElement {
+			end = cpLo
+		}
+		for ix := cpLo; ix <= end; ix++ {
+			elements++
 			en.set(cpVar, ix)
 			// Execute the scalar assignments of the copy loop body.
 			for _, sd := range scalars {
@@ -247,6 +304,17 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 				return reject(w.Pos(),
 					"copy mapping is not a whole-slab mapping: at %s=%d, %s=%d the element lands at offset %d, want %d",
 					op.L.Var, iy, cl.Loop.Var, ix, off, want)
+			}
+		}
+		if iy == outerLo {
+			firstLo, last = cpLo, slices.Clone(en.val)
+		} else if oneElement {
+			// Leave the environment as the slab's last element would: the
+			// next slab's bounds may read an ix-only scalar.
+			for _, sd := range scalars {
+				if reads[sd.slot] == byIx {
+					en.set(sd.slot, last[sd.slot])
+				}
 			}
 		}
 		en.unset(cpVar) // ℓcp's variable is not a value the next bounds may use

@@ -9,8 +9,8 @@ import (
 // declarations, loop bounds and subscripts: + - * / ** mod min max abs.
 // An expression is resolved once — names to slots of a scope, the tree to
 // postfix code — and run any number of times against a flat environment, so
-// the exhaustive §3.4 slab check pays no name lookup per element. (*env).run
-// is the only operator table; EvalInt is resolve-and-run-once.
+// the §3.4 slab check pays no name lookup per element it evaluates.
+// (*env).run is the only operator table; EvalInt is resolve-and-run-once.
 
 type opcode uint8
 

@@ -287,10 +287,11 @@ end program p
 	}
 }
 
-// slabSrc is the Fig. 3(a) copy-loop shape with four places to break the
-// whole-slab mapping: the copy loop's upper bound, the first subscript, the
-// expression defining tx, and the extent of As's last dimension.
-func slabSrc(cpHi, sub1, tx, lastExt string) string {
+// slabSrc is the Fig. 3(a) copy-loop shape with five places to break the
+// whole-slab mapping: the copy loop's upper bound, the first and third
+// subscripts, the expression defining tx, and the extent of As's last
+// dimension.
+func slabSrc(cpHi, sub1, sub3, tx, lastExt string) string {
 	return `
 program p
   implicit none
@@ -307,7 +308,7 @@ program p
     do ix = 1, ` + cpHi + `
       tx = ` + tx + `
       ty = (ix - 1)/n + 1
-      as(` + sub1 + `, ty, iy) = at(ix)
+      as(` + sub1 + `, ty, ` + sub3 + `) = at(ix)
     enddo
   enddo
   call mpi_alltoall(as, 16, mpi_integer, ar, 16, mpi_integer, mpi_comm_world, ierr)
@@ -321,13 +322,16 @@ end subroutine p2
 `
 }
 
-// TestRejectSlabMapping pins the §3.4 check's rejections word for word, and
-// that it visits every element: each defect below exists at exactly one
-// (iy, ix), so a check that skipped an outer iteration or an element would
-// accept the program or report a different reason.
+// TestRejectSlabMapping pins the §3.4 check's rejections word for word. Each
+// one-element defect below exists at exactly one (iy, ix), so a check that
+// skipped an element it must visit would accept the program or report a
+// different reason. A rotated element is a defect in tx, a code that reads
+// both ix and iy, so its program takes the full walk; a defect in the third
+// subscript reads iy alone and is found at the first element of its slab.
+// internal/analysis holds the same shapes to the exhaustive enumeration.
 func TestRejectSlabMapping(t *testing.T) {
 	const txOK = "mod(ix - 1, n) + 1"
-	if _, rep, err := transform(slabSrc("16", "tx", txOK, "n"), 0, plan.Decision{K: 1}); err != nil || rep.TransformedCount() != 1 {
+	if _, rep, err := transform(slabSrc("16", "tx", "iy", txOK, "n"), 0, plan.Decision{K: 1}); err != nil || rep.TransformedCount() != 1 {
 		t.Fatalf("the unbroken shape must transform: err=%v\n%s", err, rep)
 	}
 	reject := func(name, src, want string) {
@@ -341,12 +345,16 @@ func TestRejectSlabMapping(t *testing.T) {
 			}
 		})
 	}
-	reject("trip count varies at the last outer iteration", slabSrc("16 - iy/n", "tx", txOK, "n"),
+	reject("trip count varies at the last outer iteration", slabSrc("16 - iy/n", "tx", "iy", txOK, "n"),
 		"copy loop trip count varies across outer iterations (16 vs 15)")
-	reject("subscript out of bounds at the last outer iteration", slabSrc("16", "tx - iy/n", txOK, "n"),
+	reject("subscript out of bounds at the last outer iteration", slabSrc("16", "tx - iy/n", "iy", txOK, "n"),
 		"As subscript 1 out of bounds (0 not in 1:4)")
-	reject("slabs do not tile As", slabSrc("16", "tx", txOK, "n + 1"),
+	reject("slabs do not tile As", slabSrc("16", "tx", "iy", txOK, "n + 1"),
 		"slabs cover 64 elements but as has 80")
+	reject("plane off at one later slab", slabSrc("16", "tx", "iy - (iy/3)*(3/iy)", txOK, "n"),
+		"copy mapping is not a whole-slab mapping: at iy=3, ix=1 the element lands at offset 16, want 32")
+	reject("plane out of bounds at the last slab", slabSrc("16", "tx", "iy + (iy/4)*(4/iy)", txOK, "n"),
+		"As subscript 3 out of bounds (5 not in 1:4)")
 	// One rotated element at (iy, ix) = (k, j): (iy/k)*(k/iy) is 1 only at
 	// iy = k, likewise for ix.
 	for k := int64(1); k <= 4; k++ {
@@ -354,7 +362,7 @@ func TestRejectSlabMapping(t *testing.T) {
 			at := "(iy/" + itoa(k) + ")*(" + itoa(k) + "/iy)*(ix/" + itoa(j) + ")*(" + itoa(j) + "/ix)"
 			want := (k-1)*16 + (j - 1)
 			got := (k-1)*16 + (j-1)/4*4 + j%4
-			reject("one element off at iy="+itoa(k)+", ix="+itoa(j), slabSrc("16", "tx", "mod(ix - 1 + "+at+", n) + 1", "n"),
+			reject("one element off at iy="+itoa(k)+", ix="+itoa(j), slabSrc("16", "tx", "iy", "mod(ix - 1 + "+at+", n) + 1", "n"),
 				"copy mapping is not a whole-slab mapping: at iy="+itoa(k)+", ix="+itoa(j)+
 					" the element lands at offset "+itoa(got)+", want "+itoa(want))
 		}
