@@ -208,22 +208,24 @@ func TestSlabMappingMatchesReference(t *testing.T) {
 				if p.count > 0 && p.elements < p.count*int64(s.n) {
 					skipped++
 				}
-			case !strings.Contains(p.err.Error(), "iy=1,") && strings.Contains(p.err.Error(), "iy="):
-				laterSlab++
+			case strings.Contains(p.err.Error(), "iy=") && !strings.Contains(p.err.Error(), "iy="+strings.Split(s.outer, ",")[0]+","):
+				laterSlab++ // a mapping defect past the first slab
 			}
 		}
 	}
-	t.Logf("%d programs, %d proofs: %d accepted (%d checked at one element per later slab), %d rejected, %d of them at a later slab",
+	t.Logf("%d programs, %d proofs: %d accepted (%d checked at one element per later slab), %d rejected, %d of them for a mapping defect at a later slab",
 		programs, proved, accepted, skipped, proved-accepted, laterSlab)
-	if proved < programs*9/10 || accepted < programs/100 || skipped < accepted/4 || laterSlab < programs/50 {
+	if proved < programs*9/10 || accepted < programs/100 || skipped < accepted/4 || laterSlab < programs/100 {
 		t.Errorf("the draw does not exercise the check")
 	}
 }
 
 // TestSlabMappingCases pins single shapes in both implementations, and the
-// elements the check evaluates: the empty loops, a carried scalar and
-// iy-dependent copy bounds (which take the full walk), and one-element
-// defects in an iy-only subscript, found at one element of a later slab.
+// elements the check evaluates: carried scalars and iy-dependent copy bounds
+// take the full walk; bounds that read an ix-only scalar see what the
+// previous slab's last element left; one-element defects in an iy-only
+// subscript are found at one element of a later slab (the last two are
+// TestRejectSlabMapping's in internal/transform).
 func TestSlabMappingCases(t *testing.T) {
 	with := func(edit func(*slabShape)) string {
 		s := canonicalSlab()
@@ -235,8 +237,6 @@ func TestSlabMappingCases(t *testing.T) {
 		elements        int64
 	}{
 		{"canonical", with(func(*slabShape) {}), "", 16 + 3},
-		{"zero-trip outer loop", with(func(s *slabShape) { s.outer = "10, 1" }), "slabs cover 0 elements but as has 64", 0},
-		{"zero-trip copy loop", with(func(s *slabShape) { s.copyBounds = "5, 1" }), "slabs cover 0 elements but as has 64", 0},
 		{"carried scalar", with(func(s *slabShape) { s.body = append(s.body, "iy = iy + 0") }), "", 64},
 		{"carried scalar breaks the mapping", with(func(s *slabShape) { s.body = append([]string{"iy = iy + ix/16"}, s.body...) }),
 			"copy mapping is not a whole-slab mapping: at iy=1, ix=16 the element lands at offset 31, want 15", 16},
