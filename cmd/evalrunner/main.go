@@ -43,12 +43,13 @@
 //
 // -tune-check-engine makes -tune tiered: every candidate is measured on
 // the (fast) sweep engine, and only the original program and each adopted
-// plan (memo hits included) are re-run on the named engine — "walk" in CI —
+// plan (memo hits included) are re-proved on the named engine — "walk" in CI —
 // which must reproduce the exact makespans the search ranked on and the
 // exact observables the never-lose gate compared. The per-candidate cost drops
-// to the fast tier while the adopted plans stay oracle-backed; the report
-// records tune_check_engine and the per-row/summary tiered_checks
-// counters.
+// to the fast tier while the adopted plans stay oracle-backed. The original
+// is executed once per scenario and its skeleton replayed under the other
+// machines; the report records tune_check_engine and the per-row/summary
+// tiered_checks counters, with the walk_runs and walk_replays that paid them.
 //
 // -cache-dir backs the sweep's variant store with a content-addressed
 // on-disk layer: every successfully compiled variant source is persisted

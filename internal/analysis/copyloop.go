@@ -127,6 +127,11 @@ func containsStmt(stmts []ftn.Stmt, target ftn.Stmt) bool {
 // inputs, the elements it evaluated and its verdict. Only tests set it.
 var observeSlab func(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.Ref, elements int64, err error)
 
+// maxSlabs caps the slabs verifySlabMapping walks: 2,048 times the corpus's
+// largest site (32 slabs), and a bound on what one analysis of a source no
+// one has vetted can cost.
+const maxSlabs = 1 << 16
+
 // verifySlabMapping checks that executing ℓcp for every outer iteration
 // writes At's elements to consecutive whole slabs of As in order: linear As
 // offset of the element copied from At(j) at outer value iy equals
@@ -146,6 +151,7 @@ var observeSlab func(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.
 // alone: every element has that element's off - want, and the walk would
 // fail there first, with the same message. A slab whose copy loop starts
 // elsewhere takes the same loop to cpHi. Codes are resolved to slots up front.
+// The walk stops, rejecting the site, at slab maxSlabs + 1.
 func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ftn.Ref) (err error) {
 	var elements int64 // evaluated, for observeSlab
 	if observeSlab != nil {
@@ -245,6 +251,9 @@ func verifySlabMapping(op *Opportunity, cl *CopyLoop, w *ftn.AssignStmt, rhs *ft
 
 	var count int64 // elements per slab: the first slab's copy trips, 0 when there is none
 	for iy := outerLo; iy <= outerHi; iy++ {
+		if iy-outerLo == maxSlabs {
+			return reject(op.L.Pos(), "outer loop runs more than %d slabs, the most the copy mapping check walks", maxSlabs)
+		}
 		en.set(outerVar, iy)
 		cpLo, okl := en.run(cpLoC)
 		cpHi, okh := en.run(cpHiC)

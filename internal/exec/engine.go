@@ -66,8 +66,11 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 
 // Measure is Run's measuring twin (see Program.Measure): Run's answer,
 // replayed from the skeleton the variant's Program — drawn from the Store like
-// any run's — holds; full is non-nil exactly then. The walk engine never
-// replays, nor does a Runner without a Store (each of its Programs is new).
+// any run's — holds; full is non-nil exactly then. Under the walk engine, and
+// for a Runner without a Store (each of its Programs is new), Measure
+// executes: no walk leaves a skeleton behind. A caller that wants the walk's
+// skeleton takes it from Record and replays it itself, as the harness's
+// tiered check does.
 func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, full func() (*interp.Result, error), err error) {
 	if r.Engine == EngineWalk {
 		res, err = runWalk(src, np, prof, costs)
@@ -78,6 +81,29 @@ func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.
 		return nil, nil, err
 	}
 	return p.Measure(np, prof, costs)
+}
+
+// Record is Run that also records the run's skeleton, nil when no replay can
+// stand for it (interp/skeleton.go), under either engine. It records afresh,
+// whether or not the Program already holds a skeleton, and stores nothing on
+// it: the caller owns what Record returns.
+func (r Runner) Record(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, *interp.Skeleton, error) {
+	if r.Engine != EngineWalk {
+		p, err := r.get(src)
+		if err != nil {
+			return nil, nil, err
+		}
+		if p.routed == "" {
+			p.Bytecode()
+			return p.execute(np, prof, costs, !p.timed)
+		}
+		src = p.src
+	}
+	p, err := loadWalk(src, costs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Record(np, prof)
 }
 
 // get draws the compiled variant from the store, or compiles it afresh.

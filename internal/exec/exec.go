@@ -27,8 +27,10 @@
 // under the asked-for cost model, MPI operations pushed through the same
 // mpi/netsim code with no VM and no payloads — an execution's exact Stats for
 // about a tenth of its host time. Which runs leave no skeleton the input
-// decides (skeleton.go; mpi_wtime at lowering time); there is no switch, the
-// walker never records or replays, a DiskStore persists sources only.
+// decides (skeleton.go; mpi_wtime at lowering time); there is no switch, and a
+// DiskStore persists sources only. Runner.Record executes under either engine
+// and hands the recorded skeleton to its caller instead: that is how a walk
+// records.
 //
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
@@ -244,13 +246,25 @@ func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostMode
 		return runWalk(p.src, np, prof, costs)
 	}
 	p.Bytecode()
-	tab := p.chargeTab(costs)
-	var traces []*interp.RankTrace
+	record := false
 	if _, seen := p.skels.Load(np); !seen && !p.timed {
 		// Whoever stores the placeholder records; a concurrent run just executes.
-		if _, raced := p.skels.LoadOrStore(np, (*interp.Skeleton)(nil)); !raced {
-			traces = make([]*interp.RankTrace, np)
-		}
+		_, raced := p.skels.LoadOrStore(np, (*interp.Skeleton)(nil))
+		record = !raced
+	}
+	res, skel, err := p.execute(np, prof, costs, record)
+	if record {
+		p.skels.Store(np, skel)
+	}
+	return res, err
+}
+
+// execute runs the lowered program, recording its skeleton when asked to.
+func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, record bool) (*interp.Result, *interp.Skeleton, error) {
+	tab := p.chargeTab(costs)
+	var traces []*interp.RankTrace
+	if record {
+		traces = make([]*interp.RankTrace, np)
 	}
 	res, err := interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
 		if traces != nil {
@@ -259,10 +273,10 @@ func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostMode
 		}
 		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab, trace: b.Trace}
 	})
-	if traces != nil {
-		p.skels.Store(np, interp.NewSkeleton(traces, res, err))
+	if traces == nil {
+		return res, nil, err
 	}
-	return res, err
+	return res, interp.NewSkeleton(traces, res, err), err
 }
 
 // Measure answers what RunBytecode would — the same Stats and, unless the
@@ -291,12 +305,20 @@ func (p *Program) Run(np int, prof netsim.Profile, costs interp.CostModel) (*int
 
 // runWalk parses src afresh and tree-walks it: the walk engine.
 func runWalk(src string, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
+	p, err := loadWalk(src, costs)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(np, prof)
+}
+
+func loadWalk(src string, costs interp.CostModel) (*interp.Program, error) {
 	p, err := interp.Load(src)
 	if err != nil {
 		return nil, err
 	}
 	p.Costs = costs
-	return p.Run(np, prof)
+	return p, nil
 }
 
 // RunMain implements interp.RankState.

@@ -92,7 +92,8 @@ func runAll(t *testing.T, label, src string, np int, m plan.Machine) {
 var npRe = regexp.MustCompile(`np\s*=\s*(\d+)`)
 
 // TestGoldenFixturesBitIdentical runs every runnable golden fixture under
-// both engines on every built-in machine and requires identical results.
+// both engines on every built-in machine and requires identical results,
+// and identical skeletons whose replays equal the walk (the walk arm).
 func TestGoldenFixturesBitIdentical(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f90"))
 	if err != nil || len(paths) == 0 {
@@ -113,11 +114,8 @@ func TestGoldenFixturesBitIdentical(t *testing.T) {
 			continue
 		}
 		np, _ := strconv.Atoi(m[1])
-		for _, machine := range plan.Builtin() {
-			label := fmt.Sprintf("%s/%s", filepath.Base(path), machine.Name)
-			runAll(t, label, src, np, machine)
-			ran++
-		}
+		requireWalkReplaysEverywhere(t, filepath.Base(path), src, np, plan.Builtin())
+		ran++
 	}
 	if ran == 0 {
 		t.Fatal("no runnable fixtures exercised")
@@ -125,10 +123,12 @@ func TestGoldenFixturesBitIdentical(t *testing.T) {
 }
 
 // TestCorpusBitIdentical runs the full generated corpus — original and
-// fixed-plan transformed variants — under both engines on the paper pair
-// and requires bit-identical results everywhere. This is the differential
-// oracle of the compiled engine: any semantic or cost-model divergence
-// from the tree-walker fails here.
+// fixed-plan transformed variants — under both engines on the three sweep
+// machines and requires bit-identical results everywhere. This is the
+// differential oracle of the compiled engine: any semantic or cost-model
+// divergence from the tree-walker fails here. It is also the walk arm of the
+// replay property: the walk's skeletons, recorded under each machine, must be
+// the bytecode's and replay to the walk under every machine.
 func TestCorpusBitIdentical(t *testing.T) {
 	scenarios := workload.GenerateScenarios(workload.GenOptions{})
 	if len(scenarios) < 40 {
@@ -153,14 +153,14 @@ func TestCorpusBitIdentical(t *testing.T) {
 			if rep.TransformedCount() == 0 {
 				t.Fatalf("transform did not fire: %s", rep.FirstRejection())
 			}
-			for _, m := range plan.PaperPair() {
+			machines := plan.DefaultSweep()
+			for i := range machines {
 				if sc.Costs != nil {
-					m.Costs = *sc.Costs
+					machines[i].Costs = *sc.Costs
 				}
-				for vi, src := range []string{sc.Source, transformed} {
-					label := fmt.Sprintf("%s/%s/variant%d", sc.Name, m.Name, vi)
-					runAll(t, label, src, sc.NP, m)
-				}
+			}
+			for vi, src := range []string{sc.Source, transformed} {
+				requireWalkReplaysEverywhere(t, fmt.Sprintf("%s/variant%d", sc.Name, vi), src, sc.NP, machines)
 			}
 		})
 	}

@@ -467,7 +467,8 @@ func randomKernel(i int) string {
 // nested DOs with constant and run-time bounds, integer/real/logical
 // scalars, 1- to 3-D arrays, intrinsics, IF/ELSE, EXIT/CYCLE, by-reference
 // calls, one ALLTOALL, then the calls-and-messages phase (see extras) — and
-// requires walk ≡ bytecode on every observable. The corpus is all-integer
+// requires walk ≡ bytecode on every observable, on both paper machines, and
+// the walk arm of the replay property. The corpus is all-integer
 // straight-line loop nests; this is where mixed kinds, coercing stores,
 // control flow inside lowered loops, argument association and MPI argument
 // evaluation get their differential coverage.
@@ -476,10 +477,8 @@ func TestRandomKernelsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		count = 20
 	}
-	machines := plan.PaperPair()
 	for i := 0; i < count; i++ {
 		src := randomKernel(i)
-		m := machines[i%len(machines)]
 		label := fmt.Sprintf("kernel %d", i)
 		func() {
 			defer func() {
@@ -487,7 +486,7 @@ func TestRandomKernelsBitIdentical(t *testing.T) {
 					t.Logf("%s:\n%s", label, src)
 				}
 			}()
-			runAll(t, label, src, 2, m)
+			requireWalkReplaysEverywhere(t, label, src, 2, plan.PaperPair())
 		}()
 	}
 }

@@ -72,9 +72,48 @@ func requireReplaysEverywhere(t *testing.T, label, src string, np int, machines 
 	}
 }
 
+// requireWalkReplaysEverywhere is the walk arm of the proof, and the engine
+// differential with it: the walk records src under each machine in turn, the
+// bytecode VM's run under that machine must be bit-identical to the walk's
+// and leave the identical skeleton, and each skeleton replayed under every
+// machine must equal the walk's execution there.
+func requireWalkReplaysEverywhere(t *testing.T, label, src string, np int, machines []plan.Machine) {
+	t.Helper()
+	walk := make([]*interp.Result, len(machines))
+	skels := make([]*interp.Skeleton, len(machines))
+	for i, m := range machines {
+		var err error
+		walk[i], skels[i], err = exec.Runner{Engine: exec.EngineWalk}.Record(src, np, m.Costs, m.Profile)
+		if err != nil {
+			t.Fatalf("%s: walk under %s: %v", label, m.Name, err)
+		}
+		if skels[i] == nil {
+			t.Fatalf("%s: the walk under %s recorded no skeleton", label, m.Name)
+		}
+		vm, vmSkel, err := exec.Runner{}.Record(src, np, m.Costs, m.Profile)
+		if err != nil {
+			t.Fatalf("%s: bytecode under %s: %v", label, m.Name, err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("%s/%s", label, m.Name), walk[i], vm)
+		if !reflect.DeepEqual(skels[i], vmSkel) {
+			t.Fatalf("%s: walk and bytecode record different skeletons under %s", label, m.Name)
+		}
+	}
+	for ri, rm := range machines {
+		for i, m := range machines {
+			res, err := skels[ri].Replay(m.Profile, m.Costs)
+			if err != nil {
+				t.Fatalf("%s: walk-recorded under %s, replayed under %s: %v", label, rm.Name, m.Name, err)
+			}
+			requireReplayIsRun(t, fmt.Sprintf("%s: walk-recorded under %s, replayed under %s", label, rm.Name, m.Name), walk[i], res)
+		}
+	}
+}
+
 // TestReplayEqualsRunCorpus covers the 240 oracle_pin configurations — the
 // corpus' originals and fixed-K variants under the three sweep machines —
-// each recorded under one machine and replayed under all three.
+// each recorded under one machine and replayed under all three (the walk
+// arm over the same configurations is TestCorpusBitIdentical).
 func TestReplayEqualsRunCorpus(t *testing.T) {
 	scenarios := workload.GenerateScenarios(workload.GenOptions{})
 	if testing.Short() {
@@ -137,21 +176,26 @@ func TestNeverSkeletonised(t *testing.T) {
 `+extra+`
   print *, b(1)`)
 	}
+	// A character program is fenced only from the Program (RunBytecode runs
+	// the walker on it): Record, under either engine, records its walk.
 	cases := []struct {
-		name, src string
-		fails     bool
+		name, src      string
+		fails, records bool
 	}{
-		{"reads mpi_wtime", ring("5", "  t0 = mpi_wtime()"), false},
-		{"any-tag receive", ring("-1", ""), false},
-		{"unwaited request", string(late), false},
-		{"failing run", ring("5", "  b(1) = b(9)"), true},
+		{"reads mpi_wtime", ring("5", "  t0 = mpi_wtime()"), false, false},
+		{"any-tag receive", ring("-1", ""), false, false},
+		{"unwaited request", string(late), false, false},
+		{"failing run", ring("5", "  b(1) = b(9)"), true, false},
 		{"deadlocked run", wrap(`  integer b(1:4)`, `
-  call mpi_recv(b, 4, mpi_integer, 1 - me, 5, mpi_comm_world, mpi_status_ignore, ierr)`), true},
+  call mpi_recv(b, 4, mpi_integer, 1 - me, 5, mpi_comm_world, mpi_status_ignore, ierr)`), true, false},
 		{"character program", wrap(`  character(len=2) c`, `
   c = 'ok'
-  print *, c`), false},
+  print *, c`), false, true},
 	}
 	for _, tc := range cases {
+		if tc.records {
+			requireWalkReplaysEverywhere(t, tc.name, tc.src, 2, plan.PaperPair())
+		}
 		for _, m := range plan.PaperPair() {
 			label := tc.name + "/" + m.Name
 			r := exec.Runner{Store: exec.NewMemStore()}
@@ -173,10 +217,16 @@ func TestNeverSkeletonised(t *testing.T) {
 				t.Fatalf("%s: measure: %v", label, err)
 			}
 			requireReplayIsRun(t, label, first, res)
+			for _, eng := range []exec.Engine{exec.EngineWalk, exec.EngineBytecode} {
+				if _, skel, _ := (exec.Runner{Engine: eng}).Record(tc.src, 2, m.Costs, m.Profile); skel != nil && !tc.records {
+					t.Fatalf("%s: Record on %s left a skeleton", label, eng)
+				}
+			}
 		}
 	}
 	// The control: the same ring without a fenced construct does replay.
 	requireReplaysEverywhere(t, "plain ring", ring("5", ""), 2, plan.PaperPair())
+	requireWalkReplaysEverywhere(t, "plain ring", ring("5", ""), 2, plan.PaperPair())
 }
 
 // TestConcurrentFirstRuns: of several goroutines first-running one Program

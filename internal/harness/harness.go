@@ -12,8 +12,13 @@
 // variant, and in tuned mode every (scenario, machine) search goes through
 // session.Session.Tune, so a search the session's plan memo already answered
 // is not run again. Tiered tuning is the harness's own step after each
-// choice, memo hits included: the original and the adopted plan are re-run
-// on the check engine and must reproduce what the search ranked on.
+// choice, memo hits included: the original and the adopted plan are re-proved
+// on the check engine and must reproduce what the search ranked on. The check
+// engine executes each scenario's original once, in wave 1 under the first
+// machine, and records its skeleton; every other machine's check replays that
+// skeleton under its own machine instead of executing the original again,
+// unless no replay may stand for an execution there (checkOriginal). Adopted
+// plans are executed on the check engine per machine.
 package harness
 
 import (
@@ -41,8 +46,9 @@ import (
 // Schema identifies the JSON artifact layout. v7 adds the bytecode
 // execution tier and tiered tuning: the report records the tune-check
 // engine (`tune_check_engine`, the oracle that differentially re-checked
-// every adopted plan), tuned rows carry `tiered_checks` (oracle runs spent
-// on that row), and the summary sums them. v6 made "don't transform" a
+// every adopted plan), tuned rows carry `tiered_checks` (oracle checks on
+// that row, paid as `walk_runs` executions and `walk_replays` replays), and
+// the summary sums them. v6 made "don't transform" a
 // first-class per-site decision (skip decisions, skipped_sites /
 // identity_plans counters; tuned speedup ≥ 1.0 by construction); v5 added
 // the execution-engine fields (engine, variants_compiled, cache_hits,
@@ -73,9 +79,10 @@ type Config struct {
 	Tune bool
 	// TuneCheckEngine, when non-empty, makes tuning tiered: candidates are
 	// measured on the sweep engine, and the original program and each
-	// adopted plan — memo hits included — are re-run on this engine (the
-	// walk oracle in CI), requiring identical makespans and observables.
-	// Ignored when it names the sweep engine itself.
+	// adopted plan — memo hits included — are re-proved on this engine (the
+	// walk oracle in CI), requiring identical makespans and observables. The
+	// original is executed once, under the first machine, and replayed under
+	// the others. Ignored when it names the sweep engine itself.
 	TuneCheckEngine exec.Engine
 	// Verify enables the static verification tier: every (program, plan)
 	// variant the sweep touches — the fixed variant, every measured tuner
@@ -181,9 +188,16 @@ type TunedRun struct {
 	// Search cost: measured pre-push runs and the simulated time they took.
 	Evaluations int   `json:"evaluations"`
 	SearchSimNs int64 `json:"search_sim_ns"`
-	// TieredChecks counts the check-engine runs that re-proved this row's
-	// original and adopted plan (tiered tuning only; 0 when off).
+	// TieredChecks counts the checks that re-proved this row's original and
+	// adopted plan on the check engine (tiered tuning only; 0 when off): one
+	// for the original, plus one when the winner's source is not the
+	// original's. WalkRuns and WalkReplays say how they were paid: executions
+	// on the check engine, and replays of the original's one execution under
+	// this row's machine. That execution, made under the sweep's first
+	// machine, is counted on that machine's row.
 	TieredChecks int `json:"tiered_checks,omitempty"`
+	WalkRuns     int `json:"walk_runs,omitempty"`
+	WalkReplays  int `json:"walk_replays,omitempty"`
 	// ReplayedRuns and CertifiedRuns are tune.Choice's: skeleton replays and
 	// certifying executions; which search came first decides — economics.
 	ReplayedRuns  int `json:"replayed_runs,omitempty"`
@@ -278,10 +292,14 @@ type Summary struct {
 	VerifySkipped    int64 `json:"verify_skipped,omitempty"`
 	VerifyFailures   int64 `json:"verify_failures,omitempty"`
 	VerifyWallNs     int64 `json:"verify_wall_ns,omitempty"`
-	// TieredChecks sums the tuned rows' check-engine runs (tiered tuning
-	// only). It is the whole oracle bill of a tiered sweep: two runs per
-	// adopted plan instead of one per measured candidate. Merge sums it.
+	// TieredChecks sums the tuned rows' checks (tiered tuning only): at most
+	// two per adopted plan instead of one execution per measured candidate.
+	// WalkRuns and WalkReplays sum what paid for them — check-engine
+	// executions, and replays of an original's one execution. Merge sums all
+	// three.
 	TieredChecks int64 `json:"tiered_checks,omitempty"`
+	WalkRuns     int64 `json:"walk_runs,omitempty"`
+	WalkReplays  int64 `json:"walk_replays,omitempty"`
 	// ReplayedRuns and CertifiedRuns sum the tuned rows' counters; Merge
 	// sums them across shards.
 	ReplayedRuns  int64 `json:"replayed_runs,omitempty"`
@@ -492,9 +510,11 @@ type scenarioState struct {
 	sess     *session.Session
 	runner   exec.Runner
 	// check, when non-nil, is the tiered-tuning check runner; wave 1 then
-	// keeps what the check compares of each machine's original run in orig.
-	check *exec.Runner
-	orig  []*interp.Result
+	// keeps what the check compares of each machine's original run in orig,
+	// and the check engine's one execution of the original in checked.
+	check   *exec.Runner
+	orig    []*interp.Result
+	checked checkedOriginal
 	// verify, when non-nil, is the sweep-wide static verification tracker;
 	// verifyFixed holds the fixed variant's findings, verifyTuned the
 	// per-machine tuned-search findings.
@@ -580,6 +600,16 @@ func (st *scenarioState) prepare() {
 	})
 }
 
+// checkedOriginal is the check engine's one execution of a scenario's
+// original, under the sweep's first machine. Wave 1 writes it; every
+// machine's tiered check in wave 2 reads it.
+type checkedOriginal struct {
+	obs  *interp.Result // its observables, as kept by observed
+	ns   netsim.Time
+	err  error
+	skel *interp.Skeleton // nil when no replay may stand for an execution
+}
+
 // runMachine executes the fixed differential measurement for one machine.
 func (st *scenarioState) runMachine(mi int) {
 	if st.prepErr != "" {
@@ -619,6 +649,26 @@ func (st *scenarioState) runMachine(mi int) {
 	}
 	if same, why := interp.SameObservable(results[0], results[1], st.arrays...); !same {
 		st.mismatch[mi] = fmt.Sprintf("%s: %s", m.Name, why)
+	}
+	if st.check != nil && mi == 0 {
+		st.checkFirst()
+	}
+}
+
+// checkFirst executes the original on the check engine under the first
+// machine, recording its skeleton. A skeleton that posts a nonblocking
+// request is dropped: its data could depend on the protocol, which the
+// machine decides (interp/skeleton.go).
+func (st *scenarioState) checkFirst() {
+	m, o := st.machines[0], &st.checked
+	res, skel, err := st.check.Record(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		o.err = fmt.Errorf("original under %s on %q: %w", m.Name, st.check.Engine, err)
+		return
+	}
+	o.obs, o.ns = observed(res, st.arrays), res.Elapsed()
+	if skel != nil && !skel.Nonblocking() {
+		o.skel = skel
 	}
 }
 
@@ -674,7 +724,7 @@ func (st *scenarioState) tuneMachine(mi int) {
 		ReplayedRuns: c.ReplayedRuns, CertifiedRuns: c.CertifiedRuns,
 	}
 	if st.check != nil {
-		if tr.TieredChecks, err = st.tieredCheck(mi, c); err != nil {
+		if err = st.tieredCheck(mi, c, tr); err != nil {
 			st.tuneErr[mi] = fmt.Sprintf("tune: tiered check: %v", err)
 			return
 		}
@@ -690,47 +740,81 @@ func (st *scenarioState) tuneMachine(mi int) {
 	}
 }
 
-// tieredCheck re-runs the original and the adopted plan of c on the check
+// checkOriginal answers the original's check under machine mi: its
+// observables, its makespan, and whether that makespan is a replay. Under the
+// first machine it is wave 1's execution; under another, that execution's
+// skeleton replayed under mi — or, where there is no skeleton or it fails to
+// replay, an execution of its own.
+func (st *scenarioState) checkOriginal(mi int) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
+	o := &st.checked
+	if o.err != nil || mi == 0 {
+		return o.obs, o.ns, false, o.err
+	}
+	m := st.machines[mi]
+	if o.skel != nil {
+		if res, err := o.skel.Replay(m.Profile, m.Costs); err == nil {
+			return o.obs, res.Elapsed(), true, nil
+		}
+	}
+	res, err := st.check.Run(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("original under %s on %q: %w", m.Name, st.check.Engine, err)
+	}
+	return observed(res, st.arrays), res.Elapsed(), false, nil
+}
+
+// tieredCheck re-proves the original and the adopted plan of c on the check
 // engine and requires exact agreement with what the search ranked on: the
 // original's makespan, and its observables against wave 1's run on the
 // sweep engine (as kept by observed); the winner's makespan, and its
-// observables against the checked original. It returns the check runs
-// spent: one, plus one when the winner's source is not the original's.
-func (st *scenarioState) tieredCheck(mi int, c tune.Choice) (int, error) {
+// observables against the checked original. It fills tr's check counters.
+func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error {
 	m, check := st.machines[mi], st.check
-	co, err := check.Run(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
+	co, ns, replayed, err := st.checkOriginal(mi)
 	if err != nil {
-		return 0, fmt.Errorf("original under %s on %q: %w", m.Name, check.Engine, err)
+		return err
 	}
-	if int64(co.Elapsed()) != c.OriginalNs {
-		return 0, fmt.Errorf("original makespan %d ns on %q vs %d ns on %q under %s",
-			int64(co.Elapsed()), check.Engine, c.OriginalNs, st.runner.Engine, m.Name)
+	how := check.Engine
+	if replayed {
+		how += " (replayed)"
+	}
+	if int64(ns) != c.OriginalNs {
+		return fmt.Errorf("original makespan %d ns on %q vs %d ns on %q under %s",
+			int64(ns), how, c.OriginalNs, st.runner.Engine, m.Name)
 	}
 	if same, why := interp.SameObservable(st.orig[mi], co, st.arrays...); !same {
-		return 0, fmt.Errorf("original observables diverge between %q and %q under %s: %s",
-			st.runner.Engine, check.Engine, m.Name, why)
+		return fmt.Errorf("original observables diverge between %q and %q under %s: %s",
+			st.runner.Engine, how, m.Name, why)
+	}
+	tr.TieredChecks = 1
+	if replayed {
+		tr.WalkReplays = 1
+	} else {
+		tr.WalkRuns = 1
 	}
 	// core.Apply is memoized by plan key: re-materializing the winner's
 	// source is free.
 	winnerSrc, _, err := core.Apply(st.prog, c.Plan)
 	if err != nil {
-		return 0, fmt.Errorf("re-apply winner under %s: %w", m.Name, err)
+		return fmt.Errorf("re-apply winner under %s: %w", m.Name, err)
 	}
 	if winnerSrc == st.sc.Source {
-		return 1, nil
+		return nil
 	}
 	cw, err := check.Run(winnerSrc, st.sc.NP, m.Costs, m.Profile)
 	if err != nil {
-		return 0, fmt.Errorf("winner under %s on %q: %w", m.Name, check.Engine, err)
+		return fmt.Errorf("winner under %s on %q: %w", m.Name, check.Engine, err)
 	}
 	if int64(cw.Elapsed()) != c.PrepushNs {
-		return 0, fmt.Errorf("winner makespan %d ns on %q vs %d ns on %q under %s",
+		return fmt.Errorf("winner makespan %d ns on %q vs %d ns on %q under %s",
 			int64(cw.Elapsed()), check.Engine, c.PrepushNs, st.runner.Engine, m.Name)
 	}
 	if same, why := interp.SameObservable(co, cw, st.arrays...); !same {
-		return 0, fmt.Errorf("winner corrupts observables on %q under %s: %s", check.Engine, m.Name, why)
+		return fmt.Errorf("winner corrupts observables on %q under %s: %s", check.Engine, m.Name, why)
 	}
-	return 2, nil
+	tr.TieredChecks++
+	tr.WalkRuns++
+	return nil
 }
 
 // assemble folds the slots into the scenario's Outcome, deterministically:
@@ -984,6 +1068,8 @@ func summarize(outcomes []Outcome) Summary {
 				s.IdentityPlans++
 			}
 			s.TieredChecks += int64(tr.TieredChecks)
+			s.WalkRuns += int64(tr.WalkRuns)
+			s.WalkReplays += int64(tr.WalkReplays)
 			s.ReplayedRuns += int64(tr.ReplayedRuns)
 			s.CertifiedRuns += int64(tr.CertifiedRuns)
 		}
@@ -1104,8 +1190,8 @@ func (r *Report) Table() string {
 			r.Summary.SkippedSites, r.Summary.IdentityPlans)
 	}
 	if r.TuneCheckEngine != "" {
-		fmt.Fprintf(&sb, "tiered tuning: %d adopted-plan check run(s) on engine %s\n",
-			r.Summary.TieredChecks, r.TuneCheckEngine)
+		fmt.Fprintf(&sb, "tiered tuning: %d adopted-plan check(s) on engine %s: %d run(s), %d replay(s)\n",
+			r.Summary.TieredChecks, r.TuneCheckEngine, r.Summary.WalkRuns, r.Summary.WalkReplays)
 	}
 	for _, ps := range r.Summary.PerProfile {
 		fmt.Fprintf(&sb, "geomean speedup %-14s %.3f", ps.Profile, ps.Geomean)

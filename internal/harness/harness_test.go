@@ -322,16 +322,38 @@ func TestTieredTuningSweep(t *testing.T) {
 	if checked.Summary.TieredChecks == 0 {
 		t.Fatal("tiered sweep recorded zero oracle check runs")
 	}
-	// Per row: one run for the original, one more unless the adopted plan
-	// skips every site (its source is the original's).
+	// Per row: one check for the original, one more unless the adopted plan
+	// skips every site (its source is the original's). Each original is
+	// executed once, on its first machine's row, and replayed on the other
+	// rows (no corpus original posts a nonblocking request); each
+	// non-original winner is executed on its own row.
+	var originals, winners int64
 	for _, o := range checked.Scenarios {
-		for _, tr := range o.Tuned {
+		if len(o.Tuned) > 0 {
+			originals++
+		}
+		for ri, tr := range o.Tuned {
 			skips, sites := tr.skipCounts()
 			if tr.TieredChecks < 1 || tr.TieredChecks > 2 || (skips == sites && tr.TieredChecks != 1) {
-				t.Errorf("%s on %s: %d check runs for a plan skipping %d of %d sites",
+				t.Errorf("%s on %s: %d checks for a plan skipping %d of %d sites",
 					o.Name, tr.Profile, tr.TieredChecks, skips, sites)
 			}
+			winner := tr.TieredChecks - 1
+			winners += int64(winner)
+			wantRuns, wantReplays := winner, 1
+			if ri == 0 {
+				wantRuns, wantReplays = winner+1, 0
+			}
+			if tr.WalkRuns != wantRuns || tr.WalkReplays != wantReplays {
+				t.Errorf("%s on %s: %d walk runs, %d replays; want %d, %d",
+					o.Name, tr.Profile, tr.WalkRuns, tr.WalkReplays, wantRuns, wantReplays)
+			}
 		}
+	}
+	nm := int64(len(checked.Machines))
+	if s := checked.Summary; s.WalkRuns != originals+winners || s.WalkReplays != originals*(nm-1) {
+		t.Errorf("summary: %d walk runs, %d replays; want %d originals + %d winners, %d replays",
+			s.WalkRuns, s.WalkReplays, originals, winners, originals*(nm-1))
 	}
 	plain, err := Run(Config{Scenarios: corpus, Tune: true})
 	if err != nil {
@@ -342,11 +364,12 @@ func TestTieredTuningSweep(t *testing.T) {
 		r.Summary.SweepWallNs = 0
 		r.Summary.VariantsCompiled = 0
 		r.Summary.CacheHits = 0
-		r.Summary.TieredChecks = 0
+		r.Summary.TieredChecks, r.Summary.WalkRuns, r.Summary.WalkReplays = 0, 0, 0
 		stripReplayCounters(r)
 		for i := range r.Scenarios {
 			for j := range r.Scenarios[i].Tuned {
-				r.Scenarios[i].Tuned[j].TieredChecks = 0
+				tr := &r.Scenarios[i].Tuned[j]
+				tr.TieredChecks, tr.WalkRuns, tr.WalkReplays = 0, 0, 0
 			}
 		}
 		b, err := json.Marshal(r)

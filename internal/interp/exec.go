@@ -88,9 +88,11 @@ type actual struct {
 type machine struct {
 	prog  *Program
 	rank  *mpi.Rank
-	costs CostModel
+	price [6]netsim.Time // the cost model's prices, by charge kind
 	out   []string
 	main  *frame
+	// trace is mpi.Trace: non-nil in a run that records its skeleton.
+	trace *RankTrace
 	// mpi is the rank's MPI binding; callFr/callStmt are the call site it
 	// is executing (the machine is its own MPIArgs, see mpibind.go).
 	mpi      *MPI
@@ -98,7 +100,14 @@ type machine struct {
 	callStmt *ftn.CallStmt
 }
 
-func (m *machine) charge(t netsim.Time) { m.rank.Compute(t) }
+// charge books one charge of kind k (a ChargeCounts index), and counts it
+// when the run records.
+func (m *machine) charge(k int) {
+	if m.trace != nil {
+		m.trace.pend[k]++
+	}
+	m.rank.Compute(m.price[k])
+}
 
 // predefined MPI named constants.
 var mpiConsts = map[string]int64{
@@ -342,7 +351,7 @@ func (m *machine) execStmt(fr *frame, s ftn.Stmt) error {
 		if err != nil {
 			return err
 		}
-		m.charge(m.costs.Op)
+		m.charge(chOp)
 		if cond.Kind != KBool {
 			return rte(s.Pos(), "IF condition is not logical")
 		}
@@ -391,7 +400,7 @@ func (m *machine) store(fr *frame, lhs ftn.Expr, v Value) error {
 		if err != nil {
 			return err
 		}
-		m.charge(m.costs.Assign)
+		m.charge(chAssign)
 		*p = coerceStore(*p, v)
 		return nil
 	case *ftn.Ref:
@@ -404,7 +413,7 @@ func (m *machine) store(fr *frame, lhs ftn.Expr, v Value) error {
 		if err := m.evalSubs(fr, lhs.Args, subs); err != nil {
 			return err
 		}
-		m.charge(m.costs.Store)
+		m.charge(chStore)
 		if err := a.Set(subs, v); err != nil {
 			return rte(lhs.Pos(), "%v", err)
 		}
@@ -488,7 +497,7 @@ func (m *machine) execDo(fr *frame, s *ftn.DoStmt) error {
 	v := lo
 	for t := int64(0); t < trips; t++ {
 		*vp = IntVal(v)
-		m.charge(m.costs.LoopIter)
+		m.charge(chLoopIter)
 		err := m.execStmts(fr, s.Body)
 		switch err {
 		case nil, errCycle:

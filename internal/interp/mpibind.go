@@ -365,7 +365,7 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 	if len(s.Args) != len(sub.params) {
 		return rte(s.Pos(), "call to %s with %d args, wants %d", s.Name, len(s.Args), len(sub.params))
 	}
-	m.charge(m.costs.CallOver)
+	m.charge(chCallOver)
 	args := make([]actual, len(s.Args))
 	for i, arg := range s.Args {
 		switch a := arg.(type) {

@@ -89,9 +89,23 @@ func (r *Result) OutputLines() []string {
 
 // Run executes the program on np simulated ranks over the profile.
 func (p *Program) Run(np int, prof netsim.Profile) (*Result, error) {
-	return RunRanks(np, prof, func(b *MPI) RankState {
-		return &machine{prog: p, rank: b.Rank, mpi: b, costs: p.Costs}
+	return RunRanks(np, prof, p.newMachine)
+}
+
+// Record is Run that also records the run's skeleton: nil when no replay can
+// stand for the run (see skeleton.go).
+func (p *Program) Record(np int, prof netsim.Profile) (*Result, *Skeleton, error) {
+	traces := make([]*RankTrace, np)
+	res, err := RunRanks(np, prof, func(b *MPI) RankState {
+		b.Trace = NewRankTrace(np)
+		traces[b.Rank.Me()] = b.Trace
+		return p.newMachine(b)
 	})
+	return res, NewSkeleton(traces, res, err), err
+}
+
+func (p *Program) newMachine(b *MPI) RankState {
+	return &machine{prog: p, rank: b.Rank, mpi: b, price: p.Costs.prices(), trace: b.Trace}
 }
 
 // RankState is one engine's execution state for one simulated rank — all

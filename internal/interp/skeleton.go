@@ -18,22 +18,51 @@ import (
 // makespan, traffic and every rank's finish, compute and blocked time come
 // out exactly as an execution's under that machine.
 //
+// Both engines record, into one RankTrace per rank: the MPI binding both
+// share (mpibind.go) records the operations, and the engine its charges —
+// the bytecode VM one merged charge vector at a time, the walker
+// (Program.Record) one charge at a time. A run that records nothing pays a
+// nil check per charge.
+//
 // The input fences what would break that: no skeleton is left by a run that
 // posts an any-tag receive (matching would follow arrival order), ends with an
 // unwaited request (its final arrays are a timing-dependent snapshot), fails,
-// or outgrows maxSkelEntries, and none recorded of a program reading
-// mpi_wtime. No fence sees a send buffer overwritten while a rendezvous still
-// reads it — data that depends on the protocol — so callers rank by a replay
-// (it carries the recording run's observables) and certify by an execution.
+// outgrows maxSkelEntries, or reads mpi_wtime (the bytecode lowering refuses a
+// program that can; the walker spoils its trace at the read). No fence sees a
+// send buffer overwritten while a rendezvous still reads it, or a receive
+// buffer read before its message lands — data that depends on the protocol
+// and the timing. So callers rank by a replay (it carries the recording run's
+// observables) and certify by an execution; and a caller that lets a replay
+// under another machine stand for an execution there takes it only from a
+// skeleton that posts no nonblocking request (Nonblocking).
 
 // ChargeCounts tallies cost-model charges by kind, in CostModel's field
 // order: Op, Assign, Store, Load, LoopIter, CallOver.
 type ChargeCounts [6]int64
 
+// Charge kinds: the ChargeCounts indices.
+const (
+	chOp = iota
+	chAssign
+	chStore
+	chLoad
+	chLoopIter
+	chCallOver
+)
+
 // Price is the virtual time the counted charges cost under the model.
 func (c CostModel) Price(n *ChargeCounts) netsim.Time {
-	return c.Op*netsim.Time(n[0]) + c.Assign*netsim.Time(n[1]) + c.Store*netsim.Time(n[2]) +
-		c.Load*netsim.Time(n[3]) + c.LoopIter*netsim.Time(n[4]) + c.CallOver*netsim.Time(n[5])
+	p := c.prices()
+	var t netsim.Time
+	for k, cnt := range n {
+		t += p[k] * netsim.Time(cnt)
+	}
+	return t
+}
+
+// prices lists the model's prices by charge kind.
+func (c CostModel) prices() [6]netsim.Time {
+	return [6]netsim.Time{c.Op, c.Assign, c.Store, c.Load, c.LoopIter, c.CallOver}
 }
 
 // maxSkelEntries caps a skeleton (all ranks), bounding what a resident
@@ -166,6 +195,19 @@ func NewSkeleton(traces []*RankTrace, res *Result, err error) *Skeleton {
 		s.arrays = append(s.arrays, digests)
 	}
 	return s
+}
+
+// Nonblocking reports whether any rank posted a nonblocking send or receive:
+// the requests whose data no fence sees (above).
+func (s *Skeleton) Nonblocking() bool {
+	for _, rk := range s.ranks {
+		for _, e := range rk.entries {
+			if e.op == opIsend || e.op == opIrecv {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Replay prices the skeleton under a machine and issues each rank's

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/plan"
 )
@@ -320,6 +321,36 @@ subroutine p2(iy, at)
   at(1) = iy
 end subroutine p2
 `
+}
+
+// TestRejectSlabMappingCap: an outer loop of 10⁷ slabs is rejected at the
+// check's cap, with the cap in the reason, instead of walked slab by slab
+// (about a second) and accepted.
+func TestRejectSlabMappingCap(t *testing.T) {
+	src := slabSrc("16", "tx", "iy", "mod(ix - 1, n) + 1", "m")
+	for _, edit := range [][2]string{
+		{"  integer, parameter :: n = 4\n", "  integer, parameter :: n = 4\n  integer, parameter :: m = 10000000\n"},
+		{"  do iy = 1, n\n", "  do iy = 1, m\n"},
+		{"(as, 16, mpi_integer, ar, 16,", "(as, 4*m, mpi_integer, ar, 4*m,"},
+	} {
+		if !strings.Contains(src, edit[0]) {
+			t.Fatalf("slabSrc lacks %q", edit[0])
+		}
+		src = strings.Replace(src, edit[0], edit[1], 1)
+	}
+	start := time.Now()
+	_, rep, err := transform(src, 0, plan.Decision{K: 1})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "outer loop runs more than 65536 slabs, the most the copy mapping check walks"
+	if len(rep.Sites) != 1 || rep.Sites[0].Transformed || rep.Sites[0].Reason != want {
+		t.Errorf("got\n%s\nwant the site rejected with exactly %q", rep, want)
+	}
+	if wall > time.Second {
+		t.Errorf("rejecting at the cap took %v, want under 1s", wall)
+	}
 }
 
 // TestRejectSlabMapping pins the §3.4 check's rejections word for word. Each
