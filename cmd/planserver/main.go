@@ -30,7 +30,7 @@
 //	                verify verdicts land in the session store's ledger, so
 //	                repeats (and, with -cache-dir, restarts) skip
 //	                re-verification.
-//	GET  /stats   — the session's store, memo and replayed/certified-run counters as JSON.
+//	GET  /stats   — the session's store, memo and replayed-run counters as JSON.
 //	GET  /healthz — liveness probe; always "ok".
 //
 // A rejected query (no source, np < 1, unknown machine, malformed JSON)

@@ -851,3 +851,34 @@ func TestMultiSiteDivergentApply(t *testing.T) {
 		t.Errorf("divergent-plan rewrite changed results: %s", why)
 	}
 }
+
+// TestNonASCIINameRejected: a name holding a byte outside ASCII — here the
+// byte 0xF2 in the program name of scenario 0, which unicode.IsLetter once
+// took for 'ò' — is refused by the lexer at its line and column instead of
+// being accepted and printed back as U+FFFD, which no parse reads again.
+// Every source the front end accepts prints to a fixpoint.
+func TestNonASCIINameRejected(t *testing.T) {
+	sc := workload.GenerateScenarios(workload.GenOptions{})[0]
+	if !strings.HasPrefix(strings.TrimSpace(sc.Source), "program direct\n") {
+		t.Fatalf("scenario 0 no longer starts with %q", "program direct")
+	}
+	renamed := strings.ReplaceAll(sc.Source, "program direct", "program d\xf2rect")
+	_, err := core.Analyze(renamed, core.AnalyzeOptions{})
+	if err == nil || !strings.Contains(err.Error(), "2:10: unexpected byte 0xf2") {
+		t.Fatalf("analyze of a name holding byte 0xf2: err = %v, want a lexer error at 2:10", err)
+	}
+	for _, src := range []string{sc.Source, strings.ReplaceAll(renamed, "\xf2", "o")} {
+		f, err := ftn.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := ftn.Print(f)
+		g, err := ftn.Parse(once)
+		if err != nil {
+			t.Fatalf("printed source does not parse: %v", err)
+		}
+		if twice := ftn.Print(g); twice != once {
+			t.Errorf("parse → print → parse is no fixpoint:\n%s\nvs\n%s", once, twice)
+		}
+	}
+}

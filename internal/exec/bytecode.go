@@ -620,6 +620,7 @@ func (x *rctx) Buffer(i int) (*interp.Array, []int64, error) {
 // loadElem reads the element at linear offset off of an array whose storage
 // kind is kind (Array.RawGet without the Value).
 func loadElem(a *interp.Array, kind interp.Kind, off int64) reg {
+	a.NoteLoad(off)
 	switch kind {
 	case interp.KReal:
 		return realReg(a.RealAt(off))
@@ -633,6 +634,7 @@ func loadElem(a *interp.Array, kind interp.Kind, off int64) reg {
 // (Array.RawSet without the Value): reals widen, integers truncate, a
 // logical array stores true only for a true logical.
 func storeElem(a *interp.Array, kind interp.Kind, off int64, r reg) {
+	a.NoteStore(off)
 	switch kind {
 	case interp.KReal:
 		a.SetRealAt(off, r.asReal())

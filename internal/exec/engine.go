@@ -66,19 +66,19 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 
 // Measure is Run's measuring twin (see Program.Measure): Run's answer,
 // replayed from the skeleton the variant's Program — drawn from the Store like
-// any run's — holds; full is non-nil exactly then. Under the walk engine, and
-// for a Runner without a Store (each of its Programs is new), Measure
-// executes: no walk leaves a skeleton behind. A caller that wants the walk's
-// skeleton takes it from Record and replays it itself, as the harness's
-// tiered check does.
-func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, full func() (*interp.Result, error), err error) {
+// any run's — holds when that skeleton certifies, else executed; a variant
+// whose recording touched an in-flight buffer is refused. Under the walk
+// engine, and for a Runner without a Store (each of its Programs is new),
+// every measurement is a recording execution, refused by the same rule. A
+// caller that wants the walk's skeleton takes it from Record and replays it
+// itself, as the harness's tiered check does.
+func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, replayed bool, err error) {
 	if r.Engine == EngineWalk {
-		res, err = runWalk(src, np, prof, costs)
-		return res, nil, err
+		return measureWalk(src, np, prof, costs)
 	}
 	p, err := r.get(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
 	return p.Measure(np, prof, costs)
 }

@@ -21,16 +21,19 @@
 //
 // Run vs measure. Running (Runner.Run, Program.RunBytecode) always executes
 // in full. What a program computes does not depend on the machine, only when
-// things happen does, so the first execution at a rank count also records the
-// run's skeleton on the Program (interp/skeleton.go), and measuring
-// (Runner.Measure, Program.Measure) answers from it: charge counts priced
-// under the asked-for cost model, MPI operations pushed through the same
-// mpi/netsim code with no VM and no payloads — an execution's exact Stats for
-// about a tenth of its host time. Which runs leave no skeleton the input
-// decides (skeleton.go; mpi_wtime at lowering time); there is no switch, and a
-// DiskStore persists sources only. Runner.Record executes under either engine
-// and hands the recorded skeleton to its caller instead: that is how a walk
-// records.
+// things happen does — once the recording proves it: the first execution at
+// a rank count records the run's skeleton on the Program and watches every
+// in-flight buffer while it does (interp/skeleton.go, interp/watch.go). If the
+// skeleton certifies, measuring (Runner.Measure, Program.Measure) answers
+// from it: charge counts priced under the asked-for cost model, MPI
+// operations pushed through the same mpi/netsim code with no VM and no
+// payloads — an execution's exact Stats and observables for about a tenth of
+// its host time, under any machine. Which runs leave no skeleton the input
+// decides (skeleton.go; mpi_wtime at lowering time), and those are measured by
+// executing; a run that touched an in-flight buffer is an erroneous MPI
+// program, which Measure refuses. There is no switch, and a DiskStore
+// persists sources only. Runner.Record executes under either engine and hands
+// the recorded skeleton to its caller instead: that is how a walk records.
 //
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
@@ -75,9 +78,8 @@ type Program struct {
 	// timed: a unit reads mpi_wtime (set by the lowering), so what the
 	// program computes can depend on the machine: its runs are not recorded.
 	timed bool
-	// skels holds, by rank count, the *interp.Skeleton the first execution at
-	// that rank count recorded — nil while it runs, and for good if no replay
-	// can stand for it. On the Program, so every VariantStore carries it.
+	// skels holds, by rank count, the *recording of the first execution at
+	// that rank count. On the Program, so every VariantStore carries it.
 	skels sync.Map
 }
 
@@ -240,23 +242,50 @@ func (p *Program) subroutine(name string) *unit {
 // to interp's tree-walk of the same source under the same machine — for a
 // program that is not lowered (see the package comment) because it is that
 // tree-walk. The first execution at a rank count also records the run's
-// skeleton for Measure; every later one pays one map load for that.
+// skeleton for Measure; a run that finds the recording under way executes
+// without waiting for it, and every later one pays one map load for that.
 func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
 	if p.routed != "" {
 		return runWalk(p.src, np, prof, costs)
 	}
 	p.Bytecode()
-	record := false
-	if _, seen := p.skels.Load(np); !seen && !p.timed {
-		// Whoever stores the placeholder records; a concurrent run just executes.
-		_, raced := p.skels.LoadOrStore(np, (*interp.Skeleton)(nil))
-		record = !raced
+	if rec := p.claim(np); rec != nil {
+		res, _, err := rec.execute(p, np, prof, costs)
+		return res, err
 	}
-	res, skel, err := p.execute(np, prof, costs, record)
-	if record {
-		p.skels.Store(np, skel)
-	}
+	res, _, err := p.execute(np, prof, costs, false)
 	return res, err
+}
+
+// recording is one rank count's skeleton slot on a Program: done closes once
+// skel is set, nil when the run was fenced (interp/skeleton.go).
+type recording struct {
+	done chan struct{}
+	skel *interp.Skeleton
+}
+
+// claim returns the slot for np when the caller is to record into it: the
+// first caller at that rank count, for a program whose runs are recorded.
+func (p *Program) claim(np int) *recording {
+	if p.timed {
+		return nil
+	}
+	if _, seen := p.skels.Load(np); seen {
+		return nil
+	}
+	rec := &recording{done: make(chan struct{})}
+	if _, raced := p.skels.LoadOrStore(np, rec); raced {
+		return nil
+	}
+	return rec
+}
+
+// execute is the recording execution, published when it ends.
+func (rec *recording) execute(p *Program, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, *interp.Skeleton, error) {
+	res, skel, err := p.execute(np, prof, costs, true)
+	rec.skel = skel
+	close(rec.done)
+	return res, skel, err
 }
 
 // execute runs the lowered program, recording its skeleton when asked to.
@@ -279,21 +308,44 @@ func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, r
 	return res, interp.NewSkeleton(traces, res, err), err
 }
 
-// Measure answers what RunBytecode would — the same Stats and, unless the
-// program's data depends on message timing, observables — by replaying the
-// recorded skeleton when there is one, else by executing. full is non-nil
-// exactly when res is a replay: the execution it stands for. A failed replay
-// is never the answer: the execution reports.
-func (p *Program) Measure(np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, full func() (*interp.Result, error), err error) {
-	full = func() (*interp.Result, error) { return p.RunBytecode(np, prof, costs) }
-	v, _ := p.skels.Load(np)
-	if s, _ := v.(*interp.Skeleton); s != nil {
-		if res, err := s.Replay(prof, costs); err == nil {
-			return res, full, nil
+// Measure answers what RunBytecode would, replaying the recorded skeleton if
+// and only if it certifies (interp/skeleton.go) — then the answer is that
+// execution's, data included, under any machine — and otherwise executing.
+// The first measurement at a rank count records; a measurement that finds the
+// recording under way waits for it. A program whose recording touched an
+// in-flight buffer is refused with the skeleton's reason: its data is the
+// protocol's, so no measurement under one machine speaks for another, and Run
+// is the only way to execute it. replayed says which answer res is.
+func (p *Program) Measure(np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, replayed bool, err error) {
+	if p.routed != "" {
+		return measureWalk(p.src, np, prof, costs)
+	}
+	p.Bytecode()
+	if rec := p.claim(np); rec != nil {
+		return measured(rec.execute(p, np, prof, costs))
+	}
+	if v, ok := p.skels.Load(np); ok {
+		rec := v.(*recording)
+		<-rec.done
+		if rec.skel.Certifies() {
+			if res, err := rec.skel.Replay(prof, costs); err == nil {
+				return res, true, nil
+			}
+		} else if rec.skel != nil {
+			return nil, false, rec.skel.InFlight()
 		}
 	}
-	res, err = full()
-	return res, nil, err
+	res, _, err = p.execute(np, prof, costs, false)
+	return res, false, err
+}
+
+// measured is a recording execution's answer to Measure: the run, unless it
+// touched an in-flight buffer.
+func measured(res *interp.Result, skel *interp.Skeleton, err error) (*interp.Result, bool, error) {
+	if err == nil && skel != nil && !skel.Certifies() {
+		return nil, false, skel.InFlight()
+	}
+	return res, false, err
 }
 
 // Run is RunBytecode. It keeps its own name only because benchmark/layers.go
@@ -310,6 +362,16 @@ func runWalk(src string, np int, prof netsim.Profile, costs interp.CostModel) (*
 		return nil, err
 	}
 	return p.Run(np, prof)
+}
+
+// measureWalk is Measure on the walk engine: a recording walk, which replays
+// nothing but refuses what Measure refuses.
+func measureWalk(src string, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, bool, error) {
+	p, err := loadWalk(src, costs)
+	if err != nil {
+		return nil, false, err
+	}
+	return measured(p.Record(np, prof))
 }
 
 func loadWalk(src string, costs interp.CostModel) (*interp.Program, error) {

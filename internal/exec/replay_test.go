@@ -60,11 +60,11 @@ func requireReplaysEverywhere(t *testing.T, label, src string, np int, machines 
 		r, first := recordedUnder(t, label, src, np, rm)
 		requireBitIdentical(t, fmt.Sprintf("%s: recording run under %s", label, rm.Name), ref[ri], first)
 		for i, m := range machines {
-			res, full, err := r.Measure(src, np, m.Costs, m.Profile)
+			res, replayed, err := r.Measure(src, np, m.Costs, m.Profile)
 			if err != nil {
 				t.Fatalf("%s: recorded under %s, measured under %s: %v", label, rm.Name, m.Name, err)
 			}
-			if full == nil {
+			if !replayed {
 				t.Fatalf("%s: recorded under %s, measured under %s: executed in full, want a replay", label, rm.Name, m.Name)
 			}
 			requireReplayIsRun(t, fmt.Sprintf("%s: recorded under %s, replayed under %s", label, rm.Name, m.Name), ref[i], res)
@@ -203,8 +203,8 @@ func TestNeverSkeletonised(t *testing.T) {
 			if (ferr != nil) != tc.fails {
 				t.Fatalf("%s: first run: err = %v, want failure = %v", label, ferr, tc.fails)
 			}
-			res, full, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
-			if full != nil {
+			res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
+			if replayed {
 				t.Fatalf("%s: measured by replay, want a full execution", label)
 			}
 			if tc.fails {
@@ -229,10 +229,11 @@ func TestNeverSkeletonised(t *testing.T) {
 	requireWalkReplaysEverywhere(t, "plain ring", ring("5", ""), 2, plan.PaperPair())
 }
 
-// TestConcurrentFirstRuns: of several goroutines first-running one Program
-// at once, one records and the others execute in full; nobody waits for the
-// recording, every result is the same, and the skeleton is there afterwards.
-// Meaningful under -race.
+// TestConcurrentFirstRuns: of several goroutines first-running or measuring
+// one Program at once, one records; a run that finds the recording under way
+// executes in full without waiting, a measurement waits for it and replays.
+// Every result is the same, and the skeleton is there afterwards. Meaningful
+// under -race.
 func TestConcurrentFirstRuns(t *testing.T) {
 	sc := workload.GenerateScenarios(workload.GenOptions{})[0]
 	m := plan.MPICHGM2005()
@@ -263,9 +264,9 @@ func TestConcurrentFirstRuns(t *testing.T) {
 		for g := 1; g < n; g++ {
 			requireReplayIsRun(t, fmt.Sprintf("round %d goroutine %d", round, g), results[0], results[g])
 		}
-		res, full, err := r.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
-		if err != nil || full == nil {
-			t.Fatalf("round %d: after the first runs: replayed = %v, err = %v", round, full != nil, err)
+		res, replayed, err := r.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+		if err != nil || !replayed {
+			t.Fatalf("round %d: after the first runs: replayed = %v, err = %v", round, replayed, err)
 		}
 		requireReplayIsRun(t, fmt.Sprintf("round %d replay", round), results[0], res)
 	}

@@ -422,7 +422,9 @@ func (s *stripRun) compute(body []bins, pc0 int) (charge netsim.Time, ok bool) {
 				return 0, false
 			}
 			aslot, _ := s.bp.access(ins)
-			data := s.fr.arr[aslot].Ints()
+			a := s.fr.arr[aslot]
+			a.NoteLoads(d)
+			data := a.Ints()
 			for l, off := range d {
 				d[l] = data[off]
 			}
@@ -450,8 +452,10 @@ func (s *stripRun) commit(body []bins) {
 			*p = interp.CoerceStore(*p, interp.IntVal(v))
 		case bStoreA, bStoreU1, bStoreU2, bStoreU3:
 			aslot, _ := s.bp.access(ins)
-			data := s.fr.arr[aslot].Ints()
+			a := s.fr.arr[aslot]
 			offs := s.vec(ins.c)
+			a.NoteStores(offs)
+			data := a.Ints()
 			if l := lane[ins.b]; l >= 0 {
 				vals := s.lanes(l)
 				for l, off := range offs {

@@ -1,9 +1,6 @@
 package ftn
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // Lexer converts free-form Fortran source into a token stream. It lower-cases
 // identifiers (Fortran is case-insensitive), strips '!' comments, joins '&'
@@ -183,13 +180,13 @@ func (lx *Lexer) lineBlankBefore(col int) bool {
 	return true
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
+// Names are ASCII: a byte of a multi-byte character is no letter, so the
+// printer writes back every name the lexer accepts.
+func isLetter(c byte) bool { return 'a' <= c|0x20 && c|0x20 <= 'z' }
 
-func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
+func isIdentStart(c byte) bool { return c == '_' || isLetter(c) }
+
+func isIdentPart(c byte) bool { return c == '_' || isLetter(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
@@ -280,7 +277,14 @@ func (lx *Lexer) next() Token {
 		}
 		return mk(GT, ">")
 	}
-	lx.errorf(pos, "unexpected character %q", string(c))
+	if c >= 0x80 {
+		lx.errorf(pos, "unexpected byte %#x outside a string or comment (names are ASCII)", c)
+		for lx.pos < len(lx.src) && lx.peekByte() >= 0x80 {
+			lx.advance() // the rest of a multi-byte character: one error
+		}
+	} else {
+		lx.errorf(pos, "unexpected character %q", string(c))
+	}
 	return lx.next()
 }
 
@@ -342,7 +346,7 @@ func (lx *Lexer) dotOpFollows(i int) bool {
 		return false
 	}
 	j := i + 1
-	for j < len(lx.src) && unicode.IsLetter(rune(lx.src[j])) {
+	for j < len(lx.src) && isLetter(lx.src[j]) {
 		j++
 	}
 	if j >= len(lx.src) || lx.src[j] != '.' {
@@ -362,7 +366,7 @@ var dotOps = map[string]TokKind{
 func (lx *Lexer) lexDotWord(pos Pos) Token {
 	lx.advance() // '.'
 	start := lx.pos
-	for lx.pos < len(lx.src) && unicode.IsLetter(rune(lx.peekByte())) {
+	for lx.pos < len(lx.src) && isLetter(lx.peekByte()) {
 		lx.advance()
 	}
 	word := strings.ToLower(lx.src[start:lx.pos])

@@ -192,16 +192,17 @@ type TunedRun struct {
 	// adopted plan on the check engine (tiered tuning only; 0 when off): one
 	// for the original, plus one when the winner's source is not the
 	// original's. WalkRuns and WalkReplays say how they were paid: executions
-	// on the check engine, and replays of the original's one execution under
-	// this row's machine. That execution, made under the sweep's first
-	// machine, is counted on that machine's row.
+	// on the check engine, and replays under this row's machine of a
+	// certifying skeleton that one such execution recorded. Each scenario's
+	// original is executed once, under the sweep's first machine, and each
+	// distinct winner source once, under the first machine that adopted it;
+	// the execution is counted on that machine's row.
 	TieredChecks int `json:"tiered_checks,omitempty"`
 	WalkRuns     int `json:"walk_runs,omitempty"`
 	WalkReplays  int `json:"walk_replays,omitempty"`
-	// ReplayedRuns and CertifiedRuns are tune.Choice's: skeleton replays and
-	// certifying executions; which search came first decides — economics.
-	ReplayedRuns  int `json:"replayed_runs,omitempty"`
-	CertifiedRuns int `json:"certified_runs,omitempty"`
+	// ReplayedRuns is tune.Choice's: the search's skeleton replays; which
+	// search came first decides — economics.
+	ReplayedRuns int `json:"replayed_runs,omitempty"`
 }
 
 // TunedSite is one site's slice of a tuned plan: the chosen decision plus
@@ -295,15 +296,15 @@ type Summary struct {
 	// TieredChecks sums the tuned rows' checks (tiered tuning only): at most
 	// two per adopted plan instead of one execution per measured candidate.
 	// WalkRuns and WalkReplays sum what paid for them — check-engine
-	// executions, and replays of an original's one execution. Merge sums all
-	// three.
+	// executions (one per original and per distinct winner source, plus one
+	// per machine where a skeleton does not certify), and replays. Merge sums
+	// all three.
 	TieredChecks int64 `json:"tiered_checks,omitempty"`
 	WalkRuns     int64 `json:"walk_runs,omitempty"`
 	WalkReplays  int64 `json:"walk_replays,omitempty"`
-	// ReplayedRuns and CertifiedRuns sum the tuned rows' counters; Merge
-	// sums them across shards.
-	ReplayedRuns  int64 `json:"replayed_runs,omitempty"`
-	CertifiedRuns int64 `json:"certified_runs,omitempty"`
+	// ReplayedRuns sums the tuned rows' counters; Merge sums it across
+	// shards.
+	ReplayedRuns int64 `json:"replayed_runs,omitempty"`
 }
 
 // ProfileSummary is one machine's aggregate row.
@@ -417,21 +418,28 @@ func Run(cfg Config) (*Report, error) {
 		states[i] = newScenarioState(sc, machines, sess, check, vt)
 	}
 
-	nm := len(machines)
+	ns := len(states)
 	// Wave 1: fixed differential measurements, one item per
-	// scenario×machine. The first worker to touch a scenario prepares it
-	// (analyze + fixed-plan apply) under a sync.Once.
-	runTasks(par, len(states)*nm, func(ti int) {
-		st := states[ti/nm]
+	// scenario×machine, machine-major: every scenario's first machine
+	// records its original and fixed variant before any other machine
+	// measures them, which then replay. The first worker to touch a scenario
+	// prepares it (analyze + fixed-plan apply) under a sync.Once.
+	runTasks(par, ns*len(machines), func(ti int) {
+		st := states[ti%ns]
 		st.prepare()
-		st.runMachine(ti % nm)
+		st.runMachine(ti / ns)
 	})
-	// Wave 2: the tuned plan search, again one item per scenario×machine,
-	// skipping scenarios that errored or failed the oracle (their fixed
-	// rows already tell the story).
 	if cfg.Tune {
-		runTasks(par, len(states)*nm, func(ti int) {
-			states[ti/nm].tuneMachine(ti % nm)
+		// Wave 2: the tuned plan search, machine-major again, skipping
+		// scenarios that errored or failed the oracle (their fixed rows
+		// already tell the story). Wave 3 settles each adopted plan once
+		// every machine's is known: the tiered check, then static
+		// verification.
+		runTasks(par, ns*len(machines), func(ti int) {
+			states[ti%ns].tuneMachine(ti / ns)
+		})
+		runTasks(par, ns*len(machines), func(ti int) {
+			states[ti%ns].settle(ti / ns)
 		})
 	}
 
@@ -511,10 +519,13 @@ type scenarioState struct {
 	runner   exec.Runner
 	// check, when non-nil, is the tiered-tuning check runner; wave 1 then
 	// keeps what the check compares of each machine's original run in orig,
-	// and the check engine's one execution of the original in checked.
-	check   *exec.Runner
-	orig    []*interp.Result
-	checked checkedOriginal
+	// and the check engine's one execution of the original in checked. Wave
+	// 3 walks each distinct winner once, into winners (see winnerChecks).
+	check       *exec.Runner
+	orig        []*interp.Result
+	checked     checkedOriginal
+	winnersOnce sync.Once
+	winners     map[string]*checkedWinner
 	// verify, when non-nil, is the sweep-wide static verification tracker;
 	// verifyFixed holds the fixed variant's findings, verifyTuned the
 	// per-machine tuned-search findings.
@@ -535,6 +546,7 @@ type scenarioState struct {
 	profiles []ProfileRun
 	runErr   []string
 	mismatch []string
+	choices  []tune.Choice
 	tuned    []*TunedRun
 	tuneErr  []string
 }
@@ -562,6 +574,7 @@ func newScenarioState(sc workload.Scenario, machines []plan.Machine, sess *sessi
 		profiles:    make([]ProfileRun, len(machines)),
 		runErr:      make([]string, len(machines)),
 		mismatch:    make([]string, len(machines)),
+		choices:     make([]tune.Choice, len(machines)),
 		tuned:       make([]*TunedRun, len(machines)),
 		tuneErr:     make([]string, len(machines)),
 	}
@@ -602,12 +615,25 @@ func (st *scenarioState) prepare() {
 
 // checkedOriginal is the check engine's one execution of a scenario's
 // original, under the sweep's first machine. Wave 1 writes it; every
-// machine's tiered check in wave 2 reads it.
+// machine's tiered check in wave 3 reads it.
 type checkedOriginal struct {
 	obs  *interp.Result // its observables, as kept by observed
 	ns   netsim.Time
 	err  error
-	skel *interp.Skeleton // nil when no replay may stand for an execution
+	skel *interp.Skeleton // nil unless it certifies
+}
+
+// checkedWinner is the check engine's one execution of a distinct adopted
+// source, under mi, the first machine in sweep order that adopted it; the
+// other machines that adopted it replay skel, or execute where it does not
+// certify.
+type checkedWinner struct {
+	mi   int
+	once sync.Once
+	obs  *interp.Result
+	ns   netsim.Time
+	err  error
+	skel *interp.Skeleton // nil unless it certifies
 }
 
 // runMachine executes the fixed differential measurement for one machine.
@@ -621,7 +647,7 @@ func (st *scenarioState) runMachine(mi int) {
 	var blocked [2]netsim.Time
 	var msgs, bytes [2]int64
 	for vi, text := range []string{st.sc.Source, st.transformed} {
-		res, err := st.runner.Run(text, st.sc.NP, m.Costs, m.Profile)
+		res, _, err := st.runner.Measure(text, st.sc.NP, m.Costs, m.Profile)
 		if err != nil {
 			st.runErr[mi] = fmt.Sprintf("run %s variant %d: %v", m.Name, vi, err)
 			return
@@ -656,9 +682,7 @@ func (st *scenarioState) runMachine(mi int) {
 }
 
 // checkFirst executes the original on the check engine under the first
-// machine, recording its skeleton. A skeleton that posts a nonblocking
-// request is dropped: its data could depend on the protocol, which the
-// machine decides (interp/skeleton.go).
+// machine, recording its skeleton, kept if it certifies (interp/skeleton.go).
 func (st *scenarioState) checkFirst() {
 	m, o := st.machines[0], &st.checked
 	res, skel, err := st.check.Record(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
@@ -667,7 +691,7 @@ func (st *scenarioState) checkFirst() {
 		return
 	}
 	o.obs, o.ns = observed(res, st.arrays), res.Elapsed()
-	if skel != nil && !skel.Nonblocking() {
+	if skel.Certifies() {
 		o.skel = skel
 	}
 }
@@ -703,7 +727,7 @@ func (st *scenarioState) clean() bool {
 }
 
 // tuneMachine runs the plan search for one machine (wave 2) through the
-// session's plan memo, then the tiered check when one is configured.
+// session's plan memo.
 func (st *scenarioState) tuneMachine(mi int) {
 	if !st.clean() {
 		return
@@ -721,20 +745,31 @@ func (st *scenarioState) tuneMachine(mi int) {
 		FixedSpeedup: c.FixedSpeedup,
 		Divergent:    c.Divergent, UniformSpeedup: c.UniformSpeedup,
 		Evaluations: c.Evaluations, SearchSimNs: c.SearchSimNs,
-		ReplayedRuns: c.ReplayedRuns, CertifiedRuns: c.CertifiedRuns,
-	}
-	if st.check != nil {
-		if err = st.tieredCheck(mi, c, tr); err != nil {
-			st.tuneErr[mi] = fmt.Sprintf("tune: tiered check: %v", err)
-			return
-		}
+		ReplayedRuns: c.ReplayedRuns,
 	}
 	for _, s := range c.Sites {
 		tr.Sites = append(tr.Sites, TunedSite{
 			Site: s.Site, Decision: s.Decision, SeedKs: s.SeedKs,
 		})
 	}
-	st.tuned[mi] = tr
+	st.choices[mi], st.tuned[mi] = c, tr
+}
+
+// settle finishes machine mi's adopted plan (wave 3): the tiered check when
+// one is configured — a failure drops the row — then static verification.
+func (st *scenarioState) settle(mi int) {
+	tr := st.tuned[mi]
+	if tr == nil {
+		return
+	}
+	c := st.choices[mi]
+	if st.check != nil {
+		if err := st.tieredCheck(mi, c, tr); err != nil {
+			st.tuneErr[mi] = fmt.Sprintf("tune: tiered check: %v", err)
+			st.tuned[mi] = nil
+			return
+		}
+	}
 	if st.verify != nil {
 		st.verifyTuned[mi] = st.verify.choice(st.prog, c)
 	}
@@ -743,7 +778,7 @@ func (st *scenarioState) tuneMachine(mi int) {
 // checkOriginal answers the original's check under machine mi: its
 // observables, its makespan, and whether that makespan is a replay. Under the
 // first machine it is wave 1's execution; under another, that execution's
-// skeleton replayed under mi — or, where there is no skeleton or it fails to
+// skeleton replayed under mi — or, where it does not certify or fails to
 // replay, an execution of its own.
 func (st *scenarioState) checkOriginal(mi int) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
 	o := &st.checked
@@ -759,6 +794,63 @@ func (st *scenarioState) checkOriginal(mi int) (obs *interp.Result, ns netsim.Ti
 	res, err := st.check.Run(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("original under %s on %q: %w", m.Name, st.check.Engine, err)
+	}
+	return observed(res, st.arrays), res.Elapsed(), false, nil
+}
+
+// winnerChecks maps each distinct adopted source other than the original to
+// its one check-engine execution, owned by the first machine in sweep order
+// that adopted it. It reads every machine's choice, so it is built in wave 3.
+func (st *scenarioState) winnerChecks() map[string]*checkedWinner {
+	st.winnersOnce.Do(func() {
+		st.winners = map[string]*checkedWinner{}
+		for mi, tr := range st.tuned {
+			if tr == nil {
+				continue
+			}
+			// core.Apply is memoized by plan key: re-materializing a
+			// winner's source is free.
+			src, _, err := core.Apply(st.prog, st.choices[mi].Plan)
+			if err != nil || src == st.sc.Source || st.winners[src] != nil {
+				continue
+			}
+			st.winners[src] = &checkedWinner{mi: mi}
+		}
+	})
+	return st.winners
+}
+
+// checkWinner answers the check of winner source src under machine mi: its
+// observables, its makespan, and whether that makespan is a replay. Under the
+// machine that owns src it is the one recording execution; under another,
+// that recording replayed under mi when it certifies, else an execution of
+// its own.
+func (st *scenarioState) checkWinner(mi int, src string) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
+	w := st.winnerChecks()[src]
+	w.once.Do(func() {
+		m := st.machines[w.mi]
+		res, skel, err := st.check.Record(src, st.sc.NP, m.Costs, m.Profile)
+		if err != nil {
+			w.err = fmt.Errorf("winner under %s on %q: %w", m.Name, st.check.Engine, err)
+			return
+		}
+		w.obs, w.ns = observed(res, st.arrays), res.Elapsed()
+		if skel.Certifies() {
+			w.skel = skel
+		}
+	})
+	if mi == w.mi {
+		return w.obs, w.ns, false, w.err
+	}
+	m := st.machines[mi]
+	if w.skel != nil {
+		if res, err := w.skel.Replay(m.Profile, m.Costs); err == nil {
+			return w.obs, res.Elapsed(), true, nil
+		}
+	}
+	res, err := st.check.Run(src, st.sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("winner under %s on %q: %w", m.Name, st.check.Engine, err)
 	}
 	return observed(res, st.arrays), res.Elapsed(), false, nil
 }
@@ -786,14 +878,8 @@ func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error 
 		return fmt.Errorf("original observables diverge between %q and %q under %s: %s",
 			st.runner.Engine, how, m.Name, why)
 	}
-	tr.TieredChecks = 1
-	if replayed {
-		tr.WalkReplays = 1
-	} else {
-		tr.WalkRuns = 1
-	}
-	// core.Apply is memoized by plan key: re-materializing the winner's
-	// source is free.
+	tr.TieredChecks, tr.WalkRuns, tr.WalkReplays = 1, 0, 0
+	tr.count(replayed)
 	winnerSrc, _, err := core.Apply(st.prog, c.Plan)
 	if err != nil {
 		return fmt.Errorf("re-apply winner under %s: %w", m.Name, err)
@@ -801,20 +887,33 @@ func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error 
 	if winnerSrc == st.sc.Source {
 		return nil
 	}
-	cw, err := check.Run(winnerSrc, st.sc.NP, m.Costs, m.Profile)
+	cw, ns, replayed, err := st.checkWinner(mi, winnerSrc)
 	if err != nil {
-		return fmt.Errorf("winner under %s on %q: %w", m.Name, check.Engine, err)
+		return err
 	}
-	if int64(cw.Elapsed()) != c.PrepushNs {
+	how = check.Engine
+	if replayed {
+		how += " (replayed)"
+	}
+	if int64(ns) != c.PrepushNs {
 		return fmt.Errorf("winner makespan %d ns on %q vs %d ns on %q under %s",
-			int64(cw.Elapsed()), check.Engine, c.PrepushNs, st.runner.Engine, m.Name)
+			int64(ns), how, c.PrepushNs, st.runner.Engine, m.Name)
 	}
 	if same, why := interp.SameObservable(co, cw, st.arrays...); !same {
-		return fmt.Errorf("winner corrupts observables on %q under %s: %s", check.Engine, m.Name, why)
+		return fmt.Errorf("winner corrupts observables on %q under %s: %s", how, m.Name, why)
 	}
 	tr.TieredChecks++
-	tr.WalkRuns++
+	tr.count(replayed)
 	return nil
+}
+
+// count books one tiered check as a replay or a check-engine execution.
+func (tr *TunedRun) count(replayed bool) {
+	if replayed {
+		tr.WalkReplays++
+	} else {
+		tr.WalkRuns++
+	}
 }
 
 // assemble folds the slots into the scenario's Outcome, deterministically:
@@ -1071,7 +1170,6 @@ func summarize(outcomes []Outcome) Summary {
 			s.WalkRuns += int64(tr.WalkRuns)
 			s.WalkReplays += int64(tr.WalkReplays)
 			s.ReplayedRuns += int64(tr.ReplayedRuns)
-			s.CertifiedRuns += int64(tr.CertifiedRuns)
 		}
 		if gained {
 			s.OffloadGained++

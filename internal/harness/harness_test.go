@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/session"
@@ -66,14 +67,28 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 }
 
+// winnerSource is the source of the plan a tuned row adopted.
+func winnerSource(t *testing.T, prog *core.Program, tr TunedRun) string {
+	t.Helper()
+	pl := &plan.Plan{Schema: plan.Schema, Default: tr.Sites[0].Decision}
+	for _, s := range tr.Sites {
+		pl.Set(s.Site, s.Decision)
+	}
+	src, _, err := core.Apply(prog, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // stripReplayCounters zeroes the run-skeleton economics — which search
 // reached a shared variant first, so which one replayed it, depends on
 // scheduling, on the engine (walk never replays) and on sharding.
 func stripReplayCounters(r *Report) {
-	r.Summary.ReplayedRuns, r.Summary.CertifiedRuns = 0, 0
+	r.Summary.ReplayedRuns = 0
 	for i := range r.Scenarios {
 		for j := range r.Scenarios[i].Tuned {
-			r.Scenarios[i].Tuned[j].ReplayedRuns, r.Scenarios[i].Tuned[j].CertifiedRuns = 0, 0
+			r.Scenarios[i].Tuned[j].ReplayedRuns = 0
 		}
 	}
 }
@@ -325,35 +340,45 @@ func TestTieredTuningSweep(t *testing.T) {
 	// Per row: one check for the original, one more unless the adopted plan
 	// skips every site (its source is the original's). Each original is
 	// executed once, on its first machine's row, and replayed on the other
-	// rows (no corpus original posts a nonblocking request); each
-	// non-original winner is executed on its own row.
-	var originals, winners int64
-	for _, o := range checked.Scenarios {
-		if len(o.Tuned) > 0 {
-			originals++
+	// rows; each distinct winner source is executed once, on the first row
+	// that adopted it, and replayed on the later rows that adopted it too
+	// (every corpus skeleton certifies).
+	var runs, replays int64
+	for i, o := range checked.Scenarios {
+		prog, err := core.Analyze(corpus[i].Source, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		seen := map[string]bool{}
 		for ri, tr := range o.Tuned {
 			skips, sites := tr.skipCounts()
 			if tr.TieredChecks < 1 || tr.TieredChecks > 2 || (skips == sites && tr.TieredChecks != 1) {
 				t.Errorf("%s on %s: %d checks for a plan skipping %d of %d sites",
 					o.Name, tr.Profile, tr.TieredChecks, skips, sites)
 			}
-			winner := tr.TieredChecks - 1
-			winners += int64(winner)
-			wantRuns, wantReplays := winner, 1
+			wantRuns, wantReplays := 0, 1
 			if ri == 0 {
-				wantRuns, wantReplays = winner+1, 0
+				wantRuns, wantReplays = 1, 0
+			}
+			if tr.TieredChecks == 2 {
+				src := winnerSource(t, prog, tr)
+				if seen[src] {
+					wantReplays++
+				} else {
+					wantRuns++
+				}
+				seen[src] = true
 			}
 			if tr.WalkRuns != wantRuns || tr.WalkReplays != wantReplays {
 				t.Errorf("%s on %s: %d walk runs, %d replays; want %d, %d",
 					o.Name, tr.Profile, tr.WalkRuns, tr.WalkReplays, wantRuns, wantReplays)
 			}
+			runs, replays = runs+int64(wantRuns), replays+int64(wantReplays)
 		}
 	}
-	nm := int64(len(checked.Machines))
-	if s := checked.Summary; s.WalkRuns != originals+winners || s.WalkReplays != originals*(nm-1) {
-		t.Errorf("summary: %d walk runs, %d replays; want %d originals + %d winners, %d replays",
-			s.WalkRuns, s.WalkReplays, originals, winners, originals*(nm-1))
+	if s := checked.Summary; s.WalkRuns != runs || s.WalkReplays != replays || s.TieredChecks != runs+replays {
+		t.Errorf("summary: %d checks, %d walk runs, %d replays; want %d runs, %d replays",
+			s.TieredChecks, s.WalkRuns, s.WalkReplays, runs, replays)
 	}
 	plain, err := Run(Config{Scenarios: corpus, Tune: true})
 	if err != nil {
@@ -718,37 +743,34 @@ func TestMergeShards(t *testing.T) {
 }
 
 // TestReplayCountersSumAndMerge: a tuned sweep's summary carries the sum of
-// its rows' replayed and certified runs, Merge the sum of its shards', and a
-// sweep replays at all (the second and third machine's searches of a
-// scenario find the first's variants in the session's store).
+// its rows' replayed runs, Merge the sum of its shards', and a sweep replays
+// at all (the second and third machine's searches of a scenario find the
+// first's variants in the session's store).
 func TestReplayCountersSumAndMerge(t *testing.T) {
 	corpus := smallCorpus(t, 2)
 	var shards []*Report
-	var replayed, certified int64
+	var replayed int64
 	for _, sc := range corpus {
 		rep, err := Run(Config{Scenarios: []workload.Scenario{sc}, Tune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rows, certs int64
+		var rows int64
 		for _, tr := range rep.Scenarios[0].Tuned {
 			rows += int64(tr.ReplayedRuns)
-			certs += int64(tr.CertifiedRuns)
 		}
-		if rep.Summary.ReplayedRuns != rows || rep.Summary.CertifiedRuns != certs || rows == 0 || certs > rows {
-			t.Fatalf("%s: summary %d replayed / %d certified, rows %d / %d", sc.Name,
-				rep.Summary.ReplayedRuns, rep.Summary.CertifiedRuns, rows, certs)
+		if rep.Summary.ReplayedRuns != rows || rows == 0 {
+			t.Fatalf("%s: summary %d replayed, rows %d", sc.Name, rep.Summary.ReplayedRuns, rows)
 		}
-		replayed, certified = replayed+rows, certified+certs
+		replayed += rows
 		shards = append(shards, rep)
 	}
 	merged, err := Merge(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Summary.ReplayedRuns != replayed || merged.Summary.CertifiedRuns != certified {
-		t.Errorf("merged summary %d replayed / %d certified, shards sum to %d / %d",
-			merged.Summary.ReplayedRuns, merged.Summary.CertifiedRuns, replayed, certified)
+	if merged.Summary.ReplayedRuns != replayed {
+		t.Errorf("merged summary %d replayed, shards sum to %d", merged.Summary.ReplayedRuns, replayed)
 	}
 }
 

@@ -7,6 +7,7 @@ type storage struct {
 	kind  Kind
 	ints  []int64
 	reals []float64
+	watch *watch // the marks of a recording run's open requests (watch.go)
 }
 
 func newStorage(kind Kind, n int64) *storage {
@@ -166,6 +167,7 @@ func (a *Array) Get(subs []int64) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
+	a.NoteLoad(off)
 	return a.Store.get(a.Offset + off), nil
 }
 
@@ -175,6 +177,7 @@ func (a *Array) Set(subs []int64, v Value) error {
 	if err != nil {
 		return err
 	}
+	a.NoteStore(off)
 	a.Store.set(a.Offset+off, v)
 	return nil
 }
@@ -298,11 +301,17 @@ func (a *Array) Idx3(s1, s2, s3 int64) (int64, error) {
 // RawGet reads the element at linear offset off (0-based within the view)
 // without bounds-adjusting subscripts — the raw access MPI_WAITALL uses to
 // walk a request-handle array. Exported for the compiled engine.
-func (a *Array) RawGet(off int64) Value { return a.Store.get(a.Offset + off) }
+func (a *Array) RawGet(off int64) Value {
+	a.NoteLoad(off)
+	return a.Store.get(a.Offset + off)
+}
 
 // RawSet writes the element at linear offset off within the view (see
 // RawGet).
-func (a *Array) RawSet(off int64, v Value) { a.Store.set(a.Offset+off, v) }
+func (a *Array) RawSet(off int64, v Value) {
+	a.NoteStore(off)
+	a.Store.set(a.Offset+off, v)
+}
 
 // IntAt, SetIntAt, RealAt and SetRealAt address the backing storage at
 // linear offset off within the view with no kind dispatch: integer and

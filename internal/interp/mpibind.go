@@ -105,6 +105,9 @@ type MPIArgs interface {
 type MPI struct {
 	Rank *mpi.Rank
 	reqs []*mpi.Request // handle h is reqs[h-1]; nil once waited
+	// marks[h-1] is what request h marked on its buffer (watch.go), kept
+	// while the run records.
+	marks []reqMark
 	// cbErr is the first fetch/place failure. Payload callbacks run inside
 	// engine events, on the goroutine that called the simulation, so they
 	// record instead of panicking; the rank reports the error from the call
@@ -210,6 +213,9 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 			break
 		}
 		b.reqs = append(b.reqs, req)
+		if b.Trace != nil {
+			b.marks = append(b.marks, b.Trace.mark(s, arr[0], num[0], num[1], r.op == opIrecv))
+		}
 		err = a.Store(6, IntVal(int64(len(b.reqs))))
 	case opWait:
 		if err = b.wait(num[0], s); err == nil {
@@ -231,6 +237,11 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 		// of scount elements, block r going to rank r.
 		sArr, sOff, sCount, rArr, rOff, rCount := arr[0], num[0], num[1], arr[3], num[3], num[4]
 		b.trace(skelEntry{op: opAlltoall, bytes: sCount * num[2]})
+		if b.Trace != nil {
+			np := int64(b.Rank.NP())
+			b.Trace.blocking(s, sArr, sOff, np*sCount, false)
+			b.Trace.blocking(s, rArr, rOff, np*rCount, true)
+		}
 		b.Rank.Alltoall(sCount*num[2],
 			func(dst int) interface{} {
 				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
@@ -297,6 +308,9 @@ func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes 
 	if tag < mpi.AnyTag {
 		return nil, rte(s.Args[4].Pos(), "MPI receive tag %d below -1 (any tag)", tag)
 	}
+	if b.Trace != nil && (op == opSend || op == opRecv) {
+		b.Trace.blocking(s, arr, off, count, op == opRecv)
+	}
 	if send {
 		return b.Rank.Isend(peer, tag, count*elemBytes, func() interface{} {
 			p, _ := arr.CopyOut(off, count) // cannot fail: the window was checked
@@ -321,6 +335,9 @@ func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
 		return nil // already waited
 	}
 	b.reqs[h-1] = nil
+	if b.Trace != nil {
+		b.marks[h-1].close()
+	}
 	b.trace(skelEntry{op: opWait, slot: int32(h)})
 	b.Rank.Wait(req)
 	return b.failed(s)

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mpi"
@@ -28,13 +29,14 @@ import (
 // posts an any-tag receive (matching would follow arrival order), ends with an
 // unwaited request (its final arrays are a timing-dependent snapshot), fails,
 // outgrows maxSkelEntries, or reads mpi_wtime (the bytecode lowering refuses a
-// program that can; the walker spoils its trace at the read). No fence sees a
-// send buffer overwritten while a rendezvous still reads it, or a receive
-// buffer read before its message lands — data that depends on the protocol
-// and the timing. So callers rank by a replay (it carries the recording run's
-// observables) and certify by an execution; and a caller that lets a replay
-// under another machine stand for an execution there takes it only from a
-// skeleton that posts no nonblocking request (Nonblocking).
+// program that can; the walker spoils its trace at the read). The last fence
+// is the recording's watch on in-flight buffers (watch.go): a run that stores
+// to a send buffer or touches a receive buffer between post and wait computes
+// data the protocol and the timing decide, and its skeleton does not certify.
+// A skeleton that certifies stands for an execution under any machine, data
+// included: its replay is that execution's Stats, output and (digested)
+// arrays. One that does not is kept only for its reason (InFlight); nothing
+// replays it.
 
 // ChargeCounts tallies cost-model charges by kind, in CostModel's field
 // order: Op, Assign, Store, Load, LoopIter, CallOver.
@@ -96,6 +98,10 @@ type RankTrace struct {
 	limit   int
 	open    int // nonblocking requests posted and not yet waited on
 	spoiled bool
+	// hazard is the rank's first access to an in-flight buffer, watched the
+	// storage its requests marked (watch.go).
+	hazard  string
+	watched []*storage
 }
 
 // NewRankTrace starts the recording of one rank of an np-rank run.
@@ -171,21 +177,31 @@ type Skeleton struct {
 	ranks  []rankSkel
 	output [][]string
 	arrays []map[string]interface{} // every final array's ArrayDigest
+	// inFlight, when set, is why the skeleton does not certify; it then
+	// holds nothing else.
+	inFlight error
 }
 
 // NewSkeleton assembles the traces and the outcome RunRanks returned, or
-// returns nil for a run no replay can stand for.
+// returns nil for a fenced run. A run that touched an in-flight buffer leaves
+// a skeleton that does not certify and says where.
 func NewSkeleton(traces []*RankTrace, res *Result, err error) *Skeleton {
 	if err != nil {
 		return nil
 	}
 	s := &Skeleton{output: res.Output}
-	for _, t := range traces {
+	for r, t := range traces {
 		t.record(skelEntry{op: opNone})
 		if t.spoiled || t.open != 0 {
 			return nil
 		}
+		if t.hazard != "" && s.inFlight == nil {
+			s.inFlight = fmt.Errorf("rank %d: %s", r, t.hazard)
+		}
 		s.ranks = append(s.ranks, t.rankSkel)
+	}
+	if s.inFlight != nil {
+		return &Skeleton{inFlight: s.inFlight}
 	}
 	for _, arrs := range res.Arrays {
 		digests := make(map[string]interface{}, len(arrs))
@@ -197,23 +213,22 @@ func NewSkeleton(traces []*RankTrace, res *Result, err error) *Skeleton {
 	return s
 }
 
-// Nonblocking reports whether any rank posted a nonblocking send or receive:
-// the requests whose data no fence sees (above).
-func (s *Skeleton) Nonblocking() bool {
-	for _, rk := range s.ranks {
-		for _, e := range rk.entries {
-			if e.op == opIsend || e.op == opIrecv {
-				return true
-			}
-		}
-	}
-	return false
-}
+// Certifies reports whether the skeleton stands for an execution under any
+// machine: it exists, and no rank touched an in-flight buffer.
+func (s *Skeleton) Certifies() bool { return s != nil && s.inFlight == nil }
+
+// InFlight says where the recording touched an in-flight buffer: nil for a
+// skeleton that certifies.
+func (s *Skeleton) InFlight() error { return s.inFlight }
 
 // Replay prices the skeleton under a machine and issues each rank's
 // operations against a fresh simulated cluster. The Result carries its own
-// Stats, the recording's Output, and the recorded digests for Arrays.
+// Stats, the recording's Output, and the recorded digests for Arrays. A
+// skeleton that does not certify replays to its InFlight error.
 func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error) {
+	if s.inFlight != nil {
+		return nil, s.inFlight
+	}
 	none := func() interface{} { return nil }
 	drop := func(interface{}) {}
 	np := len(s.ranks)

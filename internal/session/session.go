@@ -50,8 +50,8 @@ type Session struct {
 	mu       sync.Mutex
 	programs map[programKey]*core.Program
 
-	// replayed and certified sum the searches' run-skeleton counters.
-	replayed, certified atomic.Int64
+	// replayed sums the searches' skeleton replays.
+	replayed atomic.Int64
 }
 
 type programKey struct {
@@ -204,14 +204,14 @@ func newMemoKey(fingerprint string, m plan.Machine, p tune.Params) memoKey {
 }
 
 // Tune answers one search through the session's plan memo: a hit returns
-// the stored choice (no search, no runs, zero replayed and certified runs);
-// a miss runs tune.Tune on the session's runner, stores the choice and adds
-// its replayed and certified runs to the session counters.
+// the stored choice (no search, no runs, zero replayed runs); a miss runs
+// tune.Tune on the session's runner, stores the choice and adds its replayed
+// runs to the session counter.
 func (s *Session) Tune(prog *core.Program, m plan.Machine, p tune.Params) (*Result, error) {
 	fp := core.Fingerprint(prog, m.Name)
 	key := newMemoKey(fp, m, p)
 	if ch, ok := s.memo.Lookup(key); ok {
-		ch.ReplayedRuns, ch.CertifiedRuns = 0, 0
+		ch.ReplayedRuns = 0
 		return &Result{Fingerprint: fp, MemoHit: true, Choice: ch}, nil
 	}
 	ch, err := tune.Tune(prog, m, p, s.Runner())
@@ -220,7 +220,6 @@ func (s *Session) Tune(prog *core.Program, m plan.Machine, p tune.Params) (*Resu
 	}
 	s.memo.Store(key, ch)
 	s.replayed.Add(int64(ch.ReplayedRuns))
-	s.certified.Add(int64(ch.CertifiedRuns))
 	return &Result{Fingerprint: fp, Choice: ch}, nil
 }
 
@@ -274,16 +273,15 @@ func (s *Session) Verify(prog *core.Program, pl *plan.Plan) (Verification, error
 }
 
 // Stats bundles the session's store and memo counters (the /stats payload)
-// with its Plan searches' replayed and certifying runs (tune.Choice).
+// with its Plan searches' replayed runs (tune.Choice).
 type Stats struct {
-	Store         exec.StoreStats `json:"store"`
-	Memo          tune.MemoStats  `json:"memo"`
-	ReplayedRuns  int64           `json:"replayed_runs"`
-	CertifiedRuns int64           `json:"certified_runs"`
+	Store        exec.StoreStats `json:"store"`
+	Memo         tune.MemoStats  `json:"memo"`
+	ReplayedRuns int64           `json:"replayed_runs"`
 }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
 	return Stats{Store: s.store.Stats(), Memo: s.memo.Stats(),
-		ReplayedRuns: s.replayed.Load(), CertifiedRuns: s.certified.Load()}
+		ReplayedRuns: s.replayed.Load()}
 }

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,10 +14,11 @@ import (
 
 // TestEveryReplayedCandidateIsItsRun: over a tuned sweep of one scenario per
 // family under the three sweep machines (sharing a store, so the second and
-// third searches measure mostly by replay), every candidate's replay is the
-// full execution of the same program under the same machine — makespan,
-// traffic, per-rank times, output and arrays — and is the number the search
-// recorded. The walk engine replays nothing.
+// third searches measure mostly by replay), every candidate's skeleton
+// certifies, and its replay is the full execution of the same program under
+// the same machine — makespan, traffic, per-rank times, output and arrays —
+// and is the number the search recorded. The walk engine replays nothing and
+// chooses the same.
 func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 	scenarios := workload.GenerateScenarios(workload.GenOptions{})[:9]
 	if testing.Short() {
@@ -51,9 +53,6 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 		replays := 0
 		for i, ch := range choices {
 			replays += ch.ReplayedRuns
-			if ch.CertifiedRuns > ch.ReplayedRuns {
-				t.Errorf("%s on %s: %d certified runs for %d replays", sc.Name, ch.Machine, ch.CertifiedRuns, ch.ReplayedRuns)
-			}
 			for _, c := range ch.Candidates {
 				src, _, err := core.Apply(prog, plans.buildPlan(c.Decisions))
 				if err != nil {
@@ -63,11 +62,11 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, full, err := p.Measure(sc.NP, ms[i].Profile, ms[i].Costs)
-				if err != nil || full == nil {
+				replay, replayed, err := p.Measure(sc.NP, ms[i].Profile, ms[i].Costs)
+				if err != nil || !replayed {
 					t.Fatalf("%s on %s, %v: measured candidate does not replay (err %v)", sc.Name, ch.Machine, c.Decisions, err)
 				}
-				run, err := full()
+				run, err := p.RunBytecode(sc.NP, ms[i].Profile, ms[i].Costs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,11 +86,11 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 		}
 		walk := tuneAll(exec.Runner{Engine: exec.EngineWalk})
 		for i := range walk {
-			if walk[i].ReplayedRuns != 0 || walk[i].CertifiedRuns != 0 {
+			if walk[i].ReplayedRuns != 0 {
 				t.Errorf("%s on %s: the walk engine replayed", sc.Name, walk[i].Machine)
 			}
 			c := choices[i]
-			c.ReplayedRuns, c.CertifiedRuns = 0, 0
+			c.ReplayedRuns = 0
 			if !reflect.DeepEqual(c, walk[i]) {
 				t.Errorf("%s on %s: measuring by replay changed the choice:\n%+v\nvs\n%+v", sc.Name, c.Machine, c, walk[i])
 			}
@@ -155,10 +154,10 @@ end program racy
 )
 
 // handSearch starts a search over the hand-written pair under machine m: the
-// original executed in full, the identity registered.
+// original measured, the identity registered.
 func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
 	t.Helper()
-	orig, err := runner.Run(racyOriginal, 2, m.Costs, m.Profile)
+	orig, _, err := runner.Measure(racyOriginal, 2, m.Costs, m.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,44 +165,33 @@ func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
 		src: racyOriginal, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
 		maxM: 4, runner: runner, orig: orig, origNs: int64(orig.Elapsed()),
 		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
-		replayed: map[*Candidate]func() (*interp.Result, error){},
 	}
 	s.registerIdentity()
 	return s
 }
 
-// TestRacyWinnerIsNotCertified: the tiled variant is right under an eager
-// machine, and its skeleton — recorded there — makes it look right and fast
-// under a rendezvous machine too, where it really ships the refilled buffer.
-// The replay may rank it first; the full execution behind every adopted plan
-// must throw it out. (Mutation check: make certifiedBest return best() and
-// this test fails on the adopted plan.)
-func TestRacyWinnerIsNotCertified(t *testing.T) {
+// TestRacyCandidateIsRejected: the tiled variant computes the original's
+// data under an eager machine and the refilled buffer's under a rendezvous
+// one. Its recording stores to the send buffer while the isend is in flight,
+// so it is rejected under both — first measured or replay-eligible, eager or
+// not — with that reason, and the identity plan is adopted.
+func TestRacyCandidateIsRejected(t *testing.T) {
 	eager, rendezvous := plan.MPICHGM2005(), plan.MPICHGM2005()
 	eager.Profile.EagerThreshold = 1 << 20
 	rendezvous.Profile.EagerThreshold = 0
 	runner := exec.Runner{Store: exec.NewMemStore()}
 	tiled := []plan.Decision{plan.Decision{K: 1}.Normalize()}
-
-	se := handSearch(t, eager, runner)
-	ce := se.measure(racyTiled, tiled, false)
-	if ce == nil || !ce.Identical || se.replays != 0 {
-		t.Fatalf("eager machine: candidate %+v after %d replays, want an identical one from a full run", ce, se.replays)
-	}
-
-	sr := handSearch(t, rendezvous, runner)
-	cr := sr.measure(racyTiled, tiled, false)
-	if cr == nil || sr.replays != 1 || !cr.Identical || cr.Speedup <= 1 {
-		t.Fatalf("rendezvous machine: candidate %+v after %d replays, want a replay ranking it identical and faster", cr, sr.replays)
-	}
-	w, err := sr.certifiedBest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w == cr || w == nil || !w.Decisions[0].Skip {
-		t.Fatalf("rendezvous machine: adopted %+v, want the identity plan", w)
-	}
-	if cr.Identical || sr.certified != 1 {
-		t.Errorf("rendezvous machine: tiled variant left identical = %v after %d certifying runs", cr.Identical, sr.certified)
+	for _, m := range []plan.Machine{eager, rendezvous} {
+		s := handSearch(t, m, runner)
+		if c := s.measure(racyTiled, tiled, false); c != nil || s.replays != 0 {
+			t.Fatalf("eager threshold %d: candidate %+v after %d replays, want it rejected", m.Profile.EagerThreshold, c, s.replays)
+		}
+		if w := s.best(); w == nil || !w.Decisions[0].Skip {
+			t.Fatalf("eager threshold %d: adopted %+v, want the identity plan", m.Profile.EagerThreshold, w)
+		}
+		_, _, err := runner.Measure(racyTiled, 2, m.Costs, m.Profile)
+		if err == nil || !strings.Contains(err.Error(), "store to a element 1 while a nonblocking request on it is in flight") {
+			t.Errorf("eager threshold %d: measure err = %v, want the in-flight store named", m.Profile.EagerThreshold, err)
+		}
 	}
 }

@@ -27,16 +27,17 @@
 // default decision is always measured first so the tuned choice can never
 // lose to the baseline.
 //
-// Run vs measure. Candidates are measured through exec.Runner.Measure: the
-// first execution of a variant by any search records its machine-independent
-// skeleton, and every later measurement — the same candidate reached by the
-// next machine's search — prices and replays it instead of executing. Timing
-// comes out exactly; data a replay cannot vouch for (it carries the recording
-// run's observables, and a variant overwriting an in-flight rendezvous send
-// buffer computes other data where the eager threshold differs). So a replay
-// ranks and never certifies: each search executes its original under its own
-// machine, a replayed "not identical" is re-taken from an execution, and an
-// adopted plan measured by replay is executed once before the search returns.
+// Run vs measure. The original and every candidate are measured through
+// exec.Runner.Measure: the first execution of a variant by any search records
+// its machine-independent skeleton, watching its in-flight buffers, and every
+// later measurement — the same variant reached by the next machine's search —
+// prices and replays it instead of executing, when the skeleton certifies.
+// Then timing and data both come out exactly as an execution's under that
+// machine, so a replay ranks, rejects and certifies alike. A candidate whose
+// recording touched an in-flight buffer — the variant overwrites a send
+// buffer, or reads a receive buffer, before the wait — is an erroneous MPI
+// program and a transform defect: Measure refuses it, and the search rejects
+// it like a run that failed, under every machine, eager ones included.
 //
 // Tune is the search and nothing around it: the caller analyzes the program,
 // picks the machine, and owns the runner (engine and variant store) every
@@ -151,11 +152,10 @@ type Choice struct {
 	SearchSimNs    int64       `json:"search_sim_ns"` // simulated time spent searching
 	Candidates     []Candidate `json:"candidates"`
 	// ReplayedRuns counts the evaluations answered by replaying a variant's
-	// skeleton (see the package comment), CertifiedRuns the executions behind
-	// winners so measured. Which search reached a variant first decides both:
-	// economics, like cache hits; 0 under the walk engine and on a memo hit.
-	ReplayedRuns  int `json:"replayed_runs,omitempty"`
-	CertifiedRuns int `json:"certified_runs,omitempty"`
+	// skeleton (see the package comment). Which search reached a variant first
+	// decides it: economics, like cache hits; 0 under the walk engine and on a
+	// memo hit.
+	ReplayedRuns int `json:"replayed_runs,omitempty"`
 }
 
 // siteState is one transformable site's search facts.
@@ -196,10 +196,9 @@ func tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner, knob
 	if len(sites) == 0 {
 		return Choice{}, fmt.Errorf("tune: transform does not fire on this kernel: %s", firstReason(prog))
 	}
-	// Executed in full whatever the store knows: every verdict compares
-	// against this run under this machine.
+	// Every verdict compares against this measurement under this machine.
 	src := prog.Source()
-	orig, err := runner.Run(src, p.NP, m.Costs, m.Profile)
+	orig, _, err := runner.Measure(src, p.NP, m.Costs, m.Profile)
 	if err != nil {
 		return Choice{}, fmt.Errorf("tune: original run under %s: %w", m.Name, err)
 	}
@@ -209,7 +208,6 @@ func tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner, knob
 		runner: runner,
 		orig:   orig, origNs: int64(orig.Elapsed()),
 		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
-		replayed: map[*Candidate]func() (*interp.Result, error){},
 	}
 	return s.run()
 }
@@ -270,11 +268,7 @@ type search struct {
 	bySrc    map[string]*Candidate // by generated source: knob no-ops alias
 	order    []*Candidate          // unique measured candidates, visit order
 	runs     int
-
-	// replayed holds, for each candidate whose measurement is a replay, the
-	// execution it stands for; replays and certified count both kinds.
-	replayed           map[*Candidate]func() (*interp.Result, error)
-	replays, certified int
+	replays  int // runs answered by a replay
 }
 
 // run is Tune's search once the original has been executed.
@@ -368,14 +362,11 @@ func (s *search) run() (Choice, error) {
 		}
 	}
 
-	winner, err := s.certifiedBest()
-	if err != nil {
-		return Choice{}, err
-	}
+	winner := s.best()
 	if winner == nil {
 		return Choice{}, fmt.Errorf("tune: no valid plan found under %s (fixed K=%d)", m.Name, fixedK)
 	}
-	ch.ReplayedRuns, ch.CertifiedRuns = s.replays, s.certified
+	ch.ReplayedRuns = s.replays
 	ch.Chosen = winner.Decisions[0]
 	ch.Plan = s.buildPlan(winner.Decisions)
 	ch.Plan.Machine = m.Name
@@ -546,68 +537,27 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 }
 
 // measure spends one evaluation on the variant src of decision vector ds: a
-// replay when some search executed the variant before, under whatever
-// machine, else an execution. A replay neither rejects nor certifies: "not
-// identical" is re-taken from an execution here, a winner's in certifiedBest.
+// replay when some search recorded the variant before, under whatever
+// machine, and its skeleton certifies; else an execution. A variant Measure
+// refuses — it failed, or touched an in-flight buffer — is no candidate.
 func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate {
 	s.runs++
-	res, full, err := s.runner.Measure(src, s.p.NP, s.machine.Costs, s.machine.Profile)
+	res, replayed, err := s.runner.Measure(src, s.p.NP, s.machine.Costs, s.machine.Profile)
 	if err != nil {
 		return nil
 	}
-	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded}
-	if s.score(c, res); full != nil && !c.Identical {
-		if res, err = full(); err != nil {
-			return nil
-		}
-		s.score(c, res)
-		full = nil
-	}
-	if full != nil {
+	if replayed {
 		s.replays++
-		s.replayed[c] = full
 	}
-	s.bySrc[src] = c
-	s.order = append(s.order, c)
-	return c
-}
-
-// score records a run of the candidate's variant under the search's machine.
-func (s *search) score(c *Candidate, res *interp.Result) {
-	c.PrepushNs, c.Speedup = int64(res.Elapsed()), 0
+	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded}
+	c.PrepushNs = int64(res.Elapsed())
 	if c.PrepushNs > 0 {
 		c.Speedup = float64(s.origNs) / float64(c.PrepushNs)
 	}
 	c.Identical, _ = interp.SameObservable(s.orig, res, s.p.Arrays...)
-}
-
-// certifiedBest is best() with an execution under this machine behind it. A
-// replay carries the observables of the recording run, under another machine
-// perhaps; whether a variant's data survives this machine's eager/rendezvous
-// split only an execution here can say. So a winner measured by replay is
-// executed once: with other observables than the original's it is re-scored
-// and the next best takes its turn; with the same, any makespan but the
-// replayed one is a broken replay — an error, not a verdict.
-func (s *search) certifiedBest() (*Candidate, error) {
-	for {
-		w := s.best()
-		full := s.replayed[w]
-		if full == nil {
-			return w, nil
-		}
-		delete(s.replayed, w)
-		s.certified++
-		res, err := full()
-		if err != nil {
-			w.Identical = false
-			continue
-		}
-		ranked := w.PrepushNs
-		if s.score(w, res); w.Identical && w.PrepushNs != ranked {
-			return nil, fmt.Errorf("tune: plan %s under %s: replayed makespan %d ns, executed %d ns",
-				s.vecKey(w.Decisions), s.machine.Name, ranked, w.PrepushNs)
-		}
-	}
+	s.bySrc[src] = c
+	s.order = append(s.order, c)
+	return c
 }
 
 // climbK hill-climbs the ladder around the best decision vector, varying
