@@ -67,6 +67,54 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 }
 
+// requireWalkEconomics holds a walk-checked sweep's check counters to the
+// rule. Per row: one check for the original, one more unless the adopted plan
+// skips every site (its source is the original's). Each original is executed
+// once, on its first machine's row, and replayed on the other rows; each
+// distinct winner source is executed once, on the first row that adopted it,
+// and replayed on the later rows that adopted it too (every corpus skeleton
+// certifies).
+func requireWalkEconomics(t *testing.T, corpus []workload.Scenario, checked *Report) {
+	t.Helper()
+	var runs, replays int64
+	for i, o := range checked.Scenarios {
+		prog, err := core.Analyze(corpus[i].Source, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for ri, tr := range o.Tuned {
+			skips, sites := tr.skipCounts()
+			if tr.TieredChecks < 1 || tr.TieredChecks > 2 || (skips == sites && tr.TieredChecks != 1) {
+				t.Errorf("%s on %s: %d checks for a plan skipping %d of %d sites",
+					o.Name, tr.Profile, tr.TieredChecks, skips, sites)
+			}
+			wantRuns, wantReplays := 0, 1
+			if ri == 0 {
+				wantRuns, wantReplays = 1, 0
+			}
+			if tr.TieredChecks == 2 {
+				src := winnerSource(t, prog, tr)
+				if seen[src] {
+					wantReplays++
+				} else {
+					wantRuns++
+				}
+				seen[src] = true
+			}
+			if tr.WalkRuns != wantRuns || tr.WalkReplays != wantReplays {
+				t.Errorf("%s on %s: %d walk runs, %d replays; want %d, %d",
+					o.Name, tr.Profile, tr.WalkRuns, tr.WalkReplays, wantRuns, wantReplays)
+			}
+			runs, replays = runs+int64(wantRuns), replays+int64(wantReplays)
+		}
+	}
+	if s := checked.Summary; s.WalkRuns != runs || s.WalkReplays != replays || s.TieredChecks != runs+replays {
+		t.Errorf("summary: %d checks, %d walk runs, %d replays; want %d runs, %d replays",
+			s.TieredChecks, s.WalkRuns, s.WalkReplays, runs, replays)
+	}
+}
+
 // winnerSource is the source of the plan a tuned row adopted.
 func winnerSource(t *testing.T, prog *core.Program, tr TunedRun) string {
 	t.Helper()
@@ -337,49 +385,7 @@ func TestTieredTuningSweep(t *testing.T) {
 	if checked.Summary.TieredChecks == 0 {
 		t.Fatal("tiered sweep recorded zero oracle check runs")
 	}
-	// Per row: one check for the original, one more unless the adopted plan
-	// skips every site (its source is the original's). Each original is
-	// executed once, on its first machine's row, and replayed on the other
-	// rows; each distinct winner source is executed once, on the first row
-	// that adopted it, and replayed on the later rows that adopted it too
-	// (every corpus skeleton certifies).
-	var runs, replays int64
-	for i, o := range checked.Scenarios {
-		prog, err := core.Analyze(corpus[i].Source, core.AnalyzeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[string]bool{}
-		for ri, tr := range o.Tuned {
-			skips, sites := tr.skipCounts()
-			if tr.TieredChecks < 1 || tr.TieredChecks > 2 || (skips == sites && tr.TieredChecks != 1) {
-				t.Errorf("%s on %s: %d checks for a plan skipping %d of %d sites",
-					o.Name, tr.Profile, tr.TieredChecks, skips, sites)
-			}
-			wantRuns, wantReplays := 0, 1
-			if ri == 0 {
-				wantRuns, wantReplays = 1, 0
-			}
-			if tr.TieredChecks == 2 {
-				src := winnerSource(t, prog, tr)
-				if seen[src] {
-					wantReplays++
-				} else {
-					wantRuns++
-				}
-				seen[src] = true
-			}
-			if tr.WalkRuns != wantRuns || tr.WalkReplays != wantReplays {
-				t.Errorf("%s on %s: %d walk runs, %d replays; want %d, %d",
-					o.Name, tr.Profile, tr.WalkRuns, tr.WalkReplays, wantRuns, wantReplays)
-			}
-			runs, replays = runs+int64(wantRuns), replays+int64(wantReplays)
-		}
-	}
-	if s := checked.Summary; s.WalkRuns != runs || s.WalkReplays != replays || s.TieredChecks != runs+replays {
-		t.Errorf("summary: %d checks, %d walk runs, %d replays; want %d runs, %d replays",
-			s.TieredChecks, s.WalkRuns, s.WalkReplays, runs, replays)
-	}
+	requireWalkEconomics(t, corpus, checked)
 	plain, err := Run(Config{Scenarios: corpus, Tune: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -151,4 +152,42 @@ func TestFencedOriginalsWalkPerMachine(t *testing.T) {
 			t.Errorf("%s: %d walk runs, %d replays; want the original walked once and replayed on the other machines", o.Name, runs, replays)
 		}
 	}
+}
+
+// TestWinnersReplayedAcrossMachines: a walk-checked sweep walks each distinct
+// winner source of a scenario once, under the first machine in sweep order
+// that adopted it, and every later machine that adopted the same source
+// replays that walk. Which worker reaches a recording first does not matter:
+// the counters — and the whole artifact — are the same with one worker and
+// with four (run under -race in CI, for the per-scenario winner state).
+func TestWinnersReplayedAcrossMachines(t *testing.T) {
+	corpus := smallCorpus(t, 9)
+	var reps []*Report
+	for _, par := range []int{1, 4} {
+		rep, err := Run(Config{Scenarios: corpus, Tune: true, TuneCheckEngine: exec.EngineWalk, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Summary.Errors != 0 || rep.Summary.Correct != len(corpus) {
+			t.Fatalf("parallelism %d: sweep failed:\n%s", par, rep.Table())
+		}
+		requireWalkEconomics(t, corpus, rep)
+		rep.Summary.SweepWallNs = 0
+		stripReplayCounters(rep)
+		reps = append(reps, rep)
+	}
+	winnerReplays := reps[0].Summary.WalkReplays
+	for _, o := range reps[0].Scenarios {
+		winnerReplays -= int64(len(o.Tuned) - 1) // the original's
+	}
+	if winnerReplays == 0 {
+		t.Fatal("no winner was replayed: the corpus prefix no longer shares a winner across machines")
+	}
+	a, _ := json.Marshal(reps[0])
+	b, _ := json.Marshal(reps[1])
+	if string(a) != string(b) {
+		t.Errorf("artifact depends on parallelism:\n%s\nvs\n%s", a, b)
+	}
+	t.Logf("%d walk runs, %d replays (%d of winners) over %d checks",
+		reps[0].Summary.WalkRuns, reps[0].Summary.WalkReplays, winnerReplays, reps[0].Summary.TieredChecks)
 }

@@ -107,7 +107,7 @@ type MPI struct {
 	reqs []*mpi.Request // handle h is reqs[h-1]; nil once waited
 	// marks[h-1] is what request h marked on its buffer (watch.go), kept
 	// while the run records.
-	marks []reqMark
+	marks []*reqMark
 	// cbErr is the first fetch/place failure. Payload callbacks run inside
 	// engine events, on the goroutine that called the simulation, so they
 	// record instead of panicking; the rank reports the error from the call

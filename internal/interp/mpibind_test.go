@@ -135,6 +135,32 @@ func TestRendezvousReadsBufferAtTransferStart(t *testing.T) {
 	}
 }
 
+// TestOverwriteAfterIsendDoesNotCertify: the recording sees what the two
+// tests above show: the program stores to its send buffer while the isend
+// is in flight, so its data is the protocol's. Under either protocol the
+// skeleton does not certify, names the store, and does not replay.
+func TestOverwriteAfterIsendDoesNotCertify(t *testing.T) {
+	p, err := Load(overwriteAfterIsend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threshold := range []int64{1 << 20, 4} {
+		prof := netsim.MPICHGM()
+		prof.EagerThreshold = threshold
+		_, skel, err := p.Record(2, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skel.Certifies() || skel.InFlight() == nil ||
+			skel.InFlight().Error() != "rank 0: store to sb element 1 while a nonblocking request on it is in flight" {
+			t.Fatalf("eager threshold %d: certifies %v, reason %v", threshold, skel.Certifies(), skel.InFlight())
+		}
+		if _, err := skel.Replay(prof, DefaultCosts()); err != skel.InFlight() {
+			t.Fatalf("eager threshold %d: replay err = %v, want the reason", threshold, err)
+		}
+	}
+}
+
 // TestRendezvousSlowerThanEagerOnTCP: on the host-progress stack the
 // rendezvous handshake (RTS/CTS round trip) must cost wall time relative to
 // the eager path for the same payload.

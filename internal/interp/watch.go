@@ -25,23 +25,25 @@ import (
 // The hazards: a store to an isend buffer; a load or store of an irecv buffer;
 // a blocking send, receive or alltoall whose buffer an open request would
 // read (receives) or write; an isend over an open irecv buffer and an irecv
-// over any open buffer. Two isends may share elements (both only read them);
-// their bits then clear when the storage's last open isend is waited on.
+// over any open buffer. Two isends may share elements (both only read them):
+// then the storage is stacked, and an isend's wait re-marks the open ones
+// after clearing its own, so an element stays marked exactly while some open
+// isend reads it.
 
 // watch is one storage's marks.
 type watch struct {
 	t          *RankTrace // the recording rank, which takes the first hazard
 	send, recv []uint64   // bit i: an open isend reads / irecv writes element i
-	sends      int        // open isends over the storage
-	stacked    bool       // an isend overlapped an open one (see above)
+	sends      []*reqMark // the open isends over the storage
+	stacked    bool       // open isends have shared an element (see above)
 }
 
-// reqMark is what one nonblocking request marked, for its wait to clear; the
-// zero mark (no storage) clears nothing.
+// reqMark is what one nonblocking request marked, for its wait to clear.
 type reqMark struct {
 	st    *storage
 	lo, n int64
 	recv  bool
+	at    int // an isend's index in its watch's sends
 }
 
 // words calls f with the index and element mask of every bitmap word the
@@ -107,10 +109,11 @@ func (t *RankTrace) flag(format string, args ...interface{}) {
 
 // mark marks the buffer of the nonblocking request call s posts (count
 // elements at arr+off, an already checked window), first checking it against
-// the open ones, and returns the mark its wait clears.
-func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv bool) reqMark {
+// the open ones, and returns the mark its wait clears: nil when there is
+// nothing to clear.
+func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv bool) *reqMark {
 	if t.hazard != "" || count <= 0 {
-		return reqMark{}
+		return nil
 	}
 	st, lo := arr.Store, arr.Offset+off
 	w := st.watch
@@ -120,26 +123,28 @@ func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv boo
 		st.watch = w
 		t.watched = append(t.watched, st)
 	}
+	m := &reqMark{st: st, lo: lo, n: count, recv: recv}
 	switch {
 	case recv && (anyBit(w.send, lo, count) || anyBit(w.recv, lo, count)):
 		t.flag("%s: %s's buffer %s overlaps a request still in flight", s.Pos(), s.Name, arr.Name)
-		return reqMark{}
+		return nil
 	case recv:
 		setBits(w.recv, lo, count)
 	case anyBit(w.recv, lo, count):
 		t.flag("%s: %s reads %s while an mpi_irecv still writes it", s.Pos(), s.Name, arr.Name)
-		return reqMark{}
+		return nil
 	default:
 		w.stacked = w.stacked || anyBit(w.send, lo, count)
 		setBits(w.send, lo, count)
-		w.sends++
+		m.at = len(w.sends)
+		w.sends = append(w.sends, m)
 	}
-	return reqMark{st: st, lo: lo, n: count, recv: recv}
+	return m
 }
 
 // close clears what mark recorded, at the request's wait.
-func (m reqMark) close() {
-	if m.st == nil || m.st.watch == nil {
+func (m *reqMark) close() {
+	if m == nil || m.st.watch == nil {
 		return
 	}
 	w := m.st.watch
@@ -147,13 +152,15 @@ func (m reqMark) close() {
 		clearBits(w.recv, m.lo, m.n)
 		return
 	}
-	w.sends--
-	switch {
-	case !w.stacked:
-		clearBits(w.send, m.lo, m.n)
-	case w.sends == 0:
-		clear(w.send)
-		w.stacked = false
+	last := w.sends[len(w.sends)-1]
+	w.sends[m.at], last.at = last, m.at
+	w.sends = w.sends[:len(w.sends)-1]
+	clearBits(w.send, m.lo, m.n)
+	if w.stacked {
+		for _, o := range w.sends {
+			setBits(w.send, o.lo, o.n)
+		}
+		w.stacked = len(w.sends) > 0
 	}
 }
 

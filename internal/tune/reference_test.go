@@ -51,10 +51,15 @@ type corpusPoint struct {
 	ch   Choice
 }
 
+// corpusStores holds one variant store per corpus scenario, shared by every
+// search tuneCorpus makes of that scenario: the machines of one sweep, as a
+// session's successive queries do, and the reference and the pruned sweep —
+// a variant either one executed, the other replays (every corpus variant
+// certifies, so a replay is that execution).
+var corpusStores sync.Map
+
 // tuneCorpus searches the canonical corpus (seed 0) under the default
-// sweep's three machines with the given search (Tune, or the reference). The
-// machines of one scenario share a store, as a session's successive queries
-// do.
+// sweep's three machines with the given search (Tune, or the reference).
 func tuneCorpus(t *testing.T, search func(*core.Program, plan.Machine, Params, exec.Runner) (Choice, error)) []corpusPoint {
 	t.Helper()
 	var out []corpusPoint
@@ -63,7 +68,8 @@ func tuneCorpus(t *testing.T, search func(*core.Program, plan.Machine, Params, e
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := exec.Runner{Store: exec.NewMemStore()}
+		store, _ := corpusStores.LoadOrStore(sc.Name, exec.NewMemStore())
+		runner := exec.Runner{Store: store.(exec.VariantStore)}
 		for _, m := range plan.DefaultSweep() {
 			if sc.Costs != nil {
 				m.Costs = *sc.Costs
