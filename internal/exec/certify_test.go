@@ -340,3 +340,55 @@ func TestCertifiesAgreesOnRandomKernels(t *testing.T) {
 	}
 	t.Logf("%d of %d kernels certify", certified, count)
 }
+
+// BenchmarkRecordCorpus prices recording: one recording execution of every
+// corpus original and fixed-K variant under the GM machine (the run that
+// watches in-flight buffers), against one plain execution of the same
+// programs — on the bytecode engine over the whole corpus, on the walk over
+// one scenario of each family. Compiles are cached, so the bytecode arms
+// time the runs.
+func BenchmarkRecordCorpus(b *testing.B) {
+	var srcs []string
+	var nps []int
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
+		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fixed, _, err := core.Apply(prog, plan.Uniform(plan.Decision{K: sc.K}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs, nps = append(srcs, sc.Source, fixed), append(nps, sc.NP, sc.NP)
+	}
+	m := plan.MPICHGM2005()
+	store := exec.NewMemStore()
+	for _, eng := range []exec.Engine{exec.EngineBytecode, exec.EngineWalk} {
+		r, n := exec.Runner{Engine: eng, Store: store}, len(srcs)
+		if eng == exec.EngineWalk {
+			n = 18 // the first nine scenarios: one of each family
+		}
+		for _, record := range []bool{true, false} {
+			name := string(eng) + "/run"
+			if record {
+				name = string(eng) + "/record"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j, src := range srcs[:n] {
+						var err error
+						if record {
+							_, _, err = r.Record(src, nps[j], m.Costs, m.Profile)
+						} else {
+							_, err = r.Run(src, nps[j], m.Costs, m.Profile)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}

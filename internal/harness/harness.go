@@ -11,14 +11,17 @@
 // one): its engine runs every measurement, its store holds every compiled
 // variant, and in tuned mode every (scenario, machine) search goes through
 // session.Session.Tune, so a search the session's plan memo already answered
-// is not run again. Tiered tuning is the harness's own step after each
-// choice, memo hits included: the original and the adopted plan are re-proved
-// on the check engine and must reproduce what the search ranked on. The check
-// engine executes each scenario's original once, in wave 1 under the first
-// machine, and records its skeleton; every other machine's check replays that
-// skeleton under its own machine instead of executing the original again,
-// unless no replay may stand for an execution there (checkOriginal). Adopted
-// plans are executed on the check engine per machine.
+// is not run again. Measurements replay a variant's skeleton wherever it
+// certifies (exec.Runner.Measure); wave 1 runs machine-major, so each
+// scenario's first machine records its original and fixed variant before the
+// other machines replay them. Tiered tuning is the harness's own step once
+// every machine has chosen, memo hits included: the original and the adopted
+// plan are re-proved on the check engine and must reproduce what the search
+// ranked on. The check engine executes each scenario's original once, in wave
+// 1 under the first machine, and each distinct winner source once, under the
+// first machine in sweep order that adopted it; the other machines replay
+// those recordings under their own machine where the skeleton certifies, and
+// execute otherwise (checkOriginal, checkWinner).
 package harness
 
 import (

@@ -107,7 +107,7 @@ type MPI struct {
 	reqs []*mpi.Request // handle h is reqs[h-1]; nil once waited
 	// marks[h-1] is what request h marked on its buffer (watch.go), kept
 	// while the run records.
-	marks []*reqMark
+	marks []reqMark
 	// cbErr is the first fetch/place failure. Payload callbacks run inside
 	// engine events, on the goroutine that called the simulation, so they
 	// record instead of panicking; the rank reports the error from the call
@@ -214,7 +214,7 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 		}
 		b.reqs = append(b.reqs, req)
 		if b.Trace != nil {
-			b.marks = append(b.marks, b.Trace.mark(s, arr[0], num[0], num[1], r.op == opIrecv))
+			b.marks = b.Trace.mark(b.marks, s, arr[0], num[0], num[1], r.op == opIrecv)
 		}
 		err = a.Store(6, IntVal(int64(len(b.reqs))))
 	case opWait:
@@ -336,7 +336,7 @@ func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
 	}
 	b.reqs[h-1] = nil
 	if b.Trace != nil {
-		b.marks[h-1].close()
+		unmark(b.marks, int(h-1))
 	}
 	b.trace(skelEntry{op: opWait, slot: int32(h)})
 	b.Rank.Wait(req)

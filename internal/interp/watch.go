@@ -34,16 +34,17 @@ import (
 type watch struct {
 	t          *RankTrace // the recording rank, which takes the first hazard
 	send, recv []uint64   // bit i: an open isend reads / irecv writes element i
-	sends      []*reqMark // the open isends over the storage
+	sends      []int32    // the open isends over the storage, as indices into the rank's marks
 	stacked    bool       // open isends have shared an element (see above)
 }
 
-// reqMark is what one nonblocking request marked, for its wait to clear.
+// reqMark is what one nonblocking request marked, for its wait to clear; st
+// is nil when it marked nothing.
 type reqMark struct {
 	st    *storage
 	lo, n int64
+	at    int32 // an isend's index in its watch's sends
 	recv  bool
-	at    int // an isend's index in its watch's sends
 }
 
 // words calls f with the index and element mask of every bitmap word the
@@ -109,11 +110,10 @@ func (t *RankTrace) flag(format string, args ...interface{}) {
 
 // mark marks the buffer of the nonblocking request call s posts (count
 // elements at arr+off, an already checked window), first checking it against
-// the open ones, and returns the mark its wait clears: nil when there is
-// nothing to clear.
-func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv bool) *reqMark {
+// the open ones, and appends to marks what the request's wait clears.
+func (t *RankTrace) mark(marks []reqMark, s *ftn.CallStmt, arr *Array, off, count int64, recv bool) []reqMark {
 	if t.hazard != "" || count <= 0 {
-		return nil
+		return append(marks, reqMark{})
 	}
 	st, lo := arr.Store, arr.Offset+off
 	w := st.watch
@@ -123,28 +123,29 @@ func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv boo
 		st.watch = w
 		t.watched = append(t.watched, st)
 	}
-	m := &reqMark{st: st, lo: lo, n: count, recv: recv}
+	m := reqMark{st: st, lo: lo, n: count, recv: recv}
 	switch {
 	case recv && (anyBit(w.send, lo, count) || anyBit(w.recv, lo, count)):
 		t.flag("%s: %s's buffer %s overlaps a request still in flight", s.Pos(), s.Name, arr.Name)
-		return nil
+		return append(marks, reqMark{})
 	case recv:
 		setBits(w.recv, lo, count)
 	case anyBit(w.recv, lo, count):
 		t.flag("%s: %s reads %s while an mpi_irecv still writes it", s.Pos(), s.Name, arr.Name)
-		return nil
+		return append(marks, reqMark{})
 	default:
 		w.stacked = w.stacked || anyBit(w.send, lo, count)
 		setBits(w.send, lo, count)
-		m.at = len(w.sends)
-		w.sends = append(w.sends, m)
+		m.at = int32(len(w.sends))
+		w.sends = append(w.sends, int32(len(marks)))
 	}
-	return m
+	return append(marks, m)
 }
 
-// close clears what mark recorded, at the request's wait.
-func (m *reqMark) close() {
-	if m == nil || m.st.watch == nil {
+// unmark clears what marks[i] recorded, at its request's wait.
+func unmark(marks []reqMark, i int) {
+	m := &marks[i]
+	if m.st == nil || m.st.watch == nil {
 		return
 	}
 	w := m.st.watch
@@ -153,12 +154,12 @@ func (m *reqMark) close() {
 		return
 	}
 	last := w.sends[len(w.sends)-1]
-	w.sends[m.at], last.at = last, m.at
+	w.sends[m.at], marks[last].at = last, m.at
 	w.sends = w.sends[:len(w.sends)-1]
 	clearBits(w.send, m.lo, m.n)
 	if w.stacked {
 		for _, o := range w.sends {
-			setBits(w.send, o.lo, o.n)
+			setBits(w.send, marks[o].lo, marks[o].n)
 		}
 		w.stacked = len(w.sends) > 0
 	}

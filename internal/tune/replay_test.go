@@ -170,12 +170,13 @@ func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
 	return s
 }
 
-// TestRacyCandidateIsRejected: the tiled variant computes the original's
+// TestRacyWinnerIsNotCertified: the tiled variant computes the original's
 // data under an eager machine and the refilled buffer's under a rendezvous
-// one. Its recording stores to the send buffer while the isend is in flight,
-// so it is rejected under both — first measured or replay-eligible, eager or
-// not — with that reason, and the identity plan is adopted.
-func TestRacyCandidateIsRejected(t *testing.T) {
+// one, where it is also faster. Its recording stores to the send buffer
+// while the isend is in flight, so it never certifies: it is rejected under
+// both machines — the eager one included, where its data looks right — with
+// that reason, and the identity plan is adopted.
+func TestRacyWinnerIsNotCertified(t *testing.T) {
 	eager, rendezvous := plan.MPICHGM2005(), plan.MPICHGM2005()
 	eager.Profile.EagerThreshold = 1 << 20
 	rendezvous.Profile.EagerThreshold = 0
