@@ -47,8 +47,9 @@
 // which must reproduce the exact makespans the search ranked on and the
 // exact observables the never-lose gate compared. The per-candidate cost drops
 // to the fast tier while the adopted plans stay oracle-backed. The original
-// is executed once per scenario and its skeleton replayed under the other
-// machines; the report records tune_check_engine and the per-row/summary
+// and each distinct adopted source are executed once per scenario and their
+// skeletons replayed under the other machines where they certify; the
+// report records tune_check_engine and the per-row/summary
 // tiered_checks counters, with the walk_runs and walk_replays that paid them.
 //
 // -cache-dir backs the sweep's variant store with a content-addressed

@@ -280,11 +280,12 @@ func (p *Program) claim(np int) *recording {
 	return rec
 }
 
-// execute is the recording execution, published when it ends.
+// execute is the recording execution, published when it ends — however it
+// ends, so no measurement waits forever.
 func (rec *recording) execute(p *Program, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, *interp.Skeleton, error) {
+	defer close(rec.done)
 	res, skel, err := p.execute(np, prof, costs, true)
 	rec.skel = skel
-	close(rec.done)
 	return res, skel, err
 }
 

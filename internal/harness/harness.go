@@ -21,7 +21,7 @@
 // 1 under the first machine, and each distinct winner source once, under the
 // first machine in sweep order that adopted it; the other machines replay
 // those recordings under their own machine where the skeleton certifies, and
-// execute otherwise (checkOriginal, checkWinner).
+// execute otherwise (checkRun).
 package harness
 
 import (
@@ -526,9 +526,9 @@ type scenarioState struct {
 	// 3 walks each distinct winner once, into winners (see winnerChecks).
 	check       *exec.Runner
 	orig        []*interp.Result
-	checked     checkedOriginal
+	checked     checkedRun
 	winnersOnce sync.Once
-	winners     map[string]*checkedWinner
+	winners     map[string]*checkedRun
 	// verify, when non-nil, is the sweep-wide static verification tracker;
 	// verifyFixed holds the fixed variant's findings, verifyTuned the
 	// per-machine tuned-search findings.
@@ -616,24 +616,15 @@ func (st *scenarioState) prepare() {
 	})
 }
 
-// checkedOriginal is the check engine's one execution of a scenario's
-// original, under the sweep's first machine. Wave 1 writes it; every
-// machine's tiered check in wave 3 reads it.
-type checkedOriginal struct {
-	obs  *interp.Result // its observables, as kept by observed
-	ns   netsim.Time
-	err  error
-	skel *interp.Skeleton // nil unless it certifies
-}
-
-// checkedWinner is the check engine's one execution of a distinct adopted
-// source, under mi, the first machine in sweep order that adopted it; the
-// other machines that adopted it replay skel, or execute where it does not
-// certify.
-type checkedWinner struct {
+// checkedRun is the check engine's one execution of a source, under mi: the
+// first machine in sweep order whose check needs it (the original's under
+// the first machine, in wave 1; a winner's under the first machine that
+// adopted it). The other machines' checks replay skel, or execute where it
+// does not certify (checkRun).
+type checkedRun struct {
 	mi   int
 	once sync.Once
-	obs  *interp.Result
+	obs  *interp.Result // its observables, as kept by observed
 	ns   netsim.Time
 	err  error
 	skel *interp.Skeleton // nil unless it certifies
@@ -680,22 +671,7 @@ func (st *scenarioState) runMachine(mi int) {
 		st.mismatch[mi] = fmt.Sprintf("%s: %s", m.Name, why)
 	}
 	if st.check != nil && mi == 0 {
-		st.checkFirst()
-	}
-}
-
-// checkFirst executes the original on the check engine under the first
-// machine, recording its skeleton, kept if it certifies (interp/skeleton.go).
-func (st *scenarioState) checkFirst() {
-	m, o := st.machines[0], &st.checked
-	res, skel, err := st.check.Record(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
-	if err != nil {
-		o.err = fmt.Errorf("original under %s on %q: %w", m.Name, st.check.Engine, err)
-		return
-	}
-	o.obs, o.ns = observed(res, st.arrays), res.Elapsed()
-	if skel.Certifies() {
-		o.skel = skel
+		st.checkRun(&st.checked, "original", st.sc.Source, 0)
 	}
 }
 
@@ -778,35 +754,12 @@ func (st *scenarioState) settle(mi int) {
 	}
 }
 
-// checkOriginal answers the original's check under machine mi: its
-// observables, its makespan, and whether that makespan is a replay. Under the
-// first machine it is wave 1's execution; under another, that execution's
-// skeleton replayed under mi — or, where it does not certify or fails to
-// replay, an execution of its own.
-func (st *scenarioState) checkOriginal(mi int) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
-	o := &st.checked
-	if o.err != nil || mi == 0 {
-		return o.obs, o.ns, false, o.err
-	}
-	m := st.machines[mi]
-	if o.skel != nil {
-		if res, err := o.skel.Replay(m.Profile, m.Costs); err == nil {
-			return o.obs, res.Elapsed(), true, nil
-		}
-	}
-	res, err := st.check.Run(st.sc.Source, st.sc.NP, m.Costs, m.Profile)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("original under %s on %q: %w", m.Name, st.check.Engine, err)
-	}
-	return observed(res, st.arrays), res.Elapsed(), false, nil
-}
-
 // winnerChecks maps each distinct adopted source other than the original to
 // its one check-engine execution, owned by the first machine in sweep order
 // that adopted it. It reads every machine's choice, so it is built in wave 3.
-func (st *scenarioState) winnerChecks() map[string]*checkedWinner {
+func (st *scenarioState) winnerChecks() map[string]*checkedRun {
 	st.winnersOnce.Do(func() {
-		st.winners = map[string]*checkedWinner{}
+		st.winners = map[string]*checkedRun{}
 		for mi, tr := range st.tuned {
 			if tr == nil {
 				continue
@@ -817,43 +770,42 @@ func (st *scenarioState) winnerChecks() map[string]*checkedWinner {
 			if err != nil || src == st.sc.Source || st.winners[src] != nil {
 				continue
 			}
-			st.winners[src] = &checkedWinner{mi: mi}
+			st.winners[src] = &checkedRun{mi: mi}
 		}
 	})
 	return st.winners
 }
 
-// checkWinner answers the check of winner source src under machine mi: its
-// observables, its makespan, and whether that makespan is a replay. Under the
-// machine that owns src it is the one recording execution; under another,
-// that recording replayed under mi when it certifies, else an execution of
-// its own.
-func (st *scenarioState) checkWinner(mi int, src string) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
-	w := st.winnerChecks()[src]
-	w.once.Do(func() {
-		m := st.machines[w.mi]
+// checkRun answers the check of src — the what of the scenario — under
+// machine mi: its observables, its makespan, and whether that makespan is a
+// replay. Under c's machine it is c's one recording execution, made by
+// whichever check needs it first; under another, that recording replayed
+// under mi when it certifies, else an execution of its own.
+func (st *scenarioState) checkRun(c *checkedRun, what, src string, mi int) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
+	c.once.Do(func() {
+		m := st.machines[c.mi]
 		res, skel, err := st.check.Record(src, st.sc.NP, m.Costs, m.Profile)
 		if err != nil {
-			w.err = fmt.Errorf("winner under %s on %q: %w", m.Name, st.check.Engine, err)
+			c.err = fmt.Errorf("%s under %s on %q: %w", what, m.Name, st.check.Engine, err)
 			return
 		}
-		w.obs, w.ns = observed(res, st.arrays), res.Elapsed()
+		c.obs, c.ns = observed(res, st.arrays), res.Elapsed()
 		if skel.Certifies() {
-			w.skel = skel
+			c.skel = skel
 		}
 	})
-	if mi == w.mi {
-		return w.obs, w.ns, false, w.err
+	if c.err != nil || mi == c.mi {
+		return c.obs, c.ns, false, c.err
 	}
 	m := st.machines[mi]
-	if w.skel != nil {
-		if res, err := w.skel.Replay(m.Profile, m.Costs); err == nil {
-			return w.obs, res.Elapsed(), true, nil
+	if c.skel != nil {
+		if res, err := c.skel.Replay(m.Profile, m.Costs); err == nil {
+			return c.obs, res.Elapsed(), true, nil
 		}
 	}
 	res, err := st.check.Run(src, st.sc.NP, m.Costs, m.Profile)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("winner under %s on %q: %w", m.Name, st.check.Engine, err)
+		return nil, 0, false, fmt.Errorf("%s under %s on %q: %w", what, m.Name, st.check.Engine, err)
 	}
 	return observed(res, st.arrays), res.Elapsed(), false, nil
 }
@@ -865,7 +817,7 @@ func (st *scenarioState) checkWinner(mi int, src string) (obs *interp.Result, ns
 // observables against the checked original. It fills tr's check counters.
 func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error {
 	m, check := st.machines[mi], st.check
-	co, ns, replayed, err := st.checkOriginal(mi)
+	co, ns, replayed, err := st.checkRun(&st.checked, "original", st.sc.Source, mi)
 	if err != nil {
 		return err
 	}
@@ -890,7 +842,7 @@ func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error 
 	if winnerSrc == st.sc.Source {
 		return nil
 	}
-	cw, ns, replayed, err := st.checkWinner(mi, winnerSrc)
+	cw, ns, replayed, err := st.checkRun(st.winnerChecks()[winnerSrc], "winner", winnerSrc, mi)
 	if err != nil {
 		return err
 	}
