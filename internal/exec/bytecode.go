@@ -618,9 +618,10 @@ func (x *rctx) Buffer(i int) (*interp.Array, []int64, error) {
 }
 
 // loadElem reads the element at linear offset off of an array whose storage
-// kind is kind (Array.RawGet without the Value).
+// kind is kind (Array.RawGet without the Value). It and storeElem stay leaf
+// functions, with no stack check: their callers check the access against
+// the watched buffers (Array.NoteLoad, NoteStore).
 func loadElem(a *interp.Array, kind interp.Kind, off int64) reg {
-	a.NoteLoad(off)
 	switch kind {
 	case interp.KReal:
 		return realReg(a.RealAt(off))
@@ -634,7 +635,6 @@ func loadElem(a *interp.Array, kind interp.Kind, off int64) reg {
 // (Array.RawSet without the Value): reals widen, integers truncate, a
 // logical array stores true only for a true logical.
 func storeElem(a *interp.Array, kind interp.Kind, off int64, r reg) {
-	a.NoteStore(off)
 	switch kind {
 	case interp.KReal:
 		a.SetRealAt(off, r.asReal())
@@ -960,6 +960,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 				return err
 			}
 			regs[ins.a] = loadElem(a, a.Kind(), off)
+			a.NoteLoad(off)
 		case bStoreA:
 			d := &bp.accs[ins.a]
 			a := fr.arr[d.aslot]
@@ -968,28 +969,39 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 				return err
 			}
 			storeElem(a, a.Kind(), off, regs[ins.b])
+			a.NoteStore(off)
 		case bLoadU1:
 			g := &bp.geos[ins.b]
-			regs[ins.a] = loadElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits))
+			a, off := fr.arr[g.aslot], g.base+int64(regs[g.sub[0]].bits)
+			regs[ins.a] = loadElem(a, g.kind, off)
+			a.NoteLoad(off)
 		case bLoadU2:
 			g := &bp.geos[ins.b]
-			regs[ins.a] = loadElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
-				int64(regs[g.sub[1]].bits)*g.stride[1])
+			a, off := fr.arr[g.aslot], g.base+int64(regs[g.sub[0]].bits)+int64(regs[g.sub[1]].bits)*g.stride[1]
+			regs[ins.a] = loadElem(a, g.kind, off)
+			a.NoteLoad(off)
 		case bLoadU3:
 			g := &bp.geos[ins.b]
-			regs[ins.a] = loadElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
-				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2])
+			a, off := fr.arr[g.aslot], g.base+int64(regs[g.sub[0]].bits)+
+				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2]
+			regs[ins.a] = loadElem(a, g.kind, off)
+			a.NoteLoad(off)
 		case bStoreU1:
 			g := &bp.geos[ins.a]
-			storeElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits), regs[ins.b])
+			a, off := fr.arr[g.aslot], g.base+int64(regs[g.sub[0]].bits)
+			storeElem(a, g.kind, off, regs[ins.b])
+			a.NoteStore(off)
 		case bStoreU2:
 			g := &bp.geos[ins.a]
-			storeElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
-				int64(regs[g.sub[1]].bits)*g.stride[1], regs[ins.b])
+			a, off := fr.arr[g.aslot], g.base+int64(regs[g.sub[0]].bits)+int64(regs[g.sub[1]].bits)*g.stride[1]
+			storeElem(a, g.kind, off, regs[ins.b])
+			a.NoteStore(off)
 		case bStoreU3:
 			g := &bp.geos[ins.a]
-			storeElem(fr.arr[g.aslot], g.kind, g.base+int64(regs[g.sub[0]].bits)+
-				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2], regs[ins.b])
+			a, off := fr.arr[g.aslot], g.base+int64(regs[g.sub[0]].bits)+
+				int64(regs[g.sub[1]].bits)*g.stride[1]+int64(regs[g.sub[2]].bits)*g.stride[2]
+			storeElem(a, g.kind, off, regs[ins.b])
+			a.NoteStore(off)
 		case bIntr:
 			d := &bp.intrs[ins.b]
 			vals := x.vals[:0]

@@ -183,7 +183,7 @@ func (t *RankTrace) blocking(s *ftn.CallStmt, arr *Array, off, count int64, writ
 // NoteLoad checks a load of the element at linear offset off within the view
 // against the buffers a recording run watches: one nil test when none is
 // watched. The bytecode engine calls it on every element it loads one at a
-// time; the walker checks inside Get and RawGet.
+// time; Get and RawGet call it for the walker.
 func (a *Array) NoteLoad(off int64) {
 	if w := a.Store.watch; w != nil {
 		w.load(a, a.Offset+off)
