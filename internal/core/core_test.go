@@ -882,3 +882,46 @@ func TestNonASCIINameRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyExchangeDeclined: an alltoall over a zero-extent last dimension
+// exchanges zero-element partitions. The check half declines the site at
+// its position, so Apply emits nothing and the static verifier, which holds
+// a staggered schedule to a positive partition, has nothing to disagree with.
+func TestEmptyExchangeDeclined(t *testing.T) {
+	src := `program empty
+  implicit none
+  include 'mpif.h'
+  integer, parameter :: np = 2
+  integer, parameter :: nx = 0
+  integer as(nx)
+  integer ar(0)
+  integer ix, ierr
+  do ix = 1, nx
+    as(ix) = ix
+  enddo
+  call mpi_alltoall(as, 0, 0, ar, 0, 0, 0, 0)
+end program empty
+`
+	prog, err := core.Analyze(src, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Sites) != 1 {
+		t.Fatalf("sites = %d, want 1", len(prog.Sites))
+	}
+	const want = "the last dimension of as is empty"
+	if s := prog.Sites[0]; s.Transformable || s.Pos.String() != "12:3" || !strings.Contains(s.Reason, want) {
+		t.Fatalf("site %s transformable = %v, reason %q; want declined at 12:3 with %q", s.Pos, s.Transformable, s.Reason, want)
+	}
+	pl := plan.Uniform(plan.Decision{K: 2})
+	out, rep, err := core.Apply(prog, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TransformedCount() != 0 || !strings.Contains(rep.FirstRejection(), want) {
+		t.Fatalf("apply at K=2: %d transformed, first rejection %q; want the site declined", rep.TransformedCount(), rep.FirstRejection())
+	}
+	if diags := verify.Variant(prog, pl, out, rep); len(diags) != 0 {
+		t.Errorf("verify disagrees with the declined site: %v", diags)
+	}
+}

@@ -204,6 +204,9 @@ func (rw *rewriter) resolveParameters() error {
 	}
 	rw.lastLo, rw.lastHi = lo, hi
 	ext := hi - lo + 1
+	if ext <= 0 {
+		return failf(pos, "the last dimension of %s is empty: zero-element partitions leave nothing to pre-push", op.Call.As)
+	}
 	if ext%rw.np != 0 {
 		return failf(pos, "last dimension extent %d of %s is not divisible by np=%d", ext, op.Call.As, rw.np)
 	}
