@@ -43,6 +43,16 @@
 //     core.Program and decides each site in its check half; the validator is
 //     there to catch one acting on a wrong fact or verdict, so it re-derives
 //     them all.
+//  9. Product code has a product caller: every func or method declared in a
+//     non-test file under cmd/ or internal/ (main and init aside) is named by
+//     some non-test file outside benchmark/. Code only tests reach belongs in
+//     the tests; code no program reaches belongs nowhere. The pass is
+//     name-based across the whole tree, so a name collision can hide dead
+//     code but live code is never flagged. What cannot move or go — a test
+//     API another package's tests import, a benchmark probe, a method only an
+//     interface calls — sits in allowedUncalled with its reason, and an entry
+//     that names no function, or whose function gained a product reference,
+//     is itself a finding, so the list only shrinks.
 //
 // Usage:
 //
@@ -59,6 +69,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -83,7 +94,34 @@ var allowedGlobals = map[string]string{
 	"internal/dep:observePair":      "differential-test observer of pair queries (set only by internal/dep's tests, which hold every answer to the reference solver)",
 	"internal/analysis:observeSlab": "differential-test observer of §3.4 slab proofs (set only by internal/analysis's tests, which hold every verdict to the exhaustive enumeration and pin the elements evaluated)",
 	// The linter's own configuration tables (read-only).
-	"cmd/repolint:allowedGlobals": "this allowlist",
+	"cmd/repolint:allowedGlobals":  "this allowlist",
+	"cmd/repolint:allowedUncalled": "rule 9's allowlist",
+}
+
+// allowedUncalled is rule 9's allowlist: functions declared under cmd/ or
+// internal/ that no non-test file outside benchmark/ names, keyed by
+// "<package dir>:<name>" (methods as "<package dir>:<Type>.<Method>"), each
+// with its reason. An in-package test API never belongs here — it moves into
+// that package's _test.go files.
+var allowedUncalled = map[string]string{
+	// Test APIs of one package imported by another package's tests; Go
+	// cannot import a _test.go file across packages.
+	"internal/ftn:MustParse":      "fixture parser the tests of analysis and core import",
+	"internal/interp:SameOutput":  "observable comparison the exec and tune differential tests import",
+	"internal/interp:MPIRoutines": "the binding's signature table, which exec's tests walk against the bytecode's MPI errors",
+	// Reached only from benchmark/'s fleet probe; they go when the probe
+	// does.
+	"internal/fleet:Client.RunTune":       "benchmark fleet.dispatch_overhead probe",
+	"internal/fleet:NewCoordinator":       "benchmark fleet.dispatch_overhead probe",
+	"internal/fleet:Coordinator.Register": "benchmark fleet.dispatch_overhead probe",
+	"internal/fleet:Coordinator.Mux":      "benchmark fleet.dispatch_overhead probe",
+	"internal/fleet:NewWorker":            "benchmark fleet.dispatch_overhead probe",
+	"internal/fleet:Worker.Mux":           "benchmark fleet.dispatch_overhead probe",
+	// Layer probes of the simulator's own cost, driven only by benchmark/.
+	"internal/netsim:Cluster.Transfer":     "benchmark netsim.transfer_ns probe",
+	"internal/netsim:Engine.NewCompletion": "benchmark netsim.event_ns probe",
+	// Called by the standard library through an interface, never by name.
+	"internal/session:queryError.Unwrap": "errors.Is/As unwrap a query error to its cause",
 }
 
 // recoverFile is the one file under internal/ allowed to call recover().
@@ -111,7 +149,7 @@ func main() {
 	if flag.NArg() == 1 {
 		root = flag.Arg(0)
 	}
-	findings, err := lintTree(root)
+	findings, err := lintTree(root, allowedUncalled)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(2)
@@ -125,9 +163,11 @@ func main() {
 	}
 }
 
-// lintTree walks a module tree and lints every non-test Go file.
-func lintTree(root string) ([]string, error) {
+// lintTree walks a module tree and lints every Go file, then applies the
+// cross-file rule 9 against the uncalled allowlist.
+func lintTree(root string, uncalled map[string]string) ([]string, error) {
 	var findings []string
+	files := map[string]*ast.File{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -151,12 +191,15 @@ func lintTree(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		findings = append(findings, lintFile(fset, filepath.ToSlash(rel), f)...)
+		rel = filepath.ToSlash(rel)
+		findings = append(findings, lintFile(fset, rel, f)...)
+		files[rel] = f
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	findings = append(findings, lintProductCallers(fset, files, uncalled)...)
 	sort.Strings(findings)
 	return findings, nil
 }
@@ -443,4 +486,77 @@ func lintVerifyReproves(pkgDir string, f *ast.File, report reportFn) {
 		}
 		return true
 	})
+}
+
+// lintProductCallers is rule 9: it gathers the funcs and methods declared in
+// non-test files under cmd/ and internal/, then every identifier named by
+// non-test files (declared function names aside), and flags each declaration
+// that no file outside benchmark/ names unless uncalled allowlists it — and
+// each allowlist entry that declares nothing or is named after all.
+func lintProductCallers(fset *token.FileSet, files map[string]*ast.File, uncalled map[string]string) []string {
+	type decl struct {
+		key, name string
+		pos       token.Pos
+	}
+	var decls []decl
+	product, bench := map[string]bool{}, map[string]bool{}
+	for rel, f := range files {
+		if strings.HasSuffix(rel, "_test.go") {
+			continue
+		}
+		pkgDir := filepath.ToSlash(filepath.Dir(rel))
+		declares := strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "internal/")
+		names := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			names[fd.Name] = true
+			if !declares || fd.Name.Name == "main" || fd.Name.Name == "init" {
+				continue
+			}
+			key := pkgDir + ":" + fd.Name.Name
+			if fd.Recv != nil {
+				recv := strings.TrimPrefix(types.ExprString(fd.Recv.List[0].Type), "*")
+				key = pkgDir + ":" + recv + "." + fd.Name.Name
+			}
+			decls = append(decls, decl{key, fd.Name.Name, fd.Name.Pos()})
+		}
+		refs := product
+		if strings.HasPrefix(rel, "benchmark/") {
+			refs = bench
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !names[id] {
+				refs[id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var findings []string
+	report := func(pos token.Pos, format string, args ...any) {
+		findings = append(findings, fmt.Sprintf("%s: product-caller: %s", fset.Position(pos), fmt.Sprintf(format, args...)))
+	}
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		_, allowed := uncalled[d.key]
+		switch {
+		case product[d.name] && allowed:
+			report(d.pos, "%s is allowlisted as uncalled but product code names it; drop its allowedUncalled entry", d.key)
+		case product[d.name] || allowed:
+		case bench[d.name]:
+			report(d.pos, "%s is named only under benchmark/; give it a product caller, delete it, or allowlist it with a reason", d.key)
+		default:
+			report(d.pos, "%s has no caller outside tests; move it into the tests that use it or delete it", d.key)
+		}
+	}
+	for key := range uncalled {
+		if !declared[key] {
+			findings = append(findings, fmt.Sprintf("cmd/repolint: product-caller: allowedUncalled entry %s names no function declared under cmd/ or internal/", key))
+		}
+	}
+	return findings
 }

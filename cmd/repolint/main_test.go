@@ -3,6 +3,8 @@ package main
 import (
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -222,9 +224,6 @@ func TestExecHotPathRule(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean is the enforcement test: the repository itself must lint
-// clean (the CI lint job runs the binary; this keeps `go test ./...`
-// equivalent).
 func TestRecoverRule(t *testing.T) {
 	src := "package foo\nfunc f() (err error) {\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\terr = nil\n\t\t}\n\t}()\n\treturn nil\n}\n"
 	wantRule(t, lintSrc(t, "internal/exec/a.go", src), "stray-recover")
@@ -294,8 +293,96 @@ func TestVerifyReprovesRule(t *testing.T) {
 	}
 }
 
+// lintFixture writes a fixture tree of files (slash-separated path →
+// source) and lints it with uncalled as rule 9's allowlist.
+func lintFixture(t *testing.T, files map[string]string, uncalled map[string]string) []string {
+	t.Helper()
+	root := t.TempDir()
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := lintTree(root, uncalled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
+
+func TestProductCallerRule(t *testing.T) {
+	const lib = "package foo\nfunc Helper() int { return 1 }\ntype T struct{}\nfunc (*T) Probe() {}\n"
+	const main = "package main\nfunc main() {}\nfunc init() {}\n"
+	cases := []struct {
+		name     string
+		files    map[string]string
+		uncalled map[string]string
+		want     []string // substrings of the findings, one each, in order
+	}{
+		{name: "referenced only from a test",
+			files: map[string]string{
+				"internal/foo/foo.go":      lib,
+				"internal/foo/foo_test.go": "package foo\nvar _ = Helper()\nvar _ = (*T).Probe\n",
+			},
+			want: []string{"internal/foo:Helper has no caller outside tests", "internal/foo:T.Probe has no caller outside tests"}},
+		{name: "a product reference clears it",
+			files: map[string]string{
+				"internal/foo/foo.go": lib,
+				"cmd/app/main.go":     "package main\nimport \"m/internal/foo\"\nfunc main() { _ = foo.Helper(); new(foo.T).Probe() }\n",
+			}},
+		{name: "main and init are exempt",
+			files: map[string]string{"cmd/app/main.go": main}},
+		{name: "referenced only from benchmark/",
+			files: map[string]string{
+				"internal/foo/foo.go":      lib,
+				"benchmark/bench.go":       "package main\nimport \"m/internal/foo\"\nfunc main() { _ = foo.Helper(); new(foo.T).Probe() }\n",
+				"internal/foo/foo_test.go": "package foo\n",
+			},
+			want: []string{"internal/foo:Helper is named only under benchmark/", "internal/foo:T.Probe is named only under benchmark/"}},
+		{name: "benchmark/-only but allowlisted",
+			files: map[string]string{
+				"internal/foo/foo.go": lib,
+				"benchmark/bench.go":  "package main\nimport \"m/internal/foo\"\nfunc main() { _ = foo.Helper(); new(foo.T).Probe() }\n",
+			},
+			uncalled: map[string]string{"internal/foo:Helper": "probe", "internal/foo:T.Probe": "probe"}},
+		{name: "allowlist entry naming nothing",
+			files:    map[string]string{"cmd/app/main.go": main},
+			uncalled: map[string]string{"internal/foo:Gone": "deleted long ago"},
+			want:     []string{"allowedUncalled entry internal/foo:Gone names no function"}},
+		{name: "allowlisted function gained a product caller",
+			files: map[string]string{
+				"internal/foo/foo.go": lib,
+				"cmd/app/main.go":     "package main\nimport \"m/internal/foo\"\nfunc main() { _ = foo.Helper(); new(foo.T).Probe() }\n",
+			},
+			uncalled: map[string]string{"internal/foo:Helper": "probe"},
+			want:     []string{"internal/foo:Helper is allowlisted as uncalled but product code names it"}},
+		{name: "out of scope: declarations outside cmd/ and internal/",
+			files: map[string]string{"examples/ex.go": "package ex\nfunc Unused() {}\n"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			findings := lintFixture(t, c.files, c.uncalled)
+			if len(findings) != len(c.want) {
+				t.Fatalf("findings %q, want %d matching %q", findings, len(c.want), c.want)
+			}
+			for i, want := range c.want {
+				if !strings.Contains(findings[i], "product-caller") || !strings.Contains(findings[i], want) {
+					t.Errorf("finding %q, want a product-caller finding containing %q", findings[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestRepoIsClean is the enforcement test: the repository itself must lint
+// clean (the CI lint job runs the binary; this keeps `go test ./...`
+// equivalent).
 func TestRepoIsClean(t *testing.T) {
-	findings, err := lintTree("../..")
+	findings, err := lintTree("../..", allowedUncalled)
 	if err != nil {
 		t.Fatal(err)
 	}

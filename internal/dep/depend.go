@@ -280,13 +280,6 @@ func (p *pair) addForm(c []int64, cp, upto int, a Affine, sign int64) {
 	}
 }
 
-// TestDirection decides whether a dependence from r1 (source) to r2 (sink)
-// can exist under the given direction vector over their common loops.
-// dirs may be shorter than the common depth; missing entries are DirStar.
-func TestDirection(r1, r2 *Ref, dirs []Direction) Feasibility {
-	return newPair(r1, r2).test(dirs)
-}
-
 // Depends decides whether any instance of r1 executes before an instance of
 // r2 touching the same array element (the generic dependence question; the
 // caller selects flow/anti/output by the refs' Write flags).

@@ -1,9 +1,6 @@
 package dep
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Feasibility is the three-valued answer of the integer solver.
 type Feasibility int
@@ -26,74 +23,6 @@ func (f Feasibility) String() string {
 		return "unknown"
 	}
 	return fmt.Sprintf("Feasibility(%d)", int(f))
-}
-
-// System is a conjunction of integer linear constraints written as affine
-// forms. Loop variables and symbols are distinct unknowns even when they
-// share a name; a symbol is unbounded unless a constraint bounds it, so the
-// solver can only prove infeasibility through one that cancels.
-type System struct {
-	cons []Affine
-	eq   []bool
-}
-
-// AddEq adds the equality a = 0 over the system's variables.
-func (s *System) AddEq(a Affine) { s.add(a, true) }
-
-// AddGE adds the inequality a ≥ 0.
-func (s *System) AddGE(a Affine) { s.add(a, false) }
-
-// AddLE adds a ≤ 0 (i.e. -a ≥ 0).
-func (s *System) AddLE(a Affine) { s.add(a.Scale(-1), false) }
-
-func (s *System) add(a Affine, eq bool) {
-	s.cons = append(s.cons, a.Clone())
-	s.eq = append(s.eq, eq)
-}
-
-// Clone copies the system.
-func (s *System) Clone() *System {
-	return &System{cons: append([]Affine(nil), s.cons...), eq: append([]bool(nil), s.eq...)}
-}
-
-// Solve decides integer feasibility of the system. Its columns are the
-// symbols, then the loop variables, each sorted by name — the order the
-// elimination breaks ties in — and each row lists its loop variables before
-// its symbols, the order equality substitution scans.
-func (s *System) Solve() Feasibility {
-	var syms, vars []string
-	for _, a := range s.cons {
-		vars = appendNew(vars, a.Coef)
-		syms = appendNew(syms, a.Syms)
-	}
-	sort.Strings(syms)
-	sort.Strings(vars)
-	var sv solver
-	sv.reset(len(syms)+len(vars), len(syms))
-	for i, a := range s.cons {
-		c := sv.push(s.eq[i], a.Const)
-		for v, k := range a.Coef {
-			if k != 0 {
-				c[len(syms)+sort.SearchStrings(vars, v)] += k
-			}
-		}
-		for name, k := range a.Syms {
-			if k != 0 {
-				c[sort.SearchStrings(syms, name)] += k
-			}
-		}
-	}
-	return sv.solve()
-}
-
-// appendNew appends the names of m's nonzero entries not yet in names.
-func appendNew(names []string, m map[string]int64) []string {
-	for name, k := range m {
-		if k != 0 && !contains(names, name) {
-			names = append(names, name)
-		}
-	}
-	return names
 }
 
 func contains(names []string, name string) bool {

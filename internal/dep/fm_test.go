@@ -2,9 +2,74 @@ package dep
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// System is a conjunction of integer linear constraints written as affine
+// forms: the tests' way to pose one query to the solver directly. Loop
+// variables and symbols are distinct unknowns even when they share a name; a
+// symbol is unbounded unless a constraint bounds it, so the solver can only
+// prove infeasibility through one that cancels.
+type System struct {
+	cons []Affine
+	eq   []bool
+}
+
+// AddEq adds the equality a = 0 over the system's variables.
+func (s *System) AddEq(a Affine) { s.add(a, true) }
+
+// AddGE adds the inequality a ≥ 0.
+func (s *System) AddGE(a Affine) { s.add(a, false) }
+
+// AddLE adds a ≤ 0 (i.e. -a ≥ 0).
+func (s *System) AddLE(a Affine) { s.add(a.Scale(-1), false) }
+
+func (s *System) add(a Affine, eq bool) {
+	s.cons = append(s.cons, a.Clone())
+	s.eq = append(s.eq, eq)
+}
+
+// Solve decides integer feasibility of the system. Its columns are the
+// symbols, then the loop variables, each sorted by name — the order the
+// elimination breaks ties in — and each row lists its loop variables before
+// its symbols, the order equality substitution scans.
+func (s *System) Solve() Feasibility {
+	var syms, vars []string
+	for _, a := range s.cons {
+		vars = appendNew(vars, a.Coef)
+		syms = appendNew(syms, a.Syms)
+	}
+	sort.Strings(syms)
+	sort.Strings(vars)
+	var sv solver
+	sv.reset(len(syms)+len(vars), len(syms))
+	for i, a := range s.cons {
+		c := sv.push(s.eq[i], a.Const)
+		for v, k := range a.Coef {
+			if k != 0 {
+				c[len(syms)+sort.SearchStrings(vars, v)] += k
+			}
+		}
+		for name, k := range a.Syms {
+			if k != 0 {
+				c[sort.SearchStrings(syms, name)] += k
+			}
+		}
+	}
+	return sv.solve()
+}
+
+// appendNew appends the names of m's nonzero entries not yet in names.
+func appendNew(names []string, m map[string]int64) []string {
+	for name, k := range m {
+		if k != 0 && !contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return names
+}
 
 // brute checks integer feasibility of a system over a small box by
 // enumeration; variables are taken from the system, bounded to [-B, B].
@@ -85,7 +150,7 @@ func TestQuickSolveMatchesBruteForce(t *testing.T) {
 		nVars := 1 + r.Intn(3)
 		const bound = 4
 		s := randSystem(r, nVars, bound)
-		want := bruteFeasible(s.Clone(), bound)
+		want := bruteFeasible(s, bound)
 		got := s.Solve()
 		if want && got == Infeasible {
 			t.Logf("UNSOUND: brute feasible, solver infeasible: %+v", s.cons)

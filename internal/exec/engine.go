@@ -66,7 +66,8 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 
 // Measure is Run's measuring twin (see Program.Measure): Run's answer,
 // replayed from the skeleton the variant's Program — drawn from the Store like
-// any run's — holds when that skeleton certifies, else executed; a variant
+// any run's — holds when that skeleton certifies, else executed; the first
+// measurement at a rank count is the execution that records it, and a variant
 // whose recording touched an in-flight buffer is refused. Under the walk
 // engine, and for a Runner without a Store (each of its Programs is new),
 // every measurement is a recording execution, refused by the same rule. A

@@ -20,20 +20,21 @@
 // price of dispatching instructions.
 //
 // Run vs measure. Running (Runner.Run, Program.RunBytecode) always executes
-// in full. What a program computes does not depend on the machine, only when
-// things happen does — once the recording proves it: the first execution at
-// a rank count records the run's skeleton on the Program and watches every
+// in full and records nothing. What a program computes does not depend on the
+// machine, only when things happen does — once the recording proves it: the
+// first measurement (Runner.Measure, Program.Measure) at a rank count
+// executes, records the run's skeleton on the Program and watches every
 // in-flight buffer while it does (interp/skeleton.go, interp/watch.go). If the
-// skeleton certifies, measuring (Runner.Measure, Program.Measure) answers
-// from it: charge counts priced under the asked-for cost model, MPI
-// operations pushed through the same mpi/netsim code with no VM and no
-// payloads — an execution's exact Stats and observables for about a tenth of
-// its host time, under any machine. Which runs leave no skeleton the input
-// decides (skeleton.go; mpi_wtime at lowering time), and those are measured by
-// executing; a run that touched an in-flight buffer is an erroneous MPI
-// program, which Measure refuses. There is no switch, and a DiskStore
-// persists sources only. Runner.Record executes under either engine and hands
-// the recorded skeleton to its caller instead: that is how a walk records.
+// skeleton certifies, every later measurement answers from it: charge counts
+// priced under the asked-for cost model, MPI operations pushed through the
+// same mpi/netsim code with no VM and no payloads — an execution's exact
+// Stats and observables for about a tenth of its host time, under any
+// machine. Which runs leave no skeleton the input decides (skeleton.go;
+// mpi_wtime at lowering time), and those are measured by executing; a run
+// that touched an in-flight buffer is an erroneous MPI program, which Measure
+// refuses. There is no switch, and a DiskStore persists sources only.
+// Runner.Record executes under either engine and hands the recorded skeleton
+// to its caller instead: that is how a walk records.
 //
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
@@ -78,7 +79,7 @@ type Program struct {
 	// timed: a unit reads mpi_wtime (set by the lowering), so what the
 	// program computes can depend on the machine: its runs are not recorded.
 	timed bool
-	// skels holds, by rank count, the *recording of the first execution at
+	// skels holds, by rank count, the *recording of the first measurement at
 	// that rank count. On the Program, so every VariantStore carries it.
 	skels sync.Map
 }
@@ -241,18 +242,13 @@ func (p *Program) subroutine(name string) *unit {
 // profile, charging computation against costs. The result is bit-identical
 // to interp's tree-walk of the same source under the same machine — for a
 // program that is not lowered (see the package comment) because it is that
-// tree-walk. The first execution at a rank count also records the run's
-// skeleton for Measure; a run that finds the recording under way executes
-// without waiting for it, and every later one pays one map load for that.
+// tree-walk. It records nothing: a run neither writes nor reads the
+// skeletons Measure keeps.
 func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
 	if p.routed != "" {
 		return runWalk(p.src, np, prof, costs)
 	}
 	p.Bytecode()
-	if rec := p.claim(np); rec != nil {
-		res, _, err := rec.execute(p, np, prof, costs)
-		return res, err
-	}
 	res, _, err := p.execute(np, prof, costs, false)
 	return res, err
 }
@@ -262,31 +258,6 @@ func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostMode
 type recording struct {
 	done chan struct{}
 	skel *interp.Skeleton
-}
-
-// claim returns the slot for np when the caller is to record into it: the
-// first caller at that rank count, for a program whose runs are recorded.
-func (p *Program) claim(np int) *recording {
-	if p.timed {
-		return nil
-	}
-	if _, seen := p.skels.Load(np); seen {
-		return nil
-	}
-	rec := &recording{done: make(chan struct{})}
-	if _, raced := p.skels.LoadOrStore(np, rec); raced {
-		return nil
-	}
-	return rec
-}
-
-// execute is the recording execution, published when it ends — however it
-// ends, so no measurement waits forever.
-func (rec *recording) execute(p *Program, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, *interp.Skeleton, error) {
-	defer close(rec.done)
-	res, skel, err := p.execute(np, prof, costs, true)
-	rec.skel = skel
-	return res, skel, err
 }
 
 // execute runs the lowered program, recording its skeleton when asked to.
@@ -312,21 +283,30 @@ func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, r
 // Measure answers what RunBytecode would, replaying the recorded skeleton if
 // and only if it certifies (interp/skeleton.go) — then the answer is that
 // execution's, data included, under any machine — and otherwise executing.
-// The first measurement at a rank count records; a measurement that finds the
-// recording under way waits for it. A program whose recording touched an
-// in-flight buffer is refused with the skeleton's reason: its data is the
-// protocol's, so no measurement under one machine speaks for another, and Run
-// is the only way to execute it. replayed says which answer res is.
+// The first measurement at a rank count records, and nothing else records
+// onto the Program; a measurement that finds the recording under way waits
+// for it. A program whose recording touched an in-flight buffer is refused
+// with the skeleton's reason: its data is the protocol's, so no measurement
+// under one machine speaks for another, and Run is the only way to execute
+// it. replayed says which answer res is.
 func (p *Program) Measure(np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, replayed bool, err error) {
 	if p.routed != "" {
 		return measureWalk(p.src, np, prof, costs)
 	}
 	p.Bytecode()
-	if rec := p.claim(np); rec != nil {
-		return measured(rec.execute(p, np, prof, costs))
-	}
-	if v, ok := p.skels.Load(np); ok {
+	if !p.timed {
+		v, seen := p.skels.Load(np)
+		if !seen {
+			v, seen = p.skels.LoadOrStore(np, &recording{done: make(chan struct{})})
+		}
 		rec := v.(*recording)
+		if !seen {
+			// The recording execution, published when it ends — however it
+			// ends, so no measurement waits forever.
+			defer close(rec.done)
+			res, rec.skel, err = p.execute(np, prof, costs, true)
+			return measured(res, rec.skel, err)
+		}
 		<-rec.done
 		if rec.skel.Certifies() {
 			if res, err := rec.skel.Replay(prof, costs); err == nil {

@@ -26,14 +26,17 @@ func requireReplayIsRun(t *testing.T, label string, full, replay *interp.Result)
 	}
 }
 
-// recordedUnder compiles src into a private store and makes its first — the
-// recording — execution under machine m.
+// recordedUnder compiles src into a private store and makes its first
+// measurement — the recording execution — under machine m.
 func recordedUnder(t *testing.T, label, src string, np int, m plan.Machine) (exec.Runner, *interp.Result) {
 	t.Helper()
 	r := exec.Runner{Store: exec.NewMemStore()}
-	res, err := r.Run(src, np, m.Costs, m.Profile)
+	res, replayed, err := r.Measure(src, np, m.Costs, m.Profile)
 	if err != nil {
-		t.Fatalf("%s: recording run under %s: %v", label, m.Name, err)
+		t.Fatalf("%s: recording measurement under %s: %v", label, m.Name, err)
+	}
+	if replayed {
+		t.Fatalf("%s: first measurement under %s replayed, want the recording execution", label, m.Name)
 	}
 	return r, res
 }
@@ -158,8 +161,8 @@ func TestReplayEqualsRunRandomKernels(t *testing.T) {
 }
 
 // TestNeverSkeletonised: a run whose data or observables can depend on the
-// machine leaves no skeleton, so measuring it executes in full — the same
-// answer, error included, as Run.
+// machine leaves no skeleton, so every measurement of it executes in full —
+// the same answer, error included, as Run.
 func TestNeverSkeletonised(t *testing.T) {
 	late, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "late_receive.f90"))
 	if err != nil {
@@ -203,20 +206,25 @@ func TestNeverSkeletonised(t *testing.T) {
 			if (ferr != nil) != tc.fails {
 				t.Fatalf("%s: first run: err = %v, want failure = %v", label, ferr, tc.fails)
 			}
-			res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
-			if replayed {
-				t.Fatalf("%s: measured by replay, want a full execution", label)
+			for i := 0; i < 2; i++ { // the recording measurement, then one after it
+				res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
+				if replayed {
+					t.Fatalf("%s: measurement %d by replay, want a full execution", label, i)
+				}
+				if tc.fails {
+					if err == nil || err.Error() != ferr.Error() {
+						t.Fatalf("%s: measurement %d failed with %v, run with %v", label, i, err, ferr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: measurement %d: %v", label, i, err)
+				}
+				requireReplayIsRun(t, label, first, res)
 			}
 			if tc.fails {
-				if err == nil || err.Error() != ferr.Error() {
-					t.Fatalf("%s: measure failed with %v, run with %v", label, err, ferr)
-				}
 				continue
 			}
-			if err != nil {
-				t.Fatalf("%s: measure: %v", label, err)
-			}
-			requireReplayIsRun(t, label, first, res)
 			for _, eng := range []exec.Engine{exec.EngineWalk, exec.EngineBytecode} {
 				if _, skel, _ := (exec.Runner{Engine: eng}).Record(tc.src, 2, m.Costs, m.Profile); skel != nil && !tc.records {
 					t.Fatalf("%s: Record on %s left a skeleton", label, eng)
@@ -229,11 +237,11 @@ func TestNeverSkeletonised(t *testing.T) {
 	requireWalkReplaysEverywhere(t, "plain ring", ring("5", ""), 2, plan.PaperPair())
 }
 
-// TestConcurrentFirstRuns: of several goroutines first-running or measuring
-// one Program at once, one records; a run that finds the recording under way
-// executes in full without waiting, a measurement waits for it and replays.
-// Every result is the same, and the skeleton is there afterwards. Meaningful
-// under -race.
+// TestConcurrentFirstRuns: of several goroutines running or measuring one
+// Program at once, the first measurement records; a run executes in full and
+// never waits, a measurement that finds the recording under way waits for it
+// and replays. Every result is the same, and the skeleton is there
+// afterwards. Meaningful under -race.
 func TestConcurrentFirstRuns(t *testing.T) {
 	sc := workload.GenerateScenarios(workload.GenOptions{})[0]
 	m := plan.MPICHGM2005()
@@ -269,5 +277,31 @@ func TestConcurrentFirstRuns(t *testing.T) {
 			t.Fatalf("round %d: after the first runs: replayed = %v, err = %v", round, replayed, err)
 		}
 		requireReplayIsRun(t, fmt.Sprintf("round %d replay", round), results[0], res)
+	}
+}
+
+// TestRunRecordsNothing: running a Program leaves no skeleton on it, so the
+// first measurement after any number of runs is the recording execution and
+// only the second replays.
+func TestRunRecordsNothing(t *testing.T) {
+	sc := workload.GenerateScenarios(workload.GenOptions{})[0]
+	m := plan.MPICHGM2005()
+	r := exec.Runner{Store: exec.NewMemStore()}
+	ran, err := r.Run(sc.Source, sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(sc.Source, sc.NP, m.Costs, m.Profile); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, true} {
+		res, replayed, err := r.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+		if err != nil {
+			t.Fatalf("measurement %d: %v", i, err)
+		}
+		if replayed != want {
+			t.Fatalf("measurement %d after two runs: replayed = %v, want %v", i, replayed, want)
+		}
+		requireReplayIsRun(t, fmt.Sprintf("measurement %d", i), ran, res)
 	}
 }

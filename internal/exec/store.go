@@ -61,10 +61,12 @@ func (s StoreStats) Sub(earlier StoreStats) StoreStats {
 }
 
 // VariantStore is the pluggable compiled-variant cache: a content-addressed
-// store of program variants keyed by the sha256 of their source.
-// Implementations must be concurrency-safe and single-flight — concurrent
-// lookups of the same new variant block on one compile instead of
-// duplicating it.
+// store of program variants keyed by the sha256 of their source, and the
+// ledger of the variants that passed static verification, so a warm hit
+// (same process, or a shared on-disk store in a later process) never pays
+// for re-verification. Implementations must be concurrency-safe and
+// single-flight — concurrent lookups of the same new variant block on one
+// compile instead of duplicating it.
 type VariantStore interface {
 	// Get returns the compiled program for the variant source, compiling
 	// it at most once per distinct variant. A lookup served by existing
@@ -77,14 +79,6 @@ type VariantStore interface {
 	Put(src string) error
 	// Stats snapshots the store's traffic counters.
 	Stats() StoreStats
-}
-
-// VerifyLedger is the optional verified-hash side table a variant store may
-// carry: content keys whose variants already passed static verification, so
-// a warm hit (same process, or a shared on-disk store in a later process)
-// never pays for re-verification. Both built-in stores implement it; callers
-// discover it by type assertion so third-party stores may decline.
-type VerifyLedger interface {
 	// MarkVerified records that the keyed variant verified clean.
 	MarkVerified(key Key)
 	// Verified reports whether the keyed variant is known clean.
@@ -113,14 +107,14 @@ func NewMemStore() *MemStore {
 	return &MemStore{entries: map[Key]*storeEntry{}, verified: map[Key]bool{}}
 }
 
-// MarkVerified implements VerifyLedger (in-memory only).
+// MarkVerified implements VariantStore (in memory only).
 func (m *MemStore) MarkVerified(key Key) {
 	m.mu.Lock()
 	m.verified[key] = true
 	m.mu.Unlock()
 }
 
-// Verified implements VerifyLedger.
+// Verified implements VariantStore.
 func (m *MemStore) Verified(key Key) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -186,34 +180,17 @@ type DiskStore struct {
 	stats StoreStats
 }
 
-// DefaultCacheDir returns the user-level default store directory
-// (~/.cache/compuniformer/variants or the platform equivalent).
-func DefaultCacheDir() (string, error) {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return "", fmt.Errorf("exec: no user cache dir (set -cache-dir explicitly): %w", err)
-	}
-	return filepath.Join(base, "compuniformer", "variants"), nil
-}
-
 // NewDiskStore opens (creating as needed) the on-disk variant store rooted
-// at dir; "" selects DefaultCacheDir.
+// at dir, which must be named.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if dir == "" {
-		var err error
-		dir, err = DefaultCacheDir()
-		if err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("exec: variant store dir not named")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("exec: variant store dir: %w", err)
 	}
 	return &DiskStore{dir: dir, mem: NewMemStore()}, nil
 }
-
-// Dir returns the store's root directory.
-func (d *DiskStore) Dir() string { return d.dir }
 
 // entryPath is the content-addressed file of a key.
 func (d *DiskStore) entryPath(key Key) string {
@@ -307,7 +284,7 @@ func (d *DiskStore) verifiedPath(key Key) string {
 	return filepath.Join(d.dir, key.String()+".ok")
 }
 
-// MarkVerified implements VerifyLedger: the key is recorded in memory and
+// MarkVerified implements VariantStore: the key is recorded in memory and
 // as a durable side marker, so a later process sharing the directory skips
 // re-verification. Marker-write failures are deliberately swallowed — the
 // ledger is an optimization, never a correctness dependency.
@@ -327,7 +304,7 @@ func (d *DiskStore) MarkVerified(key Key) {
 	}
 }
 
-// Verified implements VerifyLedger: memory first, then the durable marker
+// Verified implements VariantStore: memory first, then the durable marker
 // (hoisted into memory on a hit).
 func (d *DiskStore) Verified(key Key) bool {
 	if d.mem.Verified(key) {

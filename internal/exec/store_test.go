@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -226,80 +225,60 @@ func TestDiskStoreBadSourceNotPersisted(t *testing.T) {
 	}
 }
 
-// TestDiskStoreDefaultDirIsUserScoped: the "" directory resolves under the
-// user cache dir rather than the working directory.
-func TestDiskStoreDefaultDirIsUserScoped(t *testing.T) {
-	t.Setenv("XDG_CACHE_HOME", t.TempDir())
-	dir, err := exec.DefaultCacheDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(dir, "compuniformer") {
-		t.Fatalf("default cache dir %q not app-scoped", dir)
-	}
-	store, err := exec.NewDiskStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Dir() != dir {
-		t.Fatalf("store dir %q, want default %q", store.Dir(), dir)
-	}
-	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-		t.Fatalf("default dir not created: %v", err)
+// TestDiskStoreNeedsADir: a disk store opens only where it is told to; no
+// directory is an error, never a default location.
+func TestDiskStoreNeedsADir(t *testing.T) {
+	if store, err := exec.NewDiskStore(""); err == nil {
+		t.Fatalf("NewDiskStore(\"\") = %v, want an error", store)
 	}
 }
 
-// TestVerifyLedger: both built-in stores carry the verified-hash side table,
-// and the disk store's markers survive a "process restart" (a second store
-// instance over the same directory).
+// TestVerifyLedger: both built-in stores carry the verified-hash side table
+// every VariantStore keeps, and the disk store's markers survive a "process
+// restart" (a second store instance over the same directory).
 func TestVerifyLedger(t *testing.T) {
 	key := exec.KeyOf("program bytes")
 	other := exec.KeyOf("different bytes")
 
 	t.Run("mem", func(t *testing.T) {
 		var store exec.VariantStore = exec.NewMemStore()
-		l, ok := store.(exec.VerifyLedger)
-		if !ok {
-			t.Fatal("MemStore does not implement VerifyLedger")
-		}
-		if l.Verified(key) {
+		if store.Verified(key) {
 			t.Fatal("fresh ledger claims a key verified")
 		}
-		l.MarkVerified(key)
-		if !l.Verified(key) {
+		store.MarkVerified(key)
+		if !store.Verified(key) {
 			t.Error("marked key not reported verified")
 		}
-		if l.Verified(other) {
+		if store.Verified(other) {
 			t.Error("unmarked key reported verified")
 		}
 	})
 
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()
-		d1, err := exec.NewDiskStore(dir)
-		if err != nil {
-			t.Fatal(err)
+		open := func() exec.VariantStore {
+			d, err := exec.NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
-		var l1 exec.VerifyLedger = d1
-		if l1.Verified(key) {
+		s1 := open()
+		if s1.Verified(key) {
 			t.Fatal("fresh ledger claims a key verified")
 		}
-		l1.MarkVerified(key)
-		if !l1.Verified(key) {
+		s1.MarkVerified(key)
+		if !s1.Verified(key) {
 			t.Error("marked key not reported verified in-process")
 		}
 
 		// A second store over the same directory models a later process:
 		// the durable marker must carry the verdict across.
-		d2, err := exec.NewDiskStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var l2 exec.VerifyLedger = d2
-		if !l2.Verified(key) {
+		s2 := open()
+		if !s2.Verified(key) {
 			t.Error("durable marker not honored by a fresh store instance")
 		}
-		if l2.Verified(other) {
+		if s2.Verified(other) {
 			t.Error("unmarked key reported verified")
 		}
 	})

@@ -1,10 +1,10 @@
 // Package mpi is an MPI-1 style message-passing runtime that executes on
 // the netsim virtual cluster: nonblocking point-to-point with tag matching,
-// blocking wrappers, Alltoall/Barrier/Allreduce/Allgather/Bcast
-// collectives, and the eager/rendezvous protocol split — with host-driven
-// progress on non-offload stacks (the behaviour the paper's transformation
-// exploits: without NIC offload, rendezvous data only moves while the host
-// sits inside an MPI call).
+// blocking wrappers, the Alltoall and Barrier collectives, and the
+// eager/rendezvous protocol split — with host-driven progress on non-offload
+// stacks (the behaviour the paper's transformation exploits: without NIC
+// offload, rendezvous data only moves while the host sits inside an MPI
+// call).
 //
 // Payloads move via fetch/place callbacks: fetch snapshots the send buffer
 // when the protocol actually reads it (post time for eager, transfer start
@@ -387,16 +387,6 @@ func (r *Rank) Waitall(reqs []*Request) {
 			r.Wait(req)
 		}
 	}
-}
-
-// Test reports whether the request has completed, without blocking. Like
-// MPI_Test it enters the progress engine: the scheduler gets a chance to
-// process any event up to this rank's current time (otherwise a Test
-// polling loop would spin without the network ever advancing).
-func (r *Rank) Test(req *Request) bool {
-	r.progress()
-	r.proc.Yield()
-	return req.done.Done() && req.done.When() <= r.proc.Now()
 }
 
 // Send is the blocking send wrapper.

@@ -210,57 +210,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcastAllRanks(t *testing.T) {
-	for _, prof := range profiles() {
-		for _, root := range []int{0, 2} {
-			vals := make([]int64, 5)
-			_, err := Run(5, prof, func(r *Rank) {
-				var v int64
-				r.Bcast(root, 8,
-					func() interface{} { return int64(777) },
-					func(p interface{}) { v = p.(int64) })
-				vals[r.Me()] = v
-			})
-			if err != nil {
-				t.Fatalf("%s root=%d: %v", prof, root, err)
-			}
-			for i, v := range vals {
-				if v != 777 {
-					t.Errorf("%s root=%d: rank %d got %d", prof, root, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestAlltoallvVariableSizes(t *testing.T) {
-	np := 4
-	_, err := Run(np, netsim.MPICHGM(), func(r *Rank) {
-		parts := make([][]int64, np)
-		for d := 0; d < np; d++ {
-			n := (r.Me() + d) % 3 // some empty
-			for i := 0; i < n; i++ {
-				parts[d] = append(parts[d], int64(r.Me()*100+d*10+i))
-			}
-		}
-		got := r.AlltoallvInt64(parts)
-		for src := 0; src < np; src++ {
-			wantN := (src + r.Me()) % 3
-			if len(got[src]) != wantN {
-				panic("alltoallv size wrong")
-			}
-			for i, v := range got[src] {
-				if v != int64(src*100+r.Me()*10+i) {
-					panic("alltoallv value wrong")
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOverlapMechanism is the heart of the reproduction: with NIC offload,
 // a rendezvous isend overlaps with computation (total ≈ max(comm, comp));
 // without offload the data moves only at the wait (total ≈ comp + comm).

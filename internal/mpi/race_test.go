@@ -193,25 +193,3 @@ func TestManyOutstandingRequests(t *testing.T) {
 		}
 	}
 }
-
-// TestTestNonBlocking covers Request polling.
-func TestTestNonBlocking(t *testing.T) {
-	_, err := Run(2, netsim.MPICHGM(), func(r *Rank) {
-		if r.Me() == 0 {
-			req := r.Isend(1, 0, 8, func() interface{} { return int64(5) })
-			// Eager send: complete at post.
-			if !r.Test(req) {
-				t.Error("eager send should test complete immediately")
-			}
-		} else {
-			req := r.Irecv(0, 0, 8, func(interface{}) {})
-			for !r.Test(req) {
-				r.Compute(10 * netsim.Microsecond)
-			}
-			r.Wait(req)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

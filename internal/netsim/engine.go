@@ -370,13 +370,6 @@ type Completion struct {
 // NewCompletion returns an incomplete completion.
 func (e *Engine) NewCompletion() *Completion { return &Completion{} }
 
-// Done reports whether the completion fired. Note: processes may observe
-// this only at MPI-layer points; the value changes only inside events.
-func (c *Completion) Done() bool { return c.done }
-
-// When returns the completion time; valid only when Done.
-func (c *Completion) When() Time { return c.at }
-
 // Complete fires the completion at time t, waking all waiters.
 func (c *Completion) Complete(t Time) {
 	if c.done {
@@ -425,15 +418,6 @@ func (p *Proc) park() {
 // block yields control to the engine until the proc is made ready again.
 func (p *Proc) block() {
 	p.state = procBlocked
-	p.yield <- struct{}{}
-	p.park()
-}
-
-// Yield gives the engine a chance to process events up to p's current time
-// without blocking p on anything; p re-enters the ready queue at its own
-// time. Used sparingly (e.g. to make trace output deterministic in tests).
-func (p *Proc) Yield() {
-	p.state = procReady
 	p.yield <- struct{}{}
 	p.park()
 }

@@ -8,6 +8,15 @@ import (
 	"time"
 )
 
+// Yield gives the engine a chance to process events up to p's current time
+// without blocking p on anything; p re-enters the ready queue at its own
+// time. Only tests interleave a proc with the events this way.
+func (p *Proc) Yield() {
+	p.state = procReady
+	p.yield <- struct{}{}
+	p.park()
+}
+
 func TestEngineEventsInOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int

@@ -250,24 +250,23 @@ type Verification struct {
 
 // Verify replays pl onto prog (core.Apply, memoized per plan) and statically
 // verifies the variant — translation validator plus MPI schedule linter, no
-// execution. A clean verdict is recorded in the store's verify ledger when
-// it keeps one (both built-in stores do), so a repeat — or a later process
-// sharing an on-disk store — answers Known without re-proving anything. The
-// error is Apply's: an unappliable plan never produced a variant.
+// execution. A clean verdict is recorded in the store's verify ledger, so a
+// repeat — or a later process sharing an on-disk store — answers Known
+// without re-proving anything. The error is Apply's: an unappliable plan
+// never produced a variant.
 func (s *Session) Verify(prog *core.Program, pl *plan.Plan) (Verification, error) {
 	out, rep, err := core.Apply(prog, pl)
 	if err != nil {
 		return Verification{}, err
 	}
 	v := Verification{Key: exec.KeyOf(prog.Source() + "\x00" + out)}
-	ledger, _ := s.store.(exec.VerifyLedger)
-	if ledger != nil && ledger.Verified(v.Key) {
+	if s.store.Verified(v.Key) {
 		v.Known = true
 		return v, nil
 	}
 	v.Diags = verify.Variant(prog, pl, out, rep)
-	if len(v.Diags) == 0 && ledger != nil {
-		ledger.MarkVerified(v.Key)
+	if len(v.Diags) == 0 {
+		s.store.MarkVerified(v.Key)
 	}
 	return v, nil
 }

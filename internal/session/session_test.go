@@ -321,7 +321,7 @@ func TestVerifyOwnsTheLedger(t *testing.T) {
 	if err != nil || !again.Known || again.Key != first.Key {
 		t.Fatalf("repeat verify: %+v, %v; want Known under the same key", again, err)
 	}
-	if ledger := s.Store().(exec.VerifyLedger); !ledger.Verified(first.Key) {
+	if !s.Store().Verified(first.Key) {
 		t.Error("clean verdict not recorded in the store's ledger")
 	}
 	other, err := s.Verify(prog, plan.Uniform(plan.Identity()))

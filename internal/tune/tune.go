@@ -28,10 +28,11 @@
 // lose to the baseline.
 //
 // Run vs measure. The original and every candidate are measured through
-// exec.Runner.Measure: the first execution of a variant by any search records
-// its machine-independent skeleton, watching its in-flight buffers, and every
-// later measurement — the same variant reached by the next machine's search —
-// prices and replays it instead of executing, when the skeleton certifies.
+// exec.Runner.Measure: the first measurement of a variant by any search
+// records its machine-independent skeleton, watching its in-flight buffers,
+// and every later measurement — the same variant reached by the next
+// machine's search — prices and replays it instead of executing, when the
+// skeleton certifies.
 // Then timing and data both come out exactly as an execution's under that
 // machine, so a replay ranks, rejects and certifies alike. A candidate whose
 // recording touched an in-flight buffer — the variant overwrites a send
