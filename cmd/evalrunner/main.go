@@ -37,9 +37,11 @@
 // (program, plan) variant once into a register-based flat instruction
 // stream — constant folding, batched cost charges, bounds-check
 // elimination — shared through the sweep's variant store; "walk" re-parses
-// and tree-walks the AST per run, retained as the bit-identical
-// differential oracle. The report records the engine and the cache
-// economics (variants_compiled, cache_hits, disk_hits, sweep_wall_ns).
+// and tree-walks the AST per execution, retained as the bit-identical
+// differential oracle. Either engine's measurements draw their variants from
+// the store and replay that engine's own recordings under the other
+// machines. The report records the engine and the cache economics
+// (variants_compiled, cache_hits, disk_hits, sweep_wall_ns).
 //
 // -tune-check-engine makes -tune tiered: every candidate is measured on
 // the (fast) sweep engine, and only the original program and each adopted
@@ -47,8 +49,9 @@
 // which must reproduce the exact makespans the search ranked on and the
 // exact observables the never-lose gate compared. The per-candidate cost drops
 // to the fast tier while the adopted plans stay oracle-backed. The original
-// and each distinct adopted source are executed once per scenario and their
-// skeletons replayed under the other machines where they certify; the
+// and each distinct adopted source are executed on the check engine once per
+// session and their recordings replayed under the other machines where they
+// certify; the
 // report records tune_check_engine and the per-row/summary
 // tiered_checks counters, with the walk_runs and walk_replays that paid them.
 //
@@ -376,9 +379,6 @@ func validateFlags(f cliFlags) (exec.Engine, error) {
 	}
 	if f.Merge && f.Verify {
 		return "", fmt.Errorf("-verify statically checks variants as a sweep generates them; -merge only folds artifacts, which already carry their shards' verify counters")
-	}
-	if f.CacheDir != "" && engine == exec.EngineWalk {
-		return "", fmt.Errorf("-cache-dir persists compiled variants; the walk engine re-interprets sources and compiles nothing")
 	}
 	if f.TuneCheckEngine != "" {
 		if !f.Tune {

@@ -38,7 +38,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative limit", f: cliFlags{Limit: -5}, wantErr: "-limit"},
 		{name: "cache dir sweep", f: cliFlags{CacheDir: "varcache"}, engine: exec.EngineBytecode},
 		{name: "cache dir with merge", f: cliFlags{Merge: true, CacheDir: "varcache"}, wantErr: "-cache-dir"},
-		{name: "cache dir with walk engine", f: cliFlags{CacheDir: "varcache", Engine: "walk"}, wantErr: "-cache-dir"},
+		{name: "cache dir with walk engine", f: cliFlags{CacheDir: "varcache", Engine: "walk"}, engine: exec.EngineWalk},
 		{name: "verify sweep", f: cliFlags{Verify: true}, engine: exec.EngineBytecode},
 		{name: "verify tuned sweep with cache dir", f: cliFlags{Verify: true, Tune: true, CacheDir: "varcache"}, engine: exec.EngineBytecode},
 		{name: "verify with walk engine", f: cliFlags{Verify: true, Engine: "walk"}, engine: exec.EngineWalk},

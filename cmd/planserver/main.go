@@ -34,11 +34,14 @@
 //	GET  /healthz — liveness probe; always "ok".
 //
 // A rejected query (no source, np < 1, unknown machine, malformed JSON)
-// gets 400 with {"error": ...}; a body over the 16 MiB cap gets a JSON 413;
-// a search failure gets 500 the same way.
+// gets 400 with {"error": ...}; a body over the 16 MiB cap gets a JSON 413; a
+// fixed K (fixed_k, or the machine's default) that does not transform every
+// site gets 422 with {error, machine, fixed_k, sites, firing_ks}, the Ks at
+// which every site fires; a search failure gets 500 with {"error": ...}.
 // -cache-dir backs the session's variant store with the content-addressed
-// on-disk layer shared with evalrunner, so a restarted server starts warm
-// on every variant it ever compiled.
+// on-disk layer shared with evalrunner, so a restarted server knows every
+// variant it ever compiled (it compiles them again from the query's source)
+// and re-verifies none that verified clean.
 package main
 
 import (
@@ -57,6 +60,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/session"
+	"repro/internal/tune"
 )
 
 func main() {
@@ -77,10 +81,6 @@ func main() {
 	}
 	var store exec.VariantStore
 	if *cacheDir != "" {
-		if engine == exec.EngineWalk {
-			fmt.Fprintln(os.Stderr, "planserver: -cache-dir persists compiled variants; the walk engine compiles nothing")
-			os.Exit(2)
-		}
 		store, err = exec.NewDiskStore(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "planserver: -cache-dir:", err)
@@ -160,12 +160,24 @@ func newMux(s *session.Session) *http.ServeMux {
 		res, err := s.Plan(q)
 		if err != nil {
 			// The session rejects malformed queries before any analysis or
-			// search runs; those are the client's fault, the rest ours.
-			status := http.StatusInternalServerError
-			if errors.Is(err, session.ErrQuery) {
-				status = http.StatusBadRequest
+			// search runs; those are the client's fault, the rest ours. A
+			// fixed K (the machine's default when the query names none) that
+			// does not fire is the query's too: the answer lists the Ks that
+			// do, so the client can re-ask at one of them.
+			var noK *tune.FixedKError
+			switch {
+			case errors.As(err, &noK):
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusUnprocessableEntity)
+				json.NewEncoder(w).Encode(struct {
+					Error string `json:"error"`
+					*tune.FixedKError
+				}{err.Error(), noK})
+			case errors.Is(err, session.ErrQuery):
+				writeError(w, http.StatusBadRequest, err)
+			default:
+				writeError(w, http.StatusInternalServerError, err)
 			}
-			writeError(w, status, err)
 			return
 		}
 		writeJSON(w, planResponse{Result: res, Verify: verifyChoice(s, q, res)})

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/plan"
 	"repro/internal/session"
 	"repro/internal/workload"
 )
@@ -199,6 +201,50 @@ func TestServerRejectsBadQueries(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /stats = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServerNamesTheKsThatFire: a query with no fixed_k whose site does not
+// fire at the machine's default K is the query's fault, not the server's: a
+// 422 naming the Ks at which the site fires, and a re-query at one of them is
+// answered.
+func TestServerNamesTheKsThatFire(t *testing.T) {
+	base := startServer(t)
+	m, err := plan.ByName("mpich-gm-2005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 48 elements over 4 ranks: partitions of 12, which no K of 8 tiles.
+	q := session.Query{Source: workload.DirectSource(workload.DirectParams{NX: 48, NP: 4}), Machine: m.Name, NP: 4}
+	res, resp := postPlan(t, base, q)
+	if res != nil || resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("default K=%d that does not fire: status %d, want 422", m.DefaultK(), resp.StatusCode)
+	}
+	var e struct {
+		Error    string  `json:"error"`
+		Machine  string  `json:"machine"`
+		FixedK   int64   `json:"fixed_k"`
+		Sites    int     `json:"sites"`
+		FiringKs []int64 `json:"firing_ks"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "did not fire") || e.Machine != m.Name || e.FixedK != m.DefaultK() || e.Sites != 1 {
+		t.Errorf("422 body %+v: want the error, machine %s, fixed_k %d and 1 site", e, m.Name, m.DefaultK())
+	}
+	if want := []int64{1, 2, 3, 4, 6, 12}; !reflect.DeepEqual(e.FiringKs, want) {
+		t.Fatalf("firing_ks = %v, want %v", e.FiringKs, want)
+	}
+	q.FixedK = e.FiringKs[len(e.FiringKs)-1]
+	res, resp = postPlan(t, base, q)
+	if res == nil {
+		t.Fatalf("re-query at fixed_k %d: status %d, want 200", q.FixedK, resp.StatusCode)
+	}
+	if res.Choice.FixedK != q.FixedK || res.Choice.Plan == nil {
+		t.Errorf("re-query at fixed_k %d answered with fixed K %d, plan %v", q.FixedK, res.Choice.FixedK, res.Choice.Plan)
 	}
 }
 

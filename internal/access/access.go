@@ -30,9 +30,6 @@ func (t Triplet) Extent() dep.Affine {
 	return t.Hi.Sub(t.Lo).Add(dep.NewAffine(1))
 }
 
-// Equal reports structural equality of both bounds.
-func (t Triplet) Equal(o Triplet) bool { return t.Lo.Equal(o.Lo) && t.Hi.Equal(o.Hi) }
-
 // Region is a rectangular array region: one triplet per array dimension.
 type Region struct {
 	Dims []Triplet

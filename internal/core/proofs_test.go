@@ -424,7 +424,11 @@ func TestVerifyDoesNotTrustProofMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rep, diags, err := verify.Apply(honest, c.pl)
+			sibling, rep, err := core.Apply(honest, c.pl)
+			var diags []verify.Diagnostic
+			if err == nil {
+				diags = verify.Variant(honest, c.pl, sibling, rep)
+			}
 			if err != nil || rep.TransformedCount() != 1 || len(diags) != 0 {
 				t.Fatalf("the sibling must transform and verify: err=%v diags=%v\n%s", err, diags, rep)
 			}
@@ -434,7 +438,10 @@ func TestVerifyDoesNotTrustProofMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rep, diags, err = verify.Apply(victim, c.pl)
+			declined, rep, err := core.Apply(victim, c.pl)
+			if err == nil {
+				diags = verify.Variant(victim, c.pl, declined, rep)
+			}
 			if err != nil || len(diags) != 0 {
 				t.Fatalf("err=%v diags=%v", err, diags)
 			}

@@ -128,18 +128,6 @@ func (a Affine) Bind(values map[string]int64) Affine {
 	return c
 }
 
-// Rename returns a with every loop variable v replaced by rename(v).
-func (a Affine) Rename(rename func(string) string) Affine {
-	c := NewAffine(a.Const)
-	for v, coef := range a.Coef {
-		c.Coef[rename(v)] += coef
-	}
-	for s, coef := range a.Syms {
-		c.Syms[s] = coef
-	}
-	return c
-}
-
 // Equal reports structural equality.
 func (a Affine) Equal(b Affine) bool {
 	d := a.Sub(b)

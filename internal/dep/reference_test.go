@@ -12,6 +12,18 @@ import (
 	"strings"
 )
 
+// Rename returns a with every loop variable v replaced by rename(v).
+func (a Affine) Rename(rename func(string) string) Affine {
+	c := NewAffine(a.Const)
+	for v, coef := range a.Coef {
+		c.Coef[rename(v)] += coef
+	}
+	for s, coef := range a.Syms {
+		c.Syms[s] = coef
+	}
+	return c
+}
+
 // LinTerm is one variable's coefficient in a constraint row.
 type LinTerm struct {
 	Var  string

@@ -20,8 +20,9 @@ const (
 	// flat switch. The fast engine, and the default. A program holding
 	// character values is not lowered and runs on the walker.
 	EngineBytecode Engine = "bytecode"
-	// EngineWalk parses and tree-walks the AST for every run — the
-	// historical path, kept as the bit-identical oracle.
+	// EngineWalk parses and tree-walks the AST for every execution — the
+	// historical path, kept as the bit-identical oracle. Its measurements
+	// record and replay walk skeletons of their own.
 	EngineWalk Engine = "walk"
 )
 
@@ -46,8 +47,9 @@ func ParseEngine(name string) (Engine, error) {
 // the pipeline.
 type Runner struct {
 	Engine Engine
-	// Store caches compiled variants across runs; with a nil Store each
-	// run compiles its source afresh. The walk engine never touches it.
+	// Store caches compiled variants, and with them the skeletons their
+	// measurements record, across runs; with a nil Store each call compiles
+	// its source afresh. A walk run parses the source itself and skips it.
 	Store VariantStore
 }
 
@@ -64,47 +66,20 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 	return p.RunBytecode(np, prof, costs)
 }
 
-// Measure is Run's measuring twin (see Program.Measure): Run's answer,
-// replayed from the skeleton the variant's Program — drawn from the Store like
-// any run's — holds when that skeleton certifies, else executed; the first
-// measurement at a rank count is the execution that records it, and a variant
-// whose recording touched an in-flight buffer is refused. Under the walk
-// engine, and for a Runner without a Store (each of its Programs is new),
-// every measurement is a recording execution, refused by the same rule. A
-// caller that wants the walk's skeleton takes it from Record and replays it
-// itself, as the harness's tiered check does.
+// Measure is Run's measuring twin: Run's answer, replayed from the skeleton
+// the variant's Program — drawn from the Store like any run's — holds for
+// this engine when that skeleton certifies, else executed; the first
+// measurement on an engine at a rank count is the execution that records it,
+// and a variant whose recording touched an in-flight buffer is refused (see
+// Program.measure). A Runner without a Store gets a new Program on every
+// call, so each of its measurements is a recording execution, refused by the
+// same rule.
 func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, replayed bool, err error) {
-	if r.Engine == EngineWalk {
-		return measureWalk(src, np, prof, costs)
-	}
 	p, err := r.get(src)
 	if err != nil {
 		return nil, false, err
 	}
-	return p.Measure(np, prof, costs)
-}
-
-// Record is Run that also records the run's skeleton, nil when no replay can
-// stand for it (interp/skeleton.go), under either engine. It records afresh,
-// whether or not the Program already holds a skeleton, and stores nothing on
-// it: the caller owns what Record returns.
-func (r Runner) Record(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, *interp.Skeleton, error) {
-	if r.Engine != EngineWalk {
-		p, err := r.get(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		if p.routed == "" {
-			p.Bytecode()
-			return p.execute(np, prof, costs, !p.timed)
-		}
-		src = p.src
-	}
-	p, err := loadWalk(src, costs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Record(np, prof)
+	return p.measure(r.Engine, np, prof, costs)
 }
 
 // get draws the compiled variant from the store, or compiles it afresh.

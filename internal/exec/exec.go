@@ -22,19 +22,20 @@
 // Run vs measure. Running (Runner.Run, Program.RunBytecode) always executes
 // in full and records nothing. What a program computes does not depend on the
 // machine, only when things happen does — once the recording proves it: the
-// first measurement (Runner.Measure, Program.Measure) at a rank count
-// executes, records the run's skeleton on the Program and watches every
-// in-flight buffer while it does (interp/skeleton.go, interp/watch.go). If the
-// skeleton certifies, every later measurement answers from it: charge counts
-// priced under the asked-for cost model, MPI operations pushed through the
-// same mpi/netsim code with no VM and no payloads — an execution's exact
-// Stats and observables for about a tenth of its host time, under any
-// machine. Which runs leave no skeleton the input decides (skeleton.go;
-// mpi_wtime at lowering time), and those are measured by executing; a run
-// that touched an in-flight buffer is an erroneous MPI program, which Measure
-// refuses. There is no switch, and a DiskStore persists sources only.
-// Runner.Record executes under either engine and hands the recorded skeleton
-// to its caller instead: that is how a walk records.
+// first measurement (Runner.Measure) on an engine at a rank count executes,
+// records the run's skeleton on the Program under that engine and watches
+// every in-flight buffer while it does (interp/skeleton.go, interp/watch.go).
+// If the skeleton certifies, every later measurement on that engine answers
+// from it: charge counts priced under the asked-for cost model, MPI
+// operations pushed through the same mpi/netsim code with no VM and no
+// payloads — an execution's exact Stats and observables for about a tenth of
+// its host time, under any machine. The walk engine keeps its own skeletons
+// beside the bytecode's, so a walk measurement answers from a walk and
+// nothing else: that is what lets the oracle check a sweep once per source.
+// Which runs leave no skeleton the input decides (skeleton.go; mpi_wtime at
+// lowering time), and those are measured by executing; a run that touched an
+// in-flight buffer is an erroneous MPI program, which Measure refuses. There
+// is no switch, and a DiskStore persists sources only.
 //
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
@@ -65,7 +66,7 @@ type Program struct {
 	subs []*unit // subroutines in file order (first definition of a name wins)
 
 	// routed says where and why the program is not lowered ("" when it
-	// is); src is its source, kept only then, for the walker.
+	// is); src is its source, which the walker parses (see run).
 	routed string
 	src    string
 
@@ -79,9 +80,17 @@ type Program struct {
 	// timed: a unit reads mpi_wtime (set by the lowering), so what the
 	// program computes can depend on the machine: its runs are not recorded.
 	timed bool
-	// skels holds, by rank count, the *recording of the first measurement at
-	// that rank count. On the Program, so every VariantStore carries it.
+	// skels holds, by skelKey, the *recording of the first measurement on
+	// that engine at that rank count. On the Program, so every VariantStore
+	// carries it.
 	skels sync.Map
+}
+
+// skelKey keys a Program's skeleton table: the engine whose execution
+// recorded the skeleton (Program.runsOn), and the rank count.
+type skelKey struct {
+	engine Engine
+	np     int
 }
 
 // unit is one compiled program unit.
@@ -207,12 +216,11 @@ func CompileSource(src string) (*Program, error) {
 	if file.Program() == nil {
 		return nil, fmt.Errorf("exec: no program unit")
 	}
-	prog := &Program{}
+	prog := &Program{src: src}
 	for _, un := range file.Units {
 		cu := compileUnit(un)
 		if prog.routed == "" && cu.cm.charWhy != "" {
 			prog.routed = fmt.Sprintf("%s: %s: registers hold no character values", cu.cm.charAt, cu.cm.charWhy)
-			prog.src = src
 		}
 		switch un.Kind {
 		case ftn.ProgramUnit:
@@ -245,16 +253,41 @@ func (p *Program) subroutine(name string) *unit {
 // tree-walk. It records nothing: a run neither writes nor reads the
 // skeletons Measure keeps.
 func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	if p.routed != "" {
-		return runWalk(p.src, np, prof, costs)
-	}
-	p.Bytecode()
-	res, _, err := p.execute(np, prof, costs, false)
+	res, _, err := p.run(EngineBytecode, np, prof, costs, false)
 	return res, err
 }
 
-// recording is one rank count's skeleton slot on a Program: done closes once
-// skel is set, nil when the run was fenced (interp/skeleton.go).
+// runsOn is the engine that executes the program when e is asked for: the
+// walker for the walk engine and for a program that is not lowered, the
+// register machine otherwise.
+func (p *Program) runsOn(e Engine) Engine {
+	if e == EngineWalk || p.routed != "" {
+		return EngineWalk
+	}
+	return EngineBytecode
+}
+
+// run executes the program on the engine that runs it for e, recording its
+// skeleton when asked to. The walker parses the source afresh, as every walk
+// does; a lowered program that reads mpi_wtime records nothing (timed).
+func (p *Program) run(e Engine, np int, prof netsim.Profile, costs interp.CostModel, record bool) (*interp.Result, *interp.Skeleton, error) {
+	if p.runsOn(e) == EngineWalk {
+		if !record {
+			res, err := runWalk(p.src, np, prof, costs)
+			return res, nil, err
+		}
+		w, err := loadWalk(p.src, costs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w.Record(np, prof)
+	}
+	p.Bytecode()
+	return p.execute(np, prof, costs, record && !p.timed)
+}
+
+// recording is one skeleton slot on a Program: done closes once skel is set,
+// nil when the run was fenced (interp/skeleton.go).
 type recording struct {
 	done chan struct{}
 	skel *interp.Skeleton
@@ -280,52 +313,41 @@ func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, r
 	return res, interp.NewSkeleton(traces, res, err), err
 }
 
-// Measure answers what RunBytecode would, replaying the recorded skeleton if
-// and only if it certifies (interp/skeleton.go) — then the answer is that
-// execution's, data included, under any machine — and otherwise executing.
-// The first measurement at a rank count records, and nothing else records
-// onto the Program; a measurement that finds the recording under way waits
-// for it. A program whose recording touched an in-flight buffer is refused
-// with the skeleton's reason: its data is the protocol's, so no measurement
-// under one machine speaks for another, and Run is the only way to execute
-// it. replayed says which answer res is.
-func (p *Program) Measure(np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, replayed bool, err error) {
-	if p.routed != "" {
-		return measureWalk(p.src, np, prof, costs)
+// measure answers what a run on engine e would, replaying the skeleton that
+// engine recorded if and only if it certifies (interp/skeleton.go) — then the
+// answer is that execution's, data included, under any machine — and
+// otherwise executing. The first measurement on an engine at a rank count
+// records, and nothing else records onto the Program; a measurement that
+// finds the recording under way waits for it. A program whose recording
+// touched an in-flight buffer is refused with the skeleton's reason: its data
+// is the protocol's, so no measurement under one machine speaks for another,
+// and Run is the only way to execute it. replayed says which answer res is.
+func (p *Program) measure(e Engine, np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, replayed bool, err error) {
+	key := skelKey{p.runsOn(e), np}
+	v, seen := p.skels.Load(key)
+	if !seen {
+		v, seen = p.skels.LoadOrStore(key, &recording{done: make(chan struct{})})
 	}
-	p.Bytecode()
-	if !p.timed {
-		v, seen := p.skels.Load(np)
-		if !seen {
-			v, seen = p.skels.LoadOrStore(np, &recording{done: make(chan struct{})})
-		}
-		rec := v.(*recording)
-		if !seen {
-			// The recording execution, published when it ends — however it
-			// ends, so no measurement waits forever.
-			defer close(rec.done)
-			res, rec.skel, err = p.execute(np, prof, costs, true)
-			return measured(res, rec.skel, err)
-		}
-		<-rec.done
-		if rec.skel.Certifies() {
-			if res, err := rec.skel.Replay(prof, costs); err == nil {
-				return res, true, nil
-			}
-		} else if rec.skel != nil {
+	rec := v.(*recording)
+	if !seen {
+		// The recording execution, published when it ends — however it
+		// ends, so no measurement waits forever.
+		defer close(rec.done)
+		res, rec.skel, err = p.run(e, np, prof, costs, true)
+		if err == nil && rec.skel != nil && !rec.skel.Certifies() {
 			return nil, false, rec.skel.InFlight()
 		}
+		return res, false, err
 	}
-	res, _, err = p.execute(np, prof, costs, false)
-	return res, false, err
-}
-
-// measured is a recording execution's answer to Measure: the run, unless it
-// touched an in-flight buffer.
-func measured(res *interp.Result, skel *interp.Skeleton, err error) (*interp.Result, bool, error) {
-	if err == nil && skel != nil && !skel.Certifies() {
-		return nil, false, skel.InFlight()
+	<-rec.done
+	if rec.skel.Certifies() {
+		if res, err := rec.skel.Replay(prof, costs); err == nil {
+			return res, true, nil
+		}
+	} else if rec.skel != nil {
+		return nil, false, rec.skel.InFlight()
 	}
+	res, _, err = p.run(e, np, prof, costs, false)
 	return res, false, err
 }
 
@@ -343,16 +365,6 @@ func runWalk(src string, np int, prof netsim.Profile, costs interp.CostModel) (*
 		return nil, err
 	}
 	return p.Run(np, prof)
-}
-
-// measureWalk is Measure on the walk engine: a recording walk, which replays
-// nothing but refuses what Measure refuses.
-func measureWalk(src string, np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, bool, error) {
-	p, err := loadWalk(src, costs)
-	if err != nil {
-		return nil, false, err
-	}
-	return measured(p.Record(np, prof))
 }
 
 func loadWalk(src string, costs interp.CostModel) (*interp.Program, error) {

@@ -160,16 +160,10 @@ func TestReplayEqualsRunRandomKernels(t *testing.T) {
 	}
 }
 
-// TestNeverSkeletonised: a run whose data or observables can depend on the
-// machine leaves no skeleton, so every measurement of it executes in full —
-// the same answer, error included, as Run.
-func TestNeverSkeletonised(t *testing.T) {
-	late, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "late_receive.f90"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := func(recvTag, extra string) string {
-		return wrap(`  integer a(1:4), b(1:4)
+// ring is a two-rank exchange: an isend, a receive with the given tag (-1 is
+// any tag), the wait, then extra.
+func ring(recvTag, extra string) string {
+	return wrap(`  integer a(1:4), b(1:4)
   integer req
   real t0`, `
   a(1) = me
@@ -178,9 +172,20 @@ func TestNeverSkeletonised(t *testing.T) {
   call mpi_wait(req, mpi_status_ignore, ierr)
 `+extra+`
   print *, b(1)`)
+}
+
+// TestNeverSkeletonised: a run whose data or observables can depend on the
+// machine leaves no skeleton, so every measurement of it executes in full —
+// the same answer, error included, as Run. The character program is the
+// control: the walker runs it, records it once and replays it.
+func TestNeverSkeletonised(t *testing.T) {
+	late, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "late_receive.f90"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A character program is fenced only from the Program (RunBytecode runs
-	// the walker on it): Record, under either engine, records its walk.
+	// A character program is not fenced: RunBytecode runs the walker on it,
+	// its measurements record and replay the walk's skeleton, and Record,
+	// under either engine, records its walk.
 	cases := []struct {
 		name, src      string
 		fails, records bool
@@ -208,8 +213,8 @@ func TestNeverSkeletonised(t *testing.T) {
 			}
 			for i := 0; i < 2; i++ { // the recording measurement, then one after it
 				res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
-				if replayed {
-					t.Fatalf("%s: measurement %d by replay, want a full execution", label, i)
+				if want := tc.records && i == 1; replayed != want {
+					t.Fatalf("%s: measurement %d: replayed = %v, want %v", label, i, replayed, want)
 				}
 				if tc.fails {
 					if err == nil || err.Error() != ferr.Error() {
@@ -303,5 +308,87 @@ func TestRunRecordsNothing(t *testing.T) {
 			t.Fatalf("measurement %d after two runs: replayed = %v, want %v", i, replayed, want)
 		}
 		requireReplayIsRun(t, fmt.Sprintf("measurement %d", i), ran, res)
+	}
+}
+
+// TestWalkMeasuresRecordOnce: a stored variant keeps the walk engine's
+// skeletons beside the bytecode's. Of several goroutines measuring one
+// variant at once on a walk Runner, exactly one executes — the recording —
+// and every other waits for it and replays; every answer is the walk's run,
+// and the bytecode's first measurement of the same Program still records its
+// own. A fenced source executes on every walk measurement, and so does every
+// measurement of a walk Runner without a store. Meaningful under -race.
+func TestWalkMeasuresRecordOnce(t *testing.T) {
+	sc := workload.GenerateScenarios(workload.GenOptions{})[0]
+	m := plan.MPICHGM2005()
+	walk := exec.Runner{Engine: exec.EngineWalk}
+	ran, err := walk.Run(sc.Source, sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		store := exec.NewMemStore()
+		r := exec.Runner{Engine: exec.EngineWalk, Store: store}
+		const n = 6
+		results := make([]*interp.Result, n)
+		replayed := make([]bool, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				var err error
+				if results[g], replayed[g], err = r.Measure(sc.Source, sc.NP, m.Costs, m.Profile); err != nil {
+					t.Errorf("round %d goroutine %d: %v", round, g, err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		executions := 0
+		for g, res := range results {
+			if !replayed[g] {
+				executions++
+			}
+			requireReplayIsRun(t, fmt.Sprintf("round %d goroutine %d", round, g), ran, res)
+		}
+		if executions != 1 {
+			t.Fatalf("round %d: %d of %d concurrent walk measurements executed, want 1", round, executions, n)
+		}
+		if st := store.Stats(); st.Compiled != 1 || st.Hits != n-1 {
+			t.Fatalf("round %d: the walk drew %d compiles and %d hits from the store, want 1 and %d", round, st.Compiled, st.Hits, n-1)
+		}
+		if _, rb, err := (exec.Runner{Store: store}).Measure(sc.Source, sc.NP, m.Costs, m.Profile); err != nil || rb {
+			t.Fatalf("round %d: the bytecode's first measurement after the walk's: replayed = %v, err = %v; want its own recording", round, rb, err)
+		}
+	}
+	for _, tc := range []struct{ name, src string }{
+		{"reads mpi_wtime", ring("5", "  t0 = mpi_wtime()")},
+		{"any-tag receive", ring("-1", "")},
+	} {
+		want, err := walk.Run(tc.src, 2, m.Costs, m.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := exec.Runner{Engine: exec.EngineWalk, Store: exec.NewMemStore()}
+		for i := 0; i < 3; i++ {
+			res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
+			if err != nil || replayed {
+				t.Fatalf("%s: walk measurement %d: replayed = %v, err = %v; want an execution", tc.name, i, replayed, err)
+			}
+			requireReplayIsRun(t, fmt.Sprintf("%s: walk measurement %d", tc.name, i), want, res)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		res, replayed, err := walk.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+		if err != nil || replayed {
+			t.Fatalf("store-less walk measurement %d: replayed = %v, err = %v; want an execution", i, replayed, err)
+		}
+		requireReplayIsRun(t, fmt.Sprintf("store-less walk measurement %d", i), ran, res)
 	}
 }

@@ -46,9 +46,6 @@ func (lx *Lexer) Run() []Token {
 	return lx.collapseNewlines(lx.toks)
 }
 
-// Errors returns all diagnostics produced while lexing.
-func (lx *Lexer) Errors() []*Error { return lx.errors }
-
 // collapseNewlines merges runs of NEWLINE tokens and drops leading ones.
 func (lx *Lexer) collapseNewlines(in []Token) []Token {
 	out := in[:0]

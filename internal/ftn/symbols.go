@@ -16,9 +16,6 @@ type Symbol struct {
 // IsArray reports whether the symbol has array dimensions.
 func (s *Symbol) IsArray() bool { return len(s.Dims) > 0 }
 
-// Rank returns the number of array dimensions (0 for scalars).
-func (s *Symbol) Rank() int { return len(s.Dims) }
-
 // SymbolTable maps lower-case names to symbols for one unit.
 type SymbolTable struct {
 	unit *Unit
@@ -52,12 +49,6 @@ func Symbols(u *Unit) *SymbolTable {
 
 // Lookup returns the symbol for name, or nil.
 func (st *SymbolTable) Lookup(name string) *Symbol { return st.syms[name] }
-
-// IsArray reports whether name is declared as an array in this unit.
-func (st *SymbolTable) IsArray(name string) bool {
-	s := st.syms[name]
-	return s != nil && s.IsArray()
-}
 
 // Names returns all declared names (unordered).
 func (st *SymbolTable) Names() []string {

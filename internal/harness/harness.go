@@ -17,11 +17,13 @@
 // other machines replay them. Tiered tuning is the harness's own step once
 // every machine has chosen, memo hits included: the original and the adopted
 // plan are re-proved on the check engine and must reproduce what the search
-// ranked on. The check engine executes each scenario's original once, in wave
-// 1 under the first machine, and each distinct winner source once, under the
-// first machine in sweep order that adopted it; the other machines replay
-// those recordings under their own machine where the skeleton certifies, and
-// execute otherwise (checkRun).
+// ranked on. The check measures through exec.Runner.Measure on the check
+// engine and the session's store, so the variants keep the check engine's
+// skeletons beside the sweep engine's: the first check of a source executes
+// and records it, and every later check — another machine's, or a later
+// sweep's in the same session — replays that recording where it certifies
+// and executes otherwise. Each scenario's machines settle in sweep order, so
+// the first machine that checks a source is the one that executes it.
 package harness
 
 import (
@@ -83,9 +85,10 @@ type Config struct {
 	// TuneCheckEngine, when non-empty, makes tuning tiered: candidates are
 	// measured on the sweep engine, and the original program and each
 	// adopted plan — memo hits included — are re-proved on this engine (the
-	// walk oracle in CI), requiring identical makespans and observables. The
-	// original is executed once, under the first machine, and replayed under
-	// the others. Ignored when it names the sweep engine itself.
+	// walk oracle in CI), requiring identical makespans and observables. Each
+	// source is executed once, by its first check, and replayed by the others
+	// where its recording certifies. Ignored when it names the sweep engine
+	// itself.
 	TuneCheckEngine exec.Engine
 	// Verify enables the static verification tier: every (program, plan)
 	// variant the sweep touches — the fixed variant, every measured tuner
@@ -197,9 +200,9 @@ type TunedRun struct {
 	// original's. WalkRuns and WalkReplays say how they were paid: executions
 	// on the check engine, and replays under this row's machine of a
 	// certifying skeleton that one such execution recorded. Each scenario's
-	// original is executed once, under the sweep's first machine, and each
-	// distinct winner source once, under the first machine that adopted it;
-	// the execution is counted on that machine's row.
+	// source is executed by its first check in the session — the original's
+	// under the sweep's first machine, a winner's under the first machine that
+	// adopted it — and the execution is counted on that machine's row.
 	TieredChecks int `json:"tiered_checks,omitempty"`
 	WalkRuns     int `json:"walk_runs,omitempty"`
 	WalkReplays  int `json:"walk_replays,omitempty"`
@@ -272,9 +275,9 @@ type Summary struct {
 	// rows pin the tuned speedup at exactly 1.0 (the never-lose floor).
 	IdentityPlans int `json:"identity_plans"`
 	// VariantsCompiled and CacheHits are this sweep's traffic against the
-	// session's compiled-variant store (zero under the walk engine):
-	// variants new to the store vs. lookups served by an already-compiled
-	// in-memory artifact. Merge sums them across shards.
+	// session's compiled-variant store, which every engine's measurements
+	// draw from: variants new to the store vs. lookups served by an
+	// already-compiled in-memory artifact. Merge sums them across shards.
 	VariantsCompiled int64 `json:"variants_compiled"`
 	CacheHits        int64 `json:"cache_hits"`
 	// DiskHits counts lookups served from a persistent store's
@@ -299,9 +302,9 @@ type Summary struct {
 	// TieredChecks sums the tuned rows' checks (tiered tuning only): at most
 	// two per adopted plan instead of one execution per measured candidate.
 	// WalkRuns and WalkReplays sum what paid for them — check-engine
-	// executions (one per original and per distinct winner source, plus one
-	// per machine where a skeleton does not certify), and replays. Merge sums
-	// all three.
+	// executions (one per original and per distinct winner source the
+	// session had not checked before, plus one per machine where a skeleton
+	// does not certify), and replays. Merge sums all three.
 	TieredChecks int64 `json:"tiered_checks,omitempty"`
 	WalkRuns     int64 `json:"walk_runs,omitempty"`
 	WalkReplays  int64 `json:"walk_replays,omitempty"`
@@ -436,13 +439,17 @@ func Run(cfg Config) (*Report, error) {
 		// Wave 2: the tuned plan search, machine-major again, skipping
 		// scenarios that errored or failed the oracle (their fixed rows
 		// already tell the story). Wave 3 settles each adopted plan once
-		// every machine's is known: the tiered check, then static
-		// verification.
+		// every machine's is known — the tiered check, then static
+		// verification — one scenario per item, its machines in sweep
+		// order, so the machine whose check executes a source is the same
+		// whatever the parallelism.
 		runTasks(par, ns*len(machines), func(ti int) {
 			states[ti%ns].tuneMachine(ti / ns)
 		})
-		runTasks(par, ns*len(machines), func(ti int) {
-			states[ti%ns].settle(ti / ns)
+		runTasks(par, ns, func(si int) {
+			for mi := range machines {
+				states[si].settle(mi)
+			}
 		})
 	}
 
@@ -521,14 +528,9 @@ type scenarioState struct {
 	sess     *session.Session
 	runner   exec.Runner
 	// check, when non-nil, is the tiered-tuning check runner; wave 1 then
-	// keeps what the check compares of each machine's original run in orig,
-	// and the check engine's one execution of the original in checked. Wave
-	// 3 walks each distinct winner once, into winners (see winnerChecks).
-	check       *exec.Runner
-	orig        []*interp.Result
-	checked     checkedRun
-	winnersOnce sync.Once
-	winners     map[string]*checkedRun
+	// keeps what the check compares of each machine's original run in orig.
+	check *exec.Runner
+	orig  []*interp.Result
 	// verify, when non-nil, is the sweep-wide static verification tracker;
 	// verifyFixed holds the fixed variant's findings, verifyTuned the
 	// per-machine tuned-search findings.
@@ -616,20 +618,6 @@ func (st *scenarioState) prepare() {
 	})
 }
 
-// checkedRun is the check engine's one execution of a source, under mi: the
-// first machine in sweep order whose check needs it (the original's under
-// the first machine, in wave 1; a winner's under the first machine that
-// adopted it). The other machines' checks replay skel, or execute where it
-// does not certify (checkRun).
-type checkedRun struct {
-	mi   int
-	once sync.Once
-	obs  *interp.Result // its observables, as kept by observed
-	ns   netsim.Time
-	err  error
-	skel *interp.Skeleton // nil unless it certifies
-}
-
 // runMachine executes the fixed differential measurement for one machine.
 func (st *scenarioState) runMachine(mi int) {
 	if st.prepErr != "" {
@@ -669,9 +657,6 @@ func (st *scenarioState) runMachine(mi int) {
 	}
 	if same, why := interp.SameObservable(results[0], results[1], st.arrays...); !same {
 		st.mismatch[mi] = fmt.Sprintf("%s: %s", m.Name, why)
-	}
-	if st.check != nil && mi == 0 {
-		st.checkRun(&st.checked, "original", st.sc.Source, 0)
 	}
 }
 
@@ -754,87 +739,23 @@ func (st *scenarioState) settle(mi int) {
 	}
 }
 
-// winnerChecks maps each distinct adopted source other than the original to
-// its one check-engine execution, owned by the first machine in sweep order
-// that adopted it. It reads every machine's choice, so it is built in wave 3.
-func (st *scenarioState) winnerChecks() map[string]*checkedRun {
-	st.winnersOnce.Do(func() {
-		st.winners = map[string]*checkedRun{}
-		for mi, tr := range st.tuned {
-			if tr == nil {
-				continue
-			}
-			// core.Apply is memoized by plan key: re-materializing a
-			// winner's source is free.
-			src, _, err := core.Apply(st.prog, st.choices[mi].Plan)
-			if err != nil || src == st.sc.Source || st.winners[src] != nil {
-				continue
-			}
-			st.winners[src] = &checkedRun{mi: mi}
-		}
-	})
-	return st.winners
-}
-
-// checkRun answers the check of src — the what of the scenario — under
-// machine mi: its observables, its makespan, and whether that makespan is a
-// replay. Under c's machine it is c's one recording execution, made by
-// whichever check needs it first; under another, that recording replayed
-// under mi when it certifies, else an execution of its own.
-func (st *scenarioState) checkRun(c *checkedRun, what, src string, mi int) (obs *interp.Result, ns netsim.Time, replayed bool, err error) {
-	c.once.Do(func() {
-		m := st.machines[c.mi]
-		res, skel, err := st.check.Record(src, st.sc.NP, m.Costs, m.Profile)
-		if err != nil {
-			c.err = fmt.Errorf("%s under %s on %q: %w", what, m.Name, st.check.Engine, err)
-			return
-		}
-		c.obs, c.ns = observed(res, st.arrays), res.Elapsed()
-		if skel.Certifies() {
-			c.skel = skel
-		}
-	})
-	if c.err != nil || mi == c.mi {
-		return c.obs, c.ns, false, c.err
-	}
-	m := st.machines[mi]
-	if c.skel != nil {
-		if res, err := c.skel.Replay(m.Profile, m.Costs); err == nil {
-			return c.obs, res.Elapsed(), true, nil
-		}
-	}
-	res, err := st.check.Run(src, st.sc.NP, m.Costs, m.Profile)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("%s under %s on %q: %w", what, m.Name, st.check.Engine, err)
-	}
-	return observed(res, st.arrays), res.Elapsed(), false, nil
-}
-
 // tieredCheck re-proves the original and the adopted plan of c on the check
 // engine and requires exact agreement with what the search ranked on: the
 // original's makespan, and its observables against wave 1's run on the
 // sweep engine (as kept by observed); the winner's makespan, and its
 // observables against the checked original. It fills tr's check counters.
 func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error {
-	m, check := st.machines[mi], st.check
-	co, ns, replayed, err := st.checkRun(&st.checked, "original", st.sc.Source, mi)
+	m := st.machines[mi]
+	co, how, err := st.checkMeasure(mi, "original", st.sc.Source, c.OriginalNs, tr)
 	if err != nil {
 		return err
-	}
-	how := check.Engine
-	if replayed {
-		how += " (replayed)"
-	}
-	if int64(ns) != c.OriginalNs {
-		return fmt.Errorf("original makespan %d ns on %q vs %d ns on %q under %s",
-			int64(ns), how, c.OriginalNs, st.runner.Engine, m.Name)
 	}
 	if same, why := interp.SameObservable(st.orig[mi], co, st.arrays...); !same {
 		return fmt.Errorf("original observables diverge between %q and %q under %s: %s",
 			st.runner.Engine, how, m.Name, why)
 	}
-	tr.TieredChecks, tr.WalkRuns, tr.WalkReplays = 1, 0, 0
-	tr.count(replayed)
+	// core.Apply is memoized by plan key: re-materializing a winner's source
+	// is free.
 	winnerSrc, _, err := core.Apply(st.prog, c.Plan)
 	if err != nil {
 		return fmt.Errorf("re-apply winner under %s: %w", m.Name, err)
@@ -842,33 +763,41 @@ func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error 
 	if winnerSrc == st.sc.Source {
 		return nil
 	}
-	cw, ns, replayed, err := st.checkRun(st.winnerChecks()[winnerSrc], "winner", winnerSrc, mi)
+	cw, how, err := st.checkMeasure(mi, "winner", winnerSrc, c.PrepushNs, tr)
 	if err != nil {
 		return err
-	}
-	how = check.Engine
-	if replayed {
-		how += " (replayed)"
-	}
-	if int64(ns) != c.PrepushNs {
-		return fmt.Errorf("winner makespan %d ns on %q vs %d ns on %q under %s",
-			int64(ns), how, c.PrepushNs, st.runner.Engine, m.Name)
 	}
 	if same, why := interp.SameObservable(co, cw, st.arrays...); !same {
 		return fmt.Errorf("winner corrupts observables on %q under %s: %s", how, m.Name, why)
 	}
-	tr.TieredChecks++
-	tr.count(replayed)
 	return nil
 }
 
-// count books one tiered check as a replay or a check-engine execution.
-func (tr *TunedRun) count(replayed bool) {
+// checkMeasure measures src on the check engine under machine mi, requires
+// the makespan the search ranked on, and books the check on tr as a replay
+// or a check-engine execution. how names the engine, and says when its
+// answer was a replay.
+func (st *scenarioState) checkMeasure(mi int, what, src string, wantNs int64, tr *TunedRun) (res *interp.Result, how exec.Engine, err error) {
+	m := st.machines[mi]
+	res, replayed, err := st.check.Measure(src, st.sc.NP, m.Costs, m.Profile)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s under %s on %q: %w", what, m.Name, st.check.Engine, err)
+	}
+	how = st.check.Engine
+	if replayed {
+		how += " (replayed)"
+	}
+	if ns := int64(res.Elapsed()); ns != wantNs {
+		return nil, "", fmt.Errorf("%s makespan %d ns on %q vs %d ns on %q under %s",
+			what, ns, how, wantNs, st.runner.Engine, m.Name)
+	}
+	tr.TieredChecks++
 	if replayed {
 		tr.WalkReplays++
 	} else {
 		tr.WalkRuns++
 	}
+	return res, how, nil
 }
 
 // assemble folds the slots into the scenario's Outcome, deterministically:

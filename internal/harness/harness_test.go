@@ -266,12 +266,15 @@ func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	if again.Summary.VariantsCompiled != 0 {
 		t.Errorf("warm shared-session sweep compiled %d variants, want 0", again.Summary.VariantsCompiled)
 	}
+	// The walk engine measures through the store too, which keeps its
+	// skeletons: its traffic is the bytecode sweep's.
 	walk, err := Run(Config{Scenarios: corpus, Session: engineSession(t, exec.EngineWalk)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if walk.Summary.VariantsCompiled != 0 || walk.Summary.CacheHits != 0 {
-		t.Errorf("walk sweep touched the variant store: %+v", walk.Summary)
+	if walk.Summary.VariantsCompiled != 6 || walk.Summary.CacheHits != wantHits {
+		t.Errorf("walk sweep drew %d compiles and %d hits from the variant store, want 6 and %d: %+v",
+			walk.Summary.VariantsCompiled, walk.Summary.CacheHits, wantHits, walk.Summary)
 	}
 }
 
@@ -491,7 +494,7 @@ func TestMemoEqualsNoMemo(t *testing.T) {
 // TestMemoHitsAreWalkChecked: the tiered check runs after every choice, memo
 // hits included. A walk-checked sweep through a session whose memo an
 // unchecked sweep filled answers every row from the memo, checks every row,
-// and equals a fresh walk-checked sweep.
+// and equals a fresh walk-checked sweep; a second one replays every check.
 func TestMemoHitsAreWalkChecked(t *testing.T) {
 	corpus := smallCorpus(t, 3)
 	sess := engineSession(t, exec.Default)
@@ -525,6 +528,16 @@ func TestMemoHitsAreWalkChecked(t *testing.T) {
 	b, _ := json.Marshal(warm)
 	if string(a) != string(b) {
 		t.Errorf("checked sweep over a filled memo differs from a fresh checked sweep:\n%s\nvs\n%s", b, a)
+	}
+	// The session's variants now hold the walk's skeletons: a second checked
+	// sweep through it replays every check and walks nothing.
+	again, err := Run(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := again.Summary; s.TieredChecks != warm.Summary.TieredChecks || s.WalkRuns != 0 || s.WalkReplays != s.TieredChecks {
+		t.Errorf("second checked sweep in one session: %d checks paid by %d walk runs and %d replays; want %d, all replays",
+			s.TieredChecks, s.WalkRuns, s.WalkReplays, warm.Summary.TieredChecks)
 	}
 }
 

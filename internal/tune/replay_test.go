@@ -17,8 +17,8 @@ import (
 // third searches measure mostly by replay), every candidate's skeleton
 // certifies, and its replay is the full execution of the same program under
 // the same machine — makespan, traffic, per-rank times, output and arrays —
-// and is the number the search recorded. The walk engine replays nothing and
-// chooses the same.
+// and is the number the search recorded. A walk runner without a store
+// executes every measurement, replays nothing and chooses the same.
 func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 	scenarios := workload.GenerateScenarios(workload.GenOptions{})[:9]
 	if testing.Short() {
@@ -62,7 +62,7 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, replayed, err := p.Measure(sc.NP, ms[i].Profile, ms[i].Costs)
+				replay, replayed, err := exec.Runner{Store: store}.Measure(src, sc.NP, ms[i].Costs, ms[i].Profile)
 				if err != nil || !replayed {
 					t.Fatalf("%s on %s, %v: measured candidate does not replay (err %v)", sc.Name, ch.Machine, c.Decisions, err)
 				}
@@ -87,7 +87,7 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 		walk := tuneAll(exec.Runner{Engine: exec.EngineWalk})
 		for i := range walk {
 			if walk[i].ReplayedRuns != 0 {
-				t.Errorf("%s on %s: the walk engine replayed", sc.Name, walk[i].Machine)
+				t.Errorf("%s on %s: the store-less walk runner replayed", sc.Name, walk[i].Machine)
 			}
 			c := choices[i]
 			c.ReplayedRuns = 0

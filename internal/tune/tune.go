@@ -154,9 +154,25 @@ type Choice struct {
 	Candidates     []Candidate `json:"candidates"`
 	// ReplayedRuns counts the evaluations answered by replaying a variant's
 	// skeleton (see the package comment). Which search reached a variant first
-	// decides it: economics, like cache hits; 0 under the walk engine and on a
-	// memo hit.
+	// decides it: economics, like cache hits; 0 for a store-less runner and on
+	// a memo hit.
 	ReplayedRuns int `json:"replayed_runs,omitempty"`
+}
+
+// FixedKError is Tune's answer when the fixed-K baseline does not transform
+// every site: with no baseline, the never-lose gate has nothing to hold the
+// search to. It is the query's fault, not the search's, and it names the
+// uniform tile sizes, from the sites' ladders, at which every site fires.
+type FixedKError struct {
+	Machine  string  `json:"machine"`
+	FixedK   int64   `json:"fixed_k"`
+	Sites    int     `json:"sites"`
+	FiringKs []int64 `json:"firing_ks"`
+}
+
+func (e *FixedKError) Error() string {
+	return fmt.Sprintf("tune: transform did not fire on all %d site(s) at fixed K=%d under %s",
+		e.Sites, e.FixedK, e.Machine)
 }
 
 // siteState is one transformable site's search facts.
@@ -303,9 +319,14 @@ func (s *search) run() (Choice, error) {
 		// Fatal only when there is nothing to tune; a simulation failure at
 		// the fixed K still lets the seeds find a plan (Apply is memoized,
 		// so the re-check is free).
-		if _, rep, err := core.Apply(s.prog, s.buildPlan(fds)); err != nil || rep.TransformedCount() < len(sites) {
-			return Choice{}, fmt.Errorf("tune: transform did not fire on all %d site(s) at fixed K=%d under %s",
-				len(sites), fixedK, m.Name)
+		if !s.fires(fds) {
+			var firing []int64
+			for _, k := range uniformLadder {
+				if s.fires(uniformVecOf(plan.Decision{K: k}.Normalize(), len(sites))) {
+					firing = append(firing, k)
+				}
+			}
+			return Choice{}, &FixedKError{Machine: m.Name, FixedK: fixedK, Sites: len(sites), FiringKs: firing}
 		}
 	}
 	// Per-site analytic seeds, snapped onto each site's own ladder; the
@@ -421,6 +442,12 @@ func skipCount(ds []plan.Decision) int {
 		}
 	}
 	return n
+}
+
+// fires reports whether the decision vector transforms every site.
+func (s *search) fires(ds []plan.Decision) bool {
+	_, rep, err := core.Apply(s.prog, s.buildPlan(ds))
+	return err == nil && rep.TransformedCount() == len(s.sites)
 }
 
 // buildPlan materializes a decision vector as a site-keyed plan (sites in

@@ -90,16 +90,6 @@ func Summarize(diags []Diagnostic) string {
 	return strings.Join(parts, "; ")
 }
 
-// Apply is the convenience wrapper that replays a plan and verifies the
-// output in one call: core.Apply followed by Variant.
-func Apply(prog *core.Program, pl *plan.Plan) (string, *core.Report, []Diagnostic, error) {
-	out, rep, err := core.Apply(prog, pl)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	return out, rep, Variant(prog, pl, out, rep), nil
-}
-
 // Variant statically verifies one (program, plan) variant: transformed must
 // be core.Apply(prog, pl)'s output and rep its report. The returned slice is
 // empty when every applied decision re-proves and the generated MPI schedule
