@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/ftn"
@@ -87,7 +88,8 @@ func (s *Site) Key() string { return s.Pos.String() }
 // Program is a parsed, analyzed program ready for repeated Apply calls.
 // The AST it holds is never mutated: every Apply transforms a fresh clone,
 // and outcomes are memoized by plan key so a search can revisit a candidate
-// for free. Safe for concurrent Apply calls.
+// for free. Sites, too, is read-only once Analyze returns: the fingerprint
+// is made from it once. Safe for concurrent Apply and Fingerprint calls.
 type Program struct {
 	Sites []Site
 
@@ -100,6 +102,10 @@ type Program struct {
 
 	mu   sync.Mutex
 	memo map[string]applied
+
+	// shape is the machine-independent text of the program's fingerprint,
+	// kept by the first Fingerprint call (see there).
+	shape atomic.Pointer[string]
 }
 
 type applied struct {

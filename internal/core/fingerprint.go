@@ -28,10 +28,34 @@ import (
 // sha256 content key would split. Site keys (line:col positions) ARE
 // included: plans address sites by position, so a memoized plan is only
 // replayable onto a program whose sites sit at the same keys.
+//
+// Everything but the machine name — the rank count, the normalized code
+// hash and the site facts — is a property of the analyzed program: the
+// first call on a Program prints its AST and formats its sites once, and
+// every call, that one included, hashes the machine name in front of the
+// kept text. Analyze pays nothing for it. Concurrent first callers may each
+// compute the text; they compute the same one, and one of them is kept.
 func Fingerprint(p *Program, machine string) string {
+	shape := p.shape.Load()
+	if shape == nil {
+		s := shapeOf(p)
+		shape = &s
+		p.shape.Store(shape)
+	}
+	const head = "fp/v1|machine="
+	var buf [1024]byte
+	b := append(append(append(buf[:0], head...), machine...), *shape...)
+	sum := sha256.Sum256(b)
+	var out [len("fp1-") + 2*sha256.Size]byte
+	copy(out[:], "fp1-")
+	hex.Encode(out[len("fp1-"):], sum[:])
+	return string(out[:])
+}
+
+// shapeOf is the machine-independent rest of p's fingerprint text.
+func shapeOf(p *Program) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fp/v1|machine=%s|np=%d|code=%s|sites=%d",
-		machine, p.opts.NP, normalizedCodeHash(p.file), len(p.Sites))
+	fmt.Fprintf(&b, "|np=%d|code=%s|sites=%d", p.opts.NP, normalizedCodeHash(p.file), len(p.Sites))
 	for i := range p.Sites {
 		s := &p.Sites[i]
 		fmt.Fprintf(&b, "|site=%s;pat=%d;case=%d;tr=%t;part=%d;trip=%d;bytes=%d;il=%t;ib=%d",
@@ -45,8 +69,7 @@ func Fingerprint(p *Program, machine string) string {
 			fmt.Fprintf(&b, ";rej=%s", s.Reason)
 		}
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return "fp1-" + hex.EncodeToString(sum[:])
+	return b.String()
 }
 
 // normalizedCodeHash hashes the parse-normalized statement structure:

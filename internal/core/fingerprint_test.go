@@ -2,9 +2,13 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/tune"
 	"repro/internal/workload"
 )
 
@@ -114,5 +118,75 @@ func TestFingerprintCorpusUnique(t *testing.T) {
 	}
 	if len(seen) != len(scens) {
 		t.Fatalf("%d fingerprints over %d scenarios", len(seen), len(scens))
+	}
+}
+
+// TestFingerprintMatchesReference: the fingerprint a Program keeps is the
+// one the reference computes afresh — for every corpus scenario and default
+// machine, analyzed at NP 0 and at the scenario's rank count — before and
+// after Apply replays the six knob plans, and after a search on the same
+// Program (one scenario per family): nothing Apply or Tune does moves the
+// analyzed AST or Sites under the kept text.
+func TestFingerprintMatchesReference(t *testing.T) {
+	machines := plan.DefaultSweep()
+	agree := func(when string, name string, p *core.Program) {
+		t.Helper()
+		for _, m := range machines {
+			if got, want := core.Fingerprint(p, m.Name), core.ReferenceFingerprint(p, m.Name); got != want {
+				t.Fatalf("%s %s on %s: fingerprint %s, reference %s", name, when, m.Name, got, want)
+			}
+		}
+	}
+	tuned := map[string]bool{}
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
+		for _, np := range []int64{0, int64(sc.NP)} {
+			p, err := core.Analyze(sc.Source, core.AnalyzeOptions{NP: np})
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			agree("as analyzed", sc.Name, p)
+			for _, pl := range knobPlans(sc.K) {
+				if _, _, err := core.Apply(p, pl); err != nil {
+					t.Fatalf("%s: apply %s: %v", sc.Name, pl.Key(), err)
+				}
+			}
+			agree("after the knob plans", sc.Name, p)
+			if np == 0 || tuned[sc.Family] {
+				continue
+			}
+			tuned[sc.Family] = true
+			m := plan.MPICHGM2005()
+			if _, err := tune.Tune(p, m, tune.Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, exec.Runner{Store: exec.NewMemStore()}); err != nil {
+				t.Fatalf("%s: tune: %v", sc.Name, err)
+			}
+			agree("after a search", sc.Name, p)
+		}
+	}
+}
+
+// TestFingerprintConcurrentFirstCalls: eight goroutines fingerprinting one
+// fresh Program at once all get the reference string (the race detector
+// watches the one computation they share).
+func TestFingerprintConcurrentFirstCalls(t *testing.T) {
+	src := readTestdata(t, "figure2_before.f90")
+	p, err := core.Analyze(src, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := plan.DefaultSweep()
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = core.Fingerprint(p, machines[g%len(machines)].Name)
+		}(g)
+	}
+	wg.Wait()
+	for g, fp := range got {
+		if want := core.ReferenceFingerprint(p, machines[g%len(machines)].Name); fp != want {
+			t.Errorf("goroutine %d: fingerprint %s, reference %s", g, fp, want)
+		}
 	}
 }

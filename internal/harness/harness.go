@@ -23,7 +23,10 @@
 // and records it, and every later check — another machine's, or a later
 // sweep's in the same session — replays that recording where it certifies
 // and executes otherwise. Each scenario's machines settle in sweep order, so
-// the first machine that checks a source is the one that executes it.
+// the first machine that checks a source is the one that executes it. Before
+// its check, a tuned row's fixed row must carry the search's own makespans
+// of the original and the fixed-K variant, so what the check re-proves
+// covers the fixed row as well.
 package harness
 
 import (
@@ -719,14 +722,20 @@ func (st *scenarioState) tuneMachine(mi int) {
 	st.choices[mi], st.tuned[mi] = c, tr
 }
 
-// settle finishes machine mi's adopted plan (wave 3): the tiered check when
-// one is configured — a failure drops the row — then static verification.
+// settle finishes machine mi's adopted plan (wave 3): wave 1's fixed row
+// must agree with the search, then the tiered check runs when one is
+// configured — either failure drops the row — then static verification.
 func (st *scenarioState) settle(mi int) {
 	tr := st.tuned[mi]
 	if tr == nil {
 		return
 	}
 	c := st.choices[mi]
+	if err := st.fixedRowAgrees(mi, c); err != nil {
+		st.tuneErr[mi] = fmt.Sprintf("tune: fixed row: %v", err)
+		st.tuned[mi] = nil
+		return
+	}
 	if st.check != nil {
 		if err := st.tieredCheck(mi, c, tr); err != nil {
 			st.tuneErr[mi] = fmt.Sprintf("tune: tiered check: %v", err)
@@ -737,6 +746,33 @@ func (st *scenarioState) settle(mi int) {
 	if st.verify != nil {
 		st.verifyTuned[mi] = st.verify.choice(st.prog, c)
 	}
+}
+
+// fixedRowAgrees requires wave 1's fixed row under machine mi to carry the
+// makespans the search measured for the same two sources: the original's,
+// and the fixed-K variant's (the search's uniform candidate at the fixed K).
+// Wave 1's first machine executes both sources while later measurements
+// replay them, so this holds the executions to the replays at no cost, and
+// the tiered check, which re-proves what the search measured, then covers
+// the fixed row too.
+func (st *scenarioState) fixedRowAgrees(mi int, c tune.Choice) error {
+	m, pr := st.machines[mi], st.profiles[mi]
+	if pr.OriginalNs != c.OriginalNs {
+		return fmt.Errorf("original makespan %d ns in the fixed row vs %d ns in the search under %s",
+			pr.OriginalNs, c.OriginalNs, m.Name)
+	}
+	fixed := plan.Decision{K: c.FixedK}.Normalize()
+	for _, cand := range c.Candidates {
+		if cand.Uniform && len(cand.Decisions) > 0 && cand.Decisions[0] == fixed {
+			if cand.PrepushNs != pr.PrepushNs {
+				return fmt.Errorf("fixed K=%d makespan %d ns in the fixed row vs %d ns in the search under %s",
+					c.FixedK, pr.PrepushNs, cand.PrepushNs, m.Name)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("the search under %s measured no fixed K=%d variant; the fixed row has %d ns",
+		m.Name, c.FixedK, pr.PrepushNs)
 }
 
 // tieredCheck re-proves the original and the adopted plan of c on the check

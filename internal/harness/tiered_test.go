@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,6 +67,57 @@ func TestReplayedChecksCatchAWrongOriginal(t *testing.T) {
 		st.orig[mi] = good
 		if err == nil || !strings.Contains(err.Error(), "observables diverge") {
 			t.Errorf("%s: changed sweep-engine output: err = %v, want an observables mismatch", name, err)
+		}
+	}
+}
+
+// TestFixedRowMustAgreeWithTheSearch: a fixed row whose original or fixed-K
+// makespan is not the one the search measured for the same source fails its
+// scenario at settle, with both numbers named, whether or not a check engine
+// is configured; an agreeing row settles.
+func TestFixedRowMustAgreeWithTheSearch(t *testing.T) {
+	sc := smallCorpus(t, 1)[0]
+	sess := engineSession(t, exec.Default)
+	st := newScenarioState(sc, plan.DefaultSweep(), sess, nil, nil)
+	st.prepare()
+	for mi := range st.machines {
+		st.runMachine(mi)
+	}
+	if !st.clean() {
+		t.Fatalf("wave 1 failed: %q %q %q", st.prepErr, st.runErr, st.mismatch)
+	}
+	for mi := range st.machines {
+		if st.tuneMachine(mi); st.tuned[mi] == nil {
+			t.Fatalf("%s: tune: %s", st.machines[mi].Name, st.tuneErr[mi])
+		}
+	}
+	for mi, m := range st.machines {
+		tr, good := st.tuned[mi], st.profiles[mi]
+		for _, c := range []struct {
+			what  string
+			bump  func(*ProfileRun)
+			wants []string
+		}{
+			{"original", func(pr *ProfileRun) { pr.OriginalNs++ }, []string{
+				"original makespan", fmt.Sprint(good.OriginalNs + 1), fmt.Sprint(good.OriginalNs)}},
+			{"fixed variant", func(pr *ProfileRun) { pr.PrepushNs-- }, []string{
+				fmt.Sprintf("fixed K=%d makespan", sc.K), fmt.Sprint(good.PrepushNs - 1), fmt.Sprint(good.PrepushNs)}},
+		} {
+			c.bump(&st.profiles[mi])
+			st.settle(mi)
+			out := st.assemble(true)
+			for _, want := range c.wants {
+				if !strings.Contains(out.Err, want) {
+					t.Errorf("%s: %s 1 ns off: scenario error %q, want it to name %q", m.Name, c.what, out.Err, want)
+				}
+			}
+			if out.Tuned != nil {
+				t.Errorf("%s: %s 1 ns off: the tuned rows stayed", m.Name, c.what)
+			}
+			st.profiles[mi], st.tuned[mi], st.tuneErr[mi] = good, tr, ""
+		}
+		if st.settle(mi); st.tuned[mi] == nil {
+			t.Errorf("%s: agreeing row dropped: %s", m.Name, st.tuneErr[mi])
 		}
 	}
 }

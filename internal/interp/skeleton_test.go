@@ -31,6 +31,8 @@ func TestArrayDigestStandsForItsData(t *testing.T) {
 	}
 	for name, other := range map[string]*Result{
 		"changed element":   result([]int64{3, -1, 0, 1<<40 + 1}, reals),
+		"swapped lanes":     result([]int64{-1, 3, 0, 1 << 40}, reals),
+		"lanes rotated":     result([]int64{1 << 40, 3, -1, 0}, reals),
 		"two sign flips":    result(ints, []float64{math.Copysign(0, -1), 1.5, -2.25, math.Copysign(0, -1)}),
 		"shorter":           result(ints[:3], reals),
 		"same bits as ints": result(ints, bits),

@@ -200,24 +200,54 @@ func (a *Array) NoteStore(off int64) {
 
 // NoteLoads checks the loads of a strip of elements at linear offsets offs
 // within the view (see NoteLoad): one nil test per strip when none is
-// watched.
+// watched. A watched strip is first tested as the range of elements its
+// offsets span, a word of the bitmap at a time; only a range holding a mark
+// is checked element by element, which finds the same first hazard.
 func (a *Array) NoteLoads(offs []int64) {
-	if w := a.Store.watch; w != nil {
-		for _, off := range offs {
-			if w.load(a, a.Offset+off); a.Store.watch == nil {
-				return
-			}
+	w := a.Store.watch
+	if w == nil {
+		return
+	}
+	if lo, n, ok := a.stripRange(offs); ok && !anyBit(w.recv, lo, n) {
+		return
+	}
+	for _, off := range offs {
+		if w.load(a, a.Offset+off); a.Store.watch == nil {
+			return
 		}
 	}
 }
 
 // NoteStores checks a strip of stores (see NoteLoads).
 func (a *Array) NoteStores(offs []int64) {
-	if w := a.Store.watch; w != nil {
-		for _, off := range offs {
-			if w.store(a, a.Offset+off); a.Store.watch == nil {
-				return
-			}
+	w := a.Store.watch
+	if w == nil {
+		return
+	}
+	if lo, n, ok := a.stripRange(offs); ok && !anyBit(w.send, lo, n) && !anyBit(w.recv, lo, n) {
+		return
+	}
+	for _, off := range offs {
+		if w.store(a, a.Offset+off); a.Store.watch == nil {
+			return
 		}
 	}
+}
+
+// stripRange returns the storage elements [lo, lo+n) a non-empty strip's
+// offsets span, and false when they span more bitmap words than the strip
+// has lanes: testing that range would cost more than testing each lane.
+func (a *Array) stripRange(offs []int64) (lo, n int64, ok bool) {
+	if len(offs) == 0 {
+		return 0, 0, false
+	}
+	lo, hi := offs[0], offs[0]
+	for _, off := range offs[1:] {
+		lo, hi = min(lo, off), max(hi, off)
+	}
+	lo, hi = a.Offset+lo, a.Offset+hi
+	if hi>>6-lo>>6 >= int64(len(offs)) {
+		return 0, 0, false
+	}
+	return lo, hi - lo + 1, true
 }

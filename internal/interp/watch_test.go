@@ -42,3 +42,74 @@ func TestBitRangesMatchAModel(t *testing.T) {
 		}
 	}
 }
+
+// TestStripNotesMatchElementNotes: a strip's loads and stores, tested first
+// as the range their offsets span, flag the same first hazard as one check
+// per element — over sparse and dense marks, contiguous, strided and
+// scattered strips, and views that start inside the storage.
+func TestStripNotesMatchElementNotes(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	const n = 400
+	flagged := 0
+	for trial := 0; trial < 4000; trial++ {
+		send, recv := make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
+		for marks := rng.Intn(4); marks > 0; marks-- {
+			bits := recv
+			if rng.Intn(2) == 0 {
+				bits = send
+			}
+			setBits(bits, rng.Int63n(n), rng.Int63n(8)+1)
+		}
+		view := rng.Int63n(100)
+		lanes := rng.Intn(64) + 1
+		offs := make([]int64, lanes)
+		start, stride := rng.Int63n(n-view-int64(lanes)), int64(1)
+		switch rng.Intn(3) {
+		case 1:
+			stride = rng.Int63n(4) + 2
+		case 2:
+			stride = 0
+		}
+		for l := range offs {
+			offs[l] = start + int64(l)*stride
+			if stride == 0 {
+				offs[l] = rng.Int63n(n - view)
+			}
+			offs[l] = min(offs[l], n-view-1)
+		}
+		store := rng.Intn(2) == 0
+		note := func(strip bool) string {
+			tr := &RankTrace{}
+			st := newStorage(KInt, n)
+			st.watch = &watch{t: tr, send: append([]uint64(nil), send...), recv: append([]uint64(nil), recv...)}
+			tr.watched = []*storage{st}
+			a := &Array{Name: "x", Store: st, Offset: view}
+			switch {
+			case strip && store:
+				a.NoteStores(offs)
+			case strip:
+				a.NoteLoads(offs)
+			default:
+				for _, off := range offs {
+					if store {
+						a.NoteStore(off)
+					} else {
+						a.NoteLoad(off)
+					}
+				}
+			}
+			return tr.hazard
+		}
+		got, want := note(true), note(false)
+		if got != want {
+			t.Fatalf("trial %d (store %v, view %d, offs %v): strip flags %q, elements flag %q", trial, store, view, offs, got, want)
+		}
+		if want != "" {
+			flagged++
+		}
+	}
+	t.Logf("%d of 4000 strips flagged", flagged)
+	if flagged < 100 {
+		t.Fatalf("only %d strips crossed a mark", flagged)
+	}
+}

@@ -259,6 +259,16 @@ func TestMachineRegistry(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, want ErrUnknownMachine", name, err)
 		}
 	}
+	const nope = `plan: unknown machine "nope" (have hpc-rdma-2019, mpich-gm-2005, mpich-tcp-2005)`
+	if _, err := ByName("nope"); err == nil || err.Error() != nope {
+		t.Errorf("ByName(\"nope\") = %v, want %s", err, nope)
+	}
+	// ByName builds the one model asked for: every built-in, by its name.
+	for _, m := range Builtin() {
+		if got, err := ByName(m.Name); err != nil || got != m {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", m.Name, got, err, m)
+		}
+	}
 	gm, _ := ByName("mpich-gm-2005")
 	if !gm.Profile.Offload {
 		t.Error("mpich-gm-2005 must keep the offload capability")

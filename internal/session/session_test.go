@@ -334,3 +334,29 @@ func TestVerifyOwnsTheLedger(t *testing.T) {
 		t.Error("a plan naming a site the program lacks verified instead of erroring")
 	}
 }
+
+// TestWarmPlanAllocs: a warm Plan — analysis-cache hit, the program's kept
+// fingerprint, memo hit — allocates a bounded number of objects. The bound
+// is twice the count measured when the fingerprint became a property of
+// the analyzed program (warmPlanAllocs); re-printing the AST and formatting
+// the sites on every query took 115.
+func TestWarmPlanAllocs(t *testing.T) {
+	const warmPlanAllocs = 13
+	s, err := session.New(session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := session.Query{Source: testSource(), Machine: "mpich-gm-2005", NP: 4}
+	if _, err := s.Plan(q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if res, err := s.Plan(q); err != nil || !res.MemoHit {
+			t.Fatalf("warm query: hit %v, err %v", res != nil && res.MemoHit, err)
+		}
+	})
+	t.Logf("%.0f allocations per warm Plan", allocs)
+	if allocs > 2*warmPlanAllocs {
+		t.Errorf("a warm Plan allocates %.0f objects, want at most %d", allocs, 2*warmPlanAllocs)
+	}
+}
