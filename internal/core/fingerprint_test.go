@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -156,7 +157,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			}
 			tuned[sc.Family] = true
 			m := plan.MPICHGM2005()
-			if _, err := tune.Tune(p, m, tune.Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, exec.Runner{Store: exec.NewMemStore()}); err != nil {
+			if _, err := tune.Tune(context.Background(), p, m, tune.Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, exec.Runner{Store: exec.NewMemStore()}); err != nil {
 				t.Fatalf("%s: tune: %v", sc.Name, err)
 			}
 			agree("after a search", sc.Name, p)

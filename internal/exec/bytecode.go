@@ -460,8 +460,9 @@ func (bp *bprog) loadName(fr *frame, d *nameDesc) (interp.Value, error) {
 
 // declArray executes an array declaration: bounds from their registers, then
 // a view of the caller's backing (a dummy that was passed an array) or a
-// fresh allocation — which also replaces an earlier declaration's.
-func (d *declDesc) declArray(fr *frame, regs []reg) error {
+// new array over storage rc lends (nil: fresh) — which also replaces an
+// earlier declaration's.
+func (d *declDesc) declArray(fr *frame, regs []reg, rc *interp.Recycler) error {
 	bounds := make([]interp.DimBound, len(d.dims))
 	for i, dim := range d.dims {
 		bounds[i].Lo = 1
@@ -479,7 +480,7 @@ func (d *declDesc) declArray(fr *frame, regs []reg) error {
 	if d.dummy && fr.dummy[d.aslot] != nil {
 		a, err = interp.View(d.name, fr.dummy[d.aslot], 0, bounds)
 	} else {
-		a, err = interp.NewArray(d.name, d.kind, bounds)
+		a, err = rc.NewArray(d.name, d.kind, bounds)
 	}
 	if err != nil {
 		return rte(d.pos, "%v", err)
@@ -843,7 +844,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 			}
 			fr.scal[ins.a] = &v
 		case bDeclA:
-			if err := bp.decls[ins.a].declArray(fr, regs); err != nil {
+			if err := bp.decls[ins.a].declArray(fr, regs, x.mpi.Recycler); err != nil {
 				return err
 			}
 		case bMPI:

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -84,9 +85,15 @@ func requireCertifiedRecording(t *testing.T, label, src string, np int, rm plan.
 // requireRefused is what a recording that touched an in-flight buffer
 // brings: no certification under either engine and any machine, the reason
 // naming the access, Measure refusing with it, and Run still executing.
+// Measure refuses it too through a recycler whose storage a clean exchange
+// of the same arrays watched before: a reused array carries no stale watch.
 func requireRefused(t *testing.T, label, src, why string) {
 	t.Helper()
 	for _, m := range certifyMachines() {
+		rc := new(interp.Recycler)
+		if _, _, err := (exec.Runner{Recycler: rc}).Measure(context.Background(), exchange("", postBoth+waitBoth), 2, m.Costs, m.Profile); err != nil {
+			t.Fatalf("%s under %s: the clean exchange: %v", label, m.Name, err)
+		}
 		_, skel := recordBoth(t, label, src, 2, m)
 		if skel == nil || skel.Certifies() {
 			t.Fatalf("%s: certifies under %s, want it refused", label, m.Name)
@@ -97,9 +104,9 @@ func requireRefused(t *testing.T, label, src, why string) {
 		if _, err := skel.Replay(m.Profile, m.Costs); err == nil {
 			t.Fatalf("%s under %s: a skeleton that does not certify replayed", label, m.Name)
 		}
-		for _, r := range []exec.Runner{{Store: exec.NewMemStore()}, {Engine: exec.EngineWalk}} {
+		for _, r := range []exec.Runner{{Store: exec.NewMemStore()}, {Engine: exec.EngineWalk}, {Store: exec.NewMemStore(), Recycler: rc}} {
 			for round := 0; round < 2; round++ {
-				if _, _, err := r.Measure(src, 2, m.Costs, m.Profile); err == nil || !strings.Contains(err.Error(), why) {
+				if _, _, err := r.Measure(context.Background(), src, 2, m.Costs, m.Profile); err == nil || !strings.Contains(err.Error(), why) {
 					t.Fatalf("%s under %s on %q, measurement %d: err = %v, want it refused", label, m.Name, r.Engine, round, err)
 				}
 			}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 
 	"repro/internal/interp"
 	"repro/internal/netsim"
@@ -51,6 +53,12 @@ type Runner struct {
 	// measurements record, across runs; with a nil Store each call compiles
 	// its source afresh. A walk run parses the source itself and skips it.
 	Store VariantStore
+	// Recycler, when non-nil, lends the arrays and send payloads of
+	// Measure's bytecode executions, which hand them back when they end
+	// (interp/recycle.go): whoever makes a sequence of measurements — a
+	// search — owns one, and its memory goes with it. It serves one
+	// measurement at a time. Run and the walk engine allocate afresh.
+	Recycler *interp.Recycler
 }
 
 // Run executes src in full on np simulated ranks under the profile, charging
@@ -71,15 +79,22 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 // this engine when that skeleton certifies, else executed; the first
 // measurement on an engine at a rank count is the execution that records it,
 // and a variant whose recording touched an in-flight buffer is refused (see
-// Program.measure). A Runner without a Store gets a new Program on every
-// call, so each of its measurements is a recording execution, refused by the
-// same rule.
-func (r Runner) Measure(src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, replayed bool, err error) {
-	p, err := r.get(src)
+// Program.measure). Executed or replayed, on either engine, the answer holds
+// the final arrays' digests, never their data. A Runner without a Store gets
+// a new Program on every call, so each of its measurements is a recording
+// execution, refused by the same rule. ctx carries the caller's profiler
+// labels; Measure adds layer (compile, then execute or replay) and engine.
+func (r Runner) Measure(ctx context.Context, src string, np int, costs interp.CostModel, prof netsim.Profile) (res *interp.Result, replayed bool, err error) {
+	var p *Program
+	pprof.Do(ctx, pprof.Labels("layer", "compile"), func(context.Context) {
+		if p, err = r.get(src); err == nil && p.runsOn(r.Engine) == EngineBytecode {
+			p.Bytecode()
+		}
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	return p.measure(r.Engine, np, prof, costs)
+	return p.measure(ctx, r.Engine, np, prof, costs, r.Recycler)
 }
 
 // get draws the compiled variant from the store, or compiles it afresh.

@@ -37,6 +37,14 @@
 // in-flight buffer is an erroneous MPI program, which Measure refuses. There
 // is no switch, and a DiskStore persists sources only.
 //
+// A measurement answers with the final arrays' digests, executed or
+// replayed, on either engine; Run answers with their data. So a measured
+// execution's memory is nobody's once it ends, and belongs to the search
+// that measures: a bytecode execution under Measure draws its arrays and
+// send payloads from the Runner's Recycler (interp/recycle.go), which the
+// search owns and drops when it returns. Run, RunBytecode and the walk engine
+// allocate afresh.
+//
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
 // tests assert the two agree on every golden fixture, corpus scenario and
@@ -49,7 +57,9 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 
 	"repro/internal/ftn"
@@ -253,7 +263,7 @@ func (p *Program) subroutine(name string) *unit {
 // tree-walk. It records nothing: a run neither writes nor reads the
 // skeletons Measure keeps.
 func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	res, _, err := p.run(EngineBytecode, np, prof, costs, false)
+	res, _, err := p.run(EngineBytecode, np, prof, costs, false, nil)
 	return res, err
 }
 
@@ -269,8 +279,10 @@ func (p *Program) runsOn(e Engine) Engine {
 
 // run executes the program on the engine that runs it for e, recording its
 // skeleton when asked to. The walker parses the source afresh, as every walk
-// does; a lowered program that reads mpi_wtime records nothing (timed).
-func (p *Program) run(e Engine, np int, prof netsim.Profile, costs interp.CostModel, record bool) (*interp.Result, *interp.Skeleton, error) {
+// does, and allocates its memory afresh; a lowered program draws its memory
+// from mem (see execute), and one that reads mpi_wtime records nothing
+// (timed).
+func (p *Program) run(e Engine, np int, prof netsim.Profile, costs interp.CostModel, record bool, mem *interp.Recycler) (*interp.Result, *interp.Skeleton, error) {
 	if p.runsOn(e) == EngineWalk {
 		if !record {
 			res, err := runWalk(p.src, np, prof, costs)
@@ -283,7 +295,7 @@ func (p *Program) run(e Engine, np int, prof netsim.Profile, costs interp.CostMo
 		return w.Record(np, prof)
 	}
 	p.Bytecode()
-	return p.execute(np, prof, costs, record && !p.timed)
+	return p.execute(np, prof, costs, record && !p.timed, mem)
 }
 
 // recording is one skeleton slot on a Program: done closes once skel is set,
@@ -294,35 +306,48 @@ type recording struct {
 }
 
 // execute runs the lowered program, recording its skeleton when asked to.
-func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, record bool) (*interp.Result, *interp.Skeleton, error) {
+// With a recycler, the run's arrays and send payloads are lent by mem, and
+// the arrays go back to it once the run is over — mpi.Run has returned, so no
+// transfer can land in them any more — which is why the Result then holds
+// their digests, not their data.
+func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, record bool, mem *interp.Recycler) (*interp.Result, *interp.Skeleton, error) {
 	tab := p.chargeTab(costs)
 	var traces []*interp.RankTrace
 	if record {
 		traces = make([]*interp.RankTrace, np)
 	}
 	res, err := interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
+		b.Recycler = mem
 		if traces != nil {
 			b.Trace = interp.NewRankTrace(np)
 			traces[b.Rank.Me()] = b.Trace
 		}
 		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab, trace: b.Trace}
 	})
-	if traces == nil {
-		return res, nil, err
+	var skel *interp.Skeleton
+	if traces != nil {
+		skel = interp.NewSkeleton(traces, res, err)
 	}
-	return res, interp.NewSkeleton(traces, res, err), err
+	if mem != nil {
+		interp.Digested(res, skel)
+		mem.Reclaim()
+	}
+	return res, skel, err
 }
 
 // measure answers what a run on engine e would, replaying the skeleton that
 // engine recorded if and only if it certifies (interp/skeleton.go) — then the
 // answer is that execution's, data included, under any machine — and
-// otherwise executing. The first measurement on an engine at a rank count
-// records, and nothing else records onto the Program; a measurement that
-// finds the recording under way waits for it. A program whose recording
-// touched an in-flight buffer is refused with the skeleton's reason: its data
-// is the protocol's, so no measurement under one machine speaks for another,
-// and Run is the only way to execute it. replayed says which answer res is.
-func (p *Program) measure(e Engine, np int, prof netsim.Profile, costs interp.CostModel) (res *interp.Result, replayed bool, err error) {
+// otherwise executing. Either way the answer holds the final arrays' digests,
+// as a replay does, and no storage: an execution draws its memory from mem.
+// The first measurement on an engine at a rank count records, and nothing
+// else records onto the Program; a measurement that finds the recording under
+// way waits for it. A program whose recording touched an in-flight buffer is
+// refused with the skeleton's reason: its data is the protocol's, so no
+// measurement under one machine speaks for another, and Run is the only way
+// to execute it. replayed says which answer res is. The work runs under the
+// profiler labels layer (execute or replay) and engine, on top of ctx's.
+func (p *Program) measure(ctx context.Context, e Engine, np int, prof netsim.Profile, costs interp.CostModel, mem *interp.Recycler) (res *interp.Result, replayed bool, err error) {
 	key := skelKey{p.runsOn(e), np}
 	v, seen := p.skels.Load(key)
 	if !seen {
@@ -333,22 +358,29 @@ func (p *Program) measure(e Engine, np int, prof netsim.Profile, costs interp.Co
 		// The recording execution, published when it ends — however it
 		// ends, so no measurement waits forever.
 		defer close(rec.done)
-		res, rec.skel, err = p.run(e, np, prof, costs, true)
+		labeled(ctx, "execute", key.engine, func() { res, rec.skel, err = p.run(e, np, prof, costs, true, mem) })
 		if err == nil && rec.skel != nil && !rec.skel.Certifies() {
 			return nil, false, rec.skel.InFlight()
 		}
-		return res, false, err
+		return interp.Digested(res, rec.skel), false, err
 	}
 	<-rec.done
 	if rec.skel.Certifies() {
-		if res, err := rec.skel.Replay(prof, costs); err == nil {
+		var rerr error
+		labeled(ctx, "replay", key.engine, func() { res, rerr = rec.skel.Replay(prof, costs) })
+		if rerr == nil {
 			return res, true, nil
 		}
 	} else if rec.skel != nil {
 		return nil, false, rec.skel.InFlight()
 	}
-	res, _, err = p.run(e, np, prof, costs, false)
-	return res, false, err
+	labeled(ctx, "execute", key.engine, func() { res, _, err = p.run(e, np, prof, costs, false, mem) })
+	return interp.Digested(res, nil), false, err
+}
+
+// labeled runs f under the profiler labels layer and engine, on top of ctx's.
+func labeled(ctx context.Context, layer string, e Engine, f func()) {
+	pprof.Do(ctx, pprof.Labels("layer", layer, "engine", string(e)), func(context.Context) { f() })
 }
 
 // Run is RunBytecode. It keeps its own name only because benchmark/layers.go

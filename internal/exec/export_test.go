@@ -38,5 +38,5 @@ func (r Runner) Record(src string, np int, costs interp.CostModel, prof netsim.P
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.run(r.Engine, np, prof, costs, true)
+	return p.run(r.Engine, np, prof, costs, true, nil)
 }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,11 +28,12 @@ func requireReplayIsRun(t *testing.T, label string, full, replay *interp.Result)
 }
 
 // recordedUnder compiles src into a private store and makes its first
-// measurement — the recording execution — under machine m.
-func recordedUnder(t *testing.T, label, src string, np int, m plan.Machine) (exec.Runner, *interp.Result) {
+// measurement — the recording execution, drawing its memory from rc — under
+// machine m.
+func recordedUnder(t *testing.T, label, src string, np int, m plan.Machine, rc *interp.Recycler) (exec.Runner, *interp.Result) {
 	t.Helper()
-	r := exec.Runner{Store: exec.NewMemStore()}
-	res, replayed, err := r.Measure(src, np, m.Costs, m.Profile)
+	r := exec.Runner{Store: exec.NewMemStore(), Recycler: rc}
+	res, replayed, err := r.Measure(context.Background(), src, np, m.Costs, m.Profile)
 	if err != nil {
 		t.Fatalf("%s: recording measurement under %s: %v", label, m.Name, err)
 	}
@@ -46,7 +48,10 @@ func recordedUnder(t *testing.T, label, src string, np int, m plan.Machine) (exe
 // fresh compile records under it and must replay — not re-execute — to the
 // reference under every machine, itself included. Recording under each
 // machine in turn is also the pricing property: a skeleton recorded under
-// any machine prices identically under any other.
+// any machine prices identically under any other. The recordings share one
+// recycler, and a measurement has one answer shape: the recording and the
+// replay under its own machine answer reflect.DeepEqual arrays (digests) and
+// output.
 func requireReplaysEverywhere(t *testing.T, label, src string, np int, machines []plan.Machine) {
 	t.Helper()
 	ref := make([]*interp.Result, len(machines))
@@ -59,11 +64,12 @@ func requireReplaysEverywhere(t *testing.T, label, src string, np int, machines 
 			t.Fatalf("%s: full run under %s: %v", label, m.Name, err)
 		}
 	}
+	rc := new(interp.Recycler)
 	for ri, rm := range machines {
-		r, first := recordedUnder(t, label, src, np, rm)
+		r, first := recordedUnder(t, label, src, np, rm, rc)
 		requireBitIdentical(t, fmt.Sprintf("%s: recording run under %s", label, rm.Name), ref[ri], first)
 		for i, m := range machines {
-			res, replayed, err := r.Measure(src, np, m.Costs, m.Profile)
+			res, replayed, err := r.Measure(context.Background(), src, np, m.Costs, m.Profile)
 			if err != nil {
 				t.Fatalf("%s: recorded under %s, measured under %s: %v", label, rm.Name, m.Name, err)
 			}
@@ -71,6 +77,9 @@ func requireReplaysEverywhere(t *testing.T, label, src string, np int, machines 
 				t.Fatalf("%s: recorded under %s, measured under %s: executed in full, want a replay", label, rm.Name, m.Name)
 			}
 			requireReplayIsRun(t, fmt.Sprintf("%s: recorded under %s, replayed under %s", label, rm.Name, m.Name), ref[i], res)
+			if i == ri && (!reflect.DeepEqual(first.Arrays, res.Arrays) || !reflect.DeepEqual(first.Output, res.Output)) {
+				t.Fatalf("%s: under %s the recording and its replay answer different arrays or output", label, m.Name)
+			}
 		}
 	}
 }
@@ -212,7 +221,7 @@ func TestNeverSkeletonised(t *testing.T) {
 				t.Fatalf("%s: first run: err = %v, want failure = %v", label, ferr, tc.fails)
 			}
 			for i := 0; i < 2; i++ { // the recording measurement, then one after it
-				res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
+				res, replayed, err := r.Measure(context.Background(), tc.src, 2, m.Costs, m.Profile)
 				if want := tc.records && i == 1; replayed != want {
 					t.Fatalf("%s: measurement %d: replayed = %v, want %v", label, i, replayed, want)
 				}
@@ -263,7 +272,7 @@ func TestConcurrentFirstRuns(t *testing.T) {
 				if g%2 == 0 {
 					results[g], err = r.Run(sc.Source, sc.NP, m.Costs, m.Profile)
 				} else {
-					results[g], _, err = r.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+					results[g], _, err = r.Measure(context.Background(), sc.Source, sc.NP, m.Costs, m.Profile)
 				}
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
@@ -277,7 +286,7 @@ func TestConcurrentFirstRuns(t *testing.T) {
 		for g := 1; g < n; g++ {
 			requireReplayIsRun(t, fmt.Sprintf("round %d goroutine %d", round, g), results[0], results[g])
 		}
-		res, replayed, err := r.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+		res, replayed, err := r.Measure(context.Background(), sc.Source, sc.NP, m.Costs, m.Profile)
 		if err != nil || !replayed {
 			t.Fatalf("round %d: after the first runs: replayed = %v, err = %v", round, replayed, err)
 		}
@@ -300,7 +309,7 @@ func TestRunRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []bool{false, true} {
-		res, replayed, err := r.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+		res, replayed, err := r.Measure(context.Background(), sc.Source, sc.NP, m.Costs, m.Profile)
 		if err != nil {
 			t.Fatalf("measurement %d: %v", i, err)
 		}
@@ -340,7 +349,7 @@ func TestWalkMeasuresRecordOnce(t *testing.T) {
 				defer wg.Done()
 				<-start
 				var err error
-				if results[g], replayed[g], err = r.Measure(sc.Source, sc.NP, m.Costs, m.Profile); err != nil {
+				if results[g], replayed[g], err = r.Measure(context.Background(), sc.Source, sc.NP, m.Costs, m.Profile); err != nil {
 					t.Errorf("round %d goroutine %d: %v", round, g, err)
 				}
 			}(g)
@@ -363,7 +372,7 @@ func TestWalkMeasuresRecordOnce(t *testing.T) {
 		if st := store.Stats(); st.Compiled != 1 || st.Hits != n-1 {
 			t.Fatalf("round %d: the walk drew %d compiles and %d hits from the store, want 1 and %d", round, st.Compiled, st.Hits, n-1)
 		}
-		if _, rb, err := (exec.Runner{Store: store}).Measure(sc.Source, sc.NP, m.Costs, m.Profile); err != nil || rb {
+		if _, rb, err := (exec.Runner{Store: store}).Measure(context.Background(), sc.Source, sc.NP, m.Costs, m.Profile); err != nil || rb {
 			t.Fatalf("round %d: the bytecode's first measurement after the walk's: replayed = %v, err = %v; want its own recording", round, rb, err)
 		}
 	}
@@ -377,7 +386,7 @@ func TestWalkMeasuresRecordOnce(t *testing.T) {
 		}
 		r := exec.Runner{Engine: exec.EngineWalk, Store: exec.NewMemStore()}
 		for i := 0; i < 3; i++ {
-			res, replayed, err := r.Measure(tc.src, 2, m.Costs, m.Profile)
+			res, replayed, err := r.Measure(context.Background(), tc.src, 2, m.Costs, m.Profile)
 			if err != nil || replayed {
 				t.Fatalf("%s: walk measurement %d: replayed = %v, err = %v; want an execution", tc.name, i, replayed, err)
 			}
@@ -385,7 +394,7 @@ func TestWalkMeasuresRecordOnce(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		res, replayed, err := walk.Measure(sc.Source, sc.NP, m.Costs, m.Profile)
+		res, replayed, err := walk.Measure(context.Background(), sc.Source, sc.NP, m.Costs, m.Profile)
 		if err != nil || replayed {
 			t.Fatalf("store-less walk measurement %d: replayed = %v, err = %v; want an execution", i, replayed, err)
 		}

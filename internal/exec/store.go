@@ -48,15 +48,22 @@ type StoreStats struct {
 	// key) — each one is recompiled from the requested source and the
 	// entry rewritten.
 	Corrupt int64 `json:"corrupt"`
+	// LostWrites is the number of durable writes — variant entries and
+	// verified markers — that failed (a full, read-only or vanished
+	// directory). The query they served was answered from memory all the
+	// same; a later process recompiles or re-verifies what they would have
+	// carried.
+	LostWrites int64 `json:"lost_writes"`
 }
 
 // Sub returns the stats delta since an earlier snapshot.
 func (s StoreStats) Sub(earlier StoreStats) StoreStats {
 	return StoreStats{
-		Compiled: s.Compiled - earlier.Compiled,
-		Hits:     s.Hits - earlier.Hits,
-		DiskHits: s.DiskHits - earlier.DiskHits,
-		Corrupt:  s.Corrupt - earlier.Corrupt,
+		Compiled:   s.Compiled - earlier.Compiled,
+		Hits:       s.Hits - earlier.Hits,
+		DiskHits:   s.DiskHits - earlier.DiskHits,
+		Corrupt:    s.Corrupt - earlier.Corrupt,
+		LostWrites: s.LostWrites - earlier.LostWrites,
 	}
 }
 
@@ -258,12 +265,20 @@ func (d *DiskStore) Get(src string) (*Program, error) {
 	e.once.Do(func() { e.prog, e.err = CompileSource(src) })
 	// Write-through on new knowledge (and rewrite over a corrupt entry);
 	// a variant that does not compile is not knowledge worth persisting.
+	// A failed write loses the durable copy, not the answer.
 	if !valid && e.err == nil {
 		if werr := d.write(key, src); werr != nil {
-			return nil, fmt.Errorf("exec: variant store write: %w", werr)
+			d.lostWrite()
 		}
 	}
 	return e.prog, e.err
+}
+
+// lostWrite counts a durable write that failed.
+func (d *DiskStore) lostWrite() {
+	d.mu.Lock()
+	d.stats.LostWrites++
+	d.mu.Unlock()
 }
 
 // Put implements VariantStore: the source is persisted under its content
@@ -286,21 +301,24 @@ func (d *DiskStore) verifiedPath(key Key) string {
 
 // MarkVerified implements VariantStore: the key is recorded in memory and
 // as a durable side marker, so a later process sharing the directory skips
-// re-verification. Marker-write failures are deliberately swallowed — the
-// ledger is an optimization, never a correctness dependency.
+// re-verification. A marker-write failure is only counted (LostWrites) —
+// the ledger is an optimization, never a correctness dependency.
 func (d *DiskStore) MarkVerified(key Key) {
 	d.mem.MarkVerified(key)
 	tmp, err := os.CreateTemp(d.dir, ".tmp-ok-*")
 	if err != nil {
+		d.lostWrite()
 		return
 	}
 	name := tmp.Name()
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
+		d.lostWrite()
 		return
 	}
 	if err := os.Rename(name, d.verifiedPath(key)); err != nil {
 		os.Remove(name)
+		d.lostWrite()
 	}
 }
 

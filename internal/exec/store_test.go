@@ -225,6 +225,38 @@ func TestDiskStoreBadSourceNotPersisted(t *testing.T) {
 	}
 }
 
+// TestDiskStoreSurvivesItsDirectory: with the directory removed under an
+// open store no durable write can land, yet every Get answers with the
+// compiled program — first sight or repeat — and a verdict is still known to
+// this process; the stats count each write that was lost.
+func TestDiskStoreSurvivesItsDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	store, err := exec.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	srcs := []string{fmt.Sprintf(cacheKernel, 30, 30), fmt.Sprintf(cacheKernel, 31, 31)}
+	for round := 0; round < 2; round++ {
+		for _, src := range srcs {
+			if p, err := store.Get(src); err != nil || p == nil {
+				t.Fatalf("round %d: Get = %v, %v; want the compiled program", round, p, err)
+			}
+		}
+	}
+	key := exec.KeyOf(srcs[0])
+	store.MarkVerified(key)
+	if !store.Verified(key) {
+		t.Fatal("a verdict recorded while the directory is gone is not known to the store")
+	}
+	want := exec.StoreStats{Compiled: 2, Hits: 2, LostWrites: 3}
+	if st := store.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v (two lost entries, one lost marker)", st, want)
+	}
+}
+
 // TestDiskStoreNeedsADir: a disk store opens only where it is told to; no
 // directory is an error, never a default location.
 func TestDiskStoreNeedsADir(t *testing.T) {

@@ -30,12 +30,14 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -602,7 +604,11 @@ func (st *scenarioState) prepare() {
 			st.prepErr = fmt.Sprintf("analyze: %v", err)
 			return
 		}
-		transformed, rep, err := core.Apply(prog, st.fixedPlan)
+		var transformed string
+		var rep *core.Report
+		pprof.Do(context.Background(), pprof.Labels("layer", "apply"), func(context.Context) {
+			transformed, rep, err = core.Apply(prog, st.fixedPlan)
+		})
 		if err != nil {
 			st.prepErr = fmt.Sprintf("apply: %v", err)
 			return
@@ -622,27 +628,35 @@ func (st *scenarioState) prepare() {
 }
 
 // runMachine executes the fixed differential measurement for one machine.
+// The work item owns the memory its two executions share.
 func (st *scenarioState) runMachine(mi int) {
 	if st.prepErr != "" {
 		return
 	}
 	m := st.machines[mi]
+	runner := st.runner
+	runner.Recycler = new(interp.Recycler)
 	var results [2]*interp.Result
 	var times [2]netsim.Time
 	var blocked [2]netsim.Time
 	var msgs, bytes [2]int64
-	for vi, text := range []string{st.sc.Source, st.transformed} {
-		res, _, err := st.runner.Measure(text, st.sc.NP, m.Costs, m.Profile)
-		if err != nil {
-			st.runErr[mi] = fmt.Sprintf("run %s variant %d: %v", m.Name, vi, err)
-			return
+	pprof.Do(context.Background(), pprof.Labels("why", "wave1"), func(ctx context.Context) {
+		for vi, text := range []string{st.sc.Source, st.transformed} {
+			res, _, err := runner.Measure(ctx, text, st.sc.NP, m.Costs, m.Profile)
+			if err != nil {
+				st.runErr[mi] = fmt.Sprintf("run %s variant %d: %v", m.Name, vi, err)
+				return
+			}
+			results[vi] = res
+			times[vi] = res.Elapsed()
+			_, b := res.AvgRankTimes()
+			blocked[vi] = b
+			msgs[vi] = res.Stats.Messages
+			bytes[vi] = res.Stats.Bytes
 		}
-		results[vi] = res
-		times[vi] = res.Elapsed()
-		_, b := res.AvgRankTimes()
-		blocked[vi] = b
-		msgs[vi] = res.Stats.Messages
-		bytes[vi] = res.Stats.Bytes
+	})
+	if st.runErr[mi] != "" {
+		return
 	}
 	pr := ProfileRun{
 		Profile: m.Name, Offload: m.Profile.Offload,
@@ -656,27 +670,11 @@ func (st *scenarioState) runMachine(mi int) {
 	}
 	st.profiles[mi] = pr
 	if st.orig != nil {
-		st.orig[mi] = observed(results[0], st.arrays)
+		st.orig[mi] = results[0]
 	}
 	if same, why := interp.SameObservable(results[0], results[1], st.arrays...); !same {
 		st.mismatch[mi] = fmt.Sprintf("%s: %s", m.Name, why)
 	}
-}
-
-// observed keeps of a run what SameObservable compares — the output and the
-// named arrays, digested — so that wave 1's originals wait for the tiered
-// check without holding every rank's arrays.
-func observed(res *interp.Result, arrays []string) *interp.Result {
-	out := &interp.Result{Output: res.Output, Arrays: make([]map[string]interface{}, len(res.Arrays))}
-	for r, all := range res.Arrays {
-		out.Arrays[r] = map[string]interface{}{}
-		for _, name := range arrays {
-			if data, ok := all[name]; ok {
-				out.Arrays[r][name] = interp.Digest(data)
-			}
-		}
-	}
-	return out
 }
 
 // clean reports whether the scenario prepared, ran, and passed the oracle
@@ -731,17 +729,20 @@ func (st *scenarioState) settle(mi int) {
 		return
 	}
 	c := st.choices[mi]
-	if err := st.fixedRowAgrees(mi, c); err != nil {
-		st.tuneErr[mi] = fmt.Sprintf("tune: fixed row: %v", err)
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("layer", "settle"), func(ctx context.Context) {
+		if err = st.fixedRowAgrees(mi, c); err != nil {
+			err = fmt.Errorf("fixed row: %v", err)
+		} else if st.check != nil {
+			if err = st.tieredCheck(ctx, mi, c, tr); err != nil {
+				err = fmt.Errorf("tiered check: %v", err)
+			}
+		}
+	})
+	if err != nil {
+		st.tuneErr[mi] = fmt.Sprintf("tune: %v", err)
 		st.tuned[mi] = nil
 		return
-	}
-	if st.check != nil {
-		if err := st.tieredCheck(mi, c, tr); err != nil {
-			st.tuneErr[mi] = fmt.Sprintf("tune: tiered check: %v", err)
-			st.tuned[mi] = nil
-			return
-		}
 	}
 	if st.verify != nil {
 		st.verifyTuned[mi] = st.verify.choice(st.prog, c)
@@ -778,11 +779,12 @@ func (st *scenarioState) fixedRowAgrees(mi int, c tune.Choice) error {
 // tieredCheck re-proves the original and the adopted plan of c on the check
 // engine and requires exact agreement with what the search ranked on: the
 // original's makespan, and its observables against wave 1's run on the
-// sweep engine (as kept by observed); the winner's makespan, and its
-// observables against the checked original. It fills tr's check counters.
-func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error {
+// sweep engine (digests, as every measurement answers); the winner's
+// makespan, and its observables against the checked original. It fills tr's
+// check counters.
+func (st *scenarioState) tieredCheck(ctx context.Context, mi int, c tune.Choice, tr *TunedRun) error {
 	m := st.machines[mi]
-	co, how, err := st.checkMeasure(mi, "original", st.sc.Source, c.OriginalNs, tr)
+	co, how, err := st.checkMeasure(ctx, mi, "original", st.sc.Source, c.OriginalNs, tr)
 	if err != nil {
 		return err
 	}
@@ -799,7 +801,7 @@ func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error 
 	if winnerSrc == st.sc.Source {
 		return nil
 	}
-	cw, how, err := st.checkMeasure(mi, "winner", winnerSrc, c.PrepushNs, tr)
+	cw, how, err := st.checkMeasure(ctx, mi, "winner", winnerSrc, c.PrepushNs, tr)
 	if err != nil {
 		return err
 	}
@@ -813,9 +815,12 @@ func (st *scenarioState) tieredCheck(mi int, c tune.Choice, tr *TunedRun) error 
 // the makespan the search ranked on, and books the check on tr as a replay
 // or a check-engine execution. how names the engine, and says when its
 // answer was a replay.
-func (st *scenarioState) checkMeasure(mi int, what, src string, wantNs int64, tr *TunedRun) (res *interp.Result, how exec.Engine, err error) {
+func (st *scenarioState) checkMeasure(ctx context.Context, mi int, what, src string, wantNs int64, tr *TunedRun) (res *interp.Result, how exec.Engine, err error) {
 	m := st.machines[mi]
-	res, replayed, err := st.check.Measure(src, st.sc.NP, m.Costs, m.Profile)
+	var replayed bool
+	pprof.Do(ctx, pprof.Labels("why", "check"), func(ctx context.Context) {
+		res, replayed, err = st.check.Measure(ctx, src, st.sc.NP, m.Costs, m.Profile)
+	})
 	if err != nil {
 		return nil, "", fmt.Errorf("%s under %s on %q: %w", what, m.Name, st.check.Engine, err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -35,7 +36,7 @@ func TestReplayedChecksCatchAWrongOriginal(t *testing.T) {
 	for mi, m := range st.machines {
 		name, c := m.Name, st.choices[mi]
 		var tr TunedRun
-		if err := st.tieredCheck(mi, c, &tr); err != nil {
+		if err := st.tieredCheck(context.Background(), mi, c, &tr); err != nil {
 			t.Fatalf("%s: unmodified choice: %v", name, err)
 		}
 		if mi == 0 {
@@ -47,14 +48,14 @@ func TestReplayedChecksCatchAWrongOriginal(t *testing.T) {
 		if tr.WalkReplays == 2 {
 			// The winner, too, is a replay of an earlier machine's walk.
 			c.PrepushNs++
-			err := st.tieredCheck(mi, c, &TunedRun{})
+			err := st.tieredCheck(context.Background(), mi, c, &TunedRun{})
 			if err == nil || !strings.Contains(err.Error(), "winner makespan") || !strings.Contains(err.Error(), "replayed") {
 				t.Errorf("%s: winner makespan raised by 1 ns: err = %v, want a replayed makespan mismatch", name, err)
 			}
 			c.PrepushNs--
 		}
 		c.OriginalNs++
-		err := st.tieredCheck(mi, c, &TunedRun{})
+		err := st.tieredCheck(context.Background(), mi, c, &TunedRun{})
 		if err == nil || !strings.Contains(err.Error(), "original makespan") || !strings.Contains(err.Error(), "replayed") {
 			t.Errorf("%s: original makespan raised by 1 ns: err = %v, want a replayed makespan mismatch", name, err)
 		}
@@ -63,7 +64,7 @@ func TestReplayedChecksCatchAWrongOriginal(t *testing.T) {
 		wrong := *good
 		wrong.Output = append([][]string{{"a line the walk never printed"}}, good.Output[1:]...)
 		st.orig[mi] = &wrong
-		err = st.tieredCheck(mi, c, &TunedRun{})
+		err = st.tieredCheck(context.Background(), mi, c, &TunedRun{})
 		st.orig[mi] = good
 		if err == nil || !strings.Contains(err.Error(), "observables diverge") {
 			t.Errorf("%s: changed sweep-engine output: err = %v, want an observables mismatch", name, err)

@@ -76,6 +76,11 @@ type Array struct {
 
 // NewArray allocates a fresh array.
 func NewArray(name string, kind Kind, dims []DimBound) (*Array, error) {
+	return (*Recycler)(nil).NewArray(name, kind, dims)
+}
+
+// NewArray is NewArray over storage the recycler lends (recycle.go).
+func (rc *Recycler) NewArray(name string, kind Kind, dims []DimBound) (*Array, error) {
 	n := int64(1)
 	for _, d := range dims {
 		if d.Assumed {
@@ -86,7 +91,7 @@ func NewArray(name string, kind Kind, dims []DimBound) (*Array, error) {
 		}
 		n *= d.Extent()
 	}
-	a := &Array{Name: name, Store: newStorage(kind, n), Dims: dims}
+	a := &Array{Name: name, Store: rc.storage(kind, n), Dims: dims}
 	a.computeStrides()
 	return a, nil
 }
@@ -191,46 +196,48 @@ func (a *Array) InWindow(off, count int64) bool {
 }
 
 // CopyOut snapshots count elements starting at linear offset off (0-based
-// within the view) — the payload of a send.
-func (a *Array) CopyOut(off, count int64) (interface{}, error) {
+// within the view) — the payload of a send, a *[]float64 for a real array and
+// a *[]int64 otherwise, lent by rc (nil: fresh).
+func (a *Array) CopyOut(off, count int64, rc *Recycler) (interface{}, error) {
 	start := a.Offset + off
 	if !a.InWindow(off, count) {
 		return nil, fmt.Errorf("array %s: send window [%d,%d) out of range", a.Name, off, off+count)
 	}
 	if a.Store.kind == KReal {
-		out := make([]float64, count)
-		copy(out, a.Store.reals[start:start+count])
-		return out, nil
+		p := rc.realPayload(count)
+		copy(*p, a.Store.reals[start:start+count])
+		return p, nil
 	}
-	out := make([]int64, count)
-	copy(out, a.Store.ints[start:start+count])
-	return out, nil
+	p := rc.intPayload(count)
+	copy(*p, a.Store.ints[start:start+count])
+	return p, nil
 }
 
-// CopyIn stores a received payload at linear offset off within the view.
+// CopyIn stores a received payload (see CopyOut) at linear offset off within
+// the view.
 func (a *Array) CopyIn(off int64, payload interface{}) error {
 	start := a.Offset + off
 	switch p := payload.(type) {
-	case []int64:
-		if start+int64(len(p)) > a.Store.len() {
+	case *[]int64:
+		if start+int64(len(*p)) > a.Store.len() {
 			return fmt.Errorf("array %s: recv window out of range", a.Name)
 		}
 		if a.Store.kind == KReal {
-			for i, v := range p {
+			for i, v := range *p {
 				a.Store.reals[start+int64(i)] = float64(v)
 			}
 			return nil
 		}
-		copy(a.Store.ints[start:], p)
-	case []float64:
-		if start+int64(len(p)) > a.Store.len() {
+		copy(a.Store.ints[start:], *p)
+	case *[]float64:
+		if start+int64(len(*p)) > a.Store.len() {
 			return fmt.Errorf("array %s: recv window out of range", a.Name)
 		}
 		if a.Store.kind == KReal {
-			copy(a.Store.reals[start:], p)
+			copy(a.Store.reals[start:], *p)
 			return nil
 		}
-		for i, v := range p {
+		for i, v := range *p {
 			a.Store.ints[start+int64(i)] = int64(v)
 		}
 	case nil:

@@ -105,9 +105,6 @@ type MPIArgs interface {
 type MPI struct {
 	Rank *mpi.Rank
 	reqs []*mpi.Request // handle h is reqs[h-1]; nil once waited
-	// marks[h-1] is what request h marked on its buffer (watch.go), kept
-	// while the run records.
-	marks []reqMark
 	// cbErr is the first fetch/place failure. Payload callbacks run inside
 	// engine events, on the goroutine that called the simulation, so they
 	// record instead of panicking; the rank reports the error from the call
@@ -117,6 +114,10 @@ type MPI struct {
 	// Trace, when non-nil, records the rank's skeleton (skeleton.go): the
 	// engine that set it reports charges, Call each operation.
 	Trace *RankTrace
+	// Recycler, when non-nil, lends the run's send payloads, and takes each
+	// back once its receive has copied it in (recycle.go); the engine that
+	// set it draws its arrays from it too.
+	Recycler *Recycler
 }
 
 // trace records operation e when the run is being recorded.
@@ -214,7 +215,7 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 		}
 		b.reqs = append(b.reqs, req)
 		if b.Trace != nil {
-			b.marks = b.Trace.mark(b.marks, s, arr[0], num[0], num[1], r.op == opIrecv)
+			b.Trace.marks = b.Trace.mark(b.Trace.marks, s, arr[0], num[0], num[1], r.op == opIrecv)
 		}
 		err = a.Store(6, IntVal(int64(len(b.reqs))))
 	case opWait:
@@ -244,12 +245,13 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 		}
 		b.Rank.Alltoall(sCount*num[2],
 			func(dst int) interface{} {
-				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
+				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount, b.Recycler)
 				b.note(cerr)
 				return p
 			},
 			func(src int, p interface{}) {
 				b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
+				b.Recycler.put(p)
 			})
 		err = b.failed(s)
 	}
@@ -312,13 +314,20 @@ func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes 
 		b.Trace.blocking(s, arr, off, count, op == opRecv)
 	}
 	if send {
-		return b.Rank.Isend(peer, tag, count*elemBytes, func() interface{} {
-			p, _ := arr.CopyOut(off, count) // cannot fail: the window was checked
-			return p
-		}), nil
+		// CopyOut cannot fail: the window was checked. Without a recycler the
+		// closure captures three words, not four, and stays in the 32-byte
+		// size class: a plain run allocates per message what it always did.
+		var fetch func() interface{}
+		if rc := b.Recycler; rc != nil {
+			fetch = func() interface{} { p, _ := arr.CopyOut(off, count, rc); return p }
+		} else {
+			fetch = func() interface{} { p, _ := arr.CopyOut(off, count, nil); return p }
+		}
+		return b.Rank.Isend(peer, tag, count*elemBytes, fetch), nil
 	}
 	return b.Rank.Irecv(peer, tag, count*elemBytes, func(p interface{}) {
 		b.note(arr.CopyIn(off, p))
+		b.Recycler.put(p)
 	}), nil
 }
 
@@ -336,7 +345,7 @@ func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
 	}
 	b.reqs[h-1] = nil
 	if b.Trace != nil {
-		unmark(b.marks, int(h-1))
+		unmark(b.Trace.marks, int(h-1))
 	}
 	b.trace(skelEntry{op: opWait, slot: int32(h)})
 	b.Rank.Wait(req)

@@ -99,9 +99,11 @@ type RankTrace struct {
 	open    int // nonblocking requests posted and not yet waited on
 	spoiled bool
 	// hazard is the rank's first access to an in-flight buffer, watched the
-	// storage its requests marked (watch.go).
+	// storage its requests marked (watch.go); marks[h-1] is what request h
+	// marked.
 	hazard  string
 	watched []*storage
+	marks   []reqMark
 }
 
 // NewRankTrace starts the recording of one rank of an np-rank run.
@@ -180,6 +182,24 @@ func Digest(data interface{}) ArrayDigest {
 		return ArrayDigest{Real: true, Len: len(data), Sum: l.sum()}
 	}
 	return ArrayDigest{}
+}
+
+// Digested replaces every final array of res by its ArrayDigest, in place —
+// by skel's, when skel certifies, since it digested the same arrays — so that
+// res holds no storage: the answer of a measurement. A nil res stays nil.
+func Digested(res *Result, skel *Skeleton) *Result {
+	switch {
+	case res == nil:
+	case skel.Certifies():
+		res.Arrays = skel.arrays
+	default:
+		for _, arrs := range res.Arrays {
+			for name, data := range arrs {
+				arrs[name] = Digest(data)
+			}
+		}
+	}
+	return res
 }
 
 // digestLanes is Digest's four chains.

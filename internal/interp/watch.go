@@ -34,7 +34,7 @@ import (
 type watch struct {
 	t          *RankTrace // the recording rank, which takes the first hazard
 	send, recv []uint64   // bit i: an open isend reads / irecv writes element i
-	sends      []int32    // the open isends over the storage, as indices into the rank's marks
+	sends      []int32    // the open isends over the storage, as indices into the trace's marks
 	stacked    bool       // open isends have shared an element (see above)
 }
 

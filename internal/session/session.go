@@ -14,8 +14,10 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -104,7 +106,9 @@ func (s *Session) Analyze(src string, np int64) (*core.Program, error) {
 	// Analyze outside the lock (it checks every site); a racing
 	// duplicate analysis of the same source is harmless and the first
 	// stored wins.
-	p, err := core.Analyze(src, core.AnalyzeOptions{NP: np})
+	var p *core.Program
+	var err error
+	labeled("analyze", func(context.Context) { p, err = core.Analyze(src, core.AnalyzeOptions{NP: np}) })
 	if err != nil {
 		return nil, err
 	}
@@ -214,13 +218,22 @@ func (s *Session) Tune(prog *core.Program, m plan.Machine, p tune.Params) (*Resu
 		ch.ReplayedRuns = 0
 		return &Result{Fingerprint: fp, MemoHit: true, Choice: ch}, nil
 	}
-	ch, err := tune.Tune(prog, m, p, s.Runner())
+	var ch tune.Choice
+	var err error
+	labeled("search", func(ctx context.Context) { ch, err = tune.Tune(ctx, prog, m, p, s.Runner()) })
 	if err != nil {
 		return nil, err
 	}
 	s.memo.Store(key, ch)
 	s.replayed.Add(int64(ch.ReplayedRuns))
 	return &Result{Fingerprint: fp, Choice: ch}, nil
+}
+
+// labeled runs f under the profiler label layer. The session's entry points
+// take no context, so the label set starts empty; a memo or analysis-cache
+// hit takes no label at all.
+func labeled(layer string, f func(context.Context)) {
+	pprof.Do(context.TODO(), pprof.Labels("layer", layer), f)
 }
 
 // ErrQuery marks a Plan failure caused by the query itself
@@ -264,7 +277,7 @@ func (s *Session) Verify(prog *core.Program, pl *plan.Plan) (Verification, error
 		v.Known = true
 		return v, nil
 	}
-	v.Diags = verify.Variant(prog, pl, out, rep)
+	labeled("verify", func(context.Context) { v.Diags = verify.Variant(prog, pl, out, rep) })
 	if len(v.Diags) == 0 {
 		s.store.MarkVerified(v.Key)
 	}

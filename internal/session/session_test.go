@@ -1,8 +1,12 @@
 package session_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -358,5 +362,53 @@ func TestWarmPlanAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per warm Plan", allocs)
 	if allocs > 2*warmPlanAllocs {
 		t.Errorf("a warm Plan allocates %.0f objects, want at most %d", allocs, 2*warmPlanAllocs)
+	}
+}
+
+// TestPlanRetainsNoRecycledMemory: a cold query's search executes its
+// variants in arrays and payloads lent by a recycler the search owns, and
+// once Plan returns none of that memory is reachable — the session keeps
+// programs, skeletons (digests) and choices only. With every allocation
+// sampled, the heap profile after two collections holds no live object
+// allocated under an interp.Recycler method, though the query allocated
+// some there.
+func TestPlanRetainsNoRecycledMemory(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	s, err := session.New(session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := workload.GenerateScenarios(workload.GenOptions{})[0]
+	if _, err := s.Plan(session.Query{Source: sc.Source, Machine: "mpich-gm-2005", NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var prof bytes.Buffer
+	if err := pprof.Lookup("heap").WriteTo(&prof, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(s)
+	// debug=1 records: "inuse_objects: inuse_bytes [allocs: alloc_bytes] @
+	// pcs", then one "#\t<pc>\t<func>+<off>\t<file:line>" line per frame.
+	var live, allocated int64
+	for _, rec := range strings.Split(prof.String(), "\n\n") {
+		if !strings.Contains(rec, "interp.(*Recycler).") {
+			continue
+		}
+		var inObj, inBytes, allocObj, allocBytes int64
+		if _, err := fmt.Sscanf(rec, "%d: %d [%d: %d]", &inObj, &inBytes, &allocObj, &allocBytes); err != nil {
+			t.Fatalf("heap profile record %q: %v", strings.SplitN(rec, "\n", 2)[0], err)
+		}
+		live += inBytes
+		allocated += allocBytes
+	}
+	t.Logf("allocated under the recycler: %d B; live after Plan: %d B", allocated, live)
+	if allocated == 0 {
+		t.Fatal("the heap profile shows no allocation under the recycler: the check proves nothing")
+	}
+	if live != 0 {
+		t.Errorf("%d B allocated under the recycler are still reachable after Plan returned", live)
 	}
 }

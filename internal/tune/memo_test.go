@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestMemoAliasesShapeIdenticalSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := Tune(prog, m, Params{NP: 4, FixedK: 256}, exec.Runner{Store: exec.NewMemStore()})
+		ch, err := Tune(context.Background(), prog, m, Params{NP: 4, FixedK: 256}, exec.Runner{Store: exec.NewMemStore()})
 		if err != nil {
 			t.Fatal(err)
 		}

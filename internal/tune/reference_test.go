@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -60,7 +61,7 @@ var corpusStores sync.Map
 
 // tuneCorpus searches the canonical corpus (seed 0) under the default
 // sweep's three machines with the given search (Tune, or the reference).
-func tuneCorpus(t *testing.T, search func(*core.Program, plan.Machine, Params, exec.Runner) (Choice, error)) []corpusPoint {
+func tuneCorpus(t *testing.T, search func(context.Context, *core.Program, plan.Machine, Params, exec.Runner) (Choice, error)) []corpusPoint {
 	t.Helper()
 	var out []corpusPoint
 	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
@@ -74,7 +75,7 @@ func tuneCorpus(t *testing.T, search func(*core.Program, plan.Machine, Params, e
 			if sc.Costs != nil {
 				m.Costs = *sc.Costs
 			}
-			ch, err := search(prog, m, Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, runner)
+			ch, err := search(context.Background(), prog, m, Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, runner)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", sc.Name, m.Name, err)
 			}
@@ -99,8 +100,8 @@ func referenceSweep(t *testing.T) []corpusPoint {
 	}
 	reference.once.Do(func() {
 		reference.failed = true
-		reference.points = tuneCorpus(t, func(prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
-			return tune(prog, m, p, runner, referenceKnobs())
+		reference.points = tuneCorpus(t, func(ctx context.Context, prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
+			return tune(ctx, prog, m, p, runner, referenceKnobs())
 		})
 		reference.failed = false
 	})

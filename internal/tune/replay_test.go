@@ -1,8 +1,10 @@
 package tune
 
 import (
+	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -40,7 +42,7 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 		tuneAll := func(runner exec.Runner) []Choice {
 			var out []Choice
 			for _, m := range ms {
-				ch, err := Tune(prog, m, p, runner)
+				ch, err := Tune(context.Background(), prog, m, p, runner)
 				if err != nil {
 					t.Fatalf("%s on %s (%s): %v", sc.Name, m.Name, runner.Engine, err)
 				}
@@ -62,7 +64,7 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, replayed, err := exec.Runner{Store: store}.Measure(src, sc.NP, ms[i].Costs, ms[i].Profile)
+				replay, replayed, err := exec.Runner{Store: store}.Measure(context.Background(), src, sc.NP, ms[i].Costs, ms[i].Profile)
 				if err != nil || !replayed {
 					t.Fatalf("%s on %s, %v: measured candidate does not replay (err %v)", sc.Name, ch.Machine, c.Decisions, err)
 				}
@@ -157,12 +159,12 @@ end program racy
 // original measured, the identity registered.
 func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
 	t.Helper()
-	orig, _, err := runner.Measure(racyOriginal, 2, m.Costs, m.Profile)
+	orig, _, err := runner.Measure(context.Background(), racyOriginal, 2, m.Costs, m.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &search{
-		src: racyOriginal, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
+		ctx: context.Background(), src: racyOriginal, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
 		maxM: 4, runner: runner, orig: orig, origNs: int64(orig.Elapsed()),
 		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
 	}
@@ -190,9 +192,74 @@ func TestRacyWinnerIsNotCertified(t *testing.T) {
 		if w := s.best(); w == nil || !w.Decisions[0].Skip {
 			t.Fatalf("eager threshold %d: adopted %+v, want the identity plan", m.Profile.EagerThreshold, w)
 		}
-		_, _, err := runner.Measure(racyTiled, 2, m.Costs, m.Profile)
+		_, _, err := runner.Measure(context.Background(), racyTiled, 2, m.Costs, m.Profile)
 		if err == nil || !strings.Contains(err.Error(), "store to a element 1 while a nonblocking request on it is in flight") {
 			t.Errorf("eager threshold %d: measure err = %v, want the in-flight store named", m.Profile.EagerThreshold, err)
+		}
+	}
+}
+
+// TestConcurrentSearchesShareOneStore: eight searches run at once over one
+// shared store — two rank counts, the three sweep machines, two scenarios —
+// so they record, wait for and replay each other's variants while each
+// executes in the memory of its own recycler. Every choice equals the same
+// search run alone over a fresh store, apart from which runs were replays.
+// Meaningful under -race.
+func TestConcurrentSearchesShareOneStore(t *testing.T) {
+	var scenarios []workload.Scenario
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
+		if sc.Family == "fft" || sc.Family == "xchg" {
+			scenarios = append(scenarios, sc)
+		}
+		if len(scenarios) == 2 {
+			break
+		}
+	}
+	ms := plan.DefaultSweep()
+	type query struct {
+		prog *core.Program
+		sc   workload.Scenario
+		m    plan.Machine
+		np   int
+	}
+	var queries []query
+	for g := 0; g < 8; g++ {
+		sc := scenarios[g%2]
+		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, query{prog, sc, ms[g%3], 2 + 2*(g/4)})
+	}
+	tuneOne := func(q query, store exec.VariantStore) (Choice, error) {
+		ch, err := Tune(context.Background(), q.prog, q.m, Params{NP: q.np, FixedK: q.sc.K, Arrays: q.sc.Arrays}, exec.Runner{Store: store})
+		ch.ReplayedRuns = 0
+		return ch, err
+	}
+	got := make([]Choice, len(queries))
+	store := exec.NewMemStore()
+	var wg sync.WaitGroup
+	for g, q := range queries {
+		wg.Add(1)
+		go func(g int, q query) {
+			defer wg.Done()
+			var err error
+			if got[g], err = tuneOne(q, store); err != nil {
+				t.Errorf("search %d (%s under %s at np %d): %v", g, q.sc.Name, q.m.Name, q.np, err)
+			}
+		}(g, q)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, q := range queries {
+		want, err := tuneOne(q, exec.NewMemStore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[g], want) {
+			t.Errorf("search %d (%s under %s at np %d): concurrent choice %+v, alone %+v", g, q.sc.Name, q.m.Name, q.np, got[g], want)
 		}
 	}
 }

@@ -48,8 +48,10 @@
 package tune
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime/pprof"
 	"sort"
 
 	"repro/internal/core"
@@ -192,8 +194,13 @@ type siteState struct {
 // decides only what is replayed rather than executed. Transformed variants
 // are shared across calls through core.Apply's plan-key memo on prog, so a
 // candidate plan is generated at most once per program.
-func Tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
-	return tune(prog, m, p, runner, []knob{
+//
+// The search owns the memory its executions share (runner's Recycler is
+// replaced by one of its own), and keeps none of it once it returns. ctx
+// carries the caller's profiler labels: core.Apply runs under layer=apply,
+// and every measurement under why=candidate.
+func Tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
+	return tune(ctx, prog, m, p, runner, []knob{
 		// "Don't" leads: declining the transformation outright is the most
 		// consequential move on already-overlapped machines, where every
 		// transformed variant loses. Toggling skip off a skipped incumbent
@@ -205,7 +212,7 @@ func Tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Cho
 
 // tune is Tune with the knob stage's moves as a parameter, so the tests can
 // hold the search to the one that also tried the flips that never win.
-func tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner, knobs []knob) (Choice, error) {
+func tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, runner exec.Runner, knobs []knob) (Choice, error) {
 	if len(p.Arrays) == 0 {
 		p.Arrays = []string{"ar"}
 	}
@@ -213,19 +220,19 @@ func tune(prog *core.Program, m plan.Machine, p Params, runner exec.Runner, knob
 	if len(sites) == 0 {
 		return Choice{}, fmt.Errorf("tune: transform does not fire on this kernel: %s", firstReason(prog))
 	}
+	runner.Recycler = new(interp.Recycler)
+	s := &search{
+		ctx: ctx, prog: prog, src: prog.Source(), p: p, machine: m, sites: sites, knobs: knobs,
+		maxM:     resolveMaxMeasured(p.MaxMeasured, len(sites)),
+		runner:   runner,
+		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
+	}
 	// Every verdict compares against this measurement under this machine.
-	src := prog.Source()
-	orig, _, err := runner.Measure(src, p.NP, m.Costs, m.Profile)
+	orig, _, err := s.measureSource(s.src)
 	if err != nil {
 		return Choice{}, fmt.Errorf("tune: original run under %s: %w", m.Name, err)
 	}
-	s := &search{
-		prog: prog, src: src, p: p, machine: m, sites: sites, knobs: knobs,
-		maxM:   resolveMaxMeasured(p.MaxMeasured, len(sites)),
-		runner: runner,
-		orig:   orig, origNs: int64(orig.Elapsed()),
-		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
-	}
+	s.orig, s.origNs = orig, int64(orig.Elapsed())
 	return s.run()
 }
 
@@ -269,6 +276,7 @@ func firstReason(prog *core.Program) string {
 
 // search carries one Tune call's evaluation state.
 type search struct {
+	ctx     context.Context // the caller's profiler labels
 	prog    *core.Program
 	src     string // the program's untransformed source
 	p       Params
@@ -543,7 +551,12 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 	if c, ok := s.measured[key]; ok {
 		return c
 	}
-	src, rep, err := core.Apply(s.prog, s.buildPlan(ds))
+	var src string
+	var rep *core.Report
+	var err error
+	pprof.Do(s.ctx, pprof.Labels("layer", "apply"), func(context.Context) {
+		src, rep, err = core.Apply(s.prog, s.buildPlan(ds))
+	})
 	if err != nil || rep.TransformedCount() < len(s.sites)-skipCount(ds) {
 		// A plan leaving any non-skipped site untransformed is not a
 		// candidate: the comparison must hold the set of rewritten sites to
@@ -570,7 +583,7 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 // refuses — it failed, or touched an in-flight buffer — is no candidate.
 func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate {
 	s.runs++
-	res, replayed, err := s.runner.Measure(src, s.p.NP, s.machine.Costs, s.machine.Profile)
+	res, replayed, err := s.measureSource(src)
 	if err != nil {
 		return nil
 	}
@@ -586,6 +599,14 @@ func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate
 	s.bySrc[src] = c
 	s.order = append(s.order, c)
 	return c
+}
+
+// measureSource measures src on the search's runner, labelled a candidate.
+func (s *search) measureSource(src string) (res *interp.Result, replayed bool, err error) {
+	pprof.Do(s.ctx, pprof.Labels("why", "candidate"), func(ctx context.Context) {
+		res, replayed, err = s.runner.Measure(ctx, src, s.p.NP, s.machine.Costs, s.machine.Profile)
+	})
+	return res, replayed, err
 }
 
 // climbK hill-climbs the ladder around the best decision vector, varying

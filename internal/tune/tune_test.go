@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func tuneEach(t *testing.T, sc workload.Scenario, ms []plan.Machine) []Choice {
 	runner := exec.Runner{Store: exec.NewMemStore()}
 	var out []Choice
 	for _, m := range ms {
-		ch, err := Tune(prog, m, Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, runner)
+		ch, err := Tune(context.Background(), prog, m, Params{NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays}, runner)
 		if err != nil {
 			t.Fatalf("%s under %s: %v", sc.Name, m.Name, err)
 		}
@@ -171,7 +172,7 @@ func TestMeasurementBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := Tune(prog, machines(sc)[1], Params{NP: sc.NP, FixedK: sc.K, MaxMeasured: 2}, exec.Runner{})
+	ch, err := Tune(context.Background(), prog, machines(sc)[1], Params{NP: sc.NP, FixedK: sc.K, MaxMeasured: 2}, exec.Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ end program p
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if _, err := Tune(prog, plan.MPICHGM2005(), Params{NP: 4, FixedK: 4}, exec.Runner{}); err == nil ||
+		if _, err := Tune(context.Background(), prog, plan.MPICHGM2005(), Params{NP: 4, FixedK: 4}, exec.Runner{}); err == nil ||
 			!strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.wantErr)
 		}
