@@ -215,6 +215,14 @@ const (
 	bForPrep // evaluate DO bounds/step, init loop registers: fors[a]
 	bForIter // loop entry: store DO variable, test trip count: fors[a]
 	bForNext // advance DO variable, then as bForIter; loops to the body
+
+	// Probes: what a slice (slice.go) keeps of an element access whose
+	// element it does not compute — the address, the bounds check and the
+	// in-flight check (interp.Array.Probe).
+	bProbeLA // checked load of accs[a]
+	bProbeSA // checked store to accs[a]
+	bProbeLU // unchecked load of geos[a], of rank c
+	bProbeSU // unchecked store to geos[a], of rank c
 )
 
 // bins is one 16-byte instruction. Operand meaning is per-opcode (register
@@ -266,9 +274,11 @@ type forDesc struct {
 	endPC        int32
 	// inner: no DO loop is nested inside. nvec > 0: the loop runs strip-wise
 	// (strip.go) on that many lane vectors; -1: it does not. (0 marks a
-	// candidate during lowering, settled by planStrips before any run.)
+	// candidate during lowering, settled by planStrips before any run.) In a
+	// slice no loop runs strip-wise, and nvec > 0 marks one that folds.
 	inner bool
 	nvec  int32
+	fold  *foldPlan
 }
 
 // precEntry pre-creates an implicitly-typed scalar cell after frame setup,
@@ -295,6 +305,9 @@ type declDesc struct {
 	kind  interp.Kind
 	dims  [][2]int32
 	dummy bool // a dummy argument: view the caller's array if it passed one
+	// shape: a slice's declaration of an array it never reads, allocated
+	// with no elements (interp.NewShape).
+	shape bool
 	pos   ftn.Pos
 }
 
@@ -388,11 +401,11 @@ func (p *Program) chargeTab(costs interp.CostModel) []netsim.Time {
 	return tab
 }
 
-// enter runs the unit's frame setup in fr, then binds the dummy arrays no
-// declaration claimed (used as the caller shaped them) and pre-creates the
-// implicit cells the body addresses directly.
-func (u *unit) enter(x *rctx, fr *frame, regs []reg) error {
-	bp := u.bp
+// enter runs the unit's frame setup in fr — from bp, the unit's lowered form
+// or its slice — then binds the dummy arrays no declaration claimed (used as
+// the caller shaped them) and pre-creates the implicit cells the body
+// addresses directly.
+func (u *unit) enter(x *rctx, bp *bprog, fr *frame, regs []reg) error {
 	copy(regs, bp.regInit)
 	if err := bp.bexec(x, fr, regs, 0, bp.body); err != nil {
 		return err
@@ -477,9 +490,12 @@ func (d *declDesc) declArray(fr *frame, regs []reg, rc *interp.Recycler) error {
 	}
 	var a *interp.Array
 	var err error
-	if d.dummy && fr.dummy[d.aslot] != nil {
+	switch {
+	case d.dummy && fr.dummy[d.aslot] != nil:
 		a, err = interp.View(d.name, fr.dummy[d.aslot], 0, bounds)
-	} else {
+	case d.shape:
+		a, err = interp.NewShape(d.name, d.kind, bounds)
+	default:
 		a, err = rc.NewArray(d.name, d.kind, bounds)
 	}
 	if err != nil {
@@ -557,10 +573,11 @@ func (bp *bprog) callUser(x *rctx, fr *frame, regs []reg, d *callDesc) error {
 		}
 	}
 	base := x.top
-	cregs := x.window(sub.bp.nreg)
-	err := sub.enter(x, nfr, cregs)
+	sbp := x.form(sub)
+	cregs := x.window(sbp.nreg)
+	err := sub.enter(x, sbp, nfr, cregs)
 	if err == nil {
-		err = sub.bp.bexec(x, nfr, cregs, sub.bp.body, len(sub.bp.code))
+		err = sbp.bexec(x, nfr, cregs, sbp.body, len(sbp.code))
 	}
 	x.top = base
 	if err == errReturn {
@@ -760,6 +777,9 @@ func compareRegs(op bop, x, y reg) bool {
 func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 	code, tab := bp.code, x.tab
 	for pc < end {
+		if census {
+			x.tally(bp, pc, 1)
+		}
 		ins := code[pc]
 		pc++
 		switch ins.op {
@@ -1017,6 +1037,25 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 			regs[ins.a] = toReg(v)
 		case bWtime:
 			regs[ins.a] = realReg(x.rank.Now().Seconds())
+		case bProbeLA, bProbeSA:
+			d := &bp.accs[ins.a]
+			a := fr.arr[d.aslot]
+			off, err := d.checkedOff(a, regs)
+			if err != nil {
+				return err
+			}
+			if err := a.Probe(off, ins.op == bProbeSA); err != nil {
+				return err
+			}
+		case bProbeLU, bProbeSU:
+			g := &bp.geos[ins.a]
+			off := g.base + int64(regs[g.sub[0]].bits)
+			for i := int32(1); i < ins.c; i++ {
+				off += int64(regs[g.sub[i]].bits) * g.stride[i]
+			}
+			if err := fr.arr[g.aslot].Probe(off, ins.op == bProbeSU); err != nil {
+				return err
+			}
 		case bForPrep:
 			fd := &bp.fors[ins.a]
 			lo := regs[fd.loReg].asInt()
@@ -1044,7 +1083,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 				// of it for an ineligible loop) runs below, one iteration
 				// at a time.
 				var strips int64
-				if fd.nvec > 0 {
+				if fd.nvec > 0 && !census {
 					strips = bp.runStrips(x, fr, regs, fd)
 				}
 				if left := int64(regs[fd.tripsReg].bits); fr == x.main {

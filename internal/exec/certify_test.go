@@ -55,6 +55,7 @@ func requireCertified(t *testing.T, label, src string, np int) {
 	machines := certifyMachines()
 	rec, skel := recordBoth(t, label, src, np, machines[0])
 	requireCertifiedRecording(t, label, src, np, machines[0], rec, skel)
+	requireSliceIsRecording(t, label, src, np, machines[0])
 }
 
 // requireCertifiedRecording is requireCertified for the recording rec, skel
@@ -108,6 +109,12 @@ func requireRefused(t *testing.T, label, src, why string) {
 			for round := 0; round < 2; round++ {
 				if _, _, err := r.Measure(context.Background(), src, 2, m.Costs, m.Profile); err == nil || !strings.Contains(err.Error(), why) {
 					t.Fatalf("%s under %s on %q, measurement %d: err = %v, want it refused", label, m.Name, r.Engine, round, err)
+				}
+			}
+			pricer := exec.Runner{Engine: r.Engine, Store: exec.NewMemStore()}
+			for round := 0; round < 2; round++ {
+				if _, _, err := pricer.Price(context.Background(), src, 2, m.Costs, m.Profile); err == nil || !strings.Contains(err.Error(), why) {
+					t.Fatalf("%s under %s on %q, price %d: err = %v, want it refused", label, m.Name, r.Engine, round, err)
 				}
 			}
 			if _, err := r.Run(src, 2, m.Costs, m.Profile); err != nil {

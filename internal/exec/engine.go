@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/interp"
+	"repro/internal/mpi"
 	"repro/internal/netsim"
 )
 
@@ -95,6 +96,33 @@ func (r Runner) Measure(ctx context.Context, src string, np int, costs interp.Co
 		return nil, false, err
 	}
 	return p.measure(ctx, r.Engine, np, prof, costs, r.Recycler)
+}
+
+// Price is Measure for a caller that needs a run's timing only — a search
+// ranking candidates by makespan: the Stats Measure would answer, and how
+// they were answered. On the bytecode engine a variant is priced by its
+// slice (slice.go): the first price at a rank count executes the slice —
+// every charge and MPI operation of the program, none of the data nothing
+// times — and records its skeleton in the table Measure uses, which later
+// prices replay under any machine; a variant whose full recording already
+// certified replays that. A variant Measure would refuse, Price refuses. A
+// variant without a slice — on the walk engine, not lowered, or whose slice
+// would read received data — is measured. ctx carries the caller's profiler
+// labels; Price adds layer (compile, then slice, replay or execute) and
+// engine.
+func (r Runner) Price(ctx context.Context, src string, np int, costs interp.CostModel, prof netsim.Profile) (*mpi.RunStats, Answer, error) {
+	var p *Program
+	var err error
+	pprof.Do(ctx, pprof.Labels("layer", "compile"), func(context.Context) {
+		if p, err = r.get(src); err == nil && p.runsOn(r.Engine) == EngineBytecode {
+			p.Bytecode()
+			p.sliceForm()
+		}
+	})
+	if err != nil {
+		return nil, Executed, err
+	}
+	return p.price(ctx, r.Engine, np, prof, costs, r.Recycler)
 }
 
 // get draws the compiled variant from the store, or compiles it afresh.

@@ -91,16 +91,23 @@ type Program struct {
 	// program computes can depend on the machine: its runs are not recorded.
 	timed bool
 	// skels holds, by skelKey, the *recording of the first measurement on
-	// that engine at that rank count. On the Program, so every VariantStore
-	// carries it.
+	// that engine at that rank count, and of the first pricing by slice. On
+	// the Program, so every VariantStore carries it.
 	skels sync.Map
+	// sliceOnce guards the one derivation of every unit's slice (slice.go),
+	// made by the first Price; unsliced says why the program has none, ""
+	// when it has.
+	sliceOnce sync.Once
+	unsliced  string
 }
 
 // skelKey keys a Program's skeleton table: the engine whose execution
-// recorded the skeleton (Program.runsOn), and the rank count.
+// recorded the skeleton (Program.runsOn), the rank count, and whether the
+// execution ran the slice.
 type skelKey struct {
 	engine Engine
 	np     int
+	slice  bool
 }
 
 // unit is one compiled program unit.
@@ -117,9 +124,11 @@ type unit struct {
 	nscal, narr, nconst int
 
 	// cm is the unit's symbol table and AST, which the lowering reads; bp
-	// its lowered form, set for every unit by Program.Bytecode.
-	cm *comp
-	bp *bprog
+	// its lowered form, set for every unit by Program.Bytecode; sbp its
+	// slice, set for every unit by the first Price of a program that slices.
+	cm  *comp
+	bp  *bprog
+	sbp *bprog
 }
 
 // frame is one procedure activation: slot-indexed storage. Scalar slots
@@ -189,6 +198,22 @@ type rctx struct {
 	site mpiSite
 	// trace is mpi.Trace: non-nil in the one run that records the skeleton.
 	trace *interp.RankTrace
+	// sliced: the run executes every unit's slice (slice.go); ivs is its
+	// folds' interval scratch.
+	sliced bool
+	ivs    []ival
+	// tallies counts executed instructions by unit and pc in a census
+	// build (census.go); nil otherwise.
+	tallies map[*bprog][]int64
+}
+
+// form is the code the run executes of unit u: its slice in a sliced run,
+// else its lowered form.
+func (x *rctx) form(u *unit) *bprog {
+	if x.sliced {
+		return u.sbp
+	}
+	return u.bp
 }
 
 // window cuts n zeroed registers off the register stack.
@@ -345,20 +370,21 @@ func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, r
 // way waits for it. A program whose recording touched an in-flight buffer is
 // refused with the skeleton's reason: its data is the protocol's, so no
 // measurement under one machine speaks for another, and Run is the only way
-// to execute it. replayed says which answer res is. The work runs under the
-// profiler labels layer (execute or replay) and engine, on top of ctx's.
+// to execute it. A recording of a program priced by slice before must equal
+// the slice's entry for entry (agrees). replayed says which answer res is.
+// The work runs under the profiler labels layer (execute or replay) and
+// engine, on top of ctx's.
 func (p *Program) measure(ctx context.Context, e Engine, np int, prof netsim.Profile, costs interp.CostModel, mem *interp.Recycler) (res *interp.Result, replayed bool, err error) {
-	key := skelKey{p.runsOn(e), np}
-	v, seen := p.skels.Load(key)
-	if !seen {
-		v, seen = p.skels.LoadOrStore(key, &recording{done: make(chan struct{})})
-	}
-	rec := v.(*recording)
-	if !seen {
+	key := skelKey{engine: p.runsOn(e), np: np}
+	rec, first := p.recording(key)
+	if first {
 		// The recording execution, published when it ends — however it
 		// ends, so no measurement waits forever.
 		defer close(rec.done)
 		labeled(ctx, "execute", key.engine, func() { res, rec.skel, err = p.run(e, np, prof, costs, true, mem) })
+		if err == nil {
+			err = p.agrees(key, rec.skel)
+		}
 		if err == nil && rec.skel != nil && !rec.skel.Certifies() {
 			return nil, false, rec.skel.InFlight()
 		}
@@ -376,6 +402,139 @@ func (p *Program) measure(ctx context.Context, e Engine, np int, prof netsim.Pro
 	}
 	labeled(ctx, "execute", key.engine, func() { res, _, err = p.run(e, np, prof, costs, false, mem) })
 	return interp.Digested(res, nil), false, err
+}
+
+// recording returns the skeleton slot under key, and whether the caller
+// claimed it: then the caller records, and closes done however it ends.
+func (p *Program) recording(key skelKey) (rec *recording, claimed bool) {
+	v, seen := p.skels.Load(key)
+	if !seen {
+		v, seen = p.skels.LoadOrStore(key, &recording{done: make(chan struct{})})
+	}
+	return v.(*recording), !seen
+}
+
+// finished returns the recording under key once it has ended, nil while there
+// is none or it is under way.
+func (p *Program) finished(key skelKey) *recording {
+	v, ok := p.skels.Load(key)
+	if !ok {
+		return nil
+	}
+	rec := v.(*recording)
+	select {
+	case <-rec.done:
+		return rec
+	default:
+		return nil
+	}
+}
+
+// agrees holds skel, which a full execution under key just recorded, to the
+// recording of the program's slice at the same rank count, when a price made
+// one: entry for entry, or what the slice priced was not the program — an
+// error, never a fallback.
+func (p *Program) agrees(key skelKey, skel *interp.Skeleton) error {
+	key.slice = true
+	if rec := p.finished(key); rec != nil {
+		if why := interp.Disagree(rec.skel, skel); why != "" {
+			return fmt.Errorf("exec: the slice's recording is not the program's: %s", why)
+		}
+	}
+	return nil
+}
+
+// Answer says how a measurement or a price was answered.
+type Answer uint8
+
+const (
+	Executed Answer = iota // a full execution
+	Replayed               // a certifying skeleton's replay
+	Sliced                 // an execution of the program's slice
+)
+
+// price answers what a measurement on engine e would say of the run's timing
+// — its Stats, nothing of its data — and how. A full recording that has
+// certified replays, and one that was refused refuses. Otherwise the first
+// price at a rank count executes the slice (slice.go) and records its
+// skeleton, whose charges and operations are the program's; later prices
+// replay it if it certifies, and refuse with its reason if it touched an
+// in-flight buffer — so a price refuses exactly what Measure refuses. A
+// program without a slice is measured. The work runs under the profiler
+// labels layer (slice, replay or execute) and engine, on top of ctx's.
+func (p *Program) price(ctx context.Context, e Engine, np int, prof netsim.Profile, costs interp.CostModel, mem *interp.Recycler) (st *mpi.RunStats, how Answer, err error) {
+	if p.runsOn(e) != EngineBytecode || p.sliceForm() != "" {
+		res, replayed, err := p.measure(ctx, e, np, prof, costs, mem)
+		if err != nil {
+			return nil, Executed, err
+		}
+		if replayed {
+			return res.Stats, Replayed, nil
+		}
+		return res.Stats, Executed, nil
+	}
+	key := skelKey{engine: EngineBytecode, np: np}
+	if full := p.finished(key); full != nil && full.skel != nil {
+		return p.replay(ctx, full.skel, prof, costs)
+	}
+	key.slice = true
+	rec, first := p.recording(key)
+	if first {
+		defer close(rec.done)
+		labeled(ctx, "slice", EngineBytecode, func() { st, rec.skel, err = p.runSlice(np, prof, costs, true) })
+		if err == nil && rec.skel != nil && !rec.skel.Certifies() {
+			return nil, Sliced, rec.skel.InFlight()
+		}
+		return st, Sliced, err
+	}
+	<-rec.done
+	if rec.skel != nil {
+		return p.replay(ctx, rec.skel, prof, costs)
+	}
+	labeled(ctx, "slice", EngineBytecode, func() { st, _, err = p.runSlice(np, prof, costs, false) })
+	return st, Sliced, err
+}
+
+// replay prices a recorded skeleton under a machine, or refuses with its
+// reason when it does not certify.
+func (p *Program) replay(ctx context.Context, skel *interp.Skeleton, prof netsim.Profile, costs interp.CostModel) (*mpi.RunStats, Answer, error) {
+	if !skel.Certifies() {
+		return nil, Replayed, skel.InFlight()
+	}
+	var res *interp.Result
+	var err error
+	labeled(ctx, "replay", EngineBytecode, func() { res, err = skel.Replay(prof, costs) })
+	if err != nil {
+		return nil, Replayed, err
+	}
+	return res.Stats, Replayed, nil
+}
+
+// runSlice executes every unit's slice on np ranks with no payloads,
+// recording its skeleton when asked to, and returns the run's Stats, which
+// are the program's under this machine (slice.go).
+func (p *Program) runSlice(np int, prof netsim.Profile, costs interp.CostModel, record bool) (*mpi.RunStats, *interp.Skeleton, error) {
+	tab := p.chargeTab(costs)
+	var traces []*interp.RankTrace
+	if record {
+		traces = make([]*interp.RankTrace, np)
+	}
+	res, err := interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
+		b.Dataless = true
+		if traces != nil {
+			b.Trace = interp.NewRankTrace(np)
+			traces[b.Rank.Me()] = b.Trace
+		}
+		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab, trace: b.Trace, sliced: true}
+	})
+	var skel *interp.Skeleton
+	if traces != nil {
+		skel = interp.NewSkeleton(traces, res, err)
+	}
+	if err != nil {
+		return nil, skel, err
+	}
+	return res.Stats, skel, nil
 }
 
 // labeled runs f under the profiler labels layer and engine, on top of ctx's.
@@ -411,15 +570,16 @@ func loadWalk(src string, costs interp.CostModel) (*interp.Program, error) {
 // RunMain implements interp.RankState.
 func (x *rctx) RunMain() error {
 	u := x.prog.main
+	bp := x.form(u)
 	fr := u.newFrame()
-	regs := x.window(u.bp.nreg)
-	if err := u.enter(x, fr, regs); err != nil {
+	regs := x.window(bp.nreg)
+	if err := u.enter(x, bp, fr, regs); err != nil {
 		return err
 	}
 	// Arrays are snapshotted only once the frame initialized cleanly,
 	// matching the tree-walker (newFrame failure leaves no main frame).
 	x.main = fr
-	err := u.bp.bexec(x, fr, regs, u.bp.body, len(u.bp.code))
+	err := bp.bexec(x, fr, regs, bp.body, len(bp.code))
 	if x.strip != nil {
 		stripPool.Put(x.strip)
 		x.strip = nil
@@ -433,9 +593,10 @@ func (x *rctx) RunMain() error {
 // Output implements interp.RankState.
 func (x *rctx) Output() []string { return x.out }
 
-// MainArrays implements interp.RankState.
+// MainArrays implements interp.RankState. A sliced run's arrays hold no
+// data worth keeping: it returns none.
 func (x *rctx) MainArrays() []*interp.Array {
-	if x.main == nil {
+	if x.main == nil || x.sliced {
 		return nil
 	}
 	arrs := []*interp.Array{}

@@ -40,3 +40,18 @@ func (r Runner) Record(src string, np int, costs interp.CostModel, prof netsim.P
 	}
 	return p.run(r.Engine, np, prof, costs, true, nil)
 }
+
+// RecordSlice executes the program's slice afresh and returns its recording
+// — nil when the run is fenced — and why the program has no slice ("" when
+// it has; then no skeleton is returned). It stores nothing on the Program.
+func (r Runner) RecordSlice(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Skeleton, string, error) {
+	p, err := r.get(src)
+	if err != nil {
+		return nil, "", err
+	}
+	if p.Bytecode(); p.sliceForm() != "" {
+		return nil, p.sliceForm(), nil
+	}
+	_, skel, err := p.runSlice(np, prof, costs, true)
+	return skel, "", err
+}

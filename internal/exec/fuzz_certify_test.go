@@ -157,7 +157,7 @@ func (c certifyCase) hazard() bool {
 // buffer of an open request, under both engines and whatever the machine;
 // and when it certifies, executions under the built-in machines and the
 // rendezvous-forced one compute the recording's data, and replay to their
-// own Stats. Seeds: testdata/fuzz/FuzzCertify (the adversarial cases).
+// own Stats. The slice's recording is the program's, certifying alike. Seeds: testdata/fuzz/FuzzCertify (the adversarial cases).
 func FuzzCertify(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -173,6 +173,7 @@ func FuzzCertify(f *testing.F) {
 			if m == 0 && want {
 				requireCertifiedRecording(t, "fuzz case", src, 2, rm, rec, skel)
 			}
+			requireSliceIsRecording(t, "fuzz case", src, 2, rm)
 		}
 	})
 }

@@ -332,8 +332,12 @@ func (s *stripRun) affineOf(ins bins) affine {
 // set by bForPrep, strip by strip for as long as strips run clean, and
 // leaves the loop registers at the first iteration not executed — the end
 // of the loop, or the first lane of a strip the scalar bexec must replay.
-// It returns the number of iterations executed.
+// It returns the number of iterations executed. A slice's loop folds
+// instead (slice.go).
 func (bp *bprog) runStrips(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
+	if fd.fold != nil {
+		return bp.foldLoop(x, fr, regs, fd)
+	}
 	trips := int64(regs[fd.tripsReg].bits)
 	if trips < stripMin {
 		return 0

@@ -2,16 +2,19 @@ package interp
 
 import "fmt"
 
-// storage is the backing memory of a Fortran array (column-major).
+// storage is the backing memory of a Fortran array (column-major): n
+// elements, held in ints or reals by kind — or in neither, for the shape of
+// an array whose elements no one reads (NewShape).
 type storage struct {
 	kind  Kind
+	n     int64
 	ints  []int64
 	reals []float64
 	watch *watch // the marks of a recording run's open requests (watch.go)
 }
 
 func newStorage(kind Kind, n int64) *storage {
-	s := &storage{kind: kind}
+	s := &storage{kind: kind, n: n}
 	switch kind {
 	case KInt, KBool:
 		s.ints = make([]int64, n)
@@ -21,12 +24,10 @@ func newStorage(kind Kind, n int64) *storage {
 	return s
 }
 
-func (s *storage) len() int64 {
-	if s.ints != nil {
-		return int64(len(s.ints))
-	}
-	return int64(len(s.reals))
-}
+func (s *storage) len() int64 { return s.n }
+
+// shape reports whether the storage holds no elements (NewShape).
+func (s *storage) shape() bool { return s.ints == nil && s.reals == nil }
 
 func (s *storage) get(i int64) Value {
 	if s.kind == KReal {
@@ -81,19 +82,42 @@ func NewArray(name string, kind Kind, dims []DimBound) (*Array, error) {
 
 // NewArray is NewArray over storage the recycler lends (recycle.go).
 func (rc *Recycler) NewArray(name string, kind Kind, dims []DimBound) (*Array, error) {
-	n := int64(1)
-	for _, d := range dims {
-		if d.Assumed {
-			return nil, fmt.Errorf("array %s: assumed size in allocation", name)
-		}
-		if d.Extent() < 0 {
-			return nil, fmt.Errorf("array %s: negative extent %d:%d", name, d.Lo, d.Hi)
-		}
-		n *= d.Extent()
+	n, err := allocSize(name, dims)
+	if err != nil {
+		return nil, err
 	}
 	a := &Array{Name: name, Store: rc.storage(kind, n), Dims: dims}
 	a.computeStrides()
 	return a, nil
+}
+
+// NewShape is NewArray without the elements: the array's shape, length and
+// the watch a recording puts on it, for a run that reads and writes none of
+// its elements — a slice's (see exec's Program.price). Bounds, windows and
+// in-flight checks behave as on any array; an element access is a bug.
+func NewShape(name string, kind Kind, dims []DimBound) (*Array, error) {
+	n, err := allocSize(name, dims)
+	if err != nil {
+		return nil, err
+	}
+	a := &Array{Name: name, Store: &storage{kind: kind, n: n}, Dims: dims}
+	a.computeStrides()
+	return a, nil
+}
+
+// allocSize is the element count of a new array of these dimensions.
+func allocSize(name string, dims []DimBound) (int64, error) {
+	n := int64(1)
+	for _, d := range dims {
+		if d.Assumed {
+			return 0, fmt.Errorf("array %s: assumed size in allocation", name)
+		}
+		if d.Extent() < 0 {
+			return 0, fmt.Errorf("array %s: negative extent %d:%d", name, d.Lo, d.Hi)
+		}
+		n *= d.Extent()
+	}
+	return n, nil
 }
 
 // View builds a dummy-argument view of backing storage starting at offset,

@@ -20,11 +20,14 @@ const (
 	ArgBuffer                     // resolved to (array, linear offset)
 	ArgStore                      // assigned by the binding
 	ArgDType                      // with ArgValue: the datatype closing a (count, datatype) pair
+	ArgInto                       // with ArgBuffer: a receive's, which the transfer writes
+	ArgRead                       // with ArgBuffer: the binding reads its elements itself
 
 	val = ArgValue
 	buf = ArgBuffer
 	sto = ArgStore
 	dty = ArgValue | ArgDType
+	rcv = ArgBuffer | ArgInto
 	ign = ArgRole(0) // communicators, statuses
 )
 
@@ -63,16 +66,16 @@ var mpiRoutines = [...]MPIRoutine{
 	{"mpi_barrier", []ArgRole{ign, sto}, opBarrier, true},
 	// (buf, count, dtype, peer, tag, comm, request, ierr)
 	{"mpi_isend", []ArgRole{buf, val, dty, val, val, ign, sto, sto}, opIsend, false},
-	{"mpi_irecv", []ArgRole{buf, val, dty, val, val, ign, sto, sto}, opIrecv, false},
+	{"mpi_irecv", []ArgRole{rcv, val, dty, val, val, ign, sto, sto}, opIrecv, false},
 	// (buf, count, dtype, peer, tag, comm[, status], ierr)
 	{"mpi_send", []ArgRole{buf, val, dty, val, val, ign, sto}, opSend, false},
-	{"mpi_recv", []ArgRole{buf, val, dty, val, val, ign, ign, sto}, opRecv, false},
+	{"mpi_recv", []ArgRole{rcv, val, dty, val, val, ign, ign, sto}, opRecv, false},
 	// (request, status, ierr)
 	{"mpi_wait", []ArgRole{val | sto, ign, sto}, opWait, false},
 	// (count, requests, statuses, ierr)
-	{"mpi_waitall", []ArgRole{val, buf, ign, sto}, opWaitall, false},
+	{"mpi_waitall", []ArgRole{val, buf | ArgRead, ign, sto}, opWaitall, false},
 	// (sbuf, scount, stype, rbuf, rcount, rtype, comm, ierr)
-	{"mpi_alltoall", []ArgRole{buf, val, dty, buf, val, dty, ign, sto}, opAlltoall, false},
+	{"mpi_alltoall", []ArgRole{buf, val, dty, rcv, val, dty, ign, sto}, opAlltoall, false},
 }
 
 // MPIRoutines lists the signature table (differential tests walk it).
@@ -118,7 +121,18 @@ type MPI struct {
 	// back once its receive has copied it in (recycle.go); the engine that
 	// set it draws its arrays from it too.
 	Recycler *Recycler
+	// Dataless runs every transfer from or into an array without elements
+	// (NewShape) with no payload: a send from one carries its byte count only,
+	// and a receive into one places nothing — a slice's run (exec's slice.go).
+	Dataless bool
 }
+
+// noPayload and dropPayload are a transfer's ends when no data moves: a
+// slice's, and a skeleton replay's.
+func noPayload() interface{}           { return nil }
+func dropPayload(interface{})          {}
+func noPayloadTo(int) interface{}      { return nil }
+func dropPayloadFrom(int, interface{}) {}
 
 // trace records operation e when the run is being recorded.
 func (b *MPI) trace(e skelEntry) {
@@ -243,6 +257,23 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 			b.Trace.blocking(s, sArr, sOff, np*sCount, false)
 			b.Trace.blocking(s, rArr, rOff, np*rCount, true)
 		}
+		if b.Dataless {
+			b.Rank.Alltoall(sCount*num[2],
+				func(dst int) interface{} {
+					if sArr.Store.shape() {
+						return nil
+					}
+					p, _ := sArr.CopyOut(sOff+int64(dst)*sCount, sCount, nil)
+					return p
+				},
+				func(src int, p interface{}) {
+					if !rArr.Store.shape() {
+						b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
+					}
+				})
+			err = b.failed(s)
+			break
+		}
 		b.Rank.Alltoall(sCount*num[2],
 			func(dst int) interface{} {
 				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount, b.Recycler)
@@ -312,6 +343,13 @@ func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes 
 	}
 	if b.Trace != nil && (op == opSend || op == opRecv) {
 		b.Trace.blocking(s, arr, off, count, op == opRecv)
+	}
+	switch {
+	case !b.Dataless || !arr.Store.shape():
+	case send:
+		return b.Rank.Isend(peer, tag, count*elemBytes, noPayload), nil
+	default:
+		return b.Rank.Irecv(peer, tag, count*elemBytes, dropPayload), nil
 	}
 	if send {
 		// CopyOut cannot fail: the window was checked. Without a recycler the

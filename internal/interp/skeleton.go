@@ -95,6 +95,7 @@ type RankTrace struct {
 	rankSkel
 	pend    ChargeCounts
 	index   map[ChargeCounts]int32 // into counts
+	last    int32                  // the index the previous entry took (counts is non-empty)
 	limit   int
 	open    int // nonblocking requests posted and not yet waited on
 	spoiled bool
@@ -130,11 +131,17 @@ func (t *RankTrace) record(e skelEntry) {
 	case opWait:
 		t.open--
 	}
-	ci, ok := t.index[t.pend]
-	if !ok {
-		ci = int32(len(t.counts))
-		t.index[t.pend] = ci
-		t.counts = append(t.counts, t.pend)
+	// A message loop repeats its charges: the previous entry's are the
+	// likeliest.
+	ci := t.last
+	if len(t.counts) == 0 || t.counts[ci] != t.pend {
+		var ok bool
+		if ci, ok = t.index[t.pend]; !ok {
+			ci = int32(len(t.counts))
+			t.index[t.pend] = ci
+			t.counts = append(t.counts, t.pend)
+		}
+		t.last = ci
 	}
 	e.counts, t.pend = ci, ChargeCounts{}
 	t.entries = append(t.entries, e)
@@ -263,6 +270,41 @@ func NewSkeleton(traces []*RankTrace, res *Result, err error) *Skeleton {
 // machine: it exists, and no rank touched an in-flight buffer.
 func (s *Skeleton) Certifies() bool { return s != nil && s.inFlight == nil }
 
+// Disagree says where two recordings of one program at one rank count part,
+// "" when they agree: both fenced, both refused, or both certifying with the
+// same operations — op, bytes, peer, tag and request slot — and the same
+// charge counts before each, rank by rank and entry by entry. Output and
+// arrays are not compared: a slice's recording holds neither.
+func Disagree(a, b *Skeleton) string {
+	switch {
+	case (a == nil) != (b == nil):
+		return fmt.Sprintf("fenced %v vs %v", a == nil, b == nil)
+	case a == nil:
+		return ""
+	case a.Certifies() != b.Certifies():
+		return fmt.Sprintf("certifies %v (%v) vs %v (%v)", a.Certifies(), a.inFlight, b.Certifies(), b.inFlight)
+	case !a.Certifies():
+		return ""
+	case len(a.ranks) != len(b.ranks):
+		return fmt.Sprintf("%d vs %d ranks", len(a.ranks), len(b.ranks))
+	}
+	for r := range a.ranks {
+		ra, rb := &a.ranks[r], &b.ranks[r]
+		if len(ra.entries) != len(rb.entries) {
+			return fmt.Sprintf("rank %d: %d vs %d entries", r, len(ra.entries), len(rb.entries))
+		}
+		for i := range ra.entries {
+			ea, eb := ra.entries[i], rb.entries[i]
+			ca, cb := ra.counts[ea.counts], rb.counts[eb.counts]
+			ea.counts, eb.counts = 0, 0
+			if ea != eb || ca != cb {
+				return fmt.Sprintf("rank %d entry %d: %+v after %v vs %+v after %v", r, i, ea, ca, eb, cb)
+			}
+		}
+	}
+	return ""
+}
+
 // InFlight says where the recording touched an in-flight buffer: nil for a
 // skeleton that certifies.
 func (s *Skeleton) InFlight() error { return s.inFlight }
@@ -275,8 +317,6 @@ func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error)
 	if s.inFlight != nil {
 		return nil, s.inFlight
 	}
-	none := func() interface{} { return nil }
-	drop := func(interface{}) {}
 	np := len(s.ranks)
 	stats, err := mpi.Run(np, prof, func(r *mpi.Rank) {
 		rk := &s.ranks[r.Me()]
@@ -293,17 +333,17 @@ func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error)
 			case opBarrier:
 				r.Barrier()
 			case opIsend:
-				reqs = append(reqs, r.Isend(peer, tag, e.bytes, none))
+				reqs = append(reqs, r.Isend(peer, tag, e.bytes, noPayload))
 			case opIrecv:
-				reqs = append(reqs, r.Irecv(peer, tag, e.bytes, drop))
+				reqs = append(reqs, r.Irecv(peer, tag, e.bytes, dropPayload))
 			case opSend:
-				r.Send(peer, tag, e.bytes, none)
+				r.Send(peer, tag, e.bytes, noPayload)
 			case opRecv:
-				r.Recv(peer, tag, e.bytes, drop)
+				r.Recv(peer, tag, e.bytes, dropPayload)
 			case opWait:
 				r.Wait(reqs[e.slot-1])
 			case opAlltoall:
-				r.Alltoall(e.bytes, func(int) interface{} { return nil }, func(int, interface{}) {})
+				r.Alltoall(e.bytes, noPayloadTo, dropPayloadFrom)
 			}
 		}
 	})

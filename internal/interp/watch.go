@@ -47,38 +47,60 @@ type reqMark struct {
 	recv  bool
 }
 
-// words calls f with the index and element mask of every bitmap word the
-// elements [lo, lo+n) touch, stopping when f returns true.
-func words(lo, n int64, f func(i int64, mask uint64) bool) bool {
+// wordSpan is the bitmap words the elements [lo, lo+n), n > 0, touch —
+// first to last — and the masks of their elements in the first and the last.
+func wordSpan(lo, n int64) (first, last int64, head, tail uint64) {
+	hi := lo + n - 1
+	return lo >> 6, hi >> 6, ^uint64(0) << (lo & 63), ^uint64(0) >> (63 - hi&63)
+}
+
+func anyBit(bits []uint64, lo, n int64) bool {
 	if n <= 0 {
 		return false
 	}
-	hi := lo + n - 1
-	for i := lo >> 6; i <= hi>>6; i++ {
-		mask := ^uint64(0)
-		if i == lo>>6 {
-			mask &= ^uint64(0) << (lo & 63)
-		}
-		if i == hi>>6 {
-			mask &= ^uint64(0) >> (63 - hi&63)
-		}
-		if f(i, mask) {
+	first, last, head, tail := wordSpan(lo, n)
+	if first == last {
+		return bits[first]&head&tail != 0
+	}
+	if bits[first]&head != 0 || bits[last]&tail != 0 {
+		return true
+	}
+	for _, b := range bits[first+1 : last] {
+		if b != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-func anyBit(bits []uint64, lo, n int64) bool {
-	return words(lo, n, func(i int64, m uint64) bool { return bits[i]&m != 0 })
-}
-
 func setBits(bits []uint64, lo, n int64) {
-	words(lo, n, func(i int64, m uint64) bool { bits[i] |= m; return false })
+	if n <= 0 {
+		return
+	}
+	first, last, head, tail := wordSpan(lo, n)
+	if first == last {
+		bits[first] |= head & tail
+		return
+	}
+	bits[first] |= head
+	bits[last] |= tail
+	for i := first + 1; i < last; i++ {
+		bits[i] = ^uint64(0)
+	}
 }
 
 func clearBits(bits []uint64, lo, n int64) {
-	words(lo, n, func(i int64, m uint64) bool { bits[i] &^= m; return false })
+	if n <= 0 {
+		return
+	}
+	first, last, head, tail := wordSpan(lo, n)
+	if first == last {
+		bits[first] &^= head & tail
+		return
+	}
+	bits[first] &^= head
+	bits[last] &^= tail
+	clear(bits[first+1 : last])
 }
 
 // load checks a load of storage element i.
@@ -196,6 +218,36 @@ func (a *Array) NoteStore(off int64) {
 	if w := a.Store.watch; w != nil {
 		w.store(a, a.Offset+off)
 	}
+}
+
+// Probe is an access of the element at linear offset off within the view
+// that moves no data — a load, or with store a store: the in-flight check
+// NoteLoad or NoteStore makes, and the storage bound the element access
+// would fault on. It is what a slice keeps of an access whose element it does
+// not compute.
+func (a *Array) Probe(off int64, store bool) error {
+	if i := a.Offset + off; i < 0 || i >= a.Store.len() {
+		return fmt.Errorf("array %s: element %d outside its storage of %d", a.Name, i, a.Store.len())
+	}
+	if store {
+		a.NoteStore(off)
+	} else {
+		a.NoteLoad(off)
+	}
+	return nil
+}
+
+// Marked reports whether a load (or with store, a store) of any element at
+// linear offsets lo..hi of the view, which lie inside its storage, would
+// cross a mark of an open request: a load crosses an irecv's, a store any
+// request's. One nil test when nothing is watched.
+func (a *Array) Marked(lo, hi int64, store bool) bool {
+	w := a.Store.watch
+	if w == nil {
+		return false
+	}
+	lo, n := a.Offset+lo, hi-lo+1
+	return anyBit(w.recv, lo, n) || store && anyBit(w.send, lo, n)
 }
 
 // NoteLoads checks the loads of a strip of elements at linear offsets offs
