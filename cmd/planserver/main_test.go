@@ -134,7 +134,7 @@ func TestServerSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"compiled"`, `"disk_hits"`, `"hits"`, `"entries"`, `"replayed_runs"`} {
+	for _, key := range []string{`"compiled"`, `"disk_hits"`, `"hits"`, `"entries"`, `"replayed_runs"`, `"sliced_runs"`} {
 		if !bytes.Contains(raw, []byte(key)) {
 			t.Errorf("GET /stats body missing %s: %s", key, raw)
 		}

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -84,4 +85,23 @@ func TestSliceEqualsRecordingRandomKernels(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d kernels sliced", sliced, count)
+}
+
+// FuzzSlice: over randkernel_test.go's grammar, drawn from two fuzzed seeds
+// (the kernel's shapes, then its calls-and-messages phase), the slice's
+// recording is the program's under every built-in machine — entry for entry
+// and certifying alike — or both runs fail.
+func FuzzSlice(f *testing.F) {
+	for i := int64(0); i < 4; i++ {
+		f.Add(20060425+i, 20261001+i)
+	}
+	f.Fuzz(func(t *testing.T, seed, xseed int64) {
+		g := &kgen{r: rand.New(rand.NewSource(seed)), x: rand.New(rand.NewSource(xseed))}
+		src := g.program()
+		for _, m := range plan.Builtin() {
+			if !requireSliceIsRecording(t, "fuzz kernel", src, 2, m) {
+				t.Fatalf("no slice for a lowered kernel:\n%s", src)
+			}
+		}
+	})
 }

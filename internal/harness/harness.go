@@ -172,9 +172,10 @@ type Outcome struct {
 	VerifyFailures []string `json:"verify_failures,omitempty"`
 }
 
-// TunedRun is one (scenario, machine) plan-search result. Every candidate
-// the search measured passed the same bit-identical oracle as the fixed-K
-// run; the chosen plan is always at least as fast as the fixed K *and* as
+// TunedRun is one (scenario, machine) plan-search result. The search prices
+// its candidates by their slices; the chosen plan, the best uniform one and
+// the fixed-K one passed the same bit-identical oracle as the fixed-K run,
+// measured in full. The chosen plan is always at least as fast as the fixed K *and* as
 // the original program (the identity plan — every site skipped — is always
 // in the candidate set, so TunedSpeedup ≥ 1.0 by construction).
 type TunedRun struct {
@@ -211,9 +212,11 @@ type TunedRun struct {
 	TieredChecks int `json:"tiered_checks,omitempty"`
 	WalkRuns     int `json:"walk_runs,omitempty"`
 	WalkReplays  int `json:"walk_replays,omitempty"`
-	// ReplayedRuns is tune.Choice's: the search's skeleton replays; which
-	// search came first decides — economics.
+	// ReplayedRuns and SlicedRuns are tune.Choice's: the search's skeleton
+	// replays and slice executions; which search came first decides —
+	// economics.
 	ReplayedRuns int `json:"replayed_runs,omitempty"`
+	SlicedRuns   int `json:"sliced_runs,omitempty"`
 }
 
 // TunedSite is one site's slice of a tuned plan: the chosen decision plus
@@ -313,9 +316,10 @@ type Summary struct {
 	TieredChecks int64 `json:"tiered_checks,omitempty"`
 	WalkRuns     int64 `json:"walk_runs,omitempty"`
 	WalkReplays  int64 `json:"walk_replays,omitempty"`
-	// ReplayedRuns sums the tuned rows' counters; Merge sums it across
-	// shards.
+	// ReplayedRuns and SlicedRuns sum the tuned rows' counters; Merge sums
+	// them across shards.
 	ReplayedRuns int64 `json:"replayed_runs,omitempty"`
+	SlicedRuns   int64 `json:"sliced_runs,omitempty"`
 }
 
 // ProfileSummary is one machine's aggregate row.
@@ -710,7 +714,7 @@ func (st *scenarioState) tuneMachine(mi int) {
 		FixedSpeedup: c.FixedSpeedup,
 		Divergent:    c.Divergent, UniformSpeedup: c.UniformSpeedup,
 		Evaluations: c.Evaluations, SearchSimNs: c.SearchSimNs,
-		ReplayedRuns: c.ReplayedRuns,
+		ReplayedRuns: c.ReplayedRuns, SlicedRuns: c.SlicedRuns,
 	}
 	for _, s := range c.Sites {
 		tr.Sites = append(tr.Sites, TunedSite{
@@ -1095,6 +1099,7 @@ func summarize(outcomes []Outcome) Summary {
 			s.WalkRuns += int64(tr.WalkRuns)
 			s.WalkReplays += int64(tr.WalkReplays)
 			s.ReplayedRuns += int64(tr.ReplayedRuns)
+			s.SlicedRuns += int64(tr.SlicedRuns)
 		}
 		if gained {
 			s.OffloadGained++

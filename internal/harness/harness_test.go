@@ -133,10 +133,10 @@ func winnerSource(t *testing.T, prog *core.Program, tr TunedRun) string {
 // reached a shared variant first, so which one replayed it, depends on
 // scheduling, on the engine (walk never replays) and on sharding.
 func stripReplayCounters(r *Report) {
-	r.Summary.ReplayedRuns = 0
+	r.Summary.ReplayedRuns, r.Summary.SlicedRuns = 0, 0
 	for i := range r.Scenarios {
 		for j := range r.Scenarios[i].Tuned {
-			r.Scenarios[i].Tuned[j].ReplayedRuns = 0
+			r.Scenarios[i].Tuned[j].ReplayedRuns, r.Scenarios[i].Tuned[j].SlicedRuns = 0, 0
 		}
 	}
 }
@@ -762,26 +762,31 @@ func TestMergeShards(t *testing.T) {
 }
 
 // TestReplayCountersSumAndMerge: a tuned sweep's summary carries the sum of
-// its rows' replayed runs, Merge the sum of its shards', and a sweep replays
-// at all (the second and third machine's searches of a scenario find the
-// first's variants in the session's store).
+// its rows' replayed and sliced runs, Merge the sum of its shards', and a
+// sweep replays and slices at all (the second and third machine's searches of
+// a scenario find the first's slices in the session's store).
 func TestReplayCountersSumAndMerge(t *testing.T) {
 	corpus := smallCorpus(t, 2)
 	var shards []*Report
-	var replayed int64
+	var replayed, sliced int64
 	for _, sc := range corpus {
 		rep, err := Run(Config{Scenarios: []workload.Scenario{sc}, Tune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rows int64
+		var rows, slicedRows int64
 		for _, tr := range rep.Scenarios[0].Tuned {
 			rows += int64(tr.ReplayedRuns)
+			slicedRows += int64(tr.SlicedRuns)
 		}
 		if rep.Summary.ReplayedRuns != rows || rows == 0 {
 			t.Fatalf("%s: summary %d replayed, rows %d", sc.Name, rep.Summary.ReplayedRuns, rows)
 		}
+		if rep.Summary.SlicedRuns != slicedRows || slicedRows == 0 {
+			t.Fatalf("%s: summary %d sliced, rows %d", sc.Name, rep.Summary.SlicedRuns, slicedRows)
+		}
 		replayed += rows
+		sliced += slicedRows
 		shards = append(shards, rep)
 	}
 	merged, err := Merge(shards)
@@ -790,6 +795,9 @@ func TestReplayCountersSumAndMerge(t *testing.T) {
 	}
 	if merged.Summary.ReplayedRuns != replayed {
 		t.Errorf("merged summary %d replayed, shards sum to %d", merged.Summary.ReplayedRuns, replayed)
+	}
+	if merged.Summary.SlicedRuns != sliced {
+		t.Errorf("merged summary %d sliced, shards sum to %d", merged.Summary.SlicedRuns, sliced)
 	}
 }
 
@@ -1283,6 +1291,50 @@ func TestVerifyOffLeavesReportUntouched(t *testing.T) {
 	for _, field := range []string{"verified_variants", "verify_skipped", "verify_failures", "verify_wall_ns"} {
 		if strings.Contains(string(b), field) {
 			t.Errorf("verify-off report serializes %q", field)
+		}
+	}
+}
+
+// TestTunedChoicesMatchCommittedArtifact: a tuned sweep of the whole corpus
+// under the three sweep machines — every candidate priced by its slice, only
+// the reported ones measured in full — chooses what the committed
+// BENCH_harness.json records: every row's plan and sites, its makespans and
+// speedups (tuned, fixed, best uniform) and its search cost.
+func TestTunedChoicesMatchCommittedArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full tuned sweep")
+	}
+	b, err := os.ReadFile(filepath.Join("..", "..", "BENCH_harness.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Report
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(Config{Scenarios: workload.GenerateScenarios(workload.GenOptions{}), Tune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices := func(r *Report) map[string][]TunedRun {
+		out := map[string][]TunedRun{}
+		for _, sc := range r.Scenarios {
+			rows := append([]TunedRun(nil), sc.Tuned...)
+			for i := range rows {
+				rows[i].TieredChecks, rows[i].WalkRuns, rows[i].WalkReplays = 0, 0, 0
+				rows[i].ReplayedRuns, rows[i].SlicedRuns = 0, 0
+			}
+			out[sc.Name] = rows
+		}
+		return out
+	}
+	g, w := choices(got), choices(&want)
+	if len(g) != len(w) || len(g) == 0 {
+		t.Fatalf("%d scenarios swept, %d committed", len(g), len(w))
+	}
+	for name, rows := range w {
+		if !reflect.DeepEqual(g[name], rows) {
+			t.Errorf("%s: tuned rows\n%+v\nwant the committed\n%+v", name, g[name], rows)
 		}
 	}
 }

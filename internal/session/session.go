@@ -52,8 +52,9 @@ type Session struct {
 	mu       sync.Mutex
 	programs map[programKey]*core.Program
 
-	// replayed sums the searches' skeleton replays.
-	replayed atomic.Int64
+	// replayed and sliced sum the searches' skeleton replays and slice
+	// executions.
+	replayed, sliced atomic.Int64
 }
 
 type programKey struct {
@@ -208,14 +209,14 @@ func newMemoKey(fingerprint string, m plan.Machine, p tune.Params) memoKey {
 }
 
 // Tune answers one search through the session's plan memo: a hit returns
-// the stored choice (no search, no runs, zero replayed runs); a miss runs
-// tune.Tune on the session's runner, stores the choice and adds its replayed
-// runs to the session counter.
+// the stored choice (no search, no runs, zero replayed and sliced runs); a
+// miss runs tune.Tune on the session's runner, stores the choice and adds its
+// replayed and sliced runs to the session counters.
 func (s *Session) Tune(prog *core.Program, m plan.Machine, p tune.Params) (*Result, error) {
 	fp := core.Fingerprint(prog, m.Name)
 	key := newMemoKey(fp, m, p)
 	if ch, ok := s.memo.Lookup(key); ok {
-		ch.ReplayedRuns = 0
+		ch.ReplayedRuns, ch.SlicedRuns = 0, 0
 		return &Result{Fingerprint: fp, MemoHit: true, Choice: ch}, nil
 	}
 	var ch tune.Choice
@@ -226,6 +227,7 @@ func (s *Session) Tune(prog *core.Program, m plan.Machine, p tune.Params) (*Resu
 	}
 	s.memo.Store(key, ch)
 	s.replayed.Add(int64(ch.ReplayedRuns))
+	s.sliced.Add(int64(ch.SlicedRuns))
 	return &Result{Fingerprint: fp, Choice: ch}, nil
 }
 
@@ -285,15 +287,16 @@ func (s *Session) Verify(prog *core.Program, pl *plan.Plan) (Verification, error
 }
 
 // Stats bundles the session's store and memo counters (the /stats payload)
-// with its Plan searches' replayed runs (tune.Choice).
+// with its Plan searches' replayed and sliced runs (tune.Choice).
 type Stats struct {
 	Store        exec.StoreStats `json:"store"`
 	Memo         tune.MemoStats  `json:"memo"`
 	ReplayedRuns int64           `json:"replayed_runs"`
+	SlicedRuns   int64           `json:"sliced_runs"`
 }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
 	return Stats{Store: s.store.Stats(), Memo: s.memo.Stats(),
-		ReplayedRuns: s.replayed.Load()}
+		ReplayedRuns: s.replayed.Load(), SlicedRuns: s.sliced.Load()}
 }

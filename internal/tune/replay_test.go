@@ -16,11 +16,12 @@ import (
 
 // TestEveryReplayedCandidateIsItsRun: over a tuned sweep of one scenario per
 // family under the three sweep machines (sharing a store, so the second and
-// third searches measure mostly by replay), every candidate's skeleton
-// certifies, and its replay is the full execution of the same program under
-// the same machine — makespan, traffic, per-rank times, output and arrays —
-// and is the number the search recorded. A walk runner without a store
-// executes every measurement, replays nothing and chooses the same.
+// third searches price mostly by replay), every candidate's skeleton
+// certifies: its price replays to the full execution's Stats under the same
+// machine — makespan, traffic, per-rank times — and is the number the search
+// recorded, and its measurement is that execution, output and arrays
+// included. A walk runner without a store executes every price, replays
+// nothing and chooses the same.
 func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 	scenarios := workload.GenerateScenarios(workload.GenOptions{})[:9]
 	if testing.Short() {
@@ -64,13 +65,20 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, replayed, err := exec.Runner{Store: store}.Measure(context.Background(), src, sc.NP, ms[i].Costs, ms[i].Profile)
-				if err != nil || !replayed {
-					t.Fatalf("%s on %s, %v: measured candidate does not replay (err %v)", sc.Name, ch.Machine, c.Decisions, err)
+				price, how, err := exec.Runner{Store: store}.Price(context.Background(), src, sc.NP, ms[i].Costs, ms[i].Profile)
+				if err != nil || how != exec.Replayed {
+					t.Fatalf("%s on %s, %v: priced candidate does not replay (err %v)", sc.Name, ch.Machine, c.Decisions, err)
+				}
+				replay, _, err := exec.Runner{Store: store}.Measure(context.Background(), src, sc.NP, ms[i].Costs, ms[i].Profile)
+				if err != nil {
+					t.Fatalf("%s on %s, %v: measure: %v", sc.Name, ch.Machine, c.Decisions, err)
 				}
 				run, err := p.RunBytecode(sc.NP, ms[i].Profile, ms[i].Costs)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(price, run.Stats) {
+					t.Errorf("%s on %s, %v: price differs from the run: %+v vs %+v", sc.Name, ch.Machine, c.Decisions, price, run.Stats)
 				}
 				if !reflect.DeepEqual(replay.Stats, run.Stats) || !reflect.DeepEqual(replay.OutputLines(), run.OutputLines()) {
 					t.Errorf("%s on %s, %v: replay differs from the run: %+v vs %+v", sc.Name, ch.Machine, c.Decisions, replay.Stats, run.Stats)
@@ -92,7 +100,7 @@ func TestEveryReplayedCandidateIsItsRun(t *testing.T) {
 				t.Errorf("%s on %s: the store-less walk runner replayed", sc.Name, walk[i].Machine)
 			}
 			c := choices[i]
-			c.ReplayedRuns = 0
+			c.ReplayedRuns, c.SlicedRuns = 0, 0
 			if !reflect.DeepEqual(c, walk[i]) {
 				t.Errorf("%s on %s: measuring by replay changed the choice:\n%+v\nvs\n%+v", sc.Name, c.Machine, c, walk[i])
 			}
@@ -158,14 +166,19 @@ end program racy
 // handSearch starts a search over the hand-written pair under machine m: the
 // original measured, the identity registered.
 func handSearch(t *testing.T, m plan.Machine, runner exec.Runner) *search {
+	return handSearchOf(t, racyOriginal, m, runner)
+}
+
+// handSearchOf is handSearch from the original orig.
+func handSearchOf(t *testing.T, orig string, m plan.Machine, runner exec.Runner) *search {
 	t.Helper()
-	orig, _, err := runner.Measure(context.Background(), racyOriginal, 2, m.Costs, m.Profile)
+	res, _, err := runner.Measure(context.Background(), orig, 2, m.Costs, m.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &search{
-		ctx: context.Background(), src: racyOriginal, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
-		maxM: 4, runner: runner, orig: orig, origNs: int64(orig.Elapsed()),
+		ctx: context.Background(), src: orig, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
+		maxM: 4, runner: runner, orig: res, origNs: int64(res.Elapsed()),
 		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
 	}
 	s.registerIdentity()
@@ -233,7 +246,7 @@ func TestConcurrentSearchesShareOneStore(t *testing.T) {
 	}
 	tuneOne := func(q query, store exec.VariantStore) (Choice, error) {
 		ch, err := Tune(context.Background(), q.prog, q.m, Params{NP: q.np, FixedK: q.sc.K, Arrays: q.sc.Arrays}, exec.Runner{Store: store})
-		ch.ReplayedRuns = 0
+		ch.ReplayedRuns, ch.SlicedRuns = 0, 0
 		return ch, err
 	}
 	got := make([]Choice, len(queries))
@@ -260,6 +273,32 @@ func TestConcurrentSearchesShareOneStore(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[g], want) {
 			t.Errorf("search %d (%s under %s at np %d): concurrent choice %+v, alone %+v", g, q.sc.Name, q.m.Name, q.np, got[g], want)
+		}
+	}
+}
+
+// wrongData is racyOriginal's exchange with a lighter refill and another
+// payload: faster, and wrong.
+var wrongData = strings.NewReplacer("a(i) = i + me", "a(i) = 2*i + me", "do j = 1, 40", "do j = 1, 4").Replace(racyOriginal)
+
+// TestWrongDataIsNeverAdopted: a candidate that is faster but computes other
+// data is priced like any other — its slice knows nothing of data — and
+// ranks first, but the full measurement that proves the adopted plan finds
+// the difference: the candidate is dropped and the search falls back to the
+// next best, the identity plan.
+func TestWrongDataIsNeverAdopted(t *testing.T) {
+	for _, m := range plan.Builtin() {
+		s := handSearchOf(t, racyOriginal, m, exec.Runner{Store: exec.NewMemStore()})
+		c := s.measure(wrongData, []plan.Decision{plan.Decision{K: 1}.Normalize()}, false)
+		if c == nil || s.slices != 1 || c.Speedup <= 1 || s.best() != c {
+			t.Fatalf("%s: priced %+v after %d slices; want a faster candidate, sliced, ranked first", m.Name, c, s.slices)
+		}
+		w, err := s.proven(func(*Candidate) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Identical || w == nil || !w.Decisions[0].Skip {
+			t.Fatalf("%s: adopted %+v (the wrong candidate identical %v), want the identity plan", m.Name, w, c.Identical)
 		}
 	}
 }

@@ -21,24 +21,29 @@
 // nothing or the measurement budget runs out. Candidates are memoized by
 // the whole plan's canonical key, so revisiting a decision vector — or
 // reaching the same generated source through a knob no-op — costs nothing.
-// Every measured candidate passes through the same Analyze → Apply → run
-// pipeline as the harness and is checked against the bit-identical oracle;
-// a candidate that corrupts results is never chosen, and the fixed-K
-// default decision is always measured first so the tuned choice can never
-// lose to the baseline.
+// Every candidate passes through the same Analyze → Apply → run pipeline as
+// the harness, and every candidate the choice reports is checked against the
+// bit-identical oracle: a candidate that corrupts results is never chosen,
+// and the fixed-K default decision is always priced first so the tuned
+// choice can never lose to the baseline.
 //
-// Run vs measure. The original and every candidate are measured through
-// exec.Runner.Measure: the first measurement of a variant by any search
-// records its machine-independent skeleton, watching its in-flight buffers,
-// and every later measurement — the same variant reached by the next
-// machine's search — prices and replays it instead of executing, when the
-// skeleton certifies.
-// Then timing and data both come out exactly as an execution's under that
-// machine, so a replay ranks, rejects and certifies alike. A candidate whose
-// recording touched an in-flight buffer — the variant overwrites a send
-// buffer, or reads a receive buffer, before the wait — is an erroneous MPI
-// program and a transform defect: Measure refuses it, and the search rejects
-// it like a run that failed, under every machine, eager ones included.
+// Price, then measure. The search ranks candidates by makespan alone, so it
+// prices each through exec.Runner.Price: the first price of a variant by any
+// search executes the variant's slice — every charge and MPI operation of the
+// program, none of the data nothing times — and records its skeleton,
+// watching its in-flight buffers, and every later price — the same variant
+// reached by the next machine's search — replays it. A price is exactly the
+// makespan an execution has under that machine. A candidate whose recording
+// touched an in-flight buffer — the variant overwrites a send buffer, or
+// reads a receive buffer, before the wait — is an erroneous MPI program and a
+// transform defect: Price refuses it, and the search rejects it like a run
+// that failed, under every machine, eager ones included. A priced candidate
+// is presumed identical while the search climbs; the three the choice
+// reports — the adopted plan, the best uniform one and the fixed-K one — are
+// then measured in full (exec.Runner.Measure, the original's way too), and
+// one whose data differs from the original's is dropped: the search falls
+// back to the next best. A full measurement of a priced variant must record
+// what its slice recorded, or the search fails.
 //
 // Tune is the search and nothing around it: the caller analyzes the program,
 // picks the machine, and owns the runner (engine and variant store) every
@@ -57,6 +62,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/interp"
+	"repro/internal/mpi"
 	"repro/internal/plan"
 )
 
@@ -109,8 +115,10 @@ type Candidate struct {
 	Uniform   bool            `json:"uniform"`
 	PrepushNs int64           `json:"prepush_ns"`
 	Speedup   float64         `json:"speedup"`
-	Identical bool            `json:"identical"`
-	Seeded    bool            `json:"seeded"` // proposed by the analytic model
+	// Identical: the candidate's data is the original's — presumed for a
+	// priced candidate, proven for the ones the choice reports.
+	Identical bool `json:"identical"`
+	Seeded    bool `json:"seeded"` // proposed by the analytic model
 }
 
 // SiteChoice is the tuning outcome for one MPI_ALLTOALL site: the chosen
@@ -155,10 +163,12 @@ type Choice struct {
 	SearchSimNs    int64       `json:"search_sim_ns"` // simulated time spent searching
 	Candidates     []Candidate `json:"candidates"`
 	// ReplayedRuns counts the evaluations answered by replaying a variant's
-	// skeleton (see the package comment). Which search reached a variant first
-	// decides it: economics, like cache hits; 0 for a store-less runner and on
-	// a memo hit.
+	// skeleton, and SlicedRuns those answered by executing its slice (see the
+	// package comment). Which search reached a variant first decides them:
+	// economics, like cache hits; 0 on a memo hit, and SlicedRuns 0 on the
+	// walk engine.
 	ReplayedRuns int `json:"replayed_runs,omitempty"`
+	SlicedRuns   int `json:"sliced_runs,omitempty"`
 }
 
 // FixedKError is Tune's answer when the fixed-K baseline does not transform
@@ -293,7 +303,9 @@ type search struct {
 	bySrc    map[string]*Candidate // by generated source: knob no-ops alias
 	order    []*Candidate          // unique measured candidates, visit order
 	runs     int
-	replays  int // runs answered by a replay
+	replays  int                 // runs answered by a replay
+	slices   int                 // runs answered by executing a slice
+	proofs   map[*Candidate]bool // candidates measured in full (prove)
 }
 
 // run is Tune's search once the original has been executed.
@@ -392,11 +404,28 @@ func (s *search) run() (Choice, error) {
 		}
 	}
 
-	winner := s.best()
+	winner, err := s.proven(func(*Candidate) bool { return true })
+	if err != nil {
+		return Choice{}, err
+	}
 	if winner == nil {
 		return Choice{}, fmt.Errorf("tune: no valid plan found under %s (fixed K=%d)", m.Name, fixedK)
 	}
-	ch.ReplayedRuns = s.replays
+	uniform, err := s.proven(func(c *Candidate) bool { return c.Uniform })
+	if err != nil {
+		return Choice{}, err
+	}
+	if uniform != nil {
+		ch.UniformSpeedup = uniform.Speedup
+	}
+	fc := s.measured[s.vecKey(fds)]
+	if fc != nil {
+		if err := s.prove(fc); err != nil {
+			return Choice{}, err
+		}
+		ch.FixedSpeedup = fc.Speedup
+	}
+	ch.ReplayedRuns, ch.SlicedRuns = s.replays, s.slices
 	ch.Chosen = winner.Decisions[0]
 	ch.Plan = s.buildPlan(winner.Decisions)
 	ch.Plan.Machine = m.Name
@@ -409,9 +438,6 @@ func (s *search) run() (Choice, error) {
 			PartitionSize: st.geo.psz, TripCount: st.geo.trip,
 		})
 	}
-	if f := s.measured[s.vecKey(fds)]; f != nil {
-		ch.FixedSpeedup = f.Speedup
-	}
 	// Evaluations reports the budget actually consumed (a run whose
 	// simulation failed still spent a slot); SearchSimNs sums the
 	// successful runs' simulated makespans.
@@ -419,11 +445,57 @@ func (s *search) run() (Choice, error) {
 	for _, c := range s.order {
 		ch.Candidates = append(ch.Candidates, *c)
 		ch.SearchSimNs += c.PrepushNs
-		if c.Identical && c.Uniform && c.Speedup > ch.UniformSpeedup {
-			ch.UniformSpeedup = c.Speedup
-		}
 	}
 	return ch, nil
+}
+
+// proven returns the best candidate that keep admits, proven identical: each
+// best candidate whose full measurement differs from the original is dropped
+// in turn. nil when keep admits none that is identical.
+func (s *search) proven(keep func(*Candidate) bool) (*Candidate, error) {
+	for {
+		var best *Candidate
+		for _, c := range s.order {
+			if c.Identical && keep(c) && (best == nil || c.Speedup > best.Speedup) {
+				best = c
+			}
+		}
+		if best == nil {
+			return nil, nil
+		}
+		if err := s.prove(best); err != nil || best.Identical {
+			return best, err
+		}
+	}
+}
+
+// prove measures priced candidate c in full and holds its data to the
+// original's, clearing c.Identical when it differs. The identity candidate
+// is the original. A full measurement that fails, or whose makespan is not
+// the price, is an error: the price was not the program's.
+func (s *search) prove(c *Candidate) error {
+	if s.proofs[c] {
+		return nil
+	}
+	if s.proofs == nil {
+		s.proofs = map[*Candidate]bool{}
+	}
+	s.proofs[c] = true
+	for src, sc := range s.bySrc {
+		if sc != c || src == s.src {
+			continue
+		}
+		res, _, err := s.measureSource(src)
+		if err == nil && int64(res.Elapsed()) != c.PrepushNs {
+			err = fmt.Errorf("measured %d ns, priced %d ns", int64(res.Elapsed()), c.PrepushNs)
+		}
+		if err != nil {
+			return fmt.Errorf("tune: candidate %s under %s: %w", s.vecKey(c.Decisions), s.machine.Name, err)
+		}
+		c.Identical, _ = interp.SameObservable(s.orig, res, s.p.Arrays...)
+		return nil
+	}
+	return nil
 }
 
 // registerIdentity records the skip-every-site vector as a measured
@@ -579,29 +651,39 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 
 // measure spends one evaluation on the variant src of decision vector ds: a
 // replay when some search recorded the variant before, under whatever
-// machine, and its skeleton certifies; else an execution. A variant Measure
-// refuses — it failed, or touched an in-flight buffer — is no candidate.
+// machine, and its skeleton certifies; else an execution of its slice (or,
+// for a variant without one, of the variant). A variant Price refuses — it
+// failed, or touched an in-flight buffer — is no candidate. The candidate is
+// presumed identical until prove says otherwise.
 func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate {
 	s.runs++
-	res, replayed, err := s.measureSource(src)
+	var st *mpi.RunStats
+	var how exec.Answer
+	var err error
+	pprof.Do(s.ctx, pprof.Labels("why", "candidate"), func(ctx context.Context) {
+		st, how, err = s.runner.Price(ctx, src, s.p.NP, s.machine.Costs, s.machine.Profile)
+	})
 	if err != nil {
 		return nil
 	}
-	if replayed {
+	switch how {
+	case exec.Replayed:
 		s.replays++
+	case exec.Sliced:
+		s.slices++
 	}
-	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded}
-	c.PrepushNs = int64(res.Elapsed())
+	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded, Identical: true}
+	c.PrepushNs = int64(st.End)
 	if c.PrepushNs > 0 {
 		c.Speedup = float64(s.origNs) / float64(c.PrepushNs)
 	}
-	c.Identical, _ = interp.SameObservable(s.orig, res, s.p.Arrays...)
 	s.bySrc[src] = c
 	s.order = append(s.order, c)
 	return c
 }
 
-// measureSource measures src on the search's runner, labelled a candidate.
+// measureSource measures src in full on the search's runner, labelled a
+// candidate.
 func (s *search) measureSource(src string) (res *interp.Result, replayed bool, err error) {
 	pprof.Do(s.ctx, pprof.Labels("why", "candidate"), func(ctx context.Context) {
 		res, replayed, err = s.runner.Measure(ctx, src, s.p.NP, s.machine.Costs, s.machine.Profile)
