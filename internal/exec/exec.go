@@ -19,23 +19,30 @@
 // and registers; a Program is immutable once lowered), and executed for the
 // price of dispatching instructions.
 //
-// Run vs measure. Running (Runner.Run, Program.RunBytecode) always executes
-// in full and records nothing. What a program computes does not depend on the
-// machine, only when things happen does — once the recording proves it: the
-// first measurement (Runner.Measure) on an engine at a rank count executes,
-// records the run's skeleton on the Program under that engine and watches
-// every in-flight buffer while it does (interp/skeleton.go, interp/watch.go).
-// If the skeleton certifies, every later measurement on that engine answers
-// from it: charge counts priced under the asked-for cost model, MPI
-// operations pushed through the same mpi/netsim code with no VM and no
-// payloads — an execution's exact Stats and observables for about a tenth of
-// its host time, under any machine. The walk engine keeps its own skeletons
-// beside the bytecode's, so a walk measurement answers from a walk and
-// nothing else: that is what lets the oracle check a sweep once per source.
-// Which runs leave no skeleton the input decides (skeleton.go; mpi_wtime at
-// lowering time), and those are measured by executing; a run that touched an
-// in-flight buffer is an erroneous MPI program, which Measure refuses. There
-// is no switch, and a DiskStore persists sources only.
+// Run, measure, price. Running (Runner.Run, Program.RunBytecode) always
+// executes in full and records nothing. What a program computes does not
+// depend on the machine, only when things happen does — once the recording
+// proves it: the first measurement (Runner.Measure) on an engine at a rank
+// count executes, records the run's skeleton on the Program under that engine
+// and watches every in-flight buffer while it does (interp/skeleton.go,
+// interp/watch.go). If the skeleton certifies, every later measurement on
+// that engine answers from it: charge counts priced under the asked-for cost
+// model, MPI operations pushed through the same mpi/netsim code with no VM and
+// no payloads — an execution's exact Stats and observables for about a tenth
+// of its host time, under any machine. The walk engine keeps its own
+// skeletons beside the bytecode's, so a walk measurement answers from a walk
+// and nothing else: that is what lets the oracle check a sweep once per
+// source. Which runs leave no skeleton the input decides (skeleton.go;
+// mpi_wtime at lowering time), and those are measured by executing; a run
+// that touched an in-flight buffer is an erroneous MPI program, which Measure
+// refuses. Pricing (Runner.Price) answers timing only, for a caller that
+// ranks by makespan: the first price at a rank count executes the program's
+// slice (slice.go) — every charge and MPI operation, none of the data
+// nothing times — and records its skeleton in the same table under a key of
+// its own, which later prices replay; a price refuses what Measure refuses,
+// and a full recording of a priced variant must equal the slice's entry for
+// entry. The slice is derived on the first price, never by Bytecode. There is
+// no switch, and a DiskStore persists sources only.
 //
 // A measurement answers with the final arrays' digests, executed or
 // replayed, on either engine; Run answers with their data. So a measured

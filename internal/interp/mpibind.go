@@ -129,10 +129,8 @@ type MPI struct {
 
 // noPayload and dropPayload are a transfer's ends when no data moves: a
 // slice's, and a skeleton replay's.
-func noPayload() interface{}           { return nil }
-func dropPayload(interface{})          {}
-func noPayloadTo(int) interface{}      { return nil }
-func dropPayloadFrom(int, interface{}) {}
+func noPayload() interface{}  { return nil }
+func dropPayload(interface{}) {}
 
 // trace records operation e when the run is being recorded.
 func (b *MPI) trace(e skelEntry) {

@@ -343,7 +343,7 @@ func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error)
 			case opWait:
 				r.Wait(reqs[e.slot-1])
 			case opAlltoall:
-				r.Alltoall(e.bytes, noPayloadTo, dropPayloadFrom)
+				r.Alltoall(e.bytes, func(int) interface{} { return nil }, func(int, interface{}) {})
 			}
 		}
 	})

@@ -413,3 +413,35 @@ func TestPlanRetainsNoRecycledMemory(t *testing.T) {
 		t.Errorf("%d B allocated under the recycler are still reachable after Plan returned", live)
 	}
 }
+
+// BenchmarkPlanCold is benchmark/'s plan-cold workload in one iteration: a
+// fresh session answers the canonical corpus's first scenario of each family
+// but xchg under the three sweep machines, every query a search. Its CPU
+// profile is what docs/profile-layers.md's plan-cold table reads:
+//
+//	go test ./internal/session -run '^$' -bench PlanCold -benchtime 12x -cpuprofile cpu.pprof
+//	go tool pprof -tags cpu.pprof
+func BenchmarkPlanCold(b *testing.B) {
+	seen := map[string]bool{}
+	var qs []session.Query
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
+		if seen[sc.Family] || sc.Family == "xchg" {
+			continue
+		}
+		seen[sc.Family] = true
+		for _, m := range plan.DefaultSweep() {
+			qs = append(qs, session.Query{Source: sc.Source, Machine: m.Name, NP: sc.NP, FixedK: sc.K, Arrays: sc.Arrays})
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		s, err := session.New(session.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range qs {
+			if _, err := s.Plan(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
