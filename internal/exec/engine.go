@@ -106,10 +106,9 @@ func (r Runner) Measure(ctx context.Context, src string, np int, costs interp.Co
 // times — and records its skeleton in the table Measure uses, which later
 // prices replay under any machine; a variant whose full recording already
 // certified replays that. A variant Measure would refuse, Price refuses. A
-// variant without a slice — on the walk engine, not lowered, or whose slice
-// would read received data — is measured. ctx carries the caller's profiler
-// labels; Price adds layer (compile, then slice, replay or execute) and
-// engine.
+// variant without a slice — on the walk engine, not lowered, or reading
+// mpi_wtime — is measured. ctx carries the caller's profiler labels; Price
+// adds layer (compile, then slice, replay or execute) and engine.
 func (r Runner) Price(ctx context.Context, src string, np int, costs interp.CostModel, prof netsim.Profile) (*mpi.RunStats, Answer, error) {
 	var p *Program
 	var err error

@@ -173,7 +173,9 @@ func FuzzCertify(f *testing.F) {
 			if m == 0 && want {
 				requireCertifiedRecording(t, "fuzz case", src, 2, rm, rec, skel)
 			}
-			requireSliceIsRecording(t, "fuzz case", src, 2, rm)
+		}
+		for _, m := range certifyMachines() {
+			requireSliceIsRecording(t, "fuzz case", src, 2, m)
 		}
 	})
 }

@@ -3,6 +3,10 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +70,37 @@ func TestSliceEqualsRecordingCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d programs sliced", sliced, programs)
+}
+
+// TestSliceEqualsRecordingFixtures: every runnable golden fixture under every
+// built-in machine.
+func TestSliceEqualsRecordingFixtures(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f90"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden fixtures found: %v", err)
+	}
+	sliced := 0
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		m := npRe.FindStringSubmatch(src)
+		if !strings.Contains(src, "program ") || m == nil {
+			continue // code fragments (figure4) are not runnable
+		}
+		np, _ := strconv.Atoi(m[1])
+		for _, mach := range plan.Builtin() {
+			if !requireSliceIsRecording(t, filepath.Base(path), src, np, mach) {
+				t.Fatalf("%s has no slice", path)
+			}
+		}
+		sliced++
+	}
+	if sliced == 0 {
+		t.Fatal("no runnable fixtures exercised")
+	}
 }
 
 // TestSliceEqualsRecordingRandomKernels: the 200 generated kernels under the
