@@ -777,9 +777,6 @@ func compareRegs(op bop, x, y reg) bool {
 func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 	code, tab := bp.code, x.tab
 	for pc < end {
-		if census {
-			x.tally(bp, pc, 1)
-		}
 		ins := code[pc]
 		pc++
 		switch ins.op {
@@ -1083,7 +1080,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 				// of it for an ineligible loop) runs below, one iteration
 				// at a time.
 				var strips int64
-				if fd.nvec > 0 && !census {
+				if fd.nvec > 0 {
 					strips = bp.runStrips(x, fr, regs, fd)
 				}
 				if left := int64(regs[fd.tripsReg].bits); fr == x.main {

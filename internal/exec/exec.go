@@ -209,9 +209,6 @@ type rctx struct {
 	// folds' interval scratch.
 	sliced bool
 	ivs    []ival
-	// tallies counts executed instructions by unit and pc in a census
-	// build (census.go); nil otherwise.
-	tallies map[*bprog][]int64
 }
 
 // form is the code the run executes of unit u: its slice in a sliced run,
@@ -527,7 +524,6 @@ func (p *Program) runSlice(np int, prof netsim.Profile, costs interp.CostModel, 
 		traces = make([]*interp.RankTrace, np)
 	}
 	res, err := interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
-		b.Dataless = true
 		if traces != nil {
 			b.Trace = interp.NewRankTrace(np)
 			traces[b.Rank.Me()] = b.Trace

@@ -20,7 +20,7 @@
 // instruction reads it — and then every store to it is kept. An array nothing
 // needs is allocated as a shape (interp.NewShape): bounds and watch, no
 // elements, and a transfer from or into a shape moves no payload
-// (interp.MPI.Dataless). Once the slice reads an array a receive writes, it
+// (interp.MPI's post). Once the slice reads an array a receive writes, it
 // reads every array a send reads, so every payload that can reach it is
 // data. A program that reads mpi_wtime (never recorded) or is not lowered has
 // no slice: its price is its measurement.
@@ -450,10 +450,13 @@ type foldPlan struct {
 // foldOp is one op of a fold. A bLoadS carries in c the register whose
 // interval is the cell's value — the one stored to it, or a DO variable's —
 // or −1 for a cell no op of the nest stores. A nested loop's bForPrep carries
-// in skip the index of its bForNext, where a loop that makes no trip goes.
+// in skip the index of its bForNext, where a loop that makes no trip goes, and
+// in stores whether its body stores a cell: a later load of that cell is
+// bounded by a register the body sets, so such a loop cannot be skipped.
 type foldOp struct {
-	ins  bins
-	skip int32
+	ins    bins
+	skip   int32
+	stores bool
 }
 
 // foldScope is one loop body open while a fold is planned: the cells it
@@ -522,6 +525,9 @@ func planFold(sp *bprog, fd *forDesc, dropped []bool, params []int) *foldPlan {
 			if !store(ins.a, ins.b) {
 				return nil
 			}
+			for _, p := range preps {
+				f.ops[p].stores = true
+			}
 		case bForPrep:
 			preps = append(preps, len(f.ops))
 		case bForIter:
@@ -530,6 +536,9 @@ func planFold(sp *bprog, fd *forDesc, dropped []bool, params []int) *foldPlan {
 				return nil
 			}
 			f.varies[m.vReg] = true
+			for _, p := range preps[:len(preps)-1] {
+				f.ops[p].stores = true
+			}
 			scopes = append(scopes, foldScope{})
 			stored[m.sslot] = source{m.vReg, int32(len(scopes) - 1)}
 		case bForNext:
@@ -569,7 +578,7 @@ func doRange(lo, step, trips int64) (ival, bool) {
 // hold (see the file comment), and returns how many it ran: none when they do
 // not, or when fewer than two iterations remain. The iterations of the loops
 // nested in it count as often as they run: a nested loop's bounds must not
-// vary.
+// vary, and one that makes no trips must store no cell.
 func (bp *bprog) foldLoop(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
 	f := fd.fold
 	trips := int64(regs[fd.tripsReg].bits)
@@ -615,6 +624,9 @@ func (bp *bprog) foldLoop(x *rctx, fr *frame, regs []reg, fd *forDesc) int64 {
 			}
 			mt := max((hi.lo-lo.lo+st.lo)/st.lo, 0)
 			if mt == 0 {
+				if f.ops[i].stores {
+					return 0
+				}
 				iv[m.vReg] = lo
 				i = int(f.ops[i].skip)
 				continue

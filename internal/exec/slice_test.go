@@ -140,3 +140,45 @@ func FuzzSlice(f *testing.F) {
 		}
 	})
 }
+
+// zeroTripNest folds loop i over a nested loop that makes no trips on the
+// second pass of r: the cell j that loop stores keeps the value the outer
+// body gave it, and that value reaches s(4), which an open receive writes.
+const zeroTripNest = `
+program zt
+  include 'mpif.h'
+  integer s(1:8), t(1:8), req, ierr, me, r, m, i, j, k, x
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  call mpi_irecv(s(4), 1, mpi_integer, 1 - me, 0, mpi_comm_world, req, ierr)
+  do r = 1, 2
+    m = 2 - r
+    call mpi_barrier(mpi_comm_world, ierr)
+    do i = 1, 5
+      j = i
+      do k = 1, m
+        j = k
+      enddo
+      x = s(j)
+    enddo
+  enddo
+  call mpi_send(t, 1, mpi_integer, 1 - me, 0, mpi_comm_world, ierr)
+  call mpi_wait(req, mpi_status_ignore, ierr)
+  call mpi_finalize(ierr)
+end program zt
+`
+
+// TestSliceFoldOverZeroTripNest: a fold whose nested loop makes no trips
+// bounds the cells that loop would have stored by the values they hold, not
+// by an earlier fold's, and refuses what the recording refuses.
+func TestSliceFoldOverZeroTripNest(t *testing.T) {
+	for _, m := range plan.Builtin() {
+		if !requireSliceIsRecording(t, "zero-trip nest", zeroTripNest, 2, m) {
+			t.Fatal("no slice for the zero-trip nest")
+		}
+	}
+	_, full, err := exec.Runner{}.Record(zeroTripNest, 2, plan.Builtin()[0].Costs, plan.Builtin()[0].Profile)
+	if err != nil || full.Certifies() {
+		t.Fatalf("recording: err %v, certifies %v; want an in-flight read of s(4)", err, full != nil && full.Certifies())
+	}
+}

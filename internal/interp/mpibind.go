@@ -121,14 +121,10 @@ type MPI struct {
 	// back once its receive has copied it in (recycle.go); the engine that
 	// set it draws its arrays from it too.
 	Recycler *Recycler
-	// Dataless runs every transfer from or into an array without elements
-	// (NewShape) with no payload: a send from one carries its byte count only,
-	// and a receive into one places nothing — a slice's run (exec's slice.go).
-	Dataless bool
 }
 
-// noPayload and dropPayload are a transfer's ends when no data moves: a
-// slice's, and a skeleton replay's.
+// noPayload and dropPayload are a transfer's ends when no data moves: one
+// from or into an array without elements (NewShape), and a skeleton replay's.
 func noPayload() interface{}  { return nil }
 func dropPayload(interface{}) {}
 
@@ -255,31 +251,19 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 			b.Trace.blocking(s, sArr, sOff, np*sCount, false)
 			b.Trace.blocking(s, rArr, rOff, np*rCount, true)
 		}
-		if b.Dataless {
-			b.Rank.Alltoall(sCount*num[2],
-				func(dst int) interface{} {
-					if sArr.Store.shape() {
-						return nil
-					}
-					p, _ := sArr.CopyOut(sOff+int64(dst)*sCount, sCount, nil)
-					return p
-				},
-				func(src int, p interface{}) {
-					if !rArr.Store.shape() {
-						b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
-					}
-				})
-			err = b.failed(s)
-			break
-		}
 		b.Rank.Alltoall(sCount*num[2],
 			func(dst int) interface{} {
+				if sArr.Store.shape() {
+					return nil
+				}
 				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount, b.Recycler)
 				b.note(cerr)
 				return p
 			},
 			func(src int, p interface{}) {
-				b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
+				if !rArr.Store.shape() {
+					b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
+				}
 				b.Recycler.put(p)
 			})
 		err = b.failed(s)
@@ -342,11 +326,11 @@ func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes 
 	if b.Trace != nil && (op == opSend || op == opRecv) {
 		b.Trace.blocking(s, arr, off, count, op == opRecv)
 	}
-	switch {
-	case !b.Dataless || !arr.Store.shape():
-	case send:
-		return b.Rank.Isend(peer, tag, count*elemBytes, noPayload), nil
-	default:
+	if arr.Store.shape() {
+		// A slice's array without elements (NewShape): no data moves.
+		if send {
+			return b.Rank.Isend(peer, tag, count*elemBytes, noPayload), nil
+		}
 		return b.Rank.Irecv(peer, tag, count*elemBytes, dropPayload), nil
 	}
 	if send {

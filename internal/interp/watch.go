@@ -47,60 +47,38 @@ type reqMark struct {
 	recv  bool
 }
 
-// wordSpan is the bitmap words the elements [lo, lo+n), n > 0, touch —
-// first to last — and the masks of their elements in the first and the last.
-func wordSpan(lo, n int64) (first, last int64, head, tail uint64) {
-	hi := lo + n - 1
-	return lo >> 6, hi >> 6, ^uint64(0) << (lo & 63), ^uint64(0) >> (63 - hi&63)
-}
-
-func anyBit(bits []uint64, lo, n int64) bool {
+// words calls f with the index and element mask of every bitmap word the
+// elements [lo, lo+n) touch, stopping when f returns true.
+func words(lo, n int64, f func(i int64, mask uint64) bool) bool {
 	if n <= 0 {
 		return false
 	}
-	first, last, head, tail := wordSpan(lo, n)
-	if first == last {
-		return bits[first]&head&tail != 0
-	}
-	if bits[first]&head != 0 || bits[last]&tail != 0 {
-		return true
-	}
-	for _, b := range bits[first+1 : last] {
-		if b != 0 {
+	hi := lo + n - 1
+	for i := lo >> 6; i <= hi>>6; i++ {
+		mask := ^uint64(0)
+		if i == lo>>6 {
+			mask &= ^uint64(0) << (lo & 63)
+		}
+		if i == hi>>6 {
+			mask &= ^uint64(0) >> (63 - hi&63)
+		}
+		if f(i, mask) {
 			return true
 		}
 	}
 	return false
 }
 
+func anyBit(bits []uint64, lo, n int64) bool {
+	return words(lo, n, func(i int64, m uint64) bool { return bits[i]&m != 0 })
+}
+
 func setBits(bits []uint64, lo, n int64) {
-	if n <= 0 {
-		return
-	}
-	first, last, head, tail := wordSpan(lo, n)
-	if first == last {
-		bits[first] |= head & tail
-		return
-	}
-	bits[first] |= head
-	bits[last] |= tail
-	for i := first + 1; i < last; i++ {
-		bits[i] = ^uint64(0)
-	}
+	words(lo, n, func(i int64, m uint64) bool { bits[i] |= m; return false })
 }
 
 func clearBits(bits []uint64, lo, n int64) {
-	if n <= 0 {
-		return
-	}
-	first, last, head, tail := wordSpan(lo, n)
-	if first == last {
-		bits[first] &^= head & tail
-		return
-	}
-	bits[first] &^= head
-	bits[last] &^= tail
-	clear(bits[first+1 : last])
+	words(lo, n, func(i int64, m uint64) bool { bits[i] &^= m; return false })
 }
 
 // load checks a load of storage element i.

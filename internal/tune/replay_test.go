@@ -179,7 +179,7 @@ func handSearchOf(t *testing.T, orig string, m plan.Machine, runner exec.Runner)
 	s := &search{
 		ctx: context.Background(), src: orig, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
 		maxM: 4, runner: runner, orig: res, origNs: int64(res.Elapsed()),
-		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
+		measured: map[string]*cand{}, bySrc: map[string]*cand{},
 	}
 	s.registerIdentity()
 	return s
@@ -202,7 +202,7 @@ func TestRacyWinnerIsNotCertified(t *testing.T) {
 		if c := s.measure(racyTiled, tiled, false); c != nil || s.replays != 0 {
 			t.Fatalf("eager threshold %d: candidate %+v after %d replays, want it rejected", m.Profile.EagerThreshold, c, s.replays)
 		}
-		if w := s.best(); w == nil || !w.Decisions[0].Skip {
+		if w := s.best(anyCand); w == nil || !w.Decisions[0].Skip {
 			t.Fatalf("eager threshold %d: adopted %+v, want the identity plan", m.Profile.EagerThreshold, w)
 		}
 		_, _, err := runner.Measure(context.Background(), racyTiled, 2, m.Costs, m.Profile)
@@ -290,15 +290,15 @@ func TestWrongDataIsNeverAdopted(t *testing.T) {
 	for _, m := range plan.Builtin() {
 		s := handSearchOf(t, racyOriginal, m, exec.Runner{Store: exec.NewMemStore()})
 		c := s.measure(wrongData, []plan.Decision{plan.Decision{K: 1}.Normalize()}, false)
-		if c == nil || s.slices != 1 || c.Speedup <= 1 || s.best() != c {
+		if c == nil || s.slices != 1 || c.Speedup <= 1 || s.best(anyCand) != c {
 			t.Fatalf("%s: priced %+v after %d slices; want a faster candidate, sliced, ranked first", m.Name, c, s.slices)
 		}
-		w, err := s.proven(func(*Candidate) bool { return true })
+		w, err := s.proven(anyCand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Identical || w == nil || !w.Decisions[0].Skip {
-			t.Fatalf("%s: adopted %+v (the wrong candidate identical %v), want the identity plan", m.Name, w, c.Identical)
+		if c.Identical || !c.refuted || w == nil || !w.Decisions[0].Skip {
+			t.Fatalf("%s: adopted %+v (the wrong candidate identical %v, refuted %v), want the identity plan", m.Name, w, c.Identical, c.refuted)
 		}
 	}
 }

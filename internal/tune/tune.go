@@ -115,10 +115,22 @@ type Candidate struct {
 	Uniform   bool            `json:"uniform"`
 	PrepushNs int64           `json:"prepush_ns"`
 	Speedup   float64         `json:"speedup"`
-	// Identical: the candidate's data is the original's — presumed for a
-	// priced candidate, proven for the ones the choice reports.
+	// Identical: the candidate was measured in full and its data is the
+	// original's (the identity plan's is by definition). A candidate that was
+	// only priced reports false: the search measures in full the adopted,
+	// best uniform and fixed-K candidates only.
 	Identical bool `json:"identical"`
 	Seeded    bool `json:"seeded"` // proposed by the analytic model
+}
+
+// cand is the search's record of a candidate: the candidate as the choice
+// reports it, its variant's source, and whether a full measurement found its
+// data to differ from the original's. The climb presumes every priced
+// candidate identical; prove refutes it.
+type cand struct {
+	Candidate
+	src     string
+	refuted bool
 }
 
 // SiteChoice is the tuning outcome for one MPI_ALLTOALL site: the chosen
@@ -235,7 +247,7 @@ func tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, run
 		ctx: ctx, prog: prog, src: prog.Source(), p: p, machine: m, sites: sites, knobs: knobs,
 		maxM:     resolveMaxMeasured(p.MaxMeasured, len(sites)),
 		runner:   runner,
-		measured: map[string]*Candidate{}, bySrc: map[string]*Candidate{},
+		measured: map[string]*cand{}, bySrc: map[string]*cand{},
 	}
 	// Every verdict compares against this measurement under this machine.
 	orig, _, err := s.measureSource(s.src)
@@ -299,13 +311,12 @@ type search struct {
 	orig   *interp.Result
 	origNs int64
 
-	measured map[string]*Candidate // by whole-plan key; nil = rejected/failed
-	bySrc    map[string]*Candidate // by generated source: knob no-ops alias
-	order    []*Candidate          // unique measured candidates, visit order
+	measured map[string]*cand // by whole-plan key; nil = rejected/failed
+	bySrc    map[string]*cand // by generated source: knob no-ops alias
+	order    []*cand          // unique measured candidates, visit order
 	runs     int
-	replays  int                 // runs answered by a replay
-	slices   int                 // runs answered by executing a slice
-	proofs   map[*Candidate]bool // candidates measured in full (prove)
+	replays  int // runs answered by a replay
+	slices   int // runs answered by executing a slice
 }
 
 // run is Tune's search once the original has been executed.
@@ -380,12 +391,12 @@ func (s *search) run() (Choice, error) {
 	if len(sites) > 1 {
 		for pass := 0; pass < maxDescentPasses && s.runs < s.maxM; pass++ {
 			before := ""
-			if b := s.best(); b != nil {
+			if b := s.best(anyCand); b != nil {
 				before = s.vecKey(b.Decisions)
 			}
 			for si := range sites {
 				if pass == 0 {
-					if b := s.best(); b != nil {
+					if b := s.best(anyCand); b != nil {
 						for _, k := range siteSeeds[si] {
 							s.evaluate(withK(b.Decisions, si, k), true)
 						}
@@ -395,7 +406,7 @@ func (s *search) run() (Choice, error) {
 				s.climbKnobs(si, sites[si].ladder)
 			}
 			after := ""
-			if b := s.best(); b != nil {
+			if b := s.best(anyCand); b != nil {
 				after = s.vecKey(b.Decisions)
 			}
 			if after == before {
@@ -404,14 +415,14 @@ func (s *search) run() (Choice, error) {
 		}
 	}
 
-	winner, err := s.proven(func(*Candidate) bool { return true })
+	winner, err := s.proven(anyCand)
 	if err != nil {
 		return Choice{}, err
 	}
 	if winner == nil {
 		return Choice{}, fmt.Errorf("tune: no valid plan found under %s (fixed K=%d)", m.Name, fixedK)
 	}
-	uniform, err := s.proven(func(c *Candidate) bool { return c.Uniform })
+	uniform, err := s.proven(func(c *cand) bool { return c.Uniform })
 	if err != nil {
 		return Choice{}, err
 	}
@@ -443,23 +454,18 @@ func (s *search) run() (Choice, error) {
 	// successful runs' simulated makespans.
 	ch.Evaluations = s.runs
 	for _, c := range s.order {
-		ch.Candidates = append(ch.Candidates, *c)
+		ch.Candidates = append(ch.Candidates, c.Candidate)
 		ch.SearchSimNs += c.PrepushNs
 	}
 	return ch, nil
 }
 
 // proven returns the best candidate that keep admits, proven identical: each
-// best candidate whose full measurement differs from the original is dropped
+// best candidate whose full measurement differs from the original is refuted
 // in turn. nil when keep admits none that is identical.
-func (s *search) proven(keep func(*Candidate) bool) (*Candidate, error) {
+func (s *search) proven(keep func(*cand) bool) (*cand, error) {
 	for {
-		var best *Candidate
-		for _, c := range s.order {
-			if c.Identical && keep(c) && (best == nil || c.Speedup > best.Speedup) {
-				best = c
-			}
-		}
+		best := s.best(keep)
 		if best == nil {
 			return nil, nil
 		}
@@ -469,32 +475,23 @@ func (s *search) proven(keep func(*Candidate) bool) (*Candidate, error) {
 	}
 }
 
-// prove measures priced candidate c in full and holds its data to the
-// original's, clearing c.Identical when it differs. The identity candidate
-// is the original. A full measurement that fails, or whose makespan is not
-// the price, is an error: the price was not the program's.
-func (s *search) prove(c *Candidate) error {
-	if s.proofs[c] {
+// prove measures priced candidate c in full, once, and sets c.Identical when
+// its data is the original's, c.refuted when it differs. The identity
+// candidate is the original. A full measurement that fails, or whose makespan
+// is not the price, is an error: the price was not the program's.
+func (s *search) prove(c *cand) error {
+	if c.Identical || c.refuted {
 		return nil
 	}
-	if s.proofs == nil {
-		s.proofs = map[*Candidate]bool{}
+	res, _, err := s.measureSource(c.src)
+	if err == nil && int64(res.Elapsed()) != c.PrepushNs {
+		err = fmt.Errorf("measured %d ns, priced %d ns", int64(res.Elapsed()), c.PrepushNs)
 	}
-	s.proofs[c] = true
-	for src, sc := range s.bySrc {
-		if sc != c || src == s.src {
-			continue
-		}
-		res, _, err := s.measureSource(src)
-		if err == nil && int64(res.Elapsed()) != c.PrepushNs {
-			err = fmt.Errorf("measured %d ns, priced %d ns", int64(res.Elapsed()), c.PrepushNs)
-		}
-		if err != nil {
-			return fmt.Errorf("tune: candidate %s under %s: %w", s.vecKey(c.Decisions), s.machine.Name, err)
-		}
-		c.Identical, _ = interp.SameObservable(s.orig, res, s.p.Arrays...)
-		return nil
+	if err != nil {
+		return fmt.Errorf("tune: candidate %s under %s: %w", s.vecKey(c.Decisions), s.machine.Name, err)
 	}
+	c.Identical, _ = interp.SameObservable(s.orig, res, s.p.Arrays...)
+	c.refuted = !c.Identical
 	return nil
 }
 
@@ -504,10 +501,10 @@ func (s *search) prove(c *Candidate) error {
 // its speedup exactly 1.0, and the oracle trivially passes.
 func (s *search) registerIdentity() {
 	ds := normVec(uniformVecOf(plan.Identity(), len(s.sites)))
-	c := &Candidate{
+	c := &cand{Candidate: Candidate{
 		Decisions: ds, Uniform: true,
 		PrepushNs: s.origNs, Speedup: 1.0, Identical: true, Seeded: true,
-	}
+	}, src: s.src}
 	s.measured[s.vecKey(ds)] = c
 	s.bySrc[s.src] = c
 	s.order = append(s.order, c)
@@ -617,7 +614,7 @@ func axisOf(si int) int {
 // that measurement for free (knob flips that change nothing — e.g. forcing
 // interchange off where it never fired — collapse onto the earlier
 // candidate).
-func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
+func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 	ds = normVec(ds)
 	key := s.vecKey(ds)
 	if c, ok := s.measured[key]; ok {
@@ -655,7 +652,7 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *Candidate {
 // for a variant without one, of the variant). A variant Price refuses — it
 // failed, or touched an in-flight buffer — is no candidate. The candidate is
 // presumed identical until prove says otherwise.
-func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate {
+func (s *search) measure(src string, ds []plan.Decision, seeded bool) *cand {
 	s.runs++
 	var st *mpi.RunStats
 	var how exec.Answer
@@ -672,7 +669,7 @@ func (s *search) measure(src string, ds []plan.Decision, seeded bool) *Candidate
 	case exec.Sliced:
 		s.slices++
 	}
-	c := &Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded, Identical: true}
+	c := &cand{Candidate: Candidate{Decisions: ds, Uniform: isUniform(ds), Seeded: seeded}, src: src}
 	c.PrepushNs = int64(st.End)
 	if c.PrepushNs > 0 {
 		c.Speedup = float64(s.origNs) / float64(c.PrepushNs)
@@ -696,7 +693,7 @@ func (s *search) measureSource(src string) (res *interp.Result, replayed bool, e
 // incumbent).
 func (s *search) climbK(si int, ladder []int64) {
 	for {
-		best := s.best()
+		best := s.best(anyCand)
 		if best == nil {
 			break
 		}
@@ -718,7 +715,7 @@ func (s *search) climbK(si int, ladder []int64) {
 			if _, seen := s.measured[s.vecKey(ds)]; seen {
 				continue
 			}
-			if c := s.evaluate(ds, false); c != nil && c.Identical && c.Speedup > best.Speedup {
+			if c := s.evaluate(ds, false); c != nil && c.Speedup > best.Speedup {
 				improved = true
 			}
 		}
@@ -746,7 +743,7 @@ func (s *search) climbKnobs(si int, ladder []int64) {
 // climbs K within the flipped variant (climbVariant).
 func flip(f func(*plan.Decision)) knob {
 	return func(s *search, si int, ladder []int64) {
-		best := s.best()
+		best := s.best(anyCand)
 		if ds := withFlip(best.Decisions, si, f); s.vecKey(ds) != s.vecKey(best.Decisions) {
 			s.climbVariant(ds, si, ladder)
 		}
@@ -765,7 +762,7 @@ func flip(f func(*plan.Decision)) knob {
 // strictly better candidate through the shared measurement pool.
 func (s *search) climbVariant(ds []plan.Decision, si int, ladder []int64) {
 	cur := s.evaluate(ds, false)
-	if cur == nil || !cur.Identical {
+	if cur == nil {
 		return
 	}
 	curSp := cur.Speedup
@@ -789,9 +786,6 @@ func (s *search) climbVariant(ds []plan.Decision, si int, ladder []int64) {
 			if c == nil {
 				continue // rejected or failed rung: free, keep walking
 			}
-			if !c.Identical {
-				break
-			}
 			aliased := s.vecKey(c.Decisions) != s.vecKey(nd)
 			if c.Speedup > curSp {
 				curSp = c.Speedup
@@ -802,23 +796,23 @@ func (s *search) climbVariant(ds []plan.Decision, si int, ladder []int64) {
 	}
 }
 
-// best returns the oracle-identical candidate with the highest speedup.
-// Ties prefer the candidate measured earliest — the fixed-K default-knob
-// decision first, then seeds, then refinements — so a knob flip, retile,
-// or per-site divergence displaces the incumbent only when strictly
-// better.
-func (s *search) best() *Candidate {
-	var best *Candidate
+// best returns the candidate keep admits with the highest speedup, of those
+// no full measurement refuted. Ties prefer the candidate measured earliest —
+// the fixed-K default-knob decision first, then seeds, then refinements — so
+// a knob flip, retile, or per-site divergence displaces the incumbent only
+// when strictly better.
+func (s *search) best(keep func(*cand) bool) *cand {
+	var best *cand
 	for _, c := range s.order {
-		if !c.Identical {
-			continue
-		}
-		if best == nil || c.Speedup > best.Speedup {
+		if !c.refuted && keep(c) && (best == nil || c.Speedup > best.Speedup) {
 			best = c
 		}
 	}
 	return best
 }
+
+// anyCand admits every candidate.
+func anyCand(*cand) bool { return true }
 
 // sortedKeys returns the map's keys in ascending order.
 func sortedKeys(set map[int64]bool) []int64 {
