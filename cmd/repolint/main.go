@@ -89,7 +89,8 @@ var allowedGlobals = map[string]string{
 	"internal/interp:mpiRoutines": "MPI routine signature table (read-only)",
 	// A sync.Pool is a cache, not state: nothing observable depends on what
 	// it holds, and it is the only way scratch outlives one run.
-	"internal/exec:stripPool": "strip-executor lane vectors recycled across runs (sync.Pool; a per-run or per-Program scratch would add ~20 KiB per rank to runs that allocate ~2 MiB)",
+	"internal/exec:stripPool":   "strip-executor lane vectors recycled across runs (sync.Pool; a per-run or per-Program scratch would add ~20 KiB per rank to runs that allocate ~2 MiB)",
+	"internal/interp:scratches": "the working memory of finished recordings (search window, keys, in-flight marks) lent to new ones (sync.Pool; a transformed exchange holds every request open at once, so each recording would grow its marks and window afresh: 33 of 804 MB over 12 BenchmarkPlanCold iterations went to marks alone)",
 	// Test seams that product code only reads: nil outside tests.
 	"internal/dep:observePair":      "differential-test observer of pair queries (set only by internal/dep's tests, which hold every answer to the reference solver)",
 	"internal/analysis:observeSlab": "differential-test observer of §3.4 slab proofs (set only by internal/analysis's tests, which hold every verdict to the exhaustive enumeration and pin the elements evaluated)",

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"reflect"
+
 	"repro/internal/interp"
 	"repro/internal/netsim"
 )
@@ -54,4 +56,67 @@ func (r Runner) RecordSlice(src string, np int, costs interp.CostModel, prof net
 	}
 	_, skel, err := p.runSlice(np, prof, costs, true)
 	return skel, "", err
+}
+
+// SliceShapes names the arrays of the main unit that the program's slice
+// allocates as shapes; none when the program has no slice.
+func (r Runner) SliceShapes(src string) ([]string, error) {
+	p, err := r.get(src)
+	if err != nil || p.sliceForm() != "" {
+		return nil, err
+	}
+	var names []string
+	for _, d := range p.main.sbp.decls {
+		if d.shape {
+			names = append(names, d.name)
+		}
+	}
+	return names, nil
+}
+
+// SliceFoldedNests counts the loops of the program's slice whose fold takes
+// in a nested loop; none when the program has no slice.
+func (r Runner) SliceFoldedNests(src string) (int, error) {
+	p, err := r.get(src)
+	if err != nil || p.sliceForm() != "" {
+		return 0, err
+	}
+	n := 0
+	for _, u := range append([]*unit{p.main}, p.subs...) {
+		for _, fd := range u.sbp.fors {
+			if fd.fold == nil {
+				continue
+			}
+			for _, op := range fd.fold.ops {
+				if op.ins.op == bForPrep {
+					n++
+					break
+				}
+			}
+		}
+	}
+	return n, nil
+}
+
+// SkeletonRuns counts the strided runs among the entries a recording
+// stores, all ranks. interp keeps its stored form to itself, so this reads
+// it by reflection: Skeleton.ranks[r].entries, whose run headers carry op
+// 255 (interp's opRun) and their pattern length in peer, two entries per
+// pattern entry following.
+func SkeletonRuns(s *interp.Skeleton) int {
+	if s == nil {
+		return 0
+	}
+	runs := 0
+	ranks := reflect.ValueOf(s).Elem().FieldByName("ranks")
+	for r := 0; r < ranks.Len(); r++ {
+		es := ranks.Index(r).FieldByName("entries")
+		for k := 0; k < es.Len(); k++ {
+			if e := es.Index(k); e.FieldByName("op").Uint() == 255 {
+				runs++
+				k += 2 * int(e.FieldByName("peer").Int())
+			}
+		}
+	}
+	return runs
 }

@@ -19,11 +19,15 @@ type kgen struct {
 	// x draws the choices of the calls-and-messages phase (extras): a
 	// stream of its own, so the phases before it keep the shapes their
 	// seeds always gave them.
-	x     *rand.Rand
-	sb    strings.Builder
-	depth int
-	loops []kloop // enclosing DO loops, outermost first
-	free  []string
+	x *rand.Rand
+	// dataFree kernels read nothing they receive and end in the data-free
+	// phase (dataFreePhase): their slices allocate shapes, move no payload,
+	// fold an address-only nest, and record a tiled exchange.
+	dataFree bool
+	sb       strings.Builder
+	depth    int
+	loops    []kloop // enclosing DO loops, outermost first
+	free     []string
 }
 
 // kloop is an enclosing DO loop: its variable and the value range it can
@@ -319,8 +323,49 @@ func (g *kgen) extras() {
 	g.line("call mpi_irecv(rb(1 + me - me), 3, mpi_integer, mod(me + 1, 2), %d + n - %d, mpi_comm_world, rq(1 + mod(me, 2)), ierr)", tag, kN)
 	g.line("call mpi_isend(sb, 2 + n / %d, mpi_integer, 1 - me, %d + mod(n, %d), mpi_comm_world, rq(2 - mod(me, 2)), ierr)", kN, tag, kN)
 	g.line("call mpi_waitall(2, rq, mpi_statuses_ignore, ierr)")
-	g.line("k3 = k3 + rb(%d) - rb(%d)", 1+x.Intn(3), 1+x.Intn(3))
+	if !g.dataFree {
+		g.line("k3 = k3 + rb(%d) - rb(%d)", 1+x.Intn(3), 1+x.Intn(3))
+	}
 	g.line("print *, 'calls', k1, k2, k3, ' r1 =', r1, l0, 'rank>0', me > 0, %s", pick("r0 / 2", "i0 + 0.5", "k1 == k2"))
+}
+
+// kDF bounds the data-free phase's buffers, ds/dr(1:kDF): up to seven tiles
+// of up to four elements.
+const kDF = 28
+
+// dataFreePhase emits what a data-free kernel ends in: an address-only nest
+// filling ds, whose stores the slice keeps as probes and folds, then a tiled
+// exchange of ds into dr with the partner rank — nt tiles of ts elements, an
+// irecv, an isend and a waitall each — whose tag goes up by one per tile, or
+// breaks that stride from a tile on, or follows no stride, and whose last
+// tile may be short. Nothing reads ds or dr: the slice allocates both as
+// shapes, and the exchange moves no payload.
+func (g *kgen) dataFreePhase() {
+	x := g.x
+	nt, ts := 4+x.Intn(4), 2+x.Intn(3)
+	g.line("do j1 = 1, %d", nt)
+	g.line("  do j2 = 1, %d", ts)
+	g.line("    ds(j2 + (j1 - 1) * %d) = j1 * j2 + me", ts)
+	g.line("  enddo")
+	g.line("enddo")
+	tag := fmt.Sprintf("j1 + %d", x.Intn(50))
+	switch x.Intn(3) {
+	case 1:
+		tag += fmt.Sprintf(" + (j1 / %d) * %d", 2+x.Intn(nt-2), 2+x.Intn(5))
+	case 2:
+		tag = fmt.Sprintf("mod(j1 * j1, %d)", 5+x.Intn(7))
+	}
+	g.line("do j1 = 1, %d", nt)
+	g.line("  k2 = %d", ts)
+	if x.Intn(2) == 0 {
+		g.line("  if (j1 == %d) then", nt)
+		g.line("    k2 = %d", 1+x.Intn(ts-1))
+		g.line("  endif")
+	}
+	g.line("  call mpi_irecv(dr(1 + (j1 - 1) * %d), k2, mpi_integer, 1 - me, %s, mpi_comm_world, rq(1), ierr)", ts, tag)
+	g.line("  call mpi_isend(ds(1 + (j1 - 1) * %d), k2, mpi_integer, 1 - me, %s, mpi_comm_world, rq(2), ierr)", ts, tag)
+	g.line("  call mpi_waitall(2, rq, mpi_statuses_ignore, ierr)")
+	g.line("enddo")
 }
 
 // kernelSubs are the subroutines every kernel can call.
@@ -412,8 +457,13 @@ end subroutine leave
 
 // program emits the whole kernel: set-up, a first random phase filling the
 // send buffer, one ALLTOALL, a second random phase reading the receive
-// buffer, the calls-and-messages phase, and prints of every scalar.
+// buffer (a data-free kernel reads none of it), the calls-and-messages
+// phase, a data-free kernel's data-free phase, and prints of every scalar.
 func (g *kgen) program() string {
+	decls := ""
+	if g.dataFree {
+		decls = fmt.Sprintf("  integer ds(1:%d), dr(1:%d)\n", kDF, kDF)
+	}
 	g.sb.WriteString(`
 program k
   implicit none
@@ -425,7 +475,7 @@ program k
   integer rq(1:2), sb(1:3), rb(1:3), k1, k2, k3
   real r0, r1, r2
   logical l0, l1
-  call mpi_init(ierr)
+` + decls + `  call mpi_init(ierr)
   call mpi_comm_rank(mpi_comm_world, me, ierr)
   nz = 7 - me * 2
   nrt = n - me * 5
@@ -445,10 +495,17 @@ program k
 	g.line("  as(j1) = %s", g.intExpr(2))
 	g.line("enddo")
 	g.line("call mpi_alltoall(as, %d, mpi_integer, ar, %d, mpi_integer, mpi_comm_world, ierr)", kNS/2, kNS/2)
-	g.line("i2 = ar(%s) + ar(%d)", g.sub(1, kNS), kNS)
+	if g.dataFree {
+		g.line("i2 = i0 + %d", kNS)
+	} else {
+		g.line("i2 = ar(%s) + ar(%d)", g.sub(1, kNS), kNS)
+	}
 	g.doStmt(3)
 	g.block(3)
 	g.extras()
+	if g.dataFree {
+		g.dataFreePhase()
+	}
 	g.line("print *, 'ints', i0, i1, i2, i3, j1, j2, j3")
 	g.line("print *, 'reals', r0, r1, r2, 'logicals', l0, l1")
 	g.sb.WriteString("  call mpi_finalize(ierr)\nend program k\n" + kernelSubs)
@@ -457,10 +514,16 @@ program k
 
 const randomKernels = 200
 
+// newKgen draws a kernel from the seeds of its two streams; the kernel is
+// data-free when xseed is a multiple of three, so that choice draws from
+// neither stream.
+func newKgen(seed, xseed int64) *kgen {
+	return &kgen{r: rand.New(rand.NewSource(seed)), x: rand.New(rand.NewSource(xseed)), dataFree: xseed%3 == 0}
+}
+
 // randomKernel is the i-th kernel of the seeded family.
 func randomKernel(i int) string {
-	g := &kgen{r: rand.New(rand.NewSource(int64(20060425 + i))), x: rand.New(rand.NewSource(int64(20261001 + i)))}
-	return g.program()
+	return newKgen(int64(20060425+i), int64(20261001+i)).program()
 }
 
 // TestRandomKernelsBitIdentical generates small kernels from a fixed seed —

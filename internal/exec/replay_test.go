@@ -251,6 +251,56 @@ func TestNeverSkeletonised(t *testing.T) {
 	requireWalkReplaysEverywhere(t, "plain ring", ring("5", ""), 2, plan.PaperPair())
 }
 
+// capKernel is a program of np ranks in which rank 0 sends rank 1 n
+// one-element messages, the i-th tagged tag, and the others idle.
+func capKernel(n int, tag string) string {
+	return wrap(`  integer s(1:1), r(1:1), i`, fmt.Sprintf(`
+  if (me == 0) then
+    do i = 1, %d
+      call mpi_send(s, 1, mpi_integer, 1, %s, mpi_comm_world, ierr)
+    enddo
+  endif
+  if (me == 1) then
+    do i = 1, %[1]d
+      call mpi_recv(r, 1, mpi_integer, 0, %[2]s, mpi_comm_world, mpi_status_ignore, ierr)
+    enddo
+  endif`, n, tag))
+}
+
+// TestSkeletonCapCountsStoredEntries: the skeleton cap bounds the entries a
+// recording stores, not the operations they stand for. At 64 ranks a rank
+// may store 2^20/64 = 16,384 entries, and ranks 0 and 1 issue 20,000
+// operations each. With a tag that goes up by one per message they fold
+// into one run: the program records, and its replay is its execution under
+// every machine. With a tag that follows no stride (i² mod 9973 has no
+// constant difference at any period up to the fold's longest) every one is
+// stored: the recording is fenced, and every measurement executes.
+func TestSkeletonCapCountsStoredEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20,000 messages per run")
+	}
+	const np, n = 64, 20000
+	requireReplaysEverywhere(t, "strided messages past the cap", capKernel(n, "i"), np, plan.Builtin())
+	spill := capKernel(n, "mod(i * i, 9973)")
+	for _, m := range plan.Builtin() {
+		r := exec.Runner{Store: exec.NewMemStore()}
+		ref, err := r.Run(spill, np, m.Costs, m.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			res, replayed, err := r.Measure(context.Background(), spill, np, m.Costs, m.Profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed {
+				t.Fatalf("under %s: measurement %d of a recording past the cap replayed", m.Name, i)
+			}
+			requireReplayIsRun(t, fmt.Sprintf("unstrided messages past the cap, measured under %s", m.Name), ref, res)
+		}
+	}
+}
+
 // TestConcurrentFirstRuns: of several goroutines running or measuring one
 // Program at once, the first measurement records; a run executes in full and
 // never waits, a measurement that finds the recording under way waits for it

@@ -2,7 +2,6 @@ package exec_test
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -18,13 +17,13 @@ import (
 
 // requireSliceIsRecording holds the recording of src's slice to its full
 // recording under m: entry for entry, and certifying alike. It reports
-// whether src has a slice.
-func requireSliceIsRecording(t *testing.T, label, src string, np int, m plan.Machine) bool {
+// whether src has a slice, and returns the slice's recording.
+func requireSliceIsRecording(t *testing.T, label, src string, np int, m plan.Machine) (*interp.Skeleton, bool) {
 	t.Helper()
 	_, full, ferr := exec.Runner{}.Record(src, np, m.Costs, m.Profile)
 	slice, why, serr := exec.Runner{}.RecordSlice(src, np, m.Costs, m.Profile)
 	if why != "" {
-		return false
+		return nil, false
 	}
 	if (ferr == nil) != (serr == nil) {
 		t.Fatalf("%s under %s: recording err %v, slice err %v", label, m.Name, ferr, serr)
@@ -32,7 +31,7 @@ func requireSliceIsRecording(t *testing.T, label, src string, np int, m plan.Mac
 	if d := interp.Disagree(full, slice); d != "" {
 		t.Fatalf("%s under %s: the slice's recording is not the program's: %s", label, m.Name, d)
 	}
-	return true
+	return slice, true
 }
 
 // TestSliceEqualsRecordingCorpus: every corpus original and knob-plan variant
@@ -63,7 +62,7 @@ func TestSliceEqualsRecordingCorpus(t *testing.T) {
 				if sc.Costs != nil {
 					m.Costs = *sc.Costs
 				}
-				if requireSliceIsRecording(t, fmt.Sprintf("%s/%s", sc.Name, pl.Key()), src, sc.NP, m) && m.Name == plan.Builtin()[0].Name {
+				if _, ok := requireSliceIsRecording(t, fmt.Sprintf("%s/%s", sc.Name, pl.Key()), src, sc.NP, m); ok && m.Name == plan.Builtin()[0].Name {
 					sliced++
 				}
 			}
@@ -92,7 +91,7 @@ func TestSliceEqualsRecordingFixtures(t *testing.T) {
 		}
 		np, _ := strconv.Atoi(m[1])
 		for _, mach := range plan.Builtin() {
-			if !requireSliceIsRecording(t, filepath.Base(path), src, np, mach) {
+			if _, ok := requireSliceIsRecording(t, filepath.Base(path), src, np, mach); !ok {
 				t.Fatalf("%s has no slice", path)
 			}
 		}
@@ -105,21 +104,53 @@ func TestSliceEqualsRecordingFixtures(t *testing.T) {
 
 // TestSliceEqualsRecordingRandomKernels: the 200 generated kernels under the
 // three built-in machines. A kernel whose slice would read received data is
-// measured instead, and counted.
+// measured instead, and counted. The data-free kernels must reach what the
+// slice and the recording's fold handle: some slice allocates a shape, some
+// transfers from or into one (moving no payload), some folds a loop nest,
+// and some recording stores a strided run.
 func TestSliceEqualsRecordingRandomKernels(t *testing.T) {
 	count := randomKernels
 	if testing.Short() {
 		count = 20
 	}
-	sliced := 0
+	buffers := map[string]bool{"as": true, "ar": true, "sb": true, "rb": true, "ds": true, "dr": true}
+	sliced, shaped, dataless, nests, runs := 0, 0, 0, 0, 0
 	for i := 0; i < count; i++ {
+		src := randomKernel(i)
 		for mi, m := range plan.Builtin() {
-			if requireSliceIsRecording(t, fmt.Sprintf("kernel %d", i), randomKernel(i), 2, m) && mi == 0 {
-				sliced++
+			slice, ok := requireSliceIsRecording(t, fmt.Sprintf("kernel %d", i), src, 2, m)
+			if !ok || mi > 0 {
+				continue
+			}
+			sliced++
+			shapes, err := exec.Runner{}.SliceShapes(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(shapes) > 0 {
+				shaped++
+			}
+			for _, name := range shapes {
+				if buffers[name] {
+					dataless++
+					break
+				}
+			}
+			if n, err := (exec.Runner{}).SliceFoldedNests(src); err != nil {
+				t.Fatal(err)
+			} else if n > 0 {
+				nests++
+			}
+			if exec.SkeletonRuns(slice) > 0 {
+				runs++
 			}
 		}
 	}
-	t.Logf("%d of %d kernels sliced", sliced, count)
+	t.Logf("%d of %d kernels sliced: %d allocate a shape, %d transfer data-free, %d fold a nest, %d record a strided run",
+		sliced, count, shaped, dataless, nests, runs)
+	if shaped == 0 || dataless == 0 || nests == 0 || runs == 0 {
+		t.Fatalf("the kernels miss a case the slice or the fold handles")
+	}
 }
 
 // FuzzSlice: over randkernel_test.go's grammar, drawn from two fuzzed seeds
@@ -131,10 +162,9 @@ func FuzzSlice(f *testing.F) {
 		f.Add(20060425+i, 20261001+i)
 	}
 	f.Fuzz(func(t *testing.T, seed, xseed int64) {
-		g := &kgen{r: rand.New(rand.NewSource(seed)), x: rand.New(rand.NewSource(xseed))}
-		src := g.program()
+		src := newKgen(seed, xseed).program()
 		for _, m := range plan.Builtin() {
-			if !requireSliceIsRecording(t, "fuzz kernel", src, 2, m) {
+			if _, ok := requireSliceIsRecording(t, "fuzz kernel", src, 2, m); !ok {
 				t.Fatalf("no slice for a lowered kernel:\n%s", src)
 			}
 		}
@@ -173,7 +203,7 @@ end program zt
 // by an earlier fold's, and refuses what the recording refuses.
 func TestSliceFoldOverZeroTripNest(t *testing.T) {
 	for _, m := range plan.Builtin() {
-		if !requireSliceIsRecording(t, "zero-trip nest", zeroTripNest, 2, m) {
+		if _, ok := requireSliceIsRecording(t, "zero-trip nest", zeroTripNest, 2, m); !ok {
 			t.Fatal("no slice for the zero-trip nest")
 		}
 	}

@@ -223,7 +223,7 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 		}
 		b.reqs = append(b.reqs, req)
 		if b.Trace != nil {
-			b.Trace.marks = b.Trace.mark(b.Trace.marks, s, arr[0], num[0], num[1], r.op == opIrecv)
+			b.Trace.mark(s, arr[0], num[0], num[1], r.op == opIrecv)
 		}
 		err = a.Store(6, IntVal(int64(len(b.reqs))))
 	case opWait:
@@ -365,7 +365,7 @@ func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
 	}
 	b.reqs[h-1] = nil
 	if b.Trace != nil {
-		unmark(b.Trace.marks, int(h-1))
+		b.Trace.unmark(int32(h))
 	}
 	b.trace(skelEntry{op: opWait, slot: int32(h)})
 	b.Rank.Wait(req)

@@ -34,18 +34,22 @@ import (
 type watch struct {
 	t          *RankTrace // the recording rank, which takes the first hazard
 	send, recv []uint64   // bit i: an open isend reads / irecv writes element i
-	sends      []int32    // the open isends over the storage, as indices into the trace's marks
+	sends      []int32    // the open isends over the storage, by request handle
 	stacked    bool       // open isends have shared an element (see above)
 }
 
 // reqMark is what one nonblocking request marked, for its wait to clear; st
 // is nil when it marked nothing.
 type reqMark struct {
-	st    *storage
-	lo, n int64
-	at    int32 // an isend's index in its watch's sends
-	recv  bool
+	st     *storage
+	lo, n  int64
+	at     int32 // an isend's index in its watch's sends
+	recv   bool
+	waited bool
 }
+
+// waitedMark says a mark's request has been waited on (openTable.push).
+func waitedMark(m *reqMark) bool { return m.waited }
 
 // words calls f with the index and element mask of every bitmap word the
 // elements [lo, lo+n) touch, stopping when f returns true.
@@ -110,10 +114,15 @@ func (t *RankTrace) flag(format string, args ...interface{}) {
 
 // mark marks the buffer of the nonblocking request call s posts (count
 // elements at arr+off, an already checked window), first checking it against
-// the open ones, and appends to marks what the request's wait clears.
-func (t *RankTrace) mark(marks []reqMark, s *ftn.CallStmt, arr *Array, off, count int64, recv bool) []reqMark {
+// the open ones, and keeps in marks what the request's wait clears.
+func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv bool) {
+	t.marks.push(t.newMark(s, arr, off, count, recv), waitedMark)
+}
+
+// newMark is mark's reqMark, for the request's handle: the next one.
+func (t *RankTrace) newMark(s *ftn.CallStmt, arr *Array, off, count int64, recv bool) reqMark {
 	if t.hazard != "" || count <= 0 {
-		return append(marks, reqMark{})
+		return reqMark{}
 	}
 	st, lo := arr.Store, arr.Offset+off
 	w := st.watch
@@ -127,24 +136,25 @@ func (t *RankTrace) mark(marks []reqMark, s *ftn.CallStmt, arr *Array, off, coun
 	switch {
 	case recv && (anyBit(w.send, lo, count) || anyBit(w.recv, lo, count)):
 		t.flag("%s: %s's buffer %s overlaps a request still in flight", s.Pos(), s.Name, arr.Name)
-		return append(marks, reqMark{})
+		return reqMark{}
 	case recv:
 		setBits(w.recv, lo, count)
 	case anyBit(w.recv, lo, count):
 		t.flag("%s: %s reads %s while an mpi_irecv still writes it", s.Pos(), s.Name, arr.Name)
-		return append(marks, reqMark{})
+		return reqMark{}
 	default:
 		w.stacked = w.stacked || anyBit(w.send, lo, count)
 		setBits(w.send, lo, count)
 		m.at = int32(len(w.sends))
-		w.sends = append(w.sends, int32(len(marks)))
+		w.sends = append(w.sends, t.marks.base+int32(len(t.marks.vals))+1)
 	}
-	return append(marks, m)
+	return m
 }
 
-// unmark clears what marks[i] recorded, at its request's wait.
-func unmark(marks []reqMark, i int) {
-	m := &marks[i]
+// unmark clears what request h marked, at its wait.
+func (t *RankTrace) unmark(h int32) {
+	m := t.marks.at(h)
+	m.waited = true
 	if m.st == nil || m.st.watch == nil {
 		return
 	}
@@ -154,12 +164,13 @@ func unmark(marks []reqMark, i int) {
 		return
 	}
 	last := w.sends[len(w.sends)-1]
-	w.sends[m.at], marks[last].at = last, m.at
+	w.sends[m.at], t.marks.at(last).at = last, m.at
 	w.sends = w.sends[:len(w.sends)-1]
 	clearBits(w.send, m.lo, m.n)
 	if w.stacked {
 		for _, o := range w.sends {
-			setBits(w.send, marks[o].lo, marks[o].n)
+			o := t.marks.at(o)
+			setBits(w.send, o.lo, o.n)
 		}
 		w.stacked = len(w.sends) > 0
 	}
