@@ -188,6 +188,51 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepushRuns runs the finest-tiled variant the simulator benchmark
+// draws from — tile size ⌊K/4⌋ — of the first scenario of each of the nine
+// families, under each machine of the default sweep, through the bytecode
+// engine: one iteration is 27 simulated runs that are almost all messages.
+// Its heap profile is the simulator's (docs/profile-layers.md):
+//
+//	go test -run '^$' -bench PrepushRuns -benchtime 20x -memprofile mem.pprof
+func BenchmarkPrepushRuns(b *testing.B) {
+	type run struct {
+		p  *exec.Program
+		np int
+		m  plan.Machine
+	}
+	var runs []run
+	for _, sc := range workload.GenerateScenarios(workload.GenOptions{Limit: 9}) {
+		prog, err := core.Analyze(sc.Source, core.AnalyzeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, _, err := core.Apply(prog, core.Options{K: max(1, sc.K/4)}.Plan())
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := exec.CompileSource(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range plan.DefaultSweep() {
+			if sc.Costs != nil {
+				m.Costs = *sc.Costs
+			}
+			runs = append(runs, run{p, sc.NP, m})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			if _, err := r.p.RunBytecode(r.np, r.m.Profile, r.m.Costs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkVerifyVariant prices the static verification tier against one
 // walk-engine run on the same variant: the correctness-tier cost ladder
 // (static verify → walk oracle) in numbers. Static verification re-parses

@@ -12,7 +12,8 @@ package interp
 // which the caller makes once mpi.Run has returned — until then a transfer
 // the program never waited on may still land in it — and after it has
 // digested what it keeps of the final arrays. It is never handed back at a
-// subroutine's return. Reused storage is cleared and carries no watch. A
+// subroutine's return. Reused storage is cleared, and carries no watch: the
+// recording that watched it dropped the watch when it ended (watch.go). A
 // payload goes back as soon as its receive has copied it in. A nil *Recycler
 // lends nothing: every array and payload is fresh.
 type Recycler struct {
@@ -46,9 +47,10 @@ func (rc *Recycler) storage(kind Kind, n int64) *storage {
 	return s
 }
 
-// Reclaim takes back every storage lent since the last Reclaim, dropping its
-// watch. The caller guarantees that the execution is over — mpi.Run has
-// returned — and that nothing it keeps refers to the storage.
+// Reclaim takes back every storage lent since the last Reclaim. The caller
+// guarantees that the execution is over — mpi.Run has returned, and its
+// recording, if any, has ended — and that nothing it keeps refers to the
+// storage.
 func (rc *Recycler) Reclaim() {
 	if rc == nil {
 		return
@@ -57,7 +59,6 @@ func (rc *Recycler) Reclaim() {
 		rc.free = map[storageKey][]*storage{}
 	}
 	for _, s := range rc.lent {
-		s.watch = nil
 		k := storageKey{s.kind, s.len()}
 		rc.free[k] = append(rc.free[k], s)
 	}

@@ -226,12 +226,14 @@ const foldWindow = 3 * maxPeriod
 
 // scratch is a recording's working memory, which it gives back once its
 // skeleton is assembled (scratches): the search's singles, closed runs and
-// keys, and the in-flight marks of its open requests.
+// keys, the in-flight marks of its open requests, and the words its
+// watches' bitmaps are carved from (watch.go).
 type scratch struct {
 	scan   []skelEntry
 	closed []span
 	keys   []int32
 	marks  openTable[reqMark]
+	words  []uint64
 }
 
 // scratches lends the scratch of finished recordings to new ones: a
@@ -244,8 +246,21 @@ var scratches = sync.Pool{New: func() interface{} { return new(scratch) }}
 func (sc *scratch) release() {
 	clear(sc.keys)
 	clear(sc.marks.vals[:cap(sc.marks.vals)])
+	clear(sc.words)
 	sc.scan, sc.closed, sc.marks.vals, sc.marks.base = sc.scan[:0], sc.closed[:0], sc.marks.vals[:0], 0
+	sc.words = sc.words[:0]
 	scratches.Put(sc)
+}
+
+// release ends the recording: its storages drop their watches before the
+// words of their bitmaps go back with its scratch, so an array that outlives
+// the recording never reads bits a later recording owns.
+func (t *RankTrace) release() {
+	for _, st := range t.watched {
+		st.watch = nil
+	}
+	t.watched = nil
+	t.scratch.release()
 }
 
 // NewRankTrace starts the recording of one rank of an np-rank run.

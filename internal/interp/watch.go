@@ -38,6 +38,25 @@ type watch struct {
 	stacked    bool       // open isends have shared an element (see above)
 }
 
+// newWatch watches st, carving its two bitmaps from the recording's words.
+// When the words run out, the watches carved so far keep the array they
+// point into, and the words go on at the same offset in one at least twice
+// the size: the array the scratch goes back with holds every word of the
+// recording, so a recording of the same shape carves all of its bitmaps
+// from it.
+func (t *RankTrace) newWatch(st *storage) *watch {
+	n := int(st.len()+63) / 64
+	at := len(t.words)
+	if at+2*n > cap(t.words) {
+		t.words = make([]uint64, at, max(2*cap(t.words), at+2*n))
+	}
+	t.words = t.words[:at+2*n]
+	w := &watch{t: t, send: t.words[at : at+n : at+n], recv: t.words[at+n : at+2*n : at+2*n]}
+	st.watch = w
+	t.watched = append(t.watched, st)
+	return w
+}
+
 // reqMark is what one nonblocking request marked, for its wait to clear; st
 // is nil when it marked nothing.
 type reqMark struct {
@@ -127,10 +146,7 @@ func (t *RankTrace) newMark(s *ftn.CallStmt, arr *Array, off, count int64, recv 
 	st, lo := arr.Store, arr.Offset+off
 	w := st.watch
 	if w == nil {
-		n := (st.len() + 63) / 64
-		w = &watch{t: t, send: make([]uint64, n), recv: make([]uint64, n)}
-		st.watch = w
-		t.watched = append(t.watched, st)
+		w = t.newWatch(st)
 	}
 	m := reqMark{st: st, lo: lo, n: count, recv: recv}
 	switch {

@@ -2,7 +2,10 @@ package interp
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/ftn"
 )
 
 // TestBitRangesMatchAModel holds the watch's word-at-a-time range operations
@@ -111,5 +114,70 @@ func TestStripNotesMatchElementNotes(t *testing.T) {
 	t.Logf("%d of 4000 strips flagged", flagged)
 	if flagged < 100 {
 		t.Fatalf("only %d strips crossed a mark", flagged)
+	}
+}
+
+// TestFinishedRecordingLeavesNoWatch: a recording carves its watches'
+// bitmaps from its pooled scratch, and marks made before the words grow
+// stay put; once it is released, no storage it watched carries a watch, and
+// a second recording of the same shape carves every bitmap from the scratch
+// the first gave back.
+func TestFinishedRecordingLeavesNoWatch(t *testing.T) {
+	const big = 1 << 18 // elements: a bitmap of 32 KiB
+	s := &ftn.CallStmt{Name: "mpi_isend"}
+	arrays := func() []*Array {
+		var arrs []*Array
+		for _, n := range []int64{100, big, 3000} {
+			a, err := NewArray("a", KReal, []DimBound{{Lo: 1, Hi: n}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrs = append(arrs, a)
+		}
+		return arrs
+	}
+	record := func(arrs []*Array) *RankTrace {
+		tr := NewRankTrace(2)
+		for i, a := range arrs {
+			tr.mark(s, a, 5, 10, i%2 == 1)
+		}
+		for i, a := range arrs {
+			if !a.Marked(5, 14, true) || a.Marked(0, 4, true) || a.Marked(15, 20, true) {
+				t.Fatalf("array %d: its marks changed when the words grew", i)
+			}
+		}
+		for h := range arrs {
+			tr.unmark(int32(h + 1))
+		}
+		if tr.hazard != "" {
+			t.Fatalf("hazard: %s", tr.hazard)
+		}
+		return tr
+	}
+	// Both recordings' arrays first: the collections their allocation
+	// causes would empty the pool.
+	first, second := arrays(), arrays()
+	record(first).release()
+	for i, a := range first {
+		if a.Store.watch != nil {
+			t.Errorf("array %d still carries a watch after its recording was released", i)
+		}
+	}
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops some of what it is given")
+	}
+	// The fewest bytes of a few recordings: the pool may hand out another
+	// recording's scratch first.
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr := record(second)
+		runtime.ReadMemStats(&after)
+		tr.release()
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= big/64*8 {
+		t.Errorf("a second same-shape recording allocated %d B, as much as a bitmap of %d B", least, big/64*8)
 	}
 }

@@ -1,0 +1,6 @@
+//go:build !race
+
+package mpi
+
+// raceDetector reports a -race build (see detector_race_test.go).
+const raceDetector = false

@@ -23,7 +23,8 @@ import (
 //     channel that both accept what the later-posted one took, the earlier
 //     one took an earlier message;
 //   - the collectives' data is right, whatever user traffic is outstanding;
-//   - two runs are identical.
+//   - a second run, right after the first and so on the requests, lane
+//     rings and matching queues the first gave back, is identical to it.
 //
 // Programs are deadlock-free under any matching MPI allows: no rank waits
 // before the end and, per channel, receive tags either equal the messages'
@@ -41,7 +42,7 @@ func FuzzMatchOrder(f *testing.F) {
 				t.Fatalf("%s: %s\n%s", prof, why, p)
 			}
 			if again := p.run(prof); !reflect.DeepEqual(first, again) {
-				t.Fatalf("%s: two runs differ\n%s", prof, p)
+				t.Fatalf("%s: a run on recycled memory differs from the first\n%s", prof, p)
 			}
 		}
 	})

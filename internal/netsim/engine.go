@@ -9,6 +9,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -57,6 +58,30 @@ func (f funcEvent) Fire(now Time) { f(now) }
 // because a proc schedules at or after its own clock; the rest goes to the
 // heap. Run fires the least of the heap top and the lane heads
 // (docs/execution-tiers.md, "The simulator").
+
+// spareRings lends the lane rings of finished runs to new ones, by ringClass
+// of their length: a lane that fills moves to a larger spare ring (push),
+// and Run gives every proc's ring back, empty, when it returns. A rank of a
+// transformed program queues an event for every message it posts before it
+// first blocks, so each run would otherwise grow its lanes from empty.
+var spareRings [ringClasses]sync.Pool // of *[]laneEntry
+
+// Lane rings are minRing << c entries long for class c.
+const (
+	minRing     = 16
+	ringClasses = 40
+)
+
+func ringClass(n int) int { return bits.Len(uint(n)) - bits.Len(minRing) }
+
+// spareRing returns an empty ring of n entries, n a power of two ≥ minRing.
+func spareRing(n int) *[]laneEntry {
+	if box, _ := spareRings[ringClass(n)].Get().(*[]laneEntry); box != nil {
+		return box
+	}
+	buf := make([]laneEntry, n)
+	return &buf
+}
 
 // stamp is an event's position in the total order.
 type stamp struct {
@@ -139,9 +164,10 @@ type laneEntry struct {
 }
 
 // lane is a FIFO ring of events in stamp order; len(buf) is zero or a power
-// of two.
+// of two of at least minRing. box is buf's handle in spareRings.
 type lane struct {
 	buf  []laneEntry
+	box  *[]laneEntry
 	head int
 	n    int
 }
@@ -155,18 +181,33 @@ func (l *lane) accepts(t Time) bool {
 	return l.n == 0 || l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at <= t
 }
 
-// push appends x; a full ring grows to the larger of twice its size and
-// hint.
+// push appends x; a full ring moves to a spare one of the larger of twice
+// its size and hint.
 func (l *lane) push(x laneEntry, hint int) {
 	if l.n == len(l.buf) {
-		grown := make([]laneEntry, max(16, 2*len(l.buf), hint))
+		box := spareRing(max(minRing, 2*len(l.buf), hint))
+		grown := *box
 		for i := 0; i < l.n; i++ {
 			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 		}
-		l.buf, l.head = grown, 0
+		n := l.n
+		clear(l.buf)
+		l.release()
+		l.buf, l.box, l.n = grown, box, n
 	}
 	l.buf[(l.head+l.n)&(len(l.buf)-1)] = x
 	l.n++
+}
+
+// release gives the lane's ring back to spareRings and empties the lane.
+// The ring must hold no event: pop drops each one it takes.
+func (l *lane) release() {
+	if l.box == nil {
+		return
+	}
+	*l.box = l.buf
+	spareRings[ringClass(len(l.buf))].Put(l.box)
+	*l = lane{}
 }
 
 func (l *lane) pop() (stamp, Event) {
@@ -231,7 +272,8 @@ type Engine struct {
 	// running is the proc executing now, nil in event context.
 	running *Proc
 	// laneCap is the largest lane grown so far: ranks of one program fill
-	// theirs alike, so a growing lane starts there instead of doubling up.
+	// theirs alike, so a growing lane starts there instead of doubling up,
+	// and only the first lane to grow leaves the smaller rings in spareRings.
 	laneCap int
 	// live counts proc goroutines that have not exited, so a deadlocked Run
 	// can wait for the ones it unwinds.
@@ -277,6 +319,14 @@ func (e *Engine) Schedule(t Time, ev Event) {
 		return
 	}
 	e.heap.push(s, ev)
+}
+
+// releaseLanes gives every proc's lane ring back to spareRings: Run calls it
+// once no event is pending, and no proc runs again.
+func (e *Engine) releaseLanes() {
+	for _, p := range e.procs {
+		p.lane.release()
+	}
 }
 
 // Run drives the simulation until every process is done. It returns the
@@ -342,6 +392,7 @@ func (e *Engine) Run() (Time, error) {
 						end = p.now
 					}
 				}
+				e.releaseLanes()
 				return end, nil
 			}
 			sort.Strings(blocked)
@@ -354,6 +405,7 @@ func (e *Engine) Run() (Time, error) {
 				}
 			}
 			e.live.Wait()
+			e.releaseLanes()
 			return 0, fmt.Errorf("netsim: deadlock; blocked processes: %v", blocked)
 		}
 	}
