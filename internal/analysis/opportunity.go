@@ -11,46 +11,85 @@ import (
 // reported as RejectionErrors in the second result; analysis of one site
 // never prevents analysis of another.
 func FindOpportunities(file *ftn.File, opts Options) ([]*Opportunity, []error) {
-	if opts.Oracle == nil {
-		opts.Oracle = NoOracle{}
-	}
-	unit := file.Program()
-	if unit == nil {
-		return nil, []error{reject(ftn.Pos{}, "no program unit in file")}
-	}
 	var ops []*Opportunity
 	var errs []error
+	err := eachSite(file, func(unit *ftn.Unit, list *[]ftn.Stmt, i int, inConditional bool) bool {
+		if op, err := analyzeCall(file, unit, list, i, inConditional, opts); err != nil {
+			errs = append(errs, err)
+		} else {
+			ops = append(ops, op)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, []error{err}
+	}
+	return ops, errs
+}
 
+// Locate analyses the one MPI_ALLTOALL site whose call stands at pos,
+// exactly as FindOpportunities would: its opportunity, or its rejection.
+// A rewriter that knows which site it is about to rewrite locates that one
+// instead of the whole file.
+func Locate(file *ftn.File, pos ftn.Pos, opts Options) (*Opportunity, error) {
+	var op *Opportunity
+	var err error = reject(pos, "no MPI_ALLTOALL call here")
+	if e := eachSite(file, func(unit *ftn.Unit, list *[]ftn.Stmt, i int, inConditional bool) bool {
+		if (*list)[i].Pos() != pos {
+			return true
+		}
+		op, err = analyzeCall(file, unit, list, i, inConditional, opts)
+		return false
+	}); e != nil {
+		return nil, e
+	}
+	return op, err
+}
+
+// eachSite calls visit on every MPI_ALLTOALL call of the file's program unit,
+// (*list)[i], in program order, until visit returns false. The error is the
+// rejection of a file without a program unit.
+func eachSite(file *ftn.File, visit func(unit *ftn.Unit, list *[]ftn.Stmt, i int, inConditional bool) bool) error {
+	unit := file.Program()
+	if unit == nil {
+		return reject(ftn.Pos{}, "no program unit in file")
+	}
 	// Walk every statement list; conditionals are excluded per the paper
 	// ("the last loop nest not in a conditional statement").
-	var walkLists func(list *[]ftn.Stmt, inConditional bool)
-	walkLists = func(list *[]ftn.Stmt, inConditional bool) {
+	var walkLists func(list *[]ftn.Stmt, inConditional bool) bool
+	walkLists = func(list *[]ftn.Stmt, inConditional bool) bool {
 		for i, s := range *list {
 			switch s := s.(type) {
 			case *ftn.CallStmt:
-				if s.Name != "mpi_alltoall" {
-					continue
+				if s.Name == "mpi_alltoall" && !visit(unit, list, i, inConditional) {
+					return false
 				}
-				if inConditional {
-					errs = append(errs, reject(s.Pos(), "MPI_ALLTOALL inside a conditional"))
-					continue
-				}
-				op, err := analyzeSite(file, unit, list, i, opts)
-				if err != nil {
-					errs = append(errs, err)
-					continue
-				}
-				ops = append(ops, op)
 			case *ftn.DoStmt:
-				walkLists(&s.Body, inConditional)
+				if !walkLists(&s.Body, inConditional) {
+					return false
+				}
 			case *ftn.IfStmt:
-				walkLists(&s.Then, true)
-				walkLists(&s.Else, true)
+				if !walkLists(&s.Then, true) || !walkLists(&s.Else, true) {
+					return false
+				}
 			}
 		}
+		return true
 	}
 	walkLists(&unit.Body, false)
-	return ops, errs
+	return nil
+}
+
+// analyzeCall is one site's outcome: a call inside a conditional is rejected,
+// any other is analysed.
+func analyzeCall(file *ftn.File, unit *ftn.Unit, list *[]ftn.Stmt, callIdx int, inConditional bool, opts Options) (*Opportunity, error) {
+	if inConditional {
+		return nil, reject((*list)[callIdx].Pos(), "MPI_ALLTOALL inside a conditional")
+	}
+	if opts.Oracle == nil {
+		opts.Oracle = NoOracle{}
+	}
+	return analyzeSite(file, unit, list, callIdx, opts)
 }
 
 // analyzeSite runs the full per-site analysis pipeline for the call at

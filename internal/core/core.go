@@ -12,12 +12,18 @@
 // node-loop case, partition geometry, interchange legality) from the
 // analysis and transform.Check, without rewriting anything. Apply replays a
 // serializable plan.Plan — per-site Decision{K, Wait, SendOrder, Interchange}
-// — onto a fresh clone of the parsed AST, memoized by the plan's canonical
-// key, so a tuner can walk plan space without re-parsing.
+// — onto a fresh clone of the parsed AST, so a tuner can walk plan space
+// without re-parsing.
 //
-// Each Apply locates the sites again in its clone, after every rewrite (the
-// nodes it rewrites are that clone's, and earlier rewrites move them). What
-// is proved about a site — safe references, interchange legality, the
+// Apply decides every site before it touches an AST: from the sites Analyze
+// located and a per-Program cache of the transformation's verdicts it knows
+// which sites a plan rewrites, how, and the plan's canonical key (see
+// Canonical). Texts are memoized by that key, so plans differing only in
+// knobs no site reads share one rewrite, and a plan that rewrites nothing
+// returns the original without a clone. A rewrite locates, in its clone, only
+// the sites it interchanges or transforms, one at a time in program order
+// (the nodes it rewrites are that clone's, and earlier rewrites move them),
+// and holds each to its verdict. What is proved about a site — safe references, interchange legality, the
 // whole-slab copy mapping, tile-order independence — is proved once per
 // Program and kept in its analysis.ProofMemo. Package verify never sees that
 // memo: it re-parses and re-proves, which is what makes it a check on this one.
@@ -25,7 +31,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -86,8 +92,8 @@ type Site struct {
 func (s *Site) Key() string { return s.Pos.String() }
 
 // Program is a parsed, analyzed program ready for repeated Apply calls.
-// The AST it holds is never mutated: every Apply transforms a fresh clone,
-// and outcomes are memoized by plan key so a search can revisit a candidate
+// The AST it holds is never mutated: every rewrite transforms a fresh clone,
+// and texts are memoized by canonical key so a search can revisit a candidate
 // for free. Sites, too, is read-only once Analyze returns: the fingerprint
 // is made from it once. Safe for concurrent Apply and Fingerprint calls.
 type Program struct {
@@ -99,9 +105,15 @@ type Program struct {
 
 	// proofs is what Analyze and every Apply so far have proved about the sites.
 	proofs *analysis.ProofMemo
+	// names holds every name the program unit declares or uses (nil when the
+	// file has none); each check forks it instead of scanning the unit.
+	names *ftn.FreshNamer
 
-	mu   sync.Mutex
-	memo map[string]applied
+	mu       sync.Mutex
+	memo     map[string]applied // rewritten texts by canonical key
+	located  map[int64]*located // the sites as found at each rank count
+	verdicts map[verdictKey]verdict
+	locates  atomic.Int64 // sites applyPlan located in its clones
 
 	// shape is the machine-independent text of the program's fingerprint,
 	// kept by the first Fingerprint call (see there).
@@ -110,7 +122,6 @@ type Program struct {
 
 type applied struct {
 	src string
-	rep *Report
 	err error
 }
 
@@ -138,26 +149,27 @@ func Analyze(src string, opts AnalyzeOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{src: src, file: file, opts: opts, proofs: &analysis.ProofMemo{}, memo: map[string]applied{}}
+	p := &Program{src: src, file: file, opts: opts, proofs: &analysis.ProofMemo{}}
+	p.forget()
+	if u := file.Program(); u != nil {
+		p.names = ftn.NewFreshNamer(u)
+	}
 
 	// Rejections first, then the opportunities in program order, as Apply
 	// reports them; each is checked at K=1 with interchange off (see Site).
-	ops, errs := analysis.FindOpportunities(file, analysis.Options{Oracle: opts.Oracle, NP: int(opts.NP), Proofs: p.proofs})
-	for _, e := range errs {
-		if re, ok := e.(*analysis.RejectionError); ok {
-			p.Sites = append(p.Sites, Site{Pos: re.Pos, Reason: re.Reason})
-		}
+	set := p.find(opts.NP)
+	for _, re := range set.rejected {
+		p.Sites = append(p.Sites, Site{Pos: re.Pos, Reason: re.Reason})
 	}
-	for _, op := range ops {
+	for i, op := range set.ops {
 		site := Site{
 			Pos: op.Call.Stmt.Pos(), Pattern: op.Pattern, NodeCase: op.NodeCase, Notes: op.Notes,
 			InterchangeLegal:      op.InterchangeOK,
 			InterchangeBlockElems: op.InterchangeBlockElems,
 		}
-		op.InterchangeOK = false // interchange off: the subset-send fallback
-		res, err := transform.Check(op, transform.Options{K: 1, NP: opts.NP})
-		if err != nil {
-			site.Reason = rejection(err)
+		v := p.verdict(opts.NP, i, op, plan.Decision{K: 1}.Normalize(), false)
+		if res := v.res; res == nil {
+			site.Reason = v.reason
 		} else {
 			site.Transformable = true
 			site.PartitionSize = res.PartitionSize
@@ -182,50 +194,34 @@ func rejection(err error) string {
 // MPI_ALLTOALL site is rewritten (on a fresh AST clone) according to its
 // Decision, and the rewritten source plus a report are returned.
 // Untransformable sites are reported, not fatal; the error is non-nil only
-// for invalid plans. Results are memoized by the plan's canonical key, so
+// for invalid plans. Texts are memoized by the plan's canonical key, so
 // repeated Apply calls with equivalent plans are free.
 func Apply(p *Program, pl *plan.Plan) (string, *Report, error) {
-	if err := pl.Validate(); err != nil {
+	d, err := p.decide(pl)
+	if err != nil {
 		return "", nil, err
 	}
-	// A plan entry keyed to a site the program does not contain is a stale
-	// or mistyped plan (e.g. replaying a dump against edited source); apply
-	// it loudly instead of silently falling back to the default everywhere.
-	for _, sp := range pl.Sites {
-		if p.Site(sp.Site) == nil {
-			return "", nil, fmt.Errorf("plan: site %q does not exist in the program (have %s)",
-				sp.Site, strings.Join(siteKeys(p), ", "))
-		}
+	if d.canon.Transformed == 0 {
+		// Nothing is rewritten — a skip-all plan, or a program whose sites
+		// all reject. The original bytes, not a reprint of an untouched
+		// clone: the skip-all variant is then byte-identical to the input,
+		// so its source hash collapses to the original's and the exec
+		// variant cache hits for free.
+		return p.src, d.report(), nil
 	}
-	key := pl.Key()
 	p.mu.Lock()
-	if r, ok := p.memo[key]; ok {
+	r, ok := p.memo[d.canon.Key]
+	p.mu.Unlock()
+	if !ok {
+		r.src, r.err = p.applyPlan(d)
+		p.mu.Lock()
+		p.memo[d.canon.Key] = r
 		p.mu.Unlock()
-		// Memo hits (and the miss below) return a defensive copy of the
-		// report: the stored one must stay pristine for later callers.
-		return r.src, r.rep.clone(), r.err
 	}
-	p.mu.Unlock()
-
-	clone := ftn.CloneFile(p.file)
-	rep, err := applyPlan(clone, pl, p.opts, p.proofs)
-	r := applied{rep: rep, err: err}
-	if err == nil {
-		if rep.TransformedCount() == 0 {
-			// Nothing was rewritten — a skip-all plan, or a program whose
-			// sites all rejected. Emit the original bytes rather than a
-			// reprint of the untouched clone: the skip-all variant is then
-			// byte-identical to the input, so its source hash collapses to
-			// the original's and the exec variant cache hits for free.
-			r.src = p.src
-		} else {
-			r.src = ftn.Print(clone)
-		}
+	if r.err != nil {
+		return "", nil, r.err
 	}
-	p.mu.Lock()
-	p.memo[key] = r
-	p.mu.Unlock()
-	return r.src, r.rep.clone(), r.err
+	return r.src, d.report(), nil
 }
 
 // siteKeys lists the analyzed sites' plan keys in program order.
@@ -281,29 +277,6 @@ func (r *Report) SkippedCount() int {
 	return n
 }
 
-// clone returns a defensive copy of the report: Apply memoizes reports and
-// hands them to concurrent callers, so sharing the stored pointer would let
-// one caller's mutation race another's read. Site slices, results, and note
-// slices are all copied; nested pointers in transform.Result do not exist
-// (it is a flat struct plus a Notes slice).
-func (r *Report) clone() *Report {
-	if r == nil {
-		return nil
-	}
-	out := &Report{Sites: make([]SiteReport, len(r.Sites))}
-	copy(out.Sites, r.Sites)
-	for i := range out.Sites {
-		s := &out.Sites[i]
-		s.Notes = append([]string(nil), s.Notes...)
-		if s.Result != nil {
-			res := *s.Result
-			res.Notes = append([]string(nil), res.Notes...)
-			s.Result = &res
-		}
-	}
-	return out
-}
-
 // FirstRejection returns the first rejection reason in the report, or ""
 // when every site transformed. Harness code uses it to explain why a
 // scenario's transformation did not fire.
@@ -357,109 +330,64 @@ func (r *Report) String() string {
 	return out
 }
 
-// applyPlan rewrites the AST in place according to the plan: sites are
-// located in file on every round, their proofs read from and added to proofs.
-func applyPlan(file *ftn.File, pl *plan.Plan, opts AnalyzeOptions, proofs *analysis.ProofMemo) (*Report, error) {
-	np := pl.NP
-	if np == 0 {
-		np = opts.NP
+// applyPlan rewrites a clone of the program as d decided and prints it. Each
+// site d interchanges or transforms is located in the clone, in program
+// order: once before its interchange, once before its rewrite. A site whose
+// rewrite disagrees with its verdict is an error, never a wrong report.
+func (p *Program) applyPlan(d *decision) (string, error) {
+	clone := ftn.CloneFile(p.file)
+	aopts := p.aopts(d.np)
+	names := p.names.Fork()
+	locate := func(pos ftn.Pos) (*analysis.Opportunity, error) {
+		p.locates.Add(1)
+		return analysis.Locate(clone, pos, aopts)
 	}
-	aopts := analysis.Options{Oracle: opts.Oracle, NP: int(np), Proofs: proofs}
-	report := &Report{}
-
-	// Sites are transformed one at a time; each transformation removes its
-	// MPI_ALLTOALL, so re-running the finder converges. Rejected sites are
-	// remembered (by position) so they are reported once and skipped.
-	rejected := map[ftn.Pos]bool{}
-	for round := 0; round < 100; round++ {
-		ops, errs := analysis.FindOpportunities(file, aopts)
-		for _, e := range errs {
-			if re, ok := e.(*analysis.RejectionError); ok {
-				if !rejected[re.Pos] {
-					rejected[re.Pos] = true
-					report.Sites = append(report.Sites, SiteReport{Pos: re.Pos, Reason: re.Reason})
-				}
+	for i := range d.sites {
+		ds := &d.sites[i]
+		if ds.dec.Skip || (!ds.swap && ds.v.res == nil) {
+			continue // left as it is
+		}
+		pos := d.set.ops[i].Call.Stmt.Pos()
+		op, err := locate(pos)
+		if err != nil {
+			return "", disagree(pos, err)
+		}
+		if ds.swap {
+			if err := transform.Interchange(op); err != nil {
+				return "", disagree(pos, err)
 			}
-		}
-		var op *analysis.Opportunity
-		for _, o := range ops {
-			if !rejected[o.Call.Stmt.Pos()] {
-				op = o
-				break
+			if ds.v.res == nil {
+				continue // the interchange stays; the site rejects
 			}
-		}
-		if op == nil {
-			break
-		}
-		pos := op.Call.Stmt.Pos()
-		dec := pl.For(pos.String())
-
-		if dec.Skip {
-			// The plan declines this site: leave the AST untouched. The
-			// position is remembered like a rejection so the finder loop
-			// moves past it, but the report distinguishes "skipped by plan"
-			// from "transformation cannot fire".
-			rejected[pos] = true
-			report.Sites = append(report.Sites, SiteReport{
-				Pos: pos, Skipped: true, Pattern: op.Pattern, NodeCase: op.NodeCase,
-				Reason: "skipped by plan", Decision: dec, Notes: op.Notes,
-			})
-			continue
-		}
-
-		interchanged := false
-		if op.Pattern == analysis.PatternDirect &&
-			op.NodeCase == analysis.NodeLoopOutermost && op.InterchangeOK &&
-			interchangeWanted(dec, op) {
-			if err := transform.Interchange(op); err == nil {
-				interchanged = true
-				// Re-analyze: loop order (and hence the node-loop case)
-				// changed.
-				ops2, _ := analysis.FindOpportunities(file, aopts)
-				op = nil
-				for _, o := range ops2 {
-					if o.Call.Stmt.Pos() == pos {
-						op = o
-						break
-					}
-				}
-				if op == nil {
-					rejected[pos] = true
-					report.Sites = append(report.Sites, SiteReport{
-						Pos: pos, Reason: "site no longer analyzable after interchange", Decision: dec,
-					})
-					continue
-				}
+			if op, err = locate(pos); err != nil {
+				return "", disagree(pos, err)
 			}
-		}
-
-		if !interchanged {
-			// Either interchange is illegal or the plan (gate or explicit
-			// "off") chose the subset-send fallback; transform.Apply must
-			// not see a pending flag.
+		} else {
+			// The plan (gate or explicit "off") or the analysis chose the
+			// subset-send fallback; transform.Apply must not see a pending
+			// flag.
 			op.InterchangeOK = false
 		}
-		topts := transform.Options{
-			K: dec.K, NP: np,
-			PerTileWait: dec.Wait == plan.WaitPerTile,
-			NoStagger:   dec.SendOrder == plan.SendSequential,
+		decls := len(op.Unit.Decls)
+		res, err := transform.Apply(op, toptions(ds.dec, d.np, names))
+		if err == nil && !reflect.DeepEqual(res, ds.v.res) {
+			err = fmt.Errorf("result %+v, verdict %+v", *res, *ds.v.res)
 		}
-		res, err := transform.Apply(op, topts)
 		if err != nil {
-			rejected[pos] = true
-			report.Sites = append(report.Sites, SiteReport{
-				Pos: pos, Pattern: op.Pattern, NodeCase: op.NodeCase, Notes: op.Notes,
-				Decision: dec, Reason: rejection(err),
-			})
-			continue
+			return "", disagree(pos, err)
 		}
-		res.Interchanged = interchanged
-		report.Sites = append(report.Sites, SiteReport{
-			Pos: pos, Transformed: true, Pattern: op.Pattern,
-			NodeCase: op.NodeCase, Result: res, Notes: op.Notes, Decision: dec,
-		})
+		for _, decl := range op.Unit.Decls[decls:] {
+			for _, e := range decl.Entities {
+				names.Take(e.Name)
+			}
+		}
 	}
-	return report, nil
+	return ftn.Print(clone), nil
+}
+
+// disagree is the error of a site that rewrote unlike its verdict.
+func disagree(pos ftn.Pos, err error) error {
+	return fmt.Errorf("core: site %s rewrote unlike its verdict: %v", pos, err)
 }
 
 // interchangeWanted applies the plan's interchange knob to a legal

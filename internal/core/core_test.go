@@ -29,7 +29,7 @@ func transform(src string, aopts core.AnalyzeOptions, d plan.Decision) (string, 
 	return core.Apply(prog, plan.Uniform(d))
 }
 
-func readTestdata(t *testing.T, name string) string {
+func readTestdata(t testing.TB, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
 	if err != nil {

@@ -67,7 +67,7 @@ type program struct {
 // differentialPrograms is the corpus, the testdata/ fixtures and n random
 // kernels of every generated family with random sizes, rank counts, weights,
 // salts and tile sizes (the generator internal/dep's differential test uses).
-func differentialPrograms(t *testing.T, n int) []program {
+func differentialPrograms(t testing.TB, n int) []program {
 	var progs []program
 	for _, sc := range workload.GenerateScenarios(workload.GenOptions{}) {
 		progs = append(progs, program{name: sc.Name, src: sc.Source, k: sc.K})

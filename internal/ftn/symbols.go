@@ -63,6 +63,7 @@ func (st *SymbolTable) Names() []string {
 // declared in a unit (nor with names it has already handed out). The
 // transformation uses it for the variables it introduces.
 type FreshNamer struct {
+	base  *FreshNamer // the namer this one was forked from; never written through
 	taken map[string]bool
 }
 
@@ -92,16 +93,36 @@ func NewFreshNamer(u *Unit) *FreshNamer {
 	return fn
 }
 
+// Fork returns a namer that avoids every name fn has taken and keeps the
+// names it hands out to itself. A unit is scanned once and forked for each
+// use; forks of one namer may be used concurrently while nothing takes a
+// name in it.
+func (fn *FreshNamer) Fork() *FreshNamer {
+	return &FreshNamer{base: fn, taken: make(map[string]bool)}
+}
+
+// Take reserves name, as a declaration added to the unit does.
+func (fn *FreshNamer) Take(name string) { fn.taken[name] = true }
+
+func (fn *FreshNamer) has(name string) bool {
+	for n := fn; n != nil; n = n.base {
+		if n.taken[name] {
+			return true
+		}
+	}
+	return false
+}
+
 // Fresh returns base if free, else base2, base3, ...; the result is
 // reserved so subsequent calls cannot return it again.
 func (fn *FreshNamer) Fresh(base string) string {
-	if !fn.taken[base] {
+	if !fn.has(base) {
 		fn.taken[base] = true
 		return base
 	}
 	for i := 2; ; i++ {
 		name := base + itoa(i)
-		if !fn.taken[name] {
+		if !fn.has(name) {
 			fn.taken[name] = true
 			return name
 		}

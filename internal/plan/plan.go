@@ -286,23 +286,37 @@ func Decode(b []byte) (*Plan, error) {
 // Key is a canonical fingerprint of the plan's decision content (schema and
 // machine name excluded), suitable for memoizing Apply results.
 func (p *Plan) Key() string {
-	var sb strings.Builder
-	writeDecision := func(d Decision) {
-		d = d.Normalize()
-		if d.Skip {
-			// The identity decision: no transformed decision can produce
-			// this token (K is always ≥ 1 there), so skip never aliases.
-			sb.WriteString("skip")
-			return
-		}
-		fmt.Fprintf(&sb, "k=%d,w=%s,s=%s,i=%s,m=%d", d.K, d.Wait, d.SendOrder, d.Interchange, d.InterchangeMinBlockBytes)
-	}
-	fmt.Fprintf(&sb, "np=%d;", p.NP)
-	writeDecision(p.Default)
+	b := make([]byte, 0, 48*(1+len(p.Sites)))
+	b = append(b, "np="...)
+	b = strconv.AppendInt(b, p.NP, 10)
+	b = append(b, ';')
+	b = appendDecision(b, p.Default)
 	// Site entries in the order recorded; Set keeps one entry per site.
 	for _, s := range p.Sites {
-		sb.WriteString(";" + s.Site + ":")
-		writeDecision(s.Decision)
+		b = append(b, ';')
+		b = append(b, s.Site...)
+		b = append(b, ':')
+		b = appendDecision(b, s.Decision)
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendDecision appends the decision's key token, normalized.
+func appendDecision(b []byte, d Decision) []byte {
+	d = d.Normalize()
+	if d.Skip {
+		// The identity decision: no transformed decision can produce this
+		// token (K is always ≥ 1 there), so skip never aliases.
+		return append(b, "skip"...)
+	}
+	b = append(b, "k="...)
+	b = strconv.AppendInt(b, d.K, 10)
+	b = append(b, ",w="...)
+	b = append(b, d.Wait...)
+	b = append(b, ",s="...)
+	b = append(b, d.SendOrder...)
+	b = append(b, ",i="...)
+	b = append(b, d.Interchange...)
+	b = append(b, ",m="...)
+	return strconv.AppendInt(b, d.InterchangeMinBlockBytes, 10)
 }

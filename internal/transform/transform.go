@@ -43,6 +43,10 @@ type Options struct {
 	// send_order "sequential" knob maps here; the default (false) staggers
 	// whenever the reorder proof succeeds.
 	NoStagger bool
+	// Names, when non-nil, holds every name visible in the site's unit: the
+	// rewrite forks it for its fresh variables instead of scanning the unit.
+	// It must be kept up to date with what earlier rewrites declared.
+	Names *ftn.FreshNamer
 }
 
 // Error is a transformation failure tied to a source position.
@@ -113,13 +117,28 @@ type rewriter struct {
 }
 
 // Check runs every legality and geometry rule of the transformation for the
-// opportunity and returns what Apply would report, without touching the AST.
-func Check(op *analysis.Opportunity, opts Options) (*Result, error) {
+// opportunity and returns what Apply would report, without touching the AST,
+// together with the options the chosen schedule reads: two Options Check
+// returns equal for one site make Apply emit the same code there. Knobs the
+// schedule ignores are zeroed (the indirect pattern reads neither; the
+// all-peers exchange no send order; the staggered schedule no wait
+// placement), a per-tile wait the trip count forces reads as PerTileWait,
+// and a staggering the tile-order proof refuses reads as NoStagger. Names is
+// left out.
+func Check(op *analysis.Opportunity, opts Options) (*Result, Options, error) {
 	rw, err := check(op, opts)
 	if err != nil {
-		return nil, err
+		return nil, Options{}, err
 	}
-	return rw.res, nil
+	read := Options{K: opts.K, NP: opts.NP}
+	switch {
+	case op.Pattern == analysis.PatternIndirect:
+	case op.NodeCase == analysis.NodeLoopInner:
+		read.PerTileWait = rw.perTile
+	case !rw.res.Staggered:
+		read.PerTileWait, read.NoStagger = opts.PerTileWait, true
+	}
+	return rw.res, read, nil
 }
 
 // Apply transforms the opportunity in place (the AST the analysis refers
@@ -139,11 +158,15 @@ func check(op *analysis.Opportunity, opts Options) (*rewriter, error) {
 		return nil, failf(op.Call.Stmt.Pos(), "tile size K must be positive, got %d", opts.K)
 	}
 	rw := &rewriter{
-		op:    op,
-		opts:  opts,
-		fresh: ftn.NewFreshNamer(op.Unit),
-		res:   &Result{Pattern: op.Pattern, NodeCase: op.NodeCase, K: opts.K},
-		k:     opts.K,
+		op:   op,
+		opts: opts,
+		res:  &Result{Pattern: op.Pattern, NodeCase: op.NodeCase, K: opts.K},
+		k:    opts.K,
+	}
+	if opts.Names != nil {
+		rw.fresh = opts.Names.Fork()
+	} else {
+		rw.fresh = ftn.NewFreshNamer(op.Unit)
 	}
 	if err := rw.resolveParameters(); err != nil {
 		return nil, err

@@ -214,13 +214,13 @@ type siteState struct {
 // always produce the same choice (candidates are visited in sorted order,
 // ties prefer the default knobs and then the smaller K); the runner's store
 // decides only what is replayed rather than executed. Transformed variants
-// are shared across calls through core.Apply's plan-key memo on prog, so a
-// candidate plan is generated at most once per program.
+// are shared across calls through core.Apply's canonical-key memo on prog,
+// so a candidate text is generated at most once per program.
 //
 // The search owns the memory its executions share (runner's Recycler is
 // replaced by one of its own), and keeps none of it once it returns. ctx
-// carries the caller's profiler labels: core.Apply runs under layer=apply,
-// and every measurement under why=candidate.
+// carries the caller's profiler labels: core.Canonical and core.Apply run
+// under layer=apply, and every measurement under why=candidate.
 func Tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
 	return tune(ctx, prog, m, p, runner, []knob{
 		// "Don't" leads: declining the transformation outright is the most
@@ -247,7 +247,7 @@ func tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, run
 		ctx: ctx, prog: prog, src: prog.Source(), p: p, machine: m, sites: sites, knobs: knobs,
 		maxM:     resolveMaxMeasured(p.MaxMeasured, len(sites)),
 		runner:   runner,
-		measured: map[string]*cand{}, bySrc: map[string]*cand{},
+		measured: map[string]*cand{}, byCanon: map[string]*cand{}, bySrc: map[string]*cand{},
 	}
 	// Every verdict compares against this measurement under this machine.
 	orig, _, err := s.measureSource(s.src)
@@ -312,7 +312,8 @@ type search struct {
 	origNs int64
 
 	measured map[string]*cand // by whole-plan key; nil = rejected/failed
-	bySrc    map[string]*cand // by generated source: knob no-ops alias
+	byCanon  map[string]*cand // by core.Canonical key: knob no-ops alias before Apply
+	bySrc    map[string]*cand // by generated source
 	order    []*cand          // unique measured candidates, visit order
 	runs     int
 	replays  int // runs answered by a replay
@@ -506,6 +507,9 @@ func (s *search) registerIdentity() {
 		PrepushNs: s.origNs, Speedup: 1.0, Identical: true, Seeded: true,
 	}, src: s.src}
 	s.measured[s.vecKey(ds)] = c
+	if cn, err := core.Canonical(s.prog, s.buildPlan(ds)); err == nil {
+		s.byCanon[cn.Key] = c
+	}
 	s.bySrc[s.src] = c
 	s.order = append(s.order, c)
 }
@@ -523,8 +527,8 @@ func skipCount(ds []plan.Decision) int {
 
 // fires reports whether the decision vector transforms every site.
 func (s *search) fires(ds []plan.Decision) bool {
-	_, rep, err := core.Apply(s.prog, s.buildPlan(ds))
-	return err == nil && rep.TransformedCount() == len(s.sites)
+	cn, err := core.Canonical(s.prog, s.buildPlan(ds))
+	return err == nil && cn.Transformed == len(s.sites)
 }
 
 // buildPlan materializes a decision vector as a site-keyed plan (sites in
@@ -609,24 +613,29 @@ func axisOf(si int) int {
 
 // evaluate runs the pre-push variant under the decision vector and applies
 // the oracle. A vector the transformation rejects on any site yields no
-// candidate and costs nothing against the measurement budget; a vector
-// whose generated source is identical to an already-measured one aliases
-// that measurement for free (knob flips that change nothing — e.g. forcing
-// interchange off where it never fired — collapse onto the earlier
-// candidate).
+// candidate and costs nothing — not even an Apply: core.Canonical predicts
+// it. A vector whose canonical form, or failing that whose generated source,
+// is an already-measured one's aliases that measurement for free (knob flips
+// that change nothing — e.g. forcing interchange off where it never fired —
+// collapse onto the earlier candidate).
 func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 	ds = normVec(ds)
 	key := s.vecKey(ds)
 	if c, ok := s.measured[key]; ok {
 		return c
 	}
+	var cn core.Canon
 	var src string
-	var rep *core.Report
 	var err error
 	pprof.Do(s.ctx, pprof.Labels("layer", "apply"), func(context.Context) {
-		src, rep, err = core.Apply(s.prog, s.buildPlan(ds))
+		pl := s.buildPlan(ds)
+		if cn, err = core.Canonical(s.prog, pl); err != nil || s.byCanon[cn.Key] != nil ||
+			cn.Transformed < len(s.sites)-skipCount(ds) {
+			return
+		}
+		src, _, err = core.Apply(s.prog, pl)
 	})
-	if err != nil || rep.TransformedCount() < len(s.sites)-skipCount(ds) {
+	if err != nil || cn.Transformed < len(s.sites)-skipCount(ds) {
 		// A plan leaving any non-skipped site untransformed is not a
 		// candidate: the comparison must hold the set of rewritten sites to
 		// exactly what the plan asked for. Deliberately skipped sites are
@@ -634,15 +643,21 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 		s.measured[key] = nil
 		return nil
 	}
-	if c, ok := s.bySrc[src]; ok {
+	if c := s.byCanon[cn.Key]; c != nil {
 		s.measured[key] = c
 		return c
 	}
-	if s.runs >= s.maxM {
-		return nil
+	c, ok := s.bySrc[src]
+	if !ok {
+		if s.runs >= s.maxM {
+			return nil
+		}
+		c = s.measure(src, ds, seeded)
 	}
-	c := s.measure(src, ds, seeded)
 	s.measured[key] = c
+	if c != nil {
+		s.byCanon[cn.Key] = c
+	}
 	return c
 }
 
