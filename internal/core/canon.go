@@ -21,13 +21,15 @@ type Canon struct {
 	// it is reads as skipped, and a plan that rewrites nothing has the one
 	// key "skip".
 	Key string
-	// Transformed counts the sites the plan rewrites; Rejected the sites it
-	// leaves untransformed without skipping them.
-	Transformed, Rejected int
+	// Transformed counts the sites the plan rewrites. The plan leaves a site
+	// untransformed that it does not skip exactly when Transformed is less
+	// than the program's sites less the ones it skips.
+	Transformed int
 }
 
 // Canonical returns the plan's canonical form on p. The error is non-nil
-// only for plans Apply rejects.
+// only for invalid plans, which Apply rejects too; a plan Canonical accepts
+// fails Apply only when a rewrite disagrees with its decision (see Apply).
 func Canonical(p *Program, pl *plan.Plan) (Canon, error) {
 	d, err := p.decide(pl)
 	if err != nil {
@@ -207,7 +209,6 @@ func (p *Program) decide(pl *plan.Plan) (*decision, error) {
 	}
 	set := p.find(np)
 	d := &decision{np: np, set: set, sites: make([]decidedSite, len(set.ops))}
-	d.canon.Rejected = len(set.rejected)
 	key := strconv.AppendInt([]byte("np="), np, 10)
 	for i, op := range set.ops {
 		ds := &d.sites[i]
@@ -231,10 +232,8 @@ func (p *Program) decide(pl *plan.Plan) (*decision, error) {
 			d.canon.Transformed++
 			key = appendRead(key, ds.v.read, ds.swap)
 		case ds.swap:
-			d.canon.Rejected++
 			key = append(key, "swap"...) // the nest stays interchanged
 		default:
-			d.canon.Rejected++
 			key = append(key, "skip"...)
 		}
 	}

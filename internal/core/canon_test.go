@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/ftn"
 	"repro/internal/plan"
@@ -83,10 +85,25 @@ func rejects(rep *core.Report) bool {
 	return false
 }
 
+// predictsRejection is the tuner's reading of a canonical form: the plan
+// leaves a site it does not skip untransformed when it rewrites fewer sites
+// than prog has, less the located ones it skips (a site the finder rejects
+// is never reported skipped).
+func predictsRejection(prog *core.Program, pl *plan.Plan, cn core.Canon) bool {
+	skipped := 0
+	for i := range prog.Sites {
+		s := &prog.Sites[i]
+		if s.Pattern != analysis.PatternUnknown && pl.For(s.Key()).Skip {
+			skipped++
+		}
+	}
+	return cn.Transformed < len(prog.Sites)-skipped
+}
+
 // checkCanon holds a canonical form to the report Apply gave for its plan.
-func checkCanon(t testing.TB, what string, pl *plan.Plan, cn core.Canon, rep *core.Report) {
+func checkCanon(t testing.TB, what string, prog *core.Program, pl *plan.Plan, cn core.Canon, rep *core.Report) {
 	t.Helper()
-	if (cn.Rejected > 0) != rejects(rep) || cn.Transformed != rep.TransformedCount() {
+	if predictsRejection(prog, pl, cn) != rejects(rep) || cn.Transformed != rep.TransformedCount() {
 		t.Fatalf("%s plan %s: canonical form %+v, report\n%s", what, pl.Key(), cn, rep)
 	}
 }
@@ -129,7 +146,7 @@ func TestApplyMatchesRoundLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCanon(t, p.name, pl, cn, rep)
+			checkCanon(t, p.name, prog, pl, cn, rep)
 			if pl.NP != 0 {
 				continue // the rank count is in the key; texts may agree across it
 			}
@@ -211,6 +228,52 @@ func TestApplyLocatesOnlyWhatItRewrites(t *testing.T) {
 	}
 }
 
+// TestApplyErrsWhenARewriteDisagrees: a site whose rewrite in the clone
+// gives another result than its cached verdict, or which locates there with
+// other facts than the site the plan was decided on, fails the whole Apply,
+// rather than return a text its report does not describe. A plan that
+// rewrites nothing locates nothing and still answers.
+func TestApplyErrsWhenARewriteDisagrees(t *testing.T) {
+	src := readTestdata(t, "figure2_before.f90")
+	pl := plan.Uniform(plan.Decision{K: 4, Interchange: plan.InterchangeOff})
+	for _, c := range []struct {
+		name    string
+		corrupt func(*core.Program)
+		want    string
+	}{
+		{"verdict", core.Misjudge, "MessagesTile"},
+		{"notes", core.Misnote, "misnoted"},
+	} {
+		prog, err := core.Analyze(src, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := core.Apply(prog, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(prog)
+		out, rep, err := core.Apply(prog, pl)
+		if err == nil || !strings.Contains(err.Error(), "rewrote unlike its decision") ||
+			!strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Apply after the corruption: err %v, report\n%s", c.name, err, rep)
+		}
+		if out != "" || rep != nil {
+			t.Fatalf("%s: a failed Apply returned a text or a report", c.name)
+		}
+		if _, _, err := core.Apply(prog, plan.Uniform(plan.Identity())); err != nil {
+			t.Fatalf("%s: skip-all plan: %v", c.name, err)
+		}
+		fresh, err := core.Analyze(src, core.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, _, err := core.Apply(fresh, pl); err != nil || out != want {
+			t.Fatalf("%s: a fresh Program: err %v, text equal %v", c.name, err, out == want)
+		}
+	}
+}
+
 // FuzzCanonicalPlan: two plans decoded from bytes (see planFromBytes) for
 // one program of the corpus, the fixtures and 40 random kernels (the first
 // argument indexes them in differentialPrograms' order; the committed seeds
@@ -242,8 +305,8 @@ func FuzzCanonicalPlan(f *testing.F) {
 		}
 		outA, repA := sameAsRoundLoop(t, p.name, analyze(), pa)
 		outB, repB := sameAsRoundLoop(t, p.name, analyze(), pb)
-		checkCanon(t, p.name, pa, ca, repA)
-		checkCanon(t, p.name, pb, cb, repB)
+		checkCanon(t, p.name, shared, pa, ca, repA)
+		checkCanon(t, p.name, shared, pb, cb, repB)
 		if (ca.Key == cb.Key) != (outA == outB) {
 			t.Fatalf("%s: keys %q and %q, texts equal %v", p.name, ca.Key, cb.Key, outA == outB)
 		}

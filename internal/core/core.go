@@ -32,6 +32,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -193,9 +194,13 @@ func rejection(err error) string {
 // Apply replays a plan onto the analyzed program: every transformable
 // MPI_ALLTOALL site is rewritten (on a fresh AST clone) according to its
 // Decision, and the rewritten source plus a report are returned.
-// Untransformable sites are reported, not fatal; the error is non-nil only
-// for invalid plans. Texts are memoized by the plan's canonical key, so
-// repeated Apply calls with equivalent plans are free.
+// Untransformable sites are reported, not fatal. The error is non-nil for
+// invalid plans, and for a plan some site of which the rewrite locates or
+// transforms unlike the decision made for it from the original AST (an
+// earlier rewrite changed how the site analyses): no text is returned then,
+// rather than one its report does not describe. Texts are memoized by the
+// plan's canonical key, so repeated Apply calls with equivalent plans are
+// free.
 func Apply(p *Program, pl *plan.Plan) (string, *Report, error) {
 	d, err := p.decide(pl)
 	if err != nil {
@@ -332,15 +337,21 @@ func (r *Report) String() string {
 
 // applyPlan rewrites a clone of the program as d decided and prints it. Each
 // site d interchanges or transforms is located in the clone, in program
-// order: once before its interchange, once before its rewrite. A site whose
-// rewrite disagrees with its verdict is an error, never a wrong report.
+// order: once before its interchange, once before its rewrite. A site that
+// locates or rewrites unlike its decision is an error, never a wrong report.
 func (p *Program) applyPlan(d *decision) (string, error) {
 	clone := ftn.CloneFile(p.file)
 	aopts := p.aopts(d.np)
 	names := p.names.Fork()
-	locate := func(pos ftn.Pos) (*analysis.Opportunity, error) {
+	// locate finds the site at pos in the clone, as the decision found it:
+	// want.
+	locate := func(pos ftn.Pos, want *analysis.Opportunity) (*analysis.Opportunity, error) {
 		p.locates.Add(1)
-		return analysis.Locate(clone, pos, aopts)
+		op, err := analysis.Locate(clone, pos, aopts)
+		if err == nil {
+			err = sameFacts(op, want)
+		}
+		return op, err
 	}
 	for i := range d.sites {
 		ds := &d.sites[i]
@@ -348,7 +359,7 @@ func (p *Program) applyPlan(d *decision) (string, error) {
 			continue // left as it is
 		}
 		pos := d.set.ops[i].Call.Stmt.Pos()
-		op, err := locate(pos)
+		op, err := locate(pos, d.set.ops[i])
 		if err != nil {
 			return "", disagree(pos, err)
 		}
@@ -359,7 +370,7 @@ func (p *Program) applyPlan(d *decision) (string, error) {
 			if ds.v.res == nil {
 				continue // the interchange stays; the site rejects
 			}
-			if op, err = locate(pos); err != nil {
+			if op, err = locate(pos, ds.op); err != nil {
 				return "", disagree(pos, err)
 			}
 		} else {
@@ -385,9 +396,23 @@ func (p *Program) applyPlan(d *decision) (string, error) {
 	return ftn.Print(clone), nil
 }
 
-// disagree is the error of a site that rewrote unlike its verdict.
+// sameFacts returns an error when op differs from want in a fact a decision
+// reads or a report shows.
+func sameFacts(op, want *analysis.Opportunity) error {
+	if op.Pattern != want.Pattern || op.NodeCase != want.NodeCase ||
+		op.InterchangeOK != want.InterchangeOK || op.InterchangeBlockElems != want.InterchangeBlockElems ||
+		!slices.Equal(op.Notes, want.Notes) {
+		return fmt.Errorf("located as %s, node loop %s, interchange %v/%d, notes %q; decided as %s, node loop %s, interchange %v/%d, notes %q",
+			op.Pattern, op.NodeCase, op.InterchangeOK, op.InterchangeBlockElems, op.Notes,
+			want.Pattern, want.NodeCase, want.InterchangeOK, want.InterchangeBlockElems, want.Notes)
+	}
+	return nil
+}
+
+// disagree is the error of a site that located or rewrote unlike its
+// decision.
 func disagree(pos ftn.Pos, err error) error {
-	return fmt.Errorf("core: site %s rewrote unlike its verdict: %v", pos, err)
+	return fmt.Errorf("core: site %s rewrote unlike its decision: %v", pos, err)
 }
 
 // interchangeWanted applies the plan's interchange knob to a legal

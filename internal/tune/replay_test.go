@@ -179,7 +179,7 @@ func handSearchOf(t *testing.T, orig string, m plan.Machine, runner exec.Runner)
 	s := &search{
 		ctx: context.Background(), src: orig, p: Params{NP: 2, Arrays: []string{"b"}}, machine: m, sites: []siteState{{key: "hand"}},
 		maxM: 4, runner: runner, orig: res, origNs: int64(res.Elapsed()),
-		measured: map[string]*cand{}, bySrc: map[string]*cand{},
+		measured: map[string]*cand{},
 	}
 	s.registerIdentity()
 	return s

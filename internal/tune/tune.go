@@ -247,7 +247,7 @@ func tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, run
 		ctx: ctx, prog: prog, src: prog.Source(), p: p, machine: m, sites: sites, knobs: knobs,
 		maxM:     resolveMaxMeasured(p.MaxMeasured, len(sites)),
 		runner:   runner,
-		measured: map[string]*cand{}, byCanon: map[string]*cand{}, bySrc: map[string]*cand{},
+		measured: map[string]*cand{}, byCanon: map[string]*cand{},
 	}
 	// Every verdict compares against this measurement under this machine.
 	orig, _, err := s.measureSource(s.src)
@@ -313,7 +313,6 @@ type search struct {
 
 	measured map[string]*cand // by whole-plan key; nil = rejected/failed
 	byCanon  map[string]*cand // by core.Canonical key: knob no-ops alias before Apply
-	bySrc    map[string]*cand // by generated source
 	order    []*cand          // unique measured candidates, visit order
 	runs     int
 	replays  int // runs answered by a replay
@@ -339,8 +338,8 @@ func (s *search) run() (Choice, error) {
 	// at speedup exactly 1.0, and makes "tuned never loses to the original"
 	// true by construction: best() prefers the earliest candidate on ties,
 	// so a transformed plan is chosen only when it strictly beats identity.
-	// Registering the original source in bySrc also lets any mixed-skip
-	// vector whose generated code collapses to the original alias for free.
+	// Registering it under its canonical key also lets any vector that
+	// rewrites nothing (every site skipped) alias it for free.
 	s.registerIdentity()
 
 	// The fixed-K default decision is measured next so the tuned choice can
@@ -510,7 +509,6 @@ func (s *search) registerIdentity() {
 	if cn, err := core.Canonical(s.prog, s.buildPlan(ds)); err == nil {
 		s.byCanon[cn.Key] = c
 	}
-	s.bySrc[s.src] = c
 	s.order = append(s.order, c)
 }
 
@@ -614,10 +612,11 @@ func axisOf(si int) int {
 // evaluate runs the pre-push variant under the decision vector and applies
 // the oracle. A vector the transformation rejects on any site yields no
 // candidate and costs nothing — not even an Apply: core.Canonical predicts
-// it. A vector whose canonical form, or failing that whose generated source,
-// is an already-measured one's aliases that measurement for free (knob flips
-// that change nothing — e.g. forcing interchange off where it never fired —
-// collapse onto the earlier candidate).
+// it. A vector whose canonical form is an already-measured one's aliases that
+// measurement for free, without an Apply: two plans share a canonical key
+// exactly when their texts are byte-identical (knob flips that change nothing
+// — e.g. forcing interchange off where it never fired — collapse onto the
+// earlier candidate).
 func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 	ds = normVec(ds)
 	key := s.vecKey(ds)
@@ -647,13 +646,10 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 		s.measured[key] = c
 		return c
 	}
-	c, ok := s.bySrc[src]
-	if !ok {
-		if s.runs >= s.maxM {
-			return nil
-		}
-		c = s.measure(src, ds, seeded)
+	if s.runs >= s.maxM {
+		return nil
 	}
+	c := s.measure(src, ds, seeded)
 	s.measured[key] = c
 	if c != nil {
 		s.byCanon[cn.Key] = c
@@ -689,7 +685,6 @@ func (s *search) measure(src string, ds []plan.Decision, seeded bool) *cand {
 	if c.PrepushNs > 0 {
 		c.Speedup = float64(s.origNs) / float64(c.PrepushNs)
 	}
-	s.bySrc[src] = c
 	s.order = append(s.order, c)
 	return c
 }
