@@ -91,7 +91,7 @@ var allowedGlobals = map[string]string{
 	// it holds, and it is the only way scratch outlives one run.
 	"internal/exec:stripPool":    "strip-executor lane vectors recycled across runs (sync.Pool; a per-run or per-Program scratch would add ~20 KiB per rank to runs that allocate ~2 MiB)",
 	"internal/interp:scratches":  "the working memory of finished recordings (search window, keys, in-flight marks, watch bitmaps) lent to new ones (sync.Pool; a transformed exchange holds every request open at once, so each recording would grow its marks and window afresh: 33 of 804 MB over 12 BenchmarkPlanCold iterations went to marks alone)",
-	"internal/mpi:spare":         "the arenas (matching-queue arrays) and request slabs of finished runs lent to new ones (sync.Pools; a prepush rank posts K·(np−1) requests an exchange and holds nearly all of them open at once, so a run allocated a 176-byte Request per message side: isend/irecv were 27 % of sim-comm's bytes over 12 rounds, and its alloc_mb fell 93.7 → 62.0 MiB with this and netsim's spareRings)",
+	"internal/mpi:spare":         "the arenas (matching-queue arrays, ranks with their request-handle tables) and the request and payload-word slabs of finished runs lent to new ones (sync.Pools; a prepush rank posts K·(np−1) requests an exchange and holds nearly all of them open at once, so a run allocated a 176-byte Request per message side: isend/irecv were 27 % of sim-comm's bytes over 12 rounds, and its alloc_mb fell 93.7 → 62.0 MiB with this and netsim's spareRings; fresh payload copies (179 MB), post's closures (53.5 MB) and the binding's handle table (46 MB) were 35 % of its 786 MB more, and with payload words and handle tables here it reads 37.8 MiB)",
 	"internal/netsim:spareRings": "the lane rings of finished runs lent to new ones (sync.Pool; a prepush rank queues an event for every message it posts before it first blocks, so each run grew its lanes from empty: lane.push was 7.1 % of sim-comm's bytes over 12 rounds)",
 	// Test seams that product code only reads: nil outside tests.
 	"internal/dep:observePair":      "differential-test observer of pair queries (set only by internal/dep's tests, which hold every answer to the reference solver)",
@@ -123,6 +123,12 @@ var allowedUncalled = map[string]string{
 	// Layer probes of the simulator's own cost, driven only by benchmark/.
 	"internal/netsim:Cluster.Transfer":     "benchmark netsim.transfer_ns probe",
 	"internal/netsim:Engine.NewCompletion": "benchmark netsim.event_ns probe",
+	// The closure forms of a message's buffer, which only benchmark/'s
+	// mpi.alltoall_us_p50 and mpi.isend_ring_us_per_msg probes call; the
+	// binding and the replay post payload values. They go when the probes do.
+	"internal/mpi:Rank.Isend":    "benchmark mpi.isend_ring_us_per_msg probe",
+	"internal/mpi:Rank.Irecv":    "benchmark mpi.isend_ring_us_per_msg probe",
+	"internal/mpi:Rank.Alltoall": "benchmark mpi.alltoall_us_p50 probe",
 	// Called by the standard library through an interface, never by name.
 	"internal/session:queryError.Unwrap": "errors.Is/As unwrap a query error to its cause",
 }

@@ -160,9 +160,6 @@ type Opportunity struct {
 	Arrays   map[string]bool  // declared arrays
 	ArDims   []access.Triplet // declared dims of Ar
 	AsDims   []access.Triplet // declared dims of As
-	RankVar  string           // variable holding the MPI rank ("" if none)
-	SizeVar  string           // variable holding the communicator size
-	InitIdx  int              // body index just after mpi_init (-1 if absent)
 	SemiAuto bool             // true when the oracle was consulted
 
 	Notes []string // human-readable analysis notes

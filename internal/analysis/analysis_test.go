@@ -120,9 +120,6 @@ func TestFindDirectOpportunity(t *testing.T) {
 	if op.InterchangeOK {
 		t.Error("no inner loop to interchange with")
 	}
-	if op.RankVar != "me" || op.SizeVar != "nprocs" {
-		t.Errorf("rank/size vars = %q/%q", op.RankVar, op.SizeVar)
-	}
 	if op.Consts["nx"] != 64 || op.Consts["np"] != 8 {
 		t.Errorf("consts = %v", op.Consts)
 	}

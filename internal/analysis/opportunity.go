@@ -108,7 +108,6 @@ func analyzeSite(file *ftn.File, unit *ftn.Unit, list *[]ftn.Stmt, callIdx int, 
 		Parent:    list,
 		CallIndex: callIdx,
 		LIndex:    -1,
-		InitIdx:   -1,
 	}
 	gatherUnitFacts(op, unit, opts)
 
@@ -254,30 +253,6 @@ func gatherUnitFacts(op *Opportunity, unit *ftn.Unit, opts Options) {
 	}
 	op.AsDims = declTriplets(st, op.Call.As, op.Consts)
 	op.ArDims = declTriplets(st, op.Call.Ar, op.Consts)
-
-	// Find the rank/size variables and the mpi_init position.
-	for i, s := range unit.Body {
-		call, ok := s.(*ftn.CallStmt)
-		if !ok {
-			continue
-		}
-		switch call.Name {
-		case "mpi_init":
-			op.InitIdx = i
-		case "mpi_comm_rank":
-			if len(call.Args) >= 2 {
-				if id, ok := call.Args[1].(*ftn.Ident); ok {
-					op.RankVar = id.Name
-				}
-			}
-		case "mpi_comm_size":
-			if len(call.Args) >= 2 {
-				if id, ok := call.Args[1].(*ftn.Ident); ok {
-					op.SizeVar = id.Name
-				}
-			}
-		}
-	}
 }
 
 // declTriplets converts a symbol's declared dims to access triplets.

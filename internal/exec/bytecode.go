@@ -861,7 +861,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []reg, pc, end int) error {
 			}
 			fr.scal[ins.a] = &v
 		case bDeclA:
-			if err := bp.decls[ins.a].declArray(fr, regs, x.mpi.Recycler); err != nil {
+			if err := bp.decls[ins.a].declArray(fr, regs, x.mem); err != nil {
 				return err
 			}
 		case bMPI:

@@ -54,11 +54,11 @@ type Runner struct {
 	// measurements record, across runs; with a nil Store each call compiles
 	// its source afresh. A walk run parses the source itself and skips it.
 	Store VariantStore
-	// Recycler, when non-nil, lends the arrays and send payloads of
-	// Measure's bytecode executions, which hand them back when they end
-	// (interp/recycle.go): whoever makes a sequence of measurements — a
-	// search — owns one, and its memory goes with it. It serves one
-	// measurement at a time. Run and the walk engine allocate afresh.
+	// Recycler, when non-nil, lends the arrays of Measure's bytecode
+	// executions, which hand them back when they end (interp/recycle.go):
+	// whoever makes a sequence of measurements — a search — owns one, and
+	// its memory goes with it. It serves one measurement at a time. Run and
+	// the walk engine allocate arrays afresh.
 	Recycler *interp.Recycler
 }
 

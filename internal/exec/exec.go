@@ -47,10 +47,10 @@
 // A measurement answers with the final arrays' digests, executed or
 // replayed, on either engine; Run answers with their data. So a measured
 // execution's memory is nobody's once it ends, and belongs to the search
-// that measures: a bytecode execution under Measure draws its arrays and
-// send payloads from the Runner's Recycler (interp/recycle.go), which the
-// search owns and drops when it returns. Run, RunBytecode and the walk engine
-// allocate afresh.
+// that measures: a bytecode execution under Measure draws its arrays from
+// the Runner's Recycler (interp/recycle.go), which the search owns and drops
+// when it returns. Run, RunBytecode and the walk engine allocate arrays
+// afresh; every run's message payloads come from mpi's run arena.
 //
 // There are two engines. Engine "bytecode" is this package; Engine "walk"
 // runs internal/interp, retained as the differential oracle: this package's
@@ -205,6 +205,8 @@ type rctx struct {
 	site mpiSite
 	// trace is mpi.Trace: non-nil in the one run that records the skeleton.
 	trace *interp.RankTrace
+	// mem lends the run's arrays (nil: fresh; see execute).
+	mem *interp.Recycler
 	// sliced: the run executes every unit's slice (slice.go); ivs is its
 	// folds' interval scratch.
 	sliced bool
@@ -335,7 +337,7 @@ type recording struct {
 }
 
 // execute runs the lowered program, recording its skeleton when asked to.
-// With a recycler, the run's arrays and send payloads are lent by mem, and
+// With a recycler, the run's arrays are lent by mem, and
 // the arrays go back to it once the run is over — mpi.Run has returned, so no
 // transfer can land in them any more — which is why the Result then holds
 // their digests, not their data.
@@ -346,12 +348,11 @@ func (p *Program) execute(np int, prof netsim.Profile, costs interp.CostModel, r
 		traces = make([]*interp.RankTrace, np)
 	}
 	res, err := interp.RunRanks(np, prof, func(b *interp.MPI) interp.RankState {
-		b.Recycler = mem
 		if traces != nil {
 			b.Trace = interp.NewRankTrace(np)
 			traces[b.Rank.Me()] = b.Trace
 		}
-		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab, trace: b.Trace}
+		return &rctx{prog: p, rank: b.Rank, mpi: b, tab: tab, trace: b.Trace, mem: mem}
 	})
 	var skel *interp.Skeleton
 	if traces != nil {

@@ -1,6 +1,9 @@
 package interp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // storage is the backing memory of a Fortran array (column-major): n
 // elements, held in ints or reals by kind — or in neither, for the shape of
@@ -219,55 +222,56 @@ func (a *Array) InWindow(off, count int64) bool {
 	return start >= 0 && start <= n && count <= n-start
 }
 
-// CopyOut snapshots count elements starting at linear offset off (0-based
-// within the view) — the payload of a send, a *[]float64 for a real array and
-// a *[]int64 otherwise, lent by rc (nil: fresh).
-func (a *Array) CopyOut(off, count int64, rc *Recycler) (interface{}, error) {
-	start := a.Offset + off
+// CopyOut snapshots len(words) elements starting at linear offset off
+// (0-based within the view) into words — the payload of a send: a real
+// array's elements as their IEEE 754 bits, any other's as they are.
+func (a *Array) CopyOut(off int64, words []uint64) error {
+	count := int64(len(words))
 	if !a.InWindow(off, count) {
-		return nil, fmt.Errorf("array %s: send window [%d,%d) out of range", a.Name, off, off+count)
+		return fmt.Errorf("array %s: send window [%d,%d) out of range", a.Name, off, off+count)
 	}
+	start := a.Offset + off
 	if a.Store.kind == KReal {
-		p := rc.realPayload(count)
-		copy(*p, a.Store.reals[start:start+count])
-		return p, nil
+		for i, v := range a.Store.reals[start : start+count] {
+			words[i] = math.Float64bits(v)
+		}
+		return nil
 	}
-	p := rc.intPayload(count)
-	copy(*p, a.Store.ints[start:start+count])
-	return p, nil
+	for i, v := range a.Store.ints[start : start+count] {
+		words[i] = uint64(v)
+	}
+	return nil
 }
 
-// CopyIn stores a received payload (see CopyOut) at linear offset off within
-// the view.
-func (a *Array) CopyIn(off int64, payload interface{}) error {
+// CopyIn stores a received payload (see CopyOut; real says a real array sent
+// it) at linear offset off within the view.
+func (a *Array) CopyIn(off int64, real bool, words []uint64) error {
 	start := a.Offset + off
-	switch p := payload.(type) {
-	case *[]int64:
-		if start+int64(len(*p)) > a.Store.len() {
-			return fmt.Errorf("array %s: recv window out of range", a.Name)
-		}
-		if a.Store.kind == KReal {
-			for i, v := range *p {
-				a.Store.reals[start+int64(i)] = float64(v)
+	if start+int64(len(words)) > a.Store.len() {
+		return fmt.Errorf("array %s: recv window out of range", a.Name)
+	}
+	if a.Store.kind == KReal {
+		dst := a.Store.reals[start:]
+		if real {
+			for i, w := range words {
+				dst[i] = math.Float64frombits(w)
 			}
 			return nil
 		}
-		copy(a.Store.ints[start:], *p)
-	case *[]float64:
-		if start+int64(len(*p)) > a.Store.len() {
-			return fmt.Errorf("array %s: recv window out of range", a.Name)
+		for i, w := range words {
+			dst[i] = float64(int64(w))
 		}
-		if a.Store.kind == KReal {
-			copy(a.Store.reals[start:], *p)
-			return nil
+		return nil
+	}
+	dst := a.Store.ints[start:]
+	if real {
+		for i, w := range words {
+			dst[i] = int64(math.Float64frombits(w))
 		}
-		for i, v := range *p {
-			a.Store.ints[start+int64(i)] = int64(v)
-		}
-	case nil:
-		return fmt.Errorf("array %s: nil payload", a.Name)
-	default:
-		return fmt.Errorf("array %s: unsupported payload %T", a.Name, payload)
+		return nil
+	}
+	for i, w := range words {
+		dst[i] = int64(w)
 	}
 	return nil
 }

@@ -98,6 +98,7 @@ type machine struct {
 	mpi      *MPI
 	callFr   *frame
 	callStmt *ftn.CallStmt
+	subs     []int64 // the subscripts of the call's buffer (Buffer)
 }
 
 // charge books one charge of kind k (a ChargeCounts index), and counts it

@@ -159,13 +159,13 @@ func TestFoldStoresEachPatternOnce(t *testing.T) {
 func TestOpenTableKeepsOpenRequests(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		var tab openTable[reqMark]
+		var tab openTable
 		open := map[int32]bool{}
 		posted, span := int32(0), int32(1)
 		for step := 0; step < 3000; step++ {
 			if len(open) == 0 || rng.Intn(2+trial%3) > 0 {
 				posted++
-				tab.push(reqMark{lo: int64(posted)}, waitedMark)
+				tab.push(reqMark{lo: int64(posted)})
 				open[posted] = true
 			} else {
 				h := posted - rng.Int31n(min(posted, 40))

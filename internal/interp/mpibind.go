@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+
 	"repro/internal/ftn"
 	"repro/internal/mpi"
 )
@@ -104,29 +106,48 @@ type MPIArgs interface {
 	Store(i int, v Value) error
 }
 
-// MPI is one rank's binding state.
+// MPI is one rank's binding state, and the rank's mpi.Binding: a payload's
+// buffer is an *Array. The request handles the program sees are the rank's
+// (mpi.Rank.Hold).
 type MPI struct {
 	Rank *mpi.Rank
-	reqs []*mpi.Request // handle h is reqs[h-1]; nil once waited
-	// cbErr is the first fetch/place failure. Payload callbacks run inside
-	// engine events, on the goroutine that called the simulation, so they
-	// record instead of panicking; the rank reports the error from the call
-	// that next completes a request (or at run end, see RunRanks). One field
-	// rather than one per request keeps a posted message as cheap as before.
+	// cbErr is the first failure to read or write a payload. The binding's
+	// Read and Write run inside engine events, on the goroutine that called
+	// the simulation, so they record instead of panicking; the rank reports
+	// the error from the call that next completes a request (or at run end,
+	// see RunRanks). One field rather than one per request keeps a posted
+	// message as cheap as before.
 	cbErr error
 	// Trace, when non-nil, records the rank's skeleton (skeleton.go): the
 	// engine that set it reports charges, Call each operation.
 	Trace *RankTrace
-	// Recycler, when non-nil, lends the run's send payloads, and takes each
-	// back once its receive has copied it in (recycle.go); the engine that
-	// set it draws its arrays from it too.
-	Recycler *Recycler
 }
 
-// noPayload and dropPayload are a transfer's ends when no data moves: one
-// from or into an array without elements (NewShape), and a skeleton replay's.
-func noPayload() interface{}  { return nil }
-func dropPayload(interface{}) {}
+// Read implements mpi.Binding: it snapshots a send's elements.
+func (b *MPI) Read(p mpi.Payload, words []uint64) bool {
+	err := p.Buf.(*Array).CopyOut(p.Off, words)
+	b.note(err)
+	return err == nil
+}
+
+// Write implements mpi.Binding: it stores a received payload.
+func (b *MPI) Write(p, from mpi.Payload, words []uint64) {
+	a := p.Buf.(*Array)
+	if words == nil {
+		b.note(fmt.Errorf("array %s: nil payload", a.Name))
+		return
+	}
+	b.note(a.CopyIn(p.Off, from.Buf.(*Array).Kind() == KReal, words))
+}
+
+// payload is the data of count elements at arr+off: none for an array
+// without elements (NewShape).
+func payload(arr *Array, off, count int64) mpi.Payload {
+	if arr.Store.shape() {
+		return mpi.Payload{}
+	}
+	return mpi.Payload{Buf: arr, Off: off, Count: count}
+}
 
 // trace records operation e when the run is being recorded.
 func (b *MPI) trace(e skelEntry) {
@@ -135,21 +156,11 @@ func (b *MPI) trace(e skelEntry) {
 	}
 }
 
-// note records a payload callback's failure.
+// note records the failure to read or write a payload.
 func (b *MPI) note(err error) {
 	if err != nil && b.cbErr == nil {
 		b.cbErr = err
 	}
-}
-
-// unwaited reports whether the rank posted a request it never waited on.
-func (b *MPI) unwaited() bool {
-	for _, req := range b.reqs {
-		if req != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // failed surfaces a recorded callback failure at call s.
@@ -221,11 +232,10 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 			err = b.failed(s)
 			break
 		}
-		b.reqs = append(b.reqs, req)
 		if b.Trace != nil {
 			b.Trace.mark(s, arr[0], num[0], num[1], r.op == opIrecv)
 		}
-		err = a.Store(6, IntVal(int64(len(b.reqs))))
+		err = a.Store(6, IntVal(b.Rank.Hold(req)))
 	case opWait:
 		if err = b.wait(num[0], s); err == nil {
 			err = a.Store(0, IntVal(0)) // invalidate the handle
@@ -251,21 +261,7 @@ func (b *MPI) Call(r *MPIRoutine, s *ftn.CallStmt, a MPIArgs) error {
 			b.Trace.blocking(s, sArr, sOff, np*sCount, false)
 			b.Trace.blocking(s, rArr, rOff, np*rCount, true)
 		}
-		b.Rank.Alltoall(sCount*num[2],
-			func(dst int) interface{} {
-				if sArr.Store.shape() {
-					return nil
-				}
-				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount, b.Recycler)
-				b.note(cerr)
-				return p
-			},
-			func(src int, p interface{}) {
-				if !rArr.Store.shape() {
-					b.note(rArr.CopyIn(rOff+int64(src)*rCount, p))
-				}
-				b.Recycler.put(p)
-			})
+		b.Rank.AlltoallPayload(sCount*num[2], payload(sArr, sOff, sCount), payload(rArr, rOff, rCount))
 		err = b.failed(s)
 	}
 	if err != nil || n == 0 {
@@ -326,29 +322,10 @@ func (b *MPI) post(op mpiOp, s *ftn.CallStmt, arr *Array, off, count, elemBytes 
 	if b.Trace != nil && (op == opSend || op == opRecv) {
 		b.Trace.blocking(s, arr, off, count, op == opRecv)
 	}
-	if arr.Store.shape() {
-		// A slice's array without elements (NewShape): no data moves.
-		if send {
-			return b.Rank.Isend(peer, tag, count*elemBytes, noPayload), nil
-		}
-		return b.Rank.Irecv(peer, tag, count*elemBytes, dropPayload), nil
-	}
 	if send {
-		// CopyOut cannot fail: the window was checked. Without a recycler the
-		// closure captures three words, not four, and stays in the 32-byte
-		// size class: a plain run allocates per message what it always did.
-		var fetch func() interface{}
-		if rc := b.Recycler; rc != nil {
-			fetch = func() interface{} { p, _ := arr.CopyOut(off, count, rc); return p }
-		} else {
-			fetch = func() interface{} { p, _ := arr.CopyOut(off, count, nil); return p }
-		}
-		return b.Rank.Isend(peer, tag, count*elemBytes, fetch), nil
+		return b.Rank.IsendPayload(peer, tag, count*elemBytes, payload(arr, off, count)), nil
 	}
-	return b.Rank.Irecv(peer, tag, count*elemBytes, func(p interface{}) {
-		b.note(arr.CopyIn(off, p))
-		b.Recycler.put(p)
-	}), nil
+	return b.Rank.IrecvPayload(peer, tag, count*elemBytes, payload(arr, off, count)), nil
 }
 
 // wait completes request handle h (0 is the null request).
@@ -356,14 +333,13 @@ func (b *MPI) wait(h int64, s *ftn.CallStmt) error {
 	if h == 0 {
 		return nil
 	}
-	if h < 1 || h > int64(len(b.reqs)) {
+	req, ok := b.Rank.Take(h)
+	if !ok {
 		return rte(s.Pos(), "invalid MPI request handle %d", h)
 	}
-	req := b.reqs[h-1]
 	if req == nil {
 		return nil // already waited
 	}
-	b.reqs[h-1] = nil
 	if b.Trace != nil {
 		b.Trace.unmark(int32(h))
 	}
@@ -395,7 +371,12 @@ func (m *machine) Buffer(i int) (*Array, []int64, error) {
 		return m.callFr.b[e.Slot].arr, nil, nil
 	case *ftn.Ref:
 		if a := m.callFr.b[e.Slot].arr; a != nil {
-			subs := make([]int64, len(e.Args))
+			// The binding consumes the subscripts before it asks for anything
+			// else, so one scratch slice per machine serves every call.
+			if cap(m.subs) < len(e.Args) {
+				m.subs = make([]int64, len(e.Args))
+			}
+			subs := m.subs[:len(e.Args)]
 			return a, subs, m.evalSubs(m.callFr, e.Args, subs)
 		}
 	}

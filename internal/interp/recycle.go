@@ -1,11 +1,10 @@
 package interp
 
-// Recycler lends array storage and send payloads to a sequence of
-// executions — the measurements of one search — so that measuring many
-// variants of one program does not allocate every array and every message
-// afresh for each. Within one execution nearly every payload is in flight at
-// once, so reuse pays across executions: the Recycler belongs to whoever runs
-// them in sequence, and what it holds goes with it.
+// Recycler lends array storage to a sequence of executions — the
+// measurements of one search — so that measuring many variants of one
+// program does not allocate every array afresh for each: the Recycler
+// belongs to whoever runs them in sequence, and what it holds goes with it.
+// Message payloads are not its: every run's come from mpi's run arena.
 //
 // It serves one execution at a time, whose ranks and engine events take
 // turns on it (netsim runs one at a time). Storage goes back only at Reclaim,
@@ -14,13 +13,10 @@ package interp
 // digested what it keeps of the final arrays. It is never handed back at a
 // subroutine's return. Reused storage is cleared, and carries no watch: the
 // recording that watched it dropped the watch when it ended (watch.go). A
-// payload goes back as soon as its receive has copied it in. A nil *Recycler
-// lends nothing: every array and payload is fresh.
+// nil *Recycler lends nothing: every array is fresh.
 type Recycler struct {
-	free  map[storageKey][]*storage
-	lent  []*storage // since the last Reclaim
-	ints  map[int64][]*[]int64
-	reals map[int64][]*[]float64
+	free map[storageKey][]*storage
+	lent []*storage // since the last Reclaim
 }
 
 type storageKey struct {
@@ -64,50 +60,4 @@ func (rc *Recycler) Reclaim() {
 	}
 	clear(rc.lent)
 	rc.lent = rc.lent[:0]
-}
-
-// intPayload and realPayload lend a payload of n elements, to be
-// overwritten in full. A payload is a pointer, so passing it as an
-// interface{} allocates nothing.
-func (rc *Recycler) intPayload(n int64) *[]int64 {
-	if rc != nil {
-		if free := rc.ints[n]; len(free) > 0 {
-			rc.ints[n] = free[:len(free)-1]
-			return free[len(free)-1]
-		}
-	}
-	p := make([]int64, n)
-	return &p
-}
-
-func (rc *Recycler) realPayload(n int64) *[]float64 {
-	if rc != nil {
-		if free := rc.reals[n]; len(free) > 0 {
-			rc.reals[n] = free[:len(free)-1]
-			return free[len(free)-1]
-		}
-	}
-	p := make([]float64, n)
-	return &p
-}
-
-// put takes back a payload its receive has copied in.
-func (rc *Recycler) put(payload interface{}) {
-	if rc == nil {
-		return
-	}
-	switch p := payload.(type) {
-	case *[]int64:
-		if rc.ints == nil {
-			rc.ints = map[int64][]*[]int64{}
-		}
-		n := int64(len(*p))
-		rc.ints[n] = append(rc.ints[n], p)
-	case *[]float64:
-		if rc.reals == nil {
-			rc.reals = map[int64][]*[]float64{}
-		}
-		n := int64(len(*p))
-		rc.reals[n] = append(rc.reals[n], p)
-	}
 }

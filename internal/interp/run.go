@@ -134,6 +134,7 @@ func RunRanks(np int, prof netsim.Profile, newState func(b *MPI) RankState) (*Re
 	// Ranks run one at a time and each writes only its own slots.
 	stats, err := mpi.Run(np, prof, func(r *mpi.Rank) {
 		b := &MPI{Rank: r}
+		r.Bind(b)
 		binds[r.Me()] = b
 		st := newState(b)
 		res.Errors[r.Me()] = runGuarded(st)
@@ -143,7 +144,7 @@ func RunRanks(np int, prof netsim.Profile, newState func(b *MPI) RankState) (*Re
 			// they are — unless a transfer it never waited on could still
 			// land in one after this point: then the result is a copy taken
 			// now, which that late write must not show in.
-			late := b.unwaited()
+			late := r.Holding()
 			snap := make(map[string]interface{}, len(arrs))
 			for _, a := range arrs {
 				if late {
@@ -155,8 +156,8 @@ func RunRanks(np int, prof netsim.Profile, newState func(b *MPI) RankState) (*Re
 			res.Arrays[r.Me()] = snap
 		}
 	})
-	// A payload callback can fail after its rank's last MPI call (a
-	// transfer the program never waited on).
+	// A payload write can fail after its rank's last MPI call (a transfer
+	// the program never waited on).
 	for i, b := range binds {
 		if b != nil && b.cbErr != nil && res.Errors[i] == nil {
 			res.Errors[i] = fmt.Errorf("MPI transfer never waited on: %v", b.cbErr)

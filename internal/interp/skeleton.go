@@ -16,7 +16,7 @@ import (
 // depends on the machine — matching has no wildcard source, payloads never
 // feed the network model, costs are six prices applied to counts — only when
 // things happen does. Replay prices the counts with any CostModel and pushes
-// the operations through the unchanged mpi/netsim code with nil payloads:
+// the operations through the unchanged mpi/netsim code with empty payloads:
 // makespan, traffic and every rank's finish, compute and blocked time come
 // out exactly as an execution's under that machine.
 //
@@ -232,7 +232,7 @@ type scratch struct {
 	scan   []skelEntry
 	closed []span
 	keys   []int32
-	marks  openTable[reqMark]
+	marks  openTable
 	words  []uint64
 }
 
@@ -690,7 +690,6 @@ func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error)
 		for i := range prices {
 			prices[i] = costs.Price(&rk.counts[i])
 		}
-		var reqs openTable[*mpi.Request]
 		x := skelCursor{es: rk.entries}
 		for e, ok := x.next(); ok; e, ok = x.next() {
 			r.Compute(prices[e.counts])
@@ -699,19 +698,18 @@ func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error)
 			case opBarrier:
 				r.Barrier()
 			case opIsend:
-				reqs.push(r.Isend(peer, tag, e.bytes, noPayload), waitedReq)
+				r.Hold(r.IsendPayload(peer, tag, e.bytes, mpi.Payload{}))
 			case opIrecv:
-				reqs.push(r.Irecv(peer, tag, e.bytes, dropPayload), waitedReq)
+				r.Hold(r.IrecvPayload(peer, tag, e.bytes, mpi.Payload{}))
 			case opSend:
-				r.Send(peer, tag, e.bytes, noPayload)
+				r.Send(peer, tag, e.bytes, mpi.Payload{})
 			case opRecv:
-				r.Recv(peer, tag, e.bytes, dropPayload)
+				r.Recv(peer, tag, e.bytes, mpi.Payload{})
 			case opWait:
-				q := reqs.at(e.slot)
-				r.Wait(*q)
-				*q = nil
+				req, _ := r.Take(int64(e.slot))
+				r.Wait(req)
 			case opAlltoall:
-				r.Alltoall(e.bytes, func(int) interface{} { return nil }, func(int, interface{}) {})
+				r.AlltoallPayload(e.bytes, mpi.Payload{}, mpi.Payload{})
 			}
 		}
 	})
@@ -721,22 +719,22 @@ func (s *Skeleton) Replay(prof netsim.Profile, costs CostModel) (*Result, error)
 	return &Result{Stats: stats, Output: s.output, Arrays: s.arrays, Errors: make([]error, np)}, nil
 }
 
-// openTable holds one value per nonblocking request of a rank, from its oldest
-// request still open on: handle base+i+1's is vals[i]. Handles stay those the
-// program sees; what the table keeps grows with the requests open at once,
-// not with all the rank posts.
-type openTable[T any] struct {
-	vals []T
+// openTable holds the mark of each nonblocking request of a rank, from its
+// oldest request still open on: handle base+i+1's is vals[i]. Handles stay
+// those the program sees; what the table keeps grows with the requests open
+// at once, not with all the rank posts.
+type openTable struct {
+	vals []reqMark
 	base int32
 }
 
-// push adds the next handle's value. Before the table grows, it drops the
-// prefix of waited requests (waited says which) when that is half of it, so
-// each value is moved at most once on average.
-func (o *openTable[T]) push(v T, waited func(*T) bool) {
+// push adds the next handle's mark. Before the table grows, it drops the
+// prefix of waited requests when that is half of it, so each mark is moved
+// at most once on average.
+func (o *openTable) push(v reqMark) {
 	if len(o.vals) == cap(o.vals) {
 		n := 0
-		for n < len(o.vals) && waited(&o.vals[n]) {
+		for n < len(o.vals) && o.vals[n].waited {
 			n++
 		}
 		if 2*n >= len(o.vals) {
@@ -748,7 +746,4 @@ func (o *openTable[T]) push(v T, waited func(*T) bool) {
 }
 
 // at is handle h's value; h is open, so the table holds it.
-func (o *openTable[T]) at(h int32) *T { return &o.vals[h-o.base-1] }
-
-// waitedReq says a replay's request has been waited on.
-func waitedReq(q **mpi.Request) bool { return *q == nil }
+func (o *openTable) at(h int32) *reqMark { return &o.vals[h-o.base-1] }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/ftn"
 )
 
-// In-flight buffers. A nonblocking request's payload is fetched (isend) or
-// placed (irecv) at a time the machine decides — at the post when eager, when
+// In-flight buffers. A nonblocking request's payload is read (isend) or
+// written (irecv) at a time the machine decides — at the post when eager, when
 // a rendezvous starts, when the message lands — but always while the owning
 // rank is inside, or parked in, an MPI call or a compute charge between its
 // post and its wait. A program that touches no open request's buffer in that
@@ -66,9 +66,6 @@ type reqMark struct {
 	recv   bool
 	waited bool
 }
-
-// waitedMark says a mark's request has been waited on (openTable.push).
-func waitedMark(m *reqMark) bool { return m.waited }
 
 // words calls f with the index and element mask of every bitmap word the
 // elements [lo, lo+n) touch, stopping when f returns true.
@@ -135,7 +132,7 @@ func (t *RankTrace) flag(format string, args ...interface{}) {
 // elements at arr+off, an already checked window), first checking it against
 // the open ones, and keeps in marks what the request's wait clears.
 func (t *RankTrace) mark(s *ftn.CallStmt, arr *Array, off, count int64, recv bool) {
-	t.marks.push(t.newMark(s, arr, off, count, recv), waitedMark)
+	t.marks.push(t.newMark(s, arr, off, count, recv))
 }
 
 // newMark is mark's reqMark, for the request's handle: the next one.

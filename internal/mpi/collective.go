@@ -17,44 +17,53 @@ const (
 // zero-copy NICs do not make local memcpys free.
 const memcpyNsPerByte = 1.0
 
-// Alltoall exchanges one partition with every rank: fetch(dst) supplies the
-// partition destined for dst, place(src, payload) stores the partition
-// received from src. bytesPer is the partition size in bytes. The self
-// partition moves by local copy. The whole exchange happens inside this
-// call (no overlap with computation), exactly like the original codes the
-// paper transforms.
-func (r *Rank) Alltoall(bytesPer int64, fetch func(dst int) interface{}, place func(src int, payload interface{})) {
+// AlltoallPayload exchanges one partition with every rank: partition i of
+// send (send.Count elements at send.Off + i·send.Count) goes to rank i, and
+// the one from rank i lands in partition i of recv. bytesPer is the
+// partition size in bytes. The self partition moves by local copy. The whole
+// exchange happens inside this call (no overlap with computation), exactly
+// like the original codes the paper transforms.
+func (r *Rank) AlltoallPayload(bytesPer int64, send, recv Payload) {
 	tag := tagAlltoall
-	reqs := make([]*Request, 0, 2*(r.np-1))
+	reqs := r.coll[:0]
 	// Staggered ring order to avoid hammering rank 0 first.
 	for j := 1; j < r.np; j++ {
 		src := (r.np + r.me - j) % r.np
-		reqs = append(reqs, r.irecv(collCtx, src, tag, bytesPer, func(p interface{}) { place(src, p) }))
+		reqs = append(reqs, r.irecv(collCtx, src, tag, bytesPer, recv.part(src)))
 	}
 	for j := 1; j < r.np; j++ {
 		dst := (r.me + j) % r.np
-		reqs = append(reqs, r.isend(collCtx, dst, tag, bytesPer, func() interface{} { return fetch(dst) }))
+		reqs = append(reqs, r.isend(collCtx, dst, tag, bytesPer, send.part(dst)))
 	}
-	place(r.me, fetch(r.me))
+	r.coll = reqs
+	self := send.part(r.me)
+	words := r.read(self)
+	r.write(recv.part(r.me), self, words)
+	r.mem.reuse(words)
 	r.Compute(netsim.Time(float64(bytesPer) * memcpyNsPerByte)) // local partition memcpy
 	r.Waitall(reqs)
+}
+
+// Alltoall is AlltoallPayload with closures for buffers: fetch(dst) supplies
+// the partition destined for dst, place(src, payload) stores the partition
+// received from src.
+func (r *Rank) Alltoall(bytesPer int64, fetch func(dst int) interface{}, place func(src int, payload interface{})) {
+	r.AlltoallPayload(bytesPer, Payload{Buf: fetchAtFunc(fetch), Count: 1}, Payload{Buf: placeAtFunc(place), Count: 1})
 }
 
 // Barrier synchronizes all ranks (central coordinator algorithm: gather
 // zero-byte tokens at rank 0, then broadcast the release).
 func (r *Rank) Barrier() {
 	tag := tagBarrier
-	none := func() interface{} { return nil }
-	drop := func(interface{}) {}
 	if r.me == 0 {
 		for src := 1; src < r.np; src++ {
-			r.Wait(r.irecv(collCtx, src, tag, 1, drop))
+			r.Wait(r.irecv(collCtx, src, tag, 1, Payload{}))
 		}
 		for dst := 1; dst < r.np; dst++ {
-			r.Wait(r.isend(collCtx, dst, tag, 1, none))
+			r.Wait(r.isend(collCtx, dst, tag, 1, Payload{}))
 		}
 	} else {
-		r.Wait(r.isend(collCtx, 0, tag, 1, none))
-		r.Wait(r.irecv(collCtx, 0, tag, 1, drop))
+		r.Wait(r.isend(collCtx, 0, tag, 1, Payload{}))
+		r.Wait(r.irecv(collCtx, 0, tag, 1, Payload{}))
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -239,11 +240,40 @@ func (p *matchProgram) String() string {
 }
 
 // Payloads name what they are, so a message delivered to the wrong kind of
-// receive shows.
-type (
-	userMsg  int                    // a user message's id
-	collPart struct{ src, dst int } // an Alltoall partition
+// receive shows: a user message's words are (userWord, id), an Alltoall
+// partition's (collWord, src, dst).
+const (
+	userWord = 0x75736572
+	collWord = 0x636f6c6c
 )
+
+// matchBinding is a run's Binding: a send's buffer is a *[]uint64, a
+// receive's a *delivery, which checks and records what lands in it.
+type matchBinding struct{ out *matchOutcome }
+
+// delivery is a receive's buffer: a user receive's id, or the collective
+// (counted from 0) whose partitions rank me receives.
+type delivery struct {
+	user   bool
+	id, me int
+}
+
+func (matchBinding) Read(p Payload, words []uint64) bool { return cells{}.Read(p, words) }
+
+func (b matchBinding) Write(p, _ Payload, words []uint64) {
+	d, out := p.Buf.(*delivery), b.out
+	switch {
+	case d.user && len(words) == 2 && words[0] == userWord:
+		out.got[d.id] = append(out.got[d.id], int(words[1]))
+	case d.user:
+		out.bad = append(out.bad, fmt.Sprintf("receive r%d got %v, not a user message", d.id, words))
+	default:
+		src := int(p.Off / p.Count)
+		if want := []uint64{collWord, uint64(src), uint64(d.me)}; !slices.Equal(words, want) {
+			out.bad = append(out.bad, fmt.Sprintf("collective %d: rank %d got %v from %d", d.id, d.me, words, src))
+		}
+	}
+}
 
 // matchOutcome is what a run observably did.
 type matchOutcome struct {
@@ -256,21 +286,16 @@ type matchOutcome struct {
 func (p *matchProgram) run(prof netsim.Profile) matchOutcome {
 	out := matchOutcome{got: make([][]int, len(p.recvs))}
 	out.stats, out.err = Run(p.np, prof, func(r *Rank) {
+		r.Bind(matchBinding{&out})
 		me := r.Me()
 		var reqs []*Request
 		for s, seg := range p.segs[me] {
 			for _, op := range seg {
 				switch id := op.id; op.kind {
 				case opSend:
-					reqs = append(reqs, r.Isend(op.peer, op.tag, op.bytes, func() interface{} { return userMsg(id) }))
+					reqs = append(reqs, r.IsendPayload(op.peer, op.tag, op.bytes, vals(userWord, uint64(id))))
 				case opRecv:
-					reqs = append(reqs, r.Irecv(op.peer, op.tag, op.bytes, func(m interface{}) {
-						if mid, ok := m.(userMsg); ok {
-							out.got[id] = append(out.got[id], int(mid))
-						} else {
-							out.bad = append(out.bad, fmt.Sprintf("receive r%d got %#v, not a user message", id, m))
-						}
-					}))
+					reqs = append(reqs, r.IrecvPayload(op.peer, op.tag, op.bytes, Payload{Buf: &delivery{user: true, id: id}, Count: 2}))
 				case opCompute:
 					r.Compute(op.d)
 				}
@@ -281,13 +306,11 @@ func (p *matchProgram) run(prof netsim.Profile) matchOutcome {
 			if coll, bytes := s, p.colls[s]; bytes == 0 {
 				r.Barrier()
 			} else {
-				r.Alltoall(bytes,
-					func(dst int) interface{} { return collPart{me, dst} },
-					func(src int, m interface{}) {
-						if m != (collPart{src, me}) {
-							out.bad = append(out.bad, fmt.Sprintf("collective %d: rank %d got %v from %d", coll, me, m, src))
-						}
-					})
+				send := make([]uint64, 0, 3*p.np)
+				for dst := 0; dst < p.np; dst++ {
+					send = append(send, collWord, uint64(me), uint64(dst))
+				}
+				r.AlltoallPayload(bytes, Payload{Buf: &send, Count: 3}, Payload{Buf: &delivery{id: coll, me: me}, Count: 3})
 			}
 		}
 		for _, op := range p.waits[me] {

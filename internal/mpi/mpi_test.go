@@ -14,19 +14,19 @@ func profiles() []netsim.Profile {
 
 func TestSendRecvValue(t *testing.T) {
 	for _, prof := range profiles() {
-		var got int64
-		_, err := Run(2, prof, func(r *Rank) {
+		got := make([]uint64, 1)
+		_, err := runCells(2, prof, func(r *Rank) {
 			if r.Me() == 0 {
-				r.Send(1, 7, 8, func() interface{} { return int64(42) })
+				r.Send(1, 7, 8, vals(42))
 			} else {
-				r.Recv(0, 7, 8, func(p interface{}) { got = p.(int64) })
+				r.Recv(0, 7, 8, whole(&got))
 			}
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", prof, err)
 		}
-		if got != 42 {
-			t.Errorf("%s: got %d, want 42", prof, got)
+		if got[0] != 42 {
+			t.Errorf("%s: got %d, want 42", prof, got[0])
 		}
 	}
 }
@@ -34,16 +34,15 @@ func TestSendRecvValue(t *testing.T) {
 func TestSendRecvLargeRendezvous(t *testing.T) {
 	for _, prof := range profiles() {
 		big := prof.EagerThreshold * 4
-		var got []int64
-		payload := make([]int64, big/8)
+		payload, got := make([]uint64, big/8), make([]uint64, big/8)
 		for i := range payload {
-			payload[i] = int64(i)
+			payload[i] = uint64(i)
 		}
-		_, err := Run(2, prof, func(r *Rank) {
+		_, err := runCells(2, prof, func(r *Rank) {
 			if r.Me() == 0 {
-				r.Send(1, 1, big, func() interface{} { return payload })
+				r.Send(1, 1, big, whole(&payload))
 			} else {
-				r.Recv(0, 1, big, func(p interface{}) { got = p.([]int64) })
+				r.Recv(0, 1, big, whole(&got))
 			}
 		})
 		if err != nil {
@@ -59,27 +58,27 @@ func TestRecvBeforeSendAndAfter(t *testing.T) {
 	// Both orders must work: posted-then-arrived and arrived-then-posted.
 	for _, prof := range profiles() {
 		for _, recvFirst := range []bool{true, false} {
-			var got int64
-			_, err := Run(2, prof, func(r *Rank) {
+			got := make([]uint64, 1)
+			_, err := runCells(2, prof, func(r *Rank) {
 				if r.Me() == 0 {
 					if !recvFirst {
 						r.Compute(netsim.Time(1)) // send quickly
 					} else {
 						r.Compute(500 * netsim.Microsecond)
 					}
-					r.Send(1, 3, 8, func() interface{} { return int64(9) })
+					r.Send(1, 3, 8, vals(9))
 				} else {
 					if !recvFirst {
 						r.Compute(500 * netsim.Microsecond)
 					}
-					r.Recv(0, 3, 8, func(p interface{}) { got = p.(int64) })
+					r.Recv(0, 3, 8, whole(&got))
 				}
 			})
 			if err != nil {
 				t.Fatalf("%s recvFirst=%v: %v", prof, recvFirst, err)
 			}
-			if got != 9 {
-				t.Errorf("%s recvFirst=%v: got %d", prof, recvFirst, got)
+			if got[0] != 9 {
+				t.Errorf("%s recvFirst=%v: got %d", prof, recvFirst, got[0])
 			}
 		}
 	}
@@ -89,22 +88,22 @@ func TestTagMatchingOrder(t *testing.T) {
 	// Two messages with different tags arrive; receives posted in the
 	// opposite order must still match by tag.
 	for _, prof := range profiles() {
-		var a, b int64
-		_, err := Run(2, prof, func(r *Rank) {
+		ab := make([]uint64, 2)
+		_, err := runCells(2, prof, func(r *Rank) {
 			if r.Me() == 0 {
-				r.Send(1, 1, 8, func() interface{} { return int64(111) })
-				r.Send(1, 2, 8, func() interface{} { return int64(222) })
+				r.Send(1, 1, 8, vals(111))
+				r.Send(1, 2, 8, vals(222))
 			} else {
 				r.Compute(netsim.Millisecond) // both likely arrived
-				r.Recv(0, 2, 8, func(p interface{}) { b = p.(int64) })
-				r.Recv(0, 1, 8, func(p interface{}) { a = p.(int64) })
+				r.Recv(0, 2, 8, Payload{Buf: &ab, Off: 1, Count: 1})
+				r.Recv(0, 1, 8, Payload{Buf: &ab, Count: 1})
 			}
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", prof, err)
 		}
-		if a != 111 || b != 222 {
-			t.Errorf("%s: a=%d b=%d", prof, a, b)
+		if ab[0] != 111 || ab[1] != 222 {
+			t.Errorf("%s: a=%d b=%d", prof, ab[0], ab[1])
 		}
 	}
 }
@@ -112,21 +111,21 @@ func TestTagMatchingOrder(t *testing.T) {
 func TestNonOvertakingSameTag(t *testing.T) {
 	// Same (src,dst,tag): messages must match posted receives in order.
 	for _, prof := range profiles() {
-		var first, second int64
-		_, err := Run(2, prof, func(r *Rank) {
+		got := make([]uint64, 2)
+		_, err := runCells(2, prof, func(r *Rank) {
 			if r.Me() == 0 {
-				r.Send(1, 5, 8, func() interface{} { return int64(1) })
-				r.Send(1, 5, 8, func() interface{} { return int64(2) })
+				r.Send(1, 5, 8, vals(1))
+				r.Send(1, 5, 8, vals(2))
 			} else {
-				r.Recv(0, 5, 8, func(p interface{}) { first = p.(int64) })
-				r.Recv(0, 5, 8, func(p interface{}) { second = p.(int64) })
+				r.Recv(0, 5, 8, Payload{Buf: &got, Count: 1})
+				r.Recv(0, 5, 8, Payload{Buf: &got, Off: 1, Count: 1})
 			}
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", prof, err)
 		}
-		if first != 1 || second != 2 {
-			t.Errorf("%s: order violated: %d then %d", prof, first, second)
+		if got[0] != 1 || got[1] != 2 {
+			t.Errorf("%s: order violated: %d then %d", prof, got[0], got[1])
 		}
 	}
 }
@@ -134,12 +133,13 @@ func TestNonOvertakingSameTag(t *testing.T) {
 func TestAlltoallCorrectness(t *testing.T) {
 	for _, prof := range profiles() {
 		for _, np := range []int{2, 4, 8} {
-			got := make([][]int64, np)
-			_, err := Run(np, prof, func(r *Rank) {
-				recv := make([]int64, np)
-				r.Alltoall(8,
-					func(dst int) interface{} { return int64(r.Me()*100 + dst) },
-					func(src int, p interface{}) { recv[src] = p.(int64) })
+			got := make([][]uint64, np)
+			_, err := runCells(np, prof, func(r *Rank) {
+				send, recv := make([]uint64, np), make([]uint64, np)
+				for dst := range send {
+					send[dst] = uint64(r.Me()*100 + dst)
+				}
+				r.AlltoallPayload(8, Payload{Buf: &send, Count: 1}, Payload{Buf: &recv, Count: 1})
 				got[r.Me()] = recv
 			})
 			if err != nil {
@@ -147,7 +147,7 @@ func TestAlltoallCorrectness(t *testing.T) {
 			}
 			for me := 0; me < np; me++ {
 				for src := 0; src < np; src++ {
-					if got[me][src] != int64(src*100+me) {
+					if got[me][src] != uint64(src*100+me) {
 						t.Errorf("%s np=%d: rank %d from %d = %d, want %d",
 							prof, np, me, src, got[me][src], src*100+me)
 					}
@@ -164,22 +164,18 @@ func TestQuickAlltoallRandomSizes(t *testing.T) {
 		elems := 1 + r.Intn(4096)
 		prof := profiles()[r.Intn(2)]
 		ok := true
-		_, err := Run(np, prof, func(rk *Rank) {
-			recv := make([][]int64, np)
-			rk.Alltoall(int64(8*elems),
-				func(dst int) interface{} {
-					buf := make([]int64, elems)
-					for i := range buf {
-						buf[i] = int64(rk.Me()*1000000 + dst*1000 + i%997)
-					}
-					return buf
-				},
-				func(src int, p interface{}) { recv[src] = p.([]int64) })
-			for src := 0; src < np; src++ {
-				for i, v := range recv[src] {
-					if v != int64(src*1000000+rk.Me()*1000+i%997) {
-						ok = false
-					}
+		_, err := runCells(np, prof, func(rk *Rank) {
+			send, recv := make([]uint64, np*elems), make([]uint64, np*elems)
+			for i := range send {
+				dst := i / elems
+				send[i] = uint64(rk.Me()*1000000 + dst*1000 + i%elems%997)
+			}
+			part := int64(elems)
+			rk.AlltoallPayload(int64(8*elems), Payload{Buf: &send, Count: part}, Payload{Buf: &recv, Count: part})
+			for i, v := range recv {
+				src := i / elems
+				if v != uint64(src*1000000+rk.Me()*1000+i%elems%997) {
+					ok = false
 				}
 			}
 		})
@@ -220,11 +216,11 @@ func TestOverlapMechanism(t *testing.T) {
 	elapsed := func(prof netsim.Profile) netsim.Time {
 		st, err := Run(2, prof, func(r *Rank) {
 			if r.Me() == 0 {
-				req := r.Isend(1, 1, bytes, func() interface{} { return nil })
+				req := r.IsendPayload(1, 1, bytes, Payload{})
 				r.Compute(compute)
 				r.Wait(req)
 			} else {
-				req := r.Irecv(0, 1, bytes, func(interface{}) {})
+				req := r.IrecvPayload(0, 1, bytes, Payload{})
 				r.Compute(compute)
 				r.Wait(req)
 			}
@@ -259,22 +255,25 @@ func TestAnyTagReceiveSkipsCollectives(t *testing.T) {
 	for _, prof := range profiles() {
 		for _, part := range []int64{8, 4 * prof.EagerThreshold} {
 			const np = 3
-			var got interface{}
-			recv := make([][]interface{}, np)
-			_, err := Run(np, prof, func(r *Rank) {
+			const user = 777
+			got := make([]uint64, 1)
+			recv := make([][]uint64, np)
+			_, err := runCells(np, prof, func(r *Rank) {
 				var req *Request
 				if r.Me() == 1 {
-					req = r.Irecv(0, AnyTag, 8, func(p interface{}) { got = p })
+					req = r.IrecvPayload(0, AnyTag, 8, whole(&got))
 				}
 				r.Barrier()
-				recv[r.Me()] = make([]interface{}, np)
-				r.Alltoall(part,
-					func(dst int) interface{} { return 10*r.Me() + dst },
-					func(src int, p interface{}) { recv[r.Me()][src] = p })
+				send := make([]uint64, np)
+				for dst := range send {
+					send[dst] = uint64(10*r.Me() + dst)
+				}
+				recv[r.Me()] = make([]uint64, np)
+				r.AlltoallPayload(part, Payload{Buf: &send, Count: 1}, Payload{Buf: &recv[r.Me()], Count: 1})
 				r.Barrier()
 				switch r.Me() {
 				case 0:
-					r.Send(1, 3, 8, func() interface{} { return "user" })
+					r.Send(1, 3, 8, vals(user))
 				case 1:
 					r.Wait(req)
 				}
@@ -282,12 +281,12 @@ func TestAnyTagReceiveSkipsCollectives(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s part %d: %v", prof, part, err)
 			}
-			if got != "user" {
-				t.Errorf("%s part %d: any-tag receive got %v, want the user message", prof, part, got)
+			if got[0] != user {
+				t.Errorf("%s part %d: any-tag receive got %v, want the user message", prof, part, got[0])
 			}
 			for me := range recv {
 				for src, p := range recv[me] {
-					if p != 10*src+me {
+					if p != uint64(10*src+me) {
 						t.Errorf("%s part %d: rank %d got %v from %d in the alltoall, want %d", prof, part, me, p, src, 10*src+me)
 					}
 				}
@@ -299,7 +298,7 @@ func TestAnyTagReceiveSkipsCollectives(t *testing.T) {
 func TestDeadlockReported(t *testing.T) {
 	_, err := Run(2, netsim.MPICHGM(), func(r *Rank) {
 		if r.Me() == 0 {
-			r.Recv(1, 9, 8, func(interface{}) {}) // never sent
+			r.Recv(1, 9, 8, Payload{}) // never sent
 		}
 	})
 	if err == nil {
@@ -325,5 +324,43 @@ func TestRunStatsAccounting(t *testing.T) {
 	}
 	if st.Messages == 0 {
 		t.Error("no messages counted")
+	}
+}
+
+// TestClosureFormsCarryValues: Isend, Irecv and Alltoall with closures for
+// buffers hand place the value fetch returned, at eager and rendezvous sizes,
+// with no binding on the rank.
+func TestClosureFormsCarryValues(t *testing.T) {
+	for _, prof := range profiles() {
+		for _, bytes := range []int64{8, 4 * prof.EagerThreshold} {
+			const np = 3
+			var got interface{}
+			parts := make([][]interface{}, np)
+			_, err := Run(np, prof, func(r *Rank) {
+				switch r.Me() {
+				case 0:
+					r.Wait(r.Isend(1, 2, bytes, func() interface{} { return "hello" }))
+				case 1:
+					r.Wait(r.Irecv(0, 2, bytes, func(p interface{}) { got = p }))
+				}
+				parts[r.Me()] = make([]interface{}, np)
+				r.Alltoall(bytes,
+					func(dst int) interface{} { return [2]int{r.Me(), dst} },
+					func(src int, p interface{}) { parts[r.Me()][src] = p })
+			})
+			if err != nil {
+				t.Fatalf("%s, %d bytes: %v", prof, bytes, err)
+			}
+			if got != "hello" {
+				t.Errorf("%s, %d bytes: Irecv got %v, want hello", prof, bytes, got)
+			}
+			for me, ps := range parts {
+				for src, p := range ps {
+					if p != [2]int{src, me} {
+						t.Errorf("%s, %d bytes: rank %d got %v from %d", prof, bytes, me, p, src)
+					}
+				}
+			}
+		}
 	}
 }

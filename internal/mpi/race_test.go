@@ -16,12 +16,12 @@ func TestBufferOverwriteRaceIsVisible(t *testing.T) {
 	prof := netsim.MPICHGM()
 	big := prof.EagerThreshold * 4
 
-	run := func(overwriteEarly bool) int64 {
-		var got int64
-		_, err := Run(2, prof, func(r *Rank) {
+	run := func(overwriteEarly bool) uint64 {
+		got := make([]uint64, 1)
+		_, err := runCells(2, prof, func(r *Rank) {
 			if r.Me() == 0 {
-				buf := []int64{1}
-				req := r.Isend(1, 1, big, func() interface{} { return buf[0] })
+				buf := []uint64{1}
+				req := r.IsendPayload(1, 1, big, whole(&buf))
 				if overwriteEarly {
 					// Overwrite while the NIC may not have read it yet:
 					// the rendezvous data leaves only after the CTS.
@@ -35,13 +35,13 @@ func TestBufferOverwriteRaceIsVisible(t *testing.T) {
 				r.Wait(req)
 			} else {
 				r.Compute(10 * netsim.Millisecond) // recv posted a bit late
-				r.Recv(0, 1, big, func(p interface{}) { got = p.(int64) })
+				r.Recv(0, 1, big, whole(&got))
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got[0]
 	}
 
 	if v := run(false); v != 1 {
@@ -56,22 +56,22 @@ func TestBufferOverwriteRaceIsVisible(t *testing.T) {
 // overwriting right after Isend is safe (MPI buffered-send semantics).
 func TestEagerBuffersSafeImmediately(t *testing.T) {
 	prof := netsim.MPICHGM()
-	var got int64
-	_, err := Run(2, prof, func(r *Rank) {
+	got := make([]uint64, 1)
+	_, err := runCells(2, prof, func(r *Rank) {
 		if r.Me() == 0 {
-			buf := []int64{7}
-			req := r.Isend(1, 1, 8, func() interface{} { return buf[0] })
+			buf := []uint64{7}
+			req := r.IsendPayload(1, 1, 8, whole(&buf))
 			buf[0] = 999 // harmless: the payload was snapshotted at post
 			r.Wait(req)
 		} else {
-			r.Recv(0, 1, 8, func(p interface{}) { got = p.(int64) })
+			r.Recv(0, 1, 8, whole(&got))
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 7 {
-		t.Errorf("eager payload = %d, want 7", got)
+	if got[0] != 7 {
+		t.Errorf("eager payload = %d, want 7", got[0])
 	}
 }
 
@@ -81,22 +81,21 @@ func TestEagerBuffersSafeImmediately(t *testing.T) {
 func TestRendezvousBlockedSenderKicksDuringWait(t *testing.T) {
 	prof := netsim.MPICHTCP() // host progress
 	big := prof.EagerThreshold * 2
-	var got []int64
-	payload := make([]int64, big/8)
+	payload, got := make([]uint64, big/8), make([]uint64, big/8)
 	payload[0] = 42
-	_, err := Run(2, prof, func(r *Rank) {
+	_, err := runCells(2, prof, func(r *Rank) {
 		if r.Me() == 0 {
-			req := r.Isend(1, 1, big, func() interface{} { return payload })
+			req := r.IsendPayload(1, 1, big, whole(&payload))
 			r.Wait(req) // blocked before the CTS round trip completes
 		} else {
 			r.Compute(5 * netsim.Millisecond) // delay the recv post
-			r.Recv(0, 1, big, func(p interface{}) { got = p.([]int64) })
+			r.Recv(0, 1, big, whole(&got))
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) == 0 || got[0] != 42 {
+	if got[0] != 42 {
 		t.Errorf("rendezvous during blocked wait failed: %v", got)
 	}
 }
@@ -111,11 +110,11 @@ func TestHostProgressDelaysTransfer(t *testing.T) {
 
 	st, err := Run(2, prof, func(r *Rank) {
 		if r.Me() == 0 {
-			req := r.Isend(1, 1, big, func() interface{} { return nil })
+			req := r.IsendPayload(1, 1, big, Payload{})
 			r.Compute(compute) // no MPI calls here: nothing progresses
 			r.Wait(req)
 		} else {
-			req := r.Irecv(0, 1, big, func(interface{}) {})
+			req := r.IrecvPayload(0, 1, big, Payload{})
 			r.Wait(req)
 		}
 	})
@@ -138,11 +137,11 @@ func TestOffloadProgressesWithoutHost(t *testing.T) {
 
 	st, err := Run(2, prof, func(r *Rank) {
 		if r.Me() == 0 {
-			req := r.Isend(1, 1, big, func() interface{} { return nil })
+			req := r.IsendPayload(1, 1, big, Payload{})
 			r.Compute(compute)
 			r.Wait(req)
 		} else {
-			req := r.Irecv(0, 1, big, func(interface{}) {})
+			req := r.IrecvPayload(0, 1, big, Payload{})
 			r.Compute(compute)
 			r.Wait(req)
 		}
@@ -162,19 +161,17 @@ func TestOffloadProgressesWithoutHost(t *testing.T) {
 func TestManyOutstandingRequests(t *testing.T) {
 	const nmsg = 300
 	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
-		sum := int64(0)
-		_, err := Run(2, prof, func(r *Rank) {
+		sum := uint64(0)
+		_, err := runCells(2, prof, func(r *Rank) {
 			var reqs []*Request
 			if r.Me() == 0 {
 				for i := 0; i < nmsg; i++ {
-					v := int64(i)
-					reqs = append(reqs, r.Isend(1, i, 8, func() interface{} { return v }))
+					reqs = append(reqs, r.IsendPayload(1, i, 8, vals(uint64(i))))
 				}
 			} else {
-				results := make([]int64, nmsg)
+				results := make([]uint64, nmsg)
 				for i := 0; i < nmsg; i++ {
-					idx := i
-					reqs = append(reqs, r.Irecv(0, i, 8, func(p interface{}) { results[idx] = p.(int64) }))
+					reqs = append(reqs, r.IrecvPayload(0, i, 8, Payload{Buf: &results, Off: int64(i), Count: 1}))
 				}
 				defer func() {
 					for _, v := range results {
@@ -187,7 +184,7 @@ func TestManyOutstandingRequests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", prof, err)
 		}
-		want := int64(nmsg * (nmsg - 1) / 2)
+		want := uint64(nmsg * (nmsg - 1) / 2)
 		if sum != want {
 			t.Errorf("%s: sum = %d, want %d", prof, sum, want)
 		}

@@ -31,6 +31,29 @@ func (d *delivered) place(me int, what string) {
 	d.mu.Unlock()
 }
 
+// recorder is the sequence's Binding: a send's buffer is a *[]uint64, a
+// receive's a *slot, and every write records the words it delivered.
+type recorder struct{}
+
+// slot is a receive's buffer: what lands in it is placed under label.
+type slot struct {
+	d     *delivered
+	me    int
+	label string
+}
+
+func (recorder) Read(p Payload, words []uint64) bool { return cells{}.Read(p, words) }
+
+func (recorder) Write(p, _ Payload, words []uint64) {
+	s := p.Buf.(*slot)
+	s.d.place(s.me, fmt.Sprint(s.label, " ", p.Off, " ", words))
+}
+
+// into is a receive's payload of n words, placed under label.
+func (d *delivered) into(me int, label string, n int64) Payload {
+	return Payload{Buf: &slot{d, me, label}, Count: n}
+}
+
 // recycleOutcome is what a run observably did.
 type recycleOutcome struct {
 	stats *RunStats
@@ -40,7 +63,10 @@ type recycleOutcome struct {
 
 func (c recycleRun) run() recycleOutcome {
 	d := &delivered{got: make([][]string, c.np)}
-	st, err := Run(c.np, c.prof, func(r *Rank) { c.body(r, d) })
+	st, err := Run(c.np, c.prof, func(r *Rank) {
+		r.Bind(recorder{})
+		c.body(r, d)
+	})
 	out := recycleOutcome{stats: st, got: d.got}
 	if err != nil {
 		out.err = err.Error()
@@ -50,55 +76,65 @@ func (c recycleRun) run() recycleOutcome {
 
 // recycleSequence covers np 2, 3 and 8, both stacks, eager and rendezvous
 // sizes, an any-tag receive, a send left unmatched at the end and a
-// deadlock in the middle.
+// deadlock in the middle. Every message carries several words of data.
 func recycleSequence() []recycleRun {
 	const eager, rndv = 512, 64 << 10
 	// ring: every rank sends to each other rank and receives from each, the
-	// prepush shape, with a tag per peer.
+	// prepush shape, with a tag per peer, and waits by handle.
 	ring := func(bytes int64) func(r *Rank, d *delivered) {
 		return func(r *Rank, d *delivered) {
-			var reqs []*Request
+			var hs []int64
 			for j := 1; j < r.NP(); j++ {
 				src := (r.NP() + r.Me() - j) % r.NP()
-				reqs = append(reqs, r.Irecv(src, src, bytes, func(p interface{}) { d.place(r.Me(), fmt.Sprint(p)) }))
+				hs = append(hs, r.Hold(r.IrecvPayload(src, src, bytes, d.into(r.Me(), "ring", 4))))
 			}
 			for j := 1; j < r.NP(); j++ {
 				dst, me := (r.Me()+j)%r.NP(), r.Me()
-				reqs = append(reqs, r.Isend(dst, me, bytes, func() interface{} { return fmt.Sprintf("%d→%d", me, dst) }))
+				hs = append(hs, r.Hold(r.IsendPayload(dst, me, bytes, vals(uint64(me), uint64(dst), uint64(bytes), 0xa5))))
 			}
 			r.Compute(netsim.Time(30*r.Me()) * netsim.Microsecond)
-			r.Waitall(reqs)
+			for _, h := range hs {
+				req, _ := r.Take(h)
+				r.Wait(req)
+			}
+			d.place(r.Me(), fmt.Sprint("handles ", hs, " held ", r.Holding()))
 		}
 	}
 	anyTag := func(r *Rank, d *delivered) {
 		if r.Me() == 0 {
 			for tag := 3; tag < 6; tag++ {
-				r.Send(1, tag, eager, func() interface{} { return tag })
+				r.Send(1, tag, eager, vals(uint64(tag), uint64(10*tag)))
 			}
 			return
 		}
 		for i := 0; i < 3; i++ {
-			r.Recv(0, AnyTag, eager, func(p interface{}) { d.place(1, fmt.Sprint("any ", p)) })
+			r.Recv(0, AnyTag, eager, d.into(1, "any", 2))
 		}
 	}
 	unmatched := func(r *Rank, d *delivered) {
 		switch r.Me() {
 		case 0:
-			r.Send(1, 1, rndv, func() interface{} { return "matched" })
-			r.Isend(2, 9, eager, func() interface{} { return "never received" })
+			r.Send(1, 1, rndv, vals(1, 2, 3))
+			never := make([]uint64, 2*firstWords)
+			for i := range never {
+				never[i] = 0xdead
+			}
+			r.IsendPayload(2, 9, eager, whole(&never))
 		case 1:
-			r.Recv(0, 1, rndv, func(p interface{}) { d.place(1, fmt.Sprint(p)) })
+			r.Recv(0, 1, rndv, d.into(1, "matched", 3))
 		}
 		r.Barrier()
 	}
 	deadlock := func(r *Rank, d *delivered) {
-		r.Isend(1-r.Me(), 7, rndv, func() interface{} { return "late" })
-		r.Recv(1-r.Me(), 8, eager, func(p interface{}) { d.place(r.Me(), fmt.Sprint(p)) })
+		r.IsendPayload(1-r.Me(), 7, rndv, vals(5, 6))
+		r.Recv(1-r.Me(), 8, eager, d.into(r.Me(), "late", 2))
 	}
 	alltoall := func(r *Rank, d *delivered) {
-		r.Alltoall(rndv, func(dst int) interface{} { return dst }, func(src int, p interface{}) {
-			d.place(r.Me(), fmt.Sprint(src, p))
-		})
+		send := make([]uint64, 3*r.NP())
+		for i := range send {
+			send[i] = uint64(100*r.Me() + 10*(i/3) + i%3)
+		}
+		r.AlltoallPayload(rndv, Payload{Buf: &send, Count: 3}, d.into(r.Me(), "alltoall", 3))
 	}
 	var seq []recycleRun
 	for _, prof := range []netsim.Profile{netsim.MPICHTCP(), netsim.MPICHGM()} {
@@ -115,9 +151,10 @@ func recycleSequence() []recycleRun {
 }
 
 // TestRecycledRunsAreIdentical runs a fixed sequence three times, each time
-// from another start, then from two goroutines at once: every run, on
-// requests, rings and queues earlier runs used, must repeat the first run's
-// statistics, error and delivered payloads.
+// from another start, then every run right after the one that leaves an
+// eager send unmatched, then from two goroutines at once: every run, on
+// requests, payload words, rings and queues earlier runs used, must repeat
+// the first run's statistics, error and delivered payloads.
 func TestRecycledRunsAreIdentical(t *testing.T) {
 	seq := recycleSequence()
 	first := make([]recycleOutcome, len(seq))
@@ -140,6 +177,17 @@ func TestRecycledRunsAreIdentical(t *testing.T) {
 			check(fmt.Sprintf("pass %d", start), i, seq[i].run())
 		}
 	}
+	// The unmatched send's words go back unread with its run; the next run
+	// draws them for its own payloads.
+	for _, u := range seq {
+		if !strings.HasPrefix(u.name, "unmatched") {
+			continue
+		}
+		for i, c := range seq {
+			u.run()
+			check("after "+u.name+" on "+u.prof.String(), i, c.run())
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -155,29 +203,29 @@ func TestRecycledRunsAreIdentical(t *testing.T) {
 }
 
 // TestWarmRunAllocatesNothingPerMessage holds a run's memory per message to
-// what the pools lend: on a warm pool, a 2-rank run of n isend/irecv pairs
-// with static payload callbacks allocates the same at n = 2048 as at n =
-// 256, give or take 8 B a message.
+// what the pools lend: on a warm pool, a 2-rank run of n isend/irecv pairs,
+// each moving two words, allocates the same at n = 2048 as at n = 256, give
+// or take 8 B a message.
 func TestWarmRunAllocatesNothingPerMessage(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's sync.Pool drops some of what it is given")
 	}
 	const small, large = 256, 2048
-	fetch := func() interface{} { return nil }
-	place := func(interface{}) {}
-	// The handle arrays are the caller's, made before anything is measured.
-	handles := [2][]*Request{make([]*Request, large), make([]*Request, large)}
+	// The buffers are the caller's, made before anything is measured.
+	send, recv := []uint64{1, 2}, make([]uint64, 2*large)
 	run := func(n int) {
-		_, err := Run(2, netsim.MPICHGM(), func(r *Rank) {
-			reqs := handles[r.Me()][:n]
-			for i := range reqs {
+		_, err := runCells(2, netsim.MPICHGM(), func(r *Rank) {
+			for i := 0; i < n; i++ {
 				if r.Me() == 0 {
-					reqs[i] = r.Isend(1, i, 8, fetch)
+					r.Hold(r.IsendPayload(1, i, 16, whole(&send)))
 				} else {
-					reqs[i] = r.Irecv(0, i, 8, place)
+					r.Hold(r.IrecvPayload(0, i, 16, Payload{Buf: &recv, Off: int64(2 * i), Count: 2}))
 				}
 			}
-			r.Waitall(reqs)
+			for h := 1; h <= n; h++ {
+				req, _ := r.Take(int64(h))
+				r.Wait(req)
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,5 +251,44 @@ func TestWarmRunAllocatesNothingPerMessage(t *testing.T) {
 	if b > a && b-a >= 8*(large-small) {
 		t.Fatalf("a warm run of %d messages allocated %d B more than one of %d: %d B per extra message, want < 8",
 			large, b-a, small, (b-a)/(large-small))
+	}
+}
+
+// TestPlacedWordsServeLaterPayloads: a payload's words go back to its run
+// once placed, so a run that moves many payloads one at a time allocates
+// what one that sends a few does, even for payloads larger than any pooled
+// slab, whose words only their own run reuses.
+func TestPlacedWordsServeLaterPayloads(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops some of what it is given")
+	}
+	const few, many = 4, 64
+	send, recv := make([]uint64, 2*firstWords<<(wordClasses-1)), make([]uint64, 2*firstWords<<(wordClasses-1))
+	run := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := runCells(2, netsim.MPICHGM(), func(r *Rank) {
+			// A ping-pong: each payload is placed before the next is read.
+			for i := 0; i < n; i++ {
+				if r.Me() == 0 {
+					r.Send(1, i, 8, whole(&send))
+					r.Recv(1, i, 8, Payload{})
+				} else {
+					r.Recv(0, i, 8, whole(&recv))
+					r.Send(0, i, 8, Payload{})
+				}
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(many)
+	a, b := run(few), run(many)
+	t.Logf("%d payloads of %d words: %d B; %d: %d B", few, len(send), a, many, b)
+	if b > a && b-a >= uint64(8*len(send)) {
+		t.Fatalf("%d payloads of %d words allocated %d B more than %d: their words were not reused", many, len(send), b-a, few)
 	}
 }
