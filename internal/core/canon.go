@@ -15,27 +15,99 @@ import (
 // without applying it.
 type Canon struct {
 	// Key is equal for two plans exactly when Apply gives them byte-identical
-	// texts. A site's token resolves the interchange knob to whether the
-	// site is interchanged, drops the auto gate's threshold, and keeps only
-	// the wait placement and send order its schedule reads; a site left as
-	// it is reads as skipped, and a plan that rewrites nothing has the one
+	// texts. A transformed site's token resolves the interchange knob to
+	// whether the site is interchanged, drops the auto gate's threshold, and
+	// keeps only the wait placement and send order its schedule reads. Every
+	// site the plan does not transform is left as it is, not interchanged
+	// either, and reads as skipped; a plan that rewrites nothing has the one
 	// key "skip".
 	Key string
 	// Transformed counts the sites the plan rewrites. The plan leaves a site
 	// untransformed that it does not skip exactly when Transformed is less
 	// than the program's sites less the ones it skips.
 	Transformed int
+
+	d *decision
 }
 
 // Canonical returns the plan's canonical form on p. The error is non-nil
 // only for invalid plans, which Apply rejects too; a plan Canonical accepts
 // fails Apply only when a rewrite disagrees with its decision (see Apply).
 func Canonical(p *Program, pl *plan.Plan) (Canon, error) {
-	d, err := p.decide(pl)
-	if err != nil {
+	if err := pl.Validate(); err != nil {
 		return Canon{}, err
 	}
-	return d.canon, nil
+	// A plan entry keyed to a site the program does not contain is a stale
+	// or mistyped plan (e.g. replaying a dump against edited source); apply
+	// it loudly instead of silently falling back to the default everywhere.
+	for _, sp := range pl.Sites {
+		if p.Site(sp.Site) == nil {
+			return Canon{}, fmt.Errorf("plan: site %q does not exist in the program (have %s)",
+				sp.Site, strings.Join(siteKeys(p), ", "))
+		}
+	}
+	np := pl.NP
+	if np == 0 {
+		np = p.opts.NP
+	}
+	set := p.find(np)
+	d := &decision{p: p, np: np, set: set, sites: make([]decidedSite, len(set.ops))}
+	cn := Canon{d: d}
+	key := strconv.AppendInt([]byte("np="), np, 10)
+	for i, op := range set.ops {
+		ds := &d.sites[i]
+		ds.dec, ds.op = pl.For(set.keys[i]), op
+		key = append(key, ';')
+		if ds.dec.Skip {
+			key = append(key, "skip"...)
+			continue
+		}
+		if op.Pattern == analysis.PatternDirect && op.NodeCase == analysis.NodeLoopOutermost &&
+			op.InterchangeOK && interchangeWanted(ds.dec, op) {
+			if sw := p.swap(np, set, i); sw.ok {
+				ds.swap, ds.op = true, sw.op
+			}
+		}
+		if ds.op != nil {
+			ds.v = p.verdict(np, i, ds.op, ds.dec, ds.swap)
+		}
+		if ds.v.res == nil {
+			key = append(key, "skip"...)
+			continue
+		}
+		cn.Transformed++
+		key = appendRead(key, ds.v.read, ds.swap)
+	}
+	cn.Key = "skip"
+	if cn.Transformed > 0 {
+		cn.Key = string(key)
+	}
+	return cn, nil
+}
+
+// Text returns the text Apply returns for the plan, and Apply's error when a
+// rewrite disagrees with the decision, through the same memo of texts by
+// canonical key; it builds no report.
+func (c Canon) Text() (string, error) {
+	p := c.d.p
+	if c.Transformed == 0 {
+		// Nothing is rewritten — a skip-all plan, or a program whose sites
+		// all reject. The original bytes, not a reprint of an untouched
+		// clone: the skip-all variant is then byte-identical to the input,
+		// so its source hash collapses to the original's and the exec
+		// variant cache hits for free.
+		return p.src, nil
+	}
+	p.mu.Lock()
+	r, ok := p.memo[c.Key]
+	p.mu.Unlock()
+	if !ok {
+		r.src, r.err = p.applyPlan(c.d)
+		p.mu.Lock()
+		p.memo[c.Key] = r
+		p.mu.Unlock()
+	}
+	return r.src, r.err
 }
 
 // located is the finder's outcome on the original AST at one rank count:
@@ -72,10 +144,10 @@ type verdict struct {
 
 // decision is a plan decided on a program, site by site.
 type decision struct {
+	p     *Program
 	np    int64
 	set   *located
 	sites []decidedSite // per op of set
-	canon Canon
 }
 
 type decidedSite struct {
@@ -187,62 +259,6 @@ func (p *Program) verdict(np int64, i int, op *analysis.Opportunity, dec plan.De
 	p.verdicts[k] = v
 	p.mu.Unlock()
 	return v
-}
-
-// decide validates pl and decides every site of p under it.
-func (p *Program) decide(pl *plan.Plan) (*decision, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	// A plan entry keyed to a site the program does not contain is a stale
-	// or mistyped plan (e.g. replaying a dump against edited source); apply
-	// it loudly instead of silently falling back to the default everywhere.
-	for _, sp := range pl.Sites {
-		if p.Site(sp.Site) == nil {
-			return nil, fmt.Errorf("plan: site %q does not exist in the program (have %s)",
-				sp.Site, strings.Join(siteKeys(p), ", "))
-		}
-	}
-	np := pl.NP
-	if np == 0 {
-		np = p.opts.NP
-	}
-	set := p.find(np)
-	d := &decision{np: np, set: set, sites: make([]decidedSite, len(set.ops))}
-	key := strconv.AppendInt([]byte("np="), np, 10)
-	for i, op := range set.ops {
-		ds := &d.sites[i]
-		ds.dec, ds.op = pl.For(set.keys[i]), op
-		key = append(key, ';')
-		if ds.dec.Skip {
-			key = append(key, "skip"...)
-			continue
-		}
-		if op.Pattern == analysis.PatternDirect && op.NodeCase == analysis.NodeLoopOutermost &&
-			op.InterchangeOK && interchangeWanted(ds.dec, op) {
-			if sw := p.swap(np, set, i); sw.ok {
-				ds.swap, ds.op = true, sw.op
-			}
-		}
-		if ds.op != nil {
-			ds.v = p.verdict(np, i, ds.op, ds.dec, ds.swap)
-		}
-		switch {
-		case ds.v.res != nil:
-			d.canon.Transformed++
-			key = appendRead(key, ds.v.read, ds.swap)
-		case ds.swap:
-			key = append(key, "swap"...) // the nest stays interchanged
-		default:
-			key = append(key, "skip"...)
-		}
-	}
-	if d.canon.Transformed == 0 {
-		d.canon.Key = "skip"
-	} else {
-		d.canon.Key = string(key)
-	}
-	return d, nil
 }
 
 // appendRead appends a transformed site's token: the options its schedule

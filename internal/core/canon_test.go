@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -141,10 +143,14 @@ func TestApplyMatchesRoundLoop(t *testing.T) {
 		}
 		keyOf, textOf := map[string]string{}, map[string]string{}
 		for _, pl := range pls {
-			out, rep := sameAsRoundLoop(t, p.name, prog, pl)
 			cn, err := core.Canonical(prog, pl)
 			if err != nil {
 				t.Fatal(err)
+			}
+			text, textErr := cn.Text() // before Apply, which then meets its memo
+			out, rep := sameAsRoundLoop(t, p.name, prog, pl)
+			if text != out || textErr != nil {
+				t.Fatalf("%s plan %s: Text gives another text than Apply, or the error %v", p.name, pl.Key(), textErr)
 			}
 			checkCanon(t, p.name, prog, pl, cn, rep)
 			if pl.NP != 0 {
@@ -167,7 +173,8 @@ func TestApplyMatchesRoundLoop(t *testing.T) {
 }
 
 // TestApplyLocatesOnlyWhatItRewrites: an Apply locates, in its clone, the
-// sites it transforms plus the ones it interchanges, and nothing when it
+// sites it transforms, an interchanged one once more after its interchange
+// (every site an Apply interchanges it also transforms), and nothing when it
 // rewrites nothing — it does not clone then either.
 func TestApplyLocatesOnlyWhatItRewrites(t *testing.T) {
 	scenario := func(name string) workload.Scenario {
@@ -277,13 +284,19 @@ func TestApplyErrsWhenARewriteDisagrees(t *testing.T) {
 // FuzzCanonicalPlan: two plans decoded from bytes (see planFromBytes) for
 // one program of the corpus, the fixtures and 40 random kernels (the first
 // argument indexes them in differentialPrograms' order; the committed seeds
-// are under testdata/fuzz/FuzzCanonicalPlan). On a fresh Program each Apply
-// returns what the round loop returns; each plan's canonical form predicts a rejection
-// exactly when its report has a site neither skipped nor transformed; the
-// two canonical keys are equal exactly when the texts are; and the second
-// plan, applied after the first on one Program, gets its fresh answer.
+// are under testdata/fuzz/FuzzCanonicalPlan; the last program is
+// testdata/rejected_interchange.f90). On a fresh Program each Apply returns
+// what the round loop returns; each plan's canonical form predicts a
+// rejection exactly when its report has a site neither skipped nor
+// transformed; the two canonical keys are equal exactly when the texts are;
+// Canon.Text gives the text and error Apply gives; and the second plan,
+// applied after the first on one Program, gets its fresh answer.
 func FuzzCanonicalPlan(f *testing.F) {
-	progs := differentialPrograms(f, 40)
+	fixture, err := os.ReadFile(filepath.Join("testdata", "rejected_interchange.f90"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	progs := append(differentialPrograms(f, 40), program{name: "rejected_interchange.f90", src: string(fixture), k: 2})
 	f.Fuzz(func(t *testing.T, pi uint8, a, b []byte) {
 		p := progs[int(pi)%len(progs)]
 		analyze := func() *core.Program {
@@ -310,11 +323,18 @@ func FuzzCanonicalPlan(f *testing.F) {
 		if (ca.Key == cb.Key) != (outA == outB) {
 			t.Fatalf("%s: keys %q and %q, texts equal %v", p.name, ca.Key, cb.Key, outA == outB)
 		}
+		// Text rewrites on the shared Program, before any Apply there.
+		if text, err := ca.Text(); err != nil || text != outA {
+			t.Fatalf("%s: plan %s: Text's error %v, text equal to Apply's %v", p.name, pa.Key(), err, text == outA)
+		}
 		core.Apply(shared, pa)
 		out, rep, err := core.Apply(shared, pb)
 		if err != nil || out != outB || !reflect.DeepEqual(normalizedReport(rep), normalizedReport(repB)) {
 			t.Fatalf("%s: plan %s after %s on one Program: err %v, text equal %v, report\n%s\nfresh\n%s",
 				p.name, pb.Key(), pa.Key(), err, out == outB, rep, repB)
+		}
+		if text, err := cb.Text(); err != nil || text != out {
+			t.Fatalf("%s: plan %s: Text's error %v, text equal to Apply's %v", p.name, pb.Key(), err, text == out)
 		}
 	})
 }

@@ -15,18 +15,21 @@
 // — onto a fresh clone of the parsed AST, so a tuner can walk plan space
 // without re-parsing.
 //
-// Apply decides every site before it touches an AST: from the sites Analyze
-// located and a per-Program cache of the transformation's verdicts it knows
-// which sites a plan rewrites, how, and the plan's canonical key (see
-// Canonical). Texts are memoized by that key, so plans differing only in
-// knobs no site reads share one rewrite, and a plan that rewrites nothing
-// returns the original without a clone. A rewrite locates, in its clone, only
-// the sites it interchanges or transforms, one at a time in program order
-// (the nodes it rewrites are that clone's, and earlier rewrites move them),
-// and holds each to its verdict. What is proved about a site — safe references, interchange legality, the
-// whole-slab copy mapping, tile-order independence — is proved once per
-// Program and kept in its analysis.ProofMemo. Package verify never sees that
-// memo: it re-parses and re-proves, which is what makes it a check on this one.
+// Apply is Canonical, then Canon.Text, then the report. Canonical decides
+// every site before anything touches an AST: from the sites Analyze located
+// and a per-Program cache of the transformation's verdicts it knows which
+// sites a plan rewrites, how, and the plan's canonical key. Texts are
+// memoized by that key, so plans differing only in knobs no site reads share
+// one rewrite, and a plan that rewrites nothing returns the original without
+// a clone. A rewrite locates, in its clone, only the sites it transforms
+// (an interchanged one before and after its interchange), one at a time in
+// program order (the nodes it rewrites are that clone's, and earlier
+// rewrites move them), and holds each to its verdict; every other site is
+// left as it is. What is proved about a site — safe references, interchange
+// legality, the whole-slab copy mapping, tile-order independence — is proved
+// once per Program and kept in its analysis.ProofMemo. Package verify never
+// sees that memo: it re-parses and re-proves, which is what makes it a check
+// on this one.
 package core
 
 import (
@@ -202,31 +205,15 @@ func rejection(err error) string {
 // plan's canonical key, so repeated Apply calls with equivalent plans are
 // free.
 func Apply(p *Program, pl *plan.Plan) (string, *Report, error) {
-	d, err := p.decide(pl)
+	cn, err := Canonical(p, pl)
 	if err != nil {
 		return "", nil, err
 	}
-	if d.canon.Transformed == 0 {
-		// Nothing is rewritten — a skip-all plan, or a program whose sites
-		// all reject. The original bytes, not a reprint of an untouched
-		// clone: the skip-all variant is then byte-identical to the input,
-		// so its source hash collapses to the original's and the exec
-		// variant cache hits for free.
-		return p.src, d.report(), nil
+	src, err := cn.Text()
+	if err != nil {
+		return "", nil, err
 	}
-	p.mu.Lock()
-	r, ok := p.memo[d.canon.Key]
-	p.mu.Unlock()
-	if !ok {
-		r.src, r.err = p.applyPlan(d)
-		p.mu.Lock()
-		p.memo[d.canon.Key] = r
-		p.mu.Unlock()
-	}
-	if r.err != nil {
-		return "", nil, r.err
-	}
-	return r.src, d.report(), nil
+	return src, cn.d.report(), nil
 }
 
 // siteKeys lists the analyzed sites' plan keys in program order.
@@ -336,8 +323,8 @@ func (r *Report) String() string {
 }
 
 // applyPlan rewrites a clone of the program as d decided and prints it. Each
-// site d interchanges or transforms is located in the clone, in program
-// order: once before its interchange, once before its rewrite. A site that
+// site d transforms is located in the clone, in program order: once before
+// its interchange, if it has one, and once before its rewrite. A site that
 // locates or rewrites unlike its decision is an error, never a wrong report.
 func (p *Program) applyPlan(d *decision) (string, error) {
 	clone := ftn.CloneFile(p.file)
@@ -355,8 +342,8 @@ func (p *Program) applyPlan(d *decision) (string, error) {
 	}
 	for i := range d.sites {
 		ds := &d.sites[i]
-		if ds.dec.Skip || (!ds.swap && ds.v.res == nil) {
-			continue // left as it is
+		if ds.v.res == nil {
+			continue // skipped or rejected: left as it is
 		}
 		pos := d.set.ops[i].Call.Stmt.Pos()
 		op, err := locate(pos, d.set.ops[i])
@@ -366,9 +353,6 @@ func (p *Program) applyPlan(d *decision) (string, error) {
 		if ds.swap {
 			if err := transform.Interchange(op); err != nil {
 				return "", disagree(pos, err)
-			}
-			if ds.v.res == nil {
-				continue // the interchange stays; the site rejects
 			}
 			if op, err = locate(pos, ds.op); err != nil {
 				return "", disagree(pos, err)

@@ -268,6 +268,48 @@ subroutine p(iy, me, at)
 end subroutine p
 `
 
+// TestRejectedInterchangeLeftUntouched: in
+// testdata/rejected_interchange.f90 the first exchange's counts are written
+// for four ranks and the second's from the program's np, two. With the
+// interchange forced on, at two ranks, the first site is interchange-legal,
+// and its check rejects it once interchanged; the second site transforms.
+// The first site's nest prints as in the original, not interchanged, and the
+// report is the one the rewrite gave when it kept the interchange.
+func TestRejectedInterchangeLeftUntouched(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "rejected_interchange.f90"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(b)
+	prog, err := core.Analyze(src, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := plan.Uniform(plan.Decision{K: 2, Interchange: plan.InterchangeOn})
+	pl.NP = 2
+	out, rep := sameAsRoundLoop(t, "rejected_interchange.f90", prog, pl)
+	orig := ftn.Print(ftn.MustParse(src))
+	nest := orig[strings.Index(orig, "  do inode = 1, nz"):strings.Index(orig, "  call mpi_alltoall(as")]
+	if !strings.Contains(out, nest) {
+		t.Errorf("the rejected site's nest is not the original's\n%s\nin\n%s", nest, out)
+	}
+	const want = `compuniformer: 2 site(s), 1 transformed
+  24:3: rejected: sendcount 12 × np 2 ≠ 48 elements of as: the call does not exchange the whole array
+    note: 1 of 1 writes to as are safe references
+    note: node loop "inode" is inner (level 1): Fig. 4 all-peers exchange per tile
+  28:3: transformed (direct pattern, node loop outermost, K=2, NP=2, 1 msgs/tile)
+    staggered subset-send schedule: ring partition order per rank, receives pre-posted (incast fix)
+    note: 1 of 1 writes to bs are safe references
+    note: node loop "ix" is outermost and interchange is not possible: subset sends per tile (congestion caveat)
+`
+	if got := rep.String(); got != want {
+		t.Errorf("report\n%s\nwant\n%s", got, want)
+	}
+	if diags := verify.Variant(prog, pl, out, rep); len(diags) != 0 {
+		t.Errorf("%s", verify.Summarize(diags))
+	}
+}
+
 // TestRejectedSiteLeftUntouched: a site the transformer rejects is rejected
 // before anything is written. The temporary's declaration keeps its bytes,
 // the program has two sites (no phantom third one from re-analysing a

@@ -14,7 +14,9 @@ import (
 // roundLoopApply is how Apply used to rewrite, kept as the reference the
 // decided rewrite must reproduce: parse the source afresh, then run the
 // finder over the whole file every round, transform the first site not yet
-// reported, and stop when a round finds none. Nothing is memoised: no proofs,
+// reported, and stop when a round finds none. A site is interchanged in a
+// clone of the file, which replaces the file only when the site then
+// transforms. Nothing is memoised: no proofs,
 // no verdicts, no names.
 func roundLoopApply(p *core.Program, pl *plan.Plan) (string, *core.Report, error) {
 	if err := pl.Validate(); err != nil {
@@ -58,21 +60,16 @@ func roundLoopApply(p *core.Program, pl *plan.Plan) (string, *core.Report, error
 			})
 			continue
 		}
-		interchanged := false
+		// The interchange is made in a clone, kept only when the site then
+		// transforms: a site that rejects is left as it is.
+		interchanged, work := false, file
 		if op.Pattern == analysis.PatternDirect &&
 			op.NodeCase == analysis.NodeLoopOutermost && op.InterchangeOK &&
 			referenceInterchangeWanted(dec, op) {
-			if err := xform.Interchange(op); err == nil {
-				interchanged = true
-				ops2, _ := analysis.FindOpportunities(file, aopts)
-				op = nil
-				for _, o := range ops2 {
-					if o.Call.Stmt.Pos() == pos {
-						op = o
-						break
-					}
-				}
-				if op == nil {
+			clone := ftn.CloneFile(file)
+			if sw := opAt(clone, aopts, pos); sw != nil && xform.Interchange(sw) == nil {
+				interchanged, work = true, clone
+				if op = opAt(clone, aopts, pos); op == nil {
 					rejected[pos] = true
 					report.Sites = append(report.Sites, core.SiteReport{
 						Pos: pos, Reason: "site no longer analyzable after interchange", Decision: dec,
@@ -102,6 +99,7 @@ func roundLoopApply(p *core.Program, pl *plan.Plan) (string, *core.Report, error
 			})
 			continue
 		}
+		file = work
 		res.Interchanged = interchanged
 		report.Sites = append(report.Sites, core.SiteReport{
 			Pos: pos, Transformed: true, Pattern: op.Pattern,
@@ -112,6 +110,17 @@ func roundLoopApply(p *core.Program, pl *plan.Plan) (string, *core.Report, error
 		return p.Source(), report, nil
 	}
 	return ftn.Print(file), report, nil
+}
+
+// opAt is the site the finder finds at pos in file, or nil.
+func opAt(file *ftn.File, aopts analysis.Options, pos ftn.Pos) *analysis.Opportunity {
+	ops, _ := analysis.FindOpportunities(file, aopts)
+	for _, o := range ops {
+		if o.Call.Stmt.Pos() == pos {
+			return o
+		}
+	}
+	return nil
 }
 
 func referenceInterchangeWanted(dec plan.Decision, op *analysis.Opportunity) bool {

@@ -18,9 +18,10 @@
 // uniform plan is recorded as its own baseline), then coordinate descent
 // across sites: each site's K and knobs are climbed with the other sites'
 // decisions held fixed, iterating over the sites until a whole pass adopts
-// nothing or the measurement budget runs out. Candidates are memoized by
-// the whole plan's canonical key, so revisiting a decision vector — or
-// reaching the same generated source through a knob no-op — costs nothing.
+// nothing or the measurement budget runs out. Candidates are memoized per
+// decision vector and aliased by canonical key (core.Canonical), so
+// revisiting a decision vector — or reaching the same generated source
+// through a knob no-op — costs nothing.
 // Every candidate passes through the same Analyze → Apply → run pipeline as
 // the harness, and every candidate the choice reports is checked against the
 // bit-identical oracle: a candidate that corrupts results is never chosen,
@@ -57,6 +58,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -214,12 +216,13 @@ type siteState struct {
 // always produce the same choice (candidates are visited in sorted order,
 // ties prefer the default knobs and then the smaller K); the runner's store
 // decides only what is replayed rather than executed. Transformed variants
-// are shared across calls through core.Apply's canonical-key memo on prog,
-// so a candidate text is generated at most once per program.
+// are shared across calls through prog's memo of texts by canonical key
+// (core.Canon.Text), so a candidate text is generated at most once per
+// program.
 //
 // The search owns the memory its executions share (runner's Recycler is
 // replaced by one of its own), and keeps none of it once it returns. ctx
-// carries the caller's profiler labels: core.Canonical and core.Apply run
+// carries the caller's profiler labels: core.Canonical and Canon.Text run
 // under layer=apply, and every measurement under why=candidate.
 func Tune(ctx context.Context, prog *core.Program, m plan.Machine, p Params, runner exec.Runner) (Choice, error) {
 	return tune(ctx, prog, m, p, runner, []knob{
@@ -312,7 +315,7 @@ type search struct {
 	origNs int64
 
 	measured map[string]*cand // by whole-plan key; nil = rejected/failed
-	byCanon  map[string]*cand // by core.Canonical key: knob no-ops alias before Apply
+	byCanon  map[string]*cand // by core.Canonical key: knob no-ops alias before a rewrite
 	order    []*cand          // unique measured candidates, visit order
 	runs     int
 	replays  int // runs answered by a replay
@@ -346,9 +349,10 @@ func (s *search) run() (Choice, error) {
 	// also never lose to the fixed-K baseline, then the analytic seeds.
 	fixed := plan.Decision{K: fixedK}.Normalize()
 	fds := uniformVecOf(fixed, len(sites))
-	if s.evaluate(fds, true) == nil {
+	fc := s.evaluate(fds, true)
+	if fc == nil {
 		// Fatal only when there is nothing to tune; a simulation failure at
-		// the fixed K still lets the seeds find a plan (Apply is memoized,
+		// the fixed K still lets the seeds find a plan (verdicts are cached,
 		// so the re-check is free).
 		if !s.fires(fds) {
 			var firing []int64
@@ -390,10 +394,7 @@ func (s *search) run() (Choice, error) {
 	// would all alias the uniform stage.
 	if len(sites) > 1 {
 		for pass := 0; pass < maxDescentPasses && s.runs < s.maxM; pass++ {
-			before := ""
-			if b := s.best(anyCand); b != nil {
-				before = s.vecKey(b.Decisions)
-			}
+			before := s.best(anyCand)
 			for si := range sites {
 				if pass == 0 {
 					if b := s.best(anyCand); b != nil {
@@ -405,11 +406,7 @@ func (s *search) run() (Choice, error) {
 				s.climbK(si, sites[si].ladder)
 				s.climbKnobs(si, sites[si].ladder)
 			}
-			after := ""
-			if b := s.best(anyCand); b != nil {
-				after = s.vecKey(b.Decisions)
-			}
-			if after == before {
+			if s.best(anyCand) == before {
 				break
 			}
 		}
@@ -429,7 +426,6 @@ func (s *search) run() (Choice, error) {
 	if uniform != nil {
 		ch.UniformSpeedup = uniform.Speedup
 	}
-	fc := s.measured[s.vecKey(fds)]
 	if fc != nil {
 		if err := s.prove(fc); err != nil {
 			return Choice{}, err
@@ -611,12 +607,13 @@ func axisOf(si int) int {
 
 // evaluate runs the pre-push variant under the decision vector and applies
 // the oracle. A vector the transformation rejects on any site yields no
-// candidate and costs nothing — not even an Apply: core.Canonical predicts
+// candidate and costs nothing — not even a rewrite: core.Canonical predicts
 // it. A vector whose canonical form is an already-measured one's aliases that
-// measurement for free, without an Apply: two plans share a canonical key
+// measurement for free, without a rewrite: two plans share a canonical key
 // exactly when their texts are byte-identical (knob flips that change nothing
 // — e.g. forcing interchange off where it never fired — collapse onto the
-// earlier candidate).
+// earlier candidate). A new canonical form's text is Canon.Text's: one
+// decision per vector.
 func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 	ds = normVec(ds)
 	key := s.vecKey(ds)
@@ -627,12 +624,11 @@ func (s *search) evaluate(ds []plan.Decision, seeded bool) *cand {
 	var src string
 	var err error
 	pprof.Do(s.ctx, pprof.Labels("layer", "apply"), func(context.Context) {
-		pl := s.buildPlan(ds)
-		if cn, err = core.Canonical(s.prog, pl); err != nil || s.byCanon[cn.Key] != nil ||
+		if cn, err = core.Canonical(s.prog, s.buildPlan(ds)); err != nil || s.byCanon[cn.Key] != nil ||
 			cn.Transformed < len(s.sites)-skipCount(ds) {
 			return
 		}
-		src, _, err = core.Apply(s.prog, pl)
+		src, err = cn.Text()
 	})
 	if err != nil || cn.Transformed < len(s.sites)-skipCount(ds) {
 		// A plan leaving any non-skipped site untransformed is not a
@@ -721,11 +717,7 @@ func (s *search) climbK(si int, ladder []int64) {
 			if j < 0 || j >= len(ladder) {
 				continue
 			}
-			ds := withK(best.Decisions, si, ladder[j])
-			if _, seen := s.measured[s.vecKey(ds)]; seen {
-				continue
-			}
-			if c := s.evaluate(ds, false); c != nil && c.Speedup > best.Speedup {
+			if c := s.evaluate(withK(best.Decisions, si, ladder[j]), false); c != nil && c.Speedup > best.Speedup {
 				improved = true
 			}
 		}
@@ -754,7 +746,7 @@ func (s *search) climbKnobs(si int, ladder []int64) {
 func flip(f func(*plan.Decision)) knob {
 	return func(s *search, si int, ladder []int64) {
 		best := s.best(anyCand)
-		if ds := withFlip(best.Decisions, si, f); s.vecKey(ds) != s.vecKey(best.Decisions) {
+		if ds := withFlip(best.Decisions, si, f); !slices.Equal(ds, best.Decisions) {
 			s.climbVariant(ds, si, ladder)
 		}
 	}
@@ -796,7 +788,7 @@ func (s *search) climbVariant(ds []plan.Decision, si int, ladder []int64) {
 			if c == nil {
 				continue // rejected or failed rung: free, keep walking
 			}
-			aliased := s.vecKey(c.Decisions) != s.vecKey(nd)
+			aliased := !slices.Equal(c.Decisions, normVec(nd))
 			if c.Speedup > curSp {
 				curSp = c.Speedup
 			} else if !aliased {
